@@ -9,10 +9,10 @@ with an audit that measures all pairs against its declared bounds.
 """
 
 from .errors import (BadParams, ClusterTooLarge, DuplicatePoints,
-                     DuplicateSources, EmptyInput, EmptyNetIntersection,
-                     ExtensionDidNotConverge, HeaderMismatch, IndexOutOfRange,
-                     Infeasible, NotEuclidean, PaddingUnachievable,
-                     ProjectionFailed, SnowdimError, UnknownKind)
+                     DuplicateSources, EmptyInput, ExtensionDidNotConverge,
+                     HeaderMismatch, IndexOutOfRange, Infeasible,
+                     NotEuclidean, PaddingUnachievable, SnowdimError,
+                     UnknownKind)
 from .points import (DoublingEstimate, Net, PointSet, estimate_doubling,
                      generate, greedy_net, normalize)
 from .transforms import (cut_decomposition, euclidean_realization,
@@ -38,9 +38,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadParams", "ClusterTooLarge", "DuplicatePoints", "DuplicateSources",
-    "EmptyInput", "EmptyNetIntersection", "ExtensionDidNotConverge",
-    "HeaderMismatch", "IndexOutOfRange", "Infeasible", "NotEuclidean",
-    "PaddingUnachievable", "ProjectionFailed", "SnowdimError", "UnknownKind",
+    "EmptyInput", "ExtensionDidNotConverge", "HeaderMismatch",
+    "IndexOutOfRange", "Infeasible", "NotEuclidean", "PaddingUnachievable",
+    "SnowdimError", "UnknownKind",
     "DoublingEstimate", "Net", "PointSet", "estimate_doubling", "generate",
     "greedy_net", "normalize",
     "cut_decomposition", "euclidean_realization", "gaussian_transform",

@@ -236,21 +236,10 @@ def cmd_dls_query(args) -> int:
 
 
 def cmd_audit_report(args) -> int:
-    s = points.normalize(_load_points(args.input))
+    """Shorthand for embed-scale (with --r) or embed-snowflake."""
     if args.r is not None:
-        delta = args.delta if args.delta is not None else _default_delta(
-            args.eps, args.norm)
-        params = single_scale.SingleScaleParams(
-            r=args.r, eps=args.eps, delta=delta, norm=args.norm,
-            seed=args.seed)
-        rep = single_scale.contract_audit(
-            single_scale.build_single_scale(s, params))
-    else:
-        rep = snowflake.distortion_audit(
-            snowflake.build_snowflake(s, args.alpha, args.eps,
-                                      seed=args.seed, norm=args.norm))
-    _emit_report(rep, args)
-    return 0 if rep.passed else 2
+        return cmd_embed_scale(args)
+    return cmd_embed_snowflake(args)
 
 
 def _greedy_k_center(dist: np.ndarray, k: int, start: int):
@@ -366,7 +355,7 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=_positive_float, default=None,
                    help="audit a single scale instead of the snowflake")
     _common(p)
-    p.set_defaults(func=cmd_audit_report)
+    p.set_defaults(func=cmd_audit_report, dump=None, dim_hat=None)
 
     p = sub.add_parser("cluster-demo",
                        help="greedy 2-approximate k-center in the image space")

@@ -11,9 +11,8 @@ doubled batch until the worst point clears 1 - eps_pad, or gives up.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +39,6 @@ class Partition:
     def size(self) -> int:
         return len(self.clusters)
 
-    def signature(self) -> tuple:
-        """Canonical hashable form; two carvings with equal signatures
-        induce identical cluster structure. Cluster order is normalized
-        away (label ids depend on the carve's center order)."""
-        return tuple(sorted(tuple(c.tolist()) for c in self.clusters))
-
 
 @dataclass
 class PaddedDecomposition:
@@ -59,18 +52,16 @@ class PaddedDecomposition:
     padded_fraction: np.ndarray        # (n,) mean over partitions
     dim_hat: float
     attempts: int = 1
-    signature_counts: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.padded_fraction)
 
 
-def batch_size(eps_pad: float, n: int, dim_hat: float,
-               c_m: float = C_M, c_0: float = C_0) -> int:
+def batch_size(eps_pad: float, n: int, dim_hat: float) -> int:
     """Number of partitions to sample for one decomposition."""
-    a = math.ceil(c_m * eps_pad ** -2 * math.log(2 * n))
-    b = math.ceil(c_0 * eps_pad ** -1 * dim_hat * max(1.0, math.log(dim_hat))) if dim_hat > 0 else 0
+    a = math.ceil(C_M * eps_pad ** -2 * math.log(2 * n))
+    b = math.ceil(C_0 * eps_pad ** -1 * dim_hat * max(1.0, math.log(dim_hat))) if dim_hat > 0 else 0
     return max(a, b, 1)
 
 
@@ -104,16 +95,14 @@ def _sample(dmat, delta, pad_pairs, m, seed, attempt):
 
 def build_decomposition(s: PointSet, delta: float, pad_radius: float,
                         eps_pad: float, seed: int,
-                        dim_hat: float | None = None,
-                        enforce: bool = True) -> PaddedDecomposition:
+                        dim_hat: float | None = None) -> PaddedDecomposition:
     """Sample a padded decomposition of ``s``.
 
     Carves with radius U[delta/4, delta/2]; the intended regime is
     pad_radius <= delta/4 (larger values are allowed but will usually fail
-    the audit). With ``enforce`` the batch is resampled with doubled m until
+    the audit). The batch is resampled with doubled m until
     min padded_fraction >= 1 - eps_pad, raising PaddingUnachievable after
-    MAX_RETRIES; with ``enforce=False`` the first batch is returned as-is so
-    callers can inspect a failing configuration.
+    MAX_RETRIES.
     """
     if s.n == 0:
         raise EmptyInput("cannot decompose an empty set")
@@ -132,7 +121,7 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
     while True:
         partitions, padded = _sample(dmat, delta, pad_pairs, m, seed, attempt)
         frac = padded.mean(axis=0)
-        if not enforce or frac.min() >= 1.0 - eps_pad:
+        if frac.min() >= 1.0 - eps_pad:
             break
         attempt += 1
         if attempt > MAX_RETRIES:
@@ -141,12 +130,9 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
                 f"after {MAX_RETRIES} retries (delta={delta:.6g}, "
                 f"pad_radius={pad_radius:.6g}, dim_hat={dim_hat:.3g})")
         m *= 2
-    counts: dict[tuple, int] = {}
-    for part in partitions:
-        counts[part.signature()] = counts.get(part.signature(), 0) + 1
     return PaddedDecomposition(float(delta), float(pad_radius), float(eps_pad),
                                int(seed), m, partitions, padded, frac,
-                               float(dim_hat), attempt + 1, counts)
+                               float(dim_hat), attempt + 1)
 
 
 @dataclass
@@ -169,7 +155,6 @@ def padding_audit(s: PointSet, dec: PaddedDecomposition) -> PaddingAudit:
     """
     dmat = s.distance_matrix()
     n = s.n
-    have_raw = dec.padded.shape[0] == len(dec.partitions)
     recomputed = np.empty((len(dec.partitions), n), dtype=bool)
     max_diam, diam_ok, cover_ok, disjoint_ok, consistent = 0.0, True, True, True, True
     for t, part in enumerate(dec.partitions):
@@ -193,7 +178,7 @@ def padding_audit(s: PointSet, dec: PaddedDecomposition) -> PaddingAudit:
         for i in range(n):
             nbrs = np.flatnonzero(dmat[i] <= dec.pad_radius)
             recomputed[t, i] = (part.labels[nbrs] == part.labels[i]).all()
-        if have_raw and not np.array_equal(recomputed[t], dec.padded[t]):
+        if not np.array_equal(recomputed[t], dec.padded[t]):
             consistent = False
     frac = recomputed.mean(axis=0)
     if not np.array_equal(frac, dec.padded_fraction):
@@ -202,43 +187,3 @@ def padding_audit(s: PointSet, dec: PaddedDecomposition) -> PaddingAudit:
               and frac.min() >= 1.0 - dec.eps_pad)
     return PaddingAudit(float(frac.min()), float(frac.mean()), max_diam,
                         diam_ok, cover_ok, disjoint_ok, consistent, passed)
-
-
-def dumps(dec: PaddedDecomposition) -> str:
-    """JSON dump: per-partition cluster lists plus the audit inputs."""
-    doc = {
-        "delta": dec.delta,
-        "pad_radius": dec.pad_radius,
-        "eps_pad": dec.eps_pad,
-        "seed": dec.seed,
-        "m": dec.m,
-        "dim_hat": dec.dim_hat,
-        "attempts": dec.attempts,
-        "padded_fraction": [float(v) for v in dec.padded_fraction],
-        "partitions": [
-            {"radius": p.radius, "clusters": [c.tolist() for c in p.clusters]}
-            for p in dec.partitions
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def loads(text: str) -> PaddedDecomposition:
-    doc = json.loads(text)
-    partitions = []
-    n = 1 + max(i for p in doc["partitions"] for c in p["clusters"] for i in c)
-    for p in doc["partitions"]:
-        labels = np.empty(n, dtype=np.intp)
-        clusters = [np.asarray(c, dtype=np.intp) for c in p["clusters"]]
-        for cid, c in enumerate(clusters):
-            labels[c] = cid
-        partitions.append(Partition(labels, clusters, float(p["radius"])))
-    m = doc["m"]
-    frac = np.asarray(doc["padded_fraction"])
-    counts: dict[tuple, int] = {}
-    for part in partitions:
-        counts[part.signature()] = counts.get(part.signature(), 0) + 1
-    return PaddedDecomposition(doc["delta"], doc["pad_radius"], doc["eps_pad"],
-                               doc["seed"], m, partitions,
-                               np.zeros((0, n), dtype=bool), frac,
-                               doc["dim_hat"], doc["attempts"], counts)

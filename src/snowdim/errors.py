@@ -49,14 +49,6 @@ class Infeasible(SnowdimError):
     """Cut LP residual above tolerance: input was not an l1 metric."""
 
 
-class EmptyNetIntersection(SnowdimError):
-    """Cluster contains no net point where one is required."""
-
-
-class ProjectionFailed(SnowdimError):
-    """Random projection could not certify its contraction bound."""
-
-
 class ExtensionDidNotConverge(SnowdimError):
     """Cyclic ball projections ran out of iterations."""
 

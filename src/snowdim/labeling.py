@@ -171,7 +171,11 @@ def dumps_labels(ls: LabelSet) -> bytes:
 
 
 def loads_labels(buf: bytes) -> LabelSet:
-    """Parse bytes produced by dumps_labels."""
+    """Parse bytes produced by dumps_labels.
+
+    Raises HeaderMismatch on a short or foreign header, a label length k of
+    zero, or a body that is not a whole number of records.
+    """
     if len(buf) < _HEADER.size:
         raise HeaderMismatch("label buffer shorter than its header")
     magic, version, k, q, alpha, m_norm, scale = _HEADER.unpack_from(buf, 0)
@@ -179,6 +183,8 @@ def loads_labels(buf: bytes) -> LabelSet:
         raise HeaderMismatch(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise HeaderMismatch(f"unsupported label version {version}")
+    if k == 0:
+        raise HeaderMismatch("label header declares k = 0 coordinates")
     body = buf[_HEADER.size:]
     rec_dtype = np.dtype([("id", "<u8"), ("c", "<i4", (k,))])
     if len(body) % rec_dtype.itemsize:

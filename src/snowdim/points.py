@@ -33,6 +33,10 @@ _NORM_TAGS = {
 
 #: relative tolerance on the normalization invariant (min distance == 1)
 NORMALIZATION_RTOL = 1e-9
+#: rows per chunk of the l1 / l-infinity pairwise kernel
+PAIRWISE_BLOCK = 256
+#: centers sampled by the doubling estimate
+MAX_CENTERS = 128
 
 
 def norm_tag(norm) -> float:
@@ -50,7 +54,7 @@ def norm_label(norm: float) -> str:
     return "1" if float(norm) == 1.0 else "2"
 
 
-def _pairwise(points: np.ndarray, norm: float, block: int = 256) -> np.ndarray:
+def _pairwise(points: np.ndarray, norm: float) -> np.ndarray:
     """Dense pairwise distance matrix, chunked to bound peak memory."""
     n = points.shape[0]
     if norm == 2.0:
@@ -62,8 +66,8 @@ def _pairwise(points: np.ndarray, norm: float, block: int = 256) -> np.ndarray:
         # symmetrise away rounding asymmetry from the Gram trick
         return 0.5 * (d + d.T)
     out = np.empty((n, n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, PAIRWISE_BLOCK):
+        hi = min(lo + PAIRWISE_BLOCK, n)
         diff = np.abs(points[lo:hi, None, :] - points[None, :, :])
         out[lo:hi] = diff.sum(axis=2) if norm == 1.0 else diff.max(axis=2)
     np.fill_diagonal(out, 0.0)
@@ -90,6 +94,8 @@ class PointSet:
         self.points = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
         if self.points.ndim != 2:
             raise BadParams(f"points must be 2-d, got shape {self.points.shape}")
+        if not np.isfinite(self.points).all():
+            raise BadParams("points must be finite; got NaN or infinity")
         self.norm = norm_tag(self.norm)
 
     @property
@@ -124,10 +130,10 @@ class PointSet:
         np.fill_diagonal(d, np.inf)
         return float(d.min())
 
-    def is_normalized(self, rtol: float = NORMALIZATION_RTOL) -> bool:
+    def is_normalized(self) -> bool:
         if self.n < 2:
             return True
-        return abs(self.min_distance() - 1.0) <= rtol
+        return abs(self.min_distance() - 1.0) <= NORMALIZATION_RTOL
 
     def subset(self, indices) -> "PointSet":
         idx = np.asarray(indices, dtype=np.intp)
@@ -138,7 +144,7 @@ def vector_norm(diff: np.ndarray, norm: float) -> np.ndarray:
     """Norm of row vector(s) under the set's norm."""
     diff = np.atleast_2d(diff)
     if norm == 2.0:
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return np.linalg.norm(diff, axis=1)
     if norm == 1.0:
         return np.abs(diff).sum(axis=1)
     return np.abs(diff).max(axis=1) if diff.shape[1] else np.zeros(diff.shape[0])
@@ -205,7 +211,6 @@ def greedy_net(s: PointSet, radius: float) -> Net:
 class DoublingEstimate:
     lambda_hat: int
     dim_hat: float
-    method: str = "greedy-cover-pow2"
 
 
 def _greedy_cover_count(dsub: np.ndarray, radius: float) -> int:
@@ -221,7 +226,7 @@ def _greedy_cover_count(dsub: np.ndarray, radius: float) -> int:
     return count
 
 
-def estimate_doubling(s: PointSet, max_centers: int = 128) -> DoublingEstimate:
+def estimate_doubling(s: PointSet) -> DoublingEstimate:
     """Upper-estimate the doubling constant by greedy half-radius covers.
 
     Scans radii on a power-of-two grid and (a sample of) centers; for each
@@ -234,8 +239,8 @@ def estimate_doubling(s: PointSet, max_centers: int = 128) -> DoublingEstimate:
         return DoublingEstimate(1, 0.0)
     d = s.distance_matrix()
     dmin, diam = s.min_distance(), s.diameter()
-    centers = np.arange(s.n) if s.n <= max_centers else \
-        np.unique(np.linspace(0, s.n - 1, max_centers).astype(np.intp))
+    centers = np.arange(s.n) if s.n <= MAX_CENTERS else \
+        np.unique(np.linspace(0, s.n - 1, MAX_CENTERS).astype(np.intp))
     lam = 1
     rho = 2.0 * dmin
     while True:
@@ -402,12 +407,6 @@ def loads_json(text: str) -> PointSet:
                         norm_tag(doc["norm"]), float(doc.get("scale", 1.0)))
     except (KeyError, TypeError) as exc:
         raise HeaderMismatch("bad point-set JSON document") from exc
-
-
-def save(s: PointSet, path, fmt: str = "csv"):
-    text = dumps_csv(s) if fmt == "csv" else dumps_json(s)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def load(path, fmt: str | None = None) -> PointSet:

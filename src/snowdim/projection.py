@@ -15,12 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, ProjectionFailed
+from .errors import BadParams
 
 #: fresh Gaussian draws per target dimension before bumping it
 MAX_TRIES = 64
 #: dimension growth factor after MAX_TRIES misses
 BUMP = 1.25
+#: Gram eigenvalues below this fraction of the largest are dropped
+REDUCE_RTOL = 1e-12
 
 
 def jl_dimension(eps: float, n: int) -> int:
@@ -42,14 +44,14 @@ class ProjectionInfo:
     min_ratio: float
 
 
-def exact_reduce(x: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def exact_reduce(x: np.ndarray) -> np.ndarray:
     """Rewrite rows of ``x`` in at most ``rank(x)`` coordinates, exactly.
 
     n points always fit isometrically in n-1 dimensions, so wide matrices
     (k >> n) built from block-diagonal assemblies carry mostly redundant
     columns. The Gram matrix x @ x.T is factored instead; eigenvalues below
-    rtol * max are dropped. Pairwise distances survive to float precision,
-    which makes this safe ahead of any distance-based audit.
+    REDUCE_RTOL * max are dropped. Pairwise distances survive to float
+    precision, which makes this safe ahead of any distance-based audit.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -57,7 +59,7 @@ def exact_reduce(x: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     gram = 0.5 * (gram + gram.T)
     vals, vecs = np.linalg.eigh(gram)
     top = float(vals[-1]) if n else 0.0
-    keep = vals > rtol * max(top, 0.0)
+    keep = vals > REDUCE_RTOL * max(top, 0.0)
     if not keep.any():
         return np.zeros((n, 0))
     # leading coordinates first; eigh sorts ascending
@@ -72,9 +74,9 @@ def jl_project(x: np.ndarray, eps: float, seed: int,
     Contract on the output rows y: for every pair,
     ``|x_i - x_j| / (1+eps) <= |y_i - y_j| <= |x_i - x_j|``. Default
     out_dim is min(x.shape[1], jl_dimension(eps, n)). If out_dim covers the
-    source dimension the map is the identity (already exact). Raises
-    ProjectionFailed only if even full dimension is rejected, which cannot
-    happen through the identity path.
+    source dimension the map is the identity (already exact), and a
+    search that bumps the dimension up to the source's returns the
+    identity too.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     n, k = x.shape

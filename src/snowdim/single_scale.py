@@ -21,30 +21,33 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import report as report_mod
 from .decomposition import (PaddedDecomposition, Partition, batch_size,
                             build_decomposition)
-from .errors import BadParams, EmptyNetIntersection, PaddingUnachievable
+from .errors import BadParams, HeaderMismatch, PaddingUnachievable
 from .extension import ExtensionInfo, kirszbraun_extend, lipschitz_constant
-from .points import Net, PointSet, _pairwise, estimate_doubling, greedy_net, norm_label, norm_tag, require_normalized
+from .points import (Net, PointSet, _pairwise, estimate_doubling, greedy_net,
+                     norm_label, norm_tag, require_normalized, vector_norm)
 from .projection import (ProjectionInfo, exact_reduce, jl_dimension,
                          jl_project)
 from .transforms import (cut_decomposition, euclidean_realization,
                          gaussian_transform, laplace_transform,
                          threshold_transform)
 
-#: delta_decomp = 3 * c_pad * max(1, dim_hat) * r / delta
+#: delta_decomp = 3 * C_PAD * max(1, dim_hat) * r / delta
 C_PAD = 8.0
 #: global rescale constant per norm: final map divided by (1 + C * eps)
 RESCALE_C = {1.0: 40.0, 2.0: 40.0, np.inf: 0.0}
-#: default padding failure budget
+#: padding failure budget
 EPS_PAD = 0.36
 #: doublings of the decomposition diameter before giving up
 DELTA_RETRIES = 3
+#: Kirszbraun extension slack, relative to the net's Lipschitz constant
+EXTENSION_TOL = 1e-6
 
 
 def transform_for(norm: float):
@@ -62,11 +65,8 @@ class SingleScaleParams:
     delta: float
     norm: float = 2.0
     seed: int = 0
-    c_pad: float = C_PAD
-    eps_pad: float = EPS_PAD
     rescale_c: float | None = None          # None: per-norm default
     dim_hat: float | None = None            # None: estimate from the data
-    extension_tol: float = 1e-6
 
     def __post_init__(self):
         self.norm = norm_tag(self.norm)
@@ -80,8 +80,6 @@ class SingleScaleParams:
             raise BadParams(
                 f"l-infinity path requires delta <= eps^2/4 "
                 f"({self.eps ** 2 / 4:.6g}), got {self.delta}")
-        if not 0 < self.eps_pad < 1:
-            raise BadParams(f"eps_pad must lie in (0, 1), got {self.eps_pad}")
         if self.rescale_c is None:
             self.rescale_c = RESCALE_C[self.norm]
 
@@ -101,7 +99,7 @@ class SingleScaleParams:
         return 3.0 * self.r / self.delta
 
     def decomposition_diameter(self, dim_hat: float) -> float:
-        return 3.0 * self.c_pad * max(1.0, dim_hat) * self.r / self.delta
+        return 3.0 * C_PAD * max(1.0, dim_hat) * self.r / self.delta
 
 
 @dataclass
@@ -170,7 +168,7 @@ class SingleScaleEmbedding:
 
 
 def theory_dimension(eps: float, delta: float, eps_pad: float,
-                     dim_hat: float, norm: float, c_pad: float = C_PAD) -> int:
+                     dim_hat: float, norm: float) -> int:
     """Input-size-independent target dimension from the parameters alone.
 
     Uses the doubling-driven part of the partition budget
@@ -184,7 +182,7 @@ def theory_dimension(eps: float, delta: float, eps_pad: float,
     """
     d = max(1.0, dim_hat)
     m_hat = max(1, math.ceil(2.0 * d * max(1.0, math.log(d)) / eps_pad))
-    ratio = (3.0 * c_pad * d / delta) / (eps * delta)
+    ratio = (3.0 * C_PAD * d / delta) / (eps * delta)
     log_card = math.ceil(math.log2(max(ratio, 2.0))) * d * math.log(2.0)
     if norm == 2.0:
         k_hat = math.ceil(8.0 * eps ** -2 * max(log_card, math.log(2.0)))
@@ -210,7 +208,7 @@ def _trivial_decomposition(n: int, delta_dec: float, pad: float,
     padded = np.ones((m, n), dtype=bool)
     return PaddedDecomposition(delta_dec, pad, eps_pad, seed, m,
                                [part] * m, padded, padded.mean(axis=0),
-                               dim_hat, 1, {part.signature(): m})
+                               dim_hat)
 
 
 def _embed_cluster_l2(dmat_c, p: SingleScaleParams, seed: int) -> ClusterMap:
@@ -286,12 +284,12 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     delta_dec = p.decomposition_diameter(dim_hat)
     for attempt in range(DELTA_RETRIES + 1):
         if delta_dec / 4.0 >= diam:
-            m = batch_size(p.eps_pad, gset.n, dim_hat)
-            dec = _trivial_decomposition(gset.n, delta_dec, pad, p.eps_pad,
+            m = batch_size(EPS_PAD, gset.n, dim_hat)
+            dec = _trivial_decomposition(gset.n, delta_dec, pad, EPS_PAD,
                                          p.seed, m, dim_hat)
             break
         try:
-            dec = build_decomposition(gset, delta_dec, pad, p.eps_pad,
+            dec = build_decomposition(gset, delta_dec, pad, EPS_PAD,
                                       seed=p.seed * 31 + attempt,
                                       dim_hat=dim_hat)
             break
@@ -374,21 +372,14 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     ext_info = None
     if len(ground) < s.n:
         # only the l2 path leaves non-net points without images
-        tol_rel = p.extension_tol
-        lip_used = max(lip_net, 1e-12) * (1.0 + tol_rel)
-        tol_abs = 0.1 * tol_rel * max(lip_net, 1e-12) * s.min_distance()
+        lip_used = max(lip_net, 1e-12) * (1.0 + EXTENSION_TOL)
+        tol_abs = 0.1 * EXTENSION_TOL * max(lip_net, 1e-12) * s.min_distance()
         coords, ext_info = kirszbraun_extend(dmat, ground, gcoords,
                                              lip_used, tol_abs)
-    th_k = theory_dimension(p.eps, p.delta, p.eps_pad, dim_hat, p.norm,
-                            p.c_pad)
+    th_k = theory_dimension(p.eps, p.delta, EPS_PAD, dim_hat, p.norm)
     return SingleScaleEmbedding(p, s, net, ground, dim_hat, dec, entries, m,
                                 k, th_k, combine, rescale, coords, lip_net,
                                 ext_info, empty_net)
-
-
-def evaluate(e: SingleScaleEmbedding, index: int) -> np.ndarray:
-    e.source.check_index(index)
-    return e.coords[index].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +413,7 @@ def contract_audit(e: SingleScaleEmbedding) -> report_mod.DistortionReport:
         iu, ju, src, dst, ref_dist=ref, window=window, bounds=bounds)
     with np.errstate(divide="ignore", invalid="ignore"):
         lip = np.where(src > 0, dst / src, 0.0)
-    norms = np.linalg.norm(e.coords, axis=1) if p.norm == 2.0 else (
-        np.abs(e.coords).sum(axis=1) if p.norm == 1.0
-        else (np.abs(e.coords).max(axis=1) if e.k else np.zeros(s.n)))
+    norms = vector_norm(e.coords, p.norm)
     lemma = _cluster_checks(e)
     rep.extras.update({
         "max_lipschitz": float(lip.max()) if len(lip) else 0.0,
@@ -468,10 +457,8 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
         members = cm.members
         raw = cm.coords
         if cm.k:
-            nrm = (np.linalg.norm(raw, axis=1) if p.norm == 2.0 else
-                   np.abs(raw).sum(axis=1) if p.norm == 1.0 else
-                   np.abs(raw).max(axis=1))
-            max_f_norm = max(max_f_norm, float(nrm.max()))
+            max_f_norm = max(max_f_norm,
+                             float(vector_norm(raw, p.norm).max()))
         if len(members) > 1:
             dsub = gdmat[np.ix_(members, members)]
             fsub = _pairwise(raw, p.norm)
@@ -502,14 +489,26 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# serialization: JSON header + raw little-endian float64 coordinate block
+# serialization: 4-byte little-endian header length, JSON header, then the
+# (n, k) coordinate block as little-endian float64, row-major
+
+
+_HLEN = struct.Struct("<I")
+_LAYOUT = "rows are points in input order; float64 little-endian"
+
+
+def _dumps_coords(header: dict, coords: np.ndarray) -> bytes:
+    """The dump envelope around ``header`` (which must carry n and k)."""
+    blob = json.dumps({**header, "layout": _LAYOUT}, sort_keys=True,
+                      separators=(",", ":")).encode()
+    body = np.ascontiguousarray(coords, dtype="<f8").tobytes()
+    return _HLEN.pack(len(blob)) + blob + body
 
 
 def dumps(e: SingleScaleEmbedding) -> bytes:
-    """Embedding dump: 4-byte header length, JSON header, then the (n, k)
-    coordinate block as little-endian float64, row-major."""
+    """Embedding dump: the scale's parameters and the final coordinates."""
     p = e.params
-    header = {
+    return _dumps_coords({
         "kind": "single-scale",
         "n": e.n,
         "k": e.k,
@@ -525,17 +524,32 @@ def dumps(e: SingleScaleEmbedding) -> bytes:
         "rescale": e.rescale,
         "lip_net": e.lip_net,
         "net_size": int(len(e.net.members)),
-        "layout": "rows are points in input order; float64 little-endian",
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body = np.ascontiguousarray(e.coords, dtype="<f8").tobytes()
-    return struct.pack("<I", len(blob)) + blob + body
+    }, e.coords)
 
 
 def loads_coords(data: bytes) -> tuple[dict, np.ndarray]:
-    """Read back a dump produced by ``dumps``: (header, coords)."""
-    (hlen,) = struct.unpack_from("<I", data, 0)
-    header = json.loads(data[4:4 + hlen].decode())
-    coords = np.frombuffer(data[4 + hlen:], dtype="<f8").reshape(
-        header["n"], header["k"]).copy()
+    """Read back a single-scale or snowflake dump: (header, coords).
+
+    Raises HeaderMismatch when the bytes are truncated, the header is not a
+    JSON object with non-negative integer n and k, or the body does not hold
+    exactly n * k float64 values.
+    """
+    if len(data) < _HLEN.size:
+        raise HeaderMismatch("dump shorter than its header length field")
+    (hlen,) = _HLEN.unpack_from(data, 0)
+    start = _HLEN.size + hlen
+    if len(data) < start:
+        raise HeaderMismatch(f"dump truncated inside its {hlen}-byte header")
+    try:
+        header = json.loads(data[_HLEN.size:start].decode())
+        n, k = header["n"], header["k"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise HeaderMismatch(f"bad dump header: {exc}") from exc
+    if not (type(n) is int and type(k) is int and n >= 0 and k >= 0):
+        raise HeaderMismatch(f"bad dump shape n={n!r}, k={k!r}")
+    if len(data) - start != 8 * n * k:
+        raise HeaderMismatch(
+            f"dump body holds {len(data) - start} bytes, expected "
+            f"{8 * n * k} for {n} x {k} float64")
+    coords = np.frombuffer(data[start:], dtype="<f8").reshape(n, k).copy()
     return header, coords

@@ -31,19 +31,17 @@ partition).
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import report as report_mod
-from .errors import BadParams, EmptyInput
+from .errors import BadParams, EmptyInput, SnowdimError
 from .points import (PointSet, _pairwise, estimate_doubling, norm_label,
                      norm_tag, require_normalized)
 from .single_scale import (EPS_PAD, SingleScaleEmbedding, SingleScaleParams,
-                           build_single_scale, theory_dimension)
+                           _dumps_coords, build_single_scale, theory_dimension)
 
 #: offset added to the scale index when deriving per-scale seeds, so the
 #: seed entropy stays nonnegative for any sane index window
@@ -226,7 +224,9 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     The doubling estimate is taken once and shared by every scale, so the
     reported theory dimension depends only on the parameters and that
     estimate (pass ``dim_hat`` to pin it). Per-scale seeds derive from
-    (seed, i), so any scale can be rebuilt independently.
+    (seed, i), so any scale can be rebuilt independently. A library error
+    from one scale is re-raised as the same type with the scale named in
+    front of its message; any other exception passes through untouched.
     """
     plan = scale_plan(s, alpha, eps, norm)
     if dim_hat is None:
@@ -242,9 +242,8 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
                                rescale_c=0.0, dim_hat=dim_hat)
         try:
             e_i = build_single_scale(s, sp)
-        except Exception as err:
-            err.args = (f"scale i={i} (r={sp.r:.6g}): {err}",)
-            raise
+        except SnowdimError as err:
+            raise type(err)(f"scale i={i} (r={sp.r:.6g}): {err}") from err
         w = (1.0 + eps) ** (-i * (1.0 - alpha))
         dom = None
         if 0 <= i <= istar_top and e_i.k:
@@ -257,7 +256,6 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     # combination keeps every scale in its own block
     if plan.norm == np.inf:
         widths = {t: max(e.k, 0) for t, e in enumerate(entries)}
-        key_of = dict(enumerate(entries))
         keys = [t for t, e in enumerate(entries)]
     else:
         widths = {}
@@ -284,11 +282,6 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
                               plan.p * theory_k_scale, theory_k_scale, coords)
 
 
-def evaluate(e: SnowflakeEmbedding, index: int) -> np.ndarray:
-    e.source.check_index(index)
-    return e.coords[index].copy()
-
-
 # ---------------------------------------------------------------------------
 # audit
 
@@ -296,8 +289,9 @@ def evaluate(e: SnowflakeEmbedding, index: int) -> np.ndarray:
 def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
     """Exhaustive pair ratios against d^alpha plus the per-scale bucket
     diagnostics (geometric tails and the dominant-term floor). Tail or
-    dominant breaches are appended to the violations list with a ``check``
-    tag, so ``passed`` covers all three properties."""
+    dominant breaches, and a band width above the 1 + 16 eps limit, are
+    appended to the violations list with a ``check`` tag, so ``passed``
+    covers all four properties."""
     plan = e.plan
     s = e.source
     eps, alpha, p = plan.eps, plan.alpha, plan.p
@@ -308,8 +302,8 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
     target = src ** alpha
     bounds = None
     if plan.norm == 2.0:
-        # envelope around the predicted center; the acceptance statement
-        # is on the band width, which zero violations here imply
+        # envelope around the predicted center; the band width itself is
+        # checked below, since the envelope admits a wider band
         bounds = (plan.center * (1.0 - 2.0 * eps) / (1.0 + eps) ** 2,
                   plan.center * (1.0 + 4.0 * eps) ** 2)
     rep = report_mod.from_pairs("d^alpha", iu, ju, src, img,
@@ -374,6 +368,12 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
             "bound": float(dom_bound[pair]),
         })
 
+    band_width = rep.ratio_max / rep.ratio_min
+    band_limit = 1.0 + 16.0 * eps
+    if band_width > band_limit:
+        rep.violations.append({"check": "band", "width": band_width,
+                               "limit": band_limit})
+
     with np.errstate(invalid="ignore", divide="ignore"):
         tail_ratio = np.where(in_window, out_mass / tail_bound[:, None], 0.0)
         dom_ratio = b_dom / ((1.0 + eps) ** (istar * (1.0 - alpha)))
@@ -383,8 +383,8 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
         "delta": plan.delta,
         "M": plan.M,
         "center": plan.center,
-        "band_width": rep.ratio_max / rep.ratio_min,
-        "band_limit": 1.0 + 16.0 * eps,
+        "band_width": band_width,
+        "band_limit": band_limit,
         "max_tail_ratio": float(tail_ratio.max()) if tail_ratio.size else 0.0,
         "tail_bound_slack": TAIL_SLACK,
         "padded_dominant_pairs": int(padded_dom.sum()),
@@ -400,14 +400,14 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
 
 
 # ---------------------------------------------------------------------------
-# serialization: same envelope as the single-scale dump plus a scale manifest
+# serialization: the single-scale dump envelope with a scale manifest
 
 
 def dumps(e: SnowflakeEmbedding) -> bytes:
-    """Embedding dump: 4-byte header length, JSON header (with the scale
-    manifest), then the (n, k) coordinate block as little-endian float64."""
+    """Embedding dump: the plan, the per-scale widths and the final
+    coordinates; ``single_scale.loads_coords`` reads it back."""
     plan = e.plan
-    header = {
+    return _dumps_coords({
         "kind": "snowflake",
         "n": e.n,
         "k": e.k,
@@ -425,8 +425,4 @@ def dumps(e: SnowflakeEmbedding) -> bytes:
         "i_lo": plan.i_lo,
         "i_hi": plan.i_hi,
         "scale_k": [int(sc.k) for sc in e.scales],
-        "layout": "rows are points in input order; float64 little-endian",
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    body = np.ascontiguousarray(e.coords, dtype="<f8").tobytes()
-    return struct.pack("<I", len(blob)) + blob + body
+    }, e.coords)

@@ -30,6 +30,9 @@ EIG_RTOL = 1e-8
 #: eigh rounding noise but keeps the long low-energy tail that transformed
 #: metrics of nearly collinear sets carry
 EIG_KEEP_RTOL = 1e-13
+#: cut LP residual tolerance, relative to the largest distance per pair;
+#: cut weights below it (relative to the largest weight) are dropped
+CUT_RTOL = 1e-9
 #: cut decomposition enumerates 2^(n-1)-1 cuts; refuse beyond this
 MAX_CUT_POINTS = 14
 
@@ -64,12 +67,12 @@ def threshold_transform(t, r: float):
     return out if out.ndim else float(out)
 
 
-def euclidean_realization(dmat: np.ndarray, rtol: float = EIG_RTOL) -> np.ndarray:
+def euclidean_realization(dmat: np.ndarray) -> np.ndarray:
     """Exact coordinates for a Euclidean distance matrix.
 
     Classical Gram reconstruction: B = -1/2 J D^2 J, eigendecompose, keep
     eigenvalues above EIG_KEEP_RTOL * lambda_max. Mildly negative
-    eigenvalues (>= -rtol * lambda_max) are treated as rounding noise and
+    eigenvalues (>= -EIG_RTOL * lambda_max) are treated as rounding noise and
     clamped to zero; anything lower raises NotEuclidean. Returns an (n, k)
     array with k = rank(B); a single point realizes as shape (1, 0).
     """
@@ -85,7 +88,7 @@ def euclidean_realization(dmat: np.ndarray, rtol: float = EIG_RTOL) -> np.ndarra
     b *= -0.5
     vals, vecs = np.linalg.eigh(b)
     lam_max = max(float(vals[-1]), 0.0)
-    floor = -rtol * lam_max
+    floor = -EIG_RTOL * lam_max
     if vals[0] < floor:
         raise NotEuclidean(
             f"most negative Gram eigenvalue {vals[0]:.6g} below "
@@ -103,12 +106,12 @@ class Cut:
     members: frozenset
 
 
-def cut_decomposition(dmat: np.ndarray, rtol: float = 1e-9) -> list[Cut]:
+def cut_decomposition(dmat: np.ndarray) -> list[Cut]:
     """Write a (small) l1-embeddable metric as a weighted sum of cuts.
 
     Enumerates all 2^(n-1) - 1 nontrivial cuts and solves the LP
     minimizing total absolute slack; Infeasible if the best slack exceeds
-    rtol * max distance, ClusterTooLarge beyond MAX_CUT_POINTS points.
+    CUT_RTOL * max distance, ClusterTooLarge beyond MAX_CUT_POINTS points.
     Returns only the cuts with positive weight.
     """
     dmat = np.asarray(dmat, dtype=np.float64)
@@ -141,55 +144,10 @@ def cut_decomposition(dmat: np.ndarray, rtol: float = 1e-9) -> list[Cut]:
         raise Infeasible(f"cut LP failed: {res.message}")
     slack = float(res.fun)
     scale = float(target.max()) if len(target) else 1.0
-    if slack > rtol * max(scale, 1.0) * npairs:
+    if slack > CUT_RTOL * max(scale, 1.0) * npairs:
         raise Infeasible(
             f"metric is not l1-embeddable within tolerance: "
             f"residual slack {slack:.3g}")
     gamma = res.x[:ncuts]
-    keep = gamma > rtol * max(gamma.max(), 1.0)
+    keep = gamma > CUT_RTOL * max(gamma.max(), 1.0)
     return [Cut(float(gamma[c]), cuts[c]) for c in np.flatnonzero(keep)]
-
-
-def merge_cuts(cut_lists: list[list[Cut]]) -> list[Cut]:
-    """Combine cut lists over a shared index space, summing weights of
-    identical cuts. Grouping is exact: weights add in float64 and equal
-    cuts compare by set equality, so the merged metric matches the
-    concatenation bit-for-bit up to addition order."""
-    acc: dict[frozenset, float] = {}
-    for cuts in cut_lists:
-        for cut in cuts:
-            acc[cut.members] = acc.get(cut.members, 0.0) + cut.weight
-    return [Cut(w, m) for m, w in sorted(acc.items(), key=lambda kv: sorted(kv[0]))
-            if w > 0.0]
-
-
-def cut_coordinates(cuts: list[Cut], n: int) -> np.ndarray:
-    """Realize a cut list as l1 coordinates: one coordinate per cut, value
-    weight * [i in members]. Pairwise l1 distances equal the cut metric."""
-    x = np.zeros((n, max(len(cuts), 1)) if cuts else (n, 0))
-    for c, cut in enumerate(cuts):
-        idx = [i for i in cut.members if i < n]
-        x[idx, c] = cut.weight
-    return x
-
-
-def cut_metric(cuts: list[Cut], n: int) -> np.ndarray:
-    """Pairwise distances of the weighted cut sum (brute force)."""
-    d = np.zeros((n, n))
-    for cut in cuts:
-        inside = np.zeros(n, dtype=bool)
-        inside[[i for i in cut.members if i < n]] = True
-        sep = inside[:, None] ^ inside[None, :]
-        d += cut.weight * sep
-    return d
-
-
-def frechet_coordinates(dists_to_landmarks: np.ndarray, r: float) -> np.ndarray:
-    """Threshold Frechet coordinates for the l-infinity path.
-
-    Column w of the output is T_r(d(x, landmark_w)); each column is
-    1-Lipschitz in x, and for a landmark within range of x the column
-    recovers the distance to it up to the threshold.
-    """
-    r = _check_r(r)
-    return np.minimum(np.asarray(dists_to_landmarks, dtype=np.float64), r)

@@ -1,0 +1,43 @@
+"""Public surface: every error type is raised somewhere, every export
+resolves."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import snowdim
+from snowdim import errors
+
+SRC = Path(snowdim.__file__).parent
+
+
+def raised_names() -> set:
+    """Names of the exception classes in ``raise`` statements of the
+    package sources."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return names
+
+
+def test_every_error_type_is_raised():
+    subclasses = {name for name, obj in vars(errors).items()
+                  if inspect.isclass(obj)
+                  and issubclass(obj, errors.SnowdimError)
+                  and obj is not errors.SnowdimError}
+    assert subclasses
+    assert subclasses - raised_names() == set()
+
+
+def test_every_export_resolves():
+    missing = [name for name in snowdim.__all__
+               if not hasattr(snowdim, name)]
+    assert missing == []
+    assert len(set(snowdim.__all__)) == len(snowdim.__all__)

@@ -123,6 +123,16 @@ def test_audit_report_single_scale_stdout_csv(tmp_path, capsys):
     assert out.splitlines()[0].startswith("pair_i,pair_j,")
 
 
+def test_audit_report_is_embed_shorthand(tmp_path, capsys):
+    path = gen_line(tmp_path)
+    for extra, command in ((("--r", "2.0"), "embed-scale"),
+                           ((), "embed-snowflake")):
+        short = run(capsys, "audit-report", path, *extra)
+        full = run(capsys, command, path, *extra)
+        assert short == full
+        assert short[0] == 0 and '"passed":true' in short[1]
+
+
 # --- labels
 
 

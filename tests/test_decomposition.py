@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from snowdim.decomposition import (batch_size, build_decomposition, dumps,
-                                   loads, padding_audit)
+from snowdim.decomposition import (batch_size, build_decomposition,
+                                   padding_audit)
 from snowdim.errors import BadParams, EmptyInput, PaddingUnachievable
 from snowdim.points import PointSet, generate, normalize
 
@@ -63,9 +63,9 @@ def test_deterministic_per_seed():
     a = build_decomposition(s, 24.0, 1.0, 0.36, seed=5)
     b = build_decomposition(s, 24.0, 1.0, 0.36, seed=5)
     c = build_decomposition(s, 24.0, 1.0, 0.36, seed=6)
-    assert all(pa.signature() == pb.signature()
+    assert all(np.array_equal(pa.labels, pb.labels)
                for pa, pb in zip(a.partitions, b.partitions))
-    assert any(pa.signature() != pc.signature()
+    assert any(not np.array_equal(pa.labels, pc.labels)
                for pa, pc in zip(a.partitions, c.partitions))
 
 
@@ -77,12 +77,18 @@ def test_tight_delta_is_unachievable():
         build_decomposition(s, delta=8.0, pad_radius=1.0, eps_pad=0.1, seed=3)
 
 
-def test_enforce_false_returns_failing_batch():
+def test_padding_audit_flags_tampered_eps_pad():
+    # a batch whose recorded failure budget its padding does not meet
     s = grid10()
-    dec = build_decomposition(s, delta=8.0, pad_radius=1.0, eps_pad=0.1,
-                              seed=3, enforce=False)
-    assert dec.padded_fraction.min() < 0.9
-    assert not padding_audit(s, dec).passed
+    dec = build_decomposition(s, delta=24.0, pad_radius=1.0, eps_pad=0.36,
+                              seed=1)
+    worst = dec.padded_fraction.min()
+    assert worst < 1.0
+    dec.eps_pad = (1.0 - worst) / 2.0
+    audit = padding_audit(s, dec)
+    assert audit.padded_consistent and audit.cover_ok and audit.diameter_ok
+    assert audit.min_fraction == worst < 1.0 - dec.eps_pad
+    assert not audit.passed
 
 
 def test_single_cluster_when_delta_covers_diameter():
@@ -118,13 +124,3 @@ def test_bad_params():
         build_decomposition(s, -1.0, 0.5, 0.3, 0)
     with pytest.raises(BadParams):
         build_decomposition(s, 8.0, 1.0, 1.5, 0)
-
-
-def test_json_roundtrip_audit():
-    s = grid10()
-    dec = build_decomposition(s, 24.0, 1.0, 0.36, seed=8)
-    dec2 = loads(dumps(dec))
-    assert dec2.m == dec.m
-    assert [p.signature() for p in dec2.partitions] == \
-           [p.signature() for p in dec.partitions]
-    assert padding_audit(s, dec2).passed

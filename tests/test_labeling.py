@@ -172,6 +172,25 @@ def test_loads_rejects_bad_bytes():
         loads_labels(blob[:10])
     with pytest.raises(HeaderMismatch):
         loads_labels(blob[:-3])
+    # a k = 0 header would read an 8-byte body as one coordinate-free label
+    zero_k = dataclasses.replace(line_labels().header, k=0).pack()
+    with pytest.raises(HeaderMismatch):
+        loads_labels(zero_k + blob[-8:])
+
+
+def test_truncated_labels_raise_or_round_trip():
+    # a cut at a record boundary is a shorter, valid label file; every
+    # other prefix raises
+    blob = dumps_labels(line_labels())
+    whole = 0
+    for c in range(len(blob) + 1):
+        try:
+            ls = loads_labels(blob[:c])
+        except HeaderMismatch:
+            continue
+        assert dumps_labels(ls) == blob[:c]
+        whole += 1
+    assert whole == line_labels().n + 1
 
 
 def test_grid_estimates_cover_all_pairs():

@@ -68,6 +68,19 @@ def test_normalize_errors():
         normalize(dup)
 
 
+def test_non_finite_points_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BadParams):
+            PointSet([[0.0], [bad], [2.0]])
+    # a set whose points turn non-finite after construction
+    s = PointSet([[0.0], [1.0], [2.0]])
+    s.points[1, 0] = np.nan
+    with pytest.raises(BadParams):
+        normalize(s)
+    with pytest.raises(BadParams):
+        loads_csv("# norm=2 scale=1\n0\nnan\n2\n")
+
+
 def test_greedy_net_line_frozen():
     # integers 0..9 at spacing 1, radius 2: first-fit keeps 0,2,4,6,8
     s = PointSet(np.arange(10.0)[:, None], 2.0)

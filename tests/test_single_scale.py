@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from snowdim.errors import BadParams, IndexOutOfRange
+from snowdim.errors import BadParams, HeaderMismatch
 from snowdim.points import PointSet, generate, greedy_net, normalize
 from snowdim.single_scale import (SingleScaleParams, _embed_cluster_l1,
                                   _embed_cluster_l2, _embed_cluster_linf,
                                   build_single_scale, contract_audit, dumps,
-                                  evaluate, loads_coords, theory_dimension)
+                                  loads_coords, theory_dimension)
 from snowdim.transforms import laplace_transform, threshold_transform
 
 G_1 = 0.7950600976206501          # G_1(1) = sqrt(1 - e^-1)
@@ -197,22 +197,12 @@ def test_param_validation():
         SingleScaleParams(1.0, 0.25, 0.1)
     with pytest.raises(BadParams):
         SingleScaleParams(1.0, 0.1, 0.3)
-    with pytest.raises(BadParams):
-        SingleScaleParams(1.0, 0.1, 0.1, eps_pad=1.5)
 
 
 def test_unnormalized_input_rejected():
     s = PointSet(np.array([[0.0], [0.25]]))
     with pytest.raises(BadParams):
         build_single_scale(s, SingleScaleParams(1.0, 0.1, 0.1))
-
-
-def test_evaluate_and_index_check():
-    s = line_pair()
-    e = build_single_scale(s, SingleScaleParams(1.0, 0.1, 0.1, seed=1))
-    assert np.array_equal(evaluate(e, 0), e.coords[0])
-    with pytest.raises(IndexOutOfRange):
-        evaluate(e, 2)
 
 
 def test_dump_roundtrip_and_determinism():
@@ -230,6 +220,31 @@ def test_dump_roundtrip_and_determinism():
     # sampling or projection randomness left
     e3 = build_single_scale(s, SingleScaleParams(r=1.0, eps=0.1, delta=0.1, seed=10))
     assert np.allclose(e3.coords, e1.coords)
+
+
+def test_truncated_dump_raises_header_mismatch():
+    e = build_single_scale(line_pair(), SingleScaleParams(1.0, 0.1, 0.1,
+                                                          seed=1))
+    blob = dumps(e)
+    assert e.k > 0
+    # a cut inside the length field, the JSON header or the body
+    for cut in (blob[:2], blob[:10], blob[:-3]):
+        with pytest.raises(HeaderMismatch):
+            loads_coords(cut)
+    # every prefix either fails cleanly or is the whole dump
+    for c in range(len(blob) + 1):
+        try:
+            header, coords = loads_coords(blob[:c])
+        except HeaderMismatch:
+            continue
+        assert c == len(blob)
+        assert np.array_equal(coords, e.coords)
+    # a header that parses but does not describe the body
+    hlen = int.from_bytes(blob[:4], "little")
+    for bad in (b'[1]', b'{"n":2}', b'{"n":-1,"k":0}', b'{"n":2.0,"k":1}'):
+        doctored = len(bad).to_bytes(4, "little") + bad + blob[4 + hlen:]
+        with pytest.raises(HeaderMismatch):
+            loads_coords(doctored)
 
 
 def test_audit_report_serializes():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from snowdim.errors import BadParams, EmptyInput
+import snowdim.snowflake as snowflake
+from snowdim.errors import BadParams, EmptyInput, NotEuclidean
 from snowdim.points import PointSet, generate, normalize
 from snowdim.single_scale import loads_coords
 from snowdim.snowflake import (band_center, build_snowflake, compute_M,
-                               distortion_audit, dumps, evaluate, scale_count,
+                               distortion_audit, dumps, scale_count,
                                scale_plan)
 
 G_1 = 0.7950600976206501          # G_1(1) = sqrt(1 - e^-1)
@@ -176,9 +177,45 @@ def test_lp_smoke():
     assert rep_inf.extras["min_dominant_ratio"] >= 0.45
 
 
-def test_evaluate_matches_coords():
-    e = build_snowflake(line_pair(), 0.5, 0.1, seed=0)
-    assert np.array_equal(evaluate(e, 1), e.coords[1])
+def test_scale_errors_name_the_scale_and_chain(monkeypatch):
+    cause = NotEuclidean("Gram spectrum too negative")
+
+    def fail(s, params):
+        raise cause
+
+    monkeypatch.setattr(snowflake, "build_single_scale", fail)
+    with pytest.raises(NotEuclidean) as info:
+        build_snowflake(line_pair(), 0.5, 0.1, seed=0)
+    assert str(info.value).startswith("scale i=")
+    assert str(info.value).endswith(": Gram spectrum too negative")
+    assert info.value.__cause__ is cause
+    assert cause.args == ("Gram spectrum too negative",)
+
+    # anything that is not a library error passes through untouched
+    other = MemoryError("out of memory")
+
+    def crash(s, params):
+        raise other
+
+    monkeypatch.setattr(snowflake, "build_single_scale", crash)
+    with pytest.raises(MemoryError) as info:
+        build_snowflake(line_pair(), 0.5, 0.1, seed=0)
+    assert info.value is other
+    assert other.args == ("out of memory",)
+
+
+def test_band_over_the_limit_fails_the_audit():
+    # l-infinity has no per-pair envelope; stretching one point's image
+    # widens the band far past 1 + 16 eps without any tail or dominant
+    # breach
+    s = normalize(generate("line", n=4, norm="linf"))
+    e = build_snowflake(s, 0.5, 0.1, seed=0, norm=np.inf)
+    assert distortion_audit(e).passed
+    e.coords[0] *= 4.0
+    rep = distortion_audit(e)
+    assert rep.extras["band_width"] > rep.extras["band_limit"]
+    assert [v["check"] for v in rep.violations] == ["band"]
+    assert not rep.passed
 
 
 def test_dump_roundtrip_and_determinism():

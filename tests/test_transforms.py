@@ -5,11 +5,20 @@ import pytest
 
 from snowdim.errors import BadParams, ClusterTooLarge, NotEuclidean
 from snowdim.points import PointSet, generate
-from snowdim.transforms import (Cut, cut_coordinates, cut_decomposition,
-                                cut_metric, euclidean_realization,
-                                frechet_coordinates, gaussian_transform,
-                                laplace_transform, merge_cuts,
+from snowdim.transforms import (cut_decomposition, euclidean_realization,
+                                gaussian_transform, laplace_transform,
                                 threshold_transform)
+
+
+def cut_metric(cuts, n):
+    """Pairwise distances of the weighted cut sum (brute force oracle)."""
+    d = np.zeros((n, n))
+    for cut in cuts:
+        inside = np.zeros(n, dtype=bool)
+        inside[[i for i in cut.members if i < n]] = True
+        sep = inside[:, None] ^ inside[None, :]
+        d += cut.weight * sep
+    return d
 
 
 def test_transform_values_frozen():
@@ -133,8 +142,10 @@ def test_cut_decomposition_random_l1():
         d = PointSet(pts, 1.0).distance_matrix()
         cuts = cut_decomposition(d)
         assert np.allclose(cut_metric(cuts, 7), d, atol=1e-7)
-        # realized coordinates reproduce the metric in l1
-        x = cut_coordinates(cuts, 7)
+        # one coordinate per cut, weight on its members, reproduces the
+        # metric in l1
+        x = np.array([[c.weight * (i in c.members) for c in cuts]
+                      for i in range(7)])
         d2 = PointSet(x, 1.0).distance_matrix()
         assert np.allclose(d2, d, atol=1e-7)
 
@@ -154,19 +165,6 @@ def test_cut_decomposition_too_large():
         cut_decomposition(d)
 
 
-def test_merge_cuts_sums_identical():
-    a = [Cut(1.0, frozenset({1})), Cut(0.5, frozenset({2, 3}))]
-    b = [Cut(2.0, frozenset({1})), Cut(0.25, frozenset({4}))]
-    merged = merge_cuts([a, b])
-    got = {c.members: c.weight for c in merged}
-    assert got == {frozenset({1}): 3.0, frozenset({2, 3}): 0.5,
-                   frozenset({4}): 0.25}
-    # merged metric == sum of the two metrics, exactly
-    n = 5
-    assert np.array_equal(cut_metric(merged, n),
-                          cut_metric(a, n) + cut_metric(b, n))
-
-
 def test_frechet_coordinates_clip_and_lipschitz():
     rng = np.random.default_rng(6)
     pts = rng.uniform(size=(25, 4)) * 6
@@ -174,7 +172,8 @@ def test_frechet_coordinates_clip_and_lipschitz():
     d = s.distance_matrix()
     landmarks = [0, 5, 9, 17]
     r = 2.0
-    coords = frechet_coordinates(d[:, landmarks], r)
+    # the l-infinity path's per-landmark columns T_r(d(x, landmark))
+    coords = threshold_transform(d[:, landmarks], r)
     assert coords.max() <= r
     assert np.array_equal(coords, np.minimum(d[:, landmarks], r))
     # every coordinate is 1-Lipschitz wrt the host metric
