@@ -4,6 +4,7 @@ Subcommands cover the whole pipeline: generate synthetic sets, inspect
 their metric statistics, build single-scale or snowflake embeddings with
 their exhaustive audits, build and query distance-label files, emit
 per-pair reports, and run a greedy k-center demo in the embedded space.
+Embeddings target the norm recorded in the input file's header.
 
 Exit codes: 0 on success, 2 when an audit finds pairs outside the declared
 bounds, 1 on usage or runtime errors.  Identical command lines with the
@@ -22,8 +23,6 @@ import numpy as np
 from . import labeling, points, report, single_scale, snowflake
 from .errors import BadParams, SnowdimError
 
-NORMS = {"l1": 1.0, "l2": 2.0, "linf": np.inf}
-
 
 # --- argument validation --------------------------------------------------
 
@@ -35,27 +34,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _eps_arg(text: str) -> float:
-    v = float(text)
-    if not 0.0 < v < 0.25:
-        raise argparse.ArgumentTypeError(f"eps must lie in (0, 1/4), got {text}")
-    return v
-
-
-def _delta_arg(text: str) -> float:
-    v = float(text)
-    if not 0.0 < v < 0.25:
-        raise argparse.ArgumentTypeError(f"delta must lie in (0, 1/4), got {text}")
-    return v
-
-
-def _alpha_arg(text: str) -> float:
-    v = float(text)
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {text}")
-    return v
 
 
 def _positive_float(text: str) -> float:
@@ -95,20 +73,9 @@ def _fmt(args) -> str:
     return "json"
 
 
-def _write_bytes(blob: bytes, out: str):
-    Path(out).write_bytes(blob)
-
-
-def _emit_doc(doc: dict, args) -> None:
-    """Key/value summary as JSON, or two-column CSV for --format csv."""
-    if _fmt(args) == "csv":
-        lines = ["key,value"]
-        for key in sorted(doc):
-            lines.append(f"{key},{doc[key]}")
-        _write_text("\n".join(lines) + "\n", args.out)
-    else:
-        _write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")),
-                    args.out)
+def _emit_doc(doc: dict, out: str | None) -> None:
+    """Key/value summary, always JSON."""
+    _write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")), out)
 
 
 def _emit_report(rep: report.DistortionReport, args) -> None:
@@ -121,10 +88,6 @@ def _emit_report(rep: report.DistortionReport, args) -> None:
             side.write_text(rep.dumps_json(), encoding="utf-8")
     else:
         _write_text(rep.dumps_json(), args.out)
-
-
-def _load_points(path: str) -> points.PointSet:
-    return points.load(path)
 
 
 def _default_delta(eps: float, norm: float) -> float:
@@ -153,7 +116,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    s = _load_points(args.input)
+    s = points.load(args.input)
     est = points.estimate_doubling(s)
     dmin = s.min_distance()
     diam = s.diameter()
@@ -167,42 +130,42 @@ def cmd_stats(args) -> int:
         "aspect_ratio": diam / dmin,
         "doubling_lambda_hat": est.lambda_hat,
         "doubling_dim_hat": est.dim_hat,
-    }, args)
+    }, args.out)
     return 0
 
 
 def cmd_embed_scale(args) -> int:
-    s = points.normalize(_load_points(args.input))
+    s = points.normalize(points.load(args.input))
     delta = args.delta if args.delta is not None else _default_delta(args.eps,
-                                                                     args.norm)
+                                                                     s.norm)
     params = single_scale.SingleScaleParams(
-        r=args.r, eps=args.eps, delta=delta, norm=args.norm, seed=args.seed)
+        r=args.r, eps=args.eps, delta=delta, norm=s.norm, seed=args.seed)
     e = single_scale.build_single_scale(s, params)
     rep = single_scale.contract_audit(e)
     if args.dump:
-        _write_bytes(single_scale.dumps(e), args.dump)
+        Path(args.dump).write_bytes(single_scale.dumps(e))
     _emit_report(rep, args)
     return 0 if rep.passed else 2
 
 
 def cmd_embed_snowflake(args) -> int:
-    s = points.normalize(_load_points(args.input))
+    s = points.normalize(points.load(args.input))
     e = snowflake.build_snowflake(s, args.alpha, args.eps, seed=args.seed,
-                                  norm=args.norm, dim_hat=args.dim_hat)
+                                  dim_hat=args.dim_hat)
     rep = snowflake.distortion_audit(e)
     if args.dump:
-        _write_bytes(snowflake.dumps(e), args.dump)
+        Path(args.dump).write_bytes(snowflake.dumps(e))
     _emit_report(rep, args)
     return 0 if rep.passed else 2
 
 
 def cmd_dls_build(args) -> int:
-    s = points.normalize(_load_points(args.input))
+    s = points.normalize(points.load(args.input))
     if s.norm != 2.0:
         raise BadParams("distance labels need an l2 point set")
     e = snowflake.build_snowflake(s, args.alpha, args.eps, seed=args.seed)
     ls = labeling.dls_build(e, args.eps)
-    _write_bytes(labeling.dumps_labels(ls), args.labels)
+    Path(args.labels).write_bytes(labeling.dumps_labels(ls))
     bits = labeling.measured_label_bits(ls)
     ref = labeling.theory_label_bits(ls.header.k, s.diameter(), args.eps)
     _emit_doc({
@@ -213,7 +176,7 @@ def cmd_dls_build(args) -> int:
         "label_bits": bits,
         "label_bits_reference": ref,
         "file": args.labels,
-    }, args)
+    }, args.out)
     return 0
 
 
@@ -231,7 +194,7 @@ def cmd_dls_query(args) -> int:
         "b": args.b,
         "snowflaked_estimate": snow,
         "original_estimate": orig,
-    }, args)
+    }, args.out)
     return 0
 
 
@@ -255,9 +218,8 @@ def _greedy_k_center(dist: np.ndarray, k: int, start: int):
 
 
 def cmd_cluster_demo(args) -> int:
-    s = points.normalize(_load_points(args.input))
-    e = snowflake.build_snowflake(s, args.alpha, args.eps, seed=args.seed,
-                                  norm=args.norm)
+    s = points.normalize(points.load(args.input))
+    e = snowflake.build_snowflake(s, args.alpha, args.eps, seed=args.seed)
     image = e.image_distance_matrix()
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xC147)))
     start = int(rng.integers(s.n))
@@ -271,23 +233,29 @@ def cmd_cluster_demo(args) -> int:
         "image_radius": float(nearest.max()),
         "source_radius": src_radius,
         "assignment": [int(c) for c in assign],
-    }, args)
+    }, args.out)
     return 0
 
 
 # --- parser -----------------------------------------------------------------
 
+#: options shared by several subcommands; each subcommand adds only those
+#: its handler reads
+_OPTIONS = {
+    "seed": {"type": int, "default": 0},
+    "eps": {"type": float, "default": 0.1},
+    "delta": {"type": float, "default": None,
+              "help": "default: eps^2, or eps^2/4 for an l-infinity input"},
+    "alpha": {"type": float, "default": 0.5},
+    "out": {"default": None, "help": "output file ('-' or omitted: stdout)"},
+    "format": {"choices": ("csv", "json"), "default": None,
+               "help": "default: json, or csv when --out ends in .csv"},
+}
 
-def _common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--eps", type=_eps_arg, default=0.1)
-    parser.add_argument("--delta", type=_delta_arg, default=None)
-    parser.add_argument("--alpha", type=_alpha_arg, default=0.5)
-    parser.add_argument("--norm", choices=sorted(NORMS), default="l2")
-    parser.add_argument("--out", default=None,
-                        help="output file ('-' or omitted: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="default: json, or csv when --out ends in .csv")
+
+def _add(parser: argparse.ArgumentParser, *names: str):
+    for name in names:
+        parser.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def build_parser() -> _Parser:
@@ -297,32 +265,33 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate a synthetic point set")
     p.add_argument("kind", choices=("line", "grid", "subspace", "ball",
                                     "ultrametric"))
-    p.add_argument("--n", type=_positive_int)
-    p.add_argument("--side", type=_positive_int)
-    p.add_argument("--dim", type=_positive_int)
-    p.add_argument("--dims", type=_positive_int)
-    p.add_argument("--ambient-dim", type=_positive_int, dest="ambient_dim")
-    p.add_argument("--intrinsic-dim", type=_positive_int, dest="intrinsic_dim")
+    p.add_argument("--n", type=int)
+    p.add_argument("--side", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--dims", type=int)
+    p.add_argument("--ambient-dim", type=int, dest="ambient_dim")
+    p.add_argument("--intrinsic-dim", type=int, dest="intrinsic_dim")
     p.add_argument("--noise", type=float)
-    p.add_argument("--depth", type=_positive_int)
+    p.add_argument("--depth", type=int)
     p.add_argument("--base", type=float)
-    p.add_argument("--leaves", type=_positive_int)
-    _common(p)
+    p.add_argument("--leaves", type=int)
+    p.add_argument("--norm", choices=("l1", "l2", "linf"), default="l2")
+    _add(p, "seed", "out", "format")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("stats", help="metric statistics and doubling estimate")
     p.add_argument("input")
-    _common(p)
+    _add(p, "out")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("embed-scale",
                        help="single-scale embedding plus contract audit")
     p.add_argument("input")
-    p.add_argument("--r", type=_positive_float, required=True,
+    p.add_argument("--r", type=float, required=True,
                    help="scale parameter of the distance transform")
     p.add_argument("--dump", default=None,
                    help="also write the binary coordinate dump here")
-    _common(p)
+    _add(p, "seed", "eps", "delta", "out", "format")
     p.set_defaults(func=cmd_embed_scale)
 
     p = sub.add_parser("embed-snowflake",
@@ -332,7 +301,7 @@ def build_parser() -> _Parser:
                    default=None, help="override the doubling-dimension estimate")
     p.add_argument("--dump", default=None,
                    help="also write the binary coordinate dump here")
-    _common(p)
+    _add(p, "seed", "eps", "alpha", "out", "format")
     p.set_defaults(func=cmd_embed_snowflake)
 
     p = sub.add_parser("dls", help="distance labeling scheme")
@@ -340,28 +309,28 @@ def build_parser() -> _Parser:
     b = dls_sub.add_parser("build", help="embed, quantize, write label file")
     b.add_argument("input")
     b.add_argument("labels", help="output label file (binary)")
-    _common(b)
+    _add(b, "seed", "eps", "alpha", "out")
     b.set_defaults(func=cmd_dls_build)
     q = dls_sub.add_parser("query", help="estimate distances from two labels")
     q.add_argument("labels", help="label file from 'dls build'")
     q.add_argument("a", type=int, help="first point id")
     q.add_argument("b", type=int, help="second point id")
-    _common(q)
+    _add(q, "out")
     q.set_defaults(func=cmd_dls_query)
 
     p = sub.add_parser("audit-report",
                        help="emit the per-pair report of an audit run")
     p.add_argument("input")
-    p.add_argument("--r", type=_positive_float, default=None,
+    p.add_argument("--r", type=float, default=None,
                    help="audit a single scale instead of the snowflake")
-    _common(p)
+    _add(p, "seed", "eps", "delta", "alpha", "out", "format")
     p.set_defaults(func=cmd_audit_report, dump=None, dim_hat=None)
 
     p = sub.add_parser("cluster-demo",
                        help="greedy 2-approximate k-center in the image space")
     p.add_argument("input")
     p.add_argument("--clusters", type=_positive_int, default=3)
-    _common(p)
+    _add(p, "seed", "eps", "alpha", "out")
     p.set_defaults(func=cmd_cluster_demo)
 
     return parser

@@ -9,8 +9,8 @@ an additive quantization term sqrt(k) * q, and the original distance via
 the 1/alpha power and the recorded unit scale.
 
 The serialized form is binary, little-endian: a fixed header
-{magic "SNFL", version u16, k u32, q f64, alpha f64, M f64, scale f64}
-followed by one record {id u64, k x i32} per point.
+{magic "SNFL", version u16, k u32, n u64, q f64, alpha f64, M f64,
+scale f64} followed by exactly n records {id u64, k x i32}, one per point.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from .errors import BadParams, HeaderMismatch
 from .snowflake import SnowflakeEmbedding
 
 MAGIC = b"SNFL"
-VERSION = 1
+VERSION = 2
 
-_HEADER = struct.Struct("<4sHIdddd")
+_HEADER = struct.Struct("<4sHIQdddd")
 
 # rounding to the nearest multiple of q keeps every coordinate within q/2
 _I32_MAX = np.iinfo(np.int32).max
@@ -49,10 +49,6 @@ class LabelHeader:
     alpha: float
     M: float
     scale: float
-
-    def pack(self) -> bytes:
-        return _HEADER.pack(MAGIC, VERSION, self.k, self.q,
-                            self.alpha, self.M, self.scale)
 
 
 @dataclass(frozen=True)
@@ -163,22 +159,24 @@ def theory_label_bits(k: int, aspect: float, eps: float) -> float:
 
 def dumps_labels(ls: LabelSet) -> bytes:
     """Serialize a label set; byte-identical for identical inputs."""
-    k = ls.header.k
-    rec = np.empty(ls.n, dtype=[("id", "<u8"), ("c", "<i4", (k,))])
+    h = ls.header
+    rec = np.empty(ls.n, dtype=[("id", "<u8"), ("c", "<i4", (h.k,))])
     rec["id"] = ls.ids
     rec["c"] = ls.ints
-    return ls.header.pack() + rec.tobytes()
+    return _HEADER.pack(MAGIC, VERSION, h.k, ls.n, h.q, h.alpha, h.M,
+                        h.scale) + rec.tobytes()
 
 
 def loads_labels(buf: bytes) -> LabelSet:
     """Parse bytes produced by dumps_labels.
 
     Raises HeaderMismatch on a short or foreign header, a label length k of
-    zero, or a body that is not a whole number of records.
+    zero, or a body that does not hold exactly the n records the header
+    declares.
     """
     if len(buf) < _HEADER.size:
         raise HeaderMismatch("label buffer shorter than its header")
-    magic, version, k, q, alpha, m_norm, scale = _HEADER.unpack_from(buf, 0)
+    magic, version, k, n, q, alpha, m_norm, scale = _HEADER.unpack_from(buf, 0)
     if magic != MAGIC:
         raise HeaderMismatch(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
@@ -187,8 +185,9 @@ def loads_labels(buf: bytes) -> LabelSet:
         raise HeaderMismatch("label header declares k = 0 coordinates")
     body = buf[_HEADER.size:]
     rec_dtype = np.dtype([("id", "<u8"), ("c", "<i4", (k,))])
-    if len(body) % rec_dtype.itemsize:
-        raise HeaderMismatch("label records truncated")
+    if len(body) != n * rec_dtype.itemsize:
+        raise HeaderMismatch(f"label body has {len(body)} bytes, header "
+                             f"declares {n} records of {rec_dtype.itemsize}")
     rec = np.frombuffer(body, dtype=rec_dtype)
     header = LabelHeader(k=k, q=q, alpha=alpha, M=m_norm, scale=scale)
     return LabelSet(header, rec["id"].copy(), rec["c"].copy())

@@ -179,7 +179,6 @@ class Net:
 
     radius: float
     members: np.ndarray          # indices into the parent set, ascending
-    assignment: np.ndarray       # for each parent point, index into `members`
 
     @property
     def size(self) -> int:
@@ -189,9 +188,7 @@ class Net:
 def greedy_net(s: PointSet, radius: float) -> Net:
     """First-fit net in point-index order.
 
-    A point joins the net iff no earlier member is within ``radius`` of it;
-    every point is then assigned to its nearest member (ties to the lowest
-    member index).
+    A point joins the net iff no earlier member is within ``radius`` of it.
     """
     if s.n == 0:
         raise EmptyInput("net of an empty set")
@@ -202,9 +199,7 @@ def greedy_net(s: PointSet, radius: float) -> Net:
     for i in range(s.n):
         if not members or d[i, members].min() >= radius:
             members.append(i)
-    mem = np.array(members, dtype=np.intp)
-    assignment = np.argmin(d[:, mem], axis=1).astype(np.intp)
-    return Net(float(radius), mem, assignment)
+    return Net(float(radius), np.array(members, dtype=np.intp))
 
 
 @dataclass
@@ -409,9 +404,7 @@ def loads_json(text: str) -> PointSet:
         raise HeaderMismatch("bad point-set JSON document") from exc
 
 
-def load(path, fmt: str | None = None) -> PointSet:
+def load(path) -> PointSet:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if fmt is None:
-        fmt = "json" if text.lstrip().startswith("{") else "csv"
-    return loads_json(text) if fmt == "json" else loads_csv(text)
+    return loads_json(text) if text.lstrip().startswith("{") else loads_csv(text)

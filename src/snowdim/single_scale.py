@@ -32,8 +32,7 @@ from .errors import BadParams, HeaderMismatch, PaddingUnachievable
 from .extension import ExtensionInfo, kirszbraun_extend, lipschitz_constant
 from .points import (Net, PointSet, _pairwise, estimate_doubling, greedy_net,
                      norm_label, norm_tag, require_normalized, vector_norm)
-from .projection import (ProjectionInfo, exact_reduce, jl_dimension,
-                         jl_project)
+from .projection import exact_reduce, jl_project
 from .transforms import (cut_decomposition, euclidean_realization,
                          gaussian_transform, laplace_transform,
                          threshold_transform)
@@ -112,7 +111,6 @@ class ClusterMap:
     """
     members: np.ndarray
     coords: np.ndarray
-    jl: ProjectionInfo | None = None
     net_count: int | None = None           # |C ∩ N| on the l1/linf paths
 
     @property
@@ -216,21 +214,20 @@ def _embed_cluster_l2(dmat_c, p: SingleScaleParams, seed: int) -> ClusterMap:
     np.fill_diagonal(g, 0.0)
     x = euclidean_realization(g)
     if x.shape[1] == 0:
-        return ClusterMap(np.empty(0, dtype=np.intp), x, None)
-    out_dim = min(x.shape[1], jl_dimension(p.eps, x.shape[0]))
-    y, info = jl_project(x, p.eps, seed, out_dim=out_dim)
+        return ClusterMap(np.empty(0, dtype=np.intp), x)
+    y, _ = jl_project(x, p.eps, seed)
     y = y - y[0]                           # first member at the origin
-    return ClusterMap(np.empty(0, dtype=np.intp), y, info)
+    return ClusterMap(np.empty(0, dtype=np.intp), y)
 
 
 def _embed_cluster_l1(dmat_c, net_local: np.ndarray,
                       p: SingleScaleParams) -> ClusterMap:
     if len(net_local) == 0:
         return ClusterMap(np.empty(0, dtype=np.intp),
-                          np.zeros((dmat_c.shape[0], 0)), None, 0)
+                          np.zeros((dmat_c.shape[0], 0)), 0)
     if dmat_c.shape[0] < 2:
         return ClusterMap(np.empty(0, dtype=np.intp),
-                          np.zeros((dmat_c.shape[0], 0)), None,
+                          np.zeros((dmat_c.shape[0], 0)),
                           len(net_local))
     lr = laplace_transform(dmat_c, p.r)
     np.fill_diagonal(lr, 0.0)
@@ -248,7 +245,7 @@ def _embed_cluster_l1(dmat_c, net_local: np.ndarray,
             idx = [i for i in cut.members]
             coords[idx, col] += cut.weight
     coords = coords - coords[0]
-    return ClusterMap(np.empty(0, dtype=np.intp), coords, None,
+    return ClusterMap(np.empty(0, dtype=np.intp), coords,
                       len(net_local))
 
 
@@ -256,9 +253,9 @@ def _embed_cluster_linf(dmat_c, net_local: np.ndarray,
                         p: SingleScaleParams) -> ClusterMap:
     if len(net_local) == 0:
         return ClusterMap(np.empty(0, dtype=np.intp),
-                          np.zeros((dmat_c.shape[0], 0)), None, 0)
+                          np.zeros((dmat_c.shape[0], 0)), 0)
     coords = threshold_transform(dmat_c[:, net_local], p.r)
-    return ClusterMap(np.empty(0, dtype=np.intp), coords, None,
+    return ClusterMap(np.empty(0, dtype=np.intp), coords,
                       len(net_local))
 
 

@@ -132,9 +132,10 @@ class SnowflakePlan:
 
 
 def scale_plan(s: PointSet, alpha: float, eps: float,
-               norm: float = 2.0) -> SnowflakePlan:
+               norm: float | None = None) -> SnowflakePlan:
     """Fix p, the per-scale delta, and the scale window
-    I = {i : eps^5 <= (1+eps)^i <= eps^-5 * diam}."""
+    I = {i : eps^5 <= (1+eps)^i <= eps^-5 * diam}. The target norm
+    defaults to the input's own norm."""
     require_normalized(s, "scale_plan")
     if s.n < 2:
         raise EmptyInput("snowflake plan needs at least two points")
@@ -142,7 +143,7 @@ def scale_plan(s: PointSet, alpha: float, eps: float,
         raise BadParams(f"alpha must lie in (0, 1), got {alpha}")
     if not 0 < eps < 0.25:
         raise BadParams(f"eps must lie in (0, 1/4), got {eps}")
-    norm = norm_tag(norm)
+    norm = norm_tag(s.norm if norm is None else norm)
     p = scale_count(alpha, eps)
     delta = (1.0 + eps) ** (-p * (1.0 - alpha))
     # p rounding keeps delta near eps^3; far outside means alpha/eps are
@@ -217,13 +218,14 @@ def _dominant_pair_mask(e: SingleScaleEmbedding) -> np.ndarray:
 
 
 def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
-                    norm: float = 2.0,
+                    norm: float | None = None,
                     dim_hat: float | None = None) -> SnowflakeEmbedding:
     """Assemble the embedding; see the module docstring for the pipeline.
 
     The doubling estimate is taken once and shared by every scale, so the
     reported theory dimension depends only on the parameters and that
-    estimate (pass ``dim_hat`` to pin it). Per-scale seeds derive from
+    estimate (pass ``dim_hat`` to pin it). The target norm defaults to
+    the input's own norm (``s.norm``). Per-scale seeds derive from
     (seed, i), so any scale can be rebuilt independently. A library error
     from one scale is re-raised as the same type with the scale named in
     front of its message; any other exception passes through untouched.
@@ -238,7 +240,7 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     entries: list[ScaleEntry] = []
     for i in plan.scale_indices:
         sp = SingleScaleParams(r=(1.0 + eps) ** i, eps=eps, delta=plan.delta,
-                               norm=norm, seed=_scale_seed(seed, i),
+                               norm=plan.norm, seed=_scale_seed(seed, i),
                                rescale_c=0.0, dim_hat=dim_hat)
         try:
             e_i = build_single_scale(s, sp)

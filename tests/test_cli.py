@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from snowdim import points, report, single_scale
-from snowdim.cli import main
+from snowdim.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -43,10 +44,13 @@ def test_gen_json_stdout_deterministic(capsys):
     assert len(doc["points"][0]) == 3
 
 
-def test_gen_rejects_bad_eps(capsys):
-    code, _, err = run(capsys, "gen", "line", "--n", "3", "--eps", "0.5")
-    assert code == 1
-    assert "eps" in err
+def test_unread_flags_are_refused(capsys):
+    for argv in (("stats", "pts.csv", "--alpha", "0.3"),
+                 ("cluster-demo", "pts.csv", "--format", "csv"),
+                 ("embed-snowflake", "pts.csv", "--norm", "l1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "unrecognized arguments" in err
 
 
 def test_unknown_command_exits_1(capsys):
@@ -83,6 +87,15 @@ def test_embed_scale_csv_with_json_sidecar(tmp_path, capsys):
     assert side["reference"] == "G_r"
 
 
+def test_embed_scale_rejects_bad_eps(tmp_path, capsys):
+    # the range check is the library's: SingleScaleParams raises BadParams
+    path = gen_line(tmp_path)
+    code, _, err = run(capsys, "embed-scale", path, "--r", "2.0",
+                       "--eps", "0.5")
+    assert code == 1
+    assert "eps" in err
+
+
 def test_embed_scale_exit_2_on_violation(tmp_path, capsys, monkeypatch):
     path = gen_line(tmp_path)
 
@@ -113,6 +126,15 @@ def test_embed_snowflake_report_and_dump(tmp_path, capsys):
                      "--dump", str(dump))
     assert code == 0
     assert dump.read_bytes() == first
+
+
+def test_embed_snowflake_targets_the_input_norm(tmp_path, capsys):
+    path = str(tmp_path / "ball.csv")
+    assert main(["gen", "ball", "--n", "8", "--dim", "2", "--norm", "linf",
+                 "--out", path]) == 0
+    code, out, _ = run(capsys, "embed-snowflake", path)
+    assert code == 0
+    assert '"passed":true' in out
 
 
 def test_audit_report_single_scale_stdout_csv(tmp_path, capsys):
@@ -175,3 +197,57 @@ def test_cluster_demo_deterministic(tmp_path, capsys):
     assert len(doc["centers"]) == 2
     assert len(set(doc["assignment"])) <= 2
     assert doc["image_radius"] > 0
+
+
+# --- the parser
+
+
+class ReadRecorder(argparse.Namespace):
+    """Namespace that, once ``reads`` is set, records every attribute read."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from leaf_parsers(child, path + (name,))
+
+
+def test_every_accepted_option_is_read(tmp_path, capsys):
+    path = gen_line(tmp_path)
+    labels = str(tmp_path / "lab.bin")
+    runs = {
+        ("gen",): [["gen", "line", "--n", "4"]],
+        ("stats",): [["stats", path]],
+        ("embed-scale",): [["embed-scale", path, "--r", "2.0"]],
+        ("embed-snowflake",): [["embed-snowflake", path]],
+        ("dls", "build"): [["dls", "build", path, labels]],
+        ("dls", "query"): [["dls", "query", labels, "0", "3"]],
+        ("audit-report",): [["audit-report", path, "--r", "2.0"],
+                            ["audit-report", path]],
+        ("cluster-demo",): [["cluster-demo", path]],
+    }
+    parser = build_parser()
+    leaves = dict(leaf_parsers(parser))
+    assert set(leaves) == set(runs)
+    for key, argvs in runs.items():
+        read = set()
+        for argv in argvs:
+            args = parser.parse_args(argv, namespace=ReadRecorder())
+            args.reads = read
+            assert args.func(args) == 0
+        capsys.readouterr()
+        dests = {a.dest for a in leaves[key]._actions
+                 if a.option_strings and a.dest != "help"}
+        assert dests <= read, (key, dests - read)

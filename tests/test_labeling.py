@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from snowdim.errors import BadParams, HeaderMismatch
-from snowdim.labeling import (dequantize, dls_build, dls_query, dumps_labels,
+from snowdim.labeling import (LabelSet, dequantize, dls_build, dls_query, dumps_labels,
                               loads_labels, measured_label_bits, quantize,
                               quantization_slack, theory_label_bits)
 from snowdim.points import PointSet, generate, normalize
@@ -173,24 +173,21 @@ def test_loads_rejects_bad_bytes():
     with pytest.raises(HeaderMismatch):
         loads_labels(blob[:-3])
     # a k = 0 header would read an 8-byte body as one coordinate-free label
-    zero_k = dataclasses.replace(line_labels().header, k=0).pack()
+    ls = line_labels()
+    zero_k = LabelSet(dataclasses.replace(ls.header, k=0), ls.ids[:1],
+                      np.zeros((1, 0), dtype=np.int32))
     with pytest.raises(HeaderMismatch):
-        loads_labels(zero_k + blob[-8:])
+        loads_labels(dumps_labels(zero_k))
 
 
 def test_truncated_labels_raise_or_round_trip():
-    # a cut at a record boundary is a shorter, valid label file; every
-    # other prefix raises
+    # the header records the point count, so a cut at a record boundary
+    # raises like every other proper prefix; only the whole file parses
     blob = dumps_labels(line_labels())
-    whole = 0
-    for c in range(len(blob) + 1):
-        try:
-            ls = loads_labels(blob[:c])
-        except HeaderMismatch:
-            continue
-        assert dumps_labels(ls) == blob[:c]
-        whole += 1
-    assert whole == line_labels().n + 1
+    for c in range(len(blob)):
+        with pytest.raises(HeaderMismatch):
+            loads_labels(blob[:c])
+    assert dumps_labels(loads_labels(blob)) == blob
 
 
 def test_grid_estimates_cover_all_pairs():

@@ -177,6 +177,15 @@ def test_lp_smoke():
     assert rep_inf.extras["min_dominant_ratio"] >= 0.45
 
 
+def test_target_norm_defaults_to_the_input_norm():
+    # with no norm argument an l-infinity input is embedded into
+    # l-infinity; an l2 target would fail the Gram realization
+    s = normalize(generate("ball", n=12, dim=2, norm="linf", seed=1))
+    e = build_snowflake(s, 0.5, 0.1)
+    assert e.plan.norm == np.inf
+    assert distortion_audit(e).passed
+
+
 def test_scale_errors_name_the_scale_and_chain(monkeypatch):
     cause = NotEuclidean("Gram spectrum too negative")
 
