@@ -199,9 +199,18 @@ def cmd_dls_query(args) -> int:
 
 
 def cmd_audit_report(args) -> int:
-    """Shorthand for embed-scale (with --r) or embed-snowflake."""
+    """Shorthand for embed-scale (with --r) or embed-snowflake; the flag the
+    chosen audit would not read is refused."""
     if args.r is not None:
+        if args.alpha is not None:
+            raise BadParams("audit-report: --alpha sets the snowflake "
+                            "audit and cannot go with --r")
         return cmd_embed_scale(args)
+    if args.delta is not None:
+        raise BadParams("audit-report: --delta sets the single-scale audit "
+                        "and needs --r")
+    if args.alpha is None:
+        args.alpha = _OPTIONS["alpha"]["default"]
     return cmd_embed_snowflake(args)
 
 
@@ -324,7 +333,9 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=float, default=None,
                    help="audit a single scale instead of the snowflake")
     _add(p, "seed", "eps", "delta", "alpha", "out", "format")
-    p.set_defaults(func=cmd_audit_report, dump=None, dim_hat=None)
+    # None tells an --alpha given with --r from the snowflake default
+    p.set_defaults(func=cmd_audit_report, dump=None, dim_hat=None,
+                   alpha=None)
 
     p = sub.add_parser("cluster-demo",
                        help="greedy 2-approximate k-center in the image space")

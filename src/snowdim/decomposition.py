@@ -72,8 +72,11 @@ def _carve(dmat: np.ndarray, delta: float, rng) -> Partition:
     hit = dmat[order, :] <= rho           # row k: points reachable by the k-th center
     first = hit.argmax(axis=0)            # every point reaches itself, so a hit exists
     centers, labels = np.unique(first, return_inverse=True)
-    clusters = [np.flatnonzero(labels == k) for k in range(len(centers))]
-    return Partition(labels.astype(np.intp), clusters, rho)
+    labels = labels.astype(np.intp)
+    # one stable sort groups the members of each cluster, ascending
+    members = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels, minlength=len(centers)))[:-1]
+    return Partition(labels, np.split(members, bounds), rho)
 
 
 def _sample(dmat, delta, pad_pairs, m, seed, attempt):

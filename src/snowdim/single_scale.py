@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import BadParams, HeaderMismatch, PaddingUnachievable
 from .extension import ExtensionInfo, kirszbraun_extend, lipschitz_constant
 from .points import (Net, PointSet, _pairwise, estimate_doubling, greedy_net,
                      norm_label, norm_tag, require_normalized, vector_norm)
-from .projection import exact_reduce, jl_project
+from .projection import exact_reduce, jl_dimension, jl_project
 from .transforms import (cut_decomposition, euclidean_realization,
                          gaussian_transform, laplace_transform,
                          threshold_transform)
@@ -62,19 +62,21 @@ class SingleScaleParams:
     r: float
     eps: float
     delta: float
-    norm: float = 2.0
+    norm: float | None = None               # None: the input's norm
     seed: int = 0
     rescale_c: float | None = None          # None: per-norm default
     dim_hat: float | None = None            # None: estimate from the data
 
     def __post_init__(self):
-        self.norm = norm_tag(self.norm)
         if not self.r > 0:
             raise BadParams(f"scale r must be positive, got {self.r}")
         if not 0 < self.eps < 0.25:
             raise BadParams(f"eps must lie in (0, 1/4), got {self.eps}")
         if not 0 < self.delta < 0.25:
             raise BadParams(f"delta must lie in (0, 1/4), got {self.delta}")
+        if self.norm is None:
+            return                          # checked once build_single_scale sets it
+        self.norm = norm_tag(self.norm)
         if self.norm == np.inf and self.delta > self.eps ** 2 / 4:
             raise BadParams(
                 f"l-infinity path requires delta <= eps^2/4 "
@@ -196,28 +198,34 @@ def _cluster_seed(seed: int, members: np.ndarray) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _trivial_decomposition(n: int, delta_dec: float, pad: float,
-                           eps_pad: float, seed: int, m: int,
+def _certain_decomposition(part: Partition, delta_dec: float, pad: float,
+                           seed: int, m: int,
                            dim_hat: float) -> PaddedDecomposition:
-    """All-in-one-cluster decomposition, exact when delta/4 >= diameter:
-    every carve radius reaches every point, so sampling is redundant."""
-    part = Partition(np.zeros(n, dtype=np.intp), [np.arange(n)],
-                     delta_dec / 4.0)
+    """m copies of the one partition every draw of the carving yields.
+
+    That happens when delta/4 >= diameter (every carve radius reaches every
+    point: one cluster) and when delta/2 < min distance (no carve radius
+    reaches another point: all singletons, and pad <= delta/8 keeps every
+    pad-ball whole). Either way sampling is redundant."""
+    n = len(part.labels)
     padded = np.ones((m, n), dtype=bool)
-    return PaddedDecomposition(delta_dec, pad, eps_pad, seed, m,
+    return PaddedDecomposition(delta_dec, pad, EPS_PAD, seed, m,
                                [part] * m, padded, padded.mean(axis=0),
                                dim_hat)
 
 
-def _embed_cluster_l2(dmat_c, p: SingleScaleParams, seed: int) -> ClusterMap:
+def _embed_cluster_l2(dmat_c, p: SingleScaleParams,
+                      members: np.ndarray) -> ClusterMap:
     g = gaussian_transform(dmat_c, p.r)
     np.fill_diagonal(g, 0.0)
     x = euclidean_realization(g)
-    if x.shape[1] == 0:
-        return ClusterMap(np.empty(0, dtype=np.intp), x)
-    y, _ = jl_project(x, p.eps, seed)
-    y = y - y[0]                           # first member at the origin
-    return ClusterMap(np.empty(0, dtype=np.intp), y)
+    if jl_dimension(p.eps, len(members)) < x.shape[1]:
+        # only a projection reads the seed, so only then is it derived
+        x, _ = jl_project(x, p.eps, _cluster_seed(p.seed, members))
+    # row-major like a projection's output: BLAS products over the map (the
+    # audit's pairwise distances) round differently for another layout
+    x = np.ascontiguousarray(x)
+    return ClusterMap(members, x - x[0])   # first member at the origin
 
 
 def _embed_cluster_l1(dmat_c, net_local: np.ndarray,
@@ -260,9 +268,11 @@ def _embed_cluster_linf(dmat_c, net_local: np.ndarray,
 
 
 def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmbedding:
-    """Assemble the embedding; see the module docstring for the pipeline."""
+    """Assemble the embedding; see the module docstring for the pipeline.
+
+    ``params.norm = None`` targets the input's own norm (``s.norm``)."""
     require_normalized(s, "build_single_scale")
-    p = params
+    p = params if params.norm is not None else replace(params, norm=s.norm)
     net = greedy_net(s, p.net_radius)
     dmat = s.distance_matrix()
     if p.norm == 2.0:
@@ -273,22 +283,33 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     gdmat = dmat[np.ix_(ground, ground)]
     dim_hat = p.dim_hat if p.dim_hat is not None else estimate_doubling(gset).dim_hat
     net_in_ground = np.isin(ground, net.members)
+    dmin = np.inf
+    if gset.n > 1:
+        dmin = float(gdmat[~np.eye(gset.n, dtype=bool)].min())
 
     # --- padded decomposition of the ground set, doubling the diameter on failure
     pad = p.pad_radius
     diam = float(gdmat.max()) if gset.n else 0.0
     dec = None
+    certain = None                          # the partition every draw yields
     delta_dec = p.decomposition_diameter(dim_hat)
     for attempt in range(DELTA_RETRIES + 1):
+        seed = p.seed * 31 + attempt
         if delta_dec / 4.0 >= diam:
+            certain = Partition(np.zeros(gset.n, dtype=np.intp),
+                                [np.arange(gset.n)], delta_dec / 4.0)
+        elif delta_dec / 2.0 < dmin:
+            certain = Partition(np.arange(gset.n),
+                                list(np.arange(gset.n)[:, None]),
+                                delta_dec / 4.0)
+        if certain is not None:
             m = batch_size(EPS_PAD, gset.n, dim_hat)
-            dec = _trivial_decomposition(gset.n, delta_dec, pad, EPS_PAD,
-                                         p.seed, m, dim_hat)
+            dec = _certain_decomposition(certain, delta_dec, pad, seed, m,
+                                         dim_hat)
             break
         try:
             dec = build_decomposition(gset, delta_dec, pad, EPS_PAD,
-                                      seed=p.seed * 31 + attempt,
-                                      dim_hat=dim_hat)
+                                      seed=seed, dim_hat=dim_hat)
             break
         except PaddingUnachievable:
             if attempt == DELTA_RETRIES:
@@ -296,22 +317,39 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
             delta_dec *= 2.0
     m = dec.m
 
-    # --- embed each distinct cluster once, counting its multiplicity
-    entry_order: dict[tuple, int] = {}
+    # --- embed each distinct cluster once, counting its multiplicity. At a
+    # saturated l2 scale G_r maps every ground pair to exactly r, so all
+    # clusters of one size share a bitwise-identical transformed metric and
+    # one (read-only) realization; a closed-form simplex would not do, since
+    # its rotation changes the sums across scales of one residue class.
+    saturated = p.norm == 2.0 and gaussian_transform(dmin, p.r) == p.r
+    shared: dict[int, np.ndarray] = {}
+    runs = ([(certain, m)] if certain is not None
+            else [(part, 1) for part in dec.partitions])
+    entry_order: dict[bytes, int] = {}
     entries: list[ClusterEntry] = []
     empty_net = 0
-    for part in dec.partitions:
-        for cid, members in enumerate(part.clusters):
-            key = tuple(int(v) for v in members)
+    for part, times in runs:
+        for members in part.clusters:
+            key = members.tobytes()
             at = entry_order.get(key)
             if at is not None:
-                entries[at].count += 1
+                entries[at].count += times
                 continue
-            dmat_c = gdmat[np.ix_(members, members)]
             if p.norm == 2.0:
-                cm = _embed_cluster_l2(dmat_c, p,
-                                       _cluster_seed(p.seed, members))
+                coords = shared.get(len(members))
+                if coords is not None:
+                    cm = ClusterMap(members, coords)
+                else:
+                    cm = _embed_cluster_l2(gdmat[np.ix_(members, members)],
+                                           p, members)
+                    # fewer columns than the projection target: no
+                    # projection ran, so the map is the size's alone
+                    if saturated and cm.k < jl_dimension(p.eps, len(members)):
+                        cm.coords.flags.writeable = False
+                        shared[len(members)] = cm.coords
             else:
+                dmat_c = gdmat[np.ix_(members, members)]
                 net_local = np.flatnonzero(net_in_ground[members])
                 if p.norm == 1.0:
                     cm = _embed_cluster_l1(dmat_c, net_local, p)
@@ -319,7 +357,7 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
                     cm = _embed_cluster_linf(dmat_c, net_local, p)
                 if cm.net_count == 0:
                     empty_net += 1
-            cm.members = members
+                cm.members = members
             # smoothing: h(x) = distance to the nearest ground point
             # outside the cluster; a whole-set cluster has nothing outside
             if len(members) < gset.n:
@@ -331,7 +369,7 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
             w = np.minimum(1.0, (p.delta / p.r) * h)
             w[np.isinf(h)] = 1.0
             entry_order[key] = len(entries)
-            entries.append(ClusterEntry(cm, 1, w, h))
+            entries.append(ClusterEntry(cm, times, w, h))
 
     # --- direct sum with the norm's combining scale, then the global rescale
     rescale = 1.0 / (1.0 + p.rescale_c * p.eps)

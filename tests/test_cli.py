@@ -155,6 +155,19 @@ def test_audit_report_is_embed_shorthand(tmp_path, capsys):
         assert short[0] == 0 and '"passed":true' in short[1]
 
 
+def test_audit_report_refuses_the_flag_its_audit_does_not_read(tmp_path,
+                                                               capsys):
+    path = gen_line(tmp_path)
+    for extra, flag in ((("--r", "2.0", "--alpha", "0.3"), "--alpha"),
+                        (("--r", "2.0", "--alpha", "0.5"), "--alpha"),
+                        (("--delta", "0.01"), "--delta")):
+        code, out, err = run(capsys, "audit-report", path, *extra)
+        assert code == 1 and out == ""
+        assert flag in err
+    code, out, _ = run(capsys, "audit-report", path, "--alpha", "0.3")
+    assert code == 0 and '"alpha":0.3' in out.replace(" ", "")
+
+
 # --- labels
 
 

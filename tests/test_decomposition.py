@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from snowdim.decomposition import (batch_size, build_decomposition,
+from snowdim.decomposition import (_carve, batch_size, build_decomposition,
                                    padding_audit)
 from snowdim.errors import BadParams, EmptyInput, PaddingUnachievable
 from snowdim.points import PointSet, generate, normalize
@@ -43,6 +43,22 @@ def test_partition_invariants_and_padded_oracle():
                 assert d[np.ix_(members, members)].max() <= dec.delta
     assert np.array_equal(dec.padded, brute_padded(s, dec))
     assert dec.padded_fraction.min() >= 1 - dec.eps_pad
+
+
+def test_carve_clusters_are_the_label_classes():
+    # seeded property: the sort-based extraction equals one flatnonzero
+    # per label, members ascending
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(1, 60))
+        s = PointSet(rng.uniform(0, 20, (n, int(rng.integers(1, 4)))))
+        delta = float(rng.uniform(0.5, 40.0))
+        part = _carve(s.distance_matrix(), delta, np.random.default_rng(trial))
+        want = [np.flatnonzero(part.labels == k) for k in range(part.size)]
+        assert part.labels.dtype == np.intp
+        assert len(part.clusters) == len(want)
+        for got, ref in zip(part.clusters, want):
+            assert got.dtype == np.intp and np.array_equal(got, ref)
 
 
 def test_padding_audit_passes_and_detects_tampering():

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from snowdim import single_scale
+from snowdim.decomposition import build_decomposition, padding_audit
 from snowdim.errors import BadParams, HeaderMismatch
 from snowdim.points import PointSet, generate, greedy_net, normalize
-from snowdim.single_scale import (SingleScaleParams, _embed_cluster_l1,
-                                  _embed_cluster_l2, _embed_cluster_linf,
-                                  build_single_scale, contract_audit, dumps,
-                                  loads_coords, theory_dimension)
-from snowdim.transforms import laplace_transform, threshold_transform
+from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
+                                  _embed_cluster_l1, _embed_cluster_l2,
+                                  _embed_cluster_linf, build_single_scale,
+                                  contract_audit, dumps, loads_coords,
+                                  theory_dimension)
+from snowdim.transforms import (euclidean_realization, gaussian_transform,
+                                laplace_transform, threshold_transform)
 
 G_1 = 0.7950600976206501          # G_1(1) = sqrt(1 - e^-1)
 L_1 = 0.6321205588285577          # L_1(1) = 1 - e^-1
@@ -174,6 +178,86 @@ def test_linf_multi_cluster_path():
     assert ex["max_image_norm"] <= 0.04 * (1 + 0.2 * 0.01) * (1 + 1e-9)
 
 
+# --- scales whose carving or cluster metrics carry no geometry
+
+
+def saturated_build():
+    # G_r(1) == r to the last bit at r = 0.05, and delta_dec = 24 * 0.05 /
+    # 0.1 = 12 carves the 40-point line into clusters of many sizes
+    s = normalize(generate("line", n=40))
+    p = SingleScaleParams(r=0.05, eps=0.1, delta=0.1, seed=3, dim_hat=1.0)
+    assert gaussian_transform(1.0, p.r) == p.r
+    return build_single_scale(s, p)
+
+
+def test_saturated_scale_shares_the_general_realization():
+    e = saturated_build()
+    gdmat = e.source.distance_matrix()[np.ix_(e.ground, e.ground)]
+    by_size = {}
+    for entry in e.clusters:
+        mem = entry.members
+        g = gaussian_transform(gdmat[np.ix_(mem, mem)], e.params.r)
+        np.fill_diagonal(g, 0.0)
+        x = euclidean_realization(g)
+        assert np.array_equal(entry.map.coords, x - x[0])
+        # row-major, so BLAS products in the audit keep their bits
+        assert entry.map.coords.flags.c_contiguous
+        by_size.setdefault(len(mem), []).append(entry.map.coords)
+    assert len(e.clusters) > len(by_size) > 5
+    for maps in by_size.values():
+        assert all(c is maps[0] for c in maps)
+        assert not maps[0].flags.writeable
+    assert contract_audit(e).passed
+
+
+def test_saturated_scale_realizes_each_size_once(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g.shape[0])
+        return euclidean_realization(g)
+
+    monkeypatch.setattr(single_scale, "euclidean_realization", counting)
+    e = saturated_build()
+    sizes = {len(entry.members) for entry in e.clusters}
+    assert sorted(calls) == sorted(sizes)
+
+
+def test_all_singleton_scale():
+    # delta_dec / 2 = 0.6 < 1: no carve radius reaches a neighbour
+    s = normalize(generate("grid", side=5, dims=2))
+    p = SingleScaleParams(r=0.005, eps=0.1, delta=0.1, seed=2, dim_hat=1.0)
+    e = build_single_scale(s, p)
+    dec = e.decomposition
+    assert dec.delta / 2.0 < 1.0
+    assert e.k == 0
+    assert len(dec.partitions) == e.m
+    for part in dec.partitions:
+        assert [c.tolist() for c in part.clusters] == [[i] for i in range(s.n)]
+        assert np.array_equal(part.labels, np.arange(s.n))
+    gset = s.subset(e.ground)
+    assert padding_audit(gset, dec).passed
+    assert contract_audit(e).passed
+    # the sampler draws the same m and, as sets, the same clusters
+    sampled = build_decomposition(gset, dec.delta, dec.pad_radius, EPS_PAD,
+                                  seed=dec.seed, dim_hat=dec.dim_hat)
+    assert sampled.m == dec.m
+    assert all(part.size == s.n for part in sampled.partitions)
+    assert np.array_equal(sampled.padded, dec.padded)
+
+
+def test_single_scale_targets_the_input_norm():
+    s = normalize(generate("ball", n=12, dim=2, norm="linf", seed=1))
+    e = build_single_scale(s, SingleScaleParams(r=8.0, eps=0.1,
+                                                delta=0.0025))
+    assert e.params.norm == np.inf
+    assert e.params.rescale_c == 0.0
+    assert contract_audit(e).passed
+    # the l-infinity rule delta <= eps^2/4 holds for a resolved norm too
+    with pytest.raises(BadParams, match="eps\\^2/4"):
+        build_single_scale(s, SingleScaleParams(r=8.0, eps=0.1, delta=0.01))
+
+
 # --- degenerate cluster helpers
 
 
@@ -183,7 +267,7 @@ def test_singleton_and_empty_net_clusters():
     assert _embed_cluster_l1(one, np.array([], dtype=np.intp), p).k == 0
     assert _embed_cluster_l1(one, np.array([0]), p).k == 0
     assert _embed_cluster_linf(one, np.array([], dtype=np.intp), p).k == 0
-    cm = _embed_cluster_l2(one, p, seed=1)
+    cm = _embed_cluster_l2(one, p, np.array([0]))
     assert cm.k == 0
 
 
