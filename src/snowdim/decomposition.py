@@ -71,12 +71,13 @@ def _carve(dmat: np.ndarray, delta: float, rng) -> Partition:
     order = rng.permutation(n)
     hit = dmat[order, :] <= rho           # row k: points reachable by the k-th center
     first = hit.argmax(axis=0)            # every point reaches itself, so a hit exists
-    centers, labels = np.unique(first, return_inverse=True)
-    labels = labels.astype(np.intp)
-    # one stable sort groups the members of each cluster, ascending
+    labels = np.unique(first, return_inverse=True)[1].astype(np.intp)
+    # one stable sort groups the members of each cluster, ascending; each
+    # cluster is a slice of it between consecutive cumulative counts
     members = np.argsort(labels, kind="stable")
-    bounds = np.cumsum(np.bincount(labels, minlength=len(centers)))[:-1]
-    return Partition(labels, np.split(members, bounds), rho)
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    clusters = [members[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    return Partition(labels, clusters, rho)
 
 
 def _sample(dmat, delta, pad_pairs, m, seed, attempt):

@@ -8,7 +8,10 @@ each target is extended in turn and then joins the constraint set, so the
 finished map honors L on every pair, target-target pairs included.
 The intersection point is found by minimizing the squared hinge penalty
 sum_j max(0, |y - c_j| - R_j)^2 with L-BFGS; at a feasible point the
-penalty is zero.
+penalty is zero. Each target starts at the image of its nearest placed
+point; when that start is already feasible (penalty exactly 0, so the
+gradient is 0 too and L-BFGS would stop at iteration 0 with the start
+unchanged) it is taken as is, with no solver call.
 """
 
 from __future__ import annotations
@@ -118,9 +121,15 @@ def kirszbraun_extend(dmat: np.ndarray, src_idx: np.ndarray,
         # gtol=0: opposing active balls cancel the gradient long before
         # feasibility, so only line-search exhaustion may stop the solve
         opts = {"maxiter": max_iters, "ftol": 0.0, "gtol": 0.0}
-        res = minimize(penalty, y0, jac=True, method="L-BFGS-B", options=opts)
-        nit = int(res.nit)
-        y = res.x
+        if penalty(y0)[0] == 0.0:
+            # a feasible start has gradient exactly 0, where L-BFGS-B stops
+            # at iteration 0 and returns the start unchanged
+            y, nit = y0, 0
+        else:
+            res = minimize(penalty, y0, jac=True, method="L-BFGS-B",
+                           options=opts)
+            nit = int(res.nit)
+            y = res.x
         dist = np.linalg.norm(y[None, :] - centers, axis=1)
         residual = float((dist - radii).max())
         if residual > tol:                 # fresh memory, one retry

@@ -33,7 +33,7 @@ from .extension import ExtensionInfo, kirszbraun_extend, lipschitz_constant
 from .points import (Net, PointSet, _pairwise, estimate_doubling, greedy_net,
                      norm_label, norm_tag, require_normalized, vector_norm)
 from .projection import exact_reduce, jl_dimension, jl_project
-from .transforms import (cut_decomposition, euclidean_realization,
+from .transforms import (Cut, cut_decomposition, euclidean_realization,
                          gaussian_transform, laplace_transform,
                          threshold_transform)
 
@@ -228,8 +228,8 @@ def _embed_cluster_l2(dmat_c, p: SingleScaleParams,
     return ClusterMap(members, x - x[0])   # first member at the origin
 
 
-def _embed_cluster_l1(dmat_c, net_local: np.ndarray,
-                      p: SingleScaleParams) -> ClusterMap:
+def _embed_cluster_l1(dmat_c, net_local: np.ndarray, p: SingleScaleParams,
+                      cuts_by_metric: dict[bytes, list[Cut]]) -> ClusterMap:
     if len(net_local) == 0:
         return ClusterMap(np.empty(0, dtype=np.intp),
                           np.zeros((dmat_c.shape[0], 0)), 0)
@@ -239,7 +239,14 @@ def _embed_cluster_l1(dmat_c, net_local: np.ndarray,
                           len(net_local))
     lr = laplace_transform(dmat_c, p.r)
     np.fill_diagonal(lr, 0.0)
-    cuts = cut_decomposition(lr)
+    # the LP is a function of the matrix alone: clusters with the same
+    # transformed metric (any cluster at a saturated scale, translated
+    # runs of an evenly spaced set) share one solve; the trace grouping
+    # below depends on the cluster's net points and stays per cluster
+    key = lr.tobytes()
+    cuts = cuts_by_metric.get(key)
+    if cuts is None:
+        cuts = cuts_by_metric[key] = cut_decomposition(lr)
     nc = dmat_c.shape[0]
     net_set = frozenset(int(v) for v in net_local)
     # one coordinate per distinct trace A ∩ (C ∩ N); summing same-trace
@@ -324,6 +331,7 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     # its rotation changes the sums across scales of one residue class.
     saturated = p.norm == 2.0 and gaussian_transform(dmin, p.r) == p.r
     shared: dict[int, np.ndarray] = {}
+    cuts_by_metric: dict[bytes, list[Cut]] = {}
     runs = ([(certain, m)] if certain is not None
             else [(part, 1) for part in dec.partitions])
     entry_order: dict[bytes, int] = {}
@@ -352,7 +360,8 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
                 dmat_c = gdmat[np.ix_(members, members)]
                 net_local = np.flatnonzero(net_in_ground[members])
                 if p.norm == 1.0:
-                    cm = _embed_cluster_l1(dmat_c, net_local, p)
+                    cm = _embed_cluster_l1(dmat_c, net_local, p,
+                                           cuts_by_metric)
                 else:
                     cm = _embed_cluster_linf(dmat_c, net_local, p)
                 if cm.net_count == 0:

@@ -37,11 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report as report_mod
-from .errors import BadParams, EmptyInput, SnowdimError
+from .errors import BadParams, ClusterTooLarge, EmptyInput, SnowdimError
 from .points import (PointSet, _pairwise, estimate_doubling, norm_label,
                      norm_tag, require_normalized)
 from .single_scale import (EPS_PAD, SingleScaleEmbedding, SingleScaleParams,
                            _dumps_coords, build_single_scale, theory_dimension)
+from .transforms import MAX_CUT_POINTS
 
 #: offset added to the scale index when deriving per-scale seeds, so the
 #: seed entropy stays nonnegative for any sane index window
@@ -229,8 +230,17 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     (seed, i), so any scale can be rebuilt independently. A library error
     from one scale is re-raised as the same type with the scale named in
     front of its message; any other exception passes through untouched.
+    An l1 target above the cut LP's MAX_CUT_POINTS raises ClusterTooLarge
+    before any scale is built.
     """
     plan = scale_plan(s, alpha, eps, norm)
+    # every scale coarser than the carving range keeps all n points in one
+    # cluster, and the l1 path writes each cluster as a sum of cuts
+    if plan.norm == 1.0 and s.n > MAX_CUT_POINTS:
+        raise ClusterTooLarge(
+            f"an l1 snowflake of {s.n} points puts all of them in one "
+            f"cluster at its coarser scales; the cut LP's cap is "
+            f"{MAX_CUT_POINTS} points")
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     lg = math.log1p(eps)

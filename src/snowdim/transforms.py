@@ -16,6 +16,7 @@ per-landmark threshold coordinates for l-infinity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -106,13 +107,44 @@ class Cut:
     members: frozenset
 
 
+@functools.cache
+def _cut_system(n: int) -> tuple[tuple[frozenset, ...], np.ndarray,
+                                 np.ndarray, np.ndarray, np.ndarray]:
+    """The part of the cut LP that depends on n alone, built once per n.
+
+    Returns the cuts (as member sets of {1..n-1}; point 0 is pinned
+    outside), the pair indices iu, ju, the equality matrix
+    [incidence | I | -I] and the cost vector. The arrays are read-only
+    because every later call with this n shares them.
+    """
+    iu, ju = np.triu_indices(n, k=1)
+    cuts = tuple(frozenset(comb) for size in range(1, n)
+                 for comb in itertools.combinations(range(1, n), size))
+    a = np.zeros((len(iu), len(cuts)))
+    for c, members in enumerate(cuts):
+        inside = np.fromiter((i in members for i in range(n)), dtype=bool)
+        a[:, c] = inside[iu] ^ inside[ju]
+    npairs, ncuts = a.shape
+    # vars: [gamma (ncuts), s+ (npairs), s- (npairs)], min sum(s+ + s-)
+    eye = np.eye(npairs)
+    a_eq = np.hstack([a, eye, -eye])
+    cost = np.concatenate([np.zeros(ncuts), np.ones(2 * npairs)])
+    for arr in (iu, ju, a_eq, cost):
+        arr.flags.writeable = False
+    return cuts, iu, ju, a_eq, cost
+
+
 def cut_decomposition(dmat: np.ndarray) -> list[Cut]:
     """Write a (small) l1-embeddable metric as a weighted sum of cuts.
 
     Enumerates all 2^(n-1) - 1 nontrivial cuts and solves the LP
     minimizing total absolute slack; Infeasible if the best slack exceeds
     CUT_RTOL * max distance, ClusterTooLarge beyond MAX_CUT_POINTS points.
-    Returns only the cuts with positive weight.
+    Only the right-hand side (the pair distances) comes from ``dmat``: the
+    cut list, the equality matrix and the cost are built once per size n
+    and shared, read-only, by every later call of that size (about 11 MB
+    of arrays for all sizes up to the cap). Returns only the cuts with
+    positive weight.
     """
     dmat = np.asarray(dmat, dtype=np.float64)
     n = dmat.shape[0]
@@ -122,22 +154,9 @@ def cut_decomposition(dmat: np.ndarray) -> list[Cut]:
             f"the cap of {MAX_CUT_POINTS}")
     if n < 2:
         return []
-    iu, ju = np.triu_indices(n, k=1)
+    cuts, iu, ju, a_eq, cost = _cut_system(n)
     target = dmat[iu, ju]
-    # cuts as subsets of {1..n-1} unioned with nothing; pin point 0 out
-    cuts = []
-    for size in range(1, n):
-        for comb in itertools.combinations(range(1, n), size):
-            cuts.append(frozenset(comb))
-    a = np.zeros((len(target), len(cuts)))
-    for c, members in enumerate(cuts):
-        inside = np.fromiter((i in members for i in range(n)), dtype=bool)
-        a[:, c] = inside[iu] ^ inside[ju]
-    npairs, ncuts = a.shape
-    # vars: [gamma (ncuts), s+ (npairs), s- (npairs)], min sum(s+ + s-)
-    eye = np.eye(npairs)
-    a_eq = np.hstack([a, eye, -eye])
-    cost = np.concatenate([np.zeros(ncuts), np.ones(2 * npairs)])
+    npairs, ncuts = len(target), len(cuts)
     res = linprog(cost, A_eq=a_eq, b_eq=target, bounds=(0, None),
                   method="highs")
     if not res.success:

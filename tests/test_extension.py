@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from snowdim import extension
 from snowdim.errors import (BadParams, DuplicateSources,
                             ExtensionDidNotConverge)
-from snowdim.extension import kirszbraun_extend, lipschitz_constant
+from snowdim.extension import (ExtensionInfo, kirszbraun_extend,
+                               lipschitz_constant)
 from snowdim.points import PointSet
 
 
@@ -83,3 +86,63 @@ def test_no_targets_passthrough():
     out, info = kirszbraun_extend(d, np.array([0, 1]), images, 1.0, 1e-6)
     assert np.array_equal(out, images)
     assert info.iters == 0
+
+
+def lbfgs_route(d, src, images, lip, tol):
+    """The extension with an L-BFGS-B solve for every target, feasible
+    start or not: same order, start, penalty and running constant."""
+    out = np.zeros((len(d), images.shape[1]))
+    placed = np.zeros(len(d), dtype=bool)
+    out[src], placed[src] = images, True
+    targets = np.flatnonzero(~placed)
+    order = targets[np.argsort(d[np.ix_(targets, src)].min(axis=1))]
+    lip_cur, iters, worst = float(lip), 0, 0.0
+    for t in order:
+        centers = out[np.flatnonzero(placed)]
+        dists = d[placed, t]
+        radii = lip_cur * dists
+
+        def penalty(y):
+            diff = y[None, :] - centers
+            dist = np.linalg.norm(diff, axis=1)
+            excess = np.maximum(dist - radii, 0.0)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                coef = np.where(dist > 0, excess / dist, 0.0)
+            return 0.5 * float(excess @ excess), coef @ diff
+
+        res = minimize(penalty, centers[int(np.argmin(dists))], jac=True,
+                       method="L-BFGS-B", options={
+                           "maxiter": extension.MAX_ITERS, "ftol": 0.0,
+                           "gtol": 0.0})
+        dist = np.linalg.norm(res.x[None, :] - centers, axis=1)
+        residual = float((dist - radii).max())
+        assert residual <= tol
+        iters += int(res.nit)
+        worst = max(worst, residual)
+        pos = dists > 0
+        lip_cur = max(lip_cur, float((dist[pos] / dists[pos]).max()))
+        out[t], placed[t] = res.x, True
+    return out, ExtensionInfo(lip_cur, iters, worst)
+
+
+@pytest.mark.parametrize("lip, solves", [(3.0, 0), (2.0, 1)])
+def test_feasible_starts_skip_the_solver(monkeypatch, lip, solves):
+    # 30 Gaussian points, every third a source with a 1-Lipschitz image:
+    # at lip = 3 every nearest-placed start already lies in all its balls
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(30, 3))
+    d = PointSet(pts, 2.0).distance_matrix()
+    src = np.arange(0, 30, 3)
+    images = pts[src][:, :2]
+    want, want_info = lbfgs_route(d, src, images, lip, 1e-6)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(extension, "minimize", counting)
+    out, info = kirszbraun_extend(d, src, images, lip=lip, tol=1e-6)
+    assert len(calls) == solves
+    assert np.array_equal(out, want)
+    assert info == want_info

@@ -12,8 +12,9 @@ from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
                                   _embed_cluster_linf, build_single_scale,
                                   contract_audit, dumps, loads_coords,
                                   theory_dimension)
-from snowdim.transforms import (euclidean_realization, gaussian_transform,
-                                laplace_transform, threshold_transform)
+from snowdim.transforms import (cut_decomposition, euclidean_realization,
+                                gaussian_transform, laplace_transform,
+                                threshold_transform)
 
 G_1 = 0.7950600976206501          # G_1(1) = sqrt(1 - e^-1)
 L_1 = 0.6321205588285577          # L_1(1) = 1 - e^-1
@@ -223,6 +224,45 @@ def test_saturated_scale_realizes_each_size_once(monkeypatch):
     assert sorted(calls) == sorted(sizes)
 
 
+@pytest.mark.parametrize("r, delta, dim_hat, saturated", [
+    # a snowflake scale (its delta at eps 0.1, alpha 0.5): L_r(1) == r, so
+    # the 27 multi-point clusters have one metric per size, 4 in all
+    (1.1 ** -92, 1.1 ** -75, None, True),
+    # L_r(1) < r: 29 multi-point clusters, translates of 4 runs of the line
+    (0.05, 0.2, 1.0, False),
+], ids=["saturated", "translated"])
+def test_l1_scale_solves_one_cut_lp_per_distinct_metric(
+        monkeypatch, r, delta, dim_hat, saturated):
+    s = normalize(generate("line", n=10, norm="l1"))
+    p = SingleScaleParams(r=r, eps=0.1, delta=delta, seed=3, dim_hat=dim_hat)
+    assert (laplace_transform(1.0, r) == r) == saturated
+    calls = []
+
+    def counting(lr):
+        calls.append(lr.tobytes())
+        return cut_decomposition(lr)
+
+    monkeypatch.setattr(single_scale, "cut_decomposition", counting)
+    e = build_single_scale(s, p)
+    solved = list(calls)
+    dmat = s.distance_matrix()
+    metrics = []
+    for entry in e.clusters:
+        mem = entry.members
+        if len(mem) > 1:
+            lr = laplace_transform(dmat[np.ix_(mem, mem)], e.params.r)
+            np.fill_diagonal(lr, 0.0)
+            metrics.append(lr.tobytes())
+        # the per-cluster route, with nothing shared, gives the same map
+        alone = _embed_cluster_l1(dmat[np.ix_(mem, mem)],
+                                  np.flatnonzero(np.isin(mem, e.net.members)),
+                                  e.params, {})
+        assert np.array_equal(entry.map.coords, alone.coords)
+    assert len(metrics) > len(set(metrics)) > 1
+    assert sorted(solved) == sorted(set(metrics))
+    assert contract_audit(e).passed
+
+
 def test_all_singleton_scale():
     # delta_dec / 2 = 0.6 < 1: no carve radius reaches a neighbour
     s = normalize(generate("grid", side=5, dims=2))
@@ -264,8 +304,8 @@ def test_single_scale_targets_the_input_norm():
 def test_singleton_and_empty_net_clusters():
     p = SingleScaleParams(1.0, 0.1, 0.1, norm=1.0, seed=0)
     one = np.zeros((1, 1))
-    assert _embed_cluster_l1(one, np.array([], dtype=np.intp), p).k == 0
-    assert _embed_cluster_l1(one, np.array([0]), p).k == 0
+    assert _embed_cluster_l1(one, np.array([], dtype=np.intp), p, {}).k == 0
+    assert _embed_cluster_l1(one, np.array([0]), p, {}).k == 0
     assert _embed_cluster_linf(one, np.array([], dtype=np.intp), p).k == 0
     cm = _embed_cluster_l2(one, p, np.array([0]))
     assert cm.k == 0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import snowdim.snowflake as snowflake
-from snowdim.errors import BadParams, EmptyInput, NotEuclidean
+from snowdim.errors import (BadParams, ClusterTooLarge, EmptyInput,
+                            NotEuclidean)
 from snowdim.points import PointSet, generate, normalize
 from snowdim.single_scale import loads_coords
 from snowdim.snowflake import (band_center, build_snowflake, compute_M,
@@ -211,6 +212,18 @@ def test_scale_errors_name_the_scale_and_chain(monkeypatch):
         build_snowflake(line_pair(), 0.5, 0.1, seed=0)
     assert info.value is other
     assert other.args == ("out of memory",)
+
+
+def test_l1_above_the_cut_cap_is_refused_before_any_scale(monkeypatch):
+    # the coarser scales keep all 15 points in one cluster, which the cut LP
+    # refuses, so the whole ladder could never finish
+    calls = []
+    monkeypatch.setattr(snowflake, "build_single_scale",
+                        lambda s, params: calls.append(params))
+    s = normalize(generate("line", n=15, norm="l1"))
+    with pytest.raises(ClusterTooLarge, match="cap is 14 points"):
+        build_snowflake(s, 0.5, 0.1)
+    assert calls == []
 
 
 def test_band_over_the_limit_fails_the_audit():

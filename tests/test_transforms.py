@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from snowdim import transforms
 from snowdim.errors import BadParams, ClusterTooLarge, NotEuclidean
 from snowdim.points import PointSet, generate
 from snowdim.transforms import (cut_decomposition, euclidean_realization,
@@ -157,6 +158,27 @@ def test_laplace_line_metric_is_l1():
     np.fill_diagonal(d, 0.0)
     cuts = cut_decomposition(d)
     assert np.allclose(cut_metric(cuts, 5), d, atol=1e-7)
+
+
+def test_cut_system_is_built_once_per_size_and_read_only():
+    first = transforms._cut_system(6)
+    assert transforms._cut_system(6) is first
+    cuts, iu, ju, a_eq, cost = first
+    assert len(cuts) == 2 ** 5 - 1 and a_eq.shape == (15, 31 + 2 * 15)
+    for arr in (iu, ju, a_eq, cost):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        a_eq[0, 0] = 1.0
+    # a call after the system exists returns what a fresh system gives
+    d = laplace_transform(PointSet(np.arange(6.0)[:, None], 1.0)
+                          .distance_matrix(), r=2.0)
+    np.fill_diagonal(d, 0.0)
+    again = cut_decomposition(d)
+    transforms._cut_system.cache_clear()
+    fresh = cut_decomposition(d)
+    assert [(c.weight, c.members) for c in again] == \
+        [(c.weight, c.members) for c in fresh]
+    assert np.allclose(cut_metric(again, 6), d, atol=1e-7)
 
 
 def test_cut_decomposition_too_large():
