@@ -38,8 +38,8 @@ ns = normalize(s)
 print(f"\nnormalize: scale={ns.scale:.4f} "
       f"min distance {ns.distance_matrix()[np.triu_indices(ns.n, k=1)].min():.6f}")
 
-# greedy nets are the workhorse of every embedding: centers are at least
-# radius apart and every point has a center within radius
+# greedy nets anchor the l1 and l-infinity cluster maps: centers are at
+# least radius apart and every point has a center within radius
 for radius in (1.0, 2.0, 4.0):
     net = greedy_net(ns, radius)
     print(f"net radius {radius}: {len(net.members)} centers")

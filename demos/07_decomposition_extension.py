@@ -2,12 +2,13 @@
 Padded decompositions and Lipschitz extension
 =============================================
 
-Two workhorses the embeddings lean on. build_decomposition carves the
-set into clusters of bounded diameter with randomly shifted ball
-carving; padding_audit recomputes every invariant (cover, disjointness,
-diameters, padded bits) from scratch. kirszbraun_extend takes a map
-defined on net points only and extends it to everything, keeping the
-Lipschitz constant within a hair of the net-only constant.
+build_decomposition carves the set into clusters of bounded diameter
+with randomly shifted ball carving, the first stage of every scale;
+padding_audit recomputes every invariant (cover, disjointness,
+diameters, padded bits) from scratch. kirszbraun_extend, a standalone
+utility that no build calls, takes a map defined on net points only and
+extends it to everything, keeping the Lipschitz constant within a hair
+of the net-only constant.
 """
 
 import numpy as np

@@ -117,7 +117,12 @@ class PointSet:
 
     def distance_matrix(self) -> np.ndarray:
         if self._dmat is None:
-            self._dmat = _pairwise(self.points, self.norm)
+            pts = self.points
+            if self.norm == 2.0 and self.n:
+                # the Gram trick cancels the squared norms: centering keeps
+                # them at the set's own spread, not its offset from 0
+                pts = pts - pts.mean(axis=0)
+            self._dmat = _pairwise(pts, self.norm)
         return self._dmat
 
     def diameter(self) -> float:

@@ -1,15 +1,16 @@
-"""Single-scale embedding: net, padded decomposition, per-cluster transform
-embeddings, smoothing, direct sum, extension.
+"""Single-scale embedding: padded decomposition, per-cluster transform
+embeddings, smoothing, direct sum.
 
-For a scale r the pipeline is: take an (eps*delta*r)-net; sample a padded
-decomposition (of the net for Euclidean targets, of the whole set for
-l1/l-infinity); realize the transformed metric of each cluster exactly and
-compress it (verified random projection for l2, trace-merged cuts for l1,
-per-net-point threshold coordinates for l-infinity); fade each cluster map
-to zero near the cluster boundary with the smoothing weight
+For a scale r the pipeline is: sample a padded decomposition of the whole
+set; realize the transformed metric of each cluster exactly and compress
+it (verified random projection for l2, trace-merged cuts for l1,
+per-net-point threshold coordinates for l-infinity, where the l1 and
+l-infinity maps read an (eps*delta*r)-net); fade each cluster map to zero
+near the cluster boundary with the smoothing weight
 min(1, (delta/r) * dist(x, outside)); direct-sum the partitions with the
-norm's combining scale; extend to non-net points (l2 only) and apply the
-final global rescale.
+norm's combining scale and apply the final global rescale. Every point is
+decomposed, so no point needs an extension; an l2 scale still stays within
+n columns because the assembly is squeezed by ``exact_reduce``.
 
 The finished embedding keeps everything needed for the audit: the raw
 per-cluster maps, the smoothing weights, and the fully scaled coordinate
@@ -28,8 +29,7 @@ import numpy as np
 from . import report as report_mod
 from .decomposition import (PaddedDecomposition, Partition, batch_size,
                             build_decomposition)
-from .errors import BadParams, HeaderMismatch, PaddingUnachievable
-from .extension import ExtensionInfo, kirszbraun_extend, lipschitz_constant
+from .errors import BadParams, EmptyInput, HeaderMismatch, PaddingUnachievable
 from .points import (Net, PointSet, _pairwise, estimate_doubling, greedy_net,
                      norm_label, norm_tag, require_normalized, vector_norm)
 from .projection import exact_reduce, jl_dimension, jl_project
@@ -45,8 +45,6 @@ RESCALE_C = {1.0: 40.0, 2.0: 40.0, np.inf: 0.0}
 EPS_PAD = 0.36
 #: doublings of the decomposition diameter before giving up
 DELTA_RETRIES = 3
-#: Kirszbraun extension slack, relative to the net's Lipschitz constant
-EXTENSION_TOL = 1e-6
 
 
 def transform_for(norm: float):
@@ -107,8 +105,8 @@ class SingleScaleParams:
 class ClusterMap:
     """Raw per-cluster embedding f_C (before smoothing and scaling).
 
-    ``coords`` rows align with ``members`` (indices into the decomposed
-    ground set); the map is translated so its first member sits at the
+    ``coords`` rows align with ``members`` (indices into the point set);
+    the map is translated so its first member sits at the
     origin (l2/l1), keeping every image norm at most r.
     """
     members: np.ndarray
@@ -125,7 +123,7 @@ class ClusterEntry:
     """One distinct cluster with its multiplicity across the m partitions.
 
     The direct sum over partitions regroups exactly into per-cluster
-    blocks: the smoothing distance h(x) = d(x, ground minus C) depends
+    blocks: the smoothing distance h(x) = d(x, X minus C) depends
     only on the cluster itself, so two partitions sharing C contribute
     identical blocks and only the multiplicity matters (squared weights
     add for l2, linear for l1, and the max is idempotent for l-infinity).
@@ -144,8 +142,7 @@ class ClusterEntry:
 class SingleScaleEmbedding:
     params: SingleScaleParams
     source: PointSet
-    net: Net
-    ground: np.ndarray                     # indices of the decomposed set
+    net: Net | None                        # read by the l1/linf maps only
     dim_hat: float
     decomposition: PaddedDecomposition
     clusters: list[ClusterEntry]
@@ -155,8 +152,6 @@ class SingleScaleEmbedding:
     combine_scale: float                   # m^-1/2, m^-1 or (1+2*sqrt(delta))^-1
     rescale: float                         # 1 / (1 + C*eps)
     coords: np.ndarray                     # (n, k) final images, all scaling in
-    lip_net: float                         # Lipschitz constant before extension
-    extension: ExtensionInfo | None
     empty_net_clusters: int                # l1/linf clusters with no net point
 
     @property
@@ -279,43 +274,39 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
 
     ``params.norm = None`` targets the input's own norm (``s.norm``)."""
     require_normalized(s, "build_single_scale")
+    n = s.n
+    if n == 0:
+        raise EmptyInput("single-scale embedding of an empty set")
     p = params if params.norm is not None else replace(params, norm=s.norm)
-    net = greedy_net(s, p.net_radius)
+    # only the l1 and l-infinity cluster maps read the net
+    net = greedy_net(s, p.net_radius) if p.norm != 2.0 else None
     dmat = s.distance_matrix()
-    if p.norm == 2.0:
-        ground = net.members
-    else:
-        ground = np.arange(s.n, dtype=np.intp)
-    gset = s.subset(ground)
-    gdmat = dmat[np.ix_(ground, ground)]
-    dim_hat = p.dim_hat if p.dim_hat is not None else estimate_doubling(gset).dim_hat
-    net_in_ground = np.isin(ground, net.members)
+    dim_hat = p.dim_hat if p.dim_hat is not None else estimate_doubling(s).dim_hat
     dmin = np.inf
-    if gset.n > 1:
-        dmin = float(gdmat[~np.eye(gset.n, dtype=bool)].min())
+    if n > 1:
+        dmin = float(dmat[~np.eye(n, dtype=bool)].min())
 
-    # --- padded decomposition of the ground set, doubling the diameter on failure
+    # --- padded decomposition of the whole set, doubling the diameter on failure
     pad = p.pad_radius
-    diam = float(gdmat.max()) if gset.n else 0.0
+    diam = float(dmat.max())
     dec = None
     certain = None                          # the partition every draw yields
     delta_dec = p.decomposition_diameter(dim_hat)
     for attempt in range(DELTA_RETRIES + 1):
         seed = p.seed * 31 + attempt
         if delta_dec / 4.0 >= diam:
-            certain = Partition(np.zeros(gset.n, dtype=np.intp),
-                                [np.arange(gset.n)], delta_dec / 4.0)
+            certain = Partition(np.zeros(n, dtype=np.intp),
+                                [np.arange(n)], delta_dec / 4.0)
         elif delta_dec / 2.0 < dmin:
-            certain = Partition(np.arange(gset.n),
-                                list(np.arange(gset.n)[:, None]),
+            certain = Partition(np.arange(n), list(np.arange(n)[:, None]),
                                 delta_dec / 4.0)
         if certain is not None:
-            m = batch_size(EPS_PAD, gset.n, dim_hat)
+            m = batch_size(EPS_PAD, n, dim_hat)
             dec = _certain_decomposition(certain, delta_dec, pad, seed, m,
                                          dim_hat)
             break
         try:
-            dec = build_decomposition(gset, delta_dec, pad, EPS_PAD,
+            dec = build_decomposition(s, delta_dec, pad, EPS_PAD,
                                       seed=seed, dim_hat=dim_hat)
             break
         except PaddingUnachievable:
@@ -325,31 +316,47 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     m = dec.m
 
     # --- embed each distinct cluster once, counting its multiplicity. At a
-    # saturated l2 scale G_r maps every ground pair to exactly r, so all
-    # clusters of one size share a bitwise-identical transformed metric and
-    # one (read-only) realization; a closed-form simplex would not do, since
+    # saturated l2 scale G_r maps every pair to exactly r, so all clusters
+    # of one size share a bitwise-identical transformed metric and one
+    # (read-only) realization; a closed-form simplex would not do, since
     # its rotation changes the sums across scales of one residue class.
     saturated = p.norm == 2.0 and gaussian_transform(dmin, p.r) == p.r
     shared: dict[int, np.ndarray] = {}
     cuts_by_metric: dict[bytes, list[Cut]] = {}
+    in_net = np.zeros(n, dtype=bool)
+    if net is not None:
+        in_net[net.members] = True
     runs = ([(certain, m)] if certain is not None
             else [(part, 1) for part in dec.partitions])
     entry_order: dict[bytes, int] = {}
     entries: list[ClusterEntry] = []
     empty_net = 0
     for part, times in runs:
+        fresh = []
         for members in part.clusters:
-            key = members.tobytes()
-            at = entry_order.get(key)
-            if at is not None:
+            at = entry_order.get(members.tobytes())
+            if at is None:
+                fresh.append(members)
+            else:
                 entries[at].count += times
-                continue
+        if not fresh:
+            continue
+        # smoothing: h(x) = distance to the nearest point outside x's
+        # cluster (inf when it has none), one masked row-min over the
+        # members of the partition's new clusters
+        rows = np.concatenate(fresh)
+        lab = part.labels
+        h_rows = np.where(lab[rows, None] == lab[None, :], np.inf,
+                          dmat[rows]).min(axis=1)
+        w_rows = np.minimum(1.0, (p.delta / p.r) * h_rows)
+        lo = 0
+        for members in fresh:
             if p.norm == 2.0:
                 coords = shared.get(len(members))
                 if coords is not None:
                     cm = ClusterMap(members, coords)
                 else:
-                    cm = _embed_cluster_l2(gdmat[np.ix_(members, members)],
+                    cm = _embed_cluster_l2(dmat[np.ix_(members, members)],
                                            p, members)
                     # fewer columns than the projection target: no
                     # projection ran, so the map is the size's alone
@@ -357,8 +364,8 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
                         cm.coords.flags.writeable = False
                         shared[len(members)] = cm.coords
             else:
-                dmat_c = gdmat[np.ix_(members, members)]
-                net_local = np.flatnonzero(net_in_ground[members])
+                dmat_c = dmat[np.ix_(members, members)]
+                net_local = np.flatnonzero(in_net[members])
                 if p.norm == 1.0:
                     cm = _embed_cluster_l1(dmat_c, net_local, p,
                                            cuts_by_metric)
@@ -367,18 +374,11 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
                 if cm.net_count == 0:
                     empty_net += 1
                 cm.members = members
-            # smoothing: h(x) = distance to the nearest ground point
-            # outside the cluster; a whole-set cluster has nothing outside
-            if len(members) < gset.n:
-                mask = np.ones(gset.n, dtype=bool)
-                mask[members] = False
-                h = gdmat[np.ix_(members, np.flatnonzero(mask))].min(axis=1)
-            else:
-                h = np.full(len(members), np.inf)
-            w = np.minimum(1.0, (p.delta / p.r) * h)
-            w[np.isinf(h)] = 1.0
-            entry_order[key] = len(entries)
-            entries.append(ClusterEntry(cm, times, w, h))
+            hi = lo + len(members)
+            entry_order[members.tobytes()] = len(entries)
+            entries.append(ClusterEntry(cm, times, w_rows[lo:hi],
+                                        h_rows[lo:hi]))
+            lo = hi
 
     # --- direct sum with the norm's combining scale, then the global rescale
     rescale = 1.0 / (1.0 + p.rescale_c * p.eps)
@@ -392,38 +392,23 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
         combine = 1.0 / (1.0 + 2.0 * math.sqrt(p.delta))
         coeffs = [combine for c in entries]
     k = sum(c.map.k for c in entries)
-    gcoords = np.zeros((gset.n, k))
+    coords = np.zeros((n, k))
     col = 0
     for c, coeff in zip(entries, coeffs):
         cm = c.map
         if cm.k:
             block = cm.coords * (c.weights[:, None] * coeff * rescale)
-            gcoords[cm.members, col:col + cm.k] = block
+            coords[cm.members, col:col + cm.k] = block
         col += cm.k
 
     # an n-point l2 assembly never needs more than n coordinates; squeezing
     # the block-diagonal layout down keeps wide multi-partition builds small
-    if p.norm == 2.0 and k > gset.n:
-        gcoords = exact_reduce(gcoords)
-        k = gcoords.shape[1]
-
-    # --- place ground images; extend to the rest (l2 only has a remainder)
-    coords = np.zeros((s.n, k))
-    coords[ground] = gcoords
-    lip_net = 0.0
-    if gset.n > 1:
-        lip_net = lipschitz_constant(gdmat, gcoords)
-    ext_info = None
-    if len(ground) < s.n:
-        # only the l2 path leaves non-net points without images
-        lip_used = max(lip_net, 1e-12) * (1.0 + EXTENSION_TOL)
-        tol_abs = 0.1 * EXTENSION_TOL * max(lip_net, 1e-12) * s.min_distance()
-        coords, ext_info = kirszbraun_extend(dmat, ground, gcoords,
-                                             lip_used, tol_abs)
+    if p.norm == 2.0 and k > n:
+        coords = exact_reduce(coords)
+        k = coords.shape[1]
     th_k = theory_dimension(p.eps, p.delta, EPS_PAD, dim_hat, p.norm)
-    return SingleScaleEmbedding(p, s, net, ground, dim_hat, dec, entries, m,
-                                k, th_k, combine, rescale, coords, lip_net,
-                                ext_info, empty_net)
+    return SingleScaleEmbedding(p, s, net, dim_hat, dec, entries, m, k, th_k,
+                                combine, rescale, coords, empty_net)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +450,6 @@ def contract_audit(e: SingleScaleEmbedding) -> report_mod.DistortionReport:
         "norm_bound": p.r * (1.0 + p.eps * p.delta),
         "lip_target": 1.0,
         "lower_target": 1.0 / (1.0 + p.eps),
-        "lip_net": e.lip_net,
-        "extension_max_violation":
-            e.extension.max_violation if e.extension else 0.0,
         "theory_k": e.theory_k,
         "concrete_k": e.k,
         "empty_net_clusters": e.empty_net_clusters,
@@ -487,9 +469,7 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     product rule: the smoothed per-cluster map is (1 + delta)-Lipschitz.
     """
     p = e.params
-    ground = e.ground
-    gdmat = e.source.distance_matrix()[np.ix_(ground, ground)]
-    n_ground = len(ground)
+    dmat = e.source.distance_matrix()
     tf = transform_for(p.norm)
     max_f_norm = 0.0
     worst_ii = -np.inf        # max of |f(x)-f(y)| - transform(d), want <= slack
@@ -504,7 +484,7 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
             max_f_norm = max(max_f_norm,
                              float(vector_norm(raw, p.norm).max()))
         if len(members) > 1:
-            dsub = gdmat[np.ix_(members, members)]
+            dsub = dmat[np.ix_(members, members)]
             fsub = _pairwise(raw, p.norm)
             tsub = np.asarray(tf(dsub, p.r))
             np.fill_diagonal(tsub, 0.0)
@@ -515,10 +495,10 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(dsub > 0, smoothed / dsub, 0.0)
             worst_product = max(worst_product, float(ratios.max()))
-        if len(members) < n_ground:
-            mask = np.ones(n_ground, dtype=bool)
+        if len(members) < e.n:
+            mask = np.ones(e.n, dtype=bool)
             mask[members] = False
-            hmin = gdmat[np.ix_(members, np.flatnonzero(mask))].min(axis=1)
+            hmin = dmat[np.ix_(members, np.flatnonzero(mask))].min(axis=1)
             worst_iii = max(worst_iii,
                             float((entry.h_values - hmin).max()))
     return {
@@ -566,8 +546,6 @@ def dumps(e: SingleScaleEmbedding) -> bytes:
         "dim_hat": e.dim_hat,
         "combine_scale": e.combine_scale,
         "rescale": e.rescale,
-        "lip_net": e.lip_net,
-        "net_size": int(len(e.net.members)),
     }, e.coords)
 
 

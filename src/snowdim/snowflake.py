@@ -202,20 +202,16 @@ class SnowflakeEmbedding:
 
 def _dominant_pair_mask(e: SingleScaleEmbedding) -> np.ndarray:
     """Pairs that are same-cluster with both pad-balls uncut in every
-    partition of the scale's decomposition, mapped to source indices.
-    Points outside the decomposed ground set are never counted as padded."""
+    partition of the scale's decomposition.
+
+    Two points share a cluster in every partition exactly when their label
+    columns across the partitions are equal, so one id per distinct column
+    replaces a comparison per partition."""
     dec = e.decomposition
-    gn = dec.n
-    ok = np.ones((gn, gn), dtype=bool)
-    for t, part in enumerate(dec.partitions):
-        lab = part.labels
-        pad = dec.padded[t]
-        ok &= (lab[:, None] == lab[None, :]) & (pad[:, None] & pad[None, :])
-        if not ok.any():
-            break
-    out = np.zeros((e.n, e.n), dtype=bool)
-    out[np.ix_(e.ground, e.ground)] = ok
-    return out
+    pad = dec.padded.all(axis=0)
+    labels = np.stack([part.labels for part in dec.partitions], axis=1)
+    col = np.unique(labels, axis=0, return_inverse=True)[1].ravel()
+    return (col[:, None] == col[None, :]) & (pad[:, None] & pad[None, :])
 
 
 def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,

@@ -3,7 +3,7 @@
 One test per guarantee, each measuring exhaustively (all pairs, all
 clusters, all scales) at the stated tolerances: distance-transform
 identities, Gram realization accuracy, the three l2 single-scale
-contracts, the per-cluster invariants, extension Lipschitz preservation,
+contracts, the per-cluster invariants, coarse scales decomposed whole,
 the snowflake band and its dimension accounting, per-scale mass
 localization, exact l-infinity Frechet properties, the l1 cut path,
 distance-label estimates and sizes, and byte-level determinism.
@@ -29,7 +29,7 @@ from snowdim.transforms import (cut_decomposition, euclidean_realization,
 
 EPS = 0.1
 CORPUS = ("grid8", "subspace200", "ultra128")
-L2_SCALES = (2.0, 200.0)      # fine nets, and coarse nets that force extension
+L2_SCALES = (2.0, 200.0)      # inside the distance spectrum, and above it
 SEEDS = (0, 1, 2)
 ALPHAS = (0.5, 0.7)
 
@@ -156,21 +156,19 @@ def test_cluster_level_checks_hold_on_every_build():
                     ex["product_rule_bound"] * (1 + 1e-9)
 
 
-# 5. extension keeps the net map's Lipschitz constant
+# 5. coarse scales decompose every point and stay 1-Lipschitz
 
 
-def test_extension_preserves_lipschitz_bound():
-    tol = 1e-6
-    extended = 0
+def test_coarse_scales_decompose_every_point():
+    r = L2_SCALES[-1]
     for name in CORPUS:
+        s = corpus_set(name)
         for seed in SEEDS:
-            for r in L2_SCALES:
-                e, rep, _ = l2_build(name, seed, r)
-                assert rep.extras["max_lipschitz"] <= \
-                    e.lip_net * (1 + 2 * tol)
-                if e.extension is not None:
-                    extended += 1
-    assert extended >= len(CORPUS) * len(SEEDS)   # every coarse-net build
+            e, rep, _ = l2_build(name, seed, r)
+            assert e.net is None
+            assert e.decomposition.n == s.n
+            assert rep.passed
+            assert rep.extras["max_lipschitz"] <= 1.0 + 1e-9
 
 
 # 6. snowflake band width and dimension accounting

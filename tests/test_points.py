@@ -4,12 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist, squareform
 
 from snowdim.errors import (BadParams, DuplicatePoints, EmptyInput,
                             IndexOutOfRange, UnknownKind)
-from snowdim.points import (PointSet, estimate_doubling, generate, greedy_net,
-                            loads_csv, loads_json, dumps_csv, dumps_json,
-                            normalize, norm_tag)
+from snowdim.points import (PointSet, _pairwise, estimate_doubling, generate,
+                            greedy_net, loads_csv, loads_json, dumps_csv,
+                            dumps_json, normalize, norm_tag)
 
 
 def brute_pairwise(pts, p):
@@ -35,6 +38,44 @@ def test_pairwise_matches_brute_force():
         s = PointSet(pts.copy(), p)
         assert np.allclose(s.distance_matrix(), brute_pairwise(pts, p),
                            atol=1e-10)
+
+
+@st.composite
+def rescaled_sets(draw):
+    """Distinct integer points (min distance >= 1 in every norm), rescaled
+    by up to 2^+-12, and a translation of up to 1e8 per coordinate."""
+    n = draw(st.integers(2, 8))
+    dim = draw(st.integers(1, 4))
+    base = draw(arrays(np.float64, (n, dim),
+                       elements=st.integers(-50, 50).map(float)))
+    assume(len(np.unique(base, axis=0)) == n)
+    scale = draw(st.floats(2.0 ** -12, 2.0 ** 12))
+    shift = draw(arrays(np.float64, dim, elements=st.floats(-1e8, 1e8)))
+    return base * scale, shift
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sets=rescaled_sets(), norm=st.sampled_from((1.0, 2.0, np.inf)))
+def test_pairwise_matches_pdist(sets, norm):
+    # scipy measures the stored floats directly, with no Gram trick, so it
+    # is an oracle independent of _pairwise
+    pts, shift = sets
+    metric = {1.0: "cityblock", 2.0: "euclidean", np.inf: "chebyshev"}[norm]
+    assert np.allclose(_pairwise(pts, norm), squareform(pdist(pts, metric)),
+                       rtol=1e-9, atol=0.0)
+    # source sets may sit anywhere: distance_matrix centers l2 rows first
+    moved = pts + shift
+    assert np.allclose(PointSet(moved, norm).distance_matrix(),
+                       squareform(pdist(moved, metric)), rtol=1e-9, atol=0.0)
+
+
+def test_translated_grid_normalizes_like_the_grid():
+    # the Gram trick on rows near 1e8 cancels every bit of a unit distance
+    grid = generate("grid", side=8, dims=2)
+    moved = normalize(PointSet(grid.points + 1e8))
+    assert moved.min_distance() == 1.0
+    assert np.allclose(moved.distance_matrix(),
+                       normalize(grid).distance_matrix(), rtol=0, atol=1e-12)
 
 
 def test_norm_tag_aliases():

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from snowdim import single_scale
+import snowdim
+from snowdim import extension, points, single_scale
+from snowdim import snowflake as snowflake_mod
 from snowdim.decomposition import build_decomposition, padding_audit
 from snowdim.errors import BadParams, HeaderMismatch
 from snowdim.points import PointSet, generate, greedy_net, normalize
@@ -12,6 +14,7 @@ from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
                                   _embed_cluster_linf, build_single_scale,
                                   contract_audit, dumps, loads_coords,
                                   theory_dimension)
+from snowdim.snowflake import build_snowflake
 from snowdim.transforms import (cut_decomposition, euclidean_realization,
                                 gaussian_transform, laplace_transform,
                                 threshold_transform)
@@ -89,18 +92,73 @@ def test_ultrametric_multi_cluster():
     assert e.decomposition.padded_fraction.min() == 1.0
 
 
-# --- extension path (net coarser than the set)
+# --- coarse scales: an (eps*delta*r)-net would be sparser than the set
 
 
-def test_extension_on_coarse_net():
+def test_coarse_l2_scale_decomposes_every_point():
     s = normalize(generate("grid", side=8, dims=2))
     p = SingleScaleParams(200.0, 0.1, 0.1, seed=7)
+    assert greedy_net(s, p.net_radius).size < s.n
     e = build_single_scale(s, p)
-    assert e.net.size < s.n
-    assert e.extension is not None
-    ex = contract_audit(e).extras
-    assert ex["max_lipschitz"] <= e.lip_net * (1 + 2e-6)
-    assert e.extension.max_violation <= 0.1 * 1e-6 * e.lip_net * 1.0
+    assert e.net is None
+    assert e.decomposition.n == s.n
+    rep = contract_audit(e)
+    assert rep.passed
+    assert rep.extras["max_lipschitz"] <= 1.0 + 1e-9
+
+
+def test_l2_build_runs_no_net_and_no_extension(monkeypatch):
+    originals = {"greedy_net": points.greedy_net,
+                 "kirszbraun_extend": extension.kirszbraun_extend}
+    calls = dict.fromkeys(originals, 0)
+
+    def counting(name):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapped
+
+    # every module that holds a reference, so no lookup escapes the count
+    for mod in (snowdim, points, single_scale, snowflake_mod, extension):
+        for name in originals:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name))
+    grid = normalize(generate("grid", side=8, dims=2))
+    for r in (0.05, 2.0, 200.0):
+        build_single_scale(grid, SingleScaleParams(r, 0.1, 0.1, seed=7))
+    build_snowflake(normalize(generate("line", n=16)), 0.5, 0.1, seed=0)
+    assert calls == {"greedy_net": 0, "kirszbraun_extend": 0}
+    # the counter does see the nets the l1 path reads
+    line = normalize(generate("line", n=6, norm="l1"))
+    build_single_scale(line, SingleScaleParams(1.0, 0.1, 0.1, seed=0))
+    assert calls == {"greedy_net": 1, "kirszbraun_extend": 0}
+
+
+@pytest.mark.parametrize("kind, params, r, delta", [
+    ("ultrametric", dict(depth=7, base=2.0), 0.03, 0.1),
+    ("subspace", dict(n=80, ambient_dim=10, intrinsic_dim=3, seed=2), 0.02,
+     0.1),
+    ("ball", dict(n=40, dim=3, norm="linf", seed=1), 0.001, 0.0025),
+])
+def test_smoothing_h_is_the_per_cluster_masked_min(kind, params, r, delta):
+    s = normalize(generate(kind, **params))
+    e = build_single_scale(s, SingleScaleParams(r, 0.1, delta, seed=3))
+    dmat = s.distance_matrix()
+    by_members = {c.members.tobytes(): c for c in e.clusters}
+    multi = 0
+    for part in e.decomposition.partitions:
+        multi += part.size > 1
+        for members in part.clusters:
+            # the gather over each cluster's outside, one cluster at a time
+            if len(members) < s.n:
+                outside = np.ones(s.n, dtype=bool)
+                outside[members] = False
+                want = dmat[np.ix_(members, np.flatnonzero(outside))].min(axis=1)
+            else:
+                want = np.full(len(members), np.inf)
+            assert np.array_equal(by_members[members.tobytes()].h_values,
+                                  want)
+    assert multi > 0
 
 
 # --- l1 specifics
@@ -118,12 +176,12 @@ def test_l1_merged_cuts_isometric_on_net():
     for entry in e.clusters:
         cm = entry.map
         mem = cm.members
-        net_loc = np.flatnonzero(net_mask[e.ground[mem]])
+        net_loc = np.flatnonzero(net_mask[mem])
         for a in range(len(net_loc)):
             for b in range(a + 1, len(net_loc)):
                 x, y = mem[net_loc[a]], mem[net_loc[b]]
                 raw = np.abs(cm.coords[net_loc[a]] - cm.coords[net_loc[b]]).sum()
-                want = laplace_transform(gdmat[e.ground[x], e.ground[y]], 1.0)
+                want = laplace_transform(gdmat[x, y], 1.0)
                 assert abs(raw - want) <= 1e-9
                 checked += 1
     assert checked > 10
@@ -193,11 +251,11 @@ def saturated_build():
 
 def test_saturated_scale_shares_the_general_realization():
     e = saturated_build()
-    gdmat = e.source.distance_matrix()[np.ix_(e.ground, e.ground)]
+    dmat = e.source.distance_matrix()
     by_size = {}
     for entry in e.clusters:
         mem = entry.members
-        g = gaussian_transform(gdmat[np.ix_(mem, mem)], e.params.r)
+        g = gaussian_transform(dmat[np.ix_(mem, mem)], e.params.r)
         np.fill_diagonal(g, 0.0)
         x = euclidean_realization(g)
         assert np.array_equal(entry.map.coords, x - x[0])
@@ -275,11 +333,10 @@ def test_all_singleton_scale():
     for part in dec.partitions:
         assert [c.tolist() for c in part.clusters] == [[i] for i in range(s.n)]
         assert np.array_equal(part.labels, np.arange(s.n))
-    gset = s.subset(e.ground)
-    assert padding_audit(gset, dec).passed
+    assert padding_audit(s, dec).passed
     assert contract_audit(e).passed
     # the sampler draws the same m and, as sets, the same clusters
-    sampled = build_decomposition(gset, dec.delta, dec.pad_radius, EPS_PAD,
+    sampled = build_decomposition(s, dec.delta, dec.pad_radius, EPS_PAD,
                                   seed=dec.seed, dim_hat=dec.dim_hat)
     assert sampled.m == dec.m
     assert all(part.size == s.n for part in sampled.partitions)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 import snowdim.snowflake as snowflake
 from snowdim.errors import (BadParams, ClusterTooLarge, EmptyInput,
                             NotEuclidean)
+from snowdim.decomposition import build_decomposition
 from snowdim.points import PointSet, generate, normalize
-from snowdim.single_scale import loads_coords
+from snowdim.single_scale import (SingleScaleParams, build_single_scale,
+                                  loads_coords)
 from snowdim.snowflake import (band_center, build_snowflake, compute_M,
                                distortion_audit, dumps, scale_count,
                                scale_plan)
@@ -185,6 +188,40 @@ def test_target_norm_defaults_to_the_input_norm():
     e = build_snowflake(s, 0.5, 0.1)
     assert e.plan.norm == np.inf
     assert distortion_audit(e).passed
+
+
+def _dominant_pairs_per_partition(dec):
+    # the reference: one n x n product per partition, and-ed together
+    n = dec.n
+    ok = np.ones((n, n), dtype=bool)
+    for t, part in enumerate(dec.partitions):
+        lab = part.labels
+        pad = dec.padded[t]
+        ok &= (lab[:, None] == lab[None, :]) & (pad[:, None] & pad[None, :])
+    return ok
+
+
+def test_dominant_pair_mask_matches_the_per_partition_products():
+    # five runs of five points with uneven gaps: carvings merge runs in
+    # some partitions and split them in others, and points near a gap
+    # lose their padding in some
+    pts = np.concatenate([c + np.arange(5.0) for c in (0, 30, 45, 100, 160)])
+    s = normalize(PointSet(pts[:, None]))
+    shared = unpadded = 0
+    for seed in range(20):
+        dec = build_decomposition(s, (60.0, 80.0, 120.0)[seed % 3], 3.0, 0.9,
+                                  seed=seed, dim_hat=1.0)
+        e = SimpleNamespace(decomposition=dec, n=s.n)
+        want = _dominant_pairs_per_partition(dec)
+        assert np.array_equal(snowflake._dominant_pair_mask(e), want)
+        shared += int(want.sum() - np.trace(want))
+        unpadded += int((~dec.padded.all(axis=0)).sum())
+    assert shared > 0 and unpadded > 0
+    # a built scale whose one partition repeats m times
+    grid = normalize(generate("grid", side=5, dims=2))
+    e = build_single_scale(grid, SingleScaleParams(2.0, 0.1, 0.1, seed=0))
+    assert np.array_equal(snowflake._dominant_pair_mask(e),
+                          _dominant_pairs_per_partition(e.decomposition))
 
 
 def test_scale_errors_name_the_scale_and_chain(monkeypatch):
