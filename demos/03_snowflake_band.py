@@ -19,8 +19,10 @@ for alpha in (0.5, 0.7):
     e = build_snowflake(s, alpha=alpha, eps=eps, seed=0)
     rep = distortion_audit(e)
     ex = rep.extras
+    # the grouped layout is rewritten exactly in at most n - 1 columns
     print(f"alpha={alpha}: scales={ex['scale_count']} groups p={e.plan.p} "
-          f"k={e.coords.shape[1]}")
+          f"k={ex['concrete_k']} (grouped layout {ex['assembled_k']}, "
+          f"theory {ex['theory_k']})")
     print(f"  band width {ex['band_width']:.4f} "
           f"(must stay <= {ex['band_limit']:.1f}), passed={rep.passed}")
     # per-scale mass: at every pair the in-window scales dominate and the

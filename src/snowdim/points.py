@@ -33,8 +33,8 @@ _NORM_TAGS = {
 
 #: relative tolerance on the normalization invariant (min distance == 1)
 NORMALIZATION_RTOL = 1e-9
-#: rows per chunk of the l1 / l-infinity pairwise kernel
-PAIRWISE_BLOCK = 256
+#: bytes of one gathered difference block in the l1 / l-infinity pair kernel
+PAIRWISE_BYTES = 8 << 20
 #: centers sampled by the doubling estimate
 MAX_CENTERS = 128
 
@@ -54,8 +54,31 @@ def norm_label(norm: float) -> str:
     return "1" if float(norm) == 1.0 else "2"
 
 
+def _pair_distances(points: np.ndarray, norm: float, iu: np.ndarray,
+                    ju: np.ndarray) -> np.ndarray:
+    """Distances of the pairs (iu[t], ju[t]) of rows of ``points``.
+
+    l1 and l-infinity gather the pairs in chunks of at most PAIRWISE_BYTES
+    of differences, so no n x n x k tensor is ever formed; each distance is
+    a sum or max over one contiguous row, bit for bit what a broadcast over
+    all pairs gives. l2 reads the pairs off the dense Gram-trick matrix.
+    """
+    if norm == 2.0:
+        return _pairwise(points, norm)[iu, ju]
+    out = np.empty(len(iu))
+    step = max(1, PAIRWISE_BYTES // (8 * max(points.shape[1], 1)))
+    for lo in range(0, len(iu), step):
+        diff = points[iu[lo:lo + step]]
+        diff -= points[ju[lo:lo + step]]
+        np.abs(diff, out=diff)
+        out[lo:lo + step] = (diff.sum(axis=1) if norm == 1.0
+                             else diff.max(axis=1))
+    return out
+
+
 def _pairwise(points: np.ndarray, norm: float) -> np.ndarray:
-    """Dense pairwise distance matrix, chunked to bound peak memory."""
+    """Dense pairwise distance matrix; l1 and l-infinity measure each pair
+    i < j once, chunked to bound peak memory."""
     n = points.shape[0]
     if norm == 2.0:
         sq = np.einsum("ij,ij->i", points, points)
@@ -65,12 +88,9 @@ def _pairwise(points: np.ndarray, norm: float) -> np.ndarray:
         np.fill_diagonal(d, 0.0)
         # symmetrise away rounding asymmetry from the Gram trick
         return 0.5 * (d + d.T)
-    out = np.empty((n, n))
-    for lo in range(0, n, PAIRWISE_BLOCK):
-        hi = min(lo + PAIRWISE_BLOCK, n)
-        diff = np.abs(points[lo:hi, None, :] - points[None, :, :])
-        out[lo:hi] = diff.sum(axis=2) if norm == 1.0 else diff.max(axis=2)
-    np.fill_diagonal(out, 0.0)
+    iu, ju = np.triu_indices(n, k=1)
+    out = np.zeros((n, n))
+    out[iu, ju] = out[ju, iu] = _pair_distances(points, norm, iu, ju)
     return out
 
 

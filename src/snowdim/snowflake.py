@@ -12,6 +12,13 @@ computable constant of (eps, alpha, p) alone, exposed as ``band_center`` so
 consumers that need unit calibration (distance labels) can rescale; the
 guarantee itself is on the width.
 
+The Euclidean layout is as wide as the p group blocks together, tens of
+thousands of columns for a few hundred points. Its rows are centered and
+rewritten by ``exact_reduce`` in at most n - 1 coordinates with the same
+pair distances to float precision, and ``assembled_k`` keeps the layout's
+width. l1 has no exact dimension-free reduction and l-infinity combines
+by max, so both keep the layout as it is.
+
 The audit measures every pair against d^alpha and the per-scale bucket
 diagnostics: write B_i for the per-scale image distance divided by
 (1+eps)^{i(1-alpha)} and anchor the size-p window
@@ -38,8 +45,9 @@ import numpy as np
 
 from . import report as report_mod
 from .errors import BadParams, ClusterTooLarge, EmptyInput, SnowdimError
-from .points import (PointSet, _pairwise, estimate_doubling, norm_label,
-                     norm_tag, require_normalized)
+from .points import (PointSet, _pair_distances, _pairwise, estimate_doubling,
+                     norm_label, norm_tag, require_normalized)
+from .projection import exact_reduce
 from .single_scale import (EPS_PAD, SingleScaleEmbedding, SingleScaleParams,
                            _dumps_coords, build_single_scale, theory_dimension)
 from .transforms import MAX_CUT_POINTS
@@ -174,7 +182,7 @@ class ScaleEntry:
     r: float
     seed: int
     group: int                       # i mod p
-    offset: int                      # column offset of the group block
+    offset: int                      # column offset in the assembled layout
     k: int                           # per-scale concrete coordinate count
     coords: np.ndarray               # (n, k) images times (1+eps)^{-i(1-alpha)}
     dom_pairs: np.ndarray | None     # (n, n) bool: padded in every partition
@@ -188,6 +196,7 @@ class SnowflakeEmbedding:
     dim_hat: float
     scales: list[ScaleEntry]
     k: int                           # concrete coordinate count
+    assembled_k: int                 # grouped layout width before reduction
     theory_k: int                    # p * theory_k_scale
     theory_k_scale: int
     coords: np.ndarray               # (n, k) final images, all scaling in
@@ -281,12 +290,19 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
         e.offset = offsets[key]
         if e.k:
             coords[:, e.offset:e.offset + e.k] += e.coords
+    k = col
     if plan.norm == 2.0:
         coords /= math.sqrt(plan.M)
+        if col >= s.n:
+            # centered rows span at most n - 1 directions; the cap drops the
+            # all-ones null direction should its noise pass the cutoff
+            coords -= coords.mean(axis=0)
+            coords = exact_reduce(coords)[:, :s.n - 1]
+            k = coords.shape[1]
     elif plan.norm == 1.0:
         coords /= plan.M
     theory_k_scale = theory_dimension(eps, plan.delta, EPS_PAD, dim_hat, plan.norm)
-    return SnowflakeEmbedding(plan, s, seed, dim_hat, entries, col,
+    return SnowflakeEmbedding(plan, s, seed, dim_hat, entries, k, col,
                               plan.p * theory_k_scale, theory_k_scale, coords)
 
 
@@ -306,7 +322,7 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
     dmat = s.distance_matrix()
     iu, ju = np.triu_indices(s.n, k=1)
     src = dmat[iu, ju]
-    img = e.image_distance_matrix()[iu, ju]
+    img = _pair_distances(e.coords, plan.norm, iu, ju)
     target = src ** alpha
     bounds = None
     if plan.norm == 2.0:
@@ -324,7 +340,7 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
     b_terms = np.zeros((n_scales, n_pairs))
     for t, sc in enumerate(e.scales):
         if sc.k:
-            b_terms[t] = _pairwise(sc.coords, plan.norm)[iu, ju]
+            b_terms[t] = _pair_distances(sc.coords, plan.norm, iu, ju)
     ivals = np.array([sc.i for sc in e.scales])
 
     lg = math.log1p(eps)
@@ -402,6 +418,7 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
         "theory_k": e.theory_k,
         "theory_k_scale": e.theory_k_scale,
         "concrete_k": e.k,
+        "assembled_k": e.assembled_k,
         "scale_count": n_scales,
     })
     return rep

@@ -74,8 +74,11 @@ def euclidean_realization(dmat: np.ndarray) -> np.ndarray:
     Classical Gram reconstruction: B = -1/2 J D^2 J, eigendecompose, keep
     eigenvalues above EIG_KEEP_RTOL * lambda_max. Mildly negative
     eigenvalues (>= -EIG_RTOL * lambda_max) are treated as rounding noise and
-    clamped to zero; anything lower raises NotEuclidean. Returns an (n, k)
-    array with k = rank(B); a single point realizes as shape (1, 0).
+    clamped to zero; anything lower raises NotEuclidean. B always has the
+    all-ones vector in its kernel, so when all n eigenvalues pass the cutoff
+    the smallest is that null direction's noise and is dropped too. Returns
+    an (n, k) array with k = rank(B) <= n - 1; a single point realizes as
+    shape (1, 0).
     """
     dmat = np.asarray(dmat, dtype=np.float64)
     n = dmat.shape[0]
@@ -95,6 +98,8 @@ def euclidean_realization(dmat: np.ndarray) -> np.ndarray:
             f"most negative Gram eigenvalue {vals[0]:.6g} below "
             f"tolerance {floor:.6g}; distances are not Euclidean")
     pos = vals > EIG_KEEP_RTOL * lam_max
+    if pos.all():
+        pos[0] = False
     x = vecs[:, pos] * np.sqrt(vals[pos])
     return x[:, ::-1]          # leading coordinate first
 

@@ -4,7 +4,8 @@ One test per guarantee, each measuring exhaustively (all pairs, all
 clusters, all scales) at the stated tolerances: distance-transform
 identities, Gram realization accuracy, the three l2 single-scale
 contracts, the per-cluster invariants, coarse scales decomposed whole,
-the snowflake band and its dimension accounting, per-scale mass
+the snowflake band and its dimension accounting (an l2 output in at
+most n - 1 coordinates), per-scale mass
 localization, exact l-infinity Frechet properties, the l1 cut path,
 distance-label estimates and sizes, and byte-level determinism.
 """
@@ -190,6 +191,22 @@ def test_snowflake_band_and_reported_dimension():
                           seed=0, dim_hat=1.0)
     assert small.theory_k == big.theory_k
     assert small.theory_k == small.plan.p * small.theory_k_scale
+
+
+def test_l2_snowflakes_write_at_most_n_minus_1_coordinates():
+    for name in CORPUS:
+        e, rep, _ = snowflake_run(name, 0.5)
+        assert e.k == e.coords.shape[1] <= e.n - 1
+        assert rep.extras["concrete_k"] == e.k
+        assert rep.extras["assembled_k"] == e.assembled_k > e.k
+        # the reduction keeps the group-sum layout's pair distances
+        wide = np.zeros((e.n, e.assembled_k))
+        for sc in e.scales:
+            wide[:, sc.offset:sc.offset + sc.k] += sc.coords
+        assert np.allclose(pdist(e.coords),
+                           pdist(wide) / math.sqrt(e.plan.M),
+                           rtol=1e-12, atol=0.0)
+    assert snowflake_run("grid8", 0.5)[0].k == 63
 
 
 # 7. per-scale mass localization: geometric tails, dominant-term floor

@@ -1,6 +1,7 @@
 """Metric core: point sets, normalization, nets, doubling estimates, IO."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist, squareform
 
+from snowdim import points
 from snowdim.errors import (BadParams, DuplicatePoints, EmptyInput,
                             IndexOutOfRange, UnknownKind)
 from snowdim.points import (PointSet, _pairwise, estimate_doubling, generate,
@@ -38,6 +40,37 @@ def test_pairwise_matches_brute_force():
         s = PointSet(pts.copy(), p)
         assert np.allclose(s.distance_matrix(), brute_pairwise(pts, p),
                            atol=1e-10)
+
+
+def broadcast_pairwise(pts, norm):
+    # the reference: one n x n x k difference tensor, reduced over its last
+    # axis
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    return diff.sum(axis=2) if norm == 1.0 else diff.max(axis=2)
+
+
+def test_pair_kernel_is_bitwise_the_broadcast_kernel(monkeypatch):
+    rng = np.random.default_rng(7)
+    # a budget of a few difference rows splits every call into many chunks
+    monkeypatch.setattr(points, "PAIRWISE_BYTES", 3 * 8 * 40)
+    for n, k in ((2, 1), (10, 3), (23, 40), (31, 97)):
+        pts = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-6, 6, (n, k))
+        for norm in (1.0, np.inf):
+            assert np.array_equal(_pairwise(pts, norm),
+                                  broadcast_pairwise(pts, norm))
+
+
+def test_linf_pair_kernel_memory_stays_within_its_chunks():
+    # the broadcast kernel holds a 32 x 32 x 40,000 tensor, 328 MB
+    pts = np.random.default_rng(3).standard_normal((32, 40_000))
+    tracemalloc.start()
+    try:
+        d = _pairwise(pts, np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * points.PAIRWISE_BYTES + d.nbytes + 64 * 1024
+    assert np.array_equal(d[:4, :4], broadcast_pairwise(pts[:4], np.inf))
 
 
 @st.composite

@@ -3,6 +3,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist
 
 import snowdim.snowflake as snowflake
 from snowdim.errors import (BadParams, ClusterTooLarge, EmptyInput,
@@ -97,6 +100,7 @@ def test_two_point_band_and_center():
     # d = 1 so the ratio is the image distance itself; the predicted
     # center is a constant of (eps, alpha, p) only
     assert abs(d / e.plan.center - 1.0) < 0.05
+    assert e.k == 1 < e.assembled_k
     rep = distortion_audit(e)
     assert rep.passed
     assert rep.pair_count == 1
@@ -128,12 +132,14 @@ def test_group_structure_and_dimension():
     plan = e.plan
     for sc in e.scales:
         assert sc.group == sc.i % plan.p
-        assert 0 <= sc.offset <= e.k - sc.k
+        assert 0 <= sc.offset <= e.assembled_k - sc.k
     # grouped layout: total width is the sum of per-group maxima
     widths = {}
     for sc in e.scales:
         widths[sc.group] = max(widths.get(sc.group, 0), sc.k)
-    assert e.k == sum(widths.values())
+    assert e.assembled_k == sum(widths.values())
+    # the l2 output is that layout rewritten in at most n - 1 coordinates
+    assert e.k == e.coords.shape[1] <= e.n - 1 < e.assembled_k
     assert e.theory_k == plan.p * e.theory_k_scale
 
 
@@ -170,12 +176,13 @@ def test_lp_smoke():
     assert rep.extras["band_width"] < 1.3
     assert rep.extras["min_dominant_ratio"] >= 0.45
     assert rep.extras["max_tail_ratio"] <= 1.0
+    assert e.k == e.assembled_k           # l1 keeps the grouped layout
 
     s_inf = normalize(PointSet(np.array([[0.0], [1.0], [2.5], [4.0]]),
                                norm=np.inf))
     e_inf = build_snowflake(s_inf, 0.5, 0.1, seed=2, norm=np.inf)
     # max combination: every nonzero scale keeps its own block
-    assert e_inf.k == sum(sc.k for sc in e_inf.scales)
+    assert e_inf.k == e_inf.assembled_k == sum(sc.k for sc in e_inf.scales)
     rep_inf = distortion_audit(e_inf)
     assert rep_inf.extras["band_width"] < 1.3
     assert rep_inf.extras["min_dominant_ratio"] >= 0.45
@@ -292,3 +299,32 @@ def test_dump_roundtrip_and_determinism():
     rep1 = distortion_audit(e1)
     rep2 = distortion_audit(e2)
     assert rep1.dumps_json() == rep2.dumps_json()
+
+
+@st.composite
+def moved_sets(draw):
+    """Distinct integer points, rescaled by up to 2^+-12 and translated by
+    up to 1e8 per coordinate."""
+    n = draw(st.integers(2, 8))
+    dim = draw(st.integers(1, 3))
+    base = draw(arrays(np.float64, (n, dim),
+                       elements=st.integers(-20, 20).map(float)))
+    assume(len(np.unique(base, axis=0)) == n)
+    scale = draw(st.floats(2.0 ** -12, 2.0 ** 12))
+    shift = draw(arrays(np.float64, dim, elements=st.floats(-1e8, 1e8)))
+    return base * scale + shift
+
+
+@pytest.mark.parametrize("norm", (1.0, 2.0, np.inf))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(pts=moved_sets())
+def test_band_width_matches_a_pdist_oracle(norm, pts):
+    # scipy measures both the source and the image, so the band does not
+    # rest on the kernels the audit uses
+    s = normalize(PointSet(pts, norm))
+    e = build_snowflake(s, 0.5, 0.1, seed=0)
+    metric = {1.0: "cityblock", 2.0: "euclidean", np.inf: "chebyshev"}[norm]
+    ratio = pdist(e.coords, metric) / pdist(s.points, metric) ** 0.5
+    band = ratio.max() / ratio.min()
+    assert math.isclose(distortion_audit(e).extras["band_width"], band,
+                        rel_tol=1e-9)

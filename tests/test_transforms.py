@@ -110,6 +110,19 @@ def test_gaussian_transformed_euclidean_is_euclidean():
     assert np.allclose(d2, g, atol=1e-8)
 
 
+def test_realization_drops_the_null_direction_noise():
+    # at r = 1.1^-25 every grid distance saturates near r, the Gram matrix
+    # is r^2/2 times the centering projector, and the all-ones null
+    # direction's rounding noise used to pass the keep cutoff as a 64th
+    # column
+    s = generate("grid", side=8, dims=2)
+    g = gaussian_transform(s.distance_matrix(), r=1.1 ** -25)
+    x = euclidean_realization(g)
+    assert x.shape == (64, 63)
+    assert np.allclose(PointSet(x, 2.0).distance_matrix(), g, rtol=1e-12,
+                       atol=0.0)
+
+
 def test_realization_rejects_star_metric():
     # center at distance 1 from three leaves, leaves pairwise 2: needs
     # circumradius 2/sqrt(3) > 1, impossible in any Euclidean space
