@@ -4,8 +4,9 @@ Distance transforms, Gram realization, random projection
 
 The three saturating transforms behind every embedding here, plus the
 two coordinate engines: exact Gram realization (a transformed l2 metric
-is again l2) and the certified random projection used to push cluster
-coordinates down to the target dimension.
+is again l2), which every l2 build uses, and a certified random
+projection, a standalone utility that no build calls: a cluster map is
+never wider than its cluster, and the output is reduced exactly.
 """
 
 import numpy as np

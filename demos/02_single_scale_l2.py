@@ -39,7 +39,7 @@ print(f"  window ratio to G_r in [{rep.ratio_min:.6f}, {rep.ratio_max:.6f}]"
 e2 = build_single_scale(s, SingleScaleParams(r=0.02, eps=eps, delta=delta,
                                              seed=0))
 rep2 = contract_audit(e2)
-sizes = [len(c.map.members) for c in e2.clusters]
+sizes = [len(c.members) for c in e2.clusters]
 print(f"\nr=0.02: {e2.m} partition copies, {len(e2.clusters)} distinct "
       f"clusters (largest {max(sizes)}), k={e2.k}")
 print(f"  audit passed={rep2.passed} in-window pairs={rep2.pair_count}")

@@ -7,6 +7,9 @@ random order; a point joins the first center that reaches it. Padding is a
 measured quantity: the fraction of partitions in which a point's whole
 pad_radius-ball lands inside its own cluster. The builder resamples with a
 doubled batch until the worst point clears 1 - eps_pad, or gives up.
+Two outcomes are certain and are returned without sampling: one cluster
+when delta/4 >= diameter (every carve radius reaches every point), and all
+singletons when delta/2 < min distance (none reaches another point).
 """
 
 from __future__ import annotations
@@ -80,6 +83,18 @@ def _carve(dmat: np.ndarray, delta: float, rng) -> Partition:
     return Partition(labels, clusters, rho)
 
 
+def _certain_partition(s: PointSet, delta: float) -> Partition | None:
+    """The partition every carving yields, when the radius range forces one."""
+    n = s.n
+    if delta / 4.0 >= s.diameter():
+        return Partition(np.zeros(n, dtype=np.intp), [np.arange(n)],
+                         delta / 4.0)
+    if delta / 2.0 < s.min_distance():
+        return Partition(np.arange(n), list(np.arange(n)[:, None]),
+                         delta / 4.0)
+    return None
+
+
 def _sample(dmat, delta, pad_pairs, m, seed, attempt):
     """Draw m carvings plus the padded indicator matrix."""
     n = dmat.shape[0]
@@ -106,7 +121,9 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
     pad_radius <= delta/4 (larger values are allowed but will usually fail
     the audit). The batch is resampled with doubled m until
     min padded_fraction >= 1 - eps_pad, raising PaddingUnachievable after
-    MAX_RETRIES.
+    MAX_RETRIES. A certain outcome (see the module docstring) is m copies
+    of its one partition and draws no random numbers; no resample can
+    change it, so one that misses 1 - eps_pad raises at once.
     """
     if s.n == 0:
         raise EmptyInput("cannot decompose an empty set")
@@ -116,12 +133,24 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
         raise BadParams(f"eps_pad must lie in (0, 1), got {eps_pad}")
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
+    m, attempt = batch_size(eps_pad, s.n, dim_hat), 0
+    certain = _certain_partition(s, delta)
+    if certain is not None:
+        # one cluster cuts no pad-ball; all singletons cut every pad-ball
+        # that holds a second point, and cut none if no pair is that close
+        if certain.size > 1 and pad_radius >= s.min_distance():
+            raise PaddingUnachievable(
+                f"every carving at delta={delta:.6g} gives all singletons, "
+                f"and a pad-ball of radius {pad_radius:.6g} holds two points")
+        padded = np.ones((m, s.n), dtype=bool)
+        return PaddedDecomposition(float(delta), float(pad_radius),
+                                   float(eps_pad), int(seed), m,
+                                   [certain] * m, padded, padded.mean(axis=0),
+                                   float(dim_hat))
     dmat = s.distance_matrix()
     # pairs (i, j != i) with d <= pad_radius: the membership that must not split
     close = (dmat <= pad_radius) & ~np.eye(s.n, dtype=bool)
     pad_pairs = np.nonzero(close)
-    m0 = batch_size(eps_pad, s.n, dim_hat)
-    m, attempt = m0, 0
     while True:
         partitions, padded = _sample(dmat, delta, pad_pairs, m, seed, attempt)
         frac = padded.mean(axis=0)

@@ -2,11 +2,11 @@
 embeddings, smoothing, direct sum.
 
 For a scale r the pipeline is: sample a padded decomposition of the whole
-set; realize the transformed metric of each cluster exactly and compress
-it (verified random projection for l2, trace-merged cuts for l1,
-per-net-point threshold coordinates for l-infinity, where the l1 and
-l-infinity maps read an (eps*delta*r)-net); fade each cluster map to zero
-near the cluster boundary with the smoothing weight
+set; realize the transformed metric of each cluster exactly (Gram
+realization for l2, trace-merged cuts for l1, per-net-point threshold
+coordinates for l-infinity, where the l1 and l-infinity maps read a net
+of radius eps*delta*r, a quarter of that for l-infinity); fade each
+cluster map to zero near the cluster boundary with the smoothing weight
 min(1, (delta/r) * dist(x, outside)); direct-sum the partitions with the
 norm's combining scale and apply the final global rescale. Every point is
 decomposed, so no point needs an extension; an l2 scale still stays within
@@ -27,12 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import report as report_mod
-from .decomposition import (PaddedDecomposition, Partition, batch_size,
-                            build_decomposition)
+from .decomposition import PaddedDecomposition, build_decomposition
 from .errors import BadParams, EmptyInput, HeaderMismatch, PaddingUnachievable
 from .points import (Net, PointSet, _pairwise, estimate_doubling, greedy_net,
                      norm_label, norm_tag, require_normalized, vector_norm)
-from .projection import exact_reduce, jl_dimension, jl_project
+from .projection import exact_reduce
 from .transforms import (Cut, cut_decomposition, euclidean_realization,
                          gaussian_transform, laplace_transform,
                          threshold_transform)
@@ -102,23 +101,6 @@ class SingleScaleParams:
 
 
 @dataclass
-class ClusterMap:
-    """Raw per-cluster embedding f_C (before smoothing and scaling).
-
-    ``coords`` rows align with ``members`` (indices into the point set);
-    the map is translated so its first member sits at the
-    origin (l2/l1), keeping every image norm at most r.
-    """
-    members: np.ndarray
-    coords: np.ndarray
-    net_count: int | None = None           # |C ∩ N| on the l1/linf paths
-
-    @property
-    def k(self) -> int:
-        return self.coords.shape[1]
-
-
-@dataclass
 class ClusterEntry:
     """One distinct cluster with its multiplicity across the m partitions.
 
@@ -127,15 +109,21 @@ class ClusterEntry:
     only on the cluster itself, so two partitions sharing C contribute
     identical blocks and only the multiplicity matters (squared weights
     add for l2, linear for l1, and the max is idempotent for l-infinity).
+
+    ``coords`` is the raw cluster map f_C (before smoothing and scaling),
+    rows aligned with ``members`` (indices into the point set); the l2 and
+    l1 maps put the first member at the origin, keeping every image norm
+    at most r.
     """
-    map: ClusterMap
+    members: np.ndarray
+    coords: np.ndarray
     count: int                             # partitions containing the cluster
     weights: np.ndarray                    # smoothing weight per member
     h_values: np.ndarray                   # distance-to-outside, inf if none
 
     @property
-    def members(self) -> np.ndarray:
-        return self.map.members
+    def k(self) -> int:
+        return self.coords.shape[1]
 
 
 @dataclass
@@ -188,51 +176,21 @@ def theory_dimension(eps: float, delta: float, eps_pad: float,
     return m_hat * k_hat
 
 
-def _cluster_seed(seed: int, members: np.ndarray) -> int:
-    ss = np.random.SeedSequence(entropy=(int(seed), 0xC1) + tuple(int(v) for v in members))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def _certain_decomposition(part: Partition, delta_dec: float, pad: float,
-                           seed: int, m: int,
-                           dim_hat: float) -> PaddedDecomposition:
-    """m copies of the one partition every draw of the carving yields.
-
-    That happens when delta/4 >= diameter (every carve radius reaches every
-    point: one cluster) and when delta/2 < min distance (no carve radius
-    reaches another point: all singletons, and pad <= delta/8 keeps every
-    pad-ball whole). Either way sampling is redundant."""
-    n = len(part.labels)
-    padded = np.ones((m, n), dtype=bool)
-    return PaddedDecomposition(delta_dec, pad, EPS_PAD, seed, m,
-                               [part] * m, padded, padded.mean(axis=0),
-                               dim_hat)
-
-
-def _embed_cluster_l2(dmat_c, p: SingleScaleParams,
-                      members: np.ndarray) -> ClusterMap:
-    g = gaussian_transform(dmat_c, p.r)
+def _embed_cluster_l2(dmat_c, r: float) -> np.ndarray:
+    g = gaussian_transform(dmat_c, r)
     np.fill_diagonal(g, 0.0)
-    x = euclidean_realization(g)
-    if jl_dimension(p.eps, len(members)) < x.shape[1]:
-        # only a projection reads the seed, so only then is it derived
-        x, _ = jl_project(x, p.eps, _cluster_seed(p.seed, members))
-    # row-major like a projection's output: BLAS products over the map (the
-    # audit's pairwise distances) round differently for another layout
-    x = np.ascontiguousarray(x)
-    return ClusterMap(members, x - x[0])   # first member at the origin
+    # row-major: BLAS products over the map (the audit's pairwise
+    # distances) round differently for another layout
+    x = np.ascontiguousarray(euclidean_realization(g))
+    return x - x[0]                        # first member at the origin
 
 
-def _embed_cluster_l1(dmat_c, net_local: np.ndarray, p: SingleScaleParams,
-                      cuts_by_metric: dict[bytes, list[Cut]]) -> ClusterMap:
-    if len(net_local) == 0:
-        return ClusterMap(np.empty(0, dtype=np.intp),
-                          np.zeros((dmat_c.shape[0], 0)), 0)
-    if dmat_c.shape[0] < 2:
-        return ClusterMap(np.empty(0, dtype=np.intp),
-                          np.zeros((dmat_c.shape[0], 0)),
-                          len(net_local))
-    lr = laplace_transform(dmat_c, p.r)
+def _embed_cluster_l1(dmat_c, net_local: np.ndarray, r: float,
+                      cuts_by_metric: dict[bytes, list[Cut]]) -> np.ndarray:
+    nc = dmat_c.shape[0]
+    if nc < 2 or len(net_local) == 0:
+        return np.zeros((nc, 0))
+    lr = laplace_transform(dmat_c, r)
     np.fill_diagonal(lr, 0.0)
     # the LP is a function of the matrix alone: clusters with the same
     # transformed metric (any cluster at a saturated scale, translated
@@ -242,7 +200,6 @@ def _embed_cluster_l1(dmat_c, net_local: np.ndarray, p: SingleScaleParams,
     cuts = cuts_by_metric.get(key)
     if cuts is None:
         cuts = cuts_by_metric[key] = cut_decomposition(lr)
-    nc = dmat_c.shape[0]
     net_set = frozenset(int(v) for v in net_local)
     # one coordinate per distinct trace A ∩ (C ∩ N); summing same-trace
     # cuts is 1-Lipschitz and exactly isometric on the net points
@@ -254,19 +211,14 @@ def _embed_cluster_l1(dmat_c, net_local: np.ndarray, p: SingleScaleParams,
         for cut in group:
             idx = [i for i in cut.members]
             coords[idx, col] += cut.weight
-    coords = coords - coords[0]
-    return ClusterMap(np.empty(0, dtype=np.intp), coords,
-                      len(net_local))
+    return coords - coords[0]
 
 
-def _embed_cluster_linf(dmat_c, net_local: np.ndarray,
-                        p: SingleScaleParams) -> ClusterMap:
-    if len(net_local) == 0:
-        return ClusterMap(np.empty(0, dtype=np.intp),
-                          np.zeros((dmat_c.shape[0], 0)), 0)
-    coords = threshold_transform(dmat_c[:, net_local], p.r)
-    return ClusterMap(np.empty(0, dtype=np.intp), coords,
-                      len(net_local))
+def _embed_cluster_linf(dmat_c, net_local: np.ndarray, r: float) -> np.ndarray:
+    # a singleton's one column would be T_r(0) = 0, carrying no distance
+    if dmat_c.shape[0] < 2:
+        return np.zeros((1, 0))
+    return threshold_transform(dmat_c[:, net_local], r)
 
 
 def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmbedding:
@@ -282,56 +234,41 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     net = greedy_net(s, p.net_radius) if p.norm != 2.0 else None
     dmat = s.distance_matrix()
     dim_hat = p.dim_hat if p.dim_hat is not None else estimate_doubling(s).dim_hat
-    dmin = np.inf
-    if n > 1:
-        dmin = float(dmat[~np.eye(n, dtype=bool)].min())
 
     # --- padded decomposition of the whole set, doubling the diameter on failure
-    pad = p.pad_radius
-    diam = float(dmat.max())
-    dec = None
-    certain = None                          # the partition every draw yields
     delta_dec = p.decomposition_diameter(dim_hat)
     for attempt in range(DELTA_RETRIES + 1):
-        seed = p.seed * 31 + attempt
-        if delta_dec / 4.0 >= diam:
-            certain = Partition(np.zeros(n, dtype=np.intp),
-                                [np.arange(n)], delta_dec / 4.0)
-        elif delta_dec / 2.0 < dmin:
-            certain = Partition(np.arange(n), list(np.arange(n)[:, None]),
-                                delta_dec / 4.0)
-        if certain is not None:
-            m = batch_size(EPS_PAD, n, dim_hat)
-            dec = _certain_decomposition(certain, delta_dec, pad, seed, m,
-                                         dim_hat)
-            break
         try:
-            dec = build_decomposition(s, delta_dec, pad, EPS_PAD,
-                                      seed=seed, dim_hat=dim_hat)
+            dec = build_decomposition(s, delta_dec, p.pad_radius, EPS_PAD,
+                                      seed=p.seed * 31 + attempt,
+                                      dim_hat=dim_hat)
             break
         except PaddingUnachievable:
             if attempt == DELTA_RETRIES:
                 raise
             delta_dec *= 2.0
     m = dec.m
+    # a certain carving repeats one partition object m times
+    runs: dict[int, list] = {}
+    for part in dec.partitions:
+        runs.setdefault(id(part), [part, 0])[1] += 1
 
     # --- embed each distinct cluster once, counting its multiplicity. At a
     # saturated l2 scale G_r maps every pair to exactly r, so all clusters
     # of one size share a bitwise-identical transformed metric and one
     # (read-only) realization; a closed-form simplex would not do, since
     # its rotation changes the sums across scales of one residue class.
-    saturated = p.norm == 2.0 and gaussian_transform(dmin, p.r) == p.r
+    saturated = (p.norm == 2.0 and n > 1
+                 and gaussian_transform(s.min_distance(), p.r) == p.r)
     shared: dict[int, np.ndarray] = {}
     cuts_by_metric: dict[bytes, list[Cut]] = {}
     in_net = np.zeros(n, dtype=bool)
     if net is not None:
         in_net[net.members] = True
-    runs = ([(certain, m)] if certain is not None
-            else [(part, 1) for part in dec.partitions])
     entry_order: dict[bytes, int] = {}
     entries: list[ClusterEntry] = []
     empty_net = 0
-    for part, times in runs:
+    for part, times in runs.values():
         fresh = []
         for members in part.clusters:
             at = entry_order.get(members.tobytes())
@@ -353,31 +290,25 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
         for members in fresh:
             if p.norm == 2.0:
                 coords = shared.get(len(members))
-                if coords is not None:
-                    cm = ClusterMap(members, coords)
-                else:
-                    cm = _embed_cluster_l2(dmat[np.ix_(members, members)],
-                                           p, members)
-                    # fewer columns than the projection target: no
-                    # projection ran, so the map is the size's alone
-                    if saturated and cm.k < jl_dimension(p.eps, len(members)):
-                        cm.coords.flags.writeable = False
-                        shared[len(members)] = cm.coords
+                if coords is None:
+                    coords = _embed_cluster_l2(dmat[np.ix_(members, members)],
+                                               p.r)
+                    if saturated:
+                        coords.flags.writeable = False
+                        shared[len(members)] = coords
             else:
                 dmat_c = dmat[np.ix_(members, members)]
                 net_local = np.flatnonzero(in_net[members])
+                empty_net += len(net_local) == 0
                 if p.norm == 1.0:
-                    cm = _embed_cluster_l1(dmat_c, net_local, p,
-                                           cuts_by_metric)
+                    coords = _embed_cluster_l1(dmat_c, net_local, p.r,
+                                               cuts_by_metric)
                 else:
-                    cm = _embed_cluster_linf(dmat_c, net_local, p)
-                if cm.net_count == 0:
-                    empty_net += 1
-                cm.members = members
+                    coords = _embed_cluster_linf(dmat_c, net_local, p.r)
             hi = lo + len(members)
             entry_order[members.tobytes()] = len(entries)
-            entries.append(ClusterEntry(cm, times, w_rows[lo:hi],
-                                        h_rows[lo:hi]))
+            entries.append(ClusterEntry(members, coords, times,
+                                        w_rows[lo:hi], h_rows[lo:hi]))
             lo = hi
 
     # --- direct sum with the norm's combining scale, then the global rescale
@@ -391,15 +322,14 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     else:
         combine = 1.0 / (1.0 + 2.0 * math.sqrt(p.delta))
         coeffs = [combine for c in entries]
-    k = sum(c.map.k for c in entries)
+    k = sum(c.k for c in entries)
     coords = np.zeros((n, k))
     col = 0
     for c, coeff in zip(entries, coeffs):
-        cm = c.map
-        if cm.k:
-            block = cm.coords * (c.weights[:, None] * coeff * rescale)
-            coords[cm.members, col:col + cm.k] = block
-        col += cm.k
+        if c.k:
+            block = c.coords * (c.weights[:, None] * coeff * rescale)
+            coords[c.members, col:col + c.k] = block
+        col += c.k
 
     # an n-point l2 assembly never needs more than n coordinates; squeezing
     # the block-diagonal layout down keeps wide multi-partition builds small
@@ -462,7 +392,7 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     """Lemma-style per-cluster invariants, measured exhaustively:
     (i) raw cluster images stay within norm r;
     (ii) same-cluster raw image distances never exceed the transformed
-        distance (slack: projection/LP tolerance), which never exceeds the
+        distance (slack: realization/LP tolerance), which never exceeds the
         source distance;
     (iii) the smoothing h never exceeds the distance to any point outside
         the cluster (h is that minimum, recomputed here);
@@ -477,10 +407,9 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     worst_iii = -np.inf       # max of h(x) - min_outside d(x, y), want == 0
     worst_product = 0.0       # max smoothed same-cluster Lipschitz ratio
     for entry in e.clusters:
-        cm = entry.map
-        members = cm.members
-        raw = cm.coords
-        if cm.k:
+        members = entry.members
+        raw = entry.coords
+        if entry.k:
             max_f_norm = max(max_f_norm,
                              float(vector_norm(raw, p.norm).max()))
         if len(members) > 1:

@@ -351,19 +351,14 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
     win_hi = istar + p - q
     in_window = (ivals[:, None] >= win_lo) & (ivals[:, None] <= win_hi)
 
-    # same-residue mass outside the window: mates of i sit at i + t*p and
-    # are always outside an anchored window containing i
-    index_of = {int(i): t for t, i in enumerate(ivals)}
+    # same-residue mass outside the window: the mates of i are the other
+    # scales of its residue class, i +- p, i +- 2p, ... (the rows are the
+    # consecutive scales i_lo..i_hi), always outside an anchored window
+    # containing i
     out_mass = np.zeros((n_scales, n_pairs))
-    for t, i in enumerate(ivals):
-        mate = int(i) - p
-        while mate >= plan.i_lo:
-            out_mass[t] += b_terms[index_of[mate]]
-            mate -= p
-        mate = int(i) + p
-        while mate <= plan.i_hi:
-            out_mass[t] += b_terms[index_of[mate]]
-            mate += p
+    for shift in range(p, n_scales, p):
+        out_mass[shift:] += b_terms[:-shift]
+        out_mass[:-shift] += b_terms[shift:]
     tail_bound = TAIL_SLACK * eps * (1.0 + eps) ** (ivals * (1.0 - alpha))
     tail_bad = in_window & (out_mass > tail_bound[:, None])
 

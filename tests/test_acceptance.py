@@ -297,8 +297,8 @@ def test_l1_cut_embedding_small_clusters():
             # re-solving the cut LP reproduces the transformed metric
             assert np.abs(_cut_reconstruction(lr) - lr).max() <= 1e-6
             # merged columns: isometric on net pairs, contracting elsewhere
-            raw_pd = np.abs(entry.map.coords[:, None, :]
-                            - entry.map.coords[None, :, :]).sum(axis=-1)
+            raw_pd = np.abs(entry.coords[:, None, :]
+                            - entry.coords[None, :, :]).sum(axis=-1)
             loc_net = np.flatnonzero(np.isin(members, list(net)))
             if len(loc_net) > 1:
                 sel = np.ix_(loc_net, loc_net)

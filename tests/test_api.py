@@ -41,3 +41,34 @@ def test_every_export_resolves():
                if not hasattr(snowdim, name)]
     assert missing == []
     assert len(set(snowdim.__all__)) == len(snowdim.__all__)
+
+
+def module_definitions(tree: ast.Module):
+    """Private functions and classes, and UPPER_CASE constants, defined at
+    module level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id
+
+
+def test_no_dead_private_definitions():
+    # a helper or constant nothing in the package reads is left-over code
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.name, name) for name in module_definitions(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined
+    assert [f"{mod}:{name}" for mod, name in defined if name not in used] \
+        == []

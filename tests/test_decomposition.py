@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from snowdim import decomposition
 from snowdim.decomposition import (_carve, batch_size, build_decomposition,
                                    padding_audit)
 from snowdim.errors import BadParams, EmptyInput, PaddingUnachievable
@@ -114,6 +115,28 @@ def test_single_cluster_when_delta_covers_diameter():
     dec = build_decomposition(s, delta, pad_radius=2.0, eps_pad=0.36, seed=2)
     assert all(p.size == 1 for p in dec.partitions)
     assert dec.padded_fraction.min() == 1.0
+    assert dec.attempts == 1
+    # the sampler's random carvings give the same partition and padding
+    d = s.distance_matrix()
+    close = (d <= dec.pad_radius) & ~np.eye(s.n, dtype=bool)
+    parts, padded = decomposition._sample(d, delta, np.nonzero(close), dec.m,
+                                          dec.seed, 0)
+    for got, want in zip(parts, dec.partitions):
+        assert np.array_equal(got.labels, want.labels)
+        assert [c.tolist() for c in got.clusters] == [list(range(s.n))]
+    assert np.array_equal(padded, dec.padded)
+
+
+def test_certain_partition_cutting_a_pad_ball_raises_unsampled(monkeypatch):
+    # delta/2 = 0.9 < 1 = min distance: every carving is all singletons,
+    # and a pad radius of 1 reaches each point's grid neighbours
+    calls = []
+    monkeypatch.setattr(decomposition, "_sample",
+                        lambda *args: calls.append(args))
+    with pytest.raises(PaddingUnachievable):
+        build_decomposition(grid10(), delta=1.8, pad_radius=1.0,
+                            eps_pad=0.36, seed=0)
+    assert calls == []
 
 
 def test_ultrametric_always_padded():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import snowdim
-from snowdim import extension, points, single_scale
+from snowdim import decomposition, extension, points, single_scale
 from snowdim import snowflake as snowflake_mod
-from snowdim.decomposition import build_decomposition, padding_audit
+from snowdim.decomposition import batch_size, padding_audit
 from snowdim.errors import BadParams, HeaderMismatch
 from snowdim.points import PointSet, generate, greedy_net, normalize
 from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
@@ -174,13 +174,13 @@ def test_l1_merged_cuts_isometric_on_net():
     gdmat = s.distance_matrix()
     checked = 0
     for entry in e.clusters:
-        cm = entry.map
-        mem = cm.members
+        mem = entry.members
         net_loc = np.flatnonzero(net_mask[mem])
         for a in range(len(net_loc)):
             for b in range(a + 1, len(net_loc)):
                 x, y = mem[net_loc[a]], mem[net_loc[b]]
-                raw = np.abs(cm.coords[net_loc[a]] - cm.coords[net_loc[b]]).sum()
+                raw = np.abs(entry.coords[net_loc[a]]
+                             - entry.coords[net_loc[b]]).sum()
                 want = laplace_transform(gdmat[x, y], 1.0)
                 assert abs(raw - want) <= 1e-9
                 checked += 1
@@ -258,10 +258,10 @@ def test_saturated_scale_shares_the_general_realization():
         g = gaussian_transform(dmat[np.ix_(mem, mem)], e.params.r)
         np.fill_diagonal(g, 0.0)
         x = euclidean_realization(g)
-        assert np.array_equal(entry.map.coords, x - x[0])
+        assert np.array_equal(entry.coords, x - x[0])
         # row-major, so BLAS products in the audit keep their bits
-        assert entry.map.coords.flags.c_contiguous
-        by_size.setdefault(len(mem), []).append(entry.map.coords)
+        assert entry.coords.flags.c_contiguous
+        by_size.setdefault(len(mem), []).append(entry.coords)
     assert len(e.clusters) > len(by_size) > 5
     for maps in by_size.values():
         assert all(c is maps[0] for c in maps)
@@ -314,8 +314,8 @@ def test_l1_scale_solves_one_cut_lp_per_distinct_metric(
         # the per-cluster route, with nothing shared, gives the same map
         alone = _embed_cluster_l1(dmat[np.ix_(mem, mem)],
                                   np.flatnonzero(np.isin(mem, e.net.members)),
-                                  e.params, {})
-        assert np.array_equal(entry.map.coords, alone.coords)
+                                  e.params.r, {})
+        assert np.array_equal(entry.coords, alone)
     assert len(metrics) > len(set(metrics)) > 1
     assert sorted(solved) == sorted(set(metrics))
     assert contract_audit(e).passed
@@ -335,12 +335,17 @@ def test_all_singleton_scale():
         assert np.array_equal(part.labels, np.arange(s.n))
     assert padding_audit(s, dec).passed
     assert contract_audit(e).passed
-    # the sampler draws the same m and, as sets, the same clusters
-    sampled = build_decomposition(s, dec.delta, dec.pad_radius, EPS_PAD,
-                                  seed=dec.seed, dim_hat=dec.dim_hat)
-    assert sampled.m == dec.m
-    assert all(part.size == s.n for part in sampled.partitions)
-    assert np.array_equal(sampled.padded, dec.padded)
+    # the batch a sampled carving would draw, whose random carvings give,
+    # as sets, the same clusters and the same padded bits
+    assert dec.m == batch_size(EPS_PAD, s.n, dec.dim_hat)
+    dmat = s.distance_matrix()
+    close = (dmat <= dec.pad_radius) & ~np.eye(s.n, dtype=bool)
+    parts, padded = decomposition._sample(dmat, dec.delta, np.nonzero(close),
+                                          dec.m, dec.seed, 0)
+    for part in parts:
+        assert sorted(c.tolist() for c in part.clusters) == \
+            [[i] for i in range(s.n)]
+    assert np.array_equal(padded, dec.padded)
 
 
 def test_single_scale_targets_the_input_norm():
@@ -359,13 +364,16 @@ def test_single_scale_targets_the_input_norm():
 
 
 def test_singleton_and_empty_net_clusters():
-    p = SingleScaleParams(1.0, 0.1, 0.1, norm=1.0, seed=0)
     one = np.zeros((1, 1))
-    assert _embed_cluster_l1(one, np.array([], dtype=np.intp), p, {}).k == 0
-    assert _embed_cluster_l1(one, np.array([0]), p, {}).k == 0
-    assert _embed_cluster_linf(one, np.array([], dtype=np.intp), p).k == 0
-    cm = _embed_cluster_l2(one, p, np.array([0]))
-    assert cm.k == 0
+    none = np.array([], dtype=np.intp)
+    assert _embed_cluster_l1(one, none, 1.0, {}).shape == (1, 0)
+    assert _embed_cluster_l1(one, np.array([0]), 1.0, {}).shape == (1, 0)
+    assert _embed_cluster_linf(one, none, 1.0).shape == (1, 0)
+    pair = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert _embed_cluster_linf(pair, none, 1.0).shape == (2, 0)
+    # T_r(0) = 0: a singleton's own net point would write an all-zero column
+    assert _embed_cluster_linf(one, np.array([0]), 1.0).shape == (1, 0)
+    assert _embed_cluster_l2(one, 1.0).shape == (1, 0)
 
 
 # --- parameters, determinism, serialization

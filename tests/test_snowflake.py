@@ -13,7 +13,7 @@ from snowdim.errors import (BadParams, ClusterTooLarge, EmptyInput,
 from snowdim.decomposition import build_decomposition
 from snowdim.points import PointSet, generate, normalize
 from snowdim.single_scale import (SingleScaleParams, build_single_scale,
-                                  loads_coords)
+                                  contract_audit, loads_coords)
 from snowdim.snowflake import (band_center, build_snowflake, compute_M,
                                distortion_audit, dumps, scale_count,
                                scale_plan)
@@ -327,4 +327,35 @@ def test_band_width_matches_a_pdist_oracle(norm, pts):
     ratio = pdist(e.coords, metric) / pdist(s.points, metric) ** 0.5
     band = ratio.max() / ratio.min()
     assert math.isclose(distortion_audit(e).extras["band_width"], band,
+                        rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("norm", (1.0, 2.0, np.inf))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(pts=moved_sets(), r=st.sampled_from((0.29, 1.7, 3.1)))
+def test_contract_audit_matches_a_pdist_oracle(norm, pts, r):
+    # the transforms in closed form and scipy's distances, so the in-window
+    # ratios and the Lipschitz maximum do not rest on the audited kernels
+    s = normalize(PointSet(pts, norm))
+    delta = 0.0025 if norm == np.inf else 0.1
+    e = build_single_scale(s, SingleScaleParams(r, 0.1, delta, seed=0))
+    metric = {1.0: "cityblock", 2.0: "euclidean", np.inf: "chebyshev"}[norm]
+    src = pdist(s.points, metric)
+    img = pdist(e.coords, metric)
+    if norm == 2.0:
+        ref = r * np.sqrt(1.0 - np.exp(-(src / r) ** 2))
+        hi = r / delta
+    elif norm == 1.0:
+        ref = r * (1.0 - np.exp(-src / r))
+        hi = r / delta
+    else:
+        ref = np.minimum(src, r)
+        hi = r / math.sqrt(delta)
+    live = (src >= delta * r) & (src <= hi)
+    rep = contract_audit(e)
+    assert rep.pair_count == live.sum() > 0
+    ratio = img[live] / ref[live]
+    assert math.isclose(rep.ratio_min, ratio.min(), rel_tol=1e-9)
+    assert math.isclose(rep.ratio_max, ratio.max(), rel_tol=1e-9)
+    assert math.isclose(rep.extras["max_lipschitz"], (img / src).max(),
                         rel_tol=1e-9)
