@@ -109,6 +109,7 @@ class PointSet:
     norm: float = 2.0
     scale: float = 1.0
     _dmat: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _dmin: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
@@ -151,9 +152,11 @@ class PointSet:
     def min_distance(self) -> float:
         if self.n < 2:
             raise EmptyInput("min distance needs at least two points")
-        d = self.distance_matrix().copy()
-        np.fill_diagonal(d, np.inf)
-        return float(d.min())
+        if self._dmin is None:
+            d = self.distance_matrix().copy()
+            np.fill_diagonal(d, np.inf)
+            self._dmin = float(d.min())
+        return self._dmin
 
     def is_normalized(self) -> bool:
         if self.n < 2:

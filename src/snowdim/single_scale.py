@@ -5,7 +5,10 @@ For a scale r the pipeline is: sample a padded decomposition of the whole
 set; realize the transformed metric of each cluster exactly (Gram
 realization for l2, trace-merged cuts for l1, per-net-point threshold
 coordinates for l-infinity, where the l1 and l-infinity maps read a net
-of radius eps*delta*r, a quarter of that for l-infinity); fade each
+of radius eps*delta*r, a quarter of that for l-infinity). The l1 cuts of
+a cluster whose source metric is a line are closed-form arcs in the line
+order (``circular_cuts``); every other l1 cluster gets the cut LP's
+cuts (``cut_decomposition``), which stops at 14 points. Then fade each
 cluster map to zero near the cluster boundary with the smoothing weight
 min(1, (delta/r) * dist(x, outside)); direct-sum the partitions with the
 norm's combining scale and apply the final global rescale. Every point is
@@ -32,9 +35,9 @@ from .errors import BadParams, EmptyInput, HeaderMismatch, PaddingUnachievable
 from .points import (Net, PointSet, _pairwise, estimate_doubling, greedy_net,
                      norm_label, norm_tag, require_normalized, vector_norm)
 from .projection import exact_reduce
-from .transforms import (Cut, cut_decomposition, euclidean_realization,
-                         gaussian_transform, laplace_transform,
-                         threshold_transform)
+from .transforms import (Cut, circular_cuts, cut_decomposition,
+                         euclidean_realization, gaussian_transform,
+                         laplace_transform, line_order, threshold_transform)
 
 #: delta_decomp = 3 * C_PAD * max(1, dim_hat) * r / delta
 C_PAD = 8.0
@@ -192,14 +195,23 @@ def _embed_cluster_l1(dmat_c, net_local: np.ndarray, r: float,
         return np.zeros((nc, 0))
     lr = laplace_transform(dmat_c, r)
     np.fill_diagonal(lr, 0.0)
-    # the LP is a function of the matrix alone: clusters with the same
+    # a cluster of a line gets closed-form arc cuts in the line order of
+    # its source metric (L_r saturates, so its own order can tie); any
+    # other cluster, or one whose arcs fail their certificate, gets the
+    # LP. Both are functions of the matrix alone: clusters with the same
     # transformed metric (any cluster at a saturated scale, translated
-    # runs of an evenly spaced set) share one solve; the trace grouping
-    # below depends on the cluster's net points and stays per cluster
+    # runs of an evenly spaced set) share one decomposition; the trace
+    # grouping below depends on the cluster's net points and stays per
+    # cluster
     key = lr.tobytes()
     cuts = cuts_by_metric.get(key)
     if cuts is None:
-        cuts = cuts_by_metric[key] = cut_decomposition(lr)
+        order = line_order(dmat_c)
+        if order is not None:
+            cuts = circular_cuts(lr, order)
+        if cuts is None:
+            cuts = cut_decomposition(lr)
+        cuts_by_metric[key] = cuts
     net_set = frozenset(int(v) for v in net_local)
     # one coordinate per distinct trace A ∩ (C ∩ N); summing same-trace
     # cuts is 1-Lipschitz and exactly isometric on the net points

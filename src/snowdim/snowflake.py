@@ -50,7 +50,7 @@ from .points import (PointSet, _pair_distances, _pairwise, estimate_doubling,
 from .projection import exact_reduce
 from .single_scale import (EPS_PAD, SingleScaleEmbedding, SingleScaleParams,
                            _dumps_coords, build_single_scale, theory_dimension)
-from .transforms import MAX_CUT_POINTS
+from .transforms import MAX_CUT_POINTS, line_order
 
 #: offset added to the scale index when deriving per-scale seeds, so the
 #: seed entropy stays nonnegative for any sane index window
@@ -235,16 +235,18 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     (seed, i), so any scale can be rebuilt independently. A library error
     from one scale is re-raised as the same type with the scale named in
     front of its message; any other exception passes through untouched.
-    An l1 target above the cut LP's MAX_CUT_POINTS raises ClusterTooLarge
-    before any scale is built.
+    An l1 target above the cut LP's MAX_CUT_POINTS whose metric is not a
+    line raises ClusterTooLarge before any scale is built.
     """
     plan = scale_plan(s, alpha, eps, norm)
     # every scale coarser than the carving range keeps all n points in one
-    # cluster, and the l1 path writes each cluster as a sum of cuts
-    if plan.norm == 1.0 and s.n > MAX_CUT_POINTS:
+    # cluster, and the l1 path writes each cluster as a sum of cuts: in
+    # closed form for a line, by the cut LP for anything else
+    if (plan.norm == 1.0 and s.n > MAX_CUT_POINTS
+            and line_order(s.distance_matrix()) is None):
         raise ClusterTooLarge(
-            f"an l1 snowflake of {s.n} points puts all of them in one "
-            f"cluster at its coarser scales; the cut LP's cap is "
+            f"an l1 snowflake of {s.n} points off a line puts all of them "
+            f"in one cluster at its coarser scales; the cut LP's cap is "
             f"{MAX_CUT_POINTS} points")
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat

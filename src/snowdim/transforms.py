@@ -10,7 +10,8 @@ All keep small distances nearly intact and saturate near r. The identity
 L_r(t) = r * G(sqrt(t/r))^2 ties the first two together.
 
 Realizations turn a transformed distance matrix back into coordinates:
-Gram-based MDS for Euclidean inputs, a cut-measure LP for l1, and
+Gram-based MDS for Euclidean inputs, cuts for l1 (closed-form circular
+splits when the source metric is a line, a cut-measure LP otherwise), and
 per-landmark threshold coordinates for l-infinity.
 """
 
@@ -142,7 +143,11 @@ def _cut_system(n: int) -> tuple[tuple[frozenset, ...], np.ndarray,
 def cut_decomposition(dmat: np.ndarray) -> list[Cut]:
     """Write a (small) l1-embeddable metric as a weighted sum of cuts.
 
-    Enumerates all 2^(n-1) - 1 nontrivial cuts and solves the LP
+    The l1 build calls this for the clusters whose source metric is not a
+    line, and for line clusters whose closed-form arc cuts
+    (``circular_cuts``) fail their certificate; a line cluster otherwise
+    never reaches it. Enumerates all 2^(n-1) - 1 nontrivial cuts and solves
+    the LP
     minimizing total absolute slack; Infeasible if the best slack exceeds
     CUT_RTOL * max distance, ClusterTooLarge beyond MAX_CUT_POINTS points.
     Only the right-hand side (the pair distances) comes from ``dmat``: the
@@ -175,3 +180,64 @@ def cut_decomposition(dmat: np.ndarray) -> list[Cut]:
     gamma = res.x[:ncuts]
     keep = gamma > CUT_RTOL * max(gamma.max(), 1.0)
     return [Cut(float(gamma[c]), cuts[c]) for c in np.flatnonzero(keep)]
+
+
+def line_order(dmat: np.ndarray) -> np.ndarray | None:
+    """The points of a line metric in line order, or None for any other.
+
+    The point farthest from point 0 is an end of the line; the others
+    sort by their distance from it. The metric is a line when every pair's
+    distance is the gap of those sorted positions, within CUT_RTOL times
+    the largest distance.
+    """
+    dmat = np.asarray(dmat, dtype=np.float64)
+    n = dmat.shape[0]
+    if n < 2:
+        return np.arange(n)
+    order = np.argsort(dmat[int(np.argmax(dmat[0]))], kind="stable")
+    pos = dmat[order[0], order]
+    gap = np.abs(dmat[np.ix_(order, order)] - np.abs(pos[:, None] - pos))
+    if gap.max() > CUT_RTOL * pos[-1]:
+        return None
+    return order
+
+
+def circular_cuts(dmat: np.ndarray, order: np.ndarray) -> list[Cut] | None:
+    """Write a Kalmanson metric in circular ``order`` as a sum of arc cuts.
+
+    Closed form (Chepoi–Fichet 1998): with the points rotated so that point
+    0 comes first, the arc {i..j} of positions 1 <= i <= j < n gets weight
+    (d(i-1, j) + d(i, j+1) - d(i, j) - d(i-1, j+1)) / 2, indices mod n.
+    L_r of a line metric is Kalmanson in the line order, as is any concave
+    transform of one. The weights are certified at the cut LP's relative
+    tolerance, tol = CUT_RTOL times the largest distance: None when a
+    weight lies below -tol, or when the returned cuts miss a pair by more
+    than tol. Weights at most tol / (number of arcs) are dropped, so
+    together they move no pair by more than tol. The n(n-1)/2 arc cuts of
+    one order are linearly independent, so the weights rebuild any matrix
+    up to rounding and only their signs tell a Kalmanson metric; the
+    rebuild check guards the rounding and the dropped weights. Like
+    cut_decomposition, point 0 lies outside every returned cut.
+    """
+    dmat = np.asarray(dmat, dtype=np.float64)
+    n = len(order)
+    if n < 2:
+        return []
+    order = np.roll(order, -int(np.flatnonzero(order == 0)[0]))
+    d = dmat[np.ix_(order, order)]
+    e = d - np.roll(d, -1, axis=1)          # e[a, b] = d(a, b) - d(a, b+1)
+    rows, cols = np.triu_indices(n - 1)
+    lo, hi = rows + 1, cols + 1             # the arc {lo..hi}
+    w = 0.5 * (e[lo - 1, hi] - e[lo, hi])
+    tol = CUT_RTOL * float(d.max())
+    if w.min() < -tol:
+        return None
+    keep = np.flatnonzero(w > tol / len(w))
+    at = np.arange(n)[:, None]
+    inside = (lo[keep] <= at) & (at <= hi[keep])
+    sums = inside @ w[keep]
+    rebuilt = sums[:, None] + sums - 2.0 * (inside * w[keep]) @ inside.T
+    if np.abs(rebuilt - d).max() > tol:
+        return None
+    return [Cut(float(w[c]), frozenset(order[lo[c]:hi[c] + 1].tolist()))
+            for c in keep]

@@ -87,7 +87,7 @@ def rescaled_sets(draw):
     return base * scale, shift
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200)
 @given(sets=rescaled_sets(), norm=st.sampled_from((1.0, 2.0, np.inf)))
 def test_pairwise_matches_pdist(sets, norm):
     # scipy measures the stored floats directly, with no Gram trick, so it

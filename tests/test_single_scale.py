@@ -15,9 +15,9 @@ from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
                                   contract_audit, dumps, loads_coords,
                                   theory_dimension)
 from snowdim.snowflake import build_snowflake
-from snowdim.transforms import (cut_decomposition, euclidean_realization,
-                                gaussian_transform, laplace_transform,
-                                threshold_transform)
+from snowdim.transforms import (circular_cuts, cut_decomposition,
+                                euclidean_realization, gaussian_transform,
+                                laplace_transform, threshold_transform)
 
 G_1 = 0.7950600976206501          # G_1(1) = sqrt(1 - e^-1)
 L_1 = 0.6321205588285577          # L_1(1) = 1 - e^-1
@@ -282,27 +282,43 @@ def test_saturated_scale_realizes_each_size_once(monkeypatch):
     assert sorted(calls) == sorted(sizes)
 
 
-@pytest.mark.parametrize("r, delta, dim_hat, saturated", [
+@pytest.mark.parametrize("kind, r, delta, dim_hat, saturated", [
     # a snowflake scale (its delta at eps 0.1, alpha 0.5): L_r(1) == r, so
     # the 27 multi-point clusters have one metric per size, 4 in all
-    (1.1 ** -92, 1.1 ** -75, None, True),
+    ("line", 1.1 ** -92, 1.1 ** -75, None, True),
     # L_r(1) < r: 29 multi-point clusters, translates of 4 runs of the line
-    (0.05, 0.2, 1.0, False),
-], ids=["saturated", "translated"])
+    ("line", 0.05, 0.2, 1.0, False),
+    # the same scale on a 12-point l1 ball: 11 multi-point clusters of
+    # sizes 2 to 4; a pair is a line, the larger metrics go to the LP
+    ("ball", 1.1 ** -92, 1.1 ** -75, None, True),
+], ids=["saturated", "translated", "ball"])
 def test_l1_scale_solves_one_cut_lp_per_distinct_metric(
-        monkeypatch, r, delta, dim_hat, saturated):
-    s = normalize(generate("line", n=10, norm="l1"))
+        monkeypatch, kind, r, delta, dim_hat, saturated):
+    # a line cluster's cuts come in closed form, any other cluster's from
+    # the LP; either way each distinct transformed metric is decomposed
+    # once, and the LP runs only where no closed form was found
+    if kind == "line":
+        s = normalize(generate("line", n=10, norm="l1"))
+    else:
+        s = normalize(generate("ball", n=12, dim=3, norm="l1"))
     p = SingleScaleParams(r=r, eps=0.1, delta=delta, seed=3, dim_hat=dim_hat)
     assert (laplace_transform(1.0, r) == r) == saturated
-    calls = []
+    closed, solved = [], []
+
+    def closed_form(lr, order):
+        cuts = circular_cuts(lr, order)
+        if cuts is not None:
+            closed.append(lr.tobytes())
+        return cuts
 
     def counting(lr):
-        calls.append(lr.tobytes())
+        solved.append(lr.tobytes())
         return cut_decomposition(lr)
 
+    monkeypatch.setattr(single_scale, "circular_cuts", closed_form)
     monkeypatch.setattr(single_scale, "cut_decomposition", counting)
     e = build_single_scale(s, p)
-    solved = list(calls)
+    decomposed = closed + solved
     dmat = s.distance_matrix()
     metrics = []
     for entry in e.clusters:
@@ -317,7 +333,11 @@ def test_l1_scale_solves_one_cut_lp_per_distinct_metric(
                                   e.params.r, {})
         assert np.array_equal(entry.coords, alone)
     assert len(metrics) > len(set(metrics)) > 1
-    assert sorted(solved) == sorted(set(metrics))
+    assert sorted(decomposed) == sorted(set(metrics))
+    if kind == "line":
+        assert solved == []
+    else:
+        assert len(solved) > 1
     assert contract_audit(e).passed
 
 

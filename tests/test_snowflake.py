@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
+import snowdim.single_scale as single_scale
 import snowdim.snowflake as snowflake
 from snowdim.errors import (BadParams, ClusterTooLarge, EmptyInput,
                             NotEuclidean)
@@ -259,15 +260,27 @@ def test_scale_errors_name_the_scale_and_chain(monkeypatch):
 
 
 def test_l1_above_the_cut_cap_is_refused_before_any_scale(monkeypatch):
-    # the coarser scales keep all 15 points in one cluster, which the cut LP
-    # refuses, so the whole ladder could never finish
+    # the coarser scales keep all 16 grid points in one cluster, which is
+    # no line, so only the cut LP could write it, and the LP refuses it:
+    # the whole ladder could never finish
     calls = []
     monkeypatch.setattr(snowflake, "build_single_scale",
                         lambda s, params: calls.append(params))
-    s = normalize(generate("line", n=15, norm="l1"))
+    s = normalize(generate("grid", side=4, dims=2, norm="l1"))
     with pytest.raises(ClusterTooLarge, match="cap is 14 points"):
         build_snowflake(s, 0.5, 0.1)
     assert calls == []
+
+
+def test_l1_line_past_the_cut_cap_builds_without_an_lp(monkeypatch):
+    # every cluster of a line is a line, so its cuts come in closed form
+    def no_lp(lr):
+        raise AssertionError("the cut LP ran on a line cluster")
+
+    monkeypatch.setattr(single_scale, "cut_decomposition", no_lp)
+    s = normalize(generate("line", n=20, norm="l1"))
+    e = build_snowflake(s, 0.5, 0.1, seed=0)
+    assert distortion_audit(e).passed
 
 
 def test_band_over_the_limit_fails_the_audit():
@@ -316,7 +329,7 @@ def moved_sets(draw):
 
 
 @pytest.mark.parametrize("norm", (1.0, 2.0, np.inf))
-@settings(max_examples=4, deadline=None, derandomize=True)
+@settings(max_examples=4)
 @given(pts=moved_sets())
 def test_band_width_matches_a_pdist_oracle(norm, pts):
     # scipy measures both the source and the image, so the band does not
@@ -331,7 +344,7 @@ def test_band_width_matches_a_pdist_oracle(norm, pts):
 
 
 @pytest.mark.parametrize("norm", (1.0, 2.0, np.inf))
-@settings(max_examples=4, deadline=None, derandomize=True)
+@settings(max_examples=4)
 @given(pts=moved_sets(), r=st.sampled_from((0.29, 1.7, 3.1)))
 def test_contract_audit_matches_a_pdist_oracle(norm, pts, r):
     # the transforms in closed form and scipy's distances, so the in-window

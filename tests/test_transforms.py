@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist, squareform
 
 from snowdim import transforms
 from snowdim.errors import BadParams, ClusterTooLarge, NotEuclidean
 from snowdim.points import PointSet, generate
-from snowdim.transforms import (cut_decomposition, euclidean_realization,
-                                gaussian_transform, laplace_transform,
+from snowdim.single_scale import _embed_cluster_l1
+from snowdim.transforms import (CUT_RTOL, circular_cuts, cut_decomposition,
+                                euclidean_realization, gaussian_transform,
+                                laplace_transform, line_order,
                                 threshold_transform)
 
 
@@ -198,6 +203,93 @@ def test_cut_decomposition_too_large():
     d = PointSet(np.arange(15.0)[:, None], 1.0).distance_matrix()
     with pytest.raises(ClusterTooLarge):
         cut_decomposition(d)
+
+
+def test_circular_cuts_frozen():
+    # points at 0, 1, 3: line_order starts at the far end 3, and the
+    # rotation puts point 0 first, so the circular order is 0, 3, 1
+    d = PointSet(np.array([[0.0], [1.0], [3.0]]), 1.0).distance_matrix()
+    order = line_order(d)
+    assert order.tolist() == [2, 1, 0]
+    cuts = circular_cuts(d, order)
+    # the zero-weight arc {1} is dropped
+    assert [(c.weight, c.members) for c in cuts] == \
+        [(2.0, frozenset({2})), (1.0, frozenset({1, 2}))]
+    # out of line order the arcs of a line metric carry a negative weight
+    d4 = PointSet(np.arange(4.0)[:, None], 1.0).distance_matrix()
+    assert circular_cuts(d4, np.array([0, 2, 1, 3])) is None
+    # the corners of a square are no line
+    square = PointSet(np.array([[0.0, 0.0], [1, 0], [1, 1], [0, 1]]), 1.0)
+    assert line_order(square.distance_matrix()) is None
+
+
+@st.composite
+def l1_lines(draw):
+    """A monotone staircase of 2 to 40 points in 1 to 3 dimensions, which
+    l1 measures as a line, in shuffled order, rescaled by up to 2^+-12 and
+    translated by up to 1e8 per coordinate; and r from 2^-8 of the
+    smallest step (every pair saturated) to 2^12 of it (nearly linear)."""
+    n = draw(st.integers(2, 40))
+    dim = draw(st.integers(1, 3))
+    steps = draw(arrays(np.float64, (n - 1, dim),
+                        elements=st.integers(0, 4).map(float)))
+    steps[steps.sum(axis=1) == 0, 0] = 1.0
+    pts = np.vstack([np.zeros(dim), np.cumsum(steps, axis=0)])
+    pts = pts[draw(st.permutations(range(n)))]
+    scale = draw(st.floats(2.0 ** -12, 2.0 ** 12))
+    shift = draw(arrays(np.float64, dim, elements=st.floats(-1e8, 1e8)))
+    pts = pts * scale + shift
+    # rounding to the translated grid must keep the points apart
+    assume(pdist(pts, "cityblock").min() > 0)
+    return pts, scale * 2.0 ** draw(st.floats(-8, 12))
+
+
+def no_lp(*args, **kwargs):
+    raise AssertionError("the cut LP ran")
+
+
+@settings(max_examples=60)
+@given(case=l1_lines())
+def test_line_cuts_rebuild_a_pdist_oracle_without_an_lp(case):
+    # scipy's distances and L_r written out, so the oracle does not rest
+    # on the kernels the cuts are built from
+    pts, r = case
+    n = len(pts)
+    want = r * (1.0 - np.exp(-squareform(pdist(pts, "cityblock")) / r))
+    tol = CUT_RTOL * want.max()
+    dmat = PointSet(pts, 1.0).distance_matrix()
+    lr = laplace_transform(dmat, r)
+    np.fill_diagonal(lr, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "linprog", no_lp)
+        order = line_order(dmat)
+        assert order is not None
+        cuts = circular_cuts(lr, order)
+        # the build's route, with every point a net point: an exact map
+        coords = _embed_cluster_l1(dmat, np.arange(n), r, {})
+    assert cuts and min(c.weight for c in cuts) > 0
+    assert not any(0 in c.members for c in cuts)
+    assert np.abs(cut_metric(cuts, n) - want).max() <= tol
+    assert np.abs(pdist(coords, "cityblock")
+                  - squareform(want, checks=False)).max() <= tol
+
+
+def test_a_cluster_off_a_line_reaches_the_lp(monkeypatch):
+    pts = np.random.default_rng(11).uniform(0, 10, (7, 3))
+    dmat = PointSet(pts, 1.0).distance_matrix()
+    assert line_order(dmat) is None
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return linprog(*args, **kwargs)
+
+    linprog = transforms.linprog
+    monkeypatch.setattr(transforms, "linprog", counting)
+    coords = _embed_cluster_l1(dmat, np.arange(7), 2.0, {})
+    assert len(calls) == 1
+    want = 2.0 * (1.0 - np.exp(-pdist(pts, "cityblock") / 2.0))
+    assert np.allclose(pdist(coords, "cityblock"), want, atol=1e-7)
 
 
 def test_frechet_coordinates_clip_and_lipschitz():
