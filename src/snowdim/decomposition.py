@@ -7,6 +7,16 @@ random order; a point joins the first center that reaches it. Padding is a
 measured quantity: the fraction of partitions in which a point's whole
 pad_radius-ball lands inside its own cluster. The builder resamples with a
 doubled batch until the worst point clears 1 - eps_pad, or gives up.
+
+Each carving draws its radius and center order from its own child seed, so
+the batch is fixed by (seed, attempt) alone. The carving itself runs for
+many partitions at once, a chunk of carvings at a time (bounded by
+points.PAIRWISE_BYTES): the distances compared with each carving's radius
+and gathered in its center order, the first reaching center of every point
+by argmax, labels ranked by a cumulative sum over the centers that won a
+point, members by one stable sort of the label rows, and the padded bits
+by one comparison over the pad pairs.
+
 Two outcomes are certain and are returned without sampling: one cluster
 when delta/4 >= diameter (every carve radius reaches every point), and all
 singletons when delta/2 < min distance (none reaches another point).
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, EmptyInput, PaddingUnachievable
-from .points import PointSet, estimate_doubling
+from .points import PAIRWISE_BYTES, PointSet, estimate_doubling
 
 #: Chernoff-style constant for the batch size m (the ln(2 n) term)
 C_M = 4.0
@@ -68,21 +78,6 @@ def batch_size(eps_pad: float, n: int, dim_hat: float) -> int:
     return max(a, b, 1)
 
 
-def _carve(dmat: np.ndarray, delta: float, rng) -> Partition:
-    n = dmat.shape[0]
-    rho = float(rng.uniform(delta / 4.0, delta / 2.0))
-    order = rng.permutation(n)
-    hit = dmat[order, :] <= rho           # row k: points reachable by the k-th center
-    first = hit.argmax(axis=0)            # every point reaches itself, so a hit exists
-    labels = np.unique(first, return_inverse=True)[1].astype(np.intp)
-    # one stable sort groups the members of each cluster, ascending; each
-    # cluster is a slice of it between consecutive cumulative counts
-    members = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    clusters = [members[a:b] for a, b in zip([0] + ends[:-1], ends)]
-    return Partition(labels, clusters, rho)
-
-
 def _certain_partition(s: PointSet, delta: float) -> Partition | None:
     """The partition every carving yields, when the radius range forces one."""
     n = s.n
@@ -96,19 +91,53 @@ def _certain_partition(s: PointSet, delta: float) -> Partition | None:
 
 
 def _sample(dmat, delta, pad_pairs, m, seed, attempt):
-    """Draw m carvings plus the padded indicator matrix."""
+    """Draw m carvings plus the padded indicator matrix.
+
+    Carving t draws its radius, then its center order, from child t of the
+    (seed, attempt) seed sequence. The carvings themselves run batched, a
+    chunk at a time; a chunk holds as many carvings as one 8-byte value per
+    carving and point pair fits in PAIRWISE_BYTES.
+    """
     n = dmat.shape[0]
     children = np.random.SeedSequence(entropy=(int(seed), int(attempt))).spawn(m)
-    partitions, padded = [], np.empty((m, n), dtype=bool)
+    partitions, padded = [], np.ones((m, n), dtype=bool)
     nbr_i, nbr_j = pad_pairs
-    for t in range(m):
-        part = _carve(dmat, delta, np.random.default_rng(children[t]))
-        partitions.append(part)
-        ok = np.ones(n, dtype=bool)
+    step = max(1, PAIRWISE_BYTES // (8 * n * n))
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        c = b - a
+        rho, order = np.empty(c), np.empty((c, n), dtype=np.intp)
+        for t, child in enumerate(children[a:b]):
+            rng = np.random.default_rng(child)
+            rho[t] = rng.uniform(delta / 4.0, delta / 2.0)
+            order[t] = rng.permutation(n)
+        # gathered in center order, entry [t, k, j] says that carving t's
+        # k-th center reaches point j; every point reaches itself, so each
+        # point has a first reaching center
+        reach = dmat <= rho[:, None, None]
+        first = reach[np.arange(c)[:, None], order].argmax(axis=1)
+        # a point's label is the rank of its first center among the centers
+        # that won a point
+        won = np.zeros((c, n), dtype=bool)
+        np.put_along_axis(won, first, True, axis=1)
+        labels = np.take_along_axis(np.cumsum(won, axis=1, dtype=np.intp) - 1,
+                                    first, axis=1)
+        # one stable sort per row groups the members of each cluster,
+        # ascending; a cluster is a slice of its row between consecutive
+        # cumulative cluster sizes
+        sizes = np.bincount((np.arange(c)[:, None] * n + labels).ravel(),
+                            minlength=c * n).reshape(c, n)
+        ends = np.cumsum(sizes, axis=1).tolist()
+        members = np.argsort(labels, axis=1, kind="stable")
+        for t, k in enumerate(won.sum(axis=1).tolist()):
+            row, e = members[t], ends[t][:k]
+            partitions.append(Partition(labels[t], [
+                row[lo:hi] for lo, hi in zip([0] + e, e)], float(rho[t])))
         if len(nbr_i):
-            cut = part.labels[nbr_i] != part.labels[nbr_j]
-            np.logical_and.at(ok, nbr_i[cut], False)
-        padded[t] = ok
+            # a point is padded unless one of its pad pairs is cut
+            cut_t, cut_p = np.nonzero(labels[:, nbr_i] != labels[:, nbr_j])
+            cuts = np.bincount(cut_t * n + nbr_i[cut_p], minlength=c * n)
+            padded[a:b] = (cuts == 0).reshape(c, n)
     return partitions, padded
 
 

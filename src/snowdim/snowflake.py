@@ -219,7 +219,10 @@ def _dominant_pair_mask(e: SingleScaleEmbedding) -> np.ndarray:
     dec = e.decomposition
     pad = dec.padded.all(axis=0)
     labels = np.stack([part.labels for part in dec.partitions], axis=1)
-    col = np.unique(labels, axis=0, return_inverse=True)[1].ravel()
+    # each contiguous row read as one opaque value: a bytewise sort, not
+    # the structured-dtype sort of np.unique(axis=0)
+    rows = labels.view(np.dtype((np.void, labels.shape[1] * labels.itemsize)))
+    col = np.unique(rows.ravel(), return_inverse=True)[1]
     return (col[:, None] == col[None, :]) & (pad[:, None] & pad[None, :])
 
 

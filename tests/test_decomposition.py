@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snowdim import decomposition
-from snowdim.decomposition import (_carve, batch_size, build_decomposition,
+from snowdim.decomposition import (Partition, batch_size, build_decomposition,
                                    padding_audit)
 from snowdim.errors import BadParams, EmptyInput, PaddingUnachievable
 from snowdim.points import PointSet, generate, normalize
@@ -46,20 +46,72 @@ def test_partition_invariants_and_padded_oracle():
     assert dec.padded_fraction.min() >= 1 - dec.eps_pad
 
 
-def test_carve_clusters_are_the_label_classes():
-    # seeded property: the sort-based extraction equals one flatnonzero
-    # per label, members ascending
+def reference_sample(dmat, delta, pad_pairs, m, seed, attempt):
+    # the sampler one carving at a time: each draws its radius and center
+    # order from its own child generator, points join the first center that
+    # reaches them, labels rank those centers in carving order and
+    # clusters are the label classes
+    n = dmat.shape[0]
+    children = np.random.SeedSequence(entropy=(seed, attempt)).spawn(m)
+    parts, padded = [], np.ones((m, n), dtype=bool)
+    nbr_i, nbr_j = pad_pairs
+    for t in range(m):
+        rng = np.random.default_rng(children[t])
+        rho = float(rng.uniform(delta / 4.0, delta / 2.0))
+        order = rng.permutation(n)
+        first = (dmat[order, :] <= rho).argmax(axis=0)
+        labels = np.unique(first, return_inverse=True)[1].astype(np.intp)
+        clusters = [np.flatnonzero(labels == k)
+                    for k in range(labels.max() + 1)]
+        parts.append(Partition(labels, clusters, rho))
+        if len(nbr_i):
+            cut = labels[nbr_i] != labels[nbr_j]
+            np.logical_and.at(padded[t], nbr_i[cut], False)
+    return parts, padded
+
+
+def test_sample_matches_the_per_carving_reference(monkeypatch):
+    # seeded property: the batched sampler gives the reference's labels,
+    # clusters, radii and padded bits exactly, for set sizes 1..60, pad
+    # radii from none to every pair, retries, and batches cut into chunks
     rng = np.random.default_rng(11)
+    cases = []
     for trial in range(40):
-        n = int(rng.integers(1, 60))
+        n = trial + 1 if trial < 20 else int(rng.integers(1, 61))
         s = PointSet(rng.uniform(0, 20, (n, int(rng.integers(1, 4)))))
-        delta = float(rng.uniform(0.5, 40.0))
-        part = _carve(s.distance_matrix(), delta, np.random.default_rng(trial))
-        want = [np.flatnonzero(part.labels == k) for k in range(part.size)]
-        assert part.labels.dtype == np.intp
-        assert len(part.clusters) == len(want)
-        for got, ref in zip(part.clusters, want):
-            assert got.dtype == np.intp and np.array_equal(got, ref)
+        pad = (0.0, s.diameter(), float(rng.uniform(0.5, 8.0)))[trial % 3]
+        cases.append((s, float(rng.uniform(0.5, 40.0)), pad,
+                      int(rng.integers(1, 40)), trial % 2, None))
+    s = PointSet(rng.uniform(0, 20, (60, 2)))
+    # 291 carvings of 60 points fill one chunk, so 700 take three
+    cases.append((s, 12.0, 3.0, 700, 1, None))
+    # chunks of 3 carvings: 25 take nine, the last one short
+    cases.append((s, 12.0, 3.0, 25, 0, 3 * 8 * 60 * 60))
+    seen = set()
+    for seed, (s, delta, pad, m, attempt, chunk) in enumerate(cases):
+        if chunk is not None:
+            monkeypatch.setattr(decomposition, "PAIRWISE_BYTES", chunk)
+        d = s.distance_matrix()
+        pairs = np.nonzero((d <= pad) & ~np.eye(s.n, dtype=bool))
+        got, got_padded = decomposition._sample(d, delta, pairs, m, seed,
+                                                attempt)
+        want, want_padded = reference_sample(d, delta, pairs, m, seed,
+                                             attempt)
+        if s.n > 1:
+            seen.add({0: "no pad pair", s.n * (s.n - 1): "all pad pairs"}
+                     .get(len(pairs[0]), "some pad pairs"))
+        seen.add("pad-ball cut" if not want_padded.all() else "all padded")
+        assert len(got) == m
+        assert np.array_equal(got_padded, want_padded)
+        for g, w in zip(got, want):
+            assert g.radius == w.radius
+            assert g.labels.dtype == np.intp
+            assert np.array_equal(g.labels, w.labels)
+            assert len(g.clusters) == len(w.clusters)
+            for gc, wc in zip(g.clusters, w.clusters):
+                assert gc.dtype == np.intp and np.array_equal(gc, wc)
+    assert seen == {"no pad pair", "all pad pairs", "some pad pairs",
+                    "pad-ball cut", "all padded"}
 
 
 def test_padding_audit_passes_and_detects_tampering():
