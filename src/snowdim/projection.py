@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams
+from .errors import BadParams, NotEuclidean
+from .transforms import EIG_RTOL
 
 #: fresh Gaussian draws per target dimension before bumping it
 MAX_TRIES = 64
@@ -44,27 +45,42 @@ class ProjectionInfo:
     min_ratio: float
 
 
-def exact_reduce(x: np.ndarray) -> np.ndarray:
-    """Rewrite rows of ``x`` in at most ``rank(x)`` coordinates, exactly.
+def factor_gram(gram: np.ndarray) -> np.ndarray:
+    """Rows y with y @ y.T equal to the symmetric PSD matrix ``gram``.
 
-    n points always fit isometrically in n-1 dimensions, so wide matrices
-    (k >> n) built from block-diagonal assemblies carry mostly redundant
-    columns. The Gram matrix x @ x.T is factored instead; eigenvalues below
-    REDUCE_RTOL * max are dropped. Pairwise distances survive to float
-    precision, which makes this safe ahead of any distance-based audit.
+    Eigenvalues below REDUCE_RTOL * max are dropped, so y has at most
+    rank(gram) columns, leading coordinates first. Raises NotEuclidean
+    when the smallest eigenvalue lies below -EIG_RTOL * max: the matrix
+    is no Gram matrix of any point set.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    n = x.shape[0]
-    gram = x @ x.T
+    n = gram.shape[0]
     gram = 0.5 * (gram + gram.T)
     vals, vecs = np.linalg.eigh(gram)
-    top = float(vals[-1]) if n else 0.0
-    keep = vals > REDUCE_RTOL * max(top, 0.0)
+    top = max(float(vals[-1]), 0.0) if n else 0.0
+    if n and vals[0] < -EIG_RTOL * top:
+        raise NotEuclidean(
+            f"most negative Gram eigenvalue {vals[0]:.6g} below "
+            f"tolerance {-EIG_RTOL * top:.6g}; the matrix is not a Gram "
+            f"matrix")
+    keep = vals > REDUCE_RTOL * top
     if not keep.any():
         return np.zeros((n, 0))
     # leading coordinates first; eigh sorts ascending
     y = vecs[:, keep] * np.sqrt(vals[keep])
     return np.ascontiguousarray(y[:, ::-1])
+
+
+def exact_reduce(x: np.ndarray) -> np.ndarray:
+    """Rewrite rows of ``x`` in at most ``rank(x)`` coordinates, exactly.
+
+    n points always fit isometrically in n-1 dimensions, so wide matrices
+    (k >> n) built from block-diagonal assemblies carry mostly redundant
+    columns. The Gram matrix x @ x.T is factored instead (``factor_gram``).
+    Pairwise distances survive to float precision, which makes this safe
+    ahead of any distance-based audit.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return factor_gram(x @ x.T)
 
 
 def jl_project(x: np.ndarray, eps: float, seed: int,

@@ -14,6 +14,9 @@ min(1, (delta/r) * dist(x, outside)); direct-sum the partitions with the
 norm's combining scale and apply the final global rescale. Every point is
 decomposed, so no point needs an extension; an l2 scale still stays within
 n columns because the assembly is squeezed by ``exact_reduce``.
+``scale_clusters`` is the first half alone: the decomposition and each
+distinct cluster's count and smoothing, which the l2 snowflake reads
+without realizing any cluster.
 
 The finished embedding keeps everything needed for the audit: the raw
 per-cluster maps, the smoothing weights, and the fully scaled coordinate
@@ -116,17 +119,32 @@ class ClusterEntry:
     ``coords`` is the raw cluster map f_C (before smoothing and scaling),
     rows aligned with ``members`` (indices into the point set); the l2 and
     l1 maps put the first member at the origin, keeping every image norm
-    at most r.
+    at most r. ``scale_clusters`` leaves it None; ``build_single_scale``
+    fills it in.
     """
     members: np.ndarray
-    coords: np.ndarray
     count: int                             # partitions containing the cluster
     weights: np.ndarray                    # smoothing weight per member
     h_values: np.ndarray                   # distance-to-outside, inf if none
+    coords: np.ndarray | None = None
 
     @property
     def k(self) -> int:
         return self.coords.shape[1]
+
+
+@dataclass
+class ScaleClusters:
+    """A scale's padded decomposition and its distinct clusters, each with
+    its count and smoothing, before any cluster map is realized."""
+    params: SingleScaleParams              # norm resolved
+    dim_hat: float
+    decomposition: PaddedDecomposition
+    clusters: list[ClusterEntry]
+
+    @property
+    def m(self) -> int:
+        return self.decomposition.m
 
 
 @dataclass
@@ -233,17 +251,16 @@ def _embed_cluster_linf(dmat_c, net_local: np.ndarray, r: float) -> np.ndarray:
     return threshold_transform(dmat_c[:, net_local], r)
 
 
-def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmbedding:
-    """Assemble the embedding; see the module docstring for the pipeline.
+def scale_clusters(s: PointSet, params: SingleScaleParams) -> ScaleClusters:
+    """Decompose the whole set at one scale and list its distinct clusters.
 
-    ``params.norm = None`` targets the input's own norm (``s.norm``)."""
+    ``params.norm = None`` targets the input's own norm (``s.norm``).
+    Clusters are listed in order of first appearance across the
+    partitions, each with the number of partitions that contain it."""
     require_normalized(s, "build_single_scale")
-    n = s.n
-    if n == 0:
+    if s.n == 0:
         raise EmptyInput("single-scale embedding of an empty set")
     p = params if params.norm is not None else replace(params, norm=s.norm)
-    # only the l1 and l-infinity cluster maps read the net
-    net = greedy_net(s, p.net_radius) if p.norm != 2.0 else None
     dmat = s.distance_matrix()
     dim_hat = p.dim_hat if p.dim_hat is not None else estimate_doubling(s).dim_hat
 
@@ -259,27 +276,14 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
             if attempt == DELTA_RETRIES:
                 raise
             delta_dec *= 2.0
-    m = dec.m
     # a certain carving repeats one partition object m times
     runs: dict[int, list] = {}
     for part in dec.partitions:
         runs.setdefault(id(part), [part, 0])[1] += 1
 
-    # --- embed each distinct cluster once, counting its multiplicity. At a
-    # saturated l2 scale G_r maps every pair to exactly r, so all clusters
-    # of one size share a bitwise-identical transformed metric and one
-    # (read-only) realization; a closed-form simplex would not do, since
-    # its rotation changes the sums across scales of one residue class.
-    saturated = (p.norm == 2.0 and n > 1
-                 and gaussian_transform(s.min_distance(), p.r) == p.r)
-    shared: dict[int, np.ndarray] = {}
-    cuts_by_metric: dict[bytes, list[Cut]] = {}
-    in_net = np.zeros(n, dtype=bool)
-    if net is not None:
-        in_net[net.members] = True
+    # --- each distinct cluster once, counting its multiplicity
     entry_order: dict[bytes, int] = {}
     entries: list[ClusterEntry] = []
-    empty_net = 0
     for part, times in runs.values():
         fresh = []
         for members in part.clusters:
@@ -300,28 +304,57 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
         w_rows = np.minimum(1.0, (p.delta / p.r) * h_rows)
         lo = 0
         for members in fresh:
-            if p.norm == 2.0:
-                coords = shared.get(len(members))
-                if coords is None:
-                    coords = _embed_cluster_l2(dmat[np.ix_(members, members)],
-                                               p.r)
-                    if saturated:
-                        coords.flags.writeable = False
-                        shared[len(members)] = coords
-            else:
-                dmat_c = dmat[np.ix_(members, members)]
-                net_local = np.flatnonzero(in_net[members])
-                empty_net += len(net_local) == 0
-                if p.norm == 1.0:
-                    coords = _embed_cluster_l1(dmat_c, net_local, p.r,
-                                               cuts_by_metric)
-                else:
-                    coords = _embed_cluster_linf(dmat_c, net_local, p.r)
             hi = lo + len(members)
             entry_order[members.tobytes()] = len(entries)
-            entries.append(ClusterEntry(members, coords, times,
-                                        w_rows[lo:hi], h_rows[lo:hi]))
+            entries.append(ClusterEntry(members, times, w_rows[lo:hi],
+                                        h_rows[lo:hi]))
             lo = hi
+    return ScaleClusters(p, dim_hat, dec, entries)
+
+
+def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmbedding:
+    """Assemble the embedding; see the module docstring for the pipeline.
+
+    ``params.norm = None`` targets the input's own norm (``s.norm``)."""
+    sc = scale_clusters(s, params)
+    p, entries, m = sc.params, sc.clusters, sc.m
+    n = s.n
+    # only the l1 and l-infinity cluster maps read the net
+    net = greedy_net(s, p.net_radius) if p.norm != 2.0 else None
+    dmat = s.distance_matrix()
+
+    # --- embed each distinct cluster. At a saturated l2 scale G_r maps
+    # every pair to exactly r, so all clusters of one size share a
+    # bitwise-identical transformed metric and one (read-only)
+    # realization; a closed-form simplex would not do, since its rotation
+    # would change the single-scale bytes.
+    saturated = (p.norm == 2.0 and n > 1
+                 and gaussian_transform(s.min_distance(), p.r) == p.r)
+    shared: dict[int, np.ndarray] = {}
+    cuts_by_metric: dict[bytes, list[Cut]] = {}
+    in_net = np.zeros(n, dtype=bool)
+    if net is not None:
+        in_net[net.members] = True
+    empty_net = 0
+    for c in entries:
+        members = c.members
+        if p.norm == 2.0:
+            coords = shared.get(len(members))
+            if coords is None:
+                coords = _embed_cluster_l2(dmat[np.ix_(members, members)], p.r)
+                if saturated:
+                    coords.flags.writeable = False
+                    shared[len(members)] = coords
+        else:
+            dmat_c = dmat[np.ix_(members, members)]
+            net_local = np.flatnonzero(in_net[members])
+            empty_net += len(net_local) == 0
+            if p.norm == 1.0:
+                coords = _embed_cluster_l1(dmat_c, net_local, p.r,
+                                           cuts_by_metric)
+            else:
+                coords = _embed_cluster_linf(dmat_c, net_local, p.r)
+        c.coords = coords
 
     # --- direct sum with the norm's combining scale, then the global rescale
     rescale = 1.0 / (1.0 + p.rescale_c * p.eps)
@@ -348,9 +381,10 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     if p.norm == 2.0 and k > n:
         coords = exact_reduce(coords)
         k = coords.shape[1]
-    th_k = theory_dimension(p.eps, p.delta, EPS_PAD, dim_hat, p.norm)
-    return SingleScaleEmbedding(p, s, net, dim_hat, dec, entries, m, k, th_k,
-                                combine, rescale, coords, empty_net)
+    th_k = theory_dimension(p.eps, p.delta, EPS_PAD, sc.dim_hat, p.norm)
+    return SingleScaleEmbedding(p, s, net, sc.dim_hat, sc.decomposition,
+                                entries, m, k, th_k, combine, rescale, coords,
+                                empty_net)
 
 
 # ---------------------------------------------------------------------------

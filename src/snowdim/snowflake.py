@@ -2,22 +2,30 @@
 
 Scales r_i = (1+eps)^i over a bounded index window I are embedded
 independently at one shared per-scale delta, every map is divided by
-(1+eps)^{i(1-alpha)}, the scales are grouped round-robin by i mod p with the
-maps in each group summed coordinate-wise, the p groups are direct-summed,
-and the result is divided by sqrt(M) (Euclidean; the l1 analog divides by
-the matching linear sum and l-infinity needs no normalizer, but there every
-scale keeps its own block since the norm combines by max). The band of
-image distance / d^alpha then has width 1 + O(eps). Its location is a
-computable constant of (eps, alpha, p) alone, exposed as ``band_center`` so
-consumers that need unit calibration (distance labels) can rescale; the
-guarantee itself is on the width.
+(1+eps)^{i(1-alpha)}, the maps are combined, and the result is divided by
+the normalizer M (its square root in l2). The band of image distance /
+d^alpha then has width 1 + O(eps). Its location is a computable constant
+of (eps, alpha, p) alone, exposed as ``band_center`` so consumers that need
+unit calibration (distance labels) can rescale; the guarantee itself is on
+the width.
 
-The Euclidean layout is as wide as the p group blocks together, tens of
-thousands of columns for a few hundred points. Its rows are centered and
-rewritten by ``exact_reduce`` in at most n - 1 coordinates with the same
-pair distances to float precision, and ``assembled_k`` keeps the layout's
-width. l1 has no exact dimension-free reduction and l-infinity combines
-by max, so both keep the layout as it is.
+How the maps are combined depends on the norm:
+
+* l2 sums the scales directly through one Gram matrix. Each scale's Gram
+  is summed in closed form from its distinct clusters (``_scale_gram``),
+  so no cluster is realized and no per-scale block is written; the scale
+  keeps only its pair distances, for the audit. One eigendecomposition
+  of the double-centered total writes the output in at most n - 1
+  coordinates with the direct sum's pair distances. ``assembled_k`` is
+  the direct sum's width, the sum of the per-scale rank bounds.
+* l1 keeps the paper's round-robin grouping: scales of one residue class
+  i mod p are summed coordinate-wise and the p groups are direct-summed.
+  l1 has no exact dimension-free reduction, so the layout is the output.
+* l-infinity combines by max, so every scale keeps its own block.
+
+``theory_k`` is the paper's grouped count p * k_scale for every norm, a
+formula of the parameters alone. The concrete l2 width does not need the
+grouping: the exact n - 1 output is narrower than any grouped layout.
 
 The audit measures every pair against d^alpha and the per-scale bucket
 diagnostics: write B_i for the per-scale image distance divided by
@@ -33,7 +41,9 @@ order-of-magnitude margin. For every in-window i the same-residue
 out-of-window mass must stay below eps * (1+eps)^{i(1-alpha)} * 1.1, and
 B_{i*} must stay above 0.45 * (1+eps)^{i*(1-alpha)} whenever the pair is
 padded at its dominant scale (same cluster, both pad-balls uncut, in every
-partition).
+partition). The tail check keeps the paper's residue classes for every
+norm; in l2, whose direct sum adds no same-residue cross terms, it bounds
+the per-scale masses the grouping would have added.
 """
 
 from __future__ import annotations
@@ -47,9 +57,12 @@ from . import report as report_mod
 from .errors import BadParams, ClusterTooLarge, EmptyInput, SnowdimError
 from .points import (PointSet, _pair_distances, _pairwise, estimate_doubling,
                      norm_label, norm_tag, require_normalized)
-from .projection import exact_reduce
-from .single_scale import (EPS_PAD, SingleScaleEmbedding, SingleScaleParams,
-                           _dumps_coords, build_single_scale, theory_dimension)
+from .projection import factor_gram
+from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleEmbedding,
+                           SingleScaleParams, _dumps_coords,
+                           build_single_scale, scale_clusters,
+                           theory_dimension)
+from .transforms import gaussian_transform
 from .transforms import MAX_CUT_POINTS, line_order
 
 #: offset added to the scale index when deriving per-scale seeds, so the
@@ -176,15 +189,19 @@ def _scale_seed(seed: int, i: int) -> int:
 
 @dataclass
 class ScaleEntry:
-    """One built scale: its weighted coordinate block and audit hooks."""
+    """One built scale: what the audit reads of it.
+
+    l1 and l-infinity keep the scale's coordinate block; l2 writes no
+    block and keeps only the scale's condensed pair distances
+    (``scipy.spatial.distance.pdist`` order), read off its Gram matrix.
+    Both carry the division by (1+eps)^{i(1-alpha)}."""
 
     i: int
     r: float
     seed: int
-    group: int                       # i mod p
-    offset: int                      # column offset in the assembled layout
-    k: int                           # per-scale concrete coordinate count
-    coords: np.ndarray               # (n, k) images times (1+eps)^{-i(1-alpha)}
+    k: int                           # block width; l2: its rank bound
+    coords: np.ndarray | None        # (n, k) block; None on l2
+    dists: np.ndarray | None         # l2 only, and None if k == 0
     dom_pairs: np.ndarray | None     # (n, n) bool: padded in every partition
 
 
@@ -196,7 +213,7 @@ class SnowflakeEmbedding:
     dim_hat: float
     scales: list[ScaleEntry]
     k: int                           # concrete coordinate count
-    assembled_k: int                 # grouped layout width before reduction
+    assembled_k: int                 # layout width before reduction
     theory_k: int                    # p * theory_k_scale
     theory_k_scale: int
     coords: np.ndarray               # (n, k) final images, all scaling in
@@ -209,7 +226,8 @@ class SnowflakeEmbedding:
         return _pairwise(self.coords, self.plan.norm)
 
 
-def _dominant_pair_mask(e: SingleScaleEmbedding) -> np.ndarray:
+def _dominant_pair_mask(
+        e: ScaleClusters | SingleScaleEmbedding) -> np.ndarray:
     """Pairs that are same-cluster with both pad-balls uncut in every
     partition of the scale's decomposition.
 
@@ -253,62 +271,123 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
             f"{MAX_CUT_POINTS} points")
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
+    n = s.n
     lg = math.log1p(eps)
     # dominant-pair masks are only consulted at scales that can anchor a
     # pair: 0 <= i* <= log_{1+eps} diam
     istar_top = math.floor(math.log(s.diameter()) / lg) + 1
+    l2 = plan.norm == 2.0
+    if l2:
+        dmat = s.distance_matrix()
+        iu, ju = np.triu_indices(n, k=1)
+        gram = np.zeros((n, n))
     entries: list[ScaleEntry] = []
     for i in plan.scale_indices:
         sp = SingleScaleParams(r=(1.0 + eps) ** i, eps=eps, delta=plan.delta,
                                norm=plan.norm, seed=_scale_seed(seed, i),
                                rescale_c=0.0, dim_hat=dim_hat)
         try:
-            e_i = build_single_scale(s, sp)
+            e_i = scale_clusters(s, sp) if l2 else build_single_scale(s, sp)
         except SnowdimError as err:
             raise type(err)(f"scale i={i} (r={sp.r:.6g}): {err}") from err
         w = (1.0 + eps) ** (-i * (1.0 - alpha))
+        coords = dists = None
+        if l2:
+            k_i, g_i = _scale_gram(e_i, dmat)
+            if k_i:
+                gram += (w * w) * g_i
+                diag = np.diag(g_i)
+                dists = w * np.sqrt(np.maximum(
+                    diag[iu] + diag[ju] - 2.0 * g_i[iu, ju], 0.0))
+        else:
+            k_i, coords = e_i.k, e_i.coords * w
         dom = None
-        if 0 <= i <= istar_top and e_i.k:
+        if 0 <= i <= istar_top and k_i:
             dom = _dominant_pair_mask(e_i)
-        entries.append(ScaleEntry(i, sp.r, sp.seed, i % plan.p, 0, e_i.k,
-                                  e_i.coords * w, dom))
+        entries.append(ScaleEntry(i, sp.r, sp.seed, k_i, coords, dists, dom))
 
-    # group layout: one shared block per residue class (maps in a class are
-    # summed, zero-padded to the widest), except l-infinity where the max
-    # combination keeps every scale in its own block
-    if plan.norm == np.inf:
-        widths = {t: max(e.k, 0) for t, e in enumerate(entries)}
-        keys = [t for t, e in enumerate(entries)]
+    if l2:
+        # the direct sum of the scales, normalized, has Gram gram / M; its
+        # double-centered form spans at most n - 1 directions, and the cap
+        # drops the all-ones null direction should its noise pass the cutoff
+        gram /= plan.M
+        gram -= gram.mean(axis=0)
+        gram -= gram.mean(axis=1)[:, None]
+        out = factor_gram(gram)[:, :n - 1]
+        assembled_k = sum(e.k for e in entries)
     else:
-        widths = {}
-        for e in entries:
-            widths[e.group] = max(widths.get(e.group, 0), e.k)
-        keys = sorted(widths)
+        out = _grouped_layout(entries, plan)
+        assembled_k = out.shape[1]
+    theory_k_scale = theory_dimension(eps, plan.delta, EPS_PAD, dim_hat, plan.norm)
+    return SnowflakeEmbedding(plan, s, seed, dim_hat, entries, out.shape[1],
+                              assembled_k, plan.p * theory_k_scale,
+                              theory_k_scale, out)
+
+
+def _scale_gram(sc: ScaleClusters,
+                dmat: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """The Gram matrix of one l2 scale's map, with its rank bound.
+
+    Cluster C's Gaussian-transform map, with member c0 = C[0] at the
+    origin, has the closed-form Gram Gamma_C = (T[C, c0] + T[c0, C] -
+    T[C, C]) / 2 with T = G_r(d)^2; it is positive semidefinite because
+    the Gaussian kernel is positive definite (Schoenberg, 1938). The
+    scale's Gram is the sum over distinct clusters of
+    (count_C / m) (w_C w_C^T) * Gamma_C, elementwise in the product. With
+    u_C the weights and v_C the weights times T[., c0] on C's rows (zero
+    elsewhere), that sum is (Q + Q^T - T * P) / 2 for Q = sum_C c_C u_C
+    v_C^T and P = sum_C c_C u_C u_C^T: two dense products over the
+    clusters, where a scatter per cluster would loop in Python.
+    Singletons add nothing and are skipped. The rank bound is
+    min(n, sum_C (|C| - 1)), 0 exactly when no cluster has two points,
+    and then there is no Gram (None).
+    """
+    n = dmat.shape[0]
+    multi = [c for c in sc.clusters if len(c.members) > 1]
+    k = min(n, sum(len(c.members) - 1 for c in multi))
+    if not k:
+        return 0, None
+    t = np.square(gaussian_transform(dmat, sc.params.r))
+    sizes = [len(c.members) for c in multi]
+    rows = np.concatenate([c.members for c in multi])
+    cols = np.repeat(np.arange(len(multi)), sizes)
+    roots = np.repeat([c.members[0] for c in multi], sizes)
+    w = np.concatenate([c.weights for c in multi])
+    coef = np.array([c.count for c in multi], dtype=np.float64) / sc.m
+    u = np.zeros((n, len(multi)))
+    v = np.zeros((n, len(multi)))
+    u[rows, cols] = w
+    v[rows, cols] = w * t[rows, roots]
+    uc = u * coef
+    q = uc @ v.T
+    return k, 0.5 * (q + q.T - t * (uc @ u.T))
+
+
+def _grouped_layout(entries: list[ScaleEntry],
+                    plan: SnowflakePlan) -> np.ndarray:
+    """The l1 and l-infinity output: one shared block per residue class
+    i mod p (maps in a class are summed, zero-padded to the widest), except
+    l-infinity, where the max combination keeps every scale in its own
+    block; l1 divides by its normalizer."""
+    if plan.norm == np.inf:
+        keys = list(range(len(entries)))
+    else:
+        keys = [e.i % plan.p for e in entries]
+    widths: dict[int, int] = {}
+    for key, e in zip(keys, entries):
+        widths[key] = max(widths.get(key, 0), e.k)
     offsets = {}
     col = 0
-    for key in keys:
+    for key in sorted(widths):
         offsets[key] = col
         col += widths[key]
-    coords = np.zeros((s.n, col))
-    for t, e in enumerate(entries):
-        key = t if plan.norm == np.inf else e.group
-        e.offset = offsets[key]
+    coords = np.zeros((entries[0].coords.shape[0], col))
+    for key, e in zip(keys, entries):
         if e.k:
-            coords[:, e.offset:e.offset + e.k] += e.coords
-    k = col
-    if plan.norm == 2.0:
-        coords /= math.sqrt(plan.M)
-        if col >= s.n:
-            # centered rows span at most n - 1 directions; the cap drops the
-            # all-ones null direction should its noise pass the cutoff
-            coords -= coords.mean(axis=0)
-            coords = exact_reduce(coords)[:, :s.n - 1]
-            k = coords.shape[1]
-    elif plan.norm == 1.0:
+            coords[:, offsets[key]:offsets[key] + e.k] += e.coords
+    if plan.norm == 1.0:
         coords /= plan.M
-    theory_k_scale = theory_dimension(eps, plan.delta, EPS_PAD, dim_hat, plan.norm)
-    return SnowflakeEmbedding(plan, s, seed, dim_hat, entries, k, col,
-                              plan.p * theory_k_scale, theory_k_scale, coords)
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +418,14 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
                                 ref_dist=target, window=None, bounds=bounds)
 
     # per-scale terms B_i = per-scale image distance / (1+eps)^{i(1-alpha)};
-    # the stored blocks already carry the division
+    # the stored blocks and l2 distances already carry the division
     n_pairs = len(src)
     n_scales = len(e.scales)
     b_terms = np.zeros((n_scales, n_pairs))
     for t, sc in enumerate(e.scales):
-        if sc.k:
+        if sc.dists is not None:
+            b_terms[t] = sc.dists
+        elif sc.k:
             b_terms[t] = _pair_distances(sc.coords, plan.norm, iu, ju)
     ivals = np.array([sc.i for sc in e.scales])
 
@@ -430,7 +511,14 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
 
 def dumps(e: SnowflakeEmbedding) -> bytes:
     """Embedding dump: the plan, the per-scale widths and the final
-    coordinates; ``single_scale.loads_coords`` reads it back."""
+    coordinates; ``single_scale.loads_coords`` reads it back.
+
+    ``scale_k`` lists each scale's width. In l1 and l-infinity that is
+    its block's column count. In l2 no block is written, and it is the
+    bound min(n, sum over distinct clusters C of |C| - 1) on the rank of
+    the scale's map, read without factoring; it is 0 exactly on scales of
+    singletons. The l2 ``assembled_k`` is their sum, the width of the
+    direct sum of the scales."""
     plan = e.plan
     return _dumps_coords({
         "kind": "snowflake",

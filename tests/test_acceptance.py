@@ -193,20 +193,67 @@ def test_snowflake_band_and_reported_dimension():
     assert small.theory_k == small.plan.p * small.theory_k_scale
 
 
+def direct_sum_distances(e):
+    """Pair distances of the l2 direct sum of e's scales, normalized: the
+    root of the summed per-scale squared distances over M."""
+    b2 = sum(sc.dists ** 2 for sc in e.scales if sc.dists is not None)
+    return np.sqrt(b2 / e.plan.M)
+
+
 def test_l2_snowflakes_write_at_most_n_minus_1_coordinates():
     for name in CORPUS:
         e, rep, _ = snowflake_run(name, 0.5)
         assert e.k == e.coords.shape[1] <= e.n - 1
         assert rep.extras["concrete_k"] == e.k
         assert rep.extras["assembled_k"] == e.assembled_k > e.k
-        # the reduction keeps the group-sum layout's pair distances
-        wide = np.zeros((e.n, e.assembled_k))
-        for sc in e.scales:
-            wide[:, sc.offset:sc.offset + sc.k] += sc.coords
-        assert np.allclose(pdist(e.coords),
-                           pdist(wide) / math.sqrt(e.plan.M),
+        # the output keeps the direct sum's pair distances
+        assert np.allclose(pdist(e.coords), direct_sum_distances(e),
                            rtol=1e-12, atol=0.0)
     assert snowflake_run("grid8", 0.5)[0].k == 63
+
+
+def scale_kinds(e_i):
+    """The kinds of one scale: all singletons, or a saturated transform
+    (G_r(1) == r), or a decomposition sampled from distinct carvings; the
+    last two can hold together."""
+    if all(len(c.members) == 1 for c in e_i.clusters):
+        return {"singletons"}
+    kinds = set()
+    if gaussian_transform(1.0, e_i.params.r) == e_i.params.r:
+        kinds.add("saturated")
+    if len({id(part) for part in e_i.decomposition.partitions}) > 1:
+        kinds.add("sampled")
+    return kinds
+
+
+def test_l2_scale_distances_match_the_single_scale_blocks():
+    # each scale's stored distances come from its Gram matrix; the oracle
+    # realizes every cluster and squeezes the block the single-scale way.
+    # The coarsest scale of each kind is checked, finest last.
+    alpha = 0.5
+    for name in CORPUS:
+        e, _, _ = snowflake_run(name, alpha)
+        s, plan = e.source, e.plan
+        todo = {"singletons", "saturated", "sampled"}
+        for sc in reversed(e.scales):
+            sp = SingleScaleParams(r=sc.r, eps=EPS, delta=plan.delta,
+                                   norm=plan.norm, seed=sc.seed,
+                                   rescale_c=0.0, dim_hat=e.dim_hat)
+            kinds = scale_kinds(single_scale.scale_clusters(s, sp)) & todo
+            if not kinds:
+                continue
+            todo -= kinds
+            w = (1.0 + EPS) ** (-sc.i * (1.0 - alpha))
+            want = w * pdist(build_single_scale(s, sp).coords)
+            if kinds == {"singletons"}:
+                assert sc.k == 0 and sc.dists is None
+                assert not want.any()
+            else:
+                assert sc.k > 0
+                assert np.allclose(sc.dists, want, rtol=1e-9, atol=0.0)
+            if not todo:
+                break
+        assert not todo, (name, todo)
 
 
 # 7. per-scale mass localization: geometric tails, dominant-term floor

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from snowdim.errors import BadParams
-from snowdim.projection import exact_reduce, jl_dimension, jl_project
+from snowdim.errors import BadParams, NotEuclidean
+from snowdim.projection import (exact_reduce, factor_gram, jl_dimension,
+                                jl_project)
 
 
 def test_jl_dimension_frozen():
@@ -87,3 +88,20 @@ def test_exact_reduce_preserves_distances():
 def test_exact_reduce_zero_input():
     y = exact_reduce(np.zeros((6, 50)))
     assert y.shape == (6, 0)
+
+
+def test_factor_gram_rebuilds_a_psd_gram_and_refuses_an_indefinite_one():
+    # positive coordinates keep every Gram entry far from zero, so a
+    # relative tolerance applies to each entry
+    rng = np.random.default_rng(3)
+    x = rng.uniform(1.0, 2.0, size=(30, 12))
+    gram = x @ x.T
+    y = factor_gram(gram)
+    assert y.shape == (30, 12)
+    assert np.allclose(y @ y.T, gram, rtol=1e-12, atol=0.0)
+    indefinite = gram - 0.01 * np.abs(gram).max() * np.eye(30)
+    with pytest.raises(NotEuclidean):
+        factor_gram(indefinite)
+    # a one-point negative direction is no rounding noise either
+    with pytest.raises(NotEuclidean):
+        factor_gram(np.diag([1.0, 0.0, -1e-6]))

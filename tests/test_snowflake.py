@@ -30,6 +30,13 @@ def small_grid():
     return normalize(generate("grid", side=4, dims=2))
 
 
+def direct_sum_distances(e):
+    """Pair distances of the l2 direct sum of e's scales, normalized: the
+    root of the summed per-scale squared distances over M."""
+    b2 = sum(sc.dists ** 2 for sc in e.scales if sc.dists is not None)
+    return np.sqrt(b2 / e.plan.M)
+
+
 # --- plan parameters
 
 
@@ -101,7 +108,10 @@ def test_two_point_band_and_center():
     # d = 1 so the ratio is the image distance itself; the predicted
     # center is a constant of (eps, alpha, p) only
     assert abs(d / e.plan.center - 1.0) < 0.05
+    # one output column for the direct sum of the nonempty scales
     assert e.k == 1 < e.assembled_k
+    assert np.allclose(pdist(e.coords), direct_sum_distances(e),
+                       rtol=1e-12, atol=0.0)
     rep = distortion_audit(e)
     assert rep.passed
     assert rep.pair_count == 1
@@ -129,19 +139,54 @@ def test_alpha_07_band():
 
 
 def test_group_structure_and_dimension():
-    e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
+    s = small_grid()
+    e = build_snowflake(s, 0.5, 0.1, seed=1)
     plan = e.plan
+    # l2 keeps each scale's pair distances, not a block; its width is the
+    # rank bound min(n, sum over distinct clusters of |C| - 1)
     for sc in e.scales:
-        assert sc.group == sc.i % plan.p
-        assert 0 <= sc.offset <= e.assembled_k - sc.k
-    # grouped layout: total width is the sum of per-group maxima
-    widths = {}
-    for sc in e.scales:
-        widths[sc.group] = max(widths.get(sc.group, 0), sc.k)
-    assert e.assembled_k == sum(widths.values())
-    # the l2 output is that layout rewritten in at most n - 1 coordinates
+        assert sc.coords is None
+        assert (sc.dists is None) == (sc.k == 0)
+        assert 0 <= sc.k <= e.n
+    for sc in e.scales[::25]:
+        sp = SingleScaleParams(r=sc.r, eps=0.1, delta=plan.delta, norm=2.0,
+                               seed=sc.seed, rescale_c=0.0, dim_hat=e.dim_hat)
+        clusters = single_scale.scale_clusters(s, sp).clusters
+        assert sc.k == min(e.n, sum(len(c.members) - 1 for c in clusters))
+    # direct sum: total width is the sum of the scale widths
+    assert e.assembled_k == sum(sc.k for sc in e.scales)
+    # the l2 output is that sum rewritten in at most n - 1 coordinates
+    assert np.allclose(pdist(e.coords), direct_sum_distances(e),
+                       rtol=1e-12, atol=0.0)
     assert e.k == e.coords.shape[1] <= e.n - 1 < e.assembled_k
     assert e.theory_k == plan.p * e.theory_k_scale
+
+
+def test_l2_snowflake_realizes_no_cluster_and_squeezes_no_block(monkeypatch):
+    import snowdim
+    import snowdim.projection as projection
+    import snowdim.transforms as transforms
+    originals = {"euclidean_realization": transforms.euclidean_realization,
+                 "exact_reduce": projection.exact_reduce}
+    calls = dict.fromkeys(originals, 0)
+
+    def counting(name):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapped
+
+    # every module that holds a reference, so no lookup escapes the count
+    for mod in (snowdim, transforms, projection, single_scale, snowflake):
+        for name in originals:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name))
+    e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
+    assert distortion_audit(e).passed
+    assert calls == {"euclidean_realization": 0, "exact_reduce": 0}
+    # the counter does see the single-scale path
+    build_single_scale(small_grid(), SingleScaleParams(2.0, 0.1, 0.1))
+    assert calls["euclidean_realization"] > 0
 
 
 def test_theory_k_independent_of_n():
@@ -178,6 +223,12 @@ def test_lp_smoke():
     assert rep.extras["min_dominant_ratio"] >= 0.45
     assert rep.extras["max_tail_ratio"] <= 1.0
     assert e.k == e.assembled_k           # l1 keeps the grouped layout
+    # grouped layout: total width is the sum of the maxima per residue
+    # class i mod p
+    widths = {}
+    for sc in e.scales:
+        widths[sc.i % e.plan.p] = max(widths.get(sc.i % e.plan.p, 0), sc.k)
+    assert e.assembled_k == sum(widths.values())
 
     s_inf = normalize(PointSet(np.array([[0.0], [1.0], [2.5], [4.0]]),
                                norm=np.inf))
@@ -238,7 +289,8 @@ def test_scale_errors_name_the_scale_and_chain(monkeypatch):
     def fail(s, params):
         raise cause
 
-    monkeypatch.setattr(snowflake, "build_single_scale", fail)
+    # the l2 path decomposes each scale with scale_clusters
+    monkeypatch.setattr(snowflake, "scale_clusters", fail)
     with pytest.raises(NotEuclidean) as info:
         build_snowflake(line_pair(), 0.5, 0.1, seed=0)
     assert str(info.value).startswith("scale i=")
@@ -252,7 +304,7 @@ def test_scale_errors_name_the_scale_and_chain(monkeypatch):
     def crash(s, params):
         raise other
 
-    monkeypatch.setattr(snowflake, "build_single_scale", crash)
+    monkeypatch.setattr(snowflake, "scale_clusters", crash)
     with pytest.raises(MemoryError) as info:
         build_snowflake(line_pair(), 0.5, 0.1, seed=0)
     assert info.value is other
