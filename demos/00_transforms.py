@@ -4,9 +4,10 @@ Distance transforms, Gram realization, random projection
 
 The three saturating transforms behind every embedding here, plus the
 two coordinate engines: exact Gram realization (a transformed l2 metric
-is again l2), which every l2 build uses, and a certified random
-projection, a standalone utility that no build calls: a cluster map is
-never wider than its cluster, and the output is reduced exactly.
+is again l2; the l2 builds factor the same kind of Gram, summed over
+their clusters in closed form), and a certified random projection, a
+standalone utility that no build calls: every l2 output is factored
+exactly in at most n columns.
 """
 
 import numpy as np

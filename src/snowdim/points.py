@@ -117,6 +117,8 @@ class PointSet:
             raise BadParams(f"points must be 2-d, got shape {self.points.shape}")
         if not np.isfinite(self.points).all():
             raise BadParams("points must be finite; got NaN or infinity")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise BadParams(f"scale must be positive and finite, got {self.scale}")
         self.norm = norm_tag(self.norm)
 
     @property
@@ -399,18 +401,26 @@ def dumps_csv(s: PointSet) -> str:
 
 
 def loads_csv(text: str) -> PointSet:
+    """Read ``dumps_csv`` text. A bad header raises HeaderMismatch; a cell
+    that is no number, or rows of unequal length, raise BadParams."""
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#"):
         raise HeaderMismatch("point-set CSV must start with a '# norm=.. scale=..' header")
-    fields = dict(part.split("=", 1) for part in lines[0].lstrip("# ").split())
     try:
+        fields = dict(part.split("=", 1)
+                      for part in lines[0].lstrip("# ").split())
         norm = norm_tag(fields["norm"])
         scale = float(fields["scale"])
     except (KeyError, ValueError) as exc:
         raise HeaderMismatch(f"bad point-set CSV header: {lines[0]!r}") from exc
-    rows = [[float(v) for v in row] for row in csv.reader(lines[1:]) if row]
+    try:
+        rows = [[float(v) for v in row] for row in csv.reader(lines[1:]) if row]
+    except ValueError as exc:
+        raise BadParams(f"bad point-set CSV cell: {exc}") from exc
     if not rows:
         raise EmptyInput("point-set CSV has no data rows")
+    if len({len(row) for row in rows}) > 1:
+        raise BadParams("point-set CSV rows differ in length")
     return PointSet(np.array(rows), norm, scale)
 
 
@@ -424,15 +434,27 @@ def dumps_json(s: PointSet) -> str:
 
 
 def loads_json(text: str) -> PointSet:
-    doc = json.loads(text)
+    """Read ``dumps_json`` text. Invalid JSON, a missing key, or a bad
+    norm or scale raise HeaderMismatch; points that are no numeric
+    matrix raise BadParams."""
     try:
-        return PointSet(np.array(doc["points"], dtype=np.float64),
-                        norm_tag(doc["norm"]), float(doc.get("scale", 1.0)))
-    except (KeyError, TypeError) as exc:
-        raise HeaderMismatch("bad point-set JSON document") from exc
+        doc = json.loads(text)
+        rows = doc["points"]
+        norm = norm_tag(doc["norm"])
+        scale = float(doc.get("scale", 1.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HeaderMismatch(f"bad point-set JSON document: {exc}") from exc
+    try:
+        pts = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise BadParams(f"bad point-set JSON points: {exc}") from exc
+    return PointSet(pts, norm, scale)
 
 
 def load(path) -> PointSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise HeaderMismatch(f"point-set file {path} is not UTF-8 text") from exc
     return loads_json(text) if text.lstrip().startswith("{") else loads_csv(text)

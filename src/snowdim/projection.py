@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, NotEuclidean
-from .transforms import EIG_RTOL
+from .errors import BadParams
+from .transforms import factor_gram
 
 #: fresh Gaussian draws per target dimension before bumping it
 MAX_TRIES = 64
 #: dimension growth factor after MAX_TRIES misses
 BUMP = 1.25
-#: Gram eigenvalues below this fraction of the largest are dropped
-REDUCE_RTOL = 1e-12
 
 
 def jl_dimension(eps: float, n: int) -> int:
@@ -43,31 +41,6 @@ class ProjectionInfo:
     identity: bool
     max_ratio: float        # after post-scaling; 1.0 when certified
     min_ratio: float
-
-
-def factor_gram(gram: np.ndarray) -> np.ndarray:
-    """Rows y with y @ y.T equal to the symmetric PSD matrix ``gram``.
-
-    Eigenvalues below REDUCE_RTOL * max are dropped, so y has at most
-    rank(gram) columns, leading coordinates first. Raises NotEuclidean
-    when the smallest eigenvalue lies below -EIG_RTOL * max: the matrix
-    is no Gram matrix of any point set.
-    """
-    n = gram.shape[0]
-    gram = 0.5 * (gram + gram.T)
-    vals, vecs = np.linalg.eigh(gram)
-    top = max(float(vals[-1]), 0.0) if n else 0.0
-    if n and vals[0] < -EIG_RTOL * top:
-        raise NotEuclidean(
-            f"most negative Gram eigenvalue {vals[0]:.6g} below "
-            f"tolerance {-EIG_RTOL * top:.6g}; the matrix is not a Gram "
-            f"matrix")
-    keep = vals > REDUCE_RTOL * top
-    if not keep.any():
-        return np.zeros((n, 0))
-    # leading coordinates first; eigh sorts ascending
-    y = vecs[:, keep] * np.sqrt(vals[keep])
-    return np.ascontiguousarray(y[:, ::-1])
 
 
 def exact_reduce(x: np.ndarray) -> np.ndarray:

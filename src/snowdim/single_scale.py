@@ -1,26 +1,31 @@
 """Single-scale embedding: padded decomposition, per-cluster transform
-embeddings, smoothing, direct sum.
+maps, smoothing, direct sum.
 
 For a scale r the pipeline is: sample a padded decomposition of the whole
-set; realize the transformed metric of each cluster exactly (Gram
-realization for l2, trace-merged cuts for l1, per-net-point threshold
+set; map each cluster through its transformed metric (the Gaussian
+transform for l2, trace-merged cuts for l1, per-net-point threshold
 coordinates for l-infinity, where the l1 and l-infinity maps read a net
-of radius eps*delta*r, a quarter of that for l-infinity). The l1 cuts of
-a cluster whose source metric is a line are closed-form arcs in the line
-order (``circular_cuts``); every other l1 cluster gets the cut LP's
-cuts (``cut_decomposition``), which stops at 14 points. Then fade each
+of radius eps*delta*r, a quarter of that for l-infinity); fade each
 cluster map to zero near the cluster boundary with the smoothing weight
 min(1, (delta/r) * dist(x, outside)); direct-sum the partitions with the
 norm's combining scale and apply the final global rescale. Every point is
-decomposed, so no point needs an extension; an l2 scale still stays within
-n columns because the assembly is squeezed by ``exact_reduce``.
-``scale_clusters`` is the first half alone: the decomposition and each
-distinct cluster's count and smoothing, which the l2 snowflake reads
-without realizing any cluster.
+decomposed, so no point needs an extension.
 
-The finished embedding keeps everything needed for the audit: the raw
-per-cluster maps, the smoothing weights, and the fully scaled coordinate
-matrix whose rows are the images of every input point.
+l2 realizes no cluster: the Gram of the scale's direct sum is summed in
+closed form from its clusters (``_scale_gram``, which the l2 snowflake
+sums across scales too), and one ``factor_gram`` writes at most n
+coordinates. l1 and l-infinity build each distinct cluster's map in its
+own column block. The l1 cuts of a cluster whose source
+metric is a line are closed-form arcs in the line order
+(``circular_cuts``); every other l1 cluster gets the cut LP's cuts
+(``cut_decomposition``), which stops at 14 points. ``scale_clusters`` is
+the first half alone: the decomposition and each distinct cluster's
+count and smoothing.
+
+The finished embedding keeps everything needed for the audit: the
+distinct clusters with their smoothing weights (and, in l1 and
+l-infinity, their raw maps) and the fully scaled coordinate matrix whose
+rows are the images of every input point.
 """
 
 from __future__ import annotations
@@ -37,10 +42,9 @@ from .decomposition import PaddedDecomposition, build_decomposition
 from .errors import BadParams, EmptyInput, HeaderMismatch, PaddingUnachievable
 from .points import (Net, PointSet, _pairwise, estimate_doubling, greedy_net,
                      norm_label, norm_tag, require_normalized, vector_norm)
-from .projection import exact_reduce
-from .transforms import (Cut, circular_cuts, cut_decomposition,
-                         euclidean_realization, gaussian_transform,
-                         laplace_transform, line_order, threshold_transform)
+from .transforms import (Cut, circular_cuts, cut_decomposition, factor_gram,
+                         gaussian_transform, laplace_transform, line_order,
+                         threshold_transform)
 
 #: delta_decomp = 3 * C_PAD * max(1, dim_hat) * r / delta
 C_PAD = 8.0
@@ -117,10 +121,12 @@ class ClusterEntry:
     add for l2, linear for l1, and the max is idempotent for l-infinity).
 
     ``coords`` is the raw cluster map f_C (before smoothing and scaling),
-    rows aligned with ``members`` (indices into the point set); the l2 and
-    l1 maps put the first member at the origin, keeping every image norm
-    at most r. ``scale_clusters`` leaves it None; ``build_single_scale``
-    fills it in.
+    rows aligned with ``members`` (indices into the point set); the l1 map
+    puts the first member at the origin, keeping every image norm at most
+    r. ``scale_clusters`` leaves it None and ``build_single_scale`` fills
+    it in for l1 and l-infinity. On l2 it stays None: the build sums the
+    clusters' closed-form Grams instead, and ``contract_audit`` factors
+    each cluster's Gram to measure its map.
     """
     members: np.ndarray
     count: int                             # partitions containing the cluster
@@ -195,15 +201,6 @@ def theory_dimension(eps: float, delta: float, eps_pad: float,
     else:
         k_hat = 2 ** min(int(math.ceil(math.exp(min(log_card, 50.0)))), 20)
     return m_hat * k_hat
-
-
-def _embed_cluster_l2(dmat_c, r: float) -> np.ndarray:
-    g = gaussian_transform(dmat_c, r)
-    np.fill_diagonal(g, 0.0)
-    # row-major: BLAS products over the map (the audit's pairwise
-    # distances) round differently for another layout
-    x = np.ascontiguousarray(euclidean_realization(g))
-    return x - x[0]                        # first member at the origin
 
 
 def _embed_cluster_l1(dmat_c, net_local: np.ndarray, r: float,
@@ -312,6 +309,45 @@ def scale_clusters(s: PointSet, params: SingleScaleParams) -> ScaleClusters:
     return ScaleClusters(p, dim_hat, dec, entries)
 
 
+def _scale_gram(sc: ScaleClusters,
+                dmat: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """The Gram matrix of one l2 scale's map, with its rank bound.
+
+    Cluster C's Gaussian-transform map, with member c0 = C[0] at the
+    origin, has the closed-form Gram Gamma_C = (T[C, c0] + T[c0, C] -
+    T[C, C]) / 2 with T = G_r(d)^2; it is positive semidefinite because
+    the Gaussian kernel is positive definite (Schoenberg, 1938). The
+    scale's Gram is the sum over distinct clusters of
+    (count_C / m) (w_C w_C^T) * Gamma_C, elementwise in the product. With
+    u_C the weights and v_C the weights times T[., c0] on C's rows (zero
+    elsewhere), that sum is (Q + Q^T - T * P) / 2 for Q = sum_C c_C u_C
+    v_C^T and P = sum_C c_C u_C u_C^T: two dense products over the
+    clusters, where a scatter per cluster would loop in Python.
+    Singletons add nothing and are skipped. The rank bound is
+    min(n, sum_C (|C| - 1)), 0 exactly when no cluster has two points,
+    and then there is no Gram (None).
+    """
+    n = dmat.shape[0]
+    multi = [c for c in sc.clusters if len(c.members) > 1]
+    k = min(n, sum(len(c.members) - 1 for c in multi))
+    if not k:
+        return 0, None
+    t = np.square(gaussian_transform(dmat, sc.params.r))
+    sizes = [len(c.members) for c in multi]
+    rows = np.concatenate([c.members for c in multi])
+    cols = np.repeat(np.arange(len(multi)), sizes)
+    roots = np.repeat([c.members[0] for c in multi], sizes)
+    w = np.concatenate([c.weights for c in multi])
+    coef = np.array([c.count for c in multi], dtype=np.float64) / sc.m
+    u = np.zeros((n, len(multi)))
+    v = np.zeros((n, len(multi)))
+    u[rows, cols] = w
+    v[rows, cols] = w * t[rows, roots]
+    uc = u * coef
+    q = uc @ v.T
+    return k, 0.5 * (q + q.T - t * (uc @ u.T))
+
+
 def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmbedding:
     """Assemble the embedding; see the module docstring for the pipeline.
 
@@ -319,49 +355,37 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     sc = scale_clusters(s, params)
     p, entries, m = sc.params, sc.clusters, sc.m
     n = s.n
-    # only the l1 and l-infinity cluster maps read the net
-    net = greedy_net(s, p.net_radius) if p.norm != 2.0 else None
-    dmat = s.distance_matrix()
+    rescale = 1.0 / (1.0 + p.rescale_c * p.eps)
+    th_k = theory_dimension(p.eps, p.delta, EPS_PAD, sc.dim_hat, p.norm)
+    if p.norm == 2.0:
+        # the direct sum's Gram, rescaled; factored uncentered, so every
+        # image keeps its norm, which the audit bounds
+        k, gram = _scale_gram(sc, s.distance_matrix())
+        coords = factor_gram(rescale ** 2 * gram) if k else np.zeros((n, 0))
+        return SingleScaleEmbedding(p, s, None, sc.dim_hat, sc.decomposition,
+                                    entries, m, coords.shape[1], th_k,
+                                    1.0 / math.sqrt(m), rescale, coords, 0)
 
-    # --- embed each distinct cluster. At a saturated l2 scale G_r maps
-    # every pair to exactly r, so all clusters of one size share a
-    # bitwise-identical transformed metric and one (read-only)
-    # realization; a closed-form simplex would not do, since its rotation
-    # would change the single-scale bytes.
-    saturated = (p.norm == 2.0 and n > 1
-                 and gaussian_transform(s.min_distance(), p.r) == p.r)
-    shared: dict[int, np.ndarray] = {}
+    # --- embed each distinct cluster; the l1 and l-infinity maps read the net
+    net = greedy_net(s, p.net_radius)
+    dmat = s.distance_matrix()
     cuts_by_metric: dict[bytes, list[Cut]] = {}
     in_net = np.zeros(n, dtype=bool)
-    if net is not None:
-        in_net[net.members] = True
+    in_net[net.members] = True
     empty_net = 0
     for c in entries:
         members = c.members
-        if p.norm == 2.0:
-            coords = shared.get(len(members))
-            if coords is None:
-                coords = _embed_cluster_l2(dmat[np.ix_(members, members)], p.r)
-                if saturated:
-                    coords.flags.writeable = False
-                    shared[len(members)] = coords
+        dmat_c = dmat[np.ix_(members, members)]
+        net_local = np.flatnonzero(in_net[members])
+        empty_net += len(net_local) == 0
+        if p.norm == 1.0:
+            c.coords = _embed_cluster_l1(dmat_c, net_local, p.r,
+                                         cuts_by_metric)
         else:
-            dmat_c = dmat[np.ix_(members, members)]
-            net_local = np.flatnonzero(in_net[members])
-            empty_net += len(net_local) == 0
-            if p.norm == 1.0:
-                coords = _embed_cluster_l1(dmat_c, net_local, p.r,
-                                           cuts_by_metric)
-            else:
-                coords = _embed_cluster_linf(dmat_c, net_local, p.r)
-        c.coords = coords
+            c.coords = _embed_cluster_linf(dmat_c, net_local, p.r)
 
     # --- direct sum with the norm's combining scale, then the global rescale
-    rescale = 1.0 / (1.0 + p.rescale_c * p.eps)
-    if p.norm == 2.0:
-        combine = 1.0 / math.sqrt(m)
-        coeffs = [math.sqrt(c.count) * combine for c in entries]
-    elif p.norm == 1.0:
+    if p.norm == 1.0:
         combine = 1.0 / m
         coeffs = [c.count * combine for c in entries]
     else:
@@ -375,13 +399,6 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
             block = c.coords * (c.weights[:, None] * coeff * rescale)
             coords[c.members, col:col + c.k] = block
         col += c.k
-
-    # an n-point l2 assembly never needs more than n coordinates; squeezing
-    # the block-diagonal layout down keeps wide multi-partition builds small
-    if p.norm == 2.0 and k > n:
-        coords = exact_reduce(coords)
-        k = coords.shape[1]
-    th_k = theory_dimension(p.eps, p.delta, EPS_PAD, sc.dim_hat, p.norm)
     return SingleScaleEmbedding(p, s, net, sc.dim_hat, sc.decomposition,
                                 entries, m, k, th_k, combine, rescale, coords,
                                 empty_net)
@@ -443,6 +460,7 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     (iii) the smoothing h never exceeds the distance to any point outside
         the cluster (h is that minimum, recomputed here);
     product rule: the smoothed per-cluster map is (1 + delta)-Lipschitz.
+    An l2 cluster is measured through its factored closed-form Gram.
     """
     p = e.params
     dmat = e.source.distance_matrix()
@@ -454,12 +472,17 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     worst_product = 0.0       # max smoothed same-cluster Lipschitz ratio
     for entry in e.clusters:
         members = entry.members
+        dsub = dmat[np.ix_(members, members)]
         raw = entry.coords
-        if entry.k:
+        if raw is None:
+            # l2 keeps no cluster map: factor its closed-form Gram, a map
+            # isometric to it with the first member at the origin
+            t = np.square(gaussian_transform(dsub, p.r))
+            raw = factor_gram(0.5 * (t[:, :1] + t[:1, :] - t))
+        if raw.shape[1]:
             max_f_norm = max(max_f_norm,
                              float(vector_norm(raw, p.norm).max()))
         if len(members) > 1:
-            dsub = dmat[np.ix_(members, members)]
             fsub = _pairwise(raw, p.norm)
             tsub = np.asarray(tf(dsub, p.r))
             np.fill_diagonal(tsub, 0.0)

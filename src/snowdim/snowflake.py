@@ -12,12 +12,13 @@ the width.
 How the maps are combined depends on the norm:
 
 * l2 sums the scales directly through one Gram matrix. Each scale's Gram
-  is summed in closed form from its distinct clusters (``_scale_gram``),
-  so no cluster is realized and no per-scale block is written; the scale
-  keeps only its pair distances, for the audit. One eigendecomposition
-  of the double-centered total writes the output in at most n - 1
-  coordinates with the direct sum's pair distances. ``assembled_k`` is
-  the direct sum's width, the sum of the per-scale rank bounds.
+  is the one its single-scale build factors, summed in closed form from
+  its distinct clusters (``single_scale._scale_gram``), so no cluster is
+  realized and no per-scale block is written; the scale keeps only its
+  pair distances, for the audit. One ``factor_gram`` of the
+  double-centered total writes the output in at most n - 1 coordinates
+  with the direct sum's pair distances. ``assembled_k`` is the direct
+  sum's width, the sum of the per-scale rank bounds.
 * l1 keeps the paper's round-robin grouping: scales of one residue class
   i mod p are summed coordinate-wise and the p groups are direct-summed.
   l1 has no exact dimension-free reduction, so the layout is the output.
@@ -57,13 +58,11 @@ from . import report as report_mod
 from .errors import BadParams, ClusterTooLarge, EmptyInput, SnowdimError
 from .points import (PointSet, _pair_distances, _pairwise, estimate_doubling,
                      norm_label, norm_tag, require_normalized)
-from .projection import factor_gram
 from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleEmbedding,
-                           SingleScaleParams, _dumps_coords,
+                           SingleScaleParams, _dumps_coords, _scale_gram,
                            build_single_scale, scale_clusters,
                            theory_dimension)
-from .transforms import gaussian_transform
-from .transforms import MAX_CUT_POINTS, line_order
+from .transforms import MAX_CUT_POINTS, factor_gram, line_order
 
 #: offset added to the scale index when deriving per-scale seeds, so the
 #: seed entropy stays nonnegative for any sane index window
@@ -322,45 +321,6 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     return SnowflakeEmbedding(plan, s, seed, dim_hat, entries, out.shape[1],
                               assembled_k, plan.p * theory_k_scale,
                               theory_k_scale, out)
-
-
-def _scale_gram(sc: ScaleClusters,
-                dmat: np.ndarray) -> tuple[int, np.ndarray | None]:
-    """The Gram matrix of one l2 scale's map, with its rank bound.
-
-    Cluster C's Gaussian-transform map, with member c0 = C[0] at the
-    origin, has the closed-form Gram Gamma_C = (T[C, c0] + T[c0, C] -
-    T[C, C]) / 2 with T = G_r(d)^2; it is positive semidefinite because
-    the Gaussian kernel is positive definite (Schoenberg, 1938). The
-    scale's Gram is the sum over distinct clusters of
-    (count_C / m) (w_C w_C^T) * Gamma_C, elementwise in the product. With
-    u_C the weights and v_C the weights times T[., c0] on C's rows (zero
-    elsewhere), that sum is (Q + Q^T - T * P) / 2 for Q = sum_C c_C u_C
-    v_C^T and P = sum_C c_C u_C u_C^T: two dense products over the
-    clusters, where a scatter per cluster would loop in Python.
-    Singletons add nothing and are skipped. The rank bound is
-    min(n, sum_C (|C| - 1)), 0 exactly when no cluster has two points,
-    and then there is no Gram (None).
-    """
-    n = dmat.shape[0]
-    multi = [c for c in sc.clusters if len(c.members) > 1]
-    k = min(n, sum(len(c.members) - 1 for c in multi))
-    if not k:
-        return 0, None
-    t = np.square(gaussian_transform(dmat, sc.params.r))
-    sizes = [len(c.members) for c in multi]
-    rows = np.concatenate([c.members for c in multi])
-    cols = np.repeat(np.arange(len(multi)), sizes)
-    roots = np.repeat([c.members[0] for c in multi], sizes)
-    w = np.concatenate([c.weights for c in multi])
-    coef = np.array([c.count for c in multi], dtype=np.float64) / sc.m
-    u = np.zeros((n, len(multi)))
-    v = np.zeros((n, len(multi)))
-    u[rows, cols] = w
-    v[rows, cols] = w * t[rows, roots]
-    uc = u * coef
-    q = uc @ v.T
-    return k, 0.5 * (q + q.T - t * (uc @ u.T))
 
 
 def _grouped_layout(entries: list[ScaleEntry],

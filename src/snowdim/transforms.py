@@ -9,10 +9,13 @@ Three bounded concave transforms, one per host norm:
 All keep small distances nearly intact and saturate near r. The identity
 L_r(t) = r * G(sqrt(t/r))^2 ties the first two together.
 
-Realizations turn a transformed distance matrix back into coordinates:
-Gram-based MDS for Euclidean inputs, cuts for l1 (closed-form circular
+Realizations turn a transformed metric back into coordinates. Euclidean
+maps have one Gram factorizer, ``factor_gram``: the l2 builds factor the
+closed-form Gram sums of their clusters with it, and
+``euclidean_realization`` (classical MDS of a distance matrix) is
+centering plus ``factor_gram``. l1 maps are cuts (closed-form circular
 splits when the source metric is a line, a cut-measure LP otherwise), and
-per-landmark threshold coordinates for l-infinity.
+l-infinity maps are per-landmark threshold coordinates.
 """
 
 from __future__ import annotations
@@ -69,40 +72,50 @@ def threshold_transform(t, r: float):
     return out if out.ndim else float(out)
 
 
+def factor_gram(gram: np.ndarray) -> np.ndarray:
+    """Rows y with y @ y.T equal to the symmetric PSD matrix ``gram``.
+
+    Eigenvalues at or below EIG_KEEP_RTOL * max are dropped, so y has at
+    most rank(gram) columns, leading coordinates first. Raises
+    NotEuclidean when the smallest eigenvalue lies below -EIG_RTOL * max:
+    the matrix is no Gram matrix of any point set.
+    """
+    n = gram.shape[0]
+    gram = 0.5 * (gram + gram.T)
+    vals, vecs = np.linalg.eigh(gram)
+    top = max(float(vals[-1]), 0.0) if n else 0.0
+    if n and vals[0] < -EIG_RTOL * top:
+        raise NotEuclidean(
+            f"most negative Gram eigenvalue {vals[0]:.6g} below "
+            f"tolerance {-EIG_RTOL * top:.6g}; the matrix is not a Gram "
+            f"matrix")
+    keep = vals > EIG_KEEP_RTOL * top
+    if not keep.any():
+        return np.zeros((n, 0))
+    # leading coordinates first; eigh sorts ascending
+    y = vecs[:, keep] * np.sqrt(vals[keep])
+    return np.ascontiguousarray(y[:, ::-1])
+
+
 def euclidean_realization(dmat: np.ndarray) -> np.ndarray:
     """Exact coordinates for a Euclidean distance matrix.
 
-    Classical Gram reconstruction: B = -1/2 J D^2 J, eigendecompose, keep
-    eigenvalues above EIG_KEEP_RTOL * lambda_max. Mildly negative
-    eigenvalues (>= -EIG_RTOL * lambda_max) are treated as rounding noise and
-    clamped to zero; anything lower raises NotEuclidean. B always has the
-    all-ones vector in its kernel, so when all n eigenvalues pass the cutoff
-    the smallest is that null direction's noise and is dropped too. Returns
-    an (n, k) array with k = rank(B) <= n - 1; a single point realizes as
-    shape (1, 0).
+    Classical Gram reconstruction: the centered Gram B = -1/2 J D^2 J,
+    factored by ``factor_gram`` (which raises NotEuclidean on a spectrum
+    too negative for any point set). B has the all-ones vector in its
+    kernel, so at most n - 1 columns are kept: when that null direction's
+    rounding noise passes the cutoff it is dropped. Returns an (n, k)
+    array with k = rank(B) <= n - 1; a single point realizes as shape
+    (1, 0).
     """
     dmat = np.asarray(dmat, dtype=np.float64)
     n = dmat.shape[0]
     if dmat.shape != (n, n):
         raise BadParams(f"distance matrix must be square, got {dmat.shape}")
-    if n == 1:
-        return np.zeros((1, 0))
     d2 = np.square(dmat)
-    d2 = 0.5 * (d2 + d2.T)
     b = d2 - d2.mean(axis=0) - d2.mean(axis=1)[:, None] + d2.mean()
     b *= -0.5
-    vals, vecs = np.linalg.eigh(b)
-    lam_max = max(float(vals[-1]), 0.0)
-    floor = -EIG_RTOL * lam_max
-    if vals[0] < floor:
-        raise NotEuclidean(
-            f"most negative Gram eigenvalue {vals[0]:.6g} below "
-            f"tolerance {floor:.6g}; distances are not Euclidean")
-    pos = vals > EIG_KEEP_RTOL * lam_max
-    if pos.all():
-        pos[0] = False
-    x = vecs[:, pos] * np.sqrt(vals[pos])
-    return x[:, ::-1]          # leading coordinate first
+    return factor_gram(b)[:, :n - 1]
 
 
 @dataclass

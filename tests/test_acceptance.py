@@ -3,7 +3,8 @@
 One test per guarantee, each measuring exhaustively (all pairs, all
 clusters, all scales) at the stated tolerances: distance-transform
 identities, Gram realization accuracy, the three l2 single-scale
-contracts, the per-cluster invariants, coarse scales decomposed whole,
+contracts and the one-Gram build against a cluster-by-cluster reference,
+the per-cluster invariants, coarse scales decomposed whole,
 the snowflake band and its dimension accounting (an l2 output in at
 most n - 1 coordinates), per-scale mass
 localization, exact l-infinity Frechet properties, the l1 cut path,
@@ -39,6 +40,8 @@ ALPHAS = (0.5, 0.7)
 def corpus_set(name):
     if name == "grid8":
         s = generate("grid", side=8, dims=2)
+    elif name == "line40":
+        s = generate("line", n=40)
     elif name == "subspace200":
         s = generate("subspace", n=200, ambient_dim=50, intrinsic_dim=3,
                      seed=0)
@@ -139,6 +142,23 @@ def test_l2_single_scale_contracts_on_corpus():
         assert total < 300.0
 
 
+def test_l2_single_scale_matches_the_cluster_reference(l2_reference):
+    # the one-Gram build against every cluster realized on its own, from
+    # scales of many singletons through saturated ones to a single cluster;
+    # pairs that are singletons everywhere sit at 0 in the reference
+    for name in CORPUS + ("line40",):
+        for r in (0.02, 0.05, 0.3, 2.0, 200.0):
+            e, rep, _ = l2_build(name, 0, r)
+            ref = l2_reference(e.source, e)
+            assert np.allclose(pdist(e.coords), pdist(ref), rtol=1e-9,
+                               atol=1e-12 * r)
+            assert np.allclose(np.linalg.norm(e.coords, axis=1),
+                               np.linalg.norm(ref, axis=1), rtol=0.0,
+                               atol=1e-9 * r)
+            assert e.k <= e.n
+            assert rep.passed
+
+
 # 4. per-cluster invariants, exhaustively on every l2 build
 
 
@@ -226,9 +246,9 @@ def scale_kinds(e_i):
     return kinds
 
 
-def test_l2_scale_distances_match_the_single_scale_blocks():
+def test_l2_scale_distances_match_the_single_scale_blocks(l2_reference):
     # each scale's stored distances come from its Gram matrix; the oracle
-    # realizes every cluster and squeezes the block the single-scale way.
+    # realizes every cluster on its own and writes the wide direct sum.
     # The coarsest scale of each kind is checked, finest last.
     alpha = 0.5
     for name in CORPUS:
@@ -239,12 +259,13 @@ def test_l2_scale_distances_match_the_single_scale_blocks():
             sp = SingleScaleParams(r=sc.r, eps=EPS, delta=plan.delta,
                                    norm=plan.norm, seed=sc.seed,
                                    rescale_c=0.0, dim_hat=e.dim_hat)
-            kinds = scale_kinds(single_scale.scale_clusters(s, sp)) & todo
+            clusters = single_scale.scale_clusters(s, sp)
+            kinds = scale_kinds(clusters) & todo
             if not kinds:
                 continue
             todo -= kinds
             w = (1.0 + EPS) ** (-sc.i * (1.0 - alpha))
-            want = w * pdist(build_single_scale(s, sp).coords)
+            want = w * pdist(l2_reference(s, clusters))
             if kinds == {"singletons"}:
                 assert sc.k == 0 and sc.dists is None
                 assert not want.any()

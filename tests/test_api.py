@@ -1,8 +1,10 @@
 """Public surface: every error type is raised somewhere, every export
-resolves."""
+resolves, every function the traced benchmark names exists."""
 
 import ast
+import importlib
 import inspect
+import json
 from pathlib import Path
 
 import snowdim
@@ -72,3 +74,24 @@ def test_no_dead_private_definitions():
     assert defined
     assert [f"{mod}:{name}" for mod, name in defined if name not in used] \
         == []
+
+
+def test_every_function_the_traced_benchmark_names_exists():
+    # the traced bench reports a time and a call count per function that
+    # BENCHMARK.json names; removing one of them breaks that run
+    spec = json.loads((Path(__file__).resolve().parents[1]
+                       / "BENCHMARK.json").read_text(encoding="utf-8"))
+    named = set()
+    for metric in spec["per_layer"]:
+        parts = metric["name"].split(".")
+        if len(parts) == 3 and parts[2] in ("s", "calls"):
+            named.add((parts[0], parts[1]))
+    assert named
+    missing = []
+    for layer, name in sorted(named):
+        mod = importlib.import_module(f"snowdim.{layer}")
+        obj = getattr(mod, name, None)
+        if (name.startswith("_") or not inspect.isfunction(obj)
+                or obj.__module__ != mod.__name__):
+            missing.append(f"{layer}.{name}")
+    assert missing == []

@@ -70,6 +70,25 @@ def test_stats_reports_metric_facts(tmp_path, capsys):
     assert doc["doubling_dim_hat"] >= 1.0
 
 
+@pytest.mark.parametrize("text", [
+    "# norm\n0,1\n",
+    "# norm=2 scale=1\n0,abc\n",
+    "# norm=2 scale=1\n0,1\n2\n",
+    '{"norm": "2", "points": [[0], [1]',
+    '{"norm": "2", "points": [[0, "x"]]}',
+    '{"norm": "2", "scale": "abc", "points": [[0], [1]]}',
+], ids=["header", "cell", "ragged", "json", "json-cell", "json-scale"])
+def test_stats_refuses_a_malformed_file_without_traceback(tmp_path, capsys,
+                                                          text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "stats", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("snowdim: error: ")
+    assert "Traceback" not in err
+
+
 # --- embeddings
 
 

@@ -11,7 +11,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from snowdim import points
 from snowdim.errors import (BadParams, DuplicatePoints, EmptyInput,
-                            IndexOutOfRange, UnknownKind)
+                            HeaderMismatch, IndexOutOfRange, UnknownKind)
 from snowdim.points import (PointSet, _pairwise, estimate_doubling, generate,
                             greedy_net, loads_csv, loads_json, dumps_csv,
                             dumps_json, normalize, norm_tag)
@@ -279,6 +279,41 @@ def test_json_roundtrip_exact():
     assert s2.scale == s.scale
     doc = json.loads(dumps_json(s))
     assert set(doc) == {"norm", "scale", "points"}
+
+
+@pytest.mark.parametrize("loads, text, error", [
+    (loads_csv, "# norm\n0,1\n", HeaderMismatch),
+    (loads_csv, "# norm=2 scale=abc\n0\n1\n", HeaderMismatch),
+    (loads_csv, "# norm=2 scale=1\n0,abc\n", BadParams),
+    (loads_csv, "# norm=2 scale=1\n0,1\n2\n", BadParams),
+    (loads_csv, "# norm=2 scale=nan\n0\n1\n", BadParams),
+    (loads_json, '{"norm": "2", "points": [[0], [1]', HeaderMismatch),
+    (loads_json, '[[0], [1]]', HeaderMismatch),
+    (loads_json, '{"norm": "2", "scale": "abc", "points": [[0], [1]]}',
+     HeaderMismatch),
+    (loads_json, '{"norm": "2", "points": [[0, "x"]]}', BadParams),
+    (loads_json, '{"norm": "2", "points": [[0, 1], [2]]}', BadParams),
+    (loads_json, '{"norm": "2", "scale": -1, "points": [[0], [1]]}',
+     BadParams),
+], ids=["csv-header-field", "csv-scale", "csv-cell", "csv-ragged",
+        "csv-nan-scale", "json-syntax", "json-not-object", "json-scale",
+        "json-cell", "json-ragged", "json-negative-scale"])
+def test_malformed_point_files_raise_typed_errors(loads, text, error):
+    with pytest.raises(error):
+        loads(text)
+
+
+def test_binary_point_file_raises_header_mismatch(tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"# norm=2 scale=1\n\xff\xfe\n")
+    with pytest.raises(HeaderMismatch, match="UTF-8"):
+        points.load(path)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0])
+def test_point_set_scale_must_be_positive_and_finite(scale):
+    with pytest.raises(BadParams, match="scale"):
+        PointSet([[0.0], [1.0]], scale=scale)
 
 
 def test_index_checks():

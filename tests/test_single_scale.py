@@ -2,22 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 import snowdim
-from snowdim import decomposition, extension, points, single_scale
+from snowdim import (decomposition, extension, points, single_scale,
+                     transforms)
 from snowdim import snowflake as snowflake_mod
 from snowdim.decomposition import batch_size, padding_audit
 from snowdim.errors import BadParams, HeaderMismatch
 from snowdim.points import PointSet, generate, greedy_net, normalize
 from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
-                                  _embed_cluster_l1, _embed_cluster_l2,
-                                  _embed_cluster_linf, build_single_scale,
-                                  contract_audit, dumps, loads_coords,
-                                  theory_dimension)
+                                  _embed_cluster_l1, _embed_cluster_linf,
+                                  build_single_scale, contract_audit, dumps,
+                                  loads_coords, theory_dimension)
 from snowdim.snowflake import build_snowflake
 from snowdim.transforms import (circular_cuts, cut_decomposition,
-                                euclidean_realization, gaussian_transform,
-                                laplace_transform, threshold_transform)
+                                gaussian_transform, laplace_transform,
+                                threshold_transform)
 
 G_1 = 0.7950600976206501          # G_1(1) = sqrt(1 - e^-1)
 L_1 = 0.6321205588285577          # L_1(1) = 1 - e^-1
@@ -249,37 +250,42 @@ def saturated_build():
     return build_single_scale(s, p)
 
 
-def test_saturated_scale_shares_the_general_realization():
+def test_saturated_scale_shares_the_general_realization(l2_reference):
+    # every cluster of one size has the same transformed metric here; the
+    # one-Gram build must still give each its own place in the direct sum,
+    # as the general route (each cluster realized on its own) does.
+    # A point that is every cluster's origin sits at 0 in the reference
     e = saturated_build()
-    dmat = e.source.distance_matrix()
-    by_size = {}
-    for entry in e.clusters:
-        mem = entry.members
-        g = gaussian_transform(dmat[np.ix_(mem, mem)], e.params.r)
-        np.fill_diagonal(g, 0.0)
-        x = euclidean_realization(g)
-        assert np.array_equal(entry.coords, x - x[0])
-        # row-major, so BLAS products in the audit keep their bits
-        assert entry.coords.flags.c_contiguous
-        by_size.setdefault(len(mem), []).append(entry.coords)
-    assert len(e.clusters) > len(by_size) > 5
-    for maps in by_size.values():
-        assert all(c is maps[0] for c in maps)
-        assert not maps[0].flags.writeable
+    assert len({len(entry.members) for entry in e.clusters}) > 5
+    assert all(entry.coords is None for entry in e.clusters)
+    ref = l2_reference(e.source, e)
+    tiny = 1e-12 * e.params.r
+    assert np.allclose(pdist(e.coords), pdist(ref), rtol=1e-9, atol=tiny)
+    assert np.allclose(np.linalg.norm(e.coords, axis=1),
+                       np.linalg.norm(ref, axis=1), rtol=1e-9, atol=tiny)
+    assert e.k <= e.n
     assert contract_audit(e).passed
 
 
 def test_saturated_scale_realizes_each_size_once(monkeypatch):
-    calls = []
+    # the clusters of many sizes are realized together: the build factors
+    # the scale's one summed Gram and realizes no cluster on its own
+    calls = {"euclidean_realization": 0, "factor_gram": 0}
 
-    def counting(g):
-        calls.append(g.shape[0])
-        return euclidean_realization(g)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(single_scale, "euclidean_realization", counting)
+    for name in calls:
+        wrapped = counting(name, getattr(transforms, name))
+        for mod in (transforms, single_scale):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
     e = saturated_build()
-    sizes = {len(entry.members) for entry in e.clusters}
-    assert sorted(calls) == sorted(sizes)
+    assert len({len(entry.members) for entry in e.clusters}) > 5
+    assert calls == {"euclidean_realization": 0, "factor_gram": 1}
 
 
 @pytest.mark.parametrize("kind, r, delta, dim_hat, saturated", [
@@ -393,7 +399,6 @@ def test_singleton_and_empty_net_clusters():
     assert _embed_cluster_linf(pair, none, 1.0).shape == (2, 0)
     # T_r(0) = 0: a singleton's own net point would write an all-zero column
     assert _embed_cluster_linf(one, np.array([0]), 1.0).shape == (1, 0)
-    assert _embed_cluster_l2(one, 1.0).shape == (1, 0)
 
 
 # --- parameters, determinism, serialization

@@ -183,10 +183,13 @@ def test_l2_snowflake_realizes_no_cluster_and_squeezes_no_block(monkeypatch):
                 monkeypatch.setattr(mod, name, counting(name))
     e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
     assert distortion_audit(e).passed
-    assert calls == {"euclidean_realization": 0, "exact_reduce": 0}
-    # the counter does see the single-scale path
+    # nor does an l2 single-scale build, which factors the same Gram
     build_single_scale(small_grid(), SingleScaleParams(2.0, 0.1, 0.1))
-    assert calls["euclidean_realization"] > 0
+    assert calls == {"euclidean_realization": 0, "exact_reduce": 0}
+    # the counters do see a call
+    snowdim.euclidean_realization(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    snowdim.exact_reduce(np.eye(2))
+    assert calls == {"euclidean_realization": 1, "exact_reduce": 1}
 
 
 def test_theory_k_independent_of_n():
