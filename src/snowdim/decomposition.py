@@ -8,14 +8,15 @@ measured quantity: the fraction of partitions in which a point's whole
 pad_radius-ball lands inside its own cluster. The builder resamples with a
 doubled batch until the worst point clears 1 - eps_pad, or gives up.
 
-Each carving draws its radius and center order from its own child seed, so
-the batch is fixed by (seed, attempt) alone. The carving itself runs for
-many partitions at once, a chunk of carvings at a time (bounded by
-points.PAIRWISE_BYTES): the distances compared with each carving's radius
-and gathered in its center order, the first reaching center of every point
-by argmax, labels ranked by a cumulative sum over the centers that won a
-point, members by one stable sort of the label rows, and the padded bits
-by one comparison over the pad pairs.
+One generator per (seed, attempt) draws the batch's m radii in one call and
+then its m center orders in another, before any carving runs, so the batch
+is fixed by (seed, attempt, m) alone and not by how it is chunked. The
+carving itself runs for many partitions at once, a chunk of carvings at a
+time (bounded by points.PAIRWISE_BYTES): the distances compared with each
+carving's radius and gathered in its center order, the first reaching
+center of every point by argmax, labels ranked by a cumulative sum over
+the centers that won a point, members by one stable sort of the label
+rows, and the padded bits by one comparison over the pad pairs.
 
 Two outcomes are certain and are returned without sampling: one cluster
 when delta/4 >= diameter (every carve radius reaches every point), and all
@@ -93,24 +94,23 @@ def _certain_partition(s: PointSet, delta: float) -> Partition | None:
 def _sample(dmat, delta, pad_pairs, m, seed, attempt):
     """Draw m carvings plus the padded indicator matrix.
 
-    Carving t draws its radius, then its center order, from child t of the
-    (seed, attempt) seed sequence. The carvings themselves run batched, a
-    chunk at a time; a chunk holds as many carvings as one 8-byte value per
-    carving and point pair fits in PAIRWISE_BYTES.
+    One generator seeded by (seed, attempt) draws all m radii, then all m
+    center orders (row t of each belongs to carving t). The carvings
+    themselves run batched, a chunk at a time; a chunk holds as many
+    carvings as one 8-byte value per carving and point pair fits in
+    PAIRWISE_BYTES.
     """
     n = dmat.shape[0]
-    children = np.random.SeedSequence(entropy=(int(seed), int(attempt))).spawn(m)
+    rng = np.random.default_rng(
+        np.random.SeedSequence((int(seed), int(attempt))))
+    radii = rng.uniform(delta / 4.0, delta / 2.0, size=m)
+    orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
     partitions, padded = [], np.ones((m, n), dtype=bool)
     nbr_i, nbr_j = pad_pairs
     step = max(1, PAIRWISE_BYTES // (8 * n * n))
     for a in range(0, m, step):
         b = min(a + step, m)
-        c = b - a
-        rho, order = np.empty(c), np.empty((c, n), dtype=np.intp)
-        for t, child in enumerate(children[a:b]):
-            rng = np.random.default_rng(child)
-            rho[t] = rng.uniform(delta / 4.0, delta / 2.0)
-            order[t] = rng.permutation(n)
+        c, rho, order = b - a, radii[a:b], orders[a:b]
         # gathered in center order, entry [t, k, j] says that carving t's
         # k-th center reaches point j; every point reaches itself, so each
         # point has a first reaching center

@@ -460,7 +460,9 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     (iii) the smoothing h never exceeds the distance to any point outside
         the cluster (h is that minimum, recomputed here);
     product rule: the smoothed per-cluster map is (1 + delta)-Lipschitz.
-    An l2 cluster is measured through its factored closed-form Gram.
+    An l2 cluster is measured through its factored closed-form Gram;
+    clusters with the same Gram (translates, or any at a saturated scale)
+    share one factor.
     """
     p = e.params
     dmat = e.source.distance_matrix()
@@ -470,6 +472,7 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     worst_tf = -np.inf        # max of transform(d) - d, want <= float noise
     worst_iii = -np.inf       # max of h(x) - min_outside d(x, y), want == 0
     worst_product = 0.0       # max smoothed same-cluster Lipschitz ratio
+    factors: dict[bytes, np.ndarray] = {}
     for entry in e.clusters:
         members = entry.members
         dsub = dmat[np.ix_(members, members)]
@@ -478,7 +481,11 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
             # l2 keeps no cluster map: factor its closed-form Gram, a map
             # isometric to it with the first member at the origin
             t = np.square(gaussian_transform(dsub, p.r))
-            raw = factor_gram(0.5 * (t[:, :1] + t[:1, :] - t))
+            gram = 0.5 * (t[:, :1] + t[:1, :] - t)
+            key = gram.tobytes()
+            raw = factors.get(key)
+            if raw is None:
+                raw = factors[key] = factor_gram(gram)
         if raw.shape[1]:
             max_f_norm = max(max_f_norm,
                              float(vector_norm(raw, p.norm).max()))

@@ -47,18 +47,18 @@ def test_partition_invariants_and_padded_oracle():
 
 
 def reference_sample(dmat, delta, pad_pairs, m, seed, attempt):
-    # the sampler one carving at a time: each draws its radius and center
-    # order from its own child generator, points join the first center that
-    # reaches them, labels rank those centers in carving order and
-    # clusters are the label classes
+    # the sampler one carving at a time: one (seed, attempt) generator
+    # draws all m radii, then all m center orders; points join the first
+    # center that reaches them, labels rank those centers in carving order
+    # and clusters are the label classes
     n = dmat.shape[0]
-    children = np.random.SeedSequence(entropy=(seed, attempt)).spawn(m)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
+    radii = rng.uniform(delta / 4.0, delta / 2.0, size=m)
+    orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
     parts, padded = [], np.ones((m, n), dtype=bool)
     nbr_i, nbr_j = pad_pairs
     for t in range(m):
-        rng = np.random.default_rng(children[t])
-        rho = float(rng.uniform(delta / 4.0, delta / 2.0))
-        order = rng.permutation(n)
+        rho, order = float(radii[t]), orders[t]
         first = (dmat[order, :] <= rho).argmax(axis=0)
         labels = np.unique(first, return_inverse=True)[1].astype(np.intp)
         clusters = [np.flatnonzero(labels == k)
@@ -112,6 +112,58 @@ def test_sample_matches_the_per_carving_reference(monkeypatch):
                 assert gc.dtype == np.intp and np.array_equal(gc, wc)
     assert seen == {"no pad pair", "all pad pairs", "some pad pairs",
                     "pad-ball cut", "all padded"}
+
+
+class RecordingGenerator:
+    # a generator that keeps what each of its draws returned
+    def __init__(self, gen):
+        self.gen, self.draws = gen, {}
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            out = getattr(self.gen, name)(*args, **kwargs)
+            self.draws.setdefault(name, []).append(out)
+            return out
+        return draw
+
+
+def test_one_batch_draws_distinct_orders_and_spread_radii(monkeypatch):
+    # the draws themselves, read off the sampler's generator rather than
+    # re-derived from its stream: 600 carvings of 20 points
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        made.append(RecordingGenerator(default_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    s = PointSet(np.random.RandomState(3).uniform(0, 20, (20, 2)))
+    d, delta, m = s.distance_matrix(), 12.0, 600
+    pairs = np.nonzero((d <= 3.0) & ~np.eye(s.n, dtype=bool))
+    parts, padded = decomposition._sample(d, delta, pairs, m, 7, 0)
+    assert len(made) == 1
+    (orders,) = [out for outs in made[0].draws.values() for out in outs
+                 if np.shape(out) == (m, s.n)]
+    # every row a permutation, no two rows alike (not one order broadcast)
+    assert (np.sort(orders, axis=1) == np.arange(s.n)).all()
+    assert len(np.unique(orders, axis=0)) == m
+    # each carving's first center wins at least itself: cluster 0
+    assert all(p.labels[o[0]] == 0 for p, o in zip(parts, orders))
+    radii = np.array([p.radius for p in parts])
+    lo, hi = delta / 4, delta / 2
+    assert ((lo <= radii) & (radii <= hi)).all()
+    assert radii.min() <= lo + 0.1 * (hi - lo)
+    assert radii.max() >= hi - 0.1 * (hi - lo)
+    # the batch does not depend on how it is chunked: 3 carvings a chunk
+    monkeypatch.setattr(decomposition, "PAIRWISE_BYTES", 3 * 8 * s.n * s.n)
+    chunked, chunked_padded = decomposition._sample(d, delta, pairs, m, 7, 0)
+    assert chunked_padded.tobytes() == padded.tobytes()
+    for g, w in zip(chunked, parts):
+        assert g.radius == w.radius
+        assert g.labels.tobytes() == w.labels.tobytes()
+        assert [c.tobytes() for c in g.clusters] == [
+            c.tobytes() for c in w.clusters]
 
 
 def test_padding_audit_passes_and_detects_tampering():

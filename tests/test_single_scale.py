@@ -288,6 +288,29 @@ def test_saturated_scale_realizes_each_size_once(monkeypatch):
     assert calls == {"euclidean_realization": 0, "factor_gram": 1}
 
 
+def test_l2_audit_factors_each_distinct_cluster_gram_once(monkeypatch):
+    # the audit measures an l2 cluster through its factored closed-form
+    # Gram; clusters with the same Gram bytes share one factor
+    e = saturated_build()
+    dmat = e.source.distance_matrix()
+    grams = set()
+    for entry in e.clusters:
+        t = np.square(gaussian_transform(
+            dmat[np.ix_(entry.members, entry.members)], e.params.r))
+        grams.add((0.5 * (t[:, :1] + t[:1, :] - t)).tobytes())
+    factored = []
+    factor_gram = transforms.factor_gram
+
+    def counting(gram):
+        factored.append(gram.tobytes())
+        return factor_gram(gram)
+
+    monkeypatch.setattr(single_scale, "factor_gram", counting)
+    assert contract_audit(e).passed
+    assert len(e.clusters) > len(grams) > 5
+    assert sorted(factored) == sorted(grams)
+
+
 @pytest.mark.parametrize("kind, r, delta, dim_hat, saturated", [
     # a snowflake scale (its delta at eps 0.1, alpha 0.5): L_r(1) == r, so
     # the 27 multi-point clusters have one metric per size, 4 in all

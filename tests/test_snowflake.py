@@ -192,6 +192,40 @@ def test_l2_snowflake_realizes_no_cluster_and_squeezes_no_block(monkeypatch):
     assert calls == {"euclidean_realization": 1, "exact_reduce": 1}
 
 
+def test_each_sample_makes_one_generator_and_spawns_no_seed(monkeypatch):
+    import snowdim.decomposition as decomposition
+    # generators and spawns count only while a _sample call is running
+    calls = {"_sample": 0, "default_rng": 0, "spawn": 0}
+    inside = []
+    sample, default_rng = decomposition._sample, np.random.default_rng
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            calls["spawn"] += len(inside)
+            return super().spawn(n_children)
+
+    def counting_rng(seed=None):
+        calls["default_rng"] += len(inside)
+        return default_rng(seed)
+
+    def counting_sample(*args):
+        calls["_sample"] += 1
+        inside.append(True)
+        try:
+            return sample(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(decomposition, "_sample", counting_sample)
+    e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
+    assert distortion_audit(e).passed
+    assert calls["_sample"] > 0
+    assert calls == {"_sample": calls["_sample"],
+                     "default_rng": calls["_sample"], "spawn": 0}
+
+
 def test_theory_k_independent_of_n():
     a = build_snowflake(normalize(generate("grid", side=4, dims=2)),
                         0.5, 0.1, seed=1, dim_hat=2.0)
