@@ -21,6 +21,14 @@ rows, and the padded bits by one comparison over the pad pairs.
 Two outcomes are certain and are returned without sampling: one cluster
 when delta/4 >= diameter (every carve radius reaches every point), and all
 singletons when delta/2 < min distance (none reaches another point).
+
+The batch is kept as arrays, one row per carving: the labels, the members
+sorted by label (stable, so ascending within each cluster) and the
+cluster sizes by label. A cluster is a slice of its member row between
+consecutive cumulative sizes, and nothing on the build path makes one
+object per cluster. A certain outcome keeps its one row once, standing for
+all m carvings. ``Partition`` is a per-carving view of the rows, built on
+demand by ``PaddedDecomposition.partitions``.
 """
 
 from __future__ import annotations
@@ -43,7 +51,10 @@ MAX_RETRIES = 4
 
 @dataclass
 class Partition:
-    """One carving: cluster label per point plus the clusters themselves."""
+    """A view of one carving: its labels, its clusters and its radius.
+
+    Built on demand from a decomposition's rows (``partition_views``); the
+    clusters are slices of the carving's sorted member row."""
 
     labels: np.ndarray                 # (n,) cluster id per point, 0..t-1
     clusters: list[np.ndarray]         # member indices, nonempty, by id
@@ -54,14 +65,37 @@ class Partition:
         return len(self.clusters)
 
 
+def partition_views(labels: np.ndarray, members: np.ndarray,
+                    sizes: np.ndarray, radii: np.ndarray) -> list[Partition]:
+    """One ``Partition`` per row of a batch's label, member and size rows."""
+    views = []
+    for lab, row, size, rho in zip(labels, members, sizes, radii.tolist()):
+        ends = np.cumsum(size[size > 0]).tolist()
+        views.append(Partition(lab, [row[lo:hi] for lo, hi
+                                     in zip([0] + ends[:-1], ends)], rho))
+    return views
+
+
 @dataclass
 class PaddedDecomposition:
+    """A batch of m carvings, as rows of arrays.
+
+    Row t of ``labels`` is carving t's cluster id per point (0..t-1 in
+    order of the cluster's first center), row t of ``members`` the points
+    stably sorted by that label and row t of ``sizes`` the cluster sizes by
+    id, zero past the last cluster. A certain outcome has one row standing
+    for all m carvings (``copies == m``); a sampled batch has m rows.
+    ``padded`` always has m rows."""
+
     delta: float
     pad_radius: float
     eps_pad: float
     seed: int
     m: int
-    partitions: list[Partition]
+    labels: np.ndarray                 # (m or 1, n) cluster id per point
+    members: np.ndarray                # (m or 1, n) points sorted by label
+    sizes: np.ndarray                  # (m or 1, n) cluster size by id
+    radii: np.ndarray                  # (m or 1,) carve radius rho
     padded: np.ndarray                 # (m, n) bool: point's pad-ball uncut
     padded_fraction: np.ndarray        # (n,) mean over partitions
     dim_hat: float
@@ -71,6 +105,19 @@ class PaddedDecomposition:
     def n(self) -> int:
         return len(self.padded_fraction)
 
+    @property
+    def copies(self) -> int:
+        """The number of carvings each row stands for: 1, or m if certain."""
+        return self.m // len(self.labels)
+
+    @property
+    def partitions(self) -> list[Partition]:
+        """The m carvings as ``Partition`` views; a certain outcome repeats
+        its one view m times."""
+        views = partition_views(self.labels, self.members, self.sizes,
+                                self.radii)
+        return [v for v in views for _ in range(self.copies)]
+
 
 def batch_size(eps_pad: float, n: int, dim_hat: float) -> int:
     """Number of partitions to sample for one decomposition."""
@@ -79,20 +126,18 @@ def batch_size(eps_pad: float, n: int, dim_hat: float) -> int:
     return max(a, b, 1)
 
 
-def _certain_partition(s: PointSet, delta: float) -> Partition | None:
-    """The partition every carving yields, when the radius range forces one."""
-    n = s.n
+def _certain_labels(s: PointSet, delta: float) -> np.ndarray | None:
+    """The labels every carving yields, when the radius range forces them."""
     if delta / 4.0 >= s.diameter():
-        return Partition(np.zeros(n, dtype=np.intp), [np.arange(n)],
-                         delta / 4.0)
+        return np.zeros(s.n, dtype=np.intp)
     if delta / 2.0 < s.min_distance():
-        return Partition(np.arange(n), list(np.arange(n)[:, None]),
-                         delta / 4.0)
+        return np.arange(s.n, dtype=np.intp)
     return None
 
 
 def _sample(dmat, delta, pad_pairs, m, seed, attempt):
-    """Draw m carvings plus the padded indicator matrix.
+    """Draw m carvings: their label, member and size rows, their radii and
+    the padded indicator matrix.
 
     One generator seeded by (seed, attempt) draws all m radii, then all m
     center orders (row t of each belongs to carving t). The carvings
@@ -105,7 +150,10 @@ def _sample(dmat, delta, pad_pairs, m, seed, attempt):
         np.random.SeedSequence((int(seed), int(attempt))))
     radii = rng.uniform(delta / 4.0, delta / 2.0, size=m)
     orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-    partitions, padded = [], np.ones((m, n), dtype=bool)
+    labels = np.empty((m, n), dtype=np.intp)
+    members = np.empty((m, n), dtype=np.intp)
+    sizes = np.empty((m, n), dtype=np.intp)
+    padded = np.ones((m, n), dtype=bool)
     nbr_i, nbr_j = pad_pairs
     step = max(1, PAIRWISE_BYTES // (8 * n * n))
     for a in range(0, m, step):
@@ -120,25 +168,20 @@ def _sample(dmat, delta, pad_pairs, m, seed, attempt):
         # that won a point
         won = np.zeros((c, n), dtype=bool)
         np.put_along_axis(won, first, True, axis=1)
-        labels = np.take_along_axis(np.cumsum(won, axis=1, dtype=np.intp) - 1,
-                                    first, axis=1)
+        lab = labels[a:b] = np.take_along_axis(
+            np.cumsum(won, axis=1, dtype=np.intp) - 1, first, axis=1)
         # one stable sort per row groups the members of each cluster,
         # ascending; a cluster is a slice of its row between consecutive
         # cumulative cluster sizes
-        sizes = np.bincount((np.arange(c)[:, None] * n + labels).ravel(),
-                            minlength=c * n).reshape(c, n)
-        ends = np.cumsum(sizes, axis=1).tolist()
-        members = np.argsort(labels, axis=1, kind="stable")
-        for t, k in enumerate(won.sum(axis=1).tolist()):
-            row, e = members[t], ends[t][:k]
-            partitions.append(Partition(labels[t], [
-                row[lo:hi] for lo, hi in zip([0] + e, e)], float(rho[t])))
+        sizes[a:b] = np.bincount((np.arange(c)[:, None] * n + lab).ravel(),
+                                 minlength=c * n).reshape(c, n)
+        members[a:b] = np.argsort(lab, axis=1, kind="stable")
         if len(nbr_i):
             # a point is padded unless one of its pad pairs is cut
-            cut_t, cut_p = np.nonzero(labels[:, nbr_i] != labels[:, nbr_j])
+            cut_t, cut_p = np.nonzero(lab[:, nbr_i] != lab[:, nbr_j])
             cuts = np.bincount(cut_t * n + nbr_i[cut_p], minlength=c * n)
             padded[a:b] = (cuts == 0).reshape(c, n)
-    return partitions, padded
+    return labels, members, sizes, radii, padded
 
 
 def build_decomposition(s: PointSet, delta: float, pad_radius: float,
@@ -150,9 +193,10 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
     pad_radius <= delta/4 (larger values are allowed but will usually fail
     the audit). The batch is resampled with doubled m until
     min padded_fraction >= 1 - eps_pad, raising PaddingUnachievable after
-    MAX_RETRIES. A certain outcome (see the module docstring) is m copies
-    of its one partition and draws no random numbers; no resample can
-    change it, so one that misses 1 - eps_pad raises at once.
+    MAX_RETRIES. A certain outcome (see the module docstring) is one row
+    standing for m carvings, with radius delta/4, and draws no random
+    numbers; no resample can change it, so one that misses 1 - eps_pad
+    raises at once.
     """
     if s.n == 0:
         raise EmptyInput("cannot decompose an empty set")
@@ -163,25 +207,27 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     m, attempt = batch_size(eps_pad, s.n, dim_hat), 0
-    certain = _certain_partition(s, delta)
+    certain = _certain_labels(s, delta)
     if certain is not None:
         # one cluster cuts no pad-ball; all singletons cut every pad-ball
         # that holds a second point, and cut none if no pair is that close
-        if certain.size > 1 and pad_radius >= s.min_distance():
+        if certain.any() and pad_radius >= s.min_distance():
             raise PaddingUnachievable(
                 f"every carving at delta={delta:.6g} gives all singletons, "
                 f"and a pad-ball of radius {pad_radius:.6g} holds two points")
         padded = np.ones((m, s.n), dtype=bool)
-        return PaddedDecomposition(float(delta), float(pad_radius),
-                                   float(eps_pad), int(seed), m,
-                                   [certain] * m, padded, padded.mean(axis=0),
-                                   float(dim_hat))
+        return PaddedDecomposition(
+            float(delta), float(pad_radius), float(eps_pad), int(seed), m,
+            certain[None, :], np.arange(s.n)[None, :],
+            np.bincount(certain, minlength=s.n)[None, :],
+            np.array([delta / 4.0]), padded, padded.mean(axis=0),
+            float(dim_hat))
     dmat = s.distance_matrix()
     # pairs (i, j != i) with d <= pad_radius: the membership that must not split
     close = (dmat <= pad_radius) & ~np.eye(s.n, dtype=bool)
     pad_pairs = np.nonzero(close)
     while True:
-        partitions, padded = _sample(dmat, delta, pad_pairs, m, seed, attempt)
+        *batch, padded = _sample(dmat, delta, pad_pairs, m, seed, attempt)
         frac = padded.mean(axis=0)
         if frac.min() >= 1.0 - eps_pad:
             break
@@ -193,7 +239,7 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
                 f"pad_radius={pad_radius:.6g}, dim_hat={dim_hat:.3g})")
         m *= 2
     return PaddedDecomposition(float(delta), float(pad_radius), float(eps_pad),
-                               int(seed), m, partitions, padded, frac,
+                               int(seed), m, *batch, padded, frac,
                                float(dim_hat), attempt + 1)
 
 
@@ -212,14 +258,18 @@ class PaddingAudit:
 def padding_audit(s: PointSet, dec: PaddedDecomposition) -> PaddingAudit:
     """Recompute every decomposition invariant from scratch.
 
-    Checks each partition covers the set with disjoint nonempty clusters of
-    diameter <= delta, and recomputes the padded indicators bit-exactly.
+    Checks each carving covers the set with disjoint nonempty clusters of
+    diameter <= delta, and recomputes the padded indicators bit-exactly:
+    a point is padded when no point of its pad-ball carries another label,
+    one n x n comparison per carving.
     """
     dmat = s.distance_matrix()
     n = s.n
-    recomputed = np.empty((len(dec.partitions), n), dtype=bool)
-    max_diam, diam_ok, cover_ok, disjoint_ok, consistent = 0.0, True, True, True, True
-    for t, part in enumerate(dec.partitions):
+    in_pad = dmat <= dec.pad_radius
+    views = partition_views(dec.labels, dec.members, dec.sizes, dec.radii)
+    recomputed = np.empty((len(views), n), dtype=bool)
+    max_diam, diam_ok, cover_ok, disjoint_ok = 0.0, True, True, True
+    for t, part in enumerate(views):
         seen = np.zeros(n, dtype=bool)
         for cid, members in enumerate(part.clusters):
             if len(members) == 0:
@@ -237,11 +287,11 @@ def padding_audit(s: PointSet, dec: PaddedDecomposition) -> PaddingAudit:
                     diam_ok = False
         if not seen.all():
             cover_ok = False
-        for i in range(n):
-            nbrs = np.flatnonzero(dmat[i] <= dec.pad_radius)
-            recomputed[t, i] = (part.labels[nbrs] == part.labels[i]).all()
-        if not np.array_equal(recomputed[t], dec.padded[t]):
-            consistent = False
+        lab = part.labels
+        recomputed[t] = ~(in_pad & (lab[:, None] != lab[None, :])).any(axis=1)
+    # each row stands for dec.copies carvings
+    recomputed = np.repeat(recomputed, dec.copies, axis=0)
+    consistent = np.array_equal(recomputed, dec.padded)
     frac = recomputed.mean(axis=0)
     if not np.array_equal(frac, dec.padded_fraction):
         consistent = False

@@ -20,7 +20,11 @@ metric is a line are closed-form arcs in the line order
 (``circular_cuts``); every other l1 cluster gets the cut LP's cuts
 (``cut_decomposition``), which stops at 14 points. ``scale_clusters`` is
 the first half alone: the decomposition and each distinct cluster's
-count and smoothing.
+count and smoothing. It reads the carvings' clusters off the
+decomposition's member and size rows and finds the distinct ones with
+array operations (a 64-bit key per cluster, every match confirmed member
+by member), so no object is made per carving or per cluster; the l2
+Gram is summed from the same arrays.
 
 The finished embedding keeps everything needed for the audit: the
 distinct clusters with their smoothing weights (and, in l1 and
@@ -34,6 +38,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -120,13 +125,16 @@ class ClusterEntry:
     identical blocks and only the multiplicity matters (squared weights
     add for l2, linear for l1, and the max is idempotent for l-infinity).
 
-    ``coords`` is the raw cluster map f_C (before smoothing and scaling),
-    rows aligned with ``members`` (indices into the point set); the l1 map
-    puts the first member at the origin, keeping every image norm at most
-    r. ``scale_clusters`` leaves it None and ``build_single_scale`` fills
-    it in for l1 and l-infinity. On l2 it stays None: the build sums the
-    clusters' closed-form Grams instead, and ``contract_audit`` factors
-    each cluster's Gram to measure its map.
+    ``members``, ``weights`` and ``h_values`` are slices of the scale's
+    columnar record (``ScaleClusters``), which the build itself reads;
+    the entries serve the API, the audit and the per-cluster l1 and
+    l-infinity maps. ``coords`` is the raw cluster map f_C (before
+    smoothing and scaling), rows aligned with ``members`` (indices into
+    the point set); the l1 map puts the first member at the origin,
+    keeping every image norm at most r. ``scale_clusters`` leaves it None
+    and ``build_single_scale`` fills it in for l1 and l-infinity. On l2 it
+    stays None: the build sums the clusters' closed-form Grams instead,
+    and ``contract_audit`` factors each cluster's Gram to measure its map.
     """
     members: np.ndarray
     count: int                             # partitions containing the cluster
@@ -142,15 +150,34 @@ class ClusterEntry:
 @dataclass
 class ScaleClusters:
     """A scale's padded decomposition and its distinct clusters, each with
-    its count and smoothing, before any cluster map is realized."""
+    its count and smoothing, before any cluster map is realized.
+
+    The clusters are kept as arrays, in order of first appearance across
+    the carvings: ``members`` concatenates their member indices, each
+    cluster's ascending, ``sizes`` and ``counts`` hold one entry per
+    cluster, and ``weights`` and ``h_values`` are aligned with
+    ``members``. ``clusters`` is the same record as ``ClusterEntry``
+    objects, made on first use."""
     params: SingleScaleParams              # norm resolved
     dim_hat: float
     decomposition: PaddedDecomposition
-    clusters: list[ClusterEntry]
+    members: np.ndarray                    # distinct clusters, concatenated
+    sizes: np.ndarray                      # (K,) members per cluster
+    counts: np.ndarray                     # (K,) carvings holding it
+    weights: np.ndarray                    # smoothing weight per member
+    h_values: np.ndarray                   # distance-to-outside per member
 
     @property
     def m(self) -> int:
         return self.decomposition.m
+
+    @cached_property
+    def clusters(self) -> list[ClusterEntry]:
+        ends = np.cumsum(self.sizes).tolist()
+        return [ClusterEntry(self.members[lo:hi], count,
+                             self.weights[lo:hi], self.h_values[lo:hi])
+                for lo, hi, count in zip([0] + ends[:-1], ends,
+                                         self.counts.tolist())]
 
 
 @dataclass
@@ -248,12 +275,70 @@ def _embed_cluster_linf(dmat_c, net_local: np.ndarray, r: float) -> np.ndarray:
     return threshold_transform(dmat_c[:, net_local], r)
 
 
+def _point_keys(n: int) -> np.ndarray:
+    """A fixed 64-bit key per point index: splitmix64 of index + 1."""
+    x = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _exact_groups(flat: np.ndarray, starts: np.ndarray,
+                  sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group candidate clusters by their member bytes, one at a time."""
+    group_of: dict[bytes, int] = {}
+    first, inverse = [], np.empty(len(sizes), dtype=np.intp)
+    for j, (lo, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        key = flat[lo:lo + size].tobytes()
+        g = group_of.get(key)
+        if g is None:
+            g = group_of[key] = len(first)
+            first.append(j)
+        inverse[j] = g
+    return np.array(first, dtype=np.intp), inverse
+
+
+def _distinct(flat: np.ndarray, sizes: np.ndarray,
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct clusters among candidate clusters of points 0..n-1,
+    laid end to end in ``flat`` with the given sizes.
+
+    Returns each distinct cluster's first candidate, ascending, and each
+    candidate's distinct cluster, numbered in that order. Candidates are
+    grouped by a 64-bit key, the sum of fixed per-point keys over the
+    members mixed with the size, and every grouped candidate is then
+    compared member by member with its group's first; any mismatch sends
+    the whole set to the exact grouping by member bytes, so the result
+    never rests on the keys being distinct."""
+    starts = np.cumsum(sizes) - sizes
+    csum = np.zeros(len(flat) + 1, dtype=np.uint64)
+    np.cumsum(_point_keys(n)[flat], out=csum[1:])
+    key = (csum[starts + sizes] - csum[starts]
+           + sizes.astype(np.uint64) * np.uint64(0xD6E8FEB86659FD93))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    lead = first[inverse]
+    same = np.array_equal(sizes[lead], sizes)
+    if same:
+        shift = np.repeat(starts[lead] - starts, sizes)
+        same = np.array_equal(flat[np.arange(len(flat)) + shift], flat)
+    if not same:
+        return _exact_groups(flat, starts, sizes)
+    # renumber the groups in order of first appearance
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 def scale_clusters(s: PointSet, params: SingleScaleParams) -> ScaleClusters:
     """Decompose the whole set at one scale and list its distinct clusters.
 
     ``params.norm = None`` targets the input's own norm (``s.norm``).
     Clusters are listed in order of first appearance across the
-    partitions, each with the number of partitions that contain it."""
+    carvings (carving by carving, each in label order), each with the
+    number of carvings that contain it. The candidates are read off the
+    decomposition's member and size rows, and the distinct ones found by
+    ``_distinct``; a certain decomposition's one row counts m times."""
     require_normalized(s, "build_single_scale")
     if s.n == 0:
         raise EmptyInput("single-scale embedding of an empty set")
@@ -273,40 +358,32 @@ def scale_clusters(s: PointSet, params: SingleScaleParams) -> ScaleClusters:
             if attempt == DELTA_RETRIES:
                 raise
             delta_dec *= 2.0
-    # a certain carving repeats one partition object m times
-    runs: dict[int, list] = {}
-    for part in dec.partitions:
-        runs.setdefault(id(part), [part, 0])[1] += 1
 
-    # --- each distinct cluster once, counting its multiplicity
-    entry_order: dict[bytes, int] = {}
-    entries: list[ClusterEntry] = []
-    for part, times in runs.values():
-        fresh = []
-        for members in part.clusters:
-            at = entry_order.get(members.tobytes())
-            if at is None:
-                fresh.append(members)
-            else:
-                entries[at].count += times
-        if not fresh:
-            continue
-        # smoothing: h(x) = distance to the nearest point outside x's
-        # cluster (inf when it has none), one masked row-min over the
-        # members of the partition's new clusters
-        rows = np.concatenate(fresh)
-        lab = part.labels
-        h_rows = np.where(lab[rows, None] == lab[None, :], np.inf,
-                          dmat[rows]).min(axis=1)
-        w_rows = np.minimum(1.0, (p.delta / p.r) * h_rows)
-        lo = 0
-        for members in fresh:
-            hi = lo + len(members)
-            entry_order[members.tobytes()] = len(entries)
-            entries.append(ClusterEntry(members, times, w_rows[lo:hi],
-                                        h_rows[lo:hi]))
-            lo = hi
-    return ScaleClusters(p, dim_hat, dec, entries)
+    # --- each distinct cluster once, counting its multiplicity; the
+    # candidates are every carving's clusters, carving by carving
+    flat = dec.members.ravel()
+    nonempty = dec.sizes > 0
+    cand_sizes = dec.sizes[nonempty]
+    first, group = _distinct(flat, cand_sizes, s.n)
+    counts = np.bincount(group, minlength=len(first)) * dec.copies
+    fresh = np.zeros(len(cand_sizes), dtype=bool)
+    fresh[first] = True
+    members = flat[np.repeat(fresh, cand_sizes)]
+    sizes = cand_sizes[first]
+
+    # smoothing: h(x) = distance to the nearest point outside x's cluster
+    # (inf when it has none), one masked row-min per carving over the
+    # members of its new clusters
+    cand_row = np.nonzero(nonempty)[0]
+    rows_with, at = np.unique(cand_row[first], return_index=True)
+    bounds = (np.cumsum(sizes) - sizes)[at].tolist() + [len(members)]
+    h = np.empty(len(members))
+    for t, lo, hi in zip(rows_with.tolist(), bounds[:-1], bounds[1:]):
+        rows, lab = members[lo:hi], dec.labels[t]
+        h[lo:hi] = np.where(lab[rows, None] == lab[None, :], np.inf,
+                            dmat[rows]).min(axis=1)
+    w = np.minimum(1.0, (p.delta / p.r) * h)
+    return ScaleClusters(p, dim_hat, dec, members, sizes, counts, w, h)
 
 
 def _scale_gram(sc: ScaleClusters,
@@ -328,19 +405,21 @@ def _scale_gram(sc: ScaleClusters,
     and then there is no Gram (None).
     """
     n = dmat.shape[0]
-    multi = [c for c in sc.clusters if len(c.members) > 1]
-    k = min(n, sum(len(c.members) - 1 for c in multi))
+    multi = sc.sizes > 1
+    sizes = sc.sizes[multi]
+    k = min(n, int((sizes - 1).sum()))
     if not k:
         return 0, None
     t = np.square(gaussian_transform(dmat, sc.params.r))
-    sizes = [len(c.members) for c in multi]
-    rows = np.concatenate([c.members for c in multi])
-    cols = np.repeat(np.arange(len(multi)), sizes)
-    roots = np.repeat([c.members[0] for c in multi], sizes)
-    w = np.concatenate([c.weights for c in multi])
-    coef = np.array([c.count for c in multi], dtype=np.float64) / sc.m
-    u = np.zeros((n, len(multi)))
-    v = np.zeros((n, len(multi)))
+    at = np.repeat(multi, sc.sizes)
+    rows = sc.members[at]
+    cols = np.repeat(np.arange(len(sizes)), sizes)
+    roots = np.repeat(sc.members[(np.cumsum(sc.sizes) - sc.sizes)[multi]],
+                      sizes)
+    w = sc.weights[at]
+    coef = sc.counts[multi].astype(np.float64) / sc.m
+    u = np.zeros((n, len(sizes)))
+    v = np.zeros((n, len(sizes)))
     u[rows, cols] = w
     v[rows, cols] = w * t[rows, roots]
     uc = u * coef

@@ -192,8 +192,9 @@ class ScaleEntry:
 
     l1 and l-infinity keep the scale's coordinate block; l2 writes no
     block and keeps only the scale's condensed pair distances
-    (``scipy.spatial.distance.pdist`` order), read off its Gram matrix.
-    Both carry the division by (1+eps)^{i(1-alpha)}."""
+    (``scipy.spatial.distance.pdist`` order), read off its Gram matrix,
+    as a row of the embedding's ``scale_dists``. Both carry the division
+    by (1+eps)^{i(1-alpha)}."""
 
     i: int
     r: float
@@ -216,6 +217,7 @@ class SnowflakeEmbedding:
     theory_k: int                    # p * theory_k_scale
     theory_k_scale: int
     coords: np.ndarray               # (n, k) final images, all scaling in
+    scale_dists: np.ndarray | None   # l2: (scales, pairs); rows are .dists
 
     @property
     def n(self) -> int:
@@ -232,10 +234,11 @@ def _dominant_pair_mask(
 
     Two points share a cluster in every partition exactly when their label
     columns across the partitions are equal, so one id per distinct column
-    replaces a comparison per partition."""
+    replaces a comparison per partition. A certain decomposition's one
+    label row stands for all of its partitions."""
     dec = e.decomposition
     pad = dec.padded.all(axis=0)
-    labels = np.stack([part.labels for part in dec.partitions], axis=1)
+    labels = np.ascontiguousarray(dec.labels.T)
     # each contiguous row read as one opaque value: a bytewise sort, not
     # the structured-dtype sort of np.unique(axis=0)
     rows = labels.view(np.dtype((np.void, labels.shape[1] * labels.itemsize)))
@@ -276,12 +279,16 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     # pair: 0 <= i* <= log_{1+eps} diam
     istar_top = math.floor(math.log(s.diameter()) / lg) + 1
     l2 = plan.norm == 2.0
+    scale_dists = None
     if l2:
         dmat = s.distance_matrix()
         iu, ju = np.triu_indices(n, k=1)
         gram = np.zeros((n, n))
+        # every scale's pair distances, written in place: the audit reads
+        # this array whole, and a scale of singletons keeps its zero row
+        scale_dists = np.zeros((len(plan.scale_indices), len(iu)))
     entries: list[ScaleEntry] = []
-    for i in plan.scale_indices:
+    for t, i in enumerate(plan.scale_indices):
         sp = SingleScaleParams(r=(1.0 + eps) ** i, eps=eps, delta=plan.delta,
                                norm=plan.norm, seed=_scale_seed(seed, i),
                                rescale_c=0.0, dim_hat=dim_hat)
@@ -296,8 +303,9 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
             if k_i:
                 gram += (w * w) * g_i
                 diag = np.diag(g_i)
-                dists = w * np.sqrt(np.maximum(
+                scale_dists[t] = w * np.sqrt(np.maximum(
                     diag[iu] + diag[ju] - 2.0 * g_i[iu, ju], 0.0))
+                dists = scale_dists[t]
         else:
             k_i, coords = e_i.k, e_i.coords * w
         dom = None
@@ -320,7 +328,7 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     theory_k_scale = theory_dimension(eps, plan.delta, EPS_PAD, dim_hat, plan.norm)
     return SnowflakeEmbedding(plan, s, seed, dim_hat, entries, out.shape[1],
                               assembled_k, plan.p * theory_k_scale,
-                              theory_k_scale, out)
+                              theory_k_scale, out, scale_dists)
 
 
 def _grouped_layout(entries: list[ScaleEntry],
@@ -378,15 +386,16 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
                                 ref_dist=target, window=None, bounds=bounds)
 
     # per-scale terms B_i = per-scale image distance / (1+eps)^{i(1-alpha)};
-    # the stored blocks and l2 distances already carry the division
+    # the stored blocks and l2 distances already carry the division, and
+    # the l2 distances are read in place
     n_pairs = len(src)
     n_scales = len(e.scales)
-    b_terms = np.zeros((n_scales, n_pairs))
-    for t, sc in enumerate(e.scales):
-        if sc.dists is not None:
-            b_terms[t] = sc.dists
-        elif sc.k:
-            b_terms[t] = _pair_distances(sc.coords, plan.norm, iu, ju)
+    b_terms = e.scale_dists
+    if b_terms is None:
+        b_terms = np.zeros((n_scales, n_pairs))
+        for t, sc in enumerate(e.scales):
+            if sc.k:
+                b_terms[t] = _pair_distances(sc.coords, plan.norm, iu, ju)
     ivals = np.array([sc.i for sc in e.scales])
 
     lg = math.log1p(eps)

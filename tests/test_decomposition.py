@@ -5,7 +5,7 @@ import pytest
 
 from snowdim import decomposition
 from snowdim.decomposition import (Partition, batch_size, build_decomposition,
-                                   padding_audit)
+                                   padding_audit, partition_views)
 from snowdim.errors import BadParams, EmptyInput, PaddingUnachievable
 from snowdim.points import PointSet, generate, normalize
 
@@ -93,8 +93,9 @@ def test_sample_matches_the_per_carving_reference(monkeypatch):
             monkeypatch.setattr(decomposition, "PAIRWISE_BYTES", chunk)
         d = s.distance_matrix()
         pairs = np.nonzero((d <= pad) & ~np.eye(s.n, dtype=bool))
-        got, got_padded = decomposition._sample(d, delta, pairs, m, seed,
-                                                attempt)
+        *batch, got_padded = decomposition._sample(d, delta, pairs, m, seed,
+                                                   attempt)
+        got = partition_views(*batch)
         want, want_padded = reference_sample(d, delta, pairs, m, seed,
                                              attempt)
         if s.n > 1:
@@ -141,7 +142,8 @@ def test_one_batch_draws_distinct_orders_and_spread_radii(monkeypatch):
     s = PointSet(np.random.RandomState(3).uniform(0, 20, (20, 2)))
     d, delta, m = s.distance_matrix(), 12.0, 600
     pairs = np.nonzero((d <= 3.0) & ~np.eye(s.n, dtype=bool))
-    parts, padded = decomposition._sample(d, delta, pairs, m, 7, 0)
+    *batch, padded = decomposition._sample(d, delta, pairs, m, 7, 0)
+    parts = partition_views(*batch)
     assert len(made) == 1
     (orders,) = [out for outs in made[0].draws.values() for out in outs
                  if np.shape(out) == (m, s.n)]
@@ -157,7 +159,8 @@ def test_one_batch_draws_distinct_orders_and_spread_radii(monkeypatch):
     assert radii.max() >= hi - 0.1 * (hi - lo)
     # the batch does not depend on how it is chunked: 3 carvings a chunk
     monkeypatch.setattr(decomposition, "PAIRWISE_BYTES", 3 * 8 * s.n * s.n)
-    chunked, chunked_padded = decomposition._sample(d, delta, pairs, m, 7, 0)
+    *batch, chunked_padded = decomposition._sample(d, delta, pairs, m, 7, 0)
+    chunked = partition_views(*batch)
     assert chunked_padded.tobytes() == padded.tobytes()
     for g, w in zip(chunked, parts):
         assert g.radius == w.radius
@@ -223,8 +226,9 @@ def test_single_cluster_when_delta_covers_diameter():
     # the sampler's random carvings give the same partition and padding
     d = s.distance_matrix()
     close = (d <= dec.pad_radius) & ~np.eye(s.n, dtype=bool)
-    parts, padded = decomposition._sample(d, delta, np.nonzero(close), dec.m,
-                                          dec.seed, 0)
+    *batch, padded = decomposition._sample(d, delta, np.nonzero(close), dec.m,
+                                           dec.seed, 0)
+    parts = partition_views(*batch)
     for got, want in zip(parts, dec.partitions):
         assert np.array_equal(got.labels, want.labels)
         assert [c.tolist() for c in got.clusters] == [list(range(s.n))]

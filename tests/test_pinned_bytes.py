@@ -1,0 +1,52 @@
+"""Pinned output bytes: the seed-0 dumps of two small snowflakes and the
+rows of one sampled decomposition, as sha256 digests.
+
+A rerun in one process cannot see a change that moves every run the same
+way; these digests hold across commits. A change that means to move the
+bytes (a new random stream, a new layout) updates the digests here and
+says so.
+"""
+
+import hashlib
+
+import numpy as np
+
+from snowdim import snowflake
+from snowdim.decomposition import build_decomposition
+from snowdim.points import generate, normalize
+
+
+def sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_l1_line_snowflake_dump_bytes():
+    s = normalize(generate("line", n=10, norm="l1", seed=0))
+    e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
+    assert sha256(snowflake.dumps(e)) == (
+        "7f2c16db90014cad711663c597d5286002461dac034795152308b79e86b6eeb7")
+
+
+def test_linf_ball_snowflake_dump_bytes():
+    s = normalize(generate("ball", n=32, dim=4, norm="linf", seed=0))
+    e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
+    assert sha256(snowflake.dumps(e)) == (
+        "ec5c9b13ab0678ddc95042533305218e64f7cec72028941423ce5dac328877f0")
+
+
+def test_sampled_decomposition_label_bytes():
+    s = normalize(generate("grid", side=10, dims=2))
+    dec = build_decomposition(s, delta=24.0, pad_radius=1.0, eps_pad=0.36,
+                              seed=0)
+    assert (dec.m, dec.attempts, dec.copies) == (164, 1, 1)
+    assert sha256(dec.labels.astype("<i8").tobytes()) == (
+        "e133138bee4162af6772bd750716da1a7a6cb50ee957a7466b49ea193ca4f559")
+    assert sha256(dec.padded.tobytes()) == (
+        "ee7302fa7c63c1b04d74b8c9745ae0b0a6baa7450af28f59c11f083a926c1e81")
+    assert sha256(dec.radii.astype("<f8").tobytes()) == (
+        "f93126dd1fe59957b945e17d427fda0254f41a929bb2f1fcde0ce70f2da56f7a")
+    # the member and size rows are the labels' stable sort and counts
+    assert np.array_equal(dec.members,
+                          np.argsort(dec.labels, axis=1, kind="stable"))
+    assert np.array_equal(dec.sizes, np.stack(
+        [np.bincount(row, minlength=s.n) for row in dec.labels]))

@@ -162,6 +162,96 @@ def test_smoothing_h_is_the_per_cluster_masked_min(kind, params, r, delta):
     assert multi > 0
 
 
+def reference_scale_clusters(dec, dmat, p):
+    # the dedupe one cluster at a time: every carving's clusters keyed by
+    # their member bytes, in order of first appearance, the counts adding
+    # up over the carvings (a certain decomposition's one view counts m
+    # times), and h one masked row-min over each carving's new clusters
+    runs = {}
+    for part in dec.partitions:
+        runs.setdefault(id(part), [part, 0])[1] += 1
+    entry_order, entries = {}, []
+    for part, times in runs.values():
+        fresh = []
+        for members in part.clusters:
+            at = entry_order.get(members.tobytes())
+            if at is None:
+                fresh.append(members)
+            else:
+                entries[at][1] += times
+        if not fresh:
+            continue
+        rows = np.concatenate(fresh)
+        lab = part.labels
+        h_rows = np.where(lab[rows, None] == lab[None, :], np.inf,
+                          dmat[rows]).min(axis=1)
+        w_rows = np.minimum(1.0, (p.delta / p.r) * h_rows)
+        lo = 0
+        for members in fresh:
+            hi = lo + len(members)
+            entry_order[members.tobytes()] = len(entries)
+            entries.append([members, times, w_rows[lo:hi], h_rows[lo:hi]])
+            lo = hi
+    return entries
+
+
+def test_scale_clusters_match_the_per_cluster_reference(monkeypatch):
+    # seeded l1, l2 and l-infinity sets at sampled, one-cluster and
+    # all-singleton scales, carved in one chunk and in many, and once with
+    # a key under which every cluster of a size collides: the columnar
+    # dedupe gives the reference's members, counts, weights, h and order
+    exact_calls = []
+    exact_groups = single_scale._exact_groups
+
+    def counting_exact(*args):
+        exact_calls.append(True)
+        return exact_groups(*args)
+
+    monkeypatch.setattr(single_scale, "_exact_groups", counting_exact)
+    l1 = normalize(PointSet(np.random.default_rng(5).uniform(0, 10, (12, 2)),
+                            norm=1.0))
+    l2 = normalize(generate("subspace", n=60, ambient_dim=8, intrinsic_dim=2,
+                            seed=4))
+    linf = normalize(generate("ball", n=30, dim=3, norm="linf", seed=2))
+    cases = [(s, r, delta, seed) for s, delta, radii in (
+        (l1, 0.1, (0.002, 0.05, 0.2, 50.0)),
+        (l2, 0.1, (0.001, 0.05, 0.2, 50.0)),
+        (linf, 0.0025, (0.00005, 0.0005, 5.0)))
+        for r in radii for seed in range(2)]
+    seen = set()
+    for chunk, collide in ((None, False), (3 * 8 * 60 * 60, False),
+                           (None, True)):
+        if chunk is not None:
+            monkeypatch.setattr(decomposition, "PAIRWISE_BYTES", chunk)
+        if collide:
+            monkeypatch.setattr(single_scale, "_point_keys",
+                                lambda n: np.zeros(n, dtype=np.uint64))
+        for s, r, delta, seed in cases:
+            sc = single_scale.scale_clusters(
+                s, SingleScaleParams(r, 0.1, delta, seed=seed))
+            want = reference_scale_clusters(sc.decomposition,
+                                            s.distance_matrix(), sc.params)
+            got = sc.clusters
+            assert len(got) == len(want)
+            for g, (members, count, weights, h) in zip(got, want):
+                assert g.members.dtype == np.intp
+                assert np.array_equal(g.members, members)
+                assert type(g.count) is int and g.count == count
+                assert np.array_equal(g.weights, weights)
+                assert np.array_equal(g.h_values, h)
+            if len(got) == 1:
+                seen.add((s.norm, "one cluster"))
+            elif len(got) == s.n:
+                seen.add((s.norm, "all singletons"))
+            elif max(c.count for c in got) > 1:
+                seen.add((s.norm, "sampled, repeats"))
+        if not collide:
+            assert exact_calls == []
+    assert exact_calls
+    assert seen == {(norm, kind) for norm in (1.0, 2.0, np.inf) for kind in
+                    ("one cluster", "all singletons", "sampled, repeats")}
+
+
 # --- l1 specifics
 
 
@@ -389,9 +479,9 @@ def test_all_singleton_scale():
     assert dec.m == batch_size(EPS_PAD, s.n, dec.dim_hat)
     dmat = s.distance_matrix()
     close = (dmat <= dec.pad_radius) & ~np.eye(s.n, dtype=bool)
-    parts, padded = decomposition._sample(dmat, dec.delta, np.nonzero(close),
-                                          dec.m, dec.seed, 0)
-    for part in parts:
+    *batch, padded = decomposition._sample(dmat, dec.delta, np.nonzero(close),
+                                           dec.m, dec.seed, 0)
+    for part in decomposition.partition_views(*batch):
         assert sorted(c.tolist() for c in part.clusters) == \
             [[i] for i in range(s.n)]
     assert np.array_equal(padded, dec.padded)

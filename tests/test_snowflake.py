@@ -142,11 +142,18 @@ def test_group_structure_and_dimension():
     s = small_grid()
     e = build_snowflake(s, 0.5, 0.1, seed=1)
     plan = e.plan
-    # l2 keeps each scale's pair distances, not a block; its width is the
-    # rank bound min(n, sum over distinct clusters of |C| - 1)
-    for sc in e.scales:
+    # l2 keeps each scale's pair distances, not a block, as one row of the
+    # embedding's (scales x pairs) array, which a scale of singletons
+    # leaves zero; its width is the rank bound
+    # min(n, sum over distinct clusters of |C| - 1)
+    assert e.scale_dists.shape == (len(e.scales), e.n * (e.n - 1) // 2)
+    for t, sc in enumerate(e.scales):
         assert sc.coords is None
         assert (sc.dists is None) == (sc.k == 0)
+        if sc.k:
+            assert np.shares_memory(sc.dists, e.scale_dists[t])
+        else:
+            assert not e.scale_dists[t].any()
         assert 0 <= sc.k <= e.n
     for sc in e.scales[::25]:
         sp = SingleScaleParams(r=sc.r, eps=0.1, delta=plan.delta, norm=2.0,
