@@ -438,9 +438,21 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     th_k = theory_dimension(p.eps, p.delta, EPS_PAD, sc.dim_hat, p.norm)
     if p.norm == 2.0:
         # the direct sum's Gram, rescaled; factored uncentered, so every
-        # image keeps its norm, which the audit bounds
+        # image keeps its norm, which the audit bounds. A point that is
+        # only ever a singleton or its cluster's first member has a zero
+        # row and sits at the origin. The other rows have full rank (the
+        # Gaussian kernel is strictly positive definite), so they are
+        # factored with no relative cutoff: a cutoff would drop true
+        # directions of the tail, and no rounding-level direction reaches
+        # the zero rows
         k, gram = _scale_gram(sc, s.distance_matrix())
-        coords = factor_gram(rescale ** 2 * gram) if k else np.zeros((n, 0))
+        coords = np.zeros((n, 0))
+        if k:
+            act = np.flatnonzero(np.diagonal(gram) > 0.0)
+            y = factor_gram(rescale ** 2 * gram[np.ix_(act, act)],
+                            keep_rtol=0.0)
+            coords = np.zeros((n, y.shape[1]))
+            coords[act] = y
         return SingleScaleEmbedding(p, s, None, sc.dim_hat, sc.decomposition,
                                     entries, m, coords.shape[1], th_k,
                                     1.0 / math.sqrt(m), rescale, coords, 0)

@@ -28,6 +28,17 @@ How the maps are combined depends on the norm:
 formula of the parameters alone. The concrete l2 width does not need the
 grouping: the exact n - 1 output is narrower than any grouped layout.
 
+The scales are independent work: each one's seed derives from (seed, i)
+alone. ``build_snowflake`` splits them over the w CPUs the process may
+run on. Scale t is built by process t mod w: the caller builds every w-th
+scale, and one forked helper per extra CPU builds the others, reading the
+inputs copy-on-write. The caller merges every result in scale order, so
+the floating-point sums are the same for any w, and the dump, report and
+label bytes do not depend on the CPU count. With one CPU, in a daemonic
+process, without the fork start method, or with no OpenBLAS whose thread
+pool can be held to one thread, every scale is built in the calling
+process.
+
 The audit measures every pair against d^alpha and the per-scale bucket
 diagnostics: write B_i for the per-scale image distance divided by
 (1+eps)^{i(1-alpha)} and anchor the size-p window
@@ -50,6 +61,10 @@ the per-scale masses the grouping would have added.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,6 +261,178 @@ def _dominant_pair_mask(
     return (col[:, None] == col[None, :]) & (pad[:, None] & pad[None, :])
 
 
+@dataclass
+class _ScaleJob:
+    """What every scale of one snowflake reads, set up before any scale is
+    built; the scale helpers inherit it through fork."""
+
+    s: PointSet
+    plan: SnowflakePlan
+    seed: int
+    dim_hat: float
+    istar_top: int                   # the finest scale that can anchor a pair
+    iu: np.ndarray                   # the pairs i < j
+    ju: np.ndarray
+
+
+def _build_scale(job: _ScaleJob,
+                 i: int) -> tuple[ScaleEntry, np.ndarray | None]:
+    """Scale i's entry and, on l2, its weighted Gram (None on l1 and
+    l-infinity, or when the scale is all singletons).
+
+    Everything is already divided by (1+eps)^{i(1-alpha)}: the l1 or
+    l-infinity block, the l2 pair distances, and the l2 Gram by its
+    square. A library error is re-raised as the same type with the scale
+    named in front of its message."""
+    plan = job.plan
+    eps = plan.eps
+    sp = SingleScaleParams(r=(1.0 + eps) ** i, eps=eps, delta=plan.delta,
+                           norm=plan.norm, seed=_scale_seed(job.seed, i),
+                           rescale_c=0.0, dim_hat=job.dim_hat)
+    l2 = plan.norm == 2.0
+    try:
+        e_i = (scale_clusters(job.s, sp) if l2
+               else build_single_scale(job.s, sp))
+    except SnowdimError as err:
+        raise type(err)(f"scale i={i} (r={sp.r:.6g}): {err}") from err
+    w = (1.0 + eps) ** (-i * (1.0 - plan.alpha))
+    coords = dists = g_w = None
+    if l2:
+        k_i, g_i = _scale_gram(e_i, job.s.distance_matrix())
+        if k_i:
+            g_w = (w * w) * g_i
+            diag = np.diag(g_i)
+            dists = w * np.sqrt(np.maximum(
+                diag[job.iu] + diag[job.ju] - 2.0 * g_i[job.iu, job.ju], 0.0))
+    else:
+        k_i, coords = e_i.k, e_i.coords * w
+    dom = None
+    if 0 <= i <= job.istar_top and k_i:
+        dom = _dominant_pair_mask(e_i)
+    return ScaleEntry(i, sp.r, sp.seed, k_i, coords, dists, dom), g_w
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _openblas_pools() -> list[tuple]:
+    """The (get, set) thread-count functions of every OpenBLAS loaded into
+    this process, found through /proc/self/maps; empty where none is."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as f:
+            fields = [line.split(maxsplit=5) for line in f]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6
+                    and "openblas" in f[5].rpartition("/")[2]})
+    pools = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get, put = (f"{name}_{op}_num_threads{suffix}"
+                            for op in ("get", "set"))
+                if hasattr(lib, get) and hasattr(lib, put):
+                    get, put = getattr(lib, get), getattr(lib, put)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    pools.append((get, put))
+    return pools
+
+
+def _scale_helper(job: _ScaleJob, indices: range, conn) -> None:
+    """A forked helper's loop: build the given scales in order and send
+    each result, or the first error, through ``conn``. ``send`` blocks
+    until the caller reads, so at most one result waits at a time. A
+    SIGTERM handler inherited from the caller is dropped, so the caller
+    can always stop it."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    try:
+        for i in indices:
+            conn.send((True, _build_scale(job, i)))
+    except BaseException as err:
+        if hasattr(err, "add_note"):        # Python 3.11 and later
+            err.add_note("raised in a scale helper:\n"
+                         + traceback.format_exc())
+        conn.send((False, err))
+    finally:
+        conn.close()
+
+
+@contextmanager
+def _scale_results(job: _ScaleJob):
+    """Yield an iterator over ``_build_scale`` of every scale, in scale
+    order.
+
+    With w CPUs (capped by the scale count), scale t is built by process
+    t mod w: the caller builds its own share, and w - 1 helpers forked
+    here build the rest, sharing the inputs copy-on-write. The caller
+    reads each helper's results in scale order, so the merge sees the
+    same sequence for any w. While they run, OpenBLAS is held to one
+    thread in every process (the helpers inherit it), so the w processes
+    share the CPUs instead of w BLAS pools each contending for all of
+    them. With one CPU, inside a daemonic process (which may not start
+    children), without the fork start method, or where no OpenBLAS pool
+    can be held, the scales are built in this process alone. A helper's
+    error is re-raised at its scale's turn. On any error every helper is
+    terminated, and every helper is joined before this returns or
+    raises."""
+    indices = job.plan.scale_indices
+    w = min(_worker_count(), len(indices))
+    pools = []
+    if w > 1:
+        import multiprocessing
+        if (not multiprocessing.current_process().daemon
+                and "fork" in multiprocessing.get_all_start_methods()):
+            pools = _openblas_pools()
+    if not pools:
+        yield (_build_scale(job, i) for i in indices)
+        return
+    ctx = multiprocessing.get_context("fork")
+    threads = [get() for get, _ in pools]
+    helpers = []
+    try:
+        for _, put in pools:
+            put(1)
+        for h in range(1, w):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_scale_helper,
+                               args=(job, indices[h::w], send), daemon=True)
+            proc.start()
+            send.close()
+            helpers.append((proc, recv))
+        yield _merge_order(job, indices, [r for _, r in helpers])
+    except BaseException:
+        for proc, _ in helpers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in helpers:
+            proc.join()
+            recv.close()
+        for (_, put), n in zip(pools, threads):
+            put(n)
+
+
+def _merge_order(job: _ScaleJob, indices: range, conns: list):
+    w = len(conns) + 1
+    for t, i in enumerate(indices):
+        if t % w == 0:
+            yield _build_scale(job, i)
+            continue
+        try:
+            ok, out = conns[t % w - 1].recv()
+        except EOFError:
+            raise RuntimeError(
+                f"a scale helper exited before sending scale i={i}") from None
+        if not ok:
+            raise out
+        yield out
+
+
 def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
                     norm: float | None = None,
                     dim_hat: float | None = None) -> SnowflakeEmbedding:
@@ -255,11 +442,16 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     reported theory dimension depends only on the parameters and that
     estimate (pass ``dim_hat`` to pin it). The target norm defaults to
     the input's own norm (``s.norm``). Per-scale seeds derive from
-    (seed, i), so any scale can be rebuilt independently. A library error
-    from one scale is re-raised as the same type with the scale named in
-    front of its message; any other exception passes through untouched.
-    An l1 target above the cut LP's MAX_CUT_POINTS whose metric is not a
-    line raises ClusterTooLarge before any scale is built.
+    (seed, i), so any scale can be rebuilt independently, and the scales
+    are split over the CPUs this process may use: the caller builds
+    every w-th scale and one forked helper per extra CPU builds each of
+    the others, and the caller merges all of them in scale order. The
+    output bytes do not depend on the CPU count. A library error from
+    one scale is re-raised as the same type with the scale named in
+    front of its message; any other exception passes through with its
+    type and message (from a helper, with the helper's traceback as a
+    note). An l1 target above the cut LP's MAX_CUT_POINTS whose metric is
+    not a line raises ClusterTooLarge before any scale is built.
     """
     plan = scale_plan(s, alpha, eps, norm)
     # every scale coarser than the carving range keeps all n points in one
@@ -274,44 +466,26 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     n = s.n
-    lg = math.log1p(eps)
     # dominant-pair masks are only consulted at scales that can anchor a
     # pair: 0 <= i* <= log_{1+eps} diam
-    istar_top = math.floor(math.log(s.diameter()) / lg) + 1
+    istar_top = math.floor(math.log(s.diameter()) / math.log1p(eps)) + 1
     l2 = plan.norm == 2.0
+    job = _ScaleJob(s, plan, seed, dim_hat, istar_top,
+                    *np.triu_indices(n, k=1))
     scale_dists = None
     if l2:
-        dmat = s.distance_matrix()
-        iu, ju = np.triu_indices(n, k=1)
         gram = np.zeros((n, n))
         # every scale's pair distances, written in place: the audit reads
         # this array whole, and a scale of singletons keeps its zero row
-        scale_dists = np.zeros((len(plan.scale_indices), len(iu)))
+        scale_dists = np.zeros((len(plan.scale_indices), len(job.iu)))
     entries: list[ScaleEntry] = []
-    for t, i in enumerate(plan.scale_indices):
-        sp = SingleScaleParams(r=(1.0 + eps) ** i, eps=eps, delta=plan.delta,
-                               norm=plan.norm, seed=_scale_seed(seed, i),
-                               rescale_c=0.0, dim_hat=dim_hat)
-        try:
-            e_i = scale_clusters(s, sp) if l2 else build_single_scale(s, sp)
-        except SnowdimError as err:
-            raise type(err)(f"scale i={i} (r={sp.r:.6g}): {err}") from err
-        w = (1.0 + eps) ** (-i * (1.0 - alpha))
-        coords = dists = None
-        if l2:
-            k_i, g_i = _scale_gram(e_i, dmat)
-            if k_i:
-                gram += (w * w) * g_i
-                diag = np.diag(g_i)
-                scale_dists[t] = w * np.sqrt(np.maximum(
-                    diag[iu] + diag[ju] - 2.0 * g_i[iu, ju], 0.0))
-                dists = scale_dists[t]
-        else:
-            k_i, coords = e_i.k, e_i.coords * w
-        dom = None
-        if 0 <= i <= istar_top and k_i:
-            dom = _dominant_pair_mask(e_i)
-        entries.append(ScaleEntry(i, sp.r, sp.seed, k_i, coords, dists, dom))
+    with _scale_results(job) as results:
+        for t, (entry, g_w) in enumerate(results):
+            if g_w is not None:
+                gram += g_w
+                scale_dists[t] = entry.dists
+                entry.dists = scale_dists[t]
+            entries.append(entry)
 
     if l2:
         # the direct sum of the scales, normalized, has Gram gram / M; its

@@ -72,13 +72,16 @@ def threshold_transform(t, r: float):
     return out if out.ndim else float(out)
 
 
-def factor_gram(gram: np.ndarray) -> np.ndarray:
+def factor_gram(gram: np.ndarray,
+                keep_rtol: float = EIG_KEEP_RTOL) -> np.ndarray:
     """Rows y with y @ y.T equal to the symmetric PSD matrix ``gram``.
 
-    Eigenvalues at or below EIG_KEEP_RTOL * max are dropped, so y has at
-    most rank(gram) columns, leading coordinates first. Raises
-    NotEuclidean when the smallest eigenvalue lies below -EIG_RTOL * max:
-    the matrix is no Gram matrix of any point set.
+    Eigenvalues at or below keep_rtol * max are dropped, so y has at most
+    rank(gram) columns, leading coordinates first. ``keep_rtol = 0``
+    keeps every positive eigenvalue, for a Gram known to have full rank
+    whose small eigenvalues are true directions. Raises NotEuclidean when
+    the smallest eigenvalue lies below -EIG_RTOL * max: the matrix is no
+    Gram matrix of any point set.
     """
     n = gram.shape[0]
     gram = 0.5 * (gram + gram.T)
@@ -89,7 +92,7 @@ def factor_gram(gram: np.ndarray) -> np.ndarray:
             f"most negative Gram eigenvalue {vals[0]:.6g} below "
             f"tolerance {-EIG_RTOL * top:.6g}; the matrix is not a Gram "
             f"matrix")
-    keep = vals > EIG_KEEP_RTOL * top
+    keep = vals > keep_rtol * top
     if not keep.any():
         return np.zeros((n, 0))
     # leading coordinates first; eigh sorts ascending

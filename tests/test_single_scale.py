@@ -127,12 +127,36 @@ def test_l2_build_runs_no_net_and_no_extension(monkeypatch):
     grid = normalize(generate("grid", side=8, dims=2))
     for r in (0.05, 2.0, 200.0):
         build_single_scale(grid, SingleScaleParams(r, 0.1, 0.1, seed=7))
+    # the counters see only the scales built in this process
+    monkeypatch.setattr(snowflake_mod, "_worker_count", lambda: 1)
     build_snowflake(normalize(generate("line", n=16)), 0.5, 0.1, seed=0)
     assert calls == {"greedy_net": 0, "kirszbraun_extend": 0}
     # the counter does see the nets the l1 path reads
     line = normalize(generate("line", n=6, norm="l1"))
     build_single_scale(line, SingleScaleParams(1.0, 0.1, 0.1, seed=0))
     assert calls == {"greedy_net": 1, "kirszbraun_extend": 0}
+
+
+def test_l2_single_scale_keeps_the_tail_of_its_spectrum():
+    # its nonzero rows factored with no relative cutoff, a single-scale l2
+    # build writes the pair distances the snowflake reads off the same
+    # scale's Gram; the cutoff used to drop a tail worth up to 4.5e-9 of
+    # a distance on a 200-point subspace set
+    s = normalize(generate("grid", side=8, dims=2))
+    e = build_snowflake(s, 0.5, 0.1, seed=0)
+    checked = 0
+    for sc in e.scales:
+        one = build_single_scale(s, SingleScaleParams(
+            sc.r, 0.1, e.plan.delta, seed=sc.seed, rescale_c=0.0,
+            dim_hat=e.dim_hat))
+        if sc.dists is None:
+            assert one.k == 0
+            continue
+        w = (1.0 + 0.1) ** (-sc.i * 0.5)
+        np.testing.assert_allclose(pdist(one.coords), sc.dists / w,
+                                   rtol=1e-11, atol=0.0)
+        checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("kind, params, r, delta", [

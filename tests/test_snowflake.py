@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,7 @@ import snowdim.snowflake as snowflake
 from snowdim.errors import (BadParams, ClusterTooLarge, EmptyInput,
                             NotEuclidean)
 from snowdim.decomposition import build_decomposition
+from snowdim.labeling import dls_build, dumps_labels
 from snowdim.points import PointSet, generate, normalize
 from snowdim.single_scale import (SingleScaleParams, build_single_scale,
                                   contract_audit, loads_coords)
@@ -188,6 +191,8 @@ def test_l2_snowflake_realizes_no_cluster_and_squeezes_no_block(monkeypatch):
         for name in originals:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counting(name))
+    # the counters see only the scales built in this process
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 1)
     e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
     assert distortion_audit(e).passed
     # nor does an l2 single-scale build, which factors the same Gram
@@ -226,6 +231,8 @@ def test_each_sample_makes_one_generator_and_spawns_no_seed(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     monkeypatch.setattr(decomposition, "_sample", counting_sample)
+    # the counters see only the scales built in this process
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 1)
     e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
     assert distortion_audit(e).passed
     assert calls["_sample"] > 0
@@ -353,6 +360,139 @@ def test_scale_errors_name_the_scale_and_chain(monkeypatch):
         build_snowflake(line_pair(), 0.5, 0.1, seed=0)
     assert info.value is other
     assert other.args == ("out of memory",)
+
+
+# --- the scales split over processes
+
+
+def snowflake_bytes(s) -> list[bytes]:
+    """The seed-0 dump, report JSON and, for l2, label bytes."""
+    e = build_snowflake(s, 0.5, 0.1, seed=0)
+    out = [dumps(e), distortion_audit(e).dumps_json().encode()]
+    if e.plan.norm == 2.0:
+        out.append(dumps_labels(dls_build(e, 0.1)))
+    return out
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("line", dict(n=10, norm="l1", seed=0)),
+    ("grid", dict(side=8, dims=2)),
+    ("ball", dict(n=32, dim=4, norm="linf", seed=0)),
+], ids=["l1-line", "l2-grid", "linf-ball"])
+def test_the_bytes_do_not_depend_on_the_worker_count(monkeypatch, kind,
+                                                     params):
+    # the caller merges the scales in scale order, whichever process built
+    # them, and every helper is gone when the build returns
+    got = []
+    for w in (1, 2, 3):
+        monkeypatch.setattr(snowflake, "_worker_count", lambda w=w: w)
+        got.append(snowflake_bytes(normalize(generate(kind, **params))))
+        assert multiprocessing.active_children() == []
+    assert got[0] == got[1] == got[2]
+
+
+def counting_scale_clusters(calls: list):
+    scale_clusters = single_scale.scale_clusters
+
+    def counting(s, params):
+        calls.append(params.r)
+        return scale_clusters(s, params)
+    return counting
+
+
+def blas_threads() -> list[int]:
+    return [get() for get, _ in snowflake._openblas_pools()]
+
+
+def test_the_caller_builds_every_wth_scale(monkeypatch):
+    threads = blas_threads()
+    assert threads
+    calls = []
+    monkeypatch.setattr(snowflake, "scale_clusters",
+                        counting_scale_clusters(calls))
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 1)
+    e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
+    assert calls == [sc.r for sc in e.scales]
+    # with two CPUs a helper builds the odd scales; this process the rest
+    calls.clear()
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 2)
+    e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
+    assert calls == [sc.r for sc in e.scales[::2]]
+    assert multiprocessing.active_children() == []
+    # OpenBLAS is held to one thread only while the helpers run
+    assert blas_threads() == threads
+
+
+@pytest.mark.parametrize("at, error", [
+    (1, NotEuclidean("Gram spectrum too negative")),
+    (1, MemoryError("out of memory")),
+    (2, NotEuclidean("Gram spectrum too negative")),
+], ids=["helper", "helper-other", "caller"])
+def test_a_failing_scale_stops_every_helper(monkeypatch, at, error):
+    # with two CPUs scale t is built by process t mod 2: t = 1 by the
+    # helper, whose error comes back through its pipe, and t = 2 by the
+    # caller while the helper still runs
+    plan = scale_plan(small_grid(), 0.5, 0.1)
+    i = plan.i_lo + at
+    r = (1.0 + 0.1) ** i
+    scale_clusters = single_scale.scale_clusters
+
+    def fail_at(s, params):
+        if params.r == r:
+            raise error
+        return scale_clusters(s, params)
+
+    monkeypatch.setattr(snowflake, "scale_clusters", fail_at)
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 2)
+    threads = blas_threads()
+    with pytest.raises(type(error)) as info:
+        build_snowflake(small_grid(), 0.5, 0.1, seed=1)
+    assert multiprocessing.active_children() == []
+    assert blas_threads() == threads
+    if isinstance(error, NotEuclidean):
+        assert str(info.value) == (
+            f"scale i={i} (r={r:.6g}): Gram spectrum too negative")
+    else:
+        assert info.value.args == error.args
+    notes = getattr(info.value, "__notes__", [])
+    assert any("raised in a scale helper" in n for n in notes) == (at == 1)
+
+
+def test_a_helper_that_dies_is_named_at_its_scale(monkeypatch):
+    plan = scale_plan(small_grid(), 0.5, 0.1)
+    r = (1.0 + 0.1) ** (plan.i_lo + 1)
+    scale_clusters = single_scale.scale_clusters
+
+    def die_at(s, params):
+        if params.r == r:
+            os._exit(3)
+        return scale_clusters(s, params)
+
+    monkeypatch.setattr(snowflake, "scale_clusters", die_at)
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 2)
+    with pytest.raises(RuntimeError, match=(
+            f"a scale helper exited before sending scale i={plan.i_lo + 1}$")):
+        build_snowflake(small_grid(), 0.5, 0.1, seed=1)
+    assert multiprocessing.active_children() == []
+
+
+def _build_in_a_pool_worker() -> tuple[bytes, bool]:
+    # runs in the worker process, so the patch stays there
+    calls = []
+    snowflake.scale_clusters = counting_scale_clusters(calls)
+    e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
+    return dumps(e), calls == [sc.r for sc in e.scales]
+
+
+def test_a_daemonic_caller_builds_every_scale_itself(monkeypatch):
+    # a Pool worker is daemonic and may start no process of its own
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 2)
+    want = dumps(build_snowflake(small_grid(), 0.5, 0.1, seed=1))
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        got, all_in_the_worker = pool.apply_async(
+            _build_in_a_pool_worker).get(timeout=120)
+    assert got == want
+    assert all_in_the_worker
 
 
 def test_l1_above_the_cut_cap_is_refused_before_any_scale(monkeypatch):
