@@ -34,10 +34,10 @@ run on. Scale t is built by process t mod w: the caller builds every w-th
 scale, and one forked helper per extra CPU builds the others, reading the
 inputs copy-on-write. The caller merges every result in scale order, so
 the floating-point sums are the same for any w, and the dump, report and
-label bytes do not depend on the CPU count. With one CPU, in a daemonic
-process, without the fork start method, or with no OpenBLAS whose thread
-pool can be held to one thread, every scale is built in the calling
-process.
+label bytes do not depend on the CPU count. With one CPU (or where the
+system cannot say: ``os.sched_getaffinity`` is Linux-only), in a daemonic
+process, without the fork start method, or while another Python thread
+runs, every scale is built in the calling process.
 
 The audit measures every pair against d^alpha and the per-scale bucket
 diagnostics: write B_i for the per-scale image distance divided by
@@ -313,13 +313,18 @@ def _build_scale(job: _ScaleJob,
 
 
 def _worker_count() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on; 1 where the system cannot say
+    (``os.sched_getaffinity`` exists on Linux only), so that the build
+    stays in the calling process there."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
     return len(os.sched_getaffinity(0))
 
 
 def _openblas_pools() -> list[tuple]:
     """The (get, set) thread-count functions of every OpenBLAS loaded into
-    this process, found through /proc/self/maps; empty where none is."""
+    this process, found through /proc/self/maps; empty where none is found
+    (another BLAS, or no /proc)."""
     import ctypes
     try:
         with open("/proc/self/maps") as f:
@@ -330,7 +335,10 @@ def _openblas_pools() -> list[tuple]:
                     and "openblas" in f[5].rpartition("/")[2]})
     pools = []
     for path in paths:
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         for name in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
                 get, put = (f"{name}_{op}_num_threads{suffix}"
@@ -345,19 +353,26 @@ def _openblas_pools() -> list[tuple]:
 
 def _scale_helper(job: _ScaleJob, indices: range, conn) -> None:
     """A forked helper's loop: build the given scales in order and send
-    each result, or the first error, through ``conn``. ``send`` blocks
-    until the caller reads, so at most one result waits at a time. A
-    SIGTERM handler inherited from the caller is dropped, so the caller
-    can always stop it."""
+    each result as (True, result), or the first error as (False, error,
+    its cause), through ``conn``. ``send`` blocks until the caller reads,
+    so at most one result waits at a time. An error that cannot be
+    pickled is sent as a RuntimeError holding its traceback. A SIGTERM
+    handler inherited from the caller is dropped, so the caller can
+    always stop it."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         for i in indices:
             conn.send((True, _build_scale(job, i)))
     except BaseException as err:
+        tb = traceback.format_exc()
         if hasattr(err, "add_note"):        # Python 3.11 and later
-            err.add_note("raised in a scale helper:\n"
-                         + traceback.format_exc())
-        conn.send((False, err))
+            err.add_note("raised in a scale helper:\n" + tb)
+        try:
+            conn.send((False, err, err.__cause__))
+        except Exception:
+            conn.send((False, RuntimeError(
+                "a scale helper raised an error that cannot be sent "
+                f"back:\n{tb}"), None))
     finally:
         conn.close()
 
@@ -371,27 +386,32 @@ def _scale_results(job: _ScaleJob):
     t mod w: the caller builds its own share, and w - 1 helpers forked
     here build the rest, sharing the inputs copy-on-write. The caller
     reads each helper's results in scale order, so the merge sees the
-    same sequence for any w. While they run, OpenBLAS is held to one
-    thread in every process (the helpers inherit it), so the w processes
-    share the CPUs instead of w BLAS pools each contending for all of
-    them. With one CPU, inside a daemonic process (which may not start
-    children), without the fork start method, or where no OpenBLAS pool
-    can be held, the scales are built in this process alone. A helper's
-    error is re-raised at its scale's turn. On any error every helper is
-    terminated, and every helper is joined before this returns or
-    raises."""
+    same sequence for any w. The scales are built in this process alone
+    with one CPU, inside a daemonic process (which may not start
+    children), without the fork start method, or while another Python
+    thread runs: a fork copies any lock that thread holds into the
+    helper, and two builds at once would interleave the thread-count
+    hold below. While the helpers run, every OpenBLAS found is held to
+    one thread in every process (the helpers inherit it), so the w
+    processes share the CPUs instead of w BLAS pools each contending for
+    all of them; another BLAS keeps its own setting. A helper's error is
+    re-raised at its scale's turn, chained to the cause it was raised
+    from. On any error every helper is terminated, and every helper is
+    joined before this returns or raises."""
     indices = job.plan.scale_indices
     w = min(_worker_count(), len(indices))
-    pools = []
     if w > 1:
         import multiprocessing
-        if (not multiprocessing.current_process().daemon
-                and "fork" in multiprocessing.get_all_start_methods()):
-            pools = _openblas_pools()
-    if not pools:
+        import threading
+        if (multiprocessing.current_process().daemon
+                or "fork" not in multiprocessing.get_all_start_methods()
+                or threading.active_count() > 1):
+            w = 1
+    if w <= 1:
         yield (_build_scale(job, i) for i in indices)
         return
     ctx = multiprocessing.get_context("fork")
+    pools = _openblas_pools()
     threads = [get() for get, _ in pools]
     helpers = []
     try:
@@ -404,7 +424,7 @@ def _scale_results(job: _ScaleJob):
             proc.start()
             send.close()
             helpers.append((proc, recv))
-        yield _merge_order(job, indices, [r for _, r in helpers])
+        yield _merge_order(job, indices, helpers)
     except BaseException:
         for proc, _ in helpers:
             proc.terminate()
@@ -417,19 +437,24 @@ def _scale_results(job: _ScaleJob):
             put(n)
 
 
-def _merge_order(job: _ScaleJob, indices: range, conns: list):
-    w = len(conns) + 1
+def _merge_order(job: _ScaleJob, indices: range, helpers: list):
+    w = len(helpers) + 1
     for t, i in enumerate(indices):
         if t % w == 0:
             yield _build_scale(job, i)
             continue
+        # a helper holds the only write end of its pipe, so its exit
+        # reads as EOF here
+        proc, conn = helpers[t % w - 1]
         try:
-            ok, out = conns[t % w - 1].recv()
+            ok, out, *cause = conn.recv()
         except EOFError:
+            proc.join()
             raise RuntimeError(
-                f"a scale helper exited before sending scale i={i}") from None
+                f"a scale helper exited (code {proc.exitcode}) before "
+                f"sending scale i={i}") from None
         if not ok:
-            raise out
+            raise out from cause[0]
         yield out
 
 
@@ -448,9 +473,11 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     the others, and the caller merges all of them in scale order. The
     output bytes do not depend on the CPU count. A library error from
     one scale is re-raised as the same type with the scale named in
-    front of its message; any other exception passes through with its
-    type and message (from a helper, with the helper's traceback as a
-    note). An l1 target above the cut LP's MAX_CUT_POINTS whose metric is
+    front of its message, chained to the original; any other exception
+    passes through with its type and message. From a helper, the error
+    carries the helper's traceback as a note, and its cause is a copy of
+    the original; an error that cannot be pickled comes back as a
+    RuntimeError holding its traceback. An l1 target above the cut LP's MAX_CUT_POINTS whose metric is
     not a line raises ClusterTooLarge before any scale is built.
     """
     plan = scale_plan(s, alpha, eps, norm)

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -456,6 +457,34 @@ def test_a_failing_scale_stops_every_helper(monkeypatch, at, error):
         assert info.value.args == error.args
     notes = getattr(info.value, "__notes__", [])
     assert any("raised in a scale helper" in n for n in notes) == (at == 1)
+    # a library error is chained to its original, also across the pipe
+    cause = info.value.__cause__
+    if isinstance(error, NotEuclidean):
+        assert type(cause) is NotEuclidean and cause.args == error.args
+    else:
+        assert cause is None
+
+
+def test_an_error_that_cannot_be_pickled_comes_back_as_its_traceback(
+        monkeypatch):
+    class Unsendable(Exception):
+        pass                        # a local class does not pickle
+
+    plan = scale_plan(small_grid(), 0.5, 0.1)
+    r = (1.0 + 0.1) ** (plan.i_lo + 1)
+    scale_clusters = single_scale.scale_clusters
+
+    def fail_at(s, params):
+        if params.r == r:
+            raise Unsendable("no way back")
+        return scale_clusters(s, params)
+
+    monkeypatch.setattr(snowflake, "scale_clusters", fail_at)
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="cannot be sent back") as info:
+        build_snowflake(small_grid(), 0.5, 0.1, seed=1)
+    assert "Unsendable: no way back" in str(info.value)
+    assert multiprocessing.active_children() == []
 
 
 def test_a_helper_that_dies_is_named_at_its_scale(monkeypatch):
@@ -471,9 +500,51 @@ def test_a_helper_that_dies_is_named_at_its_scale(monkeypatch):
     monkeypatch.setattr(snowflake, "scale_clusters", die_at)
     monkeypatch.setattr(snowflake, "_worker_count", lambda: 2)
     with pytest.raises(RuntimeError, match=(
-            f"a scale helper exited before sending scale i={plan.i_lo + 1}$")):
+            rf"a scale helper exited \(code 3\) before sending scale "
+            rf"i={plan.i_lo + 1}$")):
         build_snowflake(small_grid(), 0.5, 0.1, seed=1)
     assert multiprocessing.active_children() == []
+
+
+def test_without_sched_getaffinity_the_caller_builds_every_scale(
+        monkeypatch):
+    # os.sched_getaffinity is Linux-only; elsewhere the build stays serial
+    want = dumps(build_snowflake(small_grid(), 0.5, 0.1, seed=1))
+    calls = []
+    monkeypatch.setattr(snowflake, "scale_clusters",
+                        counting_scale_clusters(calls))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
+    assert dumps(e) == want
+    assert calls == [sc.r for sc in e.scales]
+
+
+def test_builds_in_two_threads_at_once_stay_in_the_process(monkeypatch):
+    # forking beside another thread could copy a lock it holds, and two
+    # builds would interleave the BLAS thread-count hold, so neither forks
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 2)
+    want = dumps(build_snowflake(small_grid(), 0.5, 0.1, seed=1))
+    threads = blas_threads()
+    calls = []
+    monkeypatch.setattr(snowflake, "scale_clusters",
+                        counting_scale_clusters(calls))
+    start = threading.Barrier(2)
+    got = [None, None]
+
+    def build(j):
+        start.wait()
+        got[j] = dumps(build_snowflake(small_grid(), 0.5, 0.1, seed=1))
+
+    workers = [threading.Thread(target=build, args=(j,)) for j in (0, 1)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=120)
+    assert got == [want, want]
+    plan = scale_plan(small_grid(), 0.5, 0.1)
+    assert len(calls) == 2 * len(plan.scale_indices)
+    assert multiprocessing.active_children() == []
+    assert blas_threads() == threads
 
 
 def _build_in_a_pool_worker() -> tuple[bytes, bool]:
