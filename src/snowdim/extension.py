@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BadParams, DuplicateSources, ExtensionDidNotConverge
 from .points import _pairwise
@@ -74,6 +73,8 @@ def kirszbraun_extend(dmat: np.ndarray, src_idx: np.ndarray,
     cannot be driven inside its balls (e.g. ``lip`` below the true
     constant of the source data).
     """
+    from scipy.optimize import minimize    # on use: the import skips scipy
+
     dmat = np.asarray(dmat, dtype=np.float64)
     n = dmat.shape[0]
     images = np.ascontiguousarray(images, dtype=np.float64)

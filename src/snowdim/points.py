@@ -110,6 +110,7 @@ class PointSet:
     scale: float = 1.0
     _dmat: np.ndarray | None = field(default=None, repr=False, compare=False)
     _dmin: float | None = field(default=None, repr=False, compare=False)
+    _sorted: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
@@ -147,6 +148,15 @@ class PointSet:
                 pts = pts - pts.mean(axis=0)
             self._dmat = _pairwise(pts, self.norm)
         return self._dmat
+
+    def _sorted_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each distance-matrix row's stable argsort and its distances in
+        that order: (order, sorted), both (n, n)."""
+        if self._sorted is None:
+            d = self.distance_matrix()
+            order = np.argsort(d, axis=1, kind="stable")
+            self._sorted = order, np.take_along_axis(d, order, axis=1)
+        return self._sorted
 
     def diameter(self) -> float:
         return float(self.distance_matrix().max()) if self.n > 1 else 0.0

@@ -9,7 +9,12 @@ of radius eps*delta*r, a quarter of that for l-infinity); fade each
 cluster map to zero near the cluster boundary with the smoothing weight
 min(1, (delta/r) * dist(x, outside)); direct-sum the partitions with the
 norm's combining scale and apply the final global rescale. Every point is
-decomposed, so no point needs an extension.
+decomposed, so no point needs an extension. A weight is below 1 only
+where fl((delta/r) * h) < 1, so the smoothing reads only the neighbours y
+with fl((delta/r) * d(x, y)) < 1: a prefix of x's sorted distance row
+(sorted once per point set), scanned for every member row of the scale's
+new clusters in one flat batch. h is kept below the cap r/delta and is
+inf at or past it.
 
 l2 realizes no cluster: the Gram of the scale's direct sum is summed in
 closed form from its clusters (``_scale_gram``, which the l2 snowflake
@@ -45,8 +50,9 @@ import numpy as np
 from . import report as report_mod
 from .decomposition import PaddedDecomposition, build_decomposition
 from .errors import BadParams, EmptyInput, HeaderMismatch, PaddingUnachievable
-from .points import (Net, PointSet, _pairwise, estimate_doubling, greedy_net,
-                     norm_label, norm_tag, require_normalized, vector_norm)
+from .points import (PAIRWISE_BYTES, Net, PointSet, _pairwise,
+                     estimate_doubling, greedy_net, norm_label, norm_tag,
+                     require_normalized, vector_norm)
 from .transforms import (Cut, circular_cuts, cut_decomposition, factor_gram,
                          gaussian_transform, laplace_transform, line_order,
                          threshold_transform)
@@ -124,6 +130,9 @@ class ClusterEntry:
     only on the cluster itself, so two partitions sharing C contribute
     identical blocks and only the multiplicity matters (squared weights
     add for l2, linear for l1, and the max is idempotent for l-infinity).
+    ``h_values`` holds h(x) where it is below the cap r/delta, and inf
+    where it is at or past the cap or C has no outside: there the weight
+    min(1, (delta/r) * h) is exactly 1.
 
     ``members``, ``weights`` and ``h_values`` are slices of the scale's
     columnar record (``ScaleClusters``), which the build itself reads;
@@ -139,7 +148,7 @@ class ClusterEntry:
     members: np.ndarray
     count: int                             # partitions containing the cluster
     weights: np.ndarray                    # smoothing weight per member
-    h_values: np.ndarray                   # distance-to-outside, inf if none
+    h_values: np.ndarray                   # h below the cap r/delta, else inf
     coords: np.ndarray | None = None
 
     @property
@@ -165,7 +174,7 @@ class ScaleClusters:
     sizes: np.ndarray                      # (K,) members per cluster
     counts: np.ndarray                     # (K,) carvings holding it
     weights: np.ndarray                    # smoothing weight per member
-    h_values: np.ndarray                   # distance-to-outside per member
+    h_values: np.ndarray                   # h below the cap r/delta, else inf
 
     @property
     def m(self) -> int:
@@ -330,6 +339,47 @@ def _distinct(flat: np.ndarray, sizes: np.ndarray,
     return first[order], rank[inverse]
 
 
+def _capped_h(s: PointSet, labels: np.ndarray, rows: np.ndarray,
+              carving: np.ndarray, c: float) -> np.ndarray:
+    """For each point rows[j], its distance h to the nearest point with
+    another label in carving row carving[j] of ``labels``, wherever
+    fl(c * h) < 1; inf where h is at or past that cap, or no point has
+    another label.
+
+    The neighbours y of x with fl(c * d(x, y)) < 1 are a prefix of x's
+    sorted distance row, since the product is monotone in d; only that
+    prefix is read, and its first label mismatch is the nearest outside
+    point. x itself sits in the prefix with its own label, so no column
+    is taken to be x, and ties need no care. The prefixes of all rows are
+    laid end to end and scanned as one flat batch, in chunks of at most
+    PAIRWISE_BYTES / 8 neighbours."""
+    h = np.full(len(rows), np.inf)
+    if not len(rows):
+        return h
+    order, dsorted = s._sorted_rows()
+    n = s.n
+    lens = np.count_nonzero(c * dsorted < 1.0, axis=1)[rows]
+    ends = np.cumsum(lens)
+    flat_labels = labels.ravel()
+    own = flat_labels[carving * n + rows]
+    step = max(1, PAIRWISE_BYTES // 8)
+    lo = 0
+    while lo < len(rows):
+        base = ends[lo] - lens[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + step, "right")))
+        seg_lens = lens[lo:hi]
+        seg_starts = ends[lo:hi] - seg_lens - base
+        seg = np.repeat(np.arange(lo, hi), seg_lens)
+        pos = np.arange(len(seg)) - np.repeat(seg_starts, seg_lens)
+        nbr = order[rows[seg], pos]
+        other = flat_labels[carving[seg] * n + nbr] != own[seg]
+        hit = np.minimum.reduceat(np.where(other, pos, n), seg_starts)
+        found = hit < seg_lens
+        h[lo:hi][found] = dsorted[rows[lo:hi][found], hit[found]]
+        lo = hi
+    return h
+
+
 def scale_clusters(s: PointSet, params: SingleScaleParams) -> ScaleClusters:
     """Decompose the whole set at one scale and list its distinct clusters.
 
@@ -343,7 +393,6 @@ def scale_clusters(s: PointSet, params: SingleScaleParams) -> ScaleClusters:
     if s.n == 0:
         raise EmptyInput("single-scale embedding of an empty set")
     p = params if params.norm is not None else replace(params, norm=s.norm)
-    dmat = s.distance_matrix()
     dim_hat = p.dim_hat if p.dim_hat is not None else estimate_doubling(s).dim_hat
 
     # --- padded decomposition of the whole set, doubling the diameter on failure
@@ -372,17 +421,14 @@ def scale_clusters(s: PointSet, params: SingleScaleParams) -> ScaleClusters:
     sizes = cand_sizes[first]
 
     # smoothing: h(x) = distance to the nearest point outside x's cluster
-    # (inf when it has none), one masked row-min per carving over the
-    # members of its new clusters
-    cand_row = np.nonzero(nonempty)[0]
-    rows_with, at = np.unique(cand_row[first], return_index=True)
-    bounds = (np.cumsum(sizes) - sizes)[at].tolist() + [len(members)]
-    h = np.empty(len(members))
-    for t, lo, hi in zip(rows_with.tolist(), bounds[:-1], bounds[1:]):
-        rows, lab = members[lo:hi], dec.labels[t]
-        h[lo:hi] = np.where(lab[rows, None] == lab[None, :], np.inf,
-                            dmat[rows]).min(axis=1)
-    w = np.minimum(1.0, (p.delta / p.r) * h)
+    # where that lowers the weight, inf where the weight is 1; a cluster
+    # of all n points has no outside and is not scanned
+    c = p.delta / p.r
+    h = np.full(len(members), np.inf)
+    scan = np.repeat(sizes < s.n, sizes)
+    carving = np.repeat(np.nonzero(nonempty)[0][first], sizes)
+    h[scan] = _capped_h(s, dec.labels, members[scan], carving[scan], c)
+    w = np.minimum(1.0, c * h)
     return ScaleClusters(p, dim_hat, dec, members, sizes, counts, w, h)
 
 
@@ -548,8 +594,10 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     (ii) same-cluster raw image distances never exceed the transformed
         distance (slack: realization/LP tolerance), which never exceeds the
         source distance;
-    (iii) the smoothing h never exceeds the distance to any point outside
-        the cluster (h is that minimum, recomputed here);
+    (iii) the smoothing h is the distance hmin to the nearest point
+        outside the cluster wherever fl((delta/r) * hmin) < 1, and inf
+        elsewhere (hmin recomputed here from the distance matrix, inf for
+        a cluster of every point);
     product rule: the smoothed per-cluster map is (1 + delta)-Lipschitz.
     An l2 cluster is measured through its factored closed-form Gram;
     clusters with the same Gram (translates, or any at a saturated scale)
@@ -561,7 +609,7 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     max_f_norm = 0.0
     worst_ii = -np.inf        # max of |f(x)-f(y)| - transform(d), want <= slack
     worst_tf = -np.inf        # max of transform(d) - d, want <= float noise
-    worst_iii = -np.inf       # max of h(x) - min_outside d(x, y), want == 0
+    worst_iii = 0.0           # max of |h(x) - capped hmin(x)|, want == 0
     worst_product = 0.0       # max smoothed same-cluster Lipschitz ratio
     factors: dict[bytes, np.ndarray] = {}
     for entry in e.clusters:
@@ -591,12 +639,15 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(dsub > 0, smoothed / dsub, 0.0)
             worst_product = max(worst_product, float(ratios.max()))
+        hmin = np.full(len(members), np.inf)
         if len(members) < e.n:
             mask = np.ones(e.n, dtype=bool)
             mask[members] = False
             hmin = dmat[np.ix_(members, np.flatnonzero(mask))].min(axis=1)
-            worst_iii = max(worst_iii,
-                            float((entry.h_values - hmin).max()))
+        want = np.where((p.delta / p.r) * hmin < 1.0, hmin, np.inf)
+        off = entry.h_values != want               # equal infs are no gap
+        worst_iii = max(worst_iii, float(
+            np.abs(entry.h_values[off] - want[off]).max(initial=0.0)))
     return {
         "max_cluster_image_norm": max_f_norm,
         "cluster_norm_bound": p.r,

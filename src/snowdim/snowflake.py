@@ -505,6 +505,9 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
         # every scale's pair distances, written in place: the audit reads
         # this array whole, and a scale of singletons keeps its zero row
         scale_dists = np.zeros((len(plan.scale_indices), len(job.iu)))
+    # every scale's smoothing reads the sorted distance rows: sort them
+    # here, before any helper forks, so the helpers share them
+    s._sorted_rows()
     entries: list[ScaleEntry] = []
     with _scale_results(job) as results:
         for t, (entry, g_w) in enumerate(results):

@@ -25,7 +25,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import BadParams, ClusterTooLarge, Infeasible, NotEuclidean
 
@@ -172,6 +171,8 @@ def cut_decomposition(dmat: np.ndarray) -> list[Cut]:
     of arrays for all sizes up to the cap). Returns only the cuts with
     positive weight.
     """
+    from scipy.optimize import linprog     # on use: the import skips scipy
+
     dmat = np.asarray(dmat, dtype=np.float64)
     n = dmat.shape[0]
     if n > MAX_CUT_POINTS:

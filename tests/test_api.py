@@ -1,10 +1,14 @@
 """Public surface: every error type is raised somewhere, every export
-resolves, every function the traced benchmark names exists."""
+resolves, every function the traced benchmark names exists, and the
+import loads no scipy."""
 
 import ast
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import snowdim
@@ -95,3 +99,17 @@ def test_every_function_the_traced_benchmark_names_exists():
                 or obj.__module__ != mod.__name__):
             missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+def test_import_loads_no_scipy():
+    # only the cut LP and the extension use scipy, and each imports it when
+    # called; a fresh interpreter, since this one has scipy loaded
+    path = os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    code = ("import sys, snowdim; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"

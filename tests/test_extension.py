@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import minimize
 
 from snowdim import extension
@@ -141,7 +142,7 @@ def test_feasible_starts_skip_the_solver(monkeypatch, lip, solves):
         calls.append(1)
         return minimize(*args, **kwargs)
 
-    monkeypatch.setattr(extension, "minimize", counting)
+    monkeypatch.setattr(scipy.optimize, "minimize", counting)
     out, info = kirszbraun_extend(d, src, images, lip=lip, tol=1e-6)
     assert len(calls) == solves
     assert np.array_equal(out, want)

@@ -181,16 +181,24 @@ def test_smoothing_h_is_the_per_cluster_masked_min(kind, params, r, delta):
                 want = dmat[np.ix_(members, np.flatnonzero(outside))].min(axis=1)
             else:
                 want = np.full(len(members), np.inf)
-            assert np.array_equal(by_members[members.tobytes()].h_values,
-                                  want)
+            got = by_members[members.tobytes()]
+            assert np.array_equal(got.h_values, capped(want, e.params))
+            assert np.array_equal(got.weights,
+                                  np.minimum(1.0, (delta / r) * want))
     assert multi > 0
+
+
+def capped(h, p):
+    # h where it lowers the weight below 1, inf at or past the cap r/delta
+    return np.where((p.delta / p.r) * h < 1.0, h, np.inf)
 
 
 def reference_scale_clusters(dec, dmat, p):
     # the dedupe one cluster at a time: every carving's clusters keyed by
     # their member bytes, in order of first appearance, the counts adding
     # up over the carvings (a certain decomposition's one view counts m
-    # times), and h one masked row-min over each carving's new clusters
+    # times), and h one masked row-min over each carving's new clusters,
+    # uncapped
     runs = {}
     for part in dec.partitions:
         runs.setdefault(id(part), [part, 0])[1] += 1
@@ -262,7 +270,7 @@ def test_scale_clusters_match_the_per_cluster_reference(monkeypatch):
                 assert np.array_equal(g.members, members)
                 assert type(g.count) is int and g.count == count
                 assert np.array_equal(g.weights, weights)
-                assert np.array_equal(g.h_values, h)
+                assert np.array_equal(g.h_values, capped(h, sc.params))
             if len(got) == 1:
                 seen.add((s.norm, "one cluster"))
             elif len(got) == s.n:
@@ -274,6 +282,78 @@ def test_scale_clusters_match_the_per_cluster_reference(monkeypatch):
     assert exact_calls
     assert seen == {(norm, kind) for norm in (1.0, 2.0, np.inf) for kind in
                     ("one cluster", "all singletons", "sampled, repeats")}
+
+
+# grids, trees, lines and l-infinity balls repeat their distances, so a
+# prefix often ends inside a run of ties; with dim_hat = 1 these ratios
+# r/delta carve scales whose cap reaches past the nearest neighbours
+TIE_HEAVY = [
+    (generate("grid", side=8, dims=2), 0.1, (1.2, 1.5)),
+    (generate("ultrametric", depth=7, base=2.0), 0.1, (1.5, 8.0)),
+    (generate("line", n=10, norm="l1"), 0.1, (1.125, 1.2)),
+    (generate("ball", n=30, dim=3, norm="linf", seed=2), 0.0025, (1.5, 2.0)),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 8 * 7])
+def test_tie_heavy_sets_keep_the_reference_weights(monkeypatch, chunk):
+    # also with the prefixes scanned a few neighbours at a time
+    if chunk is not None:
+        monkeypatch.setattr(single_scale, "PAIRWISE_BYTES", chunk)
+    below = 0
+    for pts, delta, ratios in TIE_HEAVY:
+        s = normalize(pts)
+        for ratio, seed in [(x, seed) for x in ratios for seed in range(3)]:
+            sc = single_scale.scale_clusters(s, SingleScaleParams(
+                ratio * delta, 0.1, delta, seed=seed, dim_hat=1.0))
+            want = reference_scale_clusters(sc.decomposition,
+                                            s.distance_matrix(), sc.params)
+            for g, (members, _, weights, h) in zip(sc.clusters, want,
+                                                   strict=True):
+                assert np.array_equal(g.members, members)
+                assert np.array_equal(g.weights, weights)
+                assert np.array_equal(g.h_values, capped(h, sc.params))
+            below += np.isfinite(sc.h_values).sum()
+    assert below > 0
+
+
+def test_a_neighbour_exactly_at_the_cap_leaves_the_weight_one():
+    # on a unit-spaced l1 line, r = delta makes delta/r exactly 1, so an
+    # outside neighbour at distance 1 sits on the cap: its weight is
+    # min(1, 1.0) = 1, and h is stored as inf
+    s = normalize(generate("line", n=10, norm="l1"))
+    p = SingleScaleParams(0.1, 0.1, 0.1, seed=0, dim_hat=1.0)
+    assert (p.delta / p.r) * 1.0 == 1.0
+    sc = single_scale.scale_clusters(s, p)
+    want = reference_scale_clusters(sc.decomposition, s.distance_matrix(),
+                                    sc.params)
+    on_cap = np.concatenate([h for *_, h in want]) == 1.0
+    assert on_cap.any()
+    assert np.all(sc.h_values[on_cap] == np.inf)
+    assert np.all(sc.weights[on_cap] == 1.0)
+    assert np.array_equal(sc.weights,
+                          np.concatenate([w for _, _, w, _ in want]))
+
+
+def test_smoothing_excess_sees_every_wrong_h():
+    s = normalize(generate("grid", side=8, dims=2))
+    e = build_single_scale(s, SingleScaleParams(0.12, 0.1, 0.1, seed=0,
+                                                dim_hat=1.0))
+    assert contract_audit(e).extras["smoothing_excess"] == 0.0
+    below = next(c for c in e.clusters if np.isfinite(c.h_values).any())
+    j = int(np.flatnonzero(np.isfinite(below.h_values))[0])
+    past = next(c for c in e.clusters if np.isinf(c.h_values).any())
+    i = int(np.flatnonzero(np.isinf(past.h_values))[0])
+    true_h = below.h_values[j]
+    # above the truth, below it, inf under the cap, finite past the cap
+    for entry, at, wrong in ((below, j, true_h + 0.25),
+                             (below, j, true_h - 0.25),
+                             (below, j, np.inf), (past, i, 100.0)):
+        kept = entry.h_values[at]
+        entry.h_values[at] = wrong
+        assert contract_audit(e).extras["smoothing_excess"] > 0.0
+        entry.h_values[at] = kept
+    assert contract_audit(e).extras["smoothing_excess"] == 0.0
 
 
 # --- l1 specifics

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+import scipy.optimize
 from scipy.spatial.distance import pdist, squareform
 
 from snowdim import transforms
@@ -261,7 +262,7 @@ def test_line_cuts_rebuild_a_pdist_oracle_without_an_lp(case):
     lr = laplace_transform(dmat, r)
     np.fill_diagonal(lr, 0.0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transforms, "linprog", no_lp)
+        mp.setattr(scipy.optimize, "linprog", no_lp)
         order = line_order(dmat)
         assert order is not None
         cuts = circular_cuts(lr, order)
@@ -284,8 +285,8 @@ def test_a_cluster_off_a_line_reaches_the_lp(monkeypatch):
         calls.append(args)
         return linprog(*args, **kwargs)
 
-    linprog = transforms.linprog
-    monkeypatch.setattr(transforms, "linprog", counting)
+    linprog = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
     coords = _embed_cluster_l1(dmat, np.arange(7), 2.0, {})
     assert len(calls) == 1
     want = 2.0 * (1.0 - np.exp(-pdist(pts, "cityblock") / 2.0))
