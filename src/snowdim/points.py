@@ -229,11 +229,15 @@ def greedy_net(s: PointSet, radius: float) -> Net:
     """First-fit net in point-index order.
 
     A point joins the net iff no earlier member is within ``radius`` of it.
+    At a radius no larger than the (cached) minimum distance every point
+    joins, and the loop is skipped.
     """
     if s.n == 0:
         raise EmptyInput("net of an empty set")
     if radius <= 0:
         raise BadParams(f"net radius must be positive, got {radius}")
+    if s.n < 2 or radius <= s.min_distance():
+        return Net(float(radius), np.arange(s.n, dtype=np.intp))
     d = s.distance_matrix()
     members: list[int] = []
     for i in range(s.n):

@@ -19,22 +19,24 @@ inf at or past it.
 l2 realizes no cluster: the Gram of the scale's direct sum is summed in
 closed form from its clusters (``_scale_gram``, which the l2 snowflake
 sums across scales too), and one ``factor_gram`` writes at most n
-coordinates. l1 and l-infinity build each distinct cluster's map in its
-own column block. The l1 cuts of a cluster whose source
-metric is a line are closed-form arcs in the line order
-(``circular_cuts``); every other l1 cluster gets the cut LP's cuts
-(``cut_decomposition``), which stops at 14 points. ``scale_clusters`` is
-the first half alone: the decomposition and each distinct cluster's
-count and smoothing. It reads the carvings' clusters off the
-decomposition's member and size rows and finds the distinct ones with
-array operations (a 64-bit key per cluster, every match confirmed member
-by member), so no object is made per carving or per cluster; the l2
-Gram is summed from the same arrays.
+coordinates. l-infinity writes the whole scale in one scatter from the
+same arrays (``_linf_block``): one column per net point of each cluster
+of two or more points. l1 builds each distinct cluster's map in its own
+column block. The l1 cuts of a cluster whose source metric is a line
+are closed-form arcs in the line order (``circular_cuts``); every other
+l1 cluster gets the cut LP's cuts (``cut_decomposition``), which stops
+at 14 points. ``scale_clusters`` is the first half alone: the
+decomposition and each distinct cluster's count and smoothing. It reads
+the carvings' clusters off the decomposition's member and size rows and
+finds the distinct ones with array operations (a 64-bit key per
+cluster, every match confirmed member by member), so no object is made
+per carving or per cluster; the l2 Gram and the l-infinity block are
+built from the same arrays.
 
 The finished embedding keeps everything needed for the audit: the
-distinct clusters with their smoothing weights (and, in l1 and
-l-infinity, their raw maps) and the fully scaled coordinate matrix whose
-rows are the images of every input point.
+distinct clusters with their smoothing weights (and, in l1, their raw
+maps), the net the l1 and l-infinity maps read, and the fully scaled
+coordinate matrix whose rows are the images of every input point.
 """
 
 from __future__ import annotations
@@ -136,14 +138,15 @@ class ClusterEntry:
 
     ``members``, ``weights`` and ``h_values`` are slices of the scale's
     columnar record (``ScaleClusters``), which the build itself reads;
-    the entries serve the API, the audit and the per-cluster l1 and
-    l-infinity maps. ``coords`` is the raw cluster map f_C (before
-    smoothing and scaling), rows aligned with ``members`` (indices into
-    the point set); the l1 map puts the first member at the origin,
-    keeping every image norm at most r. ``scale_clusters`` leaves it None
-    and ``build_single_scale`` fills it in for l1 and l-infinity. On l2 it
-    stays None: the build sums the clusters' closed-form Grams instead,
-    and ``contract_audit`` factors each cluster's Gram to measure its map.
+    the entries serve the API, the audit and the per-cluster l1 maps.
+    ``coords`` is the raw l1 cluster map f_C (before smoothing and
+    scaling), rows aligned with ``members`` (indices into the point set),
+    with the first member at the origin, keeping every image norm at most
+    r. ``scale_clusters`` leaves it None and ``build_single_scale`` fills
+    it in for l1 only. On l2 the build sums the clusters' closed-form
+    Grams, and on l-infinity it writes the scale in one scatter, so
+    ``contract_audit`` measures those maps from a factored Gram and from
+    the net.
     """
     members: np.ndarray
     count: int                             # partitions containing the cluster
@@ -277,11 +280,30 @@ def _embed_cluster_l1(dmat_c, net_local: np.ndarray, r: float,
     return coords - coords[0]
 
 
-def _embed_cluster_linf(dmat_c, net_local: np.ndarray, r: float) -> np.ndarray:
-    # a singleton's one column would be T_r(0) = 0, carrying no distance
-    if dmat_c.shape[0] < 2:
-        return np.zeros((1, 0))
-    return threshold_transform(dmat_c[:, net_local], r)
+def _linf_block(sc: ScaleClusters, dmat: np.ndarray, in_net: np.ndarray,
+                scaled_w: np.ndarray) -> np.ndarray:
+    """An l-infinity scale's coordinates, written in one scatter.
+
+    Each cluster of two or more points gets one column per net member z,
+    clusters in order and each one's net members ascending; the column
+    holds T_r(d(x, z)) times ``scaled_w`` (aligned with ``sc.members``) on
+    the cluster's rows x and zero elsewhere. A singleton has no column:
+    its own would be T_r(0) = 0 and carry no distance."""
+    sizes = sc.sizes
+    starts = np.cumsum(sizes) - sizes
+    # the position in sc.members of each column's net point, and its cluster
+    at = np.flatnonzero(in_net[sc.members] & np.repeat(sizes > 1, sizes))
+    cluster = np.repeat(np.arange(len(sizes)), sizes)[at]
+    lens = sizes[cluster]
+    # every (member, column) pair of a cluster, column by column
+    col = np.repeat(np.arange(len(at)), lens)
+    pos = np.arange(len(col)) - np.repeat(np.cumsum(lens) - lens
+                                          - starts[cluster], lens)
+    rows = sc.members[pos]
+    out = np.zeros((dmat.shape[0], len(at)))
+    out[rows, col] = (threshold_transform(dmat[rows, sc.members[at][col]],
+                                          sc.params.r) * scaled_w[pos])
+    return out
 
 
 def _point_keys(n: int) -> np.ndarray:
@@ -503,37 +525,37 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
                                     entries, m, coords.shape[1], th_k,
                                     1.0 / math.sqrt(m), rescale, coords, 0)
 
-    # --- embed each distinct cluster; the l1 and l-infinity maps read the net
+    # --- the l1 and l-infinity maps read the net
     net = greedy_net(s, p.net_radius)
     dmat = s.distance_matrix()
-    cuts_by_metric: dict[bytes, list[Cut]] = {}
     in_net = np.zeros(n, dtype=bool)
     in_net[net.members] = True
-    empty_net = 0
+    starts = np.cumsum(sc.sizes) - sc.sizes
+    empty_net = int(np.count_nonzero(
+        ~np.logical_or.reduceat(in_net[sc.members], starts)))
+    if p.norm == np.inf:
+        combine = 1.0 / (1.0 + 2.0 * math.sqrt(p.delta))
+        coords = _linf_block(sc, dmat, in_net, sc.weights * combine * rescale)
+        return SingleScaleEmbedding(p, s, net, sc.dim_hat, sc.decomposition,
+                                    entries, m, coords.shape[1], th_k, combine,
+                                    rescale, coords, empty_net)
+
+    # --- l1: each distinct cluster's cuts in its own column block, summed
+    # over partitions by count, then the global rescale
+    cuts_by_metric: dict[bytes, list[Cut]] = {}
     for c in entries:
         members = c.members
-        dmat_c = dmat[np.ix_(members, members)]
-        net_local = np.flatnonzero(in_net[members])
-        empty_net += len(net_local) == 0
-        if p.norm == 1.0:
-            c.coords = _embed_cluster_l1(dmat_c, net_local, p.r,
-                                         cuts_by_metric)
-        else:
-            c.coords = _embed_cluster_linf(dmat_c, net_local, p.r)
-
-    # --- direct sum with the norm's combining scale, then the global rescale
-    if p.norm == 1.0:
-        combine = 1.0 / m
-        coeffs = [c.count * combine for c in entries]
-    else:
-        combine = 1.0 / (1.0 + 2.0 * math.sqrt(p.delta))
-        coeffs = [combine for c in entries]
+        c.coords = _embed_cluster_l1(dmat[np.ix_(members, members)],
+                                     np.flatnonzero(in_net[members]), p.r,
+                                     cuts_by_metric)
+    combine = 1.0 / m
     k = sum(c.k for c in entries)
     coords = np.zeros((n, k))
     col = 0
-    for c, coeff in zip(entries, coeffs):
+    for c in entries:
         if c.k:
-            block = c.coords * (c.weights[:, None] * coeff * rescale)
+            block = c.coords * (c.weights[:, None] * (c.count * combine)
+                                * rescale)
             coords[c.members, col:col + c.k] = block
         col += c.k
     return SingleScaleEmbedding(p, s, net, sc.dim_hat, sc.decomposition,
@@ -601,7 +623,8 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     product rule: the smoothed per-cluster map is (1 + delta)-Lipschitz.
     An l2 cluster is measured through its factored closed-form Gram;
     clusters with the same Gram (translates, or any at a saturated scale)
-    share one factor.
+    share one factor. An l-infinity cluster's raw map is rebuilt from the
+    net: T_r of the distances to its net points.
     """
     p = e.params
     dmat = e.source.distance_matrix()
@@ -612,11 +635,19 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     worst_iii = 0.0           # max of |h(x) - capped hmin(x)|, want == 0
     worst_product = 0.0       # max smoothed same-cluster Lipschitz ratio
     factors: dict[bytes, np.ndarray] = {}
+    in_net = np.zeros(e.n, dtype=bool)
+    if e.net is not None:
+        in_net[e.net.members] = True
     for entry in e.clusters:
         members = entry.members
         dsub = dmat[np.ix_(members, members)]
         raw = entry.coords
-        if raw is None:
+        if p.norm == np.inf:
+            # l-infinity keeps no cluster map: threshold the distances to
+            # the cluster's net points (a singleton has none to keep)
+            raw = tf(dsub[:, np.flatnonzero(in_net[members]
+                                            & (len(members) > 1))], p.r)
+        elif raw is None:
             # l2 keeps no cluster map: factor its closed-form Gram, a map
             # isometric to it with the first member at the origin
             t = np.square(gaussian_transform(dsub, p.r))

@@ -22,7 +22,15 @@ How the maps are combined depends on the norm:
 * l1 keeps the paper's round-robin grouping: scales of one residue class
   i mod p are summed coordinate-wise and the p groups are direct-summed.
   l1 has no exact dimension-free reduction, so the layout is the output.
-* l-infinity combines by max, so every scale keeps its own block.
+* l-infinity combines by max. Each scale keeps only its pair distances,
+  taken from its block where the scale is built, and the image distance
+  D is their max over the scales, as the layout of one block per scale
+  would give bit for bit (max is exact). The output is D's Frechet map:
+  n columns, column z of row x holding D(x, z). The l-infinity distance
+  of rows x and y is D(x, y): column y gives it exactly, and the triangle
+  inequality caps every other column, up to the rounding of one
+  subtraction. ``assembled_k`` is the layout's width, the sum of the
+  block widths.
 
 ``theory_k`` is the paper's grouped count p * k_scale for every norm, a
 formula of the parameters alone. The concrete l2 width does not need the
@@ -205,19 +213,20 @@ def _scale_seed(seed: int, i: int) -> int:
 class ScaleEntry:
     """One built scale: what the audit reads of it.
 
-    l1 and l-infinity keep the scale's coordinate block; l2 writes no
-    block and keeps only the scale's condensed pair distances
-    (``scipy.spatial.distance.pdist`` order), read off its Gram matrix,
-    as a row of the embedding's ``scale_dists``. Both carry the division
-    by (1+eps)^{i(1-alpha)}."""
+    l1 keeps the scale's coordinate block. l2 and l-infinity keep only
+    the scale's condensed pair distances (``scipy.spatial.distance.pdist``
+    order) as a row of the embedding's ``scale_dists``: l2 reads them off
+    its Gram matrix, l-infinity off its block, which is then dropped.
+    Both carry the division by (1+eps)^{i(1-alpha)}. ``dom_pairs`` is
+    condensed in the same order."""
 
     i: int
     r: float
     seed: int
     k: int                           # block width; l2: its rank bound
-    coords: np.ndarray | None        # (n, k) block; None on l2
-    dists: np.ndarray | None         # l2 only, and None if k == 0
-    dom_pairs: np.ndarray | None     # (n, n) bool: padded in every partition
+    coords: np.ndarray | None        # (n, k) block; l1 only
+    dists: np.ndarray | None         # l2 and l-inf, and None if k == 0
+    dom_pairs: np.ndarray | None     # (pairs,) bool: padded in every partition
 
 
 @dataclass
@@ -232,7 +241,9 @@ class SnowflakeEmbedding:
     theory_k: int                    # p * theory_k_scale
     theory_k_scale: int
     coords: np.ndarray               # (n, k) final images, all scaling in
-    scale_dists: np.ndarray | None   # l2: (scales, pairs); rows are .dists
+    # l2 and l-infinity: (scales, pairs), the per-scale pair distances
+    # (rows are .dists; a scale of width 0 keeps a zero row); None on l1
+    scale_dists: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -242,10 +253,10 @@ class SnowflakeEmbedding:
         return _pairwise(self.coords, self.plan.norm)
 
 
-def _dominant_pair_mask(
-        e: ScaleClusters | SingleScaleEmbedding) -> np.ndarray:
-    """Pairs that are same-cluster with both pad-balls uncut in every
-    partition of the scale's decomposition.
+def _dominant_pair_mask(e: ScaleClusters | SingleScaleEmbedding,
+                        iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+    """For each pair (iu[t], ju[t]), whether it is same-cluster with both
+    pad-balls uncut in every partition of the scale's decomposition.
 
     Two points share a cluster in every partition exactly when their label
     columns across the partitions are equal, so one id per distinct column
@@ -258,7 +269,7 @@ def _dominant_pair_mask(
     # the structured-dtype sort of np.unique(axis=0)
     rows = labels.view(np.dtype((np.void, labels.shape[1] * labels.itemsize)))
     col = np.unique(rows.ravel(), return_inverse=True)[1]
-    return (col[:, None] == col[None, :]) & (pad[:, None] & pad[None, :])
+    return (col[iu] == col[ju]) & pad[iu] & pad[ju]
 
 
 @dataclass
@@ -280,10 +291,11 @@ def _build_scale(job: _ScaleJob,
     """Scale i's entry and, on l2, its weighted Gram (None on l1 and
     l-infinity, or when the scale is all singletons).
 
-    Everything is already divided by (1+eps)^{i(1-alpha)}: the l1 or
-    l-infinity block, the l2 pair distances, and the l2 Gram by its
-    square. A library error is re-raised as the same type with the scale
-    named in front of its message."""
+    Everything is already divided by (1+eps)^{i(1-alpha)}: the l1 block,
+    the l2 and l-infinity pair distances, and the l2 Gram by its square.
+    The l-infinity block lives only until its pair distances are taken,
+    in whichever process builds the scale. A library error is re-raised
+    as the same type with the scale named in front of its message."""
     plan = job.plan
     eps = plan.eps
     sp = SingleScaleParams(r=(1.0 + eps) ** i, eps=eps, delta=plan.delta,
@@ -304,11 +316,15 @@ def _build_scale(job: _ScaleJob,
             diag = np.diag(g_i)
             dists = w * np.sqrt(np.maximum(
                 diag[job.iu] + diag[job.ju] - 2.0 * g_i[job.iu, job.ju], 0.0))
+    elif plan.norm == np.inf:
+        k_i = e_i.k
+        if k_i:
+            dists = _pair_distances(e_i.coords * w, plan.norm, job.iu, job.ju)
     else:
         k_i, coords = e_i.k, e_i.coords * w
     dom = None
     if 0 <= i <= job.istar_top and k_i:
-        dom = _dominant_pair_mask(e_i)
+        dom = _dominant_pair_mask(e_i, job.iu, job.ju)
     return ScaleEntry(i, sp.r, sp.seed, k_i, coords, dists, dom), g_w
 
 
@@ -477,8 +493,9 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     passes through with its type and message. From a helper, the error
     carries the helper's traceback as a note, and its cause is a copy of
     the original; an error that cannot be pickled comes back as a
-    RuntimeError holding its traceback. An l1 target above the cut LP's MAX_CUT_POINTS whose metric is
-    not a line raises ClusterTooLarge before any scale is built.
+    RuntimeError holding its traceback. An l1 target above the cut LP's
+    MAX_CUT_POINTS whose metric is not a line raises ClusterTooLarge
+    before any scale is built.
     """
     plan = scale_plan(s, alpha, eps, norm)
     # every scale coarser than the carving range keeps all n points in one
@@ -496,14 +513,14 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     # dominant-pair masks are only consulted at scales that can anchor a
     # pair: 0 <= i* <= log_{1+eps} diam
     istar_top = math.floor(math.log(s.diameter()) / math.log1p(eps)) + 1
-    l2 = plan.norm == 2.0
     job = _ScaleJob(s, plan, seed, dim_hat, istar_top,
                     *np.triu_indices(n, k=1))
     scale_dists = None
-    if l2:
+    if plan.norm == 2.0:
         gram = np.zeros((n, n))
+    if plan.norm != 1.0:
         # every scale's pair distances, written in place: the audit reads
-        # this array whole, and a scale of singletons keeps its zero row
+        # this array whole, and a scale of width 0 keeps its zero row
         scale_dists = np.zeros((len(plan.scale_indices), len(job.iu)))
     # every scale's smoothing reads the sorted distance rows: sort them
     # here, before any helper forks, so the helpers share them
@@ -513,11 +530,12 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
         for t, (entry, g_w) in enumerate(results):
             if g_w is not None:
                 gram += g_w
+            if entry.dists is not None:
                 scale_dists[t] = entry.dists
                 entry.dists = scale_dists[t]
             entries.append(entry)
 
-    if l2:
+    if plan.norm == 2.0:
         # the direct sum of the scales, normalized, has Gram gram / M; its
         # double-centered form spans at most n - 1 directions, and the cap
         # drops the all-ones null direction should its noise pass the cutoff
@@ -525,6 +543,13 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
         gram -= gram.mean(axis=0)
         gram -= gram.mean(axis=1)[:, None]
         out = factor_gram(gram)[:, :n - 1]
+        assembled_k = sum(e.k for e in entries)
+    elif plan.norm == np.inf:
+        # the Frechet map of D, the max of the per-scale distances: row x
+        # is (D(x, z))_z, and |D(x, z) - D(y, z)| <= D(x, y), with
+        # equality at z = y
+        out = np.zeros((n, n))
+        out[job.iu, job.ju] = out[job.ju, job.iu] = scale_dists.max(axis=0)
         assembled_k = sum(e.k for e in entries)
     else:
         out = _grouped_layout(entries, plan)
@@ -537,14 +562,10 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
 
 def _grouped_layout(entries: list[ScaleEntry],
                     plan: SnowflakePlan) -> np.ndarray:
-    """The l1 and l-infinity output: one shared block per residue class
-    i mod p (maps in a class are summed, zero-padded to the widest), except
-    l-infinity, where the max combination keeps every scale in its own
-    block; l1 divides by its normalizer."""
-    if plan.norm == np.inf:
-        keys = list(range(len(entries)))
-    else:
-        keys = [e.i % plan.p for e in entries]
+    """The l1 output: one shared block per residue class i mod p (maps in
+    a class are summed, zero-padded to the widest), divided by the
+    normalizer."""
+    keys = [e.i % plan.p for e in entries]
     widths: dict[int, int] = {}
     for key, e in zip(keys, entries):
         widths[key] = max(widths.get(key, 0), e.k)
@@ -557,8 +578,7 @@ def _grouped_layout(entries: list[ScaleEntry],
     for key, e in zip(keys, entries):
         if e.k:
             coords[:, offsets[key]:offsets[key] + e.k] += e.coords
-    if plan.norm == 1.0:
-        coords /= plan.M
+    coords /= plan.M
     return coords
 
 
@@ -590,8 +610,8 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
                                 ref_dist=target, window=None, bounds=bounds)
 
     # per-scale terms B_i = per-scale image distance / (1+eps)^{i(1-alpha)};
-    # the stored blocks and l2 distances already carry the division, and
-    # the l2 distances are read in place
+    # the l1 blocks and the l2 and l-infinity distances already carry the
+    # division, and the distances are read in place
     n_pairs = len(src)
     n_scales = len(e.scales)
     b_terms = e.scale_dists
@@ -630,7 +650,7 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
         sel = istar_idx == t
         dp = e.scales[t].dom_pairs
         if dp is not None:
-            padded_dom[sel] = dp[iu[sel], ju[sel]]
+            padded_dom[sel] = dp[sel]
     dom_bad = padded_dom & (b_dom < dom_bound)
 
     for t, pair in zip(*np.nonzero(tail_bad)):
@@ -690,8 +710,8 @@ def dumps(e: SnowflakeEmbedding) -> bytes:
     its block's column count. In l2 no block is written, and it is the
     bound min(n, sum over distinct clusters C of |C| - 1) on the rank of
     the scale's map, read without factoring; it is 0 exactly on scales of
-    singletons. The l2 ``assembled_k`` is their sum, the width of the
-    direct sum of the scales."""
+    singletons. In l2 and l-infinity ``assembled_k`` is their sum, the
+    width of the direct sum or of the one-block-per-scale layout."""
     plan = e.plan
     return _dumps_coords({
         "kind": "snowflake",

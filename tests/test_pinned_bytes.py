@@ -28,10 +28,13 @@ def test_l1_line_snowflake_dump_bytes():
 
 
 def test_linf_ball_snowflake_dump_bytes():
+    # the 32-column Frechet map of the max of the per-scale distances; its
+    # pair distances are bitwise those of the one-block-per-scale layout
+    # it replaced
     s = normalize(generate("ball", n=32, dim=4, norm="linf", seed=0))
     e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
     assert sha256(snowflake.dumps(e)) == (
-        "ec5c9b13ab0678ddc95042533305218e64f7cec72028941423ce5dac328877f0")
+        "729109bc6a17065eb4fab70bb458a71638e41cc85f3c223826833a53c80676a2")
 
 
 def test_sampled_decomposition_label_bytes():

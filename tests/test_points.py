@@ -168,6 +168,31 @@ def test_greedy_net_line_frozen():
     assert off.min() >= 2.0
 
 
+def _first_fit_net(d, radius):
+    # the reference: the loop over points in index order
+    members = []
+    for i in range(d.shape[0]):
+        if not members or d[i, members].min() >= radius:
+            members.append(i)
+    return members
+
+
+def test_greedy_net_at_or_below_the_min_distance_is_every_point():
+    rng = np.random.default_rng(4)
+    for norm in (1.0, 2.0, np.inf):
+        s = PointSet(rng.uniform(size=(30, 3)) * 10, norm)
+        d = s.distance_matrix()
+        dmin = s.min_distance()
+        for radius in (0.5 * dmin, dmin, np.nextafter(dmin, np.inf)):
+            net = greedy_net(s, radius)
+            assert net.members.dtype == np.intp
+            assert net.members.tolist() == _first_fit_net(d, radius)
+        # just past the min distance the loop drops a point of the closest pair
+        assert greedy_net(s, np.nextafter(dmin, np.inf)).size == s.n - 1
+    one = PointSet(np.zeros((1, 2)))
+    assert greedy_net(one, 5.0).members.tolist() == [0]
+
+
 def test_greedy_net_covers_random_sets():
     rng = np.random.default_rng(3)
     for trial in range(5):

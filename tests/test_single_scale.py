@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
 import snowdim
@@ -12,7 +15,7 @@ from snowdim.decomposition import batch_size, padding_audit
 from snowdim.errors import BadParams, HeaderMismatch
 from snowdim.points import PointSet, generate, greedy_net, normalize
 from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
-                                  _embed_cluster_l1, _embed_cluster_linf,
+                                  _embed_cluster_l1, _linf_block,
                                   build_single_scale, contract_audit, dumps,
                                   loads_coords, theory_dimension)
 from snowdim.snowflake import build_snowflake
@@ -411,6 +414,91 @@ def test_linf_exact_frechet():
     assert np.max(np.abs(img[iu, ju] - want)) <= 1e-12
 
 
+@st.composite
+def linf_scale_records(draw):
+    """A scale's columnar cluster record over a random l-infinity set:
+    clusters may overlap (they come from different carvings), include
+    singletons, and the net mask may leave clusters without a net point
+    or hold every point."""
+    n = draw(st.integers(1, 9))
+    pts = draw(arrays(np.float64, (n, draw(st.integers(1, 3))),
+                      elements=st.floats(-40.0, 40.0, width=32)))
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n)
+                          .filter(any), min_size=1, max_size=6))
+    clusters = [np.flatnonzero(m) for m in masks]
+    members = np.concatenate(clusters)
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(members),
+                                     max_size=len(members))))
+    in_net = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    r = draw(st.floats(0.01, 100.0))
+    sc = SimpleNamespace(params=SimpleNamespace(r=r), members=members,
+                         sizes=np.array([len(c) for c in clusters]))
+    dmat = PointSet(pts, norm=np.inf).distance_matrix()
+    return sc, dmat, in_net, weights
+
+
+@settings(max_examples=300)
+@given(linf_scale_records(), st.floats(0.5, 1.0), st.floats(0.5, 1.0))
+def test_linf_block_is_the_per_cluster_route(linf_clusters_reference, rec,
+                                             combine, rescale):
+    sc, dmat, in_net, weights = rec
+    ends = np.cumsum(sc.sizes)
+    clusters = [(sc.members[hi - size:hi], weights[hi - size:hi])
+                for hi, size in zip(ends, sc.sizes)]
+    want = linf_clusters_reference(dmat, clusters, in_net, sc.params.r,
+                                   combine, rescale)
+    got = _linf_block(sc, dmat, in_net, weights * combine * rescale)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def linf_groups():
+    # four groups of eight points, 1e10 apart: each group is a cluster at
+    # r = 3e4, whose net radius 15 leaves 19 of the 32 points in the net
+    rng = np.random.default_rng(0)
+    pts = np.concatenate([rng.uniform(0, 20, (8, 2)) + off
+                          for off in (0, 1e10, 2e10, 3e10)])
+    return normalize(PointSet(pts, norm=np.inf))
+
+
+def linf_segments():
+    # two 20-point segments far apart: two clusters, the whole set in the net
+    pts = np.concatenate([np.arange(20.0), 10000.0 + np.arange(20.0)])
+    return normalize(PointSet(pts[:, None], norm=np.inf))
+
+
+def linf_ball():
+    return normalize(generate("ball", n=100, dim=4, norm="linf", seed=1))
+
+
+def linf_line():
+    return normalize(generate("line", n=100, norm="linf"))
+
+
+@pytest.mark.parametrize("points,r,rescale_c,clusters,net", [
+    (linf_ball, 20.0, 0.0, 1, 100),     # one cluster, every point a net point
+    (linf_ball, 2500.0, 0.0, 1, 98),    # one cluster, a coarse net
+    (linf_segments, 0.04, 0.0, 2, 40),
+    (linf_groups, 3e4, 0.0, 4, 19),     # several clusters, a coarse net
+    # overlapping clusters with smoothing weights below 1, and a rescale
+    # below 1, so the order of the weight products shows
+    (linf_line, 0.1, 3.0, 55, 100),
+])
+def test_linf_scale_matches_the_per_cluster_reference(linf_reference, points,
+                                                      r, rescale_c, clusters,
+                                                      net):
+    s = points()
+    e = build_single_scale(s, SingleScaleParams(r=r, eps=0.2, delta=0.01,
+                                                seed=1, rescale_c=rescale_c))
+    assert (len(e.clusters), e.net.size) == (clusters, net)
+    assert all(c.coords is None for c in e.clusters)
+    want = linf_reference(e)
+    assert e.coords.shape == want.shape and e.k == want.shape[1]
+    assert np.array_equal(e.coords, want)
+    if not rescale_c:               # a rescale below 1 leaves the T_r band
+        assert contract_audit(e).passed
+
+
 def test_linf_requires_small_delta():
     with pytest.raises(BadParams):
         SingleScaleParams(1.0, 0.2, 0.2, norm=np.inf)
@@ -606,16 +694,24 @@ def test_single_scale_targets_the_input_norm():
 # --- degenerate cluster helpers
 
 
-def test_singleton_and_empty_net_clusters():
+def test_singleton_and_empty_net_clusters(linf_cluster):
     one = np.zeros((1, 1))
     none = np.array([], dtype=np.intp)
     assert _embed_cluster_l1(one, none, 1.0, {}).shape == (1, 0)
     assert _embed_cluster_l1(one, np.array([0]), 1.0, {}).shape == (1, 0)
-    assert _embed_cluster_linf(one, none, 1.0).shape == (1, 0)
+    assert linf_cluster(one, none, 1.0).shape == (1, 0)
     pair = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert _embed_cluster_linf(pair, none, 1.0).shape == (2, 0)
+    assert linf_cluster(pair, none, 1.0).shape == (2, 0)
     # T_r(0) = 0: a singleton's own net point would write an all-zero column
-    assert _embed_cluster_linf(one, np.array([0]), 1.0).shape == (1, 0)
+    assert linf_cluster(one, np.array([0]), 1.0).shape == (1, 0)
+    # the library's scatter gives neither a singleton nor a cluster
+    # without a net point a column
+    sc = SimpleNamespace(params=SimpleNamespace(r=1.0),
+                         members=np.array([0, 0, 1]), sizes=np.array([1, 2]))
+    assert _linf_block(sc, pair, np.array([True, False]),
+                       np.ones(3)).shape == (2, 1)
+    assert _linf_block(sc, pair, np.zeros(2, dtype=bool),
+                       np.ones(3)).shape == (2, 0)
 
 
 # --- parameters, determinism, serialization

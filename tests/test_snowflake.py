@@ -173,6 +173,53 @@ def test_group_structure_and_dimension():
     assert e.theory_k == plan.p * e.theory_k_scale
 
 
+def linf_snowflake():
+    s = normalize(generate("ball", n=12, dim=2, norm="linf", seed=1))
+    return s, build_snowflake(s, 0.5, 0.1, seed=3)
+
+
+def test_linf_keeps_per_scale_distances_and_writes_n_columns():
+    # the l-infinity twin of the l2 record: no scale keeps its block, each
+    # keeps its pair distances as a row of scale_dists, which a scale of
+    # width 0 leaves zero; the output is the n-column Frechet map of their
+    # max, a symmetric matrix with a zero diagonal
+    s, e = linf_snowflake()
+    assert e.scale_dists.shape == (len(e.scales), e.n * (e.n - 1) // 2)
+    assert any(sc.k == 0 for sc in e.scales)
+    for t, sc in enumerate(e.scales):
+        assert sc.coords is None
+        assert (sc.dists is None) == (sc.k == 0)
+        if sc.k:
+            assert np.shares_memory(sc.dists, e.scale_dists[t])
+        else:
+            assert not e.scale_dists[t].any()
+    assert e.coords.shape == (e.n, e.n) and e.k == e.n
+    assert np.array_equal(e.coords, e.coords.T)
+    assert not np.diagonal(e.coords).any()
+    assert e.assembled_k == sum(sc.k for sc in e.scales) > e.k
+    assert distortion_audit(e).passed
+
+
+def test_linf_scale_distances_match_the_per_cluster_blocks(linf_reference):
+    # every scale rebuilt on its own and written cluster by cluster: scipy's
+    # Chebyshev pdist of those blocks is the record, and their max is the
+    # pdist of the output
+    s, e = linf_snowflake()
+    plan = e.plan
+    want = np.zeros_like(e.scale_dists)
+    for t, sc in enumerate(e.scales):
+        sp = SingleScaleParams(r=sc.r, eps=plan.eps, delta=plan.delta,
+                               norm=np.inf, seed=sc.seed, rescale_c=0.0,
+                               dim_hat=e.dim_hat)
+        block = linf_reference(build_single_scale(s, sp))
+        assert block.shape[1] == sc.k
+        if sc.k:
+            w = (1.0 + plan.eps) ** (-sc.i * (1.0 - plan.alpha))
+            want[t] = pdist(block * w, "chebyshev")
+    assert np.array_equal(e.scale_dists, want)
+    assert np.array_equal(pdist(e.coords, "chebyshev"), want.max(axis=0))
+
+
 def test_l2_snowflake_realizes_no_cluster_and_squeezes_no_block(monkeypatch):
     import snowdim
     import snowdim.projection as projection
@@ -285,8 +332,11 @@ def test_lp_smoke():
     s_inf = normalize(PointSet(np.array([[0.0], [1.0], [2.5], [4.0]]),
                                norm=np.inf))
     e_inf = build_snowflake(s_inf, 0.5, 0.1, seed=2, norm=np.inf)
-    # max combination: every nonzero scale keeps its own block
-    assert e_inf.k == e_inf.assembled_k == sum(sc.k for sc in e_inf.scales)
+    # max combination: the output is the Frechet map of the max of the
+    # per-scale distances, n columns; the layout of one block per scale
+    # it replaces is assembled_k wide
+    assert e_inf.k == e_inf.n
+    assert e_inf.assembled_k == sum(sc.k for sc in e_inf.scales)
     rep_inf = distortion_audit(e_inf)
     assert rep_inf.extras["band_width"] < 1.3
     assert rep_inf.extras["min_dominant_ratio"] >= 0.45
@@ -318,21 +368,25 @@ def test_dominant_pair_mask_matches_the_per_partition_products():
     # lose their padding in some
     pts = np.concatenate([c + np.arange(5.0) for c in (0, 30, 45, 100, 160)])
     s = normalize(PointSet(pts[:, None]))
+    iu, ju = np.triu_indices(s.n, k=1)
     shared = unpadded = 0
     for seed in range(20):
         dec = build_decomposition(s, (60.0, 80.0, 120.0)[seed % 3], 3.0, 0.9,
                                   seed=seed, dim_hat=1.0)
         e = SimpleNamespace(decomposition=dec, n=s.n)
         want = _dominant_pairs_per_partition(dec)
-        assert np.array_equal(snowflake._dominant_pair_mask(e), want)
+        assert np.array_equal(snowflake._dominant_pair_mask(e, iu, ju),
+                              want[iu, ju])
         shared += int(want.sum() - np.trace(want))
         unpadded += int((~dec.padded.all(axis=0)).sum())
     assert shared > 0 and unpadded > 0
     # a built scale whose one partition repeats m times
     grid = normalize(generate("grid", side=5, dims=2))
     e = build_single_scale(grid, SingleScaleParams(2.0, 0.1, 0.1, seed=0))
-    assert np.array_equal(snowflake._dominant_pair_mask(e),
-                          _dominant_pairs_per_partition(e.decomposition))
+    iu, ju = np.triu_indices(grid.n, k=1)
+    want = _dominant_pairs_per_partition(e.decomposition)
+    assert np.array_equal(snowflake._dominant_pair_mask(e, iu, ju),
+                          want[iu, ju])
 
 
 def test_scale_errors_name_the_scale_and_chain(monkeypatch):
