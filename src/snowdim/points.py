@@ -33,7 +33,8 @@ _NORM_TAGS = {
 
 #: relative tolerance on the normalization invariant (min distance == 1)
 NORMALIZATION_RTOL = 1e-9
-#: bytes of one gathered difference block in the l1 / l-infinity pair kernel
+#: bytes of one gathered block: the l1 / l-infinity pair kernel's
+#: differences, ``decomposition._sample``'s chunks and the ``_capped_h`` scans
 PAIRWISE_BYTES = 8 << 20
 #: centers sampled by the doubling estimate
 MAX_CENTERS = 128

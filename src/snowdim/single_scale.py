@@ -17,21 +17,20 @@ new clusters in one flat batch. h is kept below the cap r/delta and is
 inf at or past it.
 
 l2 realizes no cluster: the Gram of the scale's direct sum is summed in
-closed form from its clusters (``_scale_gram``, which the l2 snowflake
-sums across scales too), and one ``factor_gram`` writes at most n
-coordinates. l-infinity writes the whole scale in one scatter from the
-same arrays (``_linf_block``): one column per net point of each cluster
-of two or more points. l1 builds each distinct cluster's map in its own
-column block. The l1 cuts of a cluster whose source metric is a line
-are closed-form arcs in the line order (``circular_cuts``); every other
-l1 cluster gets the cut LP's cuts (``cut_decomposition``), which stops
-at 14 points. ``scale_clusters`` is the first half alone: the
-decomposition and each distinct cluster's count and smoothing. It reads
-the carvings' clusters off the decomposition's member and size rows and
-finds the distinct ones with array operations (a 64-bit key per
-cluster, every match confirmed member by member), so no object is made
-per carving or per cluster; the l2 Gram and the l-infinity block are
-built from the same arrays.
+closed form from its clusters (``_scale_gram``), and one ``factor_gram``
+writes at most n coordinates. l-infinity writes the whole scale in one
+scatter (``_linf_block``): one column per net point of each cluster of
+two or more points. l1 writes each distinct cluster's map in a column
+block of its own (``_l1_block``): closed-form arc cuts in the line order
+(``circular_cuts``) for a cluster whose source metric is a line, the cut
+LP's cuts (``cut_decomposition``, at most 14 points) for any other.
+``scale_clusters`` is the first half alone: the decomposition and each
+distinct cluster's count and smoothing. It reads the carvings' clusters
+off the decomposition's member and size rows and finds the distinct
+ones with array operations (a 64-bit key per cluster, every match
+confirmed member by member), so no object is made per carving or per
+cluster. The three maps are built from those arrays, by the same
+functions the snowflake calls for each of its scales.
 
 The finished embedding keeps everything needed for the audit: the
 distinct clusters with their smoothing weights (and, in l1, their raw
@@ -138,25 +137,19 @@ class ClusterEntry:
 
     ``members``, ``weights`` and ``h_values`` are slices of the scale's
     columnar record (``ScaleClusters``), which the build itself reads;
-    the entries serve the API, the audit and the per-cluster l1 maps.
+    the entries serve the API and the audit.
     ``coords`` is the raw l1 cluster map f_C (before smoothing and
     scaling), rows aligned with ``members`` (indices into the point set),
     with the first member at the origin, keeping every image norm at most
-    r. ``scale_clusters`` leaves it None and ``build_single_scale`` fills
-    it in for l1 only. On l2 the build sums the clusters' closed-form
-    Grams, and on l-infinity it writes the scale in one scatter, so
-    ``contract_audit`` measures those maps from a factored Gram and from
-    the net.
+    r. ``build_single_scale`` fills it in for l1 only; ``contract_audit``
+    measures the l2 and l-infinity maps from a factored Gram and from the
+    net.
     """
     members: np.ndarray
     count: int                             # partitions containing the cluster
     weights: np.ndarray                    # smoothing weight per member
     h_values: np.ndarray                   # h below the cap r/delta, else inf
     coords: np.ndarray | None = None
-
-    @property
-    def k(self) -> int:
-        return self.coords.shape[1]
 
 
 @dataclass
@@ -275,8 +268,7 @@ def _embed_cluster_l1(dmat_c, net_local: np.ndarray, r: float,
     coords = np.zeros((nc, len(traces)))
     for col, group in enumerate(traces.values()):
         for cut in group:
-            idx = [i for i in cut.members]
-            coords[idx, col] += cut.weight
+            coords[list(cut.members), col] += cut.weight
     return coords - coords[0]
 
 
@@ -304,6 +296,41 @@ def _linf_block(sc: ScaleClusters, dmat: np.ndarray, in_net: np.ndarray,
     out[rows, col] = (threshold_transform(dmat[rows, sc.members[at][col]],
                                           sc.params.r) * scaled_w[pos])
     return out
+
+
+def _l1_block(sc: ScaleClusters, dmat: np.ndarray, in_net: np.ndarray,
+              scaled_w: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """An l1 scale's coordinates, and each distinct cluster's raw map f_C
+    (``_embed_cluster_l1``). Each f_C times ``scaled_w`` (aligned with
+    ``sc.members``) fills a column block of its own on the cluster's rows,
+    clusters in order. Clusters with the same transformed metric share one
+    cut decomposition."""
+    bounds = np.cumsum(sc.sizes)[:-1]
+    cuts_by_metric: dict[bytes, list[Cut]] = {}
+    maps = [_embed_cluster_l1(dmat[np.ix_(c, c)], np.flatnonzero(in_net[c]),
+                              sc.params.r, cuts_by_metric)
+            for c in np.split(sc.members, bounds)]
+    out = np.zeros((dmat.shape[0], sum(f.shape[1] for f in maps)))
+    col = 0
+    for c, w, f in zip(np.split(sc.members, bounds),
+                       np.split(scaled_w, bounds), maps):
+        out[c, col:col + f.shape[1]] = f * w[:, None]
+        col += f.shape[1]
+    return out, maps
+
+
+def _block_weights(sc: ScaleClusters,
+                   rescale: float) -> tuple[float, np.ndarray]:
+    """An l1 or l-infinity scale's combining scale, 1/m or
+    1/(1 + 2 sqrt(delta)), and each member's factor in its block (aligned
+    with ``sc.members``): its smoothing weight times the combining scale
+    (in l1, times its cluster's count first), then times ``rescale``."""
+    if sc.params.norm == np.inf:
+        combine = 1.0 / (1.0 + 2.0 * math.sqrt(sc.params.delta))
+        return combine, sc.weights * combine * rescale
+    combine = 1.0 / sc.m
+    return combine, (sc.weights * np.repeat(sc.counts * combine, sc.sizes)
+                     * rescale)
 
 
 def _point_keys(n: int) -> np.ndarray:
@@ -502,8 +529,9 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     sc = scale_clusters(s, params)
     p, entries, m = sc.params, sc.clusters, sc.m
     n = s.n
+    dmat = s.distance_matrix()
     rescale = 1.0 / (1.0 + p.rescale_c * p.eps)
-    th_k = theory_dimension(p.eps, p.delta, EPS_PAD, sc.dim_hat, p.norm)
+    net, empty_net = None, 0
     if p.norm == 2.0:
         # the direct sum's Gram, rescaled; factored uncentered, so every
         # image keeps its norm, which the audit bounds. A point that is
@@ -513,7 +541,8 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
         # factored with no relative cutoff: a cutoff would drop true
         # directions of the tail, and no rounding-level direction reaches
         # the zero rows
-        k, gram = _scale_gram(sc, s.distance_matrix())
+        combine = 1.0 / math.sqrt(m)
+        k, gram = _scale_gram(sc, dmat)
         coords = np.zeros((n, 0))
         if k:
             act = np.flatnonzero(np.diagonal(gram) > 0.0)
@@ -521,46 +550,25 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
                             keep_rtol=0.0)
             coords = np.zeros((n, y.shape[1]))
             coords[act] = y
-        return SingleScaleEmbedding(p, s, None, sc.dim_hat, sc.decomposition,
-                                    entries, m, coords.shape[1], th_k,
-                                    1.0 / math.sqrt(m), rescale, coords, 0)
-
-    # --- the l1 and l-infinity maps read the net
-    net = greedy_net(s, p.net_radius)
-    dmat = s.distance_matrix()
-    in_net = np.zeros(n, dtype=bool)
-    in_net[net.members] = True
-    starts = np.cumsum(sc.sizes) - sc.sizes
-    empty_net = int(np.count_nonzero(
-        ~np.logical_or.reduceat(in_net[sc.members], starts)))
-    if p.norm == np.inf:
-        combine = 1.0 / (1.0 + 2.0 * math.sqrt(p.delta))
-        coords = _linf_block(sc, dmat, in_net, sc.weights * combine * rescale)
-        return SingleScaleEmbedding(p, s, net, sc.dim_hat, sc.decomposition,
-                                    entries, m, coords.shape[1], th_k, combine,
-                                    rescale, coords, empty_net)
-
-    # --- l1: each distinct cluster's cuts in its own column block, summed
-    # over partitions by count, then the global rescale
-    cuts_by_metric: dict[bytes, list[Cut]] = {}
-    for c in entries:
-        members = c.members
-        c.coords = _embed_cluster_l1(dmat[np.ix_(members, members)],
-                                     np.flatnonzero(in_net[members]), p.r,
-                                     cuts_by_metric)
-    combine = 1.0 / m
-    k = sum(c.k for c in entries)
-    coords = np.zeros((n, k))
-    col = 0
-    for c in entries:
-        if c.k:
-            block = c.coords * (c.weights[:, None] * (c.count * combine)
-                                * rescale)
-            coords[c.members, col:col + c.k] = block
-        col += c.k
-    return SingleScaleEmbedding(p, s, net, sc.dim_hat, sc.decomposition,
-                                entries, m, k, th_k, combine, rescale, coords,
-                                empty_net)
+    else:
+        # the l1 and l-infinity maps read the net
+        net = greedy_net(s, p.net_radius)
+        in_net = np.zeros(n, dtype=bool)
+        in_net[net.members] = True
+        starts = np.cumsum(sc.sizes) - sc.sizes
+        empty_net = int(np.count_nonzero(
+            ~np.logical_or.reduceat(in_net[sc.members], starts)))
+        combine, scaled_w = _block_weights(sc, rescale)
+        if p.norm == np.inf:
+            coords = _linf_block(sc, dmat, in_net, scaled_w)
+        else:
+            coords, maps = _l1_block(sc, dmat, in_net, scaled_w)
+            for c, f in zip(entries, maps):
+                c.coords = f
+    return SingleScaleEmbedding(
+        p, s, net, sc.dim_hat, sc.decomposition, entries, m, coords.shape[1],
+        theory_dimension(p.eps, p.delta, EPS_PAD, sc.dim_hat, p.norm),
+        combine, rescale, coords, empty_net)
 
 
 # ---------------------------------------------------------------------------

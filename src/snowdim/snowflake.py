@@ -9,28 +9,30 @@ of (eps, alpha, p) alone, exposed as ``band_center`` so consumers that need
 unit calibration (distance labels) can rescale; the guarantee itself is on
 the width.
 
-How the maps are combined depends on the norm:
+Every norm builds a scale the same way: ``scale_clusters`` decomposes it
+and finds its distinct clusters, the norm's map is built from their
+arrays by the function ``build_single_scale`` calls too (``_scale_gram``,
+``_l1_block`` or ``_linf_block``), and the map's condensed pair distances
+are taken where the scale is built. Those distances are all a scale
+keeps for the audit. How the maps are combined depends on the norm:
 
-* l2 sums the scales directly through one Gram matrix. Each scale's Gram
-  is the one its single-scale build factors, summed in closed form from
-  its distinct clusters (``single_scale._scale_gram``), so no cluster is
-  realized and no per-scale block is written; the scale keeps only its
-  pair distances, for the audit. One ``factor_gram`` of the
-  double-centered total writes the output in at most n - 1 coordinates
-  with the direct sum's pair distances. ``assembled_k`` is the direct
-  sum's width, the sum of the per-scale rank bounds.
-* l1 keeps the paper's round-robin grouping: scales of one residue class
-  i mod p are summed coordinate-wise and the p groups are direct-summed.
-  l1 has no exact dimension-free reduction, so the layout is the output.
-* l-infinity combines by max. Each scale keeps only its pair distances,
-  taken from its block where the scale is built, and the image distance
-  D is their max over the scales, as the layout of one block per scale
-  would give bit for bit (max is exact). The output is D's Frechet map:
-  n columns, column z of row x holding D(x, z). The l-infinity distance
-  of rows x and y is D(x, y): column y gives it exactly, and the triangle
+* l2 sums the scales directly through one Gram matrix, each scale's
+  summed in closed form from its clusters, so no cluster is realized.
+  One ``factor_gram`` of the double-centered total writes the output in
+  at most n - 1 coordinates with the direct sum's pair distances.
+  ``assembled_k`` is the direct sum's width, the sum of the per-scale
+  rank bounds.
+* l1 keeps the paper's round-robin grouping: each scale's block is summed
+  coordinate-wise into its residue class i mod p as the merge reaches
+  it, and the p classes are direct-summed. l1 has no exact
+  dimension-free reduction, so the layout is the output.
+* l-infinity combines by max. The image distance D is the max of the
+  per-scale distances, as the layout of one block per scale would give
+  bit for bit (max is exact). The output is D's Frechet map: n columns,
+  column z of row x holding D(x, z). The l-infinity distance of rows x
+  and y is D(x, y): column y gives it exactly, and the triangle
   inequality caps every other column, up to the rounding of one
-  subtraction. ``assembled_k`` is the layout's width, the sum of the
-  block widths.
+  subtraction. ``assembled_k`` is the sum of the block widths.
 
 ``theory_k`` is the paper's grouped count p * k_scale for every norm, a
 formula of the parameters alone. The concrete l2 width does not need the
@@ -78,14 +80,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report as report_mod
-from .errors import BadParams, ClusterTooLarge, EmptyInput, SnowdimError
+from .errors import (BadParams, ClusterTooLarge, EmptyInput, NotEuclidean,
+                     SnowdimError)
 from .points import (PointSet, _pair_distances, _pairwise, estimate_doubling,
-                     norm_label, norm_tag, require_normalized)
-from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleEmbedding,
-                           SingleScaleParams, _dumps_coords, _scale_gram,
-                           build_single_scale, scale_clusters,
+                     greedy_net, norm_label, norm_tag, require_normalized)
+from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleParams,
+                           _block_weights, _dumps_coords, _l1_block,
+                           _linf_block, _scale_gram, scale_clusters,
                            theory_dimension)
-from .transforms import MAX_CUT_POINTS, factor_gram, line_order
+from .transforms import (MAX_CUT_POINTS, euclidean_realization, factor_gram,
+                         line_order)
 
 #: offset added to the scale index when deriving per-scale seeds, so the
 #: seed entropy stays nonnegative for any sane index window
@@ -211,21 +215,16 @@ def _scale_seed(seed: int, i: int) -> int:
 
 @dataclass
 class ScaleEntry:
-    """One built scale: what the audit reads of it.
-
-    l1 keeps the scale's coordinate block. l2 and l-infinity keep only
-    the scale's condensed pair distances (``scipy.spatial.distance.pdist``
-    order) as a row of the embedding's ``scale_dists``: l2 reads them off
-    its Gram matrix, l-infinity off its block, which is then dropped.
-    Both carry the division by (1+eps)^{i(1-alpha)}. ``dom_pairs`` is
-    condensed in the same order."""
+    """One built scale: what the audit reads of it. ``dists`` are its
+    condensed pair distances (``scipy.spatial.distance.pdist`` order)
+    divided by (1+eps)^{i(1-alpha)}, a row of the embedding's
+    ``scale_dists``; ``dom_pairs`` is condensed in the same order."""
 
     i: int
     r: float
     seed: int
     k: int                           # block width; l2: its rank bound
-    coords: np.ndarray | None        # (n, k) block; l1 only
-    dists: np.ndarray | None         # l2 and l-inf, and None if k == 0
+    dists: np.ndarray | None         # None if k == 0
     dom_pairs: np.ndarray | None     # (pairs,) bool: padded in every partition
 
 
@@ -241,9 +240,7 @@ class SnowflakeEmbedding:
     theory_k: int                    # p * theory_k_scale
     theory_k_scale: int
     coords: np.ndarray               # (n, k) final images, all scaling in
-    # l2 and l-infinity: (scales, pairs), the per-scale pair distances
-    # (rows are .dists; a scale of width 0 keeps a zero row); None on l1
-    scale_dists: np.ndarray | None
+    scale_dists: np.ndarray          # (scales, pairs): .dists, or 0 if k == 0
 
     @property
     def n(self) -> int:
@@ -253,8 +250,8 @@ class SnowflakeEmbedding:
         return _pairwise(self.coords, self.plan.norm)
 
 
-def _dominant_pair_mask(e: ScaleClusters | SingleScaleEmbedding,
-                        iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+def _dominant_pair_mask(sc: ScaleClusters, iu: np.ndarray,
+                        ju: np.ndarray) -> np.ndarray:
     """For each pair (iu[t], ju[t]), whether it is same-cluster with both
     pad-balls uncut in every partition of the scale's decomposition.
 
@@ -262,7 +259,7 @@ def _dominant_pair_mask(e: ScaleClusters | SingleScaleEmbedding,
     columns across the partitions are equal, so one id per distinct column
     replaces a comparison per partition. A certain decomposition's one
     label row stands for all of its partitions."""
-    dec = e.decomposition
+    dec = sc.decomposition
     pad = dec.padded.all(axis=0)
     labels = np.ascontiguousarray(dec.labels.T)
     # each contiguous row read as one opaque value: a bytewise sort, not
@@ -288,44 +285,46 @@ class _ScaleJob:
 
 def _build_scale(job: _ScaleJob,
                  i: int) -> tuple[ScaleEntry, np.ndarray | None]:
-    """Scale i's entry and, on l2, its weighted Gram (None on l1 and
-    l-infinity, or when the scale is all singletons).
-
-    Everything is already divided by (1+eps)^{i(1-alpha)}: the l1 block,
-    the l2 and l-infinity pair distances, and the l2 Gram by its square.
-    The l-infinity block lives only until its pair distances are taken,
-    in whichever process builds the scale. A library error is re-raised
-    as the same type with the scale named in front of its message."""
+    """Scale i's entry and its part of the output: on l2 its weighted
+    Gram, on l1 its weighted block (None on l-infinity, or when the scale
+    has width 0). The map is the one ``build_single_scale`` writes at
+    rescale 1, and everything is divided by (1+eps)^{i(1-alpha)}, the
+    Gram by its square. A library error is re-raised as the same type
+    with the scale named in front of its message."""
     plan = job.plan
     eps = plan.eps
     sp = SingleScaleParams(r=(1.0 + eps) ** i, eps=eps, delta=plan.delta,
                            norm=plan.norm, seed=_scale_seed(job.seed, i),
                            rescale_c=0.0, dim_hat=job.dim_hat)
-    l2 = plan.norm == 2.0
+    w = (1.0 + eps) ** (-i * (1.0 - plan.alpha))
+    dmat = job.s.distance_matrix()
+    part = dists = None
     try:
-        e_i = (scale_clusters(job.s, sp) if l2
-               else build_single_scale(job.s, sp))
+        sc = scale_clusters(job.s, sp)
+        if plan.norm == 2.0:
+            k, gram = _scale_gram(sc, dmat)
+            if k:
+                part = (w * w) * gram
+                diag = np.diag(gram)
+                dists = w * np.sqrt(np.maximum(
+                    diag[job.iu] + diag[job.ju] - 2.0 * gram[job.iu, job.ju],
+                    0.0))
+        else:
+            in_net = np.zeros(job.s.n, dtype=bool)
+            in_net[greedy_net(job.s, sc.params.net_radius).members] = True
+            scaled_w = _block_weights(sc, 1.0)[1]
+            block = w * (_linf_block(sc, dmat, in_net, scaled_w)
+                         if plan.norm == np.inf
+                         else _l1_block(sc, dmat, in_net, scaled_w)[0])
+            k = block.shape[1]
+            if k:
+                dists = _pair_distances(block, plan.norm, job.iu, job.ju)
+                part = block if plan.norm == 1.0 else None
     except SnowdimError as err:
         raise type(err)(f"scale i={i} (r={sp.r:.6g}): {err}") from err
-    w = (1.0 + eps) ** (-i * (1.0 - plan.alpha))
-    coords = dists = g_w = None
-    if l2:
-        k_i, g_i = _scale_gram(e_i, job.s.distance_matrix())
-        if k_i:
-            g_w = (w * w) * g_i
-            diag = np.diag(g_i)
-            dists = w * np.sqrt(np.maximum(
-                diag[job.iu] + diag[job.ju] - 2.0 * g_i[job.iu, job.ju], 0.0))
-    elif plan.norm == np.inf:
-        k_i = e_i.k
-        if k_i:
-            dists = _pair_distances(e_i.coords * w, plan.norm, job.iu, job.ju)
-    else:
-        k_i, coords = e_i.k, e_i.coords * w
-    dom = None
-    if 0 <= i <= job.istar_top and k_i:
-        dom = _dominant_pair_mask(e_i, job.iu, job.ju)
-    return ScaleEntry(i, sp.r, sp.seed, k_i, coords, dists, dom), g_w
+    dom = (_dominant_pair_mask(sc, job.iu, job.ju)
+           if 0 <= i <= job.istar_top and k else None)
+    return ScaleEntry(i, sp.r, sp.seed, k, dists, dom), part
 
 
 def _worker_count() -> int:
@@ -482,20 +481,18 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     The doubling estimate is taken once and shared by every scale, so the
     reported theory dimension depends only on the parameters and that
     estimate (pass ``dim_hat`` to pin it). The target norm defaults to
-    the input's own norm (``s.norm``). Per-scale seeds derive from
-    (seed, i), so any scale can be rebuilt independently, and the scales
-    are split over the CPUs this process may use: the caller builds
-    every w-th scale and one forked helper per extra CPU builds each of
-    the others, and the caller merges all of them in scale order. The
-    output bytes do not depend on the CPU count. A library error from
-    one scale is re-raised as the same type with the scale named in
-    front of its message, chained to the original; any other exception
-    passes through with its type and message. From a helper, the error
-    carries the helper's traceback as a note, and its cause is a copy of
-    the original; an error that cannot be pickled comes back as a
-    RuntimeError holding its traceback. An l1 target above the cut LP's
-    MAX_CUT_POINTS whose metric is not a line raises ClusterTooLarge
-    before any scale is built.
+    the input's own norm (``s.norm``). The scales are split over the
+    CPUs this process may use, with the same output bytes for any CPU
+    count. A library error from one scale is re-raised as the same type
+    with the scale named in front of its message, chained to the
+    original; any other exception passes through with its type and
+    message. From a helper, the error carries the helper's traceback as
+    a note, and its cause is a copy of the original; an error that
+    cannot be pickled comes back as a RuntimeError holding its
+    traceback. Two inputs are refused before any scale is built: an l1
+    target above the cut LP's MAX_CUT_POINTS whose metric is not a line
+    (ClusterTooLarge), and an l2 target whose source metric is not
+    Euclidean (NotEuclidean).
     """
     plan = scale_plan(s, alpha, eps, norm)
     # every scale coarser than the carving range keeps all n points in one
@@ -507,6 +504,15 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
             f"an l1 snowflake of {s.n} points off a line puts all of them "
             f"in one cluster at its coarser scales; the cut LP's cap is "
             f"{MAX_CUT_POINTS} points")
+    # G_r(d) is Euclidean for every r exactly when d is (Schoenberg,
+    # 1938), so one check of the source stands for every scale's Gram
+    if plan.norm == 2.0 and s.norm != 2.0:
+        try:
+            euclidean_realization(s.distance_matrix())
+        except NotEuclidean as err:
+            raise NotEuclidean(
+                f"an l2 target needs a Euclidean source metric, and this "
+                f"l{norm_label(s.norm)} metric is not one: {err}") from err
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     n = s.n
@@ -515,24 +521,31 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     istar_top = math.floor(math.log(s.diameter()) / math.log1p(eps)) + 1
     job = _ScaleJob(s, plan, seed, dim_hat, istar_top,
                     *np.triu_indices(n, k=1))
-    scale_dists = None
-    if plan.norm == 2.0:
-        gram = np.zeros((n, n))
-    if plan.norm != 1.0:
-        # every scale's pair distances, written in place: the audit reads
-        # this array whole, and a scale of width 0 keeps its zero row
-        scale_dists = np.zeros((len(plan.scale_indices), len(job.iu)))
+    # every scale's pair distances, written in place: the audit reads
+    # this array whole, and a scale of width 0 keeps its zero row
+    scale_dists = np.zeros((len(plan.scale_indices), len(job.iu)))
+    gram = np.zeros((n, n)) if plan.norm == 2.0 else None
+    groups: dict[int, np.ndarray] = {}       # l1: i mod p -> its blocks' sum
     # every scale's smoothing reads the sorted distance rows: sort them
     # here, before any helper forks, so the helpers share them
     s._sorted_rows()
     entries: list[ScaleEntry] = []
     with _scale_results(job) as results:
-        for t, (entry, g_w) in enumerate(results):
-            if g_w is not None:
-                gram += g_w
+        for t, (entry, part) in enumerate(results):
             if entry.dists is not None:
                 scale_dists[t] = entry.dists
                 entry.dists = scale_dists[t]
+            if part is not None and gram is not None:
+                gram += part
+            elif part is not None:
+                # l1: a residue class sums its blocks in scale order,
+                # zero-padded to the widest
+                key, k = entry.i % plan.p, part.shape[1]
+                acc = groups.get(key, np.zeros((n, 0)))
+                if acc.shape[1] < k:
+                    acc = groups[key] = np.pad(acc, ((0, 0),
+                                                     (0, k - acc.shape[1])))
+                acc[:, :k] += part
             entries.append(entry)
 
     if plan.norm == 2.0:
@@ -543,43 +556,25 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
         gram -= gram.mean(axis=0)
         gram -= gram.mean(axis=1)[:, None]
         out = factor_gram(gram)[:, :n - 1]
-        assembled_k = sum(e.k for e in entries)
     elif plan.norm == np.inf:
         # the Frechet map of D, the max of the per-scale distances: row x
         # is (D(x, z))_z, and |D(x, z) - D(y, z)| <= D(x, y), with
         # equality at z = y
         out = np.zeros((n, n))
         out[job.iu, job.ju] = out[job.ju, job.iu] = scale_dists.max(axis=0)
-        assembled_k = sum(e.k for e in entries)
     else:
-        out = _grouped_layout(entries, plan)
-        assembled_k = out.shape[1]
+        # the l1 classes side by side in class order, over the normalizer
+        out = np.hstack([np.zeros((n, 0))]
+                        + [groups[key] for key in sorted(groups)])
+        out /= plan.M
+    # the width of the direct sum or of the one-block-per-scale layout;
+    # l1's layout is its output
+    assembled_k = (out.shape[1] if plan.norm == 1.0
+                   else sum(e.k for e in entries))
     theory_k_scale = theory_dimension(eps, plan.delta, EPS_PAD, dim_hat, plan.norm)
     return SnowflakeEmbedding(plan, s, seed, dim_hat, entries, out.shape[1],
                               assembled_k, plan.p * theory_k_scale,
                               theory_k_scale, out, scale_dists)
-
-
-def _grouped_layout(entries: list[ScaleEntry],
-                    plan: SnowflakePlan) -> np.ndarray:
-    """The l1 output: one shared block per residue class i mod p (maps in
-    a class are summed, zero-padded to the widest), divided by the
-    normalizer."""
-    keys = [e.i % plan.p for e in entries]
-    widths: dict[int, int] = {}
-    for key, e in zip(keys, entries):
-        widths[key] = max(widths.get(key, 0), e.k)
-    offsets = {}
-    col = 0
-    for key in sorted(widths):
-        offsets[key] = col
-        col += widths[key]
-    coords = np.zeros((entries[0].coords.shape[0], col))
-    for key, e in zip(keys, entries):
-        if e.k:
-            coords[:, offsets[key]:offsets[key] + e.k] += e.coords
-    coords /= plan.M
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -610,16 +605,10 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
                                 ref_dist=target, window=None, bounds=bounds)
 
     # per-scale terms B_i = per-scale image distance / (1+eps)^{i(1-alpha)};
-    # the l1 blocks and the l2 and l-infinity distances already carry the
-    # division, and the distances are read in place
+    # the stored distances already carry the division and are read in place
     n_pairs = len(src)
     n_scales = len(e.scales)
     b_terms = e.scale_dists
-    if b_terms is None:
-        b_terms = np.zeros((n_scales, n_pairs))
-        for t, sc in enumerate(e.scales):
-            if sc.k:
-                b_terms[t] = _pair_distances(sc.coords, plan.norm, iu, ju)
     ivals = np.array([sc.i for sc in e.scales])
 
     lg = math.log1p(eps)

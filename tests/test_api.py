@@ -1,6 +1,6 @@
 """Public surface: every error type is raised somewhere, every export
 resolves, every function the traced benchmark names exists, and the
-import loads no scipy."""
+import loads neither scipy nor multiprocessing."""
 
 import ast
 import importlib
@@ -101,15 +101,28 @@ def test_every_function_the_traced_benchmark_names_exists():
     assert missing == []
 
 
-def test_import_loads_no_scipy():
-    # only the cut LP and the extension use scipy, and each imports it when
-    # called; a fresh interpreter, since this one has scipy loaded
+def modules_after_import(prefix: str) -> list[str]:
+    """The modules named ``prefix`` or ``prefix.*`` that a fresh
+    interpreter holds after ``import snowdim``; fresh, since this one has
+    scipy and multiprocessing loaded."""
     path = os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
-    code = ("import sys, snowdim; print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+    code = (f"import json, sys, snowdim; print(json.dumps(sorted(m for m in "
+            f"sys.modules if m == {prefix!r} or m.startswith({prefix!r} + "
+            f"'.'))))")
     done = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "[]"
+    return json.loads(done.stdout)
+
+
+def test_import_loads_no_scipy():
+    # only the cut LP and the extension use scipy, and each imports it when
+    # called
+    assert modules_after_import("scipy") == []
+
+
+def test_import_loads_no_multiprocessing():
+    # the scale split imports multiprocessing when a build forks helpers
+    assert modules_after_import("multiprocessing") == []

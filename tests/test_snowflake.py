@@ -152,7 +152,7 @@ def test_group_structure_and_dimension():
     # min(n, sum over distinct clusters of |C| - 1)
     assert e.scale_dists.shape == (len(e.scales), e.n * (e.n - 1) // 2)
     for t, sc in enumerate(e.scales):
-        assert sc.coords is None
+        assert not hasattr(sc, "coords")
         assert (sc.dists is None) == (sc.k == 0)
         if sc.k:
             assert np.shares_memory(sc.dists, e.scale_dists[t])
@@ -187,7 +187,7 @@ def test_linf_keeps_per_scale_distances_and_writes_n_columns():
     assert e.scale_dists.shape == (len(e.scales), e.n * (e.n - 1) // 2)
     assert any(sc.k == 0 for sc in e.scales)
     for t, sc in enumerate(e.scales):
-        assert sc.coords is None
+        assert not hasattr(sc, "coords")
         assert (sc.dists is None) == (sc.k == 0)
         if sc.k:
             assert np.shares_memory(sc.dists, e.scale_dists[t])
@@ -218,6 +218,34 @@ def test_linf_scale_distances_match_the_per_cluster_blocks(linf_reference):
             want[t] = pdist(block * w, "chebyshev")
     assert np.array_equal(e.scale_dists, want)
     assert np.array_equal(pdist(e.coords, "chebyshev"), want.max(axis=0))
+
+
+def test_l1_scale_distances_match_the_single_scale_blocks():
+    # the l1 twin: no scale keeps its block, and every scale rebuilt on its
+    # own by build_single_scale gives the record as scipy's cityblock
+    # pdist of its block, up to the order of each row's sum; the line's
+    # clusters take closed-form cuts, the ball's the cut LP
+    for s in (normalize(generate("line", n=10, norm="l1")),
+              normalize(generate("ball", n=7, dim=2, norm="l1", seed=1))):
+        e = build_snowflake(s, 0.5, 0.1, seed=3)
+        plan = e.plan
+        assert e.scale_dists.shape == (len(e.scales), e.n * (e.n - 1) // 2)
+        want = np.zeros_like(e.scale_dists)
+        for t, sc in enumerate(e.scales):
+            assert not hasattr(sc, "coords")
+            assert (sc.dists is None) == (sc.k == 0)
+            sp = SingleScaleParams(r=sc.r, eps=plan.eps, delta=plan.delta,
+                                   norm=1.0, seed=sc.seed, rescale_c=0.0,
+                                   dim_hat=e.dim_hat)
+            block = build_single_scale(s, sp).coords
+            assert block.shape[1] == sc.k
+            if sc.k:
+                assert np.shares_memory(sc.dists, e.scale_dists[t])
+                w = (1.0 + plan.eps) ** (-sc.i * (1.0 - plan.alpha))
+                want[t] = pdist(block * w, "cityblock")
+        assert any(sc.k == 0 for sc in e.scales)
+        np.testing.assert_allclose(e.scale_dists, want, rtol=1e-14, atol=0.0)
+        assert distortion_audit(e).passed
 
 
 def test_l2_snowflake_realizes_no_cluster_and_squeezes_no_block(monkeypatch):
@@ -382,10 +410,11 @@ def test_dominant_pair_mask_matches_the_per_partition_products():
     assert shared > 0 and unpadded > 0
     # a built scale whose one partition repeats m times
     grid = normalize(generate("grid", side=5, dims=2))
-    e = build_single_scale(grid, SingleScaleParams(2.0, 0.1, 0.1, seed=0))
+    sc = single_scale.scale_clusters(grid,
+                                     SingleScaleParams(2.0, 0.1, 0.1, seed=0))
     iu, ju = np.triu_indices(grid.n, k=1)
-    want = _dominant_pairs_per_partition(e.decomposition)
-    assert np.array_equal(snowflake._dominant_pair_mask(e, iu, ju),
+    want = _dominant_pairs_per_partition(sc.decomposition)
+    assert np.array_equal(snowflake._dominant_pair_mask(sc, iu, ju),
                           want[iu, ju])
 
 
@@ -625,12 +654,58 @@ def test_l1_above_the_cut_cap_is_refused_before_any_scale(monkeypatch):
     # no line, so only the cut LP could write it, and the LP refuses it:
     # the whole ladder could never finish
     calls = []
-    monkeypatch.setattr(snowflake, "build_single_scale",
-                        lambda s, params: calls.append(params))
+    monkeypatch.setattr(snowflake, "scale_clusters",
+                        counting_scale_clusters(calls))
     s = normalize(generate("grid", side=4, dims=2, norm="l1"))
     with pytest.raises(ClusterTooLarge, match="cap is 14 points"):
         build_snowflake(s, 0.5, 0.1)
     assert calls == []
+
+
+def test_an_l2_target_off_a_euclidean_metric_is_refused_before_any_scale(
+        monkeypatch):
+    # G_r(d) is Euclidean for every r exactly when d is, so one check of
+    # the source stands for every scale's Gram; the l1 and l-infinity
+    # 3 x 3 grids are not Euclidean, a line is in every norm
+    calls = []
+    monkeypatch.setattr(snowflake, "scale_clusters",
+                        counting_scale_clusters(calls))
+    for norm in ("l1", "linf"):
+        s = normalize(generate("grid", side=3, dims=2, norm=norm))
+        with pytest.raises(NotEuclidean, match=(
+                f"^an l2 target needs a Euclidean source metric, and this "
+                f"{norm} metric is not one: ")):
+            build_snowflake(s, 0.5, 0.1, norm=2.0)
+    assert calls == []
+    s = normalize(generate("line", n=8, norm="l1"))
+    e = build_snowflake(s, 0.5, 0.1, seed=0, norm=2.0)
+    assert e.plan.norm == 2.0
+    assert distortion_audit(e).passed
+
+
+@pytest.mark.parametrize("points", [
+    small_grid,
+    lambda: normalize(generate("line", n=6, norm="l1")),
+    lambda: normalize(generate("ball", n=8, dim=2, norm="linf", seed=1)),
+], ids=["l2", "l1", "linf"])
+def test_every_norm_builds_its_scales_from_the_cluster_arrays(monkeypatch,
+                                                              points):
+    # one scale_clusters call per scale and no single-scale embedding, on
+    # every norm and through every module that holds the builder
+    import snowdim
+    calls, built = [], []
+    monkeypatch.setattr(snowflake, "scale_clusters",
+                        counting_scale_clusters(calls))
+    for mod in (snowdim, single_scale, snowflake):
+        if hasattr(mod, "build_single_scale"):
+            monkeypatch.setattr(mod, "build_single_scale",
+                                lambda s, params: built.append(params))
+    # the counters see only the scales built in this process
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 1)
+    e = build_snowflake(points(), 0.5, 0.1, seed=1)
+    assert built == []
+    assert calls == [sc.r for sc in e.scales]
+    assert distortion_audit(e).passed
 
 
 def test_l1_line_past_the_cut_cap_builds_without_an_lp(monkeypatch):

@@ -8,7 +8,8 @@ import scipy.optimize
 from scipy.spatial.distance import pdist, squareform
 
 from snowdim import transforms
-from snowdim.errors import BadParams, ClusterTooLarge, NotEuclidean
+from snowdim.errors import (BadParams, ClusterTooLarge, Infeasible,
+                            NotEuclidean)
 from snowdim.points import PointSet, generate
 from snowdim.single_scale import _embed_cluster_l1
 from snowdim.transforms import (CUT_RTOL, circular_cuts, cut_decomposition,
@@ -204,6 +205,23 @@ def test_cut_decomposition_too_large():
     d = PointSet(np.arange(15.0)[:, None], 1.0).distance_matrix()
     with pytest.raises(ClusterTooLarge):
         cut_decomposition(d)
+
+
+def k23_path_metric():
+    # K_{2,3}: distance 1 across the two sides, 2 within a side
+    side = np.array([0, 0, 1, 1, 1])
+    d = np.where(side[:, None] == side, 2.0, 1.0)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("dmat, slack", [
+    (k23_path_metric(), "2"),       # a metric, but not l1-embeddable
+    (np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]), "1"),
+], ids=["k23", "no-triangle"])
+def test_cut_decomposition_off_l1_is_infeasible(dmat, slack):
+    with pytest.raises(Infeasible, match=f"residual slack {slack}$"):
+        cut_decomposition(dmat)
 
 
 def test_circular_cuts_frozen():
