@@ -126,9 +126,15 @@ def batch_size(eps_pad: float, n: int, dim_hat: float) -> int:
     return max(a, b, 1)
 
 
+def one_cluster(s: PointSet, delta: float) -> bool:
+    """Whether every carving at ``delta`` is one cluster: the smallest
+    carve radius, delta/4, reaches across the whole set."""
+    return delta / 4.0 >= s.diameter()
+
+
 def _certain_labels(s: PointSet, delta: float) -> np.ndarray | None:
     """The labels every carving yields, when the radius range forces them."""
-    if delta / 4.0 >= s.diameter():
+    if one_cluster(s, delta):
         return np.zeros(s.n, dtype=np.intp)
     if delta / 2.0 < s.min_distance():
         return np.arange(s.n, dtype=np.intp)
@@ -155,6 +161,7 @@ def _sample(dmat, delta, pad_pairs, m, seed, attempt):
     sizes = np.empty((m, n), dtype=np.intp)
     padded = np.ones((m, n), dtype=bool)
     nbr_i, nbr_j = pad_pairs
+    key_type = np.min_scalar_type(-n)
     step = max(1, PAIRWISE_BYTES // (8 * n * n))
     for a in range(0, m, step):
         b = min(a + step, m)
@@ -172,10 +179,13 @@ def _sample(dmat, delta, pad_pairs, m, seed, attempt):
             np.cumsum(won, axis=1, dtype=np.intp) - 1, first, axis=1)
         # one stable sort per row groups the members of each cluster,
         # ascending; a cluster is a slice of its row between consecutive
-        # cumulative cluster sizes
+        # cumulative cluster sizes. The labels lie in 0..n-1, so the
+        # narrowest signed type holds them, and numpy sorts 8- and 16-bit
+        # keys stably by radix
         sizes[a:b] = np.bincount((np.arange(c)[:, None] * n + lab).ravel(),
                                  minlength=c * n).reshape(c, n)
-        members[a:b] = np.argsort(lab, axis=1, kind="stable")
+        members[a:b] = np.argsort(lab.astype(key_type), axis=1,
+                                  kind="stable")
         if len(nbr_i):
             # a point is padded unless one of its pad pairs is cut
             cut_t, cut_p = np.nonzero(lab[:, nbr_i] != lab[:, nbr_j])

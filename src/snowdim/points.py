@@ -271,7 +271,8 @@ def estimate_doubling(s: PointSet) -> DoublingEstimate:
 
     Scans radii on a power-of-two grid and (a sample of) centers; for each
     ball B(x, rho) it greedily covers the ball with rho/2-balls centered at
-    its own points. lambda_hat is the worst count seen, dim_hat = log2 of it.
+    its own points, once per distinct ball at each radius. lambda_hat is
+    the worst count seen, dim_hat = log2 of it.
     """
     if s.n == 0:
         raise EmptyInput("doubling estimate of an empty set")
@@ -284,10 +285,16 @@ def estimate_doubling(s: PointSet) -> DoublingEstimate:
     lam = 1
     rho = 2.0 * dmin
     while True:
+        # the cover count is a function of the ball's members, so a ball
+        # met again from another center at this radius is covered once
+        seen: set[bytes] = set()
         for x in centers:
             ball = np.flatnonzero(d[x] <= rho)
-            if len(ball) > lam:  # a smaller ball can never need more half-balls than members
-                lam = max(lam, _greedy_cover_count(d[np.ix_(ball, ball)], rho / 2.0))
+            # a smaller ball can never need more half-balls than members
+            if len(ball) <= lam or (key := ball.tobytes()) in seen:
+                continue
+            seen.add(key)
+            lam = max(lam, _greedy_cover_count(d[np.ix_(ball, ball)], rho / 2.0))
         if rho >= diam:
             break
         rho *= 2.0

@@ -30,7 +30,7 @@ off the decomposition's member and size rows and finds the distinct
 ones with array operations (a 64-bit key per cluster, every match
 confirmed member by member), so no object is made per carving or per
 cluster. The three maps are built from those arrays, by the same
-functions the snowflake calls for each of its scales.
+functions the snowflake calls for each scale it decomposes.
 
 The finished embedding keeps everything needed for the audit: the
 distinct clusters with their smoothing weights (and, in l1, their raw
@@ -49,12 +49,15 @@ from functools import cached_property
 import numpy as np
 
 from . import report as report_mod
-from .decomposition import PaddedDecomposition, build_decomposition
-from .errors import BadParams, EmptyInput, HeaderMismatch, PaddingUnachievable
+from .decomposition import (PaddedDecomposition, build_decomposition,
+                            one_cluster)
+from .errors import (BadParams, EmptyInput, HeaderMismatch, NotEuclidean,
+                     PaddingUnachievable)
 from .points import (PAIRWISE_BYTES, Net, PointSet, _pairwise,
                      estimate_doubling, greedy_net, norm_label, norm_tag,
                      require_normalized, vector_norm)
-from .transforms import (Cut, circular_cuts, cut_decomposition, factor_gram,
+from .transforms import (Cut, circular_cuts, cut_decomposition,
+                         euclidean_realization, factor_gram,
                          gaussian_transform, laplace_transform, line_order,
                          threshold_transform)
 
@@ -120,6 +123,28 @@ class SingleScaleParams:
 
     def decomposition_diameter(self, dim_hat: float) -> float:
         return 3.0 * C_PAD * max(1.0, dim_hat) * self.r / self.delta
+
+    def one_cluster(self, s: PointSet, dim_hat: float) -> bool:
+        """Whether ``scale_clusters`` decomposes ``s`` at this scale into
+        one cluster of every point, with no sampling and no retry: the
+        first decomposition diameter carves the whole set in one piece.
+        That cluster has no outside, so all its smoothing weights are 1."""
+        return one_cluster(s, self.decomposition_diameter(dim_hat))
+
+
+def require_euclidean_source(s: PointSet, norm: float) -> None:
+    """Refuse an l2 target over a source metric that is not Euclidean.
+
+    G_r(d) is Euclidean for every r exactly when d is (Schoenberg, 1938),
+    so one check of the source stands for every scale's Gram. An l2
+    source is Euclidean by construction and is not checked."""
+    if norm == 2.0 and s.norm != 2.0:
+        try:
+            euclidean_realization(s.distance_matrix())
+        except NotEuclidean as err:
+            raise NotEuclidean(
+                f"an l2 target needs a Euclidean source metric, and this "
+                f"l{norm_label(s.norm)} metric is not one: {err}") from err
 
 
 @dataclass
@@ -525,7 +550,11 @@ def _scale_gram(sc: ScaleClusters,
 def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmbedding:
     """Assemble the embedding; see the module docstring for the pipeline.
 
-    ``params.norm = None`` targets the input's own norm (``s.norm``)."""
+    ``params.norm = None`` targets the input's own norm (``s.norm``). An l2
+    target over a source metric that is not Euclidean is refused before
+    the decomposition (NotEuclidean)."""
+    require_normalized(s, "build_single_scale")
+    require_euclidean_source(s, s.norm if params.norm is None else params.norm)
     sc = scale_clusters(s, params)
     p, entries, m = sc.params, sc.clusters, sc.m
     n = s.n

@@ -9,19 +9,24 @@ of (eps, alpha, p) alone, exposed as ``band_center`` so consumers that need
 unit calibration (distance labels) can rescale; the guarantee itself is on
 the width.
 
-Every norm builds a scale the same way: ``scale_clusters`` decomposes it
-and finds its distinct clusters, the norm's map is built from their
-arrays by the function ``build_single_scale`` calls too (``_scale_gram``,
-``_l1_block`` or ``_linf_block``), and the map's condensed pair distances
-are taken where the scale is built. Those distances are all a scale
-keeps for the audit. How the maps are combined depends on the norm:
+Every norm builds a scale the same way (but for the l2 one-cluster
+scales below): ``scale_clusters`` decomposes it and finds its distinct
+clusters, the norm's map is built from their arrays by the function
+``build_single_scale`` calls too (``_scale_gram``, ``_l1_block`` or
+``_linf_block``), and the map's condensed pair distances are taken where
+the scale is built. Those distances are all a scale keeps for the audit. How the maps are combined depends on the norm:
 
 * l2 sums the scales directly through one Gram matrix, each scale's
   summed in closed form from its clusters, so no cluster is realized.
   One ``factor_gram`` of the double-centered total writes the output in
   at most n - 1 coordinates with the direct sum's pair distances.
   ``assembled_k`` is the direct sum's width, the sum of the per-scale
-  rank bounds.
+  rank bounds. A scale whose first decomposition diameter carves the
+  whole set in one piece (``SingleScaleParams.one_cluster``, most of
+  the coarse half of the ladder) is not decomposed at all: its map is
+  G_r of the source metric with all weights 1, so its pair distances
+  are w * G_r(d), its rank bound is n - 1, and its Gram enters the total
+  as -w^2 G_r(d)^2 / 2, the part the double centering keeps.
 * l1 keeps the paper's round-robin grouping: each scale's block is summed
   coordinate-wise into its residue class i mod p as the merge reaches
   it, and the p classes are direct-summed. l1 has no exact
@@ -39,15 +44,17 @@ formula of the parameters alone. The concrete l2 width does not need the
 grouping: the exact n - 1 output is narrower than any grouped layout.
 
 The scales are independent work: each one's seed derives from (seed, i)
-alone. ``build_snowflake`` splits them over the w CPUs the process may
-run on. Scale t is built by process t mod w: the caller builds every w-th
-scale, and one forked helper per extra CPU builds the others, reading the
-inputs copy-on-write. The caller merges every result in scale order, so
-the floating-point sums are the same for any w, and the dump, report and
-label bytes do not depend on the CPU count. With one CPU (or where the
-system cannot say: ``os.sched_getaffinity`` is Linux-only), in a daemonic
-process, without the fork start method, or while another Python thread
-runs, every scale is built in the calling process.
+alone. The l2 one-cluster scales are written by the caller alone, after
+the helpers fork; ``build_snowflake`` splits the other scales over the w
+CPUs the process may run on. The t-th of them is built by process
+t mod w: the caller builds every w-th, and one forked helper per extra
+CPU builds the others, reading the inputs copy-on-write. The caller
+merges every result in scale order, so the floating-point sums are the
+same for any w, and the dump, report and label bytes do not depend on
+the CPU count. With one CPU (or where the system cannot say:
+``os.sched_getaffinity`` is Linux-only), in a daemonic process, without
+the fork start method, or while another Python thread runs, every scale
+is built in the calling process.
 
 The audit measures every pair against d^alpha and the per-scale bucket
 diagnostics: write B_i for the per-scale image distance divided by
@@ -80,15 +87,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report as report_mod
-from .errors import (BadParams, ClusterTooLarge, EmptyInput, NotEuclidean,
-                     SnowdimError)
+from .errors import BadParams, ClusterTooLarge, EmptyInput, SnowdimError
 from .points import (PointSet, _pair_distances, _pairwise, estimate_doubling,
                      greedy_net, norm_label, norm_tag, require_normalized)
 from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleParams,
                            _block_weights, _dumps_coords, _l1_block,
-                           _linf_block, _scale_gram, scale_clusters,
-                           theory_dimension)
-from .transforms import (MAX_CUT_POINTS, euclidean_realization, factor_gram,
+                           _linf_block, _scale_gram, require_euclidean_source,
+                           scale_clusters, theory_dimension)
+from .transforms import (MAX_CUT_POINTS, factor_gram, gaussian_transform,
                          line_order)
 
 #: offset added to the scale index when deriving per-scale seeds, so the
@@ -281,6 +287,35 @@ class _ScaleJob:
     istar_top: int                   # the finest scale that can anchor a pair
     iu: np.ndarray                   # the pairs i < j
     ju: np.ndarray
+    pair_d: np.ndarray               # their source distances
+
+
+def _scale_params(job: _ScaleJob, i: int) -> SingleScaleParams:
+    """Scale i's single-scale parameters, at rescale 1."""
+    plan = job.plan
+    return SingleScaleParams(r=(1.0 + plan.eps) ** i, eps=plan.eps,
+                             delta=plan.delta, norm=plan.norm,
+                             seed=_scale_seed(job.seed, i), rescale_c=0.0,
+                             dim_hat=job.dim_hat)
+
+
+def _scale_weight(plan: SnowflakePlan, i: int) -> float:
+    """The factor 1 / (1+eps)^{i(1-alpha)} on scale i's map."""
+    return (1.0 + plan.eps) ** (-i * (1.0 - plan.alpha))
+
+
+def _one_cluster_scale(job: _ScaleJob, i: int, sp: SingleScaleParams,
+                       row: np.ndarray, every_pair: np.ndarray) -> ScaleEntry:
+    """Scale i's entry on l2 where ``sp.one_cluster`` holds, with no
+    decomposition and no Gram: the scale is one cluster of every point
+    with all weights 1, so its map is G_r of the source metric and its
+    pair distances, written into ``row``, are w * G_r(d). Its rank bound
+    is n - 1, and every pair shares the cluster in every partition
+    (``every_pair``, all true)."""
+    np.multiply(gaussian_transform(job.pair_d, sp.r),
+                _scale_weight(job.plan, i), out=row)
+    return ScaleEntry(i, sp.r, sp.seed, job.s.n - 1, row,
+                      every_pair if 0 <= i <= job.istar_top else None)
 
 
 def _build_scale(job: _ScaleJob,
@@ -292,11 +327,8 @@ def _build_scale(job: _ScaleJob,
     Gram by its square. A library error is re-raised as the same type
     with the scale named in front of its message."""
     plan = job.plan
-    eps = plan.eps
-    sp = SingleScaleParams(r=(1.0 + eps) ** i, eps=eps, delta=plan.delta,
-                           norm=plan.norm, seed=_scale_seed(job.seed, i),
-                           rescale_c=0.0, dim_hat=job.dim_hat)
-    w = (1.0 + eps) ** (-i * (1.0 - plan.alpha))
+    sp = _scale_params(job, i)
+    w = _scale_weight(plan, i)
     dmat = job.s.distance_matrix()
     part = dists = None
     try:
@@ -366,7 +398,7 @@ def _openblas_pools() -> list[tuple]:
     return pools
 
 
-def _scale_helper(job: _ScaleJob, indices: range, conn) -> None:
+def _scale_helper(job: _ScaleJob, indices: list[int], conn) -> None:
     """A forked helper's loop: build the given scales in order and send
     each result as (True, result), or the first error as (False, error,
     its cause), through ``conn``. ``send`` blocks until the caller reads,
@@ -393,18 +425,18 @@ def _scale_helper(job: _ScaleJob, indices: range, conn) -> None:
 
 
 @contextmanager
-def _scale_results(job: _ScaleJob):
-    """Yield an iterator over ``_build_scale`` of every scale, in scale
-    order.
+def _scale_results(job: _ScaleJob, indices: list[int]):
+    """Yield an iterator over ``_build_scale`` of the given scales, in
+    their order.
 
-    With w CPUs (capped by the scale count), scale t is built by process
-    t mod w: the caller builds its own share, and w - 1 helpers forked
-    here build the rest, sharing the inputs copy-on-write. The caller
-    reads each helper's results in scale order, so the merge sees the
-    same sequence for any w. The scales are built in this process alone
-    with one CPU, inside a daemonic process (which may not start
-    children), without the fork start method, or while another Python
-    thread runs: a fork copies any lock that thread holds into the
+    With w CPUs (capped by the scale count), the t-th of the scales is
+    built by process t mod w: the caller builds its own share, and w - 1
+    helpers forked here build the rest, sharing the inputs copy-on-write.
+    The caller reads each helper's results in scale order, so the merge
+    sees the same sequence for any w. The scales are built in this
+    process alone with one CPU, inside a daemonic process (which may not
+    start children), without the fork start method, or while another
+    Python thread runs: a fork copies any lock that thread holds into the
     helper, and two builds at once would interleave the thread-count
     hold below. While the helpers run, every OpenBLAS found is held to
     one thread in every process (the helpers inherit it), so the w
@@ -413,7 +445,6 @@ def _scale_results(job: _ScaleJob):
     re-raised at its scale's turn, chained to the cause it was raised
     from. On any error every helper is terminated, and every helper is
     joined before this returns or raises."""
-    indices = job.plan.scale_indices
     w = min(_worker_count(), len(indices))
     if w > 1:
         import multiprocessing
@@ -452,7 +483,7 @@ def _scale_results(job: _ScaleJob):
             put(n)
 
 
-def _merge_order(job: _ScaleJob, indices: range, helpers: list):
+def _merge_order(job: _ScaleJob, indices: list[int], helpers: list):
     w = len(helpers) + 1
     for t, i in enumerate(indices):
         if t % w == 0:
@@ -504,34 +535,51 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
             f"an l1 snowflake of {s.n} points off a line puts all of them "
             f"in one cluster at its coarser scales; the cut LP's cap is "
             f"{MAX_CUT_POINTS} points")
-    # G_r(d) is Euclidean for every r exactly when d is (Schoenberg,
-    # 1938), so one check of the source stands for every scale's Gram
-    if plan.norm == 2.0 and s.norm != 2.0:
-        try:
-            euclidean_realization(s.distance_matrix())
-        except NotEuclidean as err:
-            raise NotEuclidean(
-                f"an l2 target needs a Euclidean source metric, and this "
-                f"l{norm_label(s.norm)} metric is not one: {err}") from err
+    require_euclidean_source(s, plan.norm)
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     n = s.n
     # dominant-pair masks are only consulted at scales that can anchor a
     # pair: 0 <= i* <= log_{1+eps} diam
     istar_top = math.floor(math.log(s.diameter()) / math.log1p(eps)) + 1
-    job = _ScaleJob(s, plan, seed, dim_hat, istar_top,
-                    *np.triu_indices(n, k=1))
+    iu, ju = np.triu_indices(n, k=1)
+    job = _ScaleJob(s, plan, seed, dim_hat, istar_top, iu, ju,
+                    s.distance_matrix()[iu, ju])
+    indices = plan.scale_indices
+    # an l2 scale of one cluster is G_r of the source metric, written in
+    # closed form below; every other scale is built by _build_scale
+    one: dict[int, SingleScaleParams] = {}
+    if plan.norm == 2.0:
+        for t, i in enumerate(indices):
+            sp = _scale_params(job, i)
+            if sp.one_cluster(s, dim_hat):
+                one[t] = sp
     # every scale's pair distances, written in place: the audit reads
     # this array whole, and a scale of width 0 keeps its zero row
-    scale_dists = np.zeros((len(plan.scale_indices), len(job.iu)))
+    scale_dists = np.zeros((len(indices), len(iu)))
     gram = np.zeros((n, n)) if plan.norm == 2.0 else None
     groups: dict[int, np.ndarray] = {}       # l1: i mod p -> its blocks' sum
     # every scale's smoothing reads the sorted distance rows: sort them
     # here, before any helper forks, so the helpers share them
     s._sorted_rows()
-    entries: list[ScaleEntry] = []
-    with _scale_results(job) as results:
-        for t, (entry, part) in enumerate(results):
+    entries: list[ScaleEntry | None] = [None] * len(indices)
+    with _scale_results(job, [i for t, i in enumerate(indices)
+                              if t not in one]) as results:
+        if one:
+            # while the helpers build, the caller writes the one-cluster
+            # scales. Scale i's Gram is w^2 (T[:, 0] + T[0, :] - T) / 2
+            # with T = G_r(d)^2: the double centering below removes the
+            # first two terms exactly, so only -T/2 enters the total,
+            # summed over the scales as the squares of their rows
+            every_pair = np.ones(len(iu), dtype=bool)
+            squares = np.zeros(len(iu))
+            for t, sp in one.items():
+                entries[t] = _one_cluster_scale(job, indices[t], sp,
+                                                scale_dists[t], every_pair)
+                squares += np.square(scale_dists[t])
+            gram[iu, ju] = gram[ju, iu] = -0.5 * squares
+        for entry, part in results:
+            t = entry.i - plan.i_lo
             if entry.dists is not None:
                 scale_dists[t] = entry.dists
                 entry.dists = scale_dists[t]
@@ -546,7 +594,7 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
                     acc = groups[key] = np.pad(acc, ((0, 0),
                                                      (0, k - acc.shape[1])))
                 acc[:, :k] += part
-            entries.append(entry)
+            entries[t] = entry
 
     if plan.norm == 2.0:
         # the direct sum of the scales, normalized, has Gram gram / M; its

@@ -1,5 +1,5 @@
-"""Pinned output bytes: the seed-0 dumps of two small snowflakes and the
-rows of one sampled decomposition, as sha256 digests.
+"""Pinned output bytes: the seed-0 dumps of three small snowflakes, one
+per norm, and the rows of one sampled decomposition, as sha256 digests.
 
 A rerun in one process cannot see a change that moves every run the same
 way; these digests hold across commits. A change that means to move the
@@ -25,6 +25,15 @@ def test_l1_line_snowflake_dump_bytes():
     e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
     assert sha256(snowflake.dumps(e)) == (
         "7f2c16db90014cad711663c597d5286002461dac034795152308b79e86b6eeb7")
+
+
+def test_l2_grid_snowflake_dump_bytes():
+    # the factor of the summed Gram, whose one-cluster scales enter as
+    # -G_r(d)^2 / 2 in closed form
+    s = normalize(generate("grid", side=8, dims=2))
+    e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
+    assert sha256(snowflake.dumps(e)) == (
+        "275ce29d1271a2bbcdece5a0302e168609981e288407653f093dedfd6ff232f8")
 
 
 def test_linf_ball_snowflake_dump_bytes():

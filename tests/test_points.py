@@ -235,6 +235,42 @@ def test_doubling_line_vs_grid():
     assert dg.dim_hat > dl.dim_hat
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("grid", dict(side=8, dims=2)),
+    ("ultrametric", dict(depth=6)),
+    ("subspace", dict(n=80, ambient_dim=10, intrinsic_dim=3, seed=2)),
+])
+def test_doubling_covers_each_distinct_ball_once(monkeypatch, kind, params):
+    # the reference covers the ball of every center at every radius; the
+    # estimate covers each distinct ball once per radius and finds the
+    # same worst count
+    s = normalize(generate(kind, **params))
+    d = s.distance_matrix()
+    want, rho, balls, distinct = 1, 2.0 * s.min_distance(), 0, 0
+    while True:
+        seen = set()
+        for x in range(s.n):
+            ball = np.flatnonzero(d[x] <= rho)
+            want = max(want, points._greedy_cover_count(d[np.ix_(ball, ball)],
+                                                        rho / 2.0))
+            balls += 1
+            distinct += ball.tobytes() not in seen
+            seen.add(ball.tobytes())
+        if rho >= s.diameter():
+            break
+        rho *= 2.0
+    calls = []
+    cover = points._greedy_cover_count
+
+    def counting(dsub, radius):
+        calls.append(radius)
+        return cover(dsub, radius)
+
+    monkeypatch.setattr(points, "_greedy_cover_count", counting)
+    assert estimate_doubling(s).lambda_hat == want
+    assert 0 < len(calls) <= distinct < balls
+
+
 def test_ultrametric_tree_is_ultrametric_and_exact():
     s = generate("ultrametric", depth=4, base=3.0)
     d = s.distance_matrix()

@@ -12,7 +12,7 @@ from snowdim import (decomposition, extension, points, single_scale,
                      transforms)
 from snowdim import snowflake as snowflake_mod
 from snowdim.decomposition import batch_size, padding_audit
-from snowdim.errors import BadParams, HeaderMismatch
+from snowdim.errors import BadParams, HeaderMismatch, NotEuclidean
 from snowdim.points import PointSet, generate, greedy_net, normalize
 from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
                                   _embed_cluster_l1, _linf_block,
@@ -792,3 +792,29 @@ def test_theory_dimension_independent_of_n():
     e_small = build_single_scale(s_small, SingleScaleParams(1.0, 0.1, 0.1, seed=1, dim_hat=2.0))
     e_big = build_single_scale(s_big, SingleScaleParams(1.0, 0.1, 0.1, seed=1, dim_hat=2.0))
     assert e_small.theory_k == e_big.theory_k
+
+
+def test_an_l2_target_off_a_euclidean_metric_is_refused_before_decomposing(
+        monkeypatch):
+    # the snowflake's up-front check, shared: the l1 3 x 3 grid is not
+    # Euclidean, so no G_r of it is, and no scale is decomposed
+    calls = []
+    scale_clusters = single_scale.scale_clusters
+
+    def counting(s, params):
+        calls.append(params.r)
+        return scale_clusters(s, params)
+
+    monkeypatch.setattr(single_scale, "scale_clusters", counting)
+    s = normalize(generate("grid", side=3, dims=2, norm="l1"))
+    with pytest.raises(NotEuclidean, match=(
+            "^an l2 target needs a Euclidean source metric, and this l1 "
+            "metric is not one: ")):
+        build_single_scale(s, SingleScaleParams(r=2.0, eps=0.1, delta=0.01,
+                                                norm=2.0))
+    assert calls == []
+    # a line is Euclidean in every norm, and builds
+    s = normalize(generate("line", n=8, norm="l1"))
+    e = build_single_scale(s, SingleScaleParams(r=2.0, eps=0.1, delta=0.01,
+                                                norm=2.0))
+    assert calls == [2.0] and e.params.norm == 2.0

@@ -484,6 +484,15 @@ def counting_scale_clusters(calls: list):
     return counting
 
 
+def decomposed_scales(e) -> list[float]:
+    """The r of every scale of e that scale_clusters decomposes: on l2,
+    all but those of one cluster, which are written in closed form."""
+    return [sc.r for sc in e.scales
+            if e.plan.norm != 2.0 or not SingleScaleParams(
+                sc.r, e.plan.eps, e.plan.delta).one_cluster(e.source,
+                                                            e.dim_hat)]
+
+
 def blas_threads() -> list[int]:
     return [get() for get, _ in snowflake._openblas_pools()]
 
@@ -496,12 +505,13 @@ def test_the_caller_builds_every_wth_scale(monkeypatch):
                         counting_scale_clusters(calls))
     monkeypatch.setattr(snowflake, "_worker_count", lambda: 1)
     e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
-    assert calls == [sc.r for sc in e.scales]
-    # with two CPUs a helper builds the odd scales; this process the rest
+    assert calls == decomposed_scales(e)
+    # with two CPUs a helper builds every other decomposed scale; this
+    # process the rest
     calls.clear()
     monkeypatch.setattr(snowflake, "_worker_count", lambda: 2)
     e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
-    assert calls == [sc.r for sc in e.scales[::2]]
+    assert calls == decomposed_scales(e)[::2]
     assert multiprocessing.active_children() == []
     # OpenBLAS is held to one thread only while the helpers run
     assert blas_threads() == threads
@@ -599,14 +609,15 @@ def test_without_sched_getaffinity_the_caller_builds_every_scale(
     monkeypatch.delattr(os, "sched_getaffinity")
     e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
     assert dumps(e) == want
-    assert calls == [sc.r for sc in e.scales]
+    assert calls == decomposed_scales(e)
 
 
 def test_builds_in_two_threads_at_once_stay_in_the_process(monkeypatch):
     # forking beside another thread could copy a lock it holds, and two
     # builds would interleave the BLAS thread-count hold, so neither forks
     monkeypatch.setattr(snowflake, "_worker_count", lambda: 2)
-    want = dumps(build_snowflake(small_grid(), 0.5, 0.1, seed=1))
+    e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
+    want = dumps(e)
     threads = blas_threads()
     calls = []
     monkeypatch.setattr(snowflake, "scale_clusters",
@@ -624,8 +635,7 @@ def test_builds_in_two_threads_at_once_stay_in_the_process(monkeypatch):
     for t in workers:
         t.join(timeout=120)
     assert got == [want, want]
-    plan = scale_plan(small_grid(), 0.5, 0.1)
-    assert len(calls) == 2 * len(plan.scale_indices)
+    assert sorted(calls) == sorted(2 * decomposed_scales(e))
     assert multiprocessing.active_children() == []
     assert blas_threads() == threads
 
@@ -635,7 +645,7 @@ def _build_in_a_pool_worker() -> tuple[bytes, bool]:
     calls = []
     snowflake.scale_clusters = counting_scale_clusters(calls)
     e = build_snowflake(small_grid(), 0.5, 0.1, seed=1)
-    return dumps(e), calls == [sc.r for sc in e.scales]
+    return dumps(e), calls == decomposed_scales(e)
 
 
 def test_a_daemonic_caller_builds_every_scale_itself(monkeypatch):
@@ -690,8 +700,9 @@ def test_an_l2_target_off_a_euclidean_metric_is_refused_before_any_scale(
 ], ids=["l2", "l1", "linf"])
 def test_every_norm_builds_its_scales_from_the_cluster_arrays(monkeypatch,
                                                               points):
-    # one scale_clusters call per scale and no single-scale embedding, on
-    # every norm and through every module that holds the builder
+    # one scale_clusters call per decomposed scale and no single-scale
+    # embedding, on every norm and through every module that holds the
+    # builder
     import snowdim
     calls, built = [], []
     monkeypatch.setattr(snowflake, "scale_clusters",
@@ -704,7 +715,79 @@ def test_every_norm_builds_its_scales_from_the_cluster_arrays(monkeypatch,
     monkeypatch.setattr(snowflake, "_worker_count", lambda: 1)
     e = build_snowflake(points(), 0.5, 0.1, seed=1)
     assert built == []
-    assert calls == [sc.r for sc in e.scales]
+    assert calls == decomposed_scales(e)
+    assert distortion_audit(e).passed
+
+
+def closed_form_sets():
+    return [
+        ("grid8", normalize(generate("grid", side=8, dims=2))),
+        ("ultra128", normalize(generate("ultrametric", depth=7, seed=0))),
+        ("subspace60", normalize(generate("subspace", n=60, ambient_dim=10,
+                                          intrinsic_dim=3, seed=0))),
+        ("l1-line", normalize(generate("line", n=8, norm="l1"))),
+    ]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in closed_form_sets()])
+def test_one_cluster_scales_match_their_decomposed_build(name):
+    # a scale taken in closed form is the scale _build_scale decomposes
+    # into one certain cluster: the same row, rank bound, seed and
+    # dominant pairs, and the shared predicate holds at exactly the
+    # scales whose first decomposition is that one cluster
+    s = dict(closed_form_sets())[name]
+    plan = scale_plan(s, 0.5, 0.1, norm=2.0)
+    dim_hat = snowflake.estimate_doubling(s).dim_hat
+    iu, ju = np.triu_indices(s.n, k=1)
+    istar_top = math.floor(math.log(s.diameter()) / math.log1p(0.1)) + 1
+    job = snowflake._ScaleJob(s, plan, 0, dim_hat, istar_top, iu, ju,
+                              s.distance_matrix()[iu, ju])
+    every_pair = np.ones(len(iu), dtype=bool)
+    taken = 0
+    for i in plan.scale_indices:
+        sp = snowflake._scale_params(job, i)
+        dec = single_scale.scale_clusters(s, sp).decomposition
+        certain_one = (dec.copies == dec.m and dec.sizes[0, 0] == s.n
+                       and dec.seed == sp.seed * 31)
+        assert sp.one_cluster(s, dim_hat) == certain_one
+        if not certain_one:
+            continue
+        taken += 1
+        want, part = snowflake._build_scale(job, i)
+        row = np.empty(len(iu))
+        got = snowflake._one_cluster_scale(job, i, sp, row, every_pair)
+        assert got.dists is row
+        assert np.allclose(row, want.dists, rtol=1e-12, atol=0.0)
+        assert (got.i, got.r, got.seed, got.k) == (want.i, want.r, want.seed,
+                                                   want.k) == (
+            i, sp.r, sp.seed, s.n - 1)
+        assert (got.dom_pairs is None) == (want.dom_pairs is None)
+        if want.dom_pairs is not None:
+            assert want.dom_pairs.all() and got.dom_pairs is every_pair
+    assert taken > len(plan.scale_indices) // 2
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_scale_clusters_runs_only_for_the_decomposed_scales(monkeypatch,
+                                                            tmp_path, w):
+    # every process appends the r of each scale it decomposes to one
+    # file, so the helper's calls are counted with the caller's
+    log = tmp_path / "calls"
+    scale_clusters = single_scale.scale_clusters
+
+    def logging(s, params):
+        with open(log, "a") as f:
+            f.write(f"{params.r!r}\n")
+        return scale_clusters(s, params)
+
+    monkeypatch.setattr(snowflake, "scale_clusters", logging)
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: w)
+    s = normalize(generate("grid", side=8, dims=2))
+    e = build_snowflake(s, 0.5, 0.1, seed=0)
+    calls = [float(line) for line in log.read_text().split()]
+    want = decomposed_scales(e)
+    assert sorted(calls) == sorted(want)
+    assert 0 < len(want) < len(e.scales) // 2
     assert distortion_audit(e).passed
 
 
