@@ -38,16 +38,20 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_float(text: str) -> float:
     v = float(text)
-    if not v > 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0.0 < v < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text}")
     return v
 
 
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return v
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        v = int(text)
+        if v < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text}")
+        return v
+    return integer
 
 
 # --- shared plumbing --------------------------------------------------------
@@ -99,16 +103,10 @@ def _default_delta(eps: float, norm: float) -> float:
 
 
 def cmd_gen(args) -> int:
-    params = {}
-    for name in ("n", "side", "dim", "dims", "ambient_dim", "intrinsic_dim",
-                 "depth", "leaves"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    for name in ("noise", "base"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
+    params = {name: getattr(args, name)
+              for name in ("n", "side", "dim", "dims", "ambient_dim",
+                           "intrinsic_dim", "depth", "leaves", "noise", "base")
+              if getattr(args, name) is not None}
     s = points.generate(args.kind, seed=args.seed, norm=args.norm, **params)
     text = points.dumps_csv(s) if _fmt(args) == "csv" else points.dumps_json(s)
     _write_text(text, args.out)
@@ -251,7 +249,7 @@ def cmd_cluster_demo(args) -> int:
 #: options shared by several subcommands; each subcommand adds only those
 #: its handler reads
 _OPTIONS = {
-    "seed": {"type": int, "default": 0},
+    "seed": {"type": _int_at_least(0), "default": 0},
     "eps": {"type": float, "default": 0.1},
     "delta": {"type": float, "default": None,
               "help": "default: eps^2, or eps^2/4 for an l-infinity input"},
@@ -340,7 +338,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cluster-demo",
                        help="greedy 2-approximate k-center in the image space")
     p.add_argument("input")
-    p.add_argument("--clusters", type=_positive_int, default=3)
+    p.add_argument("--clusters", type=_int_at_least(1), default=3)
     _add(p, "seed", "eps", "alpha", "out")
     p.set_defaults(func=cmd_cluster_demo)
 

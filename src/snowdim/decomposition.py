@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, EmptyInput, PaddingUnachievable
-from .points import PAIRWISE_BYTES, PointSet, estimate_doubling
+from .points import PAIRWISE_BYTES, PointSet, estimate_doubling, require_seed
 
 #: Chernoff-style constant for the batch size m (the ln(2 n) term)
 C_M = 4.0
@@ -214,6 +214,7 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
         raise BadParams("delta and pad_radius must be positive")
     if not 0 < eps_pad < 1:
         raise BadParams(f"eps_pad must lie in (0, 1), got {eps_pad}")
+    require_seed(seed)
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     m, attempt = batch_size(eps_pad, s.n, dim_hat), 0

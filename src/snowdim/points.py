@@ -214,6 +214,11 @@ def require_normalized(s: PointSet, who: str = "operation"):
         raise BadParams(f"{who} requires a normalized point set (min distance 1)")
 
 
+def require_seed(seed: int) -> None:
+    if seed < 0:
+        raise BadParams(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass
 class Net:
     """Greedy epsilon-net: members pack at >= radius and cover at < radius."""
@@ -371,6 +376,7 @@ def generate(kind: str, seed: int = 0, **params) -> PointSet:
     intrinsic_dim, noise=0), "ball" (n, dim), "ultrametric" (depth, base=2,
     leaves=None). Common: norm ("l1"/"l2"/"linf", default l2).
     """
+    require_seed(seed)
     norm = norm_tag(params.pop("norm", 2.0))
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xD06)))
     def positive(name, value):

@@ -55,7 +55,7 @@ from .errors import (BadParams, EmptyInput, HeaderMismatch, NotEuclidean,
                      PaddingUnachievable)
 from .points import (PAIRWISE_BYTES, Net, PointSet, _pairwise,
                      estimate_doubling, greedy_net, norm_label, norm_tag,
-                     require_normalized, vector_norm)
+                     require_normalized, require_seed, vector_norm)
 from .transforms import (Cut, circular_cuts, cut_decomposition,
                          euclidean_realization, factor_gram,
                          gaussian_transform, laplace_transform, line_order,
@@ -96,6 +96,10 @@ class SingleScaleParams:
             raise BadParams(f"eps must lie in (0, 1/4), got {self.eps}")
         if not 0 < self.delta < 0.25:
             raise BadParams(f"delta must lie in (0, 1/4), got {self.delta}")
+        require_seed(self.seed)
+        if self.dim_hat is not None and not 0.0 <= self.dim_hat < math.inf:
+            raise BadParams(
+                f"dim_hat must lie in [0, inf), got {self.dim_hat}")
         if self.norm is None:
             return                          # checked once build_single_scale sets it
         self.norm = norm_tag(self.norm)

@@ -14,19 +14,18 @@ scales below): ``scale_clusters`` decomposes it and finds its distinct
 clusters, the norm's map is built from their arrays by the function
 ``build_single_scale`` calls too (``_scale_gram``, ``_l1_block`` or
 ``_linf_block``), and the map's condensed pair distances are taken where
-the scale is built. Those distances are all a scale keeps for the audit. How the maps are combined depends on the norm:
+the scale is built. Those distances, a row of ``scale_dists``, are all a
+scale keeps for the audit. How the maps are combined depends on the norm:
 
-* l2 sums the scales directly through one Gram matrix, each scale's
-  summed in closed form from its clusters, so no cluster is realized.
-  One ``factor_gram`` of the double-centered total writes the output in
-  at most n - 1 coordinates with the direct sum's pair distances.
+* l2 is the direct sum of the scales, written in at most n - 1
+  coordinates as the classical MDS (``classical_mds``) of the summed
+  squared per-scale distances; no cluster is realized.
   ``assembled_k`` is the direct sum's width, the sum of the per-scale
   rank bounds. A scale whose first decomposition diameter carves the
   whole set in one piece (``SingleScaleParams.one_cluster``, most of
   the coarse half of the ladder) is not decomposed at all: its map is
   G_r of the source metric with all weights 1, so its pair distances
-  are w * G_r(d), its rank bound is n - 1, and its Gram enters the total
-  as -w^2 G_r(d)^2 / 2, the part the double centering keeps.
+  are w * G_r(d) and its rank bound is n - 1.
 * l1 keeps the paper's round-robin grouping: each scale's block is summed
   coordinate-wise into its residue class i mod p as the merge reaches
   it, and the p classes are direct-summed. l1 has no exact
@@ -49,8 +48,8 @@ the helpers fork; ``build_snowflake`` splits the other scales over the w
 CPUs the process may run on. The t-th of them is built by process
 t mod w: the caller builds every w-th, and one forked helper per extra
 CPU builds the others, reading the inputs copy-on-write. The caller
-merges every result in scale order, so the floating-point sums are the
-same for any w, and the dump, report and label bytes do not depend on
+merges every result in scale order, so the l1 class sums are the same
+for any w, and the dump, report and label bytes do not depend on
 the CPU count. With one CPU (or where the system cannot say:
 ``os.sched_getaffinity`` is Linux-only), in a daemonic process, without
 the fork start method, or while another Python thread runs, every scale
@@ -89,12 +88,13 @@ import numpy as np
 from . import report as report_mod
 from .errors import BadParams, ClusterTooLarge, EmptyInput, SnowdimError
 from .points import (PointSet, _pair_distances, _pairwise, estimate_doubling,
-                     greedy_net, norm_label, norm_tag, require_normalized)
+                     greedy_net, norm_label, norm_tag, require_normalized,
+                     require_seed)
 from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleParams,
                            _block_weights, _dumps_coords, _l1_block,
                            _linf_block, _scale_gram, require_euclidean_source,
                            scale_clusters, theory_dimension)
-from .transforms import (MAX_CUT_POINTS, factor_gram, gaussian_transform,
+from .transforms import (MAX_CUT_POINTS, classical_mds, gaussian_transform,
                          line_order)
 
 #: offset added to the scale index when deriving per-scale seeds, so the
@@ -320,12 +320,11 @@ def _one_cluster_scale(job: _ScaleJob, i: int, sp: SingleScaleParams,
 
 def _build_scale(job: _ScaleJob,
                  i: int) -> tuple[ScaleEntry, np.ndarray | None]:
-    """Scale i's entry and its part of the output: on l2 its weighted
-    Gram, on l1 its weighted block (None on l-infinity, or when the scale
-    has width 0). The map is the one ``build_single_scale`` writes at
-    rescale 1, and everything is divided by (1+eps)^{i(1-alpha)}, the
-    Gram by its square. A library error is re-raised as the same type
-    with the scale named in front of its message."""
+    """Scale i's entry and, on l1, its weighted block (None on the other
+    norms, or when the scale has width 0). The map is the one
+    ``build_single_scale`` writes at rescale 1, and everything is divided
+    by (1+eps)^{i(1-alpha)}. A library error is re-raised as the same
+    type with the scale named in front of its message."""
     plan = job.plan
     sp = _scale_params(job, i)
     w = _scale_weight(plan, i)
@@ -336,7 +335,6 @@ def _build_scale(job: _ScaleJob,
         if plan.norm == 2.0:
             k, gram = _scale_gram(sc, dmat)
             if k:
-                part = (w * w) * gram
                 diag = np.diag(gram)
                 dists = w * np.sqrt(np.maximum(
                     diag[job.iu] + diag[job.ju] - 2.0 * gram[job.iu, job.ju],
@@ -523,8 +521,12 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     traceback. Two inputs are refused before any scale is built: an l1
     target above the cut LP's MAX_CUT_POINTS whose metric is not a line
     (ClusterTooLarge), and an l2 target whose source metric is not
-    Euclidean (NotEuclidean).
+    Euclidean (NotEuclidean). A negative seed, or a ``dim_hat`` that is
+    not finite or lies below 0, is refused (BadParams).
     """
+    require_seed(seed)
+    if dim_hat is not None and not 0.0 <= dim_hat < math.inf:
+        raise BadParams(f"dim_hat must lie in [0, inf), got {dim_hat}")
     plan = scale_plan(s, alpha, eps, norm)
     # every scale coarser than the carving range keeps all n points in one
     # cluster, and the l1 path writes each cluster as a sum of cuts: in
@@ -550,14 +552,11 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     # closed form below; every other scale is built by _build_scale
     one: dict[int, SingleScaleParams] = {}
     if plan.norm == 2.0:
-        for t, i in enumerate(indices):
-            sp = _scale_params(job, i)
-            if sp.one_cluster(s, dim_hat):
-                one[t] = sp
+        params = {t: _scale_params(job, i) for t, i in enumerate(indices)}
+        one = {t: sp for t, sp in params.items() if sp.one_cluster(s, dim_hat)}
     # every scale's pair distances, written in place: the audit reads
     # this array whole, and a scale of width 0 keeps its zero row
     scale_dists = np.zeros((len(indices), len(iu)))
-    gram = np.zeros((n, n)) if plan.norm == 2.0 else None
     groups: dict[int, np.ndarray] = {}       # l1: i mod p -> its blocks' sum
     # every scale's smoothing reads the sorted distance rows: sort them
     # here, before any helper forks, so the helpers share them
@@ -565,27 +564,17 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     entries: list[ScaleEntry | None] = [None] * len(indices)
     with _scale_results(job, [i for t, i in enumerate(indices)
                               if t not in one]) as results:
-        if one:
-            # while the helpers build, the caller writes the one-cluster
-            # scales. Scale i's Gram is w^2 (T[:, 0] + T[0, :] - T) / 2
-            # with T = G_r(d)^2: the double centering below removes the
-            # first two terms exactly, so only -T/2 enters the total,
-            # summed over the scales as the squares of their rows
-            every_pair = np.ones(len(iu), dtype=bool)
-            squares = np.zeros(len(iu))
-            for t, sp in one.items():
-                entries[t] = _one_cluster_scale(job, indices[t], sp,
-                                                scale_dists[t], every_pair)
-                squares += np.square(scale_dists[t])
-            gram[iu, ju] = gram[ju, iu] = -0.5 * squares
+        # while the helpers build, the caller writes the one-cluster scales
+        every_pair = np.ones(len(iu), dtype=bool)
+        for t, sp in one.items():
+            entries[t] = _one_cluster_scale(job, indices[t], sp,
+                                            scale_dists[t], every_pair)
         for entry, part in results:
             t = entry.i - plan.i_lo
             if entry.dists is not None:
                 scale_dists[t] = entry.dists
                 entry.dists = scale_dists[t]
-            if part is not None and gram is not None:
-                gram += part
-            elif part is not None:
+            if part is not None:
                 # l1: a residue class sums its blocks in scale order,
                 # zero-padded to the widest
                 key, k = entry.i % plan.p, part.shape[1]
@@ -596,25 +585,24 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
                 acc[:, :k] += part
             entries[t] = entry
 
-    if plan.norm == 2.0:
-        # the direct sum of the scales, normalized, has Gram gram / M; its
-        # double-centered form spans at most n - 1 directions, and the cap
-        # drops the all-ones null direction should its noise pass the cutoff
-        gram /= plan.M
-        gram -= gram.mean(axis=0)
-        gram -= gram.mean(axis=1)[:, None]
-        out = factor_gram(gram)[:, :n - 1]
-    elif plan.norm == np.inf:
-        # the Frechet map of D, the max of the per-scale distances: row x
-        # is (D(x, z))_z, and |D(x, z) - D(y, z)| <= D(x, y), with
-        # equality at z = y
-        out = np.zeros((n, n))
-        out[job.iu, job.ju] = out[job.ju, job.iu] = scale_dists.max(axis=0)
-    else:
+    if plan.norm == 1.0:
         # the l1 classes side by side in class order, over the normalizer
         out = np.hstack([np.zeros((n, 0))]
                         + [groups[key] for key in sorted(groups)])
         out /= plan.M
+    else:
+        # read off the per-scale distances. l2 is the direct sum of the
+        # scales, normalized: its squared pair distances are the sum of
+        # the rows' squares (in scale order) over M, and their classical
+        # MDS writes it in at most n - 1 coordinates. l-infinity is the
+        # Frechet map of D, the max of the rows: row x is (D(x, z))_z, and
+        # |D(x, z) - D(y, z)| <= D(x, y), with equality at z = y
+        out = np.zeros((n, n))
+        out[iu, ju] = out[ju, iu] = (
+            scale_dists.max(axis=0) if plan.norm == np.inf
+            else sum(np.square(row) for row in scale_dists) / plan.M)
+        if plan.norm == 2.0:
+            out = classical_mds(out)
     # the width of the direct sum or of the one-block-per-scale layout;
     # l1's layout is its output
     assembled_k = (out.shape[1] if plan.norm == 1.0

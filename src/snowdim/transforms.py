@@ -10,10 +10,11 @@ All keep small distances nearly intact and saturate near r. The identity
 L_r(t) = r * G(sqrt(t/r))^2 ties the first two together.
 
 Realizations turn a transformed metric back into coordinates. Euclidean
-maps have one Gram factorizer, ``factor_gram``: the l2 builds factor the
-closed-form Gram sums of their clusters with it, and
-``euclidean_realization`` (classical MDS of a distance matrix) is
-centering plus ``factor_gram``. l1 maps are cuts (closed-form circular
+maps have one Gram factorizer, ``factor_gram``, and one classical MDS of
+squared distances, ``classical_mds``: the l2 single-scale build factors
+its clusters' closed-form Gram sum, the l2 snowflake is the classical MDS
+of its summed squared per-scale distances, and ``euclidean_realization``
+that of a distance matrix. l1 maps are cuts (closed-form circular
 splits when the source metric is a line, a cut-measure LP otherwise), and
 l-infinity maps are per-landmark threshold coordinates.
 """
@@ -99,25 +100,26 @@ def factor_gram(gram: np.ndarray,
     return np.ascontiguousarray(y[:, ::-1])
 
 
-def euclidean_realization(dmat: np.ndarray) -> np.ndarray:
-    """Exact coordinates for a Euclidean distance matrix.
+def classical_mds(d2: np.ndarray) -> np.ndarray:
+    """Exact coordinates for a matrix of squared Euclidean distances.
 
-    Classical Gram reconstruction: the centered Gram B = -1/2 J D^2 J,
+    Classical MDS (Torgerson 1952): the centered Gram B = -1/2 J D^2 J,
     factored by ``factor_gram`` (which raises NotEuclidean on a spectrum
     too negative for any point set). B has the all-ones vector in its
-    kernel, so at most n - 1 columns are kept: when that null direction's
-    rounding noise passes the cutoff it is dropped. Returns an (n, k)
-    array with k = rank(B) <= n - 1; a single point realizes as shape
-    (1, 0).
+    kernel, so the (n, k) result keeps k = rank(B) <= n - 1 columns, also
+    when that direction's rounding noise passes the cutoff.
     """
+    b = -0.5 * (d2 - d2.mean(axis=0) - d2.mean(axis=1)[:, None] + d2.mean())
+    return factor_gram(b)[:, :d2.shape[0] - 1]
+
+
+def euclidean_realization(dmat: np.ndarray) -> np.ndarray:
+    """Exact coordinates for a Euclidean distance matrix: classical MDS."""
     dmat = np.asarray(dmat, dtype=np.float64)
     n = dmat.shape[0]
     if dmat.shape != (n, n):
         raise BadParams(f"distance matrix must be square, got {dmat.shape}")
-    d2 = np.square(dmat)
-    b = d2 - d2.mean(axis=0) - d2.mean(axis=1)[:, None] + d2.mean()
-    b *= -0.5
-    return factor_gram(b)[:, :n - 1]
+    return classical_mds(np.square(dmat))
 
 
 @dataclass

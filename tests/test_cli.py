@@ -89,6 +89,24 @@ def test_stats_refuses_a_malformed_file_without_traceback(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "line", "--n", "4", "--seed", "-1"),
+    ("embed-snowflake", "{path}", "--seed", "-1"),
+    ("dls", "build", "{path}", "{labels}", "--seed", "-1"),
+    ("embed-snowflake", "{path}", "--dim-hat", "inf"),
+    ("embed-snowflake", "{path}", "--dim-hat", "nan"),
+], ids=["gen-seed", "snowflake-seed", "dls-seed", "dim-hat-inf",
+        "dim-hat-nan"])
+def test_a_negative_seed_or_a_bad_dim_hat_exits_1_without_traceback(
+        tmp_path, capsys, argv):
+    path = gen_line(tmp_path)
+    capsys.readouterr()
+    argv = [a.format(path=path, labels=tmp_path / "lab.bin") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "error: argument" in err and "Traceback" not in err
+
+
 # --- embeddings
 
 

@@ -29,6 +29,13 @@ def brute_padded(s, dec):
     return out
 
 
+@pytest.mark.parametrize("delta", [24.0, 1e6], ids=["sampled", "certain"])
+def test_a_negative_seed_is_refused(delta):
+    with pytest.raises(BadParams, match="seed"):
+        build_decomposition(grid10(), delta=delta, pad_radius=1.0,
+                            eps_pad=0.36, seed=-1)
+
+
 def test_partition_invariants_and_padded_oracle():
     s = grid10()
     dec = build_decomposition(s, delta=24.0, pad_radius=1.0, eps_pad=0.36,

@@ -28,12 +28,11 @@ def test_l1_line_snowflake_dump_bytes():
 
 
 def test_l2_grid_snowflake_dump_bytes():
-    # the factor of the summed Gram, whose one-cluster scales enter as
-    # -G_r(d)^2 / 2 in closed form
+    # the classical MDS of the summed squared per-scale distances
     s = normalize(generate("grid", side=8, dims=2))
     e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
     assert sha256(snowflake.dumps(e)) == (
-        "275ce29d1271a2bbcdece5a0302e168609981e288407653f093dedfd6ff232f8")
+        "915a4d392f871d5ccff026127fffba46edbbb7e0f9e3e566fdc67f1faf03cee9")
 
 
 def test_linf_ball_snowflake_dump_bytes():

@@ -111,6 +111,15 @@ def test_translated_grid_normalizes_like_the_grid():
                        normalize(grid).distance_matrix(), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("line", dict(n=4)), ("ball", dict(n=4, dim=2)),
+    ("subspace", dict(n=4, ambient_dim=3, intrinsic_dim=2)),
+])
+def test_generate_refuses_a_negative_seed(kind, params):
+    with pytest.raises(BadParams, match="seed"):
+        generate(kind, seed=-1, **params)
+
+
 def test_norm_tag_aliases():
     assert norm_tag("l1") == 1.0
     assert norm_tag("L2") == 2.0

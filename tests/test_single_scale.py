@@ -726,6 +726,19 @@ def test_param_validation():
         SingleScaleParams(1.0, 0.1, 0.3)
 
 
+@pytest.mark.parametrize("bad", [dict(seed=-1), dict(dim_hat=math.inf),
+                                 dict(dim_hat=math.nan),
+                                 dict(dim_hat=-5.0)],
+                         ids=["seed", "inf", "nan", "negative"])
+def test_a_negative_seed_or_a_bad_dim_hat_is_refused(bad):
+    # an all-certain build never samples, so only this check refuses a
+    # negative seed there
+    with pytest.raises(BadParams):
+        SingleScaleParams(2.0, 0.1, 0.01, **bad)
+    # estimate_doubling gives 0 for lambda = 1, so 0 stays valid
+    assert SingleScaleParams(2.0, 0.1, 0.01, dim_hat=0.0).dim_hat == 0.0
+
+
 def test_unnormalized_input_rejected():
     s = PointSet(np.array([[0.0], [0.25]]))
     with pytest.raises(BadParams):

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 import snowdim.single_scale as single_scale
 import snowdim.snowflake as snowflake
+import snowdim.transforms as transforms
 from snowdim.errors import (BadParams, ClusterTooLarge, EmptyInput,
                             NotEuclidean)
 from snowdim.decomposition import build_decomposition
@@ -789,6 +790,56 @@ def test_scale_clusters_runs_only_for_the_decomposed_scales(monkeypatch,
     assert sorted(calls) == sorted(want)
     assert 0 < len(want) < len(e.scales) // 2
     assert distortion_audit(e).passed
+
+
+@pytest.mark.parametrize("w", [1, 2])
+@pytest.mark.parametrize("name", ["grid4", "ultra32"])
+def test_l2_scales_ship_no_gram_and_the_output_is_their_mds(monkeypatch,
+                                                            tmp_path, name,
+                                                            w):
+    # every process logs each scale it builds and whether a part of the
+    # output came with it, so the helper's scales are checked with the
+    # caller's; the output is the shared classical MDS of the summed
+    # squared per-scale distances, bit for bit
+    log = tmp_path / "parts"
+    build_scale = snowflake._build_scale
+
+    def logging(job, i):
+        entry, part = build_scale(job, i)
+        with open(log, "a") as f:
+            f.write(f"{i} {part is None}\n")
+        return entry, part
+
+    monkeypatch.setattr(snowflake, "_build_scale", logging)
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: w)
+    s = {"grid4": small_grid(),
+         "ultra32": normalize(generate("ultrametric", depth=5, seed=0))}[name]
+    e = build_snowflake(s, 0.5, 0.1, seed=0)
+    r_of = {sc.i: sc.r for sc in e.scales}
+    logged = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(r_of[int(i)] for i, _ in logged) == sorted(
+        decomposed_scales(e))
+    assert logged and all(none == "True" for _, none in logged)
+    squares = np.zeros(e.scale_dists.shape[1])
+    for row in e.scale_dists:
+        squares += np.square(row)
+    want = transforms.classical_mds(squareform(squares / e.plan.M))
+    assert np.array_equal(e.coords, want)
+    assert distortion_audit(e).passed
+
+
+def test_a_negative_seed_or_a_bad_dim_hat_is_refused_up_front(monkeypatch):
+    calls = []
+    monkeypatch.setattr(snowflake, "scale_clusters",
+                        counting_scale_clusters(calls))
+    for kwargs in (dict(seed=-1), dict(dim_hat=math.inf),
+                   dict(dim_hat=math.nan), dict(dim_hat=-5.0)):
+        with pytest.raises(BadParams):
+            build_snowflake(small_grid(), 0.5, 0.1, **kwargs)
+    assert calls == []
+    # estimate_doubling gives 0 for lambda = 1, so 0 stays valid
+    e = build_snowflake(line_pair(), 0.5, 0.1, dim_hat=0.0)
+    assert e.dim_hat == 0.0 and distortion_audit(e).passed
 
 
 def test_l1_line_past_the_cut_cap_builds_without_an_lp(monkeypatch):

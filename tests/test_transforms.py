@@ -144,6 +144,19 @@ def test_realization_single_point():
     assert euclidean_realization(np.zeros((1, 1))).shape == (1, 0)
 
 
+def test_realization_is_the_classical_mds_of_the_squares():
+    # one classical MDS in the library: the realization's bytes are those
+    # of centering the squared distances in one expression and factoring
+    d = squareform(pdist(np.random.default_rng(9).standard_normal((12, 4))))
+    d2 = np.square(d)
+    b = d2 - d2.mean(axis=0) - d2.mean(axis=1)[:, None] + d2.mean()
+    b *= -0.5
+    want = transforms.factor_gram(b)[:, :11]
+    assert want.shape == (12, 4)
+    assert np.array_equal(euclidean_realization(d), want)
+    assert np.array_equal(transforms.classical_mds(d2), want)
+
+
 def test_cut_decomposition_line_frozen():
     # points 0, 1, 3 on the line; unique cut weights:
     #   {1,2}|{0} -> 1 (the 0-1 gap), {2}|{0,1} -> 2 (the 1-3 gap)
