@@ -2,49 +2,45 @@
 l1 path: cut metrics instead of Gram matrices
 =============================================
 
-An l1 metric on a handful of points is exactly a weighted sum of cut
-pseudometrics, and there are two ways to find the weights. When the
-source metric is a line, L_r of it is circular decomposable in the line
-order, and circular_cuts writes the arc weights in closed form
-(Chepoi-Fichet). Any other metric goes to cut_decomposition, a linear
-program over all 2^(n-1) - 1 cuts, capped at 14 points. The single-scale
-l1 build picks the route per decomposition cluster, merges the cut
-coordinates along shared net points, and keeps the map 1-Lipschitz with
-net pairs exact.
+L_r of an l1 metric is exactly a weighted sum of cut pseudometrics, with
+weights in closed form. Drop independent rate-1/r Poisson cuts on every
+axis: two points share a cell with chance exp(-d/r), so L_r is r/2 times
+the chance-weighted sum of the cuts of every box whose sides are
+intervals of the sorted coordinate values. cut_decomposition writes those
+cuts for any l1 point set. On a line (also a monotone staircase in
+several coordinates) they are the arcs of Chepoi and Fichet; off a line
+they are boxes. The single-scale l1 build cuts each decomposition
+cluster, merges the cut coordinates along shared net points, and keeps
+the map 1-Lipschitz with net pairs exact.
 """
 
 import numpy as np
 
 from snowdim import SingleScaleParams, build_single_scale, contract_audit, \
     cut_decomposition, generate, laplace_transform, normalize
-from snowdim.transforms import circular_cuts, line_order
 
 
-def rebuild(cuts, n):
-    out = np.zeros((n, n))
-    for c in cuts:
-        side = np.array([i in c.members for i in range(n)])
-        out += c.weight * (side[:, None] != side[None, :])
+def rebuild(weights, sides):
+    out = np.zeros((sides.shape[1],) * 2)
+    for w, side in zip(weights, sides):
+        out += w * (side[:, None] != side[None, :])
     return out
 
 
-# a 10-point line under l1, distances saturated at r by L_r
-s = normalize(generate("line", n=10, norm="l1"))
 r = 2.0
-d = s.distance_matrix()
-lr = np.asarray(laplace_transform(d, r))
+for name, s in (("10-point line", normalize(generate("line", n=10,
+                                                     norm="l1"))),
+                ("3x3 grid", normalize(generate("grid", side=3, dims=2,
+                                                norm="l1")))):
+    lr = np.asarray(laplace_transform(s.distance_matrix(), r))
+    np.fill_diagonal(lr, 0.0)
+    weights, sides = cut_decomposition(s.points, r)
+    print(f"{name}: {len(weights)} box cuts reconstruct L_r; max error "
+          f"{np.abs(rebuild(weights, sides) - lr).max():.2e}")
 
-arcs = circular_cuts(lr, line_order(d))
-lp = cut_decomposition(lr)
-for name, cuts in (("closed-form arc", arcs), ("LP", lp)):
-    print(f"{len(cuts)} {name} cuts reconstruct L_r of the line metric; "
-          f"max error {np.abs(rebuild(cuts, s.n) - lr).max():.2e}")
-
-# a 2-d l1 set is no line: its clusters go to the LP
-print(f"line order of a 3x3 grid: "
-      f"{line_order(generate('grid', side=3, dims=2, norm='l1').distance_matrix())}")
-
-# the full l1 build: cluster, decompose into cuts, merge on net traces
+# the full l1 build: cluster, cut each cluster, merge on net traces
+s = normalize(generate("line", n=10, norm="l1"))
+lr = np.asarray(laplace_transform(s.distance_matrix(), r))
 e = build_single_scale(s, SingleScaleParams(r=r, eps=0.1, delta=0.1,
                                             norm=1.0, seed=0))
 rep = contract_audit(e)

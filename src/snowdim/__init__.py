@@ -10,9 +10,8 @@ with an audit that measures all pairs against its declared bounds.
 
 from .errors import (BadParams, ClusterTooLarge, DuplicatePoints,
                      DuplicateSources, EmptyInput, ExtensionDidNotConverge,
-                     HeaderMismatch, IndexOutOfRange, Infeasible,
-                     NotEuclidean, PaddingUnachievable, SnowdimError,
-                     UnknownKind)
+                     HeaderMismatch, IndexOutOfRange, NotEuclidean,
+                     PaddingUnachievable, SnowdimError, UnknownKind)
 from .points import (DoublingEstimate, Net, PointSet, estimate_doubling,
                      generate, greedy_net, normalize)
 from .transforms import (cut_decomposition, euclidean_realization,
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BadParams", "ClusterTooLarge", "DuplicatePoints", "DuplicateSources",
     "EmptyInput", "ExtensionDidNotConverge", "HeaderMismatch",
-    "IndexOutOfRange", "Infeasible", "NotEuclidean", "PaddingUnachievable",
+    "IndexOutOfRange", "NotEuclidean", "PaddingUnachievable",
     "SnowdimError", "UnknownKind",
     "DoublingEstimate", "Net", "PointSet", "estimate_doubling", "generate",
     "greedy_net", "normalize",

@@ -36,14 +36,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_float(text: str) -> float:
-    v = float(text)
-    if not 0.0 < v < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"expected a positive finite number, got {text}")
-    return v
-
-
 def _int_at_least(low: int):
     def integer(text: str) -> int:
         v = int(text)
@@ -304,7 +296,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("embed-snowflake",
                        help="snowflake embedding plus distortion audit")
     p.add_argument("input")
-    p.add_argument("--dim-hat", type=_positive_float, dest="dim_hat",
+    p.add_argument("--dim-hat", type=float, dest="dim_hat",
                    default=None, help="override the doubling-dimension estimate")
     p.add_argument("--dump", default=None,
                    help="also write the binary coordinate dump here")

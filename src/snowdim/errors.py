@@ -42,11 +42,7 @@ class NotEuclidean(SnowdimError):
 
 
 class ClusterTooLarge(SnowdimError):
-    """Cut decomposition refused a cluster above the LP size cap."""
-
-
-class Infeasible(SnowdimError):
-    """Cut LP residual above tolerance: input was not an l1 metric."""
+    """Cut decomposition refused a point set past its box cap."""
 
 
 class ExtensionDidNotConverge(SnowdimError):

@@ -171,8 +171,9 @@ def loads_labels(buf: bytes) -> LabelSet:
     """Parse bytes produced by dumps_labels.
 
     Raises HeaderMismatch on a short or foreign header, a label length k of
-    zero, or a body that does not hold exactly the n records the header
-    declares.
+    zero, a step q, normalizer M or unit scale that is not a positive
+    finite number, an alpha outside (0, 1), or a body that does not hold
+    exactly the n records the header declares.
     """
     if len(buf) < _HEADER.size:
         raise HeaderMismatch("label buffer shorter than its header")
@@ -183,11 +184,18 @@ def loads_labels(buf: bytes) -> LabelSet:
         raise HeaderMismatch(f"unsupported label version {version}")
     if k == 0:
         raise HeaderMismatch("label header declares k = 0 coordinates")
+    for name, value, top in (("q", q, math.inf), ("alpha", alpha, 1.0),
+                             ("M", m_norm, math.inf),
+                             ("scale", scale, math.inf)):
+        if not 0.0 < value < top:
+            raise HeaderMismatch(f"label header declares {name} = {value}, "
+                                 f"outside (0, {top})")
     body = buf[_HEADER.size:]
-    rec_dtype = np.dtype([("id", "<u8"), ("c", "<i4", (k,))])
-    if len(body) != n * rec_dtype.itemsize:
+    size = 8 + 4 * k                        # id u64, then k x i32
+    if len(body) != n * size:
         raise HeaderMismatch(f"label body has {len(body)} bytes, header "
-                             f"declares {n} records of {rec_dtype.itemsize}")
-    rec = np.frombuffer(body, dtype=rec_dtype)
+                             f"declares {n} records of {size}")
+    rows = np.frombuffer(body, dtype=np.uint8).reshape(n, size)
     header = LabelHeader(k=k, q=q, alpha=alpha, M=m_norm, scale=scale)
-    return LabelSet(header, rec["id"].copy(), rec["c"].copy())
+    return LabelSet(header, rows[:, :8].copy().view("<u8")[:, 0],
+                    rows[:, 8:].copy().view("<i4"))

@@ -21,9 +21,8 @@ closed form from its clusters (``_scale_gram``), and one ``factor_gram``
 writes at most n coordinates. l-infinity writes the whole scale in one
 scatter (``_linf_block``): one column per net point of each cluster of
 two or more points. l1 writes each distinct cluster's map in a column
-block of its own (``_l1_block``): closed-form arc cuts in the line order
-(``circular_cuts``) for a cluster whose source metric is a line, the cut
-LP's cuts (``cut_decomposition``, at most 14 points) for any other.
+block of its own (``_l1_block``) from the closed-form box cuts of its
+coordinates (``cut_decomposition``), merged on their net traces.
 ``scale_clusters`` is the first half alone: the decomposition and each
 distinct cluster's count and smoothing. It reads the carvings' clusters
 off the decomposition's member and size rows and finds the distinct
@@ -56,9 +55,9 @@ from .errors import (BadParams, EmptyInput, HeaderMismatch, NotEuclidean,
 from .points import (PAIRWISE_BYTES, Net, PointSet, _pairwise,
                      estimate_doubling, greedy_net, norm_label, norm_tag,
                      require_normalized, require_seed, vector_norm)
-from .transforms import (Cut, circular_cuts, cut_decomposition,
+from .transforms import (_groups, _pack, cut_axes, cut_decomposition,
                          euclidean_realization, factor_gram,
-                         gaussian_transform, laplace_transform, line_order,
+                         gaussian_transform, laplace_transform,
                          threshold_transform)
 
 #: delta_decomp = 3 * C_PAD * max(1, dim_hat) * r / delta
@@ -69,14 +68,9 @@ RESCALE_C = {1.0: 40.0, 2.0: 40.0, np.inf: 0.0}
 EPS_PAD = 0.36
 #: doublings of the decomposition diameter before giving up
 DELTA_RETRIES = 3
-
-
-def transform_for(norm: float):
-    if norm == 2.0:
-        return gaussian_transform
-    if norm == 1.0:
-        return laplace_transform
-    return threshold_transform
+#: the distance transform each target norm tracks
+TRANSFORMS = {2.0: gaussian_transform, 1.0: laplace_transform,
+              np.inf: threshold_transform}
 
 
 @dataclass
@@ -136,12 +130,15 @@ class SingleScaleParams:
         return one_cluster(s, self.decomposition_diameter(dim_hat))
 
 
-def require_euclidean_source(s: PointSet, norm: float) -> None:
-    """Refuse an l2 target over a source metric that is not Euclidean.
+def require_source(s: PointSet, norm: float) -> None:
+    """Refuse a source that the target norm's maps cannot be built from.
 
-    G_r(d) is Euclidean for every r exactly when d is (Schoenberg, 1938),
-    so one check of the source stands for every scale's Gram. An l2
-    source is Euclidean by construction and is not checked."""
+    An l2 target needs a Euclidean source metric (NotEuclidean): G_r(d)
+    is Euclidean for every r exactly when d is (Schoenberg, 1938), so one
+    check stands for every scale. An l1 target cuts the coordinates under
+    l1, so a source in another norm needs a single coordinate (BadParams),
+    and the whole set, which a coarse scale keeps in one cluster, must
+    pass ``cut_axes`` (ClusterTooLarge)."""
     if norm == 2.0 and s.norm != 2.0:
         try:
             euclidean_realization(s.distance_matrix())
@@ -149,6 +146,13 @@ def require_euclidean_source(s: PointSet, norm: float) -> None:
             raise NotEuclidean(
                 f"an l2 target needs a Euclidean source metric, and this "
                 f"l{norm_label(s.norm)} metric is not one: {err}") from err
+    if norm == 1.0:
+        if s.norm != 1.0 and s.dim > 1:
+            raise BadParams(
+                f"an l1 target cuts the source coordinates under l1; this "
+                f"l{norm_label(s.norm)} source has {s.dim} coordinates, and "
+                f"only a single coordinate measures the same under l1")
+        cut_axes(s.points)
 
 
 @dataclass
@@ -264,41 +268,30 @@ def theory_dimension(eps: float, delta: float, eps_pad: float,
     return m_hat * k_hat
 
 
-def _embed_cluster_l1(dmat_c, net_local: np.ndarray, r: float,
-                      cuts_by_metric: dict[bytes, list[Cut]]) -> np.ndarray:
-    nc = dmat_c.shape[0]
+def _embed_cluster_l1(points_c: np.ndarray, net_local: np.ndarray, r: float,
+                      cuts_by_shape: dict[bytes, tuple]) -> np.ndarray:
+    nc = len(points_c)
     if nc < 2 or len(net_local) == 0:
         return np.zeros((nc, 0))
-    lr = laplace_transform(dmat_c, r)
-    np.fill_diagonal(lr, 0.0)
-    # a cluster of a line gets closed-form arc cuts in the line order of
-    # its source metric (L_r saturates, so its own order can tie); any
-    # other cluster, or one whose arcs fail their certificate, gets the
-    # LP. Both are functions of the matrix alone: clusters with the same
-    # transformed metric (any cluster at a saturated scale, translated
-    # runs of an evenly spaced set) share one decomposition; the trace
-    # grouping below depends on the cluster's net points and stays per
-    # cluster
-    key = lr.tobytes()
-    cuts = cuts_by_metric.get(key)
+    # the cuts are a function of the coordinates relative to the first
+    # member alone: translated clusters (any run of an evenly spaced set)
+    # share one decomposition; the trace grouping below depends on the
+    # cluster's net points and stays per cluster
+    rel = points_c - points_c[0]
+    key = rel.tobytes()
+    cuts = cuts_by_shape.get(key)
     if cuts is None:
-        order = line_order(dmat_c)
-        if order is not None:
-            cuts = circular_cuts(lr, order)
-        if cuts is None:
-            cuts = cut_decomposition(lr)
-        cuts_by_metric[key] = cuts
-    net_set = frozenset(int(v) for v in net_local)
-    # one coordinate per distinct trace A ∩ (C ∩ N); summing same-trace
-    # cuts is 1-Lipschitz and exactly isometric on the net points
-    traces: dict[frozenset, list] = {}
-    for cut in cuts:
-        traces.setdefault(cut.members & net_set, []).append(cut)
-    coords = np.zeros((nc, len(traces)))
-    for col, group in enumerate(traces.values()):
-        for cut in group:
-            coords[list(cut.members), col] += cut.weight
-    return coords - coords[0]
+        cuts = cuts_by_shape[key] = cut_decomposition(rel, r)
+    weights, sides = cuts
+    # one coordinate per distinct trace A ∩ (C ∩ N), in order of first
+    # appearance; summing same-trace cuts is 1-Lipschitz and exactly
+    # isometric on the net points. The first member lies outside every
+    # cut, so it sits at the origin
+    first, col = _groups(_pack(sides[:, net_local]))
+    cut, row = np.nonzero(sides)
+    k = len(first)
+    return np.bincount(row * k + col[cut], weights=weights[cut],
+                       minlength=nc * k).reshape(nc, k)
 
 
 def _linf_block(sc: ScaleClusters, dmat: np.ndarray, in_net: np.ndarray,
@@ -327,19 +320,18 @@ def _linf_block(sc: ScaleClusters, dmat: np.ndarray, in_net: np.ndarray,
     return out
 
 
-def _l1_block(sc: ScaleClusters, dmat: np.ndarray, in_net: np.ndarray,
+def _l1_block(sc: ScaleClusters, points: np.ndarray, in_net: np.ndarray,
               scaled_w: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """An l1 scale's coordinates, and each distinct cluster's raw map f_C
     (``_embed_cluster_l1``). Each f_C times ``scaled_w`` (aligned with
     ``sc.members``) fills a column block of its own on the cluster's rows,
-    clusters in order. Clusters with the same transformed metric share one
-    cut decomposition."""
+    clusters in order. Translated clusters share one cut decomposition."""
     bounds = np.cumsum(sc.sizes)[:-1]
-    cuts_by_metric: dict[bytes, list[Cut]] = {}
-    maps = [_embed_cluster_l1(dmat[np.ix_(c, c)], np.flatnonzero(in_net[c]),
-                              sc.params.r, cuts_by_metric)
+    cuts_by_shape: dict[bytes, tuple] = {}
+    maps = [_embed_cluster_l1(points[c], np.flatnonzero(in_net[c]),
+                              sc.params.r, cuts_by_shape)
             for c in np.split(sc.members, bounds)]
-    out = np.zeros((dmat.shape[0], sum(f.shape[1] for f in maps)))
+    out = np.zeros((len(points), sum(f.shape[1] for f in maps)))
     col = 0
     for c, w, f in zip(np.split(sc.members, bounds),
                        np.split(scaled_w, bounds), maps):
@@ -372,17 +364,10 @@ def _point_keys(n: int) -> np.ndarray:
 
 def _exact_groups(flat: np.ndarray, starts: np.ndarray,
                   sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group candidate clusters by their member bytes, one at a time."""
-    group_of: dict[bytes, int] = {}
-    first, inverse = [], np.empty(len(sizes), dtype=np.intp)
-    for j, (lo, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
-        key = flat[lo:lo + size].tobytes()
-        g = group_of.get(key)
-        if g is None:
-            g = group_of[key] = len(first)
-            first.append(j)
-        inverse[j] = g
-    return np.array(first, dtype=np.intp), inverse
+    """Group candidate clusters by their member bytes."""
+    return _groups(np.array([flat[lo:lo + size].tobytes() for lo, size in
+                             zip(starts.tolist(), sizes.tolist())],
+                            dtype=object))
 
 
 def _distinct(flat: np.ndarray, sizes: np.ndarray,
@@ -402,7 +387,7 @@ def _distinct(flat: np.ndarray, sizes: np.ndarray,
     np.cumsum(_point_keys(n)[flat], out=csum[1:])
     key = (csum[starts + sizes] - csum[starts]
            + sizes.astype(np.uint64) * np.uint64(0xD6E8FEB86659FD93))
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    first, inverse = _groups(key)
     lead = first[inverse]
     same = np.array_equal(sizes[lead], sizes)
     if same:
@@ -410,11 +395,7 @@ def _distinct(flat: np.ndarray, sizes: np.ndarray,
         same = np.array_equal(flat[np.arange(len(flat)) + shift], flat)
     if not same:
         return _exact_groups(flat, starts, sizes)
-    # renumber the groups in order of first appearance
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+    return first, inverse
 
 
 def _capped_h(s: PointSet, labels: np.ndarray, rows: np.ndarray,
@@ -554,11 +535,11 @@ def _scale_gram(sc: ScaleClusters,
 def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmbedding:
     """Assemble the embedding; see the module docstring for the pipeline.
 
-    ``params.norm = None`` targets the input's own norm (``s.norm``). An l2
-    target over a source metric that is not Euclidean is refused before
-    the decomposition (NotEuclidean)."""
+    ``params.norm = None`` targets the input's own norm (``s.norm``). A
+    source the target's maps cannot be built from is refused before the
+    decomposition (``require_source``)."""
     require_normalized(s, "build_single_scale")
-    require_euclidean_source(s, s.norm if params.norm is None else params.norm)
+    require_source(s, s.norm if params.norm is None else params.norm)
     sc = scale_clusters(s, params)
     p, entries, m = sc.params, sc.clusters, sc.m
     n = s.n
@@ -595,7 +576,7 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
         if p.norm == np.inf:
             coords = _linf_block(sc, dmat, in_net, scaled_w)
         else:
-            coords, maps = _l1_block(sc, dmat, in_net, scaled_w)
+            coords, maps = _l1_block(sc, s.points, in_net, scaled_w)
             for c, f in zip(entries, maps):
                 c.coords = f
     return SingleScaleEmbedding(
@@ -620,7 +601,7 @@ def contract_audit(e: SingleScaleEmbedding) -> report_mod.DistortionReport:
     iu, ju = np.triu_indices(s.n, k=1)
     src = dmat[iu, ju]
     dst = img[iu, ju]
-    tf = transform_for(p.norm)
+    tf = TRANSFORMS[p.norm]
     ref = np.asarray(tf(src, p.r))
     if p.norm == np.inf:
         window = (p.delta * p.r, p.r / math.sqrt(p.delta))
@@ -655,8 +636,8 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     """Lemma-style per-cluster invariants, measured exhaustively:
     (i) raw cluster images stay within norm r;
     (ii) same-cluster raw image distances never exceed the transformed
-        distance (slack: realization/LP tolerance), which never exceeds the
-        source distance;
+        distance (slack: realization rounding and dropped cut weights),
+        which never exceeds the source distance;
     (iii) the smoothing h is the distance hmin to the nearest point
         outside the cluster wherever fl((delta/r) * hmin) < 1, and inf
         elsewhere (hmin recomputed here from the distance matrix, inf for
@@ -669,7 +650,7 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     """
     p = e.params
     dmat = e.source.distance_matrix()
-    tf = transform_for(p.norm)
+    tf = TRANSFORMS[p.norm]
     max_f_norm = 0.0
     worst_ii = -np.inf        # max of |f(x)-f(y)| - transform(d), want <= slack
     worst_tf = -np.inf        # max of transform(d) - d, want <= float noise

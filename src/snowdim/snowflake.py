@@ -86,16 +86,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import report as report_mod
-from .errors import BadParams, ClusterTooLarge, EmptyInput, SnowdimError
+from .errors import BadParams, EmptyInput, SnowdimError
 from .points import (PointSet, _pair_distances, _pairwise, estimate_doubling,
                      greedy_net, norm_label, norm_tag, require_normalized,
                      require_seed)
 from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleParams,
                            _block_weights, _dumps_coords, _l1_block,
-                           _linf_block, _scale_gram, require_euclidean_source,
+                           _linf_block, _scale_gram, require_source,
                            scale_clusters, theory_dimension)
-from .transforms import (MAX_CUT_POINTS, classical_mds, gaussian_transform,
-                         line_order)
+from .transforms import _groups, classical_mds, gaussian_transform
 
 #: offset added to the scale index when deriving per-scale seeds, so the
 #: seed entropy stays nonnegative for any sane index window
@@ -267,11 +266,7 @@ def _dominant_pair_mask(sc: ScaleClusters, iu: np.ndarray,
     label row stands for all of its partitions."""
     dec = sc.decomposition
     pad = dec.padded.all(axis=0)
-    labels = np.ascontiguousarray(dec.labels.T)
-    # each contiguous row read as one opaque value: a bytewise sort, not
-    # the structured-dtype sort of np.unique(axis=0)
-    rows = labels.view(np.dtype((np.void, labels.shape[1] * labels.itemsize)))
-    col = np.unique(rows.ravel(), return_inverse=True)[1]
+    col = _groups(dec.labels.T)[1]
     return (col[iu] == col[ju]) & pad[iu] & pad[ju]
 
 
@@ -345,7 +340,7 @@ def _build_scale(job: _ScaleJob,
             scaled_w = _block_weights(sc, 1.0)[1]
             block = w * (_linf_block(sc, dmat, in_net, scaled_w)
                          if plan.norm == np.inf
-                         else _l1_block(sc, dmat, in_net, scaled_w)[0])
+                         else _l1_block(sc, job.s.points, in_net, scaled_w)[0])
             k = block.shape[1]
             if k:
                 dists = _pair_distances(block, plan.norm, job.iu, job.ju)
@@ -518,26 +513,18 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     message. From a helper, the error carries the helper's traceback as
     a note, and its cause is a copy of the original; an error that
     cannot be pickled comes back as a RuntimeError holding its
-    traceback. Two inputs are refused before any scale is built: an l1
-    target above the cut LP's MAX_CUT_POINTS whose metric is not a line
-    (ClusterTooLarge), and an l2 target whose source metric is not
-    Euclidean (NotEuclidean). A negative seed, or a ``dim_hat`` that is
-    not finite or lies below 0, is refused (BadParams).
+    traceback. A source the target's maps cannot be built from is
+    refused before any scale is built (``require_source``): an l2 target
+    over a metric that is not Euclidean, an l1 target over a source in
+    another norm with more than one coordinate, or one whose boxes pass
+    the cut decomposition's cap. A negative seed, or a ``dim_hat`` that
+    is not finite or lies below 0, is refused (BadParams).
     """
     require_seed(seed)
     if dim_hat is not None and not 0.0 <= dim_hat < math.inf:
         raise BadParams(f"dim_hat must lie in [0, inf), got {dim_hat}")
     plan = scale_plan(s, alpha, eps, norm)
-    # every scale coarser than the carving range keeps all n points in one
-    # cluster, and the l1 path writes each cluster as a sum of cuts: in
-    # closed form for a line, by the cut LP for anything else
-    if (plan.norm == 1.0 and s.n > MAX_CUT_POINTS
-            and line_order(s.distance_matrix()) is None):
-        raise ClusterTooLarge(
-            f"an l1 snowflake of {s.n} points off a line puts all of them "
-            f"in one cluster at its coarser scales; the cut LP's cap is "
-            f"{MAX_CUT_POINTS} points")
-    require_euclidean_source(s, plan.norm)
+    require_source(s, plan.norm)
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     n = s.n

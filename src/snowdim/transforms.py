@@ -14,20 +14,19 @@ maps have one Gram factorizer, ``factor_gram``, and one classical MDS of
 squared distances, ``classical_mds``: the l2 single-scale build factors
 its clusters' closed-form Gram sum, the l2 snowflake is the classical MDS
 of its summed squared per-scale distances, and ``euclidean_realization``
-that of a distance matrix. l1 maps are cuts (closed-form circular
-splits when the source metric is a line, a cut-measure LP otherwise), and
-l-infinity maps are per-landmark threshold coordinates.
+that of a distance matrix. l1 maps are cuts, one closed form for any l1
+point set (``cut_decomposition``: the boxes of Poisson cuts on every
+axis), and l-infinity maps are per-landmark threshold coordinates.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .errors import BadParams, ClusterTooLarge, Infeasible, NotEuclidean
+from .errors import BadParams, ClusterTooLarge, NotEuclidean
+from .points import PAIRWISE_BYTES
 
 #: relative eigenvalue tolerance for declaring a Gram matrix non-Euclidean
 EIG_RTOL = 1e-8
@@ -35,11 +34,12 @@ EIG_RTOL = 1e-8
 #: eigh rounding noise but keeps the long low-energy tail that transformed
 #: metrics of nearly collinear sets carry
 EIG_KEEP_RTOL = 1e-13
-#: cut LP residual tolerance, relative to the largest distance per pair;
-#: cut weights below it (relative to the largest weight) are dropped
+#: cut weights at most this fraction of the largest L_r, over the number
+#: of cuts, are dropped
 CUT_RTOL = 1e-9
-#: cut decomposition enumerates 2^(n-1)-1 cuts; refuse beyond this
-MAX_CUT_POINTS = 14
+#: refuse a cut decomposition whose boxes times points pass this: the
+#: boxes bound its candidate cuts, and each cut is a row over the points
+MAX_BOX_POINTS = 1 << 24
 
 
 def _check_r(r: float) -> float:
@@ -122,141 +122,118 @@ def euclidean_realization(dmat: np.ndarray) -> np.ndarray:
     return classical_mds(np.square(dmat))
 
 
-@dataclass
-class Cut:
-    """One cut pseudometric: weight * [exactly one endpoint in members]."""
-
-    weight: float
-    members: frozenset
-
-
-@functools.cache
-def _cut_system(n: int) -> tuple[tuple[frozenset, ...], np.ndarray,
-                                 np.ndarray, np.ndarray, np.ndarray]:
-    """The part of the cut LP that depends on n alone, built once per n.
-
-    Returns the cuts (as member sets of {1..n-1}; point 0 is pinned
-    outside), the pair indices iu, ju, the equality matrix
-    [incidence | I | -I] and the cost vector. The arrays are read-only
-    because every later call with this n shares them.
-    """
-    iu, ju = np.triu_indices(n, k=1)
-    cuts = tuple(frozenset(comb) for size in range(1, n)
-                 for comb in itertools.combinations(range(1, n), size))
-    a = np.zeros((len(iu), len(cuts)))
-    for c, members in enumerate(cuts):
-        inside = np.fromiter((i in members for i in range(n)), dtype=bool)
-        a[:, c] = inside[iu] ^ inside[ju]
-    npairs, ncuts = a.shape
-    # vars: [gamma (ncuts), s+ (npairs), s- (npairs)], min sum(s+ + s-)
-    eye = np.eye(npairs)
-    a_eq = np.hstack([a, eye, -eye])
-    cost = np.concatenate([np.zeros(ncuts), np.ones(2 * npairs)])
-    for arr in (iu, ju, a_eq, cost):
-        arr.flags.writeable = False
-    return cuts, iu, ju, a_eq, cost
-
-
-def cut_decomposition(dmat: np.ndarray) -> list[Cut]:
-    """Write a (small) l1-embeddable metric as a weighted sum of cuts.
-
-    The l1 build calls this for the clusters whose source metric is not a
-    line, and for line clusters whose closed-form arc cuts
-    (``circular_cuts``) fail their certificate; a line cluster otherwise
-    never reaches it. Enumerates all 2^(n-1) - 1 nontrivial cuts and solves
-    the LP
-    minimizing total absolute slack; Infeasible if the best slack exceeds
-    CUT_RTOL * max distance, ClusterTooLarge beyond MAX_CUT_POINTS points.
-    Only the right-hand side (the pair distances) comes from ``dmat``: the
-    cut list, the equality matrix and the cost are built once per size n
-    and shared, read-only, by every later call of that size (about 11 MB
-    of arrays for all sizes up to the cap). Returns only the cuts with
-    positive weight.
-    """
-    from scipy.optimize import linprog     # on use: the import skips scipy
-
-    dmat = np.asarray(dmat, dtype=np.float64)
-    n = dmat.shape[0]
-    if n > MAX_CUT_POINTS:
+def cut_axes(points) -> np.ndarray:
+    """The coordinates ``cut_decomposition`` cuts along, for l1 rows:
+    each axis shifted to start at 0, or, when every axis is non-decreasing
+    in the order of the coordinate sum (any l1 line), the sum alone, which
+    measures every pair the same. Raises ClusterTooLarge when the boxes
+    (one interval of sorted values per axis) times the points pass
+    MAX_BOX_POINTS; the same count bounds every subset's."""
+    x = np.asarray(points, dtype=np.float64)
+    x = x - x.min(axis=0, initial=np.inf)
+    if x.shape[1] > 1:
+        total = x.sum(axis=1)
+        if (np.diff(x[np.argsort(total, kind="stable")], axis=0) >= 0).all():
+            x = total[:, None]
+    boxes = math.prod(q * (q + 1) // 2 for q in map(len, map(np.unique, x.T)))
+    if boxes * len(x) > MAX_BOX_POINTS:
         raise ClusterTooLarge(
-            f"cut decomposition enumerates all cuts; {n} points exceeds "
-            f"the cap of {MAX_CUT_POINTS}")
-    if n < 2:
-        return []
-    cuts, iu, ju, a_eq, cost = _cut_system(n)
-    target = dmat[iu, ju]
-    npairs, ncuts = len(target), len(cuts)
-    res = linprog(cost, A_eq=a_eq, b_eq=target, bounds=(0, None),
-                  method="highs")
-    if not res.success:
-        raise Infeasible(f"cut LP failed: {res.message}")
-    slack = float(res.fun)
-    scale = float(target.max()) if len(target) else 1.0
-    if slack > CUT_RTOL * max(scale, 1.0) * npairs:
-        raise Infeasible(
-            f"metric is not l1-embeddable within tolerance: "
-            f"residual slack {slack:.3g}")
-    gamma = res.x[:ncuts]
-    keep = gamma > CUT_RTOL * max(gamma.max(), 1.0)
-    return [Cut(float(gamma[c]), cuts[c]) for c in np.flatnonzero(keep)]
+            f"the cut decomposition of {len(x)} points spans {boxes} boxes; "
+            f"boxes times points passes the cap of {MAX_BOX_POINTS}")
+    return x
 
 
-def line_order(dmat: np.ndarray) -> np.ndarray | None:
-    """The points of a line metric in line order, or None for any other.
+def _pack(sides: np.ndarray) -> np.ndarray:
+    """Boolean rows as rows of little-endian 64-bit words."""
+    out = np.zeros((len(sides), -(-sides.shape[1] // 64) * 8), np.uint8)
+    packed = np.packbits(sides, axis=1, bitorder="little")
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8")
 
-    The point farthest from point 0 is an end of the line; the others
-    sort by their distance from it. The metric is a line when every pair's
-    distance is the gap of those sorted positions, within CUT_RTOL times
-    the largest distance.
+
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal entries of a 1-d array, or equal rows of a 2-d one: each
+    distinct one's first index, ascending, and each one's group, numbered
+    in that order. A row is compared as one opaque value, a bytewise
+    sort, not the structured-dtype sort of np.unique(axis=0)."""
+    if keys.ndim == 2:
+        keys = (keys[:, 0] if keys.shape[1] == 1 else np.ascontiguousarray(
+            keys).view(f"V{keys.itemsize * keys.shape[1]}")[:, 0])
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def _merge(keys: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray,
+                                                       np.ndarray]:
+    """The distinct rows of ``keys``, each with its summed mass."""
+    first, group = _groups(keys)
+    return keys[first], np.bincount(group, weights=mass,
+                                    minlength=len(first))
+
+
+def cut_decomposition(points, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """L_r of the l1 metric on the rows of ``points`` as a sum of cuts.
+
+    Independent rate-1/r Poisson cuts on every axis leave two points in
+    one cell with chance exp(-d/r), so L_r = (r/2) sum_B Pr[B is a cell]
+    delta_B over the boxes B whose sides are intervals of each axis's
+    sorted values (``cut_axes``). On one axis an interval is a cell with
+    chance (1 - exp(-gap/r)) for each outer gap (1 past an end) times
+    exp(-span/r), and a box's chance is the product over its axes. One
+    pass per axis intersects the member sets so far with its intervals
+    and merges equal sets; the sets are then complemented so that the
+    first point lies outside, and merged again. Weights at most CUT_RTOL
+    times the largest L_r over the number of cuts are dropped.
+
+    Returns the weights (K,) and the sides (K, n), row c marking the
+    points of cut c, in arc order: by the first and then the last
+    position of the members in the order of the first point, then the
+    others by falling distance from it. On a line these are the arcs of
+    Chepoi and Fichet (1998) in their circular order.
     """
-    dmat = np.asarray(dmat, dtype=np.float64)
-    n = dmat.shape[0]
+    r = _check_r(r)
+    x = cut_axes(points)
+    n = len(x)
     if n < 2:
-        return np.arange(n)
-    order = np.argsort(dmat[int(np.argmax(dmat[0]))], kind="stable")
-    pos = dmat[order[0], order]
-    gap = np.abs(dmat[np.ix_(order, order)] - np.abs(pos[:, None] - pos))
-    if gap.max() > CUT_RTOL * pos[-1]:
-        return None
-    return order
-
-
-def circular_cuts(dmat: np.ndarray, order: np.ndarray) -> list[Cut] | None:
-    """Write a Kalmanson metric in circular ``order`` as a sum of arc cuts.
-
-    Closed form (Chepoi–Fichet 1998): with the points rotated so that point
-    0 comes first, the arc {i..j} of positions 1 <= i <= j < n gets weight
-    (d(i-1, j) + d(i, j+1) - d(i, j) - d(i-1, j+1)) / 2, indices mod n.
-    L_r of a line metric is Kalmanson in the line order, as is any concave
-    transform of one. The weights are certified at the cut LP's relative
-    tolerance, tol = CUT_RTOL times the largest distance: None when a
-    weight lies below -tol, or when the returned cuts miss a pair by more
-    than tol. Weights at most tol / (number of arcs) are dropped, so
-    together they move no pair by more than tol. The n(n-1)/2 arc cuts of
-    one order are linearly independent, so the weights rebuild any matrix
-    up to rounding and only their signs tell a Kalmanson metric; the
-    rebuild check guards the rounding and the dropped weights. Like
-    cut_decomposition, point 0 lies outside every returned cut.
-    """
-    dmat = np.asarray(dmat, dtype=np.float64)
-    n = len(order)
-    if n < 2:
-        return []
-    order = np.roll(order, -int(np.flatnonzero(order == 0)[0]))
-    d = dmat[np.ix_(order, order)]
-    e = d - np.roll(d, -1, axis=1)          # e[a, b] = d(a, b) - d(a, b+1)
-    rows, cols = np.triu_indices(n - 1)
-    lo, hi = rows + 1, cols + 1             # the arc {lo..hi}
-    w = 0.5 * (e[lo - 1, hi] - e[lo, hi])
-    tol = CUT_RTOL * float(d.max())
-    if w.min() < -tol:
-        return None
-    keep = np.flatnonzero(w > tol / len(w))
-    at = np.arange(n)[:, None]
-    inside = (lo[keep] <= at) & (at <= hi[keep])
-    sums = inside @ w[keep]
-    rebuilt = sums[:, None] + sums - 2.0 * (inside * w[keep]) @ inside.T
-    if np.abs(rebuilt - d).max() > tol:
-        return None
-    return [Cut(float(w[c]), frozenset(order[lo[c]:hi[c] + 1].tolist()))
-            for c in keep]
+        return np.zeros(0), np.zeros((0, n), dtype=bool)
+    words = -(-n // 64)
+    keys = mass = None
+    for col in x.T:
+        v, at = np.unique(col, return_inverse=True)
+        lo, hi = np.triu_indices(len(v))
+        gap = np.concatenate([[np.inf], np.diff(v), [np.inf]])
+        prob = (np.expm1(-gap[lo] / r) * np.expm1(-gap[hi + 1] / r)
+                * np.exp(-(v[hi] - v[lo]) / r))
+        boxes = _pack((lo[:, None] <= at) & (at <= hi[:, None]))
+        if keys is None:                # distinct intervals, distinct sets
+            keys, mass = boxes, prob
+            continue
+        step = max(1, PAIRWISE_BYTES // (8 * (words + 1) * len(lo)))
+        parts = []
+        for s in range(0, len(keys), step):
+            cand = (keys[s:s + step, None] & boxes).reshape(-1, words)
+            live = cand.any(axis=1)
+            parts.append(_merge(cand[live], np.outer(mass[s:s + step],
+                                                     prob).ravel()[live]))
+        keys, mass = _merge(*map(np.concatenate, zip(*parts)))
+    full = _pack(np.ones((1, n), dtype=bool))
+    keys = np.where(keys[:, :1] & np.uint64(1), keys ^ full, keys)
+    live = keys.any(axis=1)
+    keys, mass = _merge(keys[live], mass[live])
+    w = 0.5 * r * mass
+    top = laplace_transform(np.abs(x[:, None] - x).sum(axis=2).max(), r)
+    keep = w > CUT_RTOL * top / len(w)
+    w = w[keep]
+    sides = np.unpackbits(keys[keep].view(np.uint8), axis=1, count=n,
+                          bitorder="little").astype(bool)
+    # arc order
+    far = np.abs(x - x[0]).sum(axis=1)
+    far[0] = np.inf
+    pos = np.argsort(np.argsort(-far, kind="stable"))
+    order = np.lexsort((np.where(sides, pos, -1).max(axis=1),
+                        np.where(sides, pos, n).min(axis=1)))
+    return w[order], sides[order]

@@ -323,17 +323,14 @@ def test_linf_frechet_embedding_exact_properties():
         assert (len(net) < s.n) == coarse
 
 
-# 9. l1: bounded clusters, cut-LP reconstruction, merged coordinates
+# 9. l1: bounded clusters, box-cut reconstruction, merged coordinates
 
 
-def _cut_reconstruction(lr):
-    cuts = cut_decomposition(lr)
-    nc = lr.shape[0]
-    recon = np.zeros_like(lr)
-    for cut in cuts:
-        inside = np.fromiter((i in cut.members for i in range(nc)),
-                             dtype=bool)
-        recon += cut.weight * (inside[:, None] ^ inside[None, :])
+def _cut_reconstruction(points, r):
+    weights, sides = cut_decomposition(points, r)
+    recon = np.zeros((len(points),) * 2)
+    for weight, inside in zip(weights, sides):
+        recon += weight * (inside[:, None] ^ inside[None, :])
     return recon
 
 
@@ -362,8 +359,9 @@ def test_l1_cut_embedding_small_clusters():
             dsub = dmat[np.ix_(members, members)]
             lr = np.asarray(laplace_transform(dsub, r))
             np.fill_diagonal(lr, 0.0)
-            # re-solving the cut LP reproduces the transformed metric
-            assert np.abs(_cut_reconstruction(lr) - lr).max() <= 1e-6
+            # the cluster's box cuts reproduce the transformed metric
+            assert np.abs(_cut_reconstruction(s.points[members], r)
+                          - lr).max() <= 1e-6
             # merged columns: isometric on net pairs, contracting elsewhere
             raw_pd = np.abs(entry.coords[:, None, :]
                             - entry.coords[None, :, :]).sum(axis=-1)

@@ -118,8 +118,8 @@ def modules_after_import(prefix: str) -> list[str]:
 
 
 def test_import_loads_no_scipy():
-    # only the cut LP and the extension use scipy, and each imports it when
-    # called
+    # only the extension (kirszbraun_extend) uses scipy, and imports it
+    # when called
     assert modules_after_import("scipy") == []
 
 

@@ -95,16 +95,36 @@ def test_stats_refuses_a_malformed_file_without_traceback(tmp_path, capsys,
     ("dls", "build", "{path}", "{labels}", "--seed", "-1"),
     ("embed-snowflake", "{path}", "--dim-hat", "inf"),
     ("embed-snowflake", "{path}", "--dim-hat", "nan"),
+    ("embed-snowflake", "{path}", "--dim-hat", "-1"),
 ], ids=["gen-seed", "snowflake-seed", "dls-seed", "dim-hat-inf",
-        "dim-hat-nan"])
+        "dim-hat-nan", "dim-hat-negative"])
 def test_a_negative_seed_or_a_bad_dim_hat_exits_1_without_traceback(
         tmp_path, capsys, argv):
+    # argparse refuses a negative seed; --dim-hat is read as a plain
+    # float, and build_snowflake refuses it outside [0, inf)
     path = gen_line(tmp_path)
     capsys.readouterr()
     argv = [a.format(path=path, labels=tmp_path / "lab.bin") for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert "error: argument" in err and "Traceback" not in err
+    assert "Traceback" not in err
+    if "--dim-hat" in argv:
+        assert err == (f"snowdim: error: dim_hat must lie in [0, inf), got "
+                       f"{float(argv[-1])}\n")
+    else:
+        assert "error: argument" in err
+
+
+def test_a_dim_hat_of_0_builds_the_two_point_line(tmp_path, capsys):
+    # stats reports doubling_dim_hat 0 for two points, and the snowflake
+    # command takes that estimate back
+    path = gen_line(tmp_path, n=2)
+    capsys.readouterr()
+    code, out, _ = run(capsys, "stats", str(path))
+    assert code == 0 and json.loads(out)["doubling_dim_hat"] == 0.0
+    code, out, err = run(capsys, "embed-snowflake", str(path),
+                         "--dim-hat", "0")
+    assert code == 0 and err == ""
 
 
 # --- embeddings

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from snowdim import labeling
 from snowdim.errors import BadParams, HeaderMismatch
 from snowdim.labeling import (LabelSet, dequantize, dls_build, dls_query, dumps_labels,
                               loads_labels, measured_label_bits, quantize,
@@ -178,6 +179,25 @@ def test_loads_rejects_bad_bytes():
                       np.zeros((1, 0), dtype=np.int32))
     with pytest.raises(HeaderMismatch):
         loads_labels(dumps_labels(zero_k))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("q", math.nan), ("q", 0.0), ("q", -1.0), ("scale", -1.0),
+    ("alpha", 2.0), ("alpha", 0.0), ("M", math.nan), ("k", 2 ** 31),
+], ids=["q-nan", "q-zero", "q-negative", "scale-negative", "alpha-two",
+        "alpha-zero", "M-nan", "k-2^31"])
+def test_loads_refuses_a_bad_header_field(field, value):
+    # each one once read back: q = nan, 0 or -1 gave nan, 0 or a made-up
+    # estimate, a negative scale a negative distance, alpha = 0 a
+    # ZeroDivisionError and k = 2^31 a numpy ValueError
+    blob = dumps_labels(line_labels())
+    names = ("magic", "version", "k", "n", "q", "alpha", "M", "scale")
+    fields = dict(zip(names, labeling._HEADER.unpack_from(blob, 0)))
+    fields[field] = value
+    bad = labeling._HEADER.pack(*fields.values()) + \
+        blob[labeling._HEADER.size:]
+    with pytest.raises(HeaderMismatch, match=f"{field} = |records"):
+        loads_labels(bad)
 
 
 def test_truncated_labels_raise_or_round_trip():

@@ -19,9 +19,8 @@ from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
                                   build_single_scale, contract_audit, dumps,
                                   loads_coords, theory_dimension)
 from snowdim.snowflake import build_snowflake
-from snowdim.transforms import (circular_cuts, cut_decomposition,
-                                gaussian_transform, laplace_transform,
-                                threshold_transform)
+from snowdim.transforms import (cut_decomposition, gaussian_transform,
+                                laplace_transform, threshold_transform)
 
 G_1 = 0.7950600976206501          # G_1(1) = sqrt(1 - e^-1)
 L_1 = 0.6321205588285577          # L_1(1) = 1 - e^-1
@@ -594,61 +593,48 @@ def test_l2_audit_factors_each_distinct_cluster_gram_once(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, r, delta, dim_hat, saturated", [
-    # a snowflake scale (its delta at eps 0.1, alpha 0.5): L_r(1) == r, so
-    # the 27 multi-point clusters have one metric per size, 4 in all
+    # a snowflake scale (its delta at eps 0.1, alpha 0.5): L_r(1) == r;
+    # the 27 multi-point clusters are runs of the line, 4 shapes in all
     ("line", 1.1 ** -92, 1.1 ** -75, None, True),
     # L_r(1) < r: 29 multi-point clusters, translates of 4 runs of the line
     ("line", 0.05, 0.2, 1.0, False),
-    # the same scale on a 12-point l1 ball: 11 multi-point clusters of
-    # sizes 2 to 4; a pair is a line, the larger metrics go to the LP
+    # the same scale on a 12-point l1 ball in 3-d: 11 multi-point clusters
+    # of sizes 2 to 4, each a shape of its own
     ("ball", 1.1 ** -92, 1.1 ** -75, None, True),
 ], ids=["saturated", "translated", "ball"])
 def test_l1_scale_solves_one_cut_lp_per_distinct_metric(
         monkeypatch, kind, r, delta, dim_hat, saturated):
-    # a line cluster's cuts come in closed form, any other cluster's from
-    # the LP; either way each distinct transformed metric is decomposed
-    # once, and the LP runs only where no closed form was found
+    # one cut_decomposition per distinct cluster shape, its coordinates
+    # relative to its first member: translated clusters share one call
     if kind == "line":
         s = normalize(generate("line", n=10, norm="l1"))
     else:
         s = normalize(generate("ball", n=12, dim=3, norm="l1"))
     p = SingleScaleParams(r=r, eps=0.1, delta=delta, seed=3, dim_hat=dim_hat)
     assert (laplace_transform(1.0, r) == r) == saturated
-    closed, solved = [], []
+    solved = []
 
-    def closed_form(lr, order):
-        cuts = circular_cuts(lr, order)
-        if cuts is not None:
-            closed.append(lr.tobytes())
-        return cuts
+    def counting(rel, r):
+        solved.append(rel.tobytes())
+        return cut_decomposition(rel, r)
 
-    def counting(lr):
-        solved.append(lr.tobytes())
-        return cut_decomposition(lr)
-
-    monkeypatch.setattr(single_scale, "circular_cuts", closed_form)
     monkeypatch.setattr(single_scale, "cut_decomposition", counting)
     e = build_single_scale(s, p)
-    decomposed = closed + solved
-    dmat = s.distance_matrix()
-    metrics = []
+    built = solved[:]
+    shapes = []
     for entry in e.clusters:
         mem = entry.members
         if len(mem) > 1:
-            lr = laplace_transform(dmat[np.ix_(mem, mem)], e.params.r)
-            np.fill_diagonal(lr, 0.0)
-            metrics.append(lr.tobytes())
+            shapes.append((s.points[mem] - s.points[mem[0]]).tobytes())
         # the per-cluster route, with nothing shared, gives the same map
-        alone = _embed_cluster_l1(dmat[np.ix_(mem, mem)],
+        alone = _embed_cluster_l1(s.points[mem],
                                   np.flatnonzero(np.isin(mem, e.net.members)),
                                   e.params.r, {})
         assert np.array_equal(entry.coords, alone)
-    assert len(metrics) > len(set(metrics)) > 1
-    assert sorted(decomposed) == sorted(set(metrics))
-    if kind == "line":
-        assert solved == []
-    else:
-        assert len(solved) > 1
+    # the ball's clusters are no translates of each other
+    assert len(set(shapes)) > 1
+    assert (len(shapes) > len(set(shapes))) == (kind == "line")
+    assert sorted(built) == sorted(set(shapes))
     assert contract_audit(e).passed
 
 

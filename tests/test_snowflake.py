@@ -1,7 +1,10 @@
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,7 +228,7 @@ def test_l1_scale_distances_match_the_single_scale_blocks():
     # the l1 twin: no scale keeps its block, and every scale rebuilt on its
     # own by build_single_scale gives the record as scipy's cityblock
     # pdist of its block, up to the order of each row's sum; the line's
-    # clusters take closed-form cuts, the ball's the cut LP
+    # clusters are cut along one axis, the ball's along two
     for s in (normalize(generate("line", n=10, norm="l1")),
               normalize(generate("ball", n=7, dim=2, norm="l1", seed=1))):
         e = build_snowflake(s, 0.5, 0.1, seed=3)
@@ -661,16 +664,44 @@ def test_a_daemonic_caller_builds_every_scale_itself(monkeypatch):
 
 
 def test_l1_above_the_cut_cap_is_refused_before_any_scale(monkeypatch):
-    # the coarser scales keep all 16 grid points in one cluster, which is
-    # no line, so only the cut LP could write it, and the LP refuses it:
-    # the whole ladder could never finish
+    # the coarser scales keep all 60 points of the ball in one cluster,
+    # whose 1830^2 boxes pass the cut decomposition's cap: the whole ladder
+    # could never finish. The single-scale build refuses it the same way
     calls = []
     monkeypatch.setattr(snowflake, "scale_clusters",
                         counting_scale_clusters(calls))
-    s = normalize(generate("grid", side=4, dims=2, norm="l1"))
-    with pytest.raises(ClusterTooLarge, match="cap is 14 points"):
+    monkeypatch.setattr(single_scale, "scale_clusters",
+                        counting_scale_clusters(calls))
+    s = normalize(generate("ball", n=60, dim=2, norm="l1", seed=0))
+    with pytest.raises(ClusterTooLarge, match="spans 3348900 boxes"):
         build_snowflake(s, 0.5, 0.1)
+    with pytest.raises(ClusterTooLarge, match="spans 3348900 boxes"):
+        build_single_scale(s, SingleScaleParams(r=1.0, eps=0.1, delta=0.1))
     assert calls == []
+
+
+def test_an_l1_target_over_another_norm_is_refused_before_any_scale(
+        monkeypatch):
+    # the cuts are read off the coordinates under l1, which measures an l2
+    # or l-infinity set of two or more coordinates otherwise; on one
+    # coordinate every norm agrees, and the line builds
+    calls = []
+    monkeypatch.setattr(snowflake, "scale_clusters",
+                        counting_scale_clusters(calls))
+    monkeypatch.setattr(single_scale, "scale_clusters",
+                        counting_scale_clusters(calls))
+    for norm in ("l2", "linf"):
+        s = normalize(generate("grid", side=3, dims=2, norm=norm))
+        with pytest.raises(BadParams, match=(
+                f"^an l1 target cuts the source coordinates under l1; this "
+                f"{norm} source has 2 coordinates")):
+            build_snowflake(s, 0.5, 0.1, norm=1.0)
+        with pytest.raises(BadParams, match="an l1 target cuts"):
+            build_single_scale(s, SingleScaleParams(r=1.0, eps=0.1,
+                                                    delta=0.1, norm=1.0))
+    assert calls == []
+    line = normalize(generate("line", n=4, norm="l2"))
+    assert distortion_audit(build_snowflake(line, 0.5, 0.1, norm=1.0)).passed
 
 
 def test_an_l2_target_off_a_euclidean_metric_is_refused_before_any_scale(
@@ -843,14 +874,42 @@ def test_a_negative_seed_or_a_bad_dim_hat_is_refused_up_front(monkeypatch):
 
 
 def test_l1_line_past_the_cut_cap_builds_without_an_lp(monkeypatch):
-    # every cluster of a line is a line, so its cuts come in closed form
-    def no_lp(lr):
-        raise AssertionError("the cut LP ran on a line cluster")
+    # a monotone staircase of 20 points in 3-d is an l1 line: the
+    # coordinate sums cut it, and every cluster of it, along one axis
+    steps = np.random.default_rng(4).integers(0, 2, (19, 3))
+    steps[steps.sum(axis=1) == 0, 0] = 1
+    pts = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+    axes = []
 
-    monkeypatch.setattr(single_scale, "cut_decomposition", no_lp)
-    s = normalize(generate("line", n=20, norm="l1"))
+    def one_axis(rel, r):
+        axes.append(transforms.cut_axes(rel).shape[1])
+        return transforms.cut_decomposition(rel, r)
+
+    monkeypatch.setattr(single_scale, "cut_decomposition", one_axis)
+    s = normalize(PointSet(pts, norm=1.0))
     e = build_snowflake(s, 0.5, 0.1, seed=0)
+    assert axes and set(axes) == {1}
     assert distortion_audit(e).passed
+
+
+def test_l1_sets_off_a_line_build_with_no_scipy():
+    # l1 sets off a line build from box cuts alone, with no scipy loaded
+    code = (
+        "import sys\n"
+        "from snowdim import build_snowflake, distortion_audit, generate, "
+        "normalize\n"
+        "for s in (generate('grid', side=4, dims=2, norm='l1'),\n"
+        "          generate('ball', n=12, dim=2, norm='l1', seed=0)):\n"
+        "    e = build_snowflake(normalize(s), 0.5, 0.1, seed=0)\n"
+        "    assert distortion_audit(e).passed\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              [str(Path(snowflake.__file__).parents[1])]
+                              + sys.path)))
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "[]\n"
 
 
 def test_band_over_the_limit_fails_the_audit():

@@ -4,28 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-import scipy.optimize
 from scipy.spatial.distance import pdist, squareform
 
 from snowdim import transforms
-from snowdim.errors import (BadParams, ClusterTooLarge, Infeasible,
-                            NotEuclidean)
+from snowdim.errors import BadParams, ClusterTooLarge, NotEuclidean
 from snowdim.points import PointSet, generate
 from snowdim.single_scale import _embed_cluster_l1
-from snowdim.transforms import (CUT_RTOL, circular_cuts, cut_decomposition,
+from snowdim.transforms import (CUT_RTOL, cut_decomposition,
                                 euclidean_realization, gaussian_transform,
-                                laplace_transform, line_order,
-                                threshold_transform)
+                                laplace_transform, threshold_transform)
 
 
-def cut_metric(cuts, n):
+def cut_metric(weights, sides):
     """Pairwise distances of the weighted cut sum (brute force oracle)."""
-    d = np.zeros((n, n))
-    for cut in cuts:
-        inside = np.zeros(n, dtype=bool)
-        inside[[i for i in cut.members if i < n]] = True
-        sep = inside[:, None] ^ inside[None, :]
-        d += cut.weight * sep
+    d = np.zeros((sides.shape[1],) * 2)
+    for weight, inside in zip(weights, sides):
+        d += weight * (inside[:, None] ^ inside[None, :])
     return d
 
 
@@ -158,101 +152,78 @@ def test_realization_is_the_classical_mds_of_the_squares():
 
 
 def test_cut_decomposition_line_frozen():
-    # points 0, 1, 3 on the line; unique cut weights:
-    #   {1,2}|{0} -> 1 (the 0-1 gap), {2}|{0,1} -> 2 (the 1-3 gap)
-    d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
-    cuts = cut_decomposition(d)
-    got = {cut.members: cut.weight for cut in cuts}
-    assert set(got) == {frozenset({1, 2}), frozenset({2})}
-    assert np.isclose(got[frozenset({1, 2})], 1.0, atol=1e-9)
-    assert np.isclose(got[frozenset({2})], 2.0, atol=1e-9)
-    assert np.allclose(cut_metric(cuts, 3), d, atol=1e-9)
+    # points 0, 1, 3 on the line at r = 2: the arcs {2} and {1, 2} carry
+    # the two gaps' Poisson weights, and {1} the chance that one cut
+    # falls on each side of it
+    pts = np.array([[0.0], [1.0], [3.0]])
+    w, sides = cut_decomposition(pts, 2.0)
+    e1, e2 = -np.expm1(-0.5), -np.expm1(-1.0)
+    assert sides.tolist() == [[False, False, True], [False, True, True],
+                              [False, True, False]]
+    assert np.allclose(w, [e2 * (1.0 + np.exp(-0.5)), e1 * (1.0 + np.exp(-1.0)),
+                           e1 * e2], rtol=1e-15)
+    want = laplace_transform(squareform(pdist(pts, "cityblock")), 2.0)
+    assert np.allclose(cut_metric(w, sides), want, rtol=1e-15, atol=0.0)
 
 
 def test_cut_decomposition_random_l1():
     rng = np.random.default_rng(5)
     for trial in range(3):
         pts = rng.uniform(size=(7, 3)) * 4
-        d = PointSet(pts, 1.0).distance_matrix()
-        cuts = cut_decomposition(d)
-        assert np.allclose(cut_metric(cuts, 7), d, atol=1e-7)
-        # one coordinate per cut, weight on its members, reproduces the
-        # metric in l1
-        x = np.array([[c.weight * (i in c.members) for c in cuts]
-                      for i in range(7)])
-        d2 = PointSet(x, 1.0).distance_matrix()
-        assert np.allclose(d2, d, atol=1e-7)
+        d = squareform(pdist(pts, "cityblock"))
+        w, sides = cut_decomposition(pts, 1.5)
+        assert not sides[:, 0].any() and (w > 0).all()
+        assert np.allclose(cut_metric(w, sides), laplace_transform(d, 1.5),
+                           rtol=1e-12, atol=0.0)
+        # one coordinate per cut, weight on its members, reproduces L_r in
+        # l1
+        x = sides.T * w
+        assert np.allclose(pdist(x, "cityblock"),
+                           squareform(laplace_transform(d, 1.5), checks=False),
+                           rtol=1e-12)
 
 
 def test_laplace_line_metric_is_l1():
-    # concave transform of a line metric stays l1-embeddable
+    # L_r of a line metric is a sum of arc cuts in the line order: each
+    # cut is a run of the line, or the complement of one
     pts = np.array([[0.0], [1.0], [2.0], [4.0], [7.0]])
-    d = laplace_transform(PointSet(pts, 1.0).distance_matrix(), r=2.0)
-    np.fill_diagonal(d, 0.0)
-    cuts = cut_decomposition(d)
-    assert np.allclose(cut_metric(cuts, 5), d, atol=1e-7)
-
-
-def test_cut_system_is_built_once_per_size_and_read_only():
-    first = transforms._cut_system(6)
-    assert transforms._cut_system(6) is first
-    cuts, iu, ju, a_eq, cost = first
-    assert len(cuts) == 2 ** 5 - 1 and a_eq.shape == (15, 31 + 2 * 15)
-    for arr in (iu, ju, a_eq, cost):
-        assert not arr.flags.writeable
-    with pytest.raises(ValueError):
-        a_eq[0, 0] = 1.0
-    # a call after the system exists returns what a fresh system gives
-    d = laplace_transform(PointSet(np.arange(6.0)[:, None], 1.0)
-                          .distance_matrix(), r=2.0)
-    np.fill_diagonal(d, 0.0)
-    again = cut_decomposition(d)
-    transforms._cut_system.cache_clear()
-    fresh = cut_decomposition(d)
-    assert [(c.weight, c.members) for c in again] == \
-        [(c.weight, c.members) for c in fresh]
-    assert np.allclose(cut_metric(again, 6), d, atol=1e-7)
+    d = laplace_transform(squareform(pdist(pts, "cityblock")), r=2.0)
+    w, sides = cut_decomposition(pts, 2.0)
+    assert len(w) == 5 * 4 // 2
+    for row in sides:
+        runs = np.flatnonzero(np.diff(row.astype(int)))
+        assert len(runs) <= 2
+    assert np.allclose(cut_metric(w, sides), d, rtol=1e-14, atol=0.0)
 
 
 def test_cut_decomposition_too_large():
-    d = PointSet(np.arange(15.0)[:, None], 1.0).distance_matrix()
-    with pytest.raises(ClusterTooLarge):
-        cut_decomposition(d)
-
-
-def k23_path_metric():
-    # K_{2,3}: distance 1 across the two sides, 2 within a side
-    side = np.array([0, 0, 1, 1, 1])
-    d = np.where(side[:, None] == side, 2.0, 1.0)
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
-@pytest.mark.parametrize("dmat, slack", [
-    (k23_path_metric(), "2"),       # a metric, but not l1-embeddable
-    (np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]), "1"),
-], ids=["k23", "no-triangle"])
-def test_cut_decomposition_off_l1_is_infeasible(dmat, slack):
-    with pytest.raises(Infeasible, match=f"residual slack {slack}$"):
-        cut_decomposition(dmat)
+    # 60 points in 2-d span about 1830^2 boxes; an l1 line of 60 points
+    # spans 1830, whatever its number of coordinates
+    pts = np.random.default_rng(3).uniform(0, 10, (60, 2))
+    with pytest.raises(ClusterTooLarge, match="spans 3348900 boxes"):
+        cut_decomposition(pts, 1.0)
+    stairs = np.cumsum(np.ones((60, 2)), axis=0)
+    assert transforms.cut_axes(stairs).shape == (60, 1)
+    assert len(cut_decomposition(stairs, 1e3)[0]) == 60 * 59 // 2
 
 
 def test_circular_cuts_frozen():
-    # points at 0, 1, 3: line_order starts at the far end 3, and the
-    # rotation puts point 0 first, so the circular order is 0, 3, 1
-    d = PointSet(np.array([[0.0], [1.0], [3.0]]), 1.0).distance_matrix()
-    order = line_order(d)
-    assert order.tolist() == [2, 1, 0]
-    cuts = circular_cuts(d, order)
-    # the zero-weight arc {1} is dropped
-    assert [(c.weight, c.members) for c in cuts] == \
-        [(2.0, frozenset({2})), (1.0, frozenset({1, 2}))]
-    # out of line order the arcs of a line metric carry a negative weight
-    d4 = PointSet(np.arange(4.0)[:, None], 1.0).distance_matrix()
-    assert circular_cuts(d4, np.array([0, 2, 1, 3])) is None
-    # the corners of a square are no line
-    square = PointSet(np.array([[0.0, 0.0], [1, 0], [1, 1], [0, 1]]), 1.0)
-    assert line_order(square.distance_matrix()) is None
+    # points at 0, 1, 3, listed as 1, 3, 0: the first point lies outside
+    # every cut, and the cuts come in the circular order that lists it
+    # first and the others by falling distance from it (3, then 0), by
+    # first and then last position (Chepoi-Fichet's arcs)
+    pts = np.array([[1.0], [3.0], [0.0]])
+    w, sides = cut_decomposition(pts, 2.0)
+    assert [np.flatnonzero(row).tolist() for row in sides] == \
+        [[1], [1, 2], [2]]
+    # an end point's arc is the interval of its own value or the
+    # complement of the others'; {3, 0} straddles the first point and is
+    # the complement of its interval alone
+    e1, e2 = -np.expm1(-0.5), -np.expm1(-1.0)
+    assert np.allclose(w, [e2 * (1.0 + np.exp(-0.5)), e1 * e2,
+                           e1 * (1.0 + np.exp(-1.0))], rtol=1e-15)
+    want = laplace_transform(squareform(pdist(pts, "cityblock")), 2.0)
+    assert np.allclose(cut_metric(w, sides), want, rtol=1e-14, atol=0.0)
 
 
 @st.composite
@@ -276,53 +247,65 @@ def l1_lines(draw):
     return pts, scale * 2.0 ** draw(st.floats(-8, 12))
 
 
-def no_lp(*args, **kwargs):
-    raise AssertionError("the cut LP ran")
-
-
 @settings(max_examples=60)
 @given(case=l1_lines())
 def test_line_cuts_rebuild_a_pdist_oracle_without_an_lp(case):
-    # scipy's distances and L_r written out, so the oracle does not rest
-    # on the kernels the cuts are built from
+    # a staircase is cut as one axis of coordinate sums: its cuts are the
+    # n(n-1)/2 arcs at most, and the cluster map built from them rebuilds
+    # scipy's distances through L_r, written out so that the oracle does
+    # not rest on the kernels the cuts are built from
     pts, r = case
     n = len(pts)
     want = r * (1.0 - np.exp(-squareform(pdist(pts, "cityblock")) / r))
     tol = CUT_RTOL * want.max()
-    dmat = PointSet(pts, 1.0).distance_matrix()
-    lr = laplace_transform(dmat, r)
-    np.fill_diagonal(lr, 0.0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.optimize, "linprog", no_lp)
-        order = line_order(dmat)
-        assert order is not None
-        cuts = circular_cuts(lr, order)
-        # the build's route, with every point a net point: an exact map
-        coords = _embed_cluster_l1(dmat, np.arange(n), r, {})
-    assert cuts and min(c.weight for c in cuts) > 0
-    assert not any(0 in c.members for c in cuts)
-    assert np.abs(cut_metric(cuts, n) - want).max() <= tol
+    assert transforms.cut_axes(pts).shape == (n, 1)
+    w, sides = cut_decomposition(pts, r)
+    # the build's route, with every point a net point: an exact map
+    coords = _embed_cluster_l1(pts, np.arange(n), r, {})
+    assert 0 < len(w) <= n * (n - 1) // 2 and w.min() > 0
+    assert not sides[:, 0].any()
+    assert np.abs(cut_metric(w, sides) - want).max() <= tol
     assert np.abs(pdist(coords, "cityblock")
                   - squareform(want, checks=False)).max() <= tol
 
 
-def test_a_cluster_off_a_line_reaches_the_lp(monkeypatch):
-    pts = np.random.default_rng(11).uniform(0, 10, (7, 3))
-    dmat = PointSet(pts, 1.0).distance_matrix()
-    assert line_order(dmat) is None
-    calls = []
+@st.composite
+def l1_sets(draw):
+    """2 to 30 points in 1 or 2 dimensions, or 2 to 10 in 3, whose
+    coordinates come from up to 8 values per axis (so that points share
+    values, with uneven gaps), rescaled by up to 2^+-12 and translated by
+    up to 1e6 per coordinate; and r from 2^-8 to 2^8 of the diameter."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 30 if dim < 3 else 10))
+    values = [draw(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8,
+                            unique=True)) for _ in range(dim)]
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 7)] * dim),
+                          min_size=n, max_size=n, unique=True))
+    scale = draw(st.floats(2.0 ** -12, 2.0 ** 12))
+    shift = draw(arrays(np.float64, dim, elements=st.floats(-1e6, 1e6)))
+    pts = np.array([[values[c][i] for c, i in enumerate(cell)]
+                    for cell in cells]) * scale + shift
+    assume(pdist(pts, "cityblock").min() > 0)
+    return pts, pdist(pts, "cityblock").max() * 2.0 ** draw(st.floats(-8, 8))
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return linprog(*args, **kwargs)
 
-    linprog = scipy.optimize.linprog
-    monkeypatch.setattr(scipy.optimize, "linprog", counting)
-    coords = _embed_cluster_l1(dmat, np.arange(7), 2.0, {})
-    assert len(calls) == 1
-    want = 2.0 * (1.0 - np.exp(-pdist(pts, "cityblock") / 2.0))
-    assert np.allclose(pdist(coords, "cityblock"), want, atol=1e-7)
-
+@settings(max_examples=80, deadline=None)
+@given(case=l1_sets())
+def test_box_cuts_rebuild_a_pdist_oracle(case):
+    # with no weight dropped, the box cuts rebuild L_r of scipy's l1
+    # distances to rounding; the drop rule then moves no pair by more
+    # than CUT_RTOL of the largest L_r
+    pts, r = case
+    d = pdist(pts, "cityblock")
+    want = squareform(r * -np.expm1(-d / r))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "CUT_RTOL", 0.0)
+        w, sides = cut_decomposition(pts, r)
+    assert np.abs(cut_metric(w, sides) - want).max() <= 1e-12 * d.max()
+    w, sides = cut_decomposition(pts, r)
+    assert not sides[:, 0].any() and w.min() > 0
+    assert (np.abs(cut_metric(w, sides) - want).max()
+            <= CUT_RTOL * want.max() + 1e-12 * d.max())
 
 def test_frechet_coordinates_clip_and_lipschitz():
     rng = np.random.default_rng(6)
