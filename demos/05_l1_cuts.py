@@ -7,11 +7,11 @@ weights in closed form. Drop independent rate-1/r Poisson cuts on every
 axis: two points share a cell with chance exp(-d/r), so L_r is r/2 times
 the chance-weighted sum of the cuts of every box whose sides are
 intervals of the sorted coordinate values. cut_decomposition writes those
-cuts for any l1 point set. On a line (also a monotone staircase in
-several coordinates) they are the arcs of Chepoi and Fichet; off a line
-they are boxes. The single-scale l1 build cuts each decomposition
-cluster, merges the cut coordinates along shared net points, and keeps
-the map 1-Lipschitz with net pairs exact.
+cuts for any l1 point set. On a line (also a staircase or an
+anti-diagonal in several coordinates) they are the arcs of Chepoi and
+Fichet; off a line they are boxes. The single-scale l1 build cuts each
+decomposition cluster, merges the cut coordinates along shared net
+points, and keeps the map 1-Lipschitz with net pairs exact.
 """
 
 import numpy as np

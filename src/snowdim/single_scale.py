@@ -68,9 +68,14 @@ RESCALE_C = {1.0: 40.0, 2.0: 40.0, np.inf: 0.0}
 EPS_PAD = 0.36
 #: doublings of the decomposition diameter before giving up
 DELTA_RETRIES = 3
-#: the distance transform each target norm tracks
-TRANSFORMS = {2.0: gaussian_transform, 1.0: laplace_transform,
-              np.inf: threshold_transform}
+
+
+def transform_for(norm: float):
+    if norm == 2.0:
+        return gaussian_transform
+    if norm == 1.0:
+        return laplace_transform
+    return threshold_transform
 
 
 @dataclass
@@ -364,10 +369,17 @@ def _point_keys(n: int) -> np.ndarray:
 
 def _exact_groups(flat: np.ndarray, starts: np.ndarray,
                   sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group candidate clusters by their member bytes."""
-    return _groups(np.array([flat[lo:lo + size].tobytes() for lo, size in
-                             zip(starts.tolist(), sizes.tolist())],
-                            dtype=object))
+    """Group candidate clusters by their member bytes, one at a time."""
+    group_of: dict[bytes, int] = {}
+    first, inverse = [], np.empty(len(sizes), dtype=np.intp)
+    for j, (lo, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+        key = flat[lo:lo + size].tobytes()
+        g = group_of.get(key)
+        if g is None:
+            g = group_of[key] = len(first)
+            first.append(j)
+        inverse[j] = g
+    return np.array(first, dtype=np.intp), inverse
 
 
 def _distinct(flat: np.ndarray, sizes: np.ndarray,
@@ -387,7 +399,7 @@ def _distinct(flat: np.ndarray, sizes: np.ndarray,
     np.cumsum(_point_keys(n)[flat], out=csum[1:])
     key = (csum[starts + sizes] - csum[starts]
            + sizes.astype(np.uint64) * np.uint64(0xD6E8FEB86659FD93))
-    first, inverse = _groups(key)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     lead = first[inverse]
     same = np.array_equal(sizes[lead], sizes)
     if same:
@@ -395,7 +407,11 @@ def _distinct(flat: np.ndarray, sizes: np.ndarray,
         same = np.array_equal(flat[np.arange(len(flat)) + shift], flat)
     if not same:
         return _exact_groups(flat, starts, sizes)
-    return first, inverse
+    # renumber the groups in order of first appearance
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
 
 
 def _capped_h(s: PointSet, labels: np.ndarray, rows: np.ndarray,
@@ -601,7 +617,7 @@ def contract_audit(e: SingleScaleEmbedding) -> report_mod.DistortionReport:
     iu, ju = np.triu_indices(s.n, k=1)
     src = dmat[iu, ju]
     dst = img[iu, ju]
-    tf = TRANSFORMS[p.norm]
+    tf = transform_for(p.norm)
     ref = np.asarray(tf(src, p.r))
     if p.norm == np.inf:
         window = (p.delta * p.r, p.r / math.sqrt(p.delta))
@@ -650,7 +666,7 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     """
     p = e.params
     dmat = e.source.distance_matrix()
-    tf = TRANSFORMS[p.norm]
+    tf = transform_for(p.norm)
     max_f_norm = 0.0
     worst_ii = -np.inf        # max of |f(x)-f(y)| - transform(d), want <= slack
     worst_tf = -np.inf        # max of transform(d) - d, want <= float noise

@@ -94,7 +94,7 @@ from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleParams,
                            _block_weights, _dumps_coords, _l1_block,
                            _linf_block, _scale_gram, require_source,
                            scale_clusters, theory_dimension)
-from .transforms import _groups, classical_mds, gaussian_transform
+from .transforms import classical_mds, gaussian_transform
 
 #: offset added to the scale index when deriving per-scale seeds, so the
 #: seed entropy stays nonnegative for any sane index window
@@ -266,7 +266,11 @@ def _dominant_pair_mask(sc: ScaleClusters, iu: np.ndarray,
     label row stands for all of its partitions."""
     dec = sc.decomposition
     pad = dec.padded.all(axis=0)
-    col = _groups(dec.labels.T)[1]
+    labels = np.ascontiguousarray(dec.labels.T)
+    # each contiguous row read as one opaque value: a bytewise sort, not
+    # the structured-dtype sort of np.unique(axis=0)
+    rows = labels.view(np.dtype((np.void, labels.shape[1] * labels.itemsize)))
+    col = np.unique(rows.ravel(), return_inverse=True)[1]
     return (col[iu] == col[ju]) & pad[iu] & pad[ju]
 
 

@@ -37,9 +37,10 @@ EIG_KEEP_RTOL = 1e-13
 #: cut weights at most this fraction of the largest L_r, over the number
 #: of cuts, are dropped
 CUT_RTOL = 1e-9
-#: refuse a cut decomposition whose boxes times points pass this: the
-#: boxes bound its candidate cuts, and each cut is a row over the points
-MAX_BOX_POINTS = 1 << 24
+#: refuse a cut decomposition whose candidate cuts on one axis, times the
+#: points, pass this (``cut_axes``): each cut is a row over the points.
+#: 14 points pass in any number of dimensions
+MAX_BOX_POINTS = 1 << 25
 
 
 def _check_r(r: float) -> float:
@@ -124,22 +125,29 @@ def euclidean_realization(dmat: np.ndarray) -> np.ndarray:
 
 def cut_axes(points) -> np.ndarray:
     """The coordinates ``cut_decomposition`` cuts along, for l1 rows:
-    each axis shifted to start at 0, or, when every axis is non-decreasing
-    in the order of the coordinate sum (any l1 line), the sum alone, which
-    measures every pair the same. Raises ClusterTooLarge when the boxes
-    (one interval of sorted values per axis) times the points pass
-    MAX_BOX_POINTS; the same count bounds every subset's."""
+    each axis shifted to start at 0, or, when every axis is monotone in
+    the order of the l1 distance t from an end of the set (any l1 line),
+    t alone, which measures every pair the same. Raises ClusterTooLarge
+    when the candidate cuts of one axis's pass times the points pass
+    MAX_BOX_POINTS: a pass crosses the member sets so far, at most
+    2^n - 1 of them once merged, with the q(q + 1)/2 intervals of the
+    axis's q values. A subset's count is never larger."""
     x = np.asarray(points, dtype=np.float64)
     x = x - x.min(axis=0, initial=np.inf)
-    if x.shape[1] > 1:
-        total = x.sum(axis=1)
-        if (np.diff(x[np.argsort(total, kind="stable")], axis=0) >= 0).all():
-            x = total[:, None]
-    boxes = math.prod(q * (q + 1) // 2 for q in map(len, map(np.unique, x.T)))
-    if boxes * len(x) > MAX_BOX_POINTS:
-        raise ClusterTooLarge(
-            f"the cut decomposition of {len(x)} points spans {boxes} boxes; "
-            f"boxes times points passes the cap of {MAX_BOX_POINTS}")
+    n = len(x)
+    if n and x.shape[1] > 1:
+        t = np.abs(x - x[np.abs(x - x[0]).sum(axis=1).argmax()]).sum(axis=1)
+        step = np.diff(x[np.argsort(t, kind="stable")], axis=0)
+        if ((step >= 0).all(axis=0) | (step <= 0).all(axis=0)).all():
+            x = t[:, None]
+    cand = 1
+    for q in map(len, map(np.unique, x.T)):
+        cand = min(cand, (1 << n) - 1) * q * (q + 1) // 2
+        if cand * n > MAX_BOX_POINTS:
+            raise ClusterTooLarge(
+                f"the cut decomposition of {n} points crosses {cand} "
+                f"candidate cuts on one axis; candidates times points "
+                f"passes the cap of {MAX_BOX_POINTS}")
     return x
 
 
@@ -151,14 +159,13 @@ def _pack(sides: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Equal entries of a 1-d array, or equal rows of a 2-d one: each
-    distinct one's first index, ascending, and each one's group, numbered
-    in that order. A row is compared as one opaque value, a bytewise
-    sort, not the structured-dtype sort of np.unique(axis=0)."""
-    if keys.ndim == 2:
-        keys = (keys[:, 0] if keys.shape[1] == 1 else np.ascontiguousarray(
-            keys).view(f"V{keys.itemsize * keys.shape[1]}")[:, 0])
+def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows of a 2-d array: each distinct row's first index,
+    ascending, and each row's group, numbered in that order. A row is
+    compared as one opaque value, a bytewise sort, not the
+    structured-dtype sort of np.unique(axis=0)."""
+    keys = (rows[:, 0] if rows.shape[1] == 1 else np.ascontiguousarray(
+        rows).view(f"V{rows.itemsize * rows.shape[1]}")[:, 0])
     _, first, inverse = np.unique(keys, return_index=True,
                                   return_inverse=True)
     order = np.argsort(first)
@@ -201,7 +208,8 @@ def cut_decomposition(points, r: float) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         return np.zeros(0), np.zeros((0, n), dtype=bool)
     words = -(-n // 64)
-    keys = mass = None
+    full = _pack(np.ones((1, n), dtype=bool))
+    keys, mass = full, np.ones(1)
     for col in x.T:
         v, at = np.unique(col, return_inverse=True)
         lo, hi = np.triu_indices(len(v))
@@ -209,9 +217,6 @@ def cut_decomposition(points, r: float) -> tuple[np.ndarray, np.ndarray]:
         prob = (np.expm1(-gap[lo] / r) * np.expm1(-gap[hi + 1] / r)
                 * np.exp(-(v[hi] - v[lo]) / r))
         boxes = _pack((lo[:, None] <= at) & (at <= hi[:, None]))
-        if keys is None:                # distinct intervals, distinct sets
-            keys, mass = boxes, prob
-            continue
         step = max(1, PAIRWISE_BYTES // (8 * (words + 1) * len(lo)))
         parts = []
         for s in range(0, len(keys), step):
@@ -220,7 +225,6 @@ def cut_decomposition(points, r: float) -> tuple[np.ndarray, np.ndarray]:
             parts.append(_merge(cand[live], np.outer(mass[s:s + step],
                                                      prob).ravel()[live]))
         keys, mass = _merge(*map(np.concatenate, zip(*parts)))
-    full = _pack(np.ones((1, n), dtype=bool))
     keys = np.where(keys[:, :1] & np.uint64(1), keys ^ full, keys)
     live = keys.any(axis=1)
     keys, mass = _merge(keys[live], mass[live])

@@ -665,17 +665,18 @@ def test_a_daemonic_caller_builds_every_scale_itself(monkeypatch):
 
 def test_l1_above_the_cut_cap_is_refused_before_any_scale(monkeypatch):
     # the coarser scales keep all 60 points of the ball in one cluster,
-    # whose 1830^2 boxes pass the cut decomposition's cap: the whole ladder
-    # could never finish. The single-scale build refuses it the same way
+    # whose 1830 x 1830 candidate cuts on its second axis pass the cut
+    # decomposition's cap: the whole ladder could never finish. The
+    # single-scale build refuses it the same way
     calls = []
     monkeypatch.setattr(snowflake, "scale_clusters",
                         counting_scale_clusters(calls))
     monkeypatch.setattr(single_scale, "scale_clusters",
                         counting_scale_clusters(calls))
     s = normalize(generate("ball", n=60, dim=2, norm="l1", seed=0))
-    with pytest.raises(ClusterTooLarge, match="spans 3348900 boxes"):
+    with pytest.raises(ClusterTooLarge, match="crosses 3348900 candidate cuts"):
         build_snowflake(s, 0.5, 0.1)
-    with pytest.raises(ClusterTooLarge, match="spans 3348900 boxes"):
+    with pytest.raises(ClusterTooLarge, match="crosses 3348900 candidate cuts"):
         build_single_scale(s, SingleScaleParams(r=1.0, eps=0.1, delta=0.1))
     assert calls == []
 
@@ -874,11 +875,12 @@ def test_a_negative_seed_or_a_bad_dim_hat_is_refused_up_front(monkeypatch):
 
 
 def test_l1_line_past_the_cut_cap_builds_without_an_lp(monkeypatch):
-    # a monotone staircase of 20 points in 3-d is an l1 line: the
-    # coordinate sums cut it, and every cluster of it, along one axis
+    # a staircase of 20 points in 3-d whose second coordinate falls is an
+    # l1 line: the distance from its end cuts it, and every cluster of
+    # it, along one axis
     steps = np.random.default_rng(4).integers(0, 2, (19, 3))
     steps[steps.sum(axis=1) == 0, 0] = 1
-    pts = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+    pts = np.vstack([np.zeros(3), np.cumsum(steps * [1, -1, 1], axis=0)])
     axes = []
 
     def one_axis(rel, r):
@@ -890,6 +892,21 @@ def test_l1_line_past_the_cut_cap_builds_without_an_lp(monkeypatch):
     e = build_snowflake(s, 0.5, 0.1, seed=0)
     assert axes and set(axes) == {1}
     assert distortion_audit(e).passed
+
+
+def test_small_l1_sets_build_in_many_dimensions():
+    # few points pass the cut cap in any number of dimensions, up front
+    # and per cluster; so does a 60-point anti-diagonal, cut as a line
+    rng = np.random.default_rng(0)
+    e = build_snowflake(normalize(PointSet(rng.random((3, 10)), norm=1.0)),
+                        0.5, 0.1, seed=0)
+    assert distortion_audit(e).passed
+    i = np.arange(60.0)
+    for pts in (rng.random((14, 5)), np.c_[i, 59 - i]):
+        s = normalize(PointSet(pts, norm=1.0))
+        one = SingleScaleParams(s.diameter(), 0.1, 0.1, seed=0)
+        e = build_single_scale(s, one)
+        assert len(e.clusters) == 1 and contract_audit(e).passed
 
 
 def test_l1_sets_off_a_line_build_with_no_scipy():

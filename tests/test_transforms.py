@@ -197,14 +197,30 @@ def test_laplace_line_metric_is_l1():
 
 
 def test_cut_decomposition_too_large():
-    # 60 points in 2-d span about 1830^2 boxes; an l1 line of 60 points
-    # spans 1830, whatever its number of coordinates
+    # 60 points in 2-d cross the 1830 intervals of one axis with the 1830
+    # of the other; an l1 line of 60 points has 1830 on one axis, whatever
+    # its number of coordinates and whichever way each of them runs
     pts = np.random.default_rng(3).uniform(0, 10, (60, 2))
-    with pytest.raises(ClusterTooLarge, match="spans 3348900 boxes"):
+    with pytest.raises(ClusterTooLarge,
+                       match="crosses 3348900 candidate cuts on one axis"):
         cut_decomposition(pts, 1.0)
-    stairs = np.cumsum(np.ones((60, 2)), axis=0)
-    assert transforms.cut_axes(stairs).shape == (60, 1)
-    assert len(cut_decomposition(stairs, 1e3)[0]) == 60 * 59 // 2
+    i = np.arange(60.0)
+    for line in (np.c_[i, 2 * i], np.c_[i, 59 - i], np.c_[i, -i, i]):
+        assert transforms.cut_axes(line[::-1]).shape == (60, 1)
+        assert len(cut_decomposition(line, 1e3)[0]) == 60 * 59 // 2
+    # a bend is no line, and stays on its two axes
+    assert transforms.cut_axes(np.c_[i, abs(i - 30)][::6]).shape == (10, 2)
+
+
+@pytest.mark.parametrize("n, dim", [(3, 10), (14, 5)])
+def test_small_sets_in_many_dimensions_decompose(n, dim):
+    # each pass merges its candidates into at most 2^n - 1 member sets, so
+    # a few points stay under the cap in any number of dimensions
+    pts = np.random.default_rng(n).uniform(0, 10, (n, dim))
+    d = pdist(pts, "cityblock")
+    w, sides = cut_decomposition(pts, 5.0)
+    assert (np.abs(cut_metric(w, sides) - squareform(5.0 * -np.expm1(-d / 5.0)))
+            .max() <= CUT_RTOL * 5.0 + 1e-12 * d.max())
 
 
 def test_circular_cuts_frozen():
@@ -228,8 +244,8 @@ def test_circular_cuts_frozen():
 
 @st.composite
 def l1_lines(draw):
-    """A monotone staircase of 2 to 40 points in 1 to 3 dimensions, which
-    l1 measures as a line, in shuffled order, rescaled by up to 2^+-12 and
+    """A staircase of 2 to 40 points in 1 to 3 dimensions, each coordinate
+    rising or falling, which l1 measures as a line, in shuffled order, rescaled by up to 2^+-12 and
     translated by up to 1e8 per coordinate; and r from 2^-8 of the
     smallest step (every pair saturated) to 2^12 of it (nearly linear)."""
     n = draw(st.integers(2, 40))
@@ -238,6 +254,7 @@ def l1_lines(draw):
                         elements=st.integers(0, 4).map(float)))
     steps[steps.sum(axis=1) == 0, 0] = 1.0
     pts = np.vstack([np.zeros(dim), np.cumsum(steps, axis=0)])
+    pts *= draw(arrays(np.float64, dim, elements=st.sampled_from([-1.0, 1.0])))
     pts = pts[draw(st.permutations(range(n)))]
     scale = draw(st.floats(2.0 ** -12, 2.0 ** 12))
     shift = draw(arrays(np.float64, dim, elements=st.floats(-1e8, 1e8)))
@@ -250,10 +267,10 @@ def l1_lines(draw):
 @settings(max_examples=60)
 @given(case=l1_lines())
 def test_line_cuts_rebuild_a_pdist_oracle_without_an_lp(case):
-    # a staircase is cut as one axis of coordinate sums: its cuts are the
-    # n(n-1)/2 arcs at most, and the cluster map built from them rebuilds
-    # scipy's distances through L_r, written out so that the oracle does
-    # not rest on the kernels the cuts are built from
+    # a staircase is cut along one axis, the distance from an end: its
+    # cuts are the n(n-1)/2 arcs at most, and the cluster map built from
+    # them rebuilds scipy's distances through L_r, written out so that the
+    # oracle does not rest on the kernels the cuts are built from
     pts, r = case
     n = len(pts)
     want = r * (1.0 - np.exp(-squareform(pdist(pts, "cityblock")) / r))
@@ -306,6 +323,7 @@ def test_box_cuts_rebuild_a_pdist_oracle(case):
     assert not sides[:, 0].any() and w.min() > 0
     assert (np.abs(cut_metric(w, sides) - want).max()
             <= CUT_RTOL * want.max() + 1e-12 * d.max())
+
 
 def test_frechet_coordinates_clip_and_lipschitz():
     rng = np.random.default_rng(6)
