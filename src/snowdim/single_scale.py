@@ -22,7 +22,11 @@ writes at most n coordinates. l-infinity writes the whole scale in one
 scatter (``_linf_block``): one column per net point of each cluster of
 two or more points. l1 writes each distinct cluster's map in a column
 block of its own (``_l1_block``) from the closed-form box cuts of its
-coordinates (``cut_decomposition``), merged on their net traces.
+coordinates, merged on their net traces. The cuts' sets do not depend on
+r: a cluster shape (its coordinates relative to its first member) is cut
+once (``cut_structure``) into a dict the caller keeps, one per build, and
+every cluster of that shape, at this scale or any other, replays it at
+its r (``cut_weights``).
 ``scale_clusters`` is the first half alone: the decomposition and each
 distinct cluster's count and smoothing. It reads the carvings' clusters
 off the decomposition's member and size rows and finds the distinct
@@ -55,9 +59,9 @@ from .errors import (BadParams, EmptyInput, HeaderMismatch, NotEuclidean,
 from .points import (PAIRWISE_BYTES, Net, PointSet, _pairwise,
                      estimate_doubling, greedy_net, norm_label, norm_tag,
                      require_normalized, require_seed, vector_norm)
-from .transforms import (_groups, _pack, cut_axes, cut_decomposition,
-                         euclidean_realization, factor_gram,
-                         gaussian_transform, laplace_transform,
+from .transforms import (CutStructure, _groups, _pack, cut_axes,
+                         cut_structure, cut_weights, euclidean_realization,
+                         factor_gram, gaussian_transform, laplace_transform,
                          threshold_transform)
 
 #: delta_decomp = 3 * C_PAD * max(1, dim_hat) * r / delta
@@ -274,20 +278,24 @@ def theory_dimension(eps: float, delta: float, eps_pad: float,
 
 
 def _embed_cluster_l1(points_c: np.ndarray, net_local: np.ndarray, r: float,
-                      cuts_by_shape: dict[bytes, tuple]) -> np.ndarray:
+                      structures: dict[bytes, CutStructure]) -> np.ndarray:
+    """A cluster's raw l1 map f_C at scale r: its box cuts' weights at r
+    (``cut_weights``), summed over the cuts of each trace on its net
+    points. The cut structure is a function of the coordinates relative
+    to the first member alone, so it is built once per shape, on first
+    use, and kept in ``structures`` for every later cluster and scale of
+    that shape (translated clusters, such as the runs of an evenly
+    spaced set, share one); the trace grouping depends on the cluster's
+    net points and stays per cluster."""
     nc = len(points_c)
     if nc < 2 or len(net_local) == 0:
         return np.zeros((nc, 0))
-    # the cuts are a function of the coordinates relative to the first
-    # member alone: translated clusters (any run of an evenly spaced set)
-    # share one decomposition; the trace grouping below depends on the
-    # cluster's net points and stays per cluster
     rel = points_c - points_c[0]
     key = rel.tobytes()
-    cuts = cuts_by_shape.get(key)
-    if cuts is None:
-        cuts = cuts_by_shape[key] = cut_decomposition(rel, r)
-    weights, sides = cuts
+    structure = structures.get(key)
+    if structure is None:
+        structure = structures[key] = cut_structure(rel)
+    weights, sides = cut_weights(structure, r)
     # one coordinate per distinct trace A ∩ (C ∩ N), in order of first
     # appearance; summing same-trace cuts is 1-Lipschitz and exactly
     # isometric on the net points. The first member lies outside every
@@ -326,23 +334,25 @@ def _linf_block(sc: ScaleClusters, dmat: np.ndarray, in_net: np.ndarray,
 
 
 def _l1_block(sc: ScaleClusters, points: np.ndarray, in_net: np.ndarray,
-              scaled_w: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+              scaled_w: np.ndarray, structures: dict[bytes, CutStructure]
+              ) -> tuple[np.ndarray, list[np.ndarray]]:
     """An l1 scale's coordinates, and each distinct cluster's raw map f_C
-    (``_embed_cluster_l1``). Each f_C times ``scaled_w`` (aligned with
-    ``sc.members``) fills a column block of its own on the cluster's rows,
-    clusters in order. Translated clusters share one cut decomposition."""
-    bounds = np.cumsum(sc.sizes)[:-1]
-    cuts_by_shape: dict[bytes, tuple] = {}
-    maps = [_embed_cluster_l1(points[c], np.flatnonzero(in_net[c]),
-                              sc.params.r, cuts_by_shape)
-            for c in np.split(sc.members, bounds)]
-    out = np.zeros((len(points), sum(f.shape[1] for f in maps)))
+    (``_embed_cluster_l1``, which reads and fills ``structures``, the cut
+    structures by cluster shape). Each f_C times ``scaled_w`` (aligned
+    with ``sc.members``) fills a column block of its own on the cluster's
+    rows, clusters in order."""
+    ends = np.cumsum(sc.sizes).tolist()
+    blocks = []
+    for lo, hi in zip([0] + ends[:-1], ends):
+        c = sc.members[lo:hi]
+        blocks.append((c, scaled_w[lo:hi, None], _embed_cluster_l1(
+            points[c], np.flatnonzero(in_net[c]), sc.params.r, structures)))
+    out = np.zeros((len(points), sum(f.shape[1] for _, _, f in blocks)))
     col = 0
-    for c, w, f in zip(np.split(sc.members, bounds),
-                       np.split(scaled_w, bounds), maps):
-        out[c, col:col + f.shape[1]] = f * w[:, None]
+    for c, w, f in blocks:
+        out[c, col:col + f.shape[1]] = f * w
         col += f.shape[1]
-    return out, maps
+    return out, [f for _, _, f in blocks]
 
 
 def _block_weights(sc: ScaleClusters,
@@ -592,7 +602,7 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
         if p.norm == np.inf:
             coords = _linf_block(sc, dmat, in_net, scaled_w)
         else:
-            coords, maps = _l1_block(sc, s.points, in_net, scaled_w)
+            coords, maps = _l1_block(sc, s.points, in_net, scaled_w, {})
             for c, f in zip(entries, maps):
                 c.coords = f
     return SingleScaleEmbedding(

@@ -14,8 +14,10 @@ scales below): ``scale_clusters`` decomposes it and finds its distinct
 clusters, the norm's map is built from their arrays by the function
 ``build_single_scale`` calls too (``_scale_gram``, ``_l1_block`` or
 ``_linf_block``), and the map's condensed pair distances are taken where
-the scale is built. Those distances, a row of ``scale_dists``, are all a
-scale keeps for the audit. How the maps are combined depends on the norm:
+the scale is built (l1 cuts each cluster shape once per build and
+replays the cuts at every scale that meets it). Those distances, a row
+of ``scale_dists``, are all a scale keeps for the audit. How the maps
+are combined depends on the norm:
 
 * l2 is the direct sum of the scales, written in at most n - 1
   coordinates as the classical MDS (``classical_mds``) of the summed
@@ -81,7 +83,7 @@ import os
 import signal
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,7 +96,7 @@ from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleParams,
                            _block_weights, _dumps_coords, _l1_block,
                            _linf_block, _scale_gram, require_source,
                            scale_clusters, theory_dimension)
-from .transforms import classical_mds, gaussian_transform
+from .transforms import CutStructure, classical_mds, gaussian_transform
 
 #: offset added to the scale index when deriving per-scale seeds, so the
 #: seed entropy stays nonnegative for any sane index window
@@ -277,7 +279,10 @@ def _dominant_pair_mask(sc: ScaleClusters, iu: np.ndarray,
 @dataclass
 class _ScaleJob:
     """What every scale of one snowflake reads, set up before any scale is
-    built; the scale helpers inherit it through fork."""
+    built; the scale helpers inherit it through fork. ``structures``
+    alone grows as the scales are built: the l1 cut structure of each
+    cluster shape met so far, which every later scale replays. It lives
+    for one build, and each helper fills its own copy."""
 
     s: PointSet
     plan: SnowflakePlan
@@ -287,6 +292,7 @@ class _ScaleJob:
     iu: np.ndarray                   # the pairs i < j
     ju: np.ndarray
     pair_d: np.ndarray               # their source distances
+    structures: dict[bytes, CutStructure] = field(default_factory=dict)
 
 
 def _scale_params(job: _ScaleJob, i: int) -> SingleScaleParams:
@@ -344,7 +350,8 @@ def _build_scale(job: _ScaleJob,
             scaled_w = _block_weights(sc, 1.0)[1]
             block = w * (_linf_block(sc, dmat, in_net, scaled_w)
                          if plan.norm == np.inf
-                         else _l1_block(sc, job.s.points, in_net, scaled_w)[0])
+                         else _l1_block(sc, job.s.points, in_net, scaled_w,
+                                        job.structures)[0])
             k = block.shape[1]
             if k:
                 dists = _pair_distances(block, plan.norm, job.iu, job.ju)

@@ -16,12 +16,16 @@ its clusters' closed-form Gram sum, the l2 snowflake is the classical MDS
 of its summed squared per-scale distances, and ``euclidean_realization``
 that of a distance matrix. l1 maps are cuts, one closed form for any l1
 point set (``cut_decomposition``: the boxes of Poisson cuts on every
-axis), and l-infinity maps are per-landmark threshold coordinates.
+axis), split into the member sets and their merges, which do not depend
+on r (``cut_structure``), and the weights at r, summed from them
+(``cut_weights``); a build keeps one structure per cluster shape for all
+its scales. l-infinity maps are per-landmark threshold coordinates.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,12 +178,133 @@ def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse]
 
 
-def _merge(keys: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray,
-                                                       np.ndarray]:
-    """The distinct rows of ``keys``, each with its summed mass."""
-    first, group = _groups(keys)
-    return keys[first], np.bincount(group, weights=mass,
-                                    minlength=len(first))
+class CutPass(NamedTuple):
+    """One axis's pass of a ``CutStructure``: the axis's gaps (infinite
+    past each end); each interval's lower and upper gap, as indices into
+    them, and its span; the member sets per chunk; each chunk's bin map
+    from its candidates (member set by interval) to its distinct
+    nonempty sets; and the bin map merging the chunks' sets. A bin map
+    (group, k) sends entries to bins 0..k-1 and dead entries to a
+    dropped bin k, in the narrowest unsigned type; group is None for the
+    identity."""
+
+    gap: np.ndarray
+    lo: np.ndarray
+    hi1: np.ndarray
+    span: np.ndarray
+    step: int
+    chunks: tuple
+    merge: tuple
+
+
+class CutStructure(NamedTuple):
+    """The r-free part of an l1 cut decomposition (``cut_structure``):
+    one pass per axis of ``cut_axes``, the bin map (as in ``CutPass``)
+    from the last pass's sets, complemented to leave the first point
+    out, to the cuts in arc order (the empty set is dead), the cuts'
+    sides in that order, and the largest l1 distance."""
+
+    n: int
+    passes: tuple
+    final: tuple
+    sides: np.ndarray
+    diam: float
+
+
+def _bin_map(live: np.ndarray, group: np.ndarray, k: int) -> tuple:
+    """The bin map of entries onto k bins: ``group`` on the ``live``
+    ones, bin k on the others."""
+    at = np.full(len(live), k, dtype=np.min_scalar_type(k))
+    at[live] = group
+    return (None if np.array_equal(at, np.arange(len(at))) else at), k
+
+
+def _bins(bin_map: tuple, mass: np.ndarray) -> np.ndarray:
+    """``mass`` summed into its bins, entries in index order; the dead
+    bin is dropped."""
+    group, k = bin_map
+    if group is None:
+        return mass
+    return np.bincount(group, weights=mass, minlength=k + 1)[:k]
+
+
+def cut_structure(points) -> CutStructure:
+    """The cuts of ``cut_decomposition`` and how its passes merge them:
+    everything but the weights, the only part that depends on r.
+    ``cut_weights`` replays it at any r. Raises ClusterTooLarge as
+    ``cut_axes`` does."""
+    x = cut_axes(points)
+    n = len(x)
+    if n < 2:
+        return CutStructure(n, (), (None, 0), np.zeros((0, n), dtype=bool),
+                            0.0)
+    words = -(-n // 64)
+    full = _pack(np.ones((1, n), dtype=bool))
+    keys = full
+    passes = []
+    for col in x.T:
+        v, at = np.unique(col, return_inverse=True)
+        lo, hi = np.triu_indices(len(v))
+        gap = np.concatenate([[np.inf], np.diff(v), [np.inf]])
+        boxes = _pack((lo[:, None] <= at) & (at <= hi[:, None]))
+        step = max(1, PAIRWISE_BYTES // (8 * (words + 1) * len(lo)))
+        parts, chunks = [], []
+        for s in range(0, len(keys), step):
+            cand = (keys[s:s + step, None] & boxes).reshape(-1, words)
+            live = cand.any(axis=1)
+            first, group = _groups(cand[live])
+            parts.append(cand[live][first])
+            chunks.append(_bin_map(live, group, len(first)))
+        keys = np.concatenate(parts)
+        first, group = _groups(keys)
+        merge = _bin_map(np.ones(len(keys), dtype=bool), group, len(first))
+        keys = keys[first]
+        narrow = np.min_scalar_type(len(gap))
+        passes.append(CutPass(gap, lo.astype(narrow),
+                              (hi + 1).astype(narrow), v[hi] - v[lo], step,
+                              tuple(chunks), merge))
+    keys = np.where(keys[:, :1] & np.uint64(1), keys ^ full, keys)
+    live = keys.any(axis=1)
+    first, group = _groups(keys[live])
+    sides = np.unpackbits(keys[live][first].view(np.uint8), axis=1, count=n,
+                          bitorder="little").astype(bool)
+    # arc order
+    far = np.abs(x - x[0]).sum(axis=1)
+    far[0] = np.inf
+    pos = np.argsort(np.argsort(-far, kind="stable"))
+    order = np.lexsort((np.where(sides, pos, -1).max(axis=1),
+                        np.where(sides, pos, n).min(axis=1)))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return CutStructure(n, tuple(passes),
+                        _bin_map(live, rank[group], len(order)), sides[order],
+                        float(np.abs(x[:, None] - x).sum(axis=2).max()))
+
+
+def cut_weights(structure: CutStructure,
+                r: float) -> tuple[np.ndarray, np.ndarray]:
+    """``cut_decomposition`` at scale r from its ``cut_structure``.
+
+    Each pass spreads its interval chances at r over its candidates and
+    sums them into their sets, one bincount per chunk and one over the
+    chunks, each in the candidates' order, so every weight is bitwise
+    the one a fresh decomposition sums. The rows the CUT_RTOL rule keeps
+    stay in the cached arc order, which is the order a fresh sort gives
+    them: the sort is stable and reads each row alone."""
+    r = _check_r(r)
+    if structure.n < 2:
+        return np.zeros(0), np.zeros((0, structure.n), dtype=bool)
+    mass = np.ones(1)
+    for p in structure.passes:
+        e = np.expm1(-p.gap / r)
+        prob = e[p.lo] * e[p.hi1] * np.exp(-p.span / r)
+        mass = _bins(p.merge, np.concatenate([
+            _bins(chunk, np.outer(mass[s:s + p.step], prob).ravel())
+            for s, chunk in zip(range(0, len(mass), p.step), p.chunks)]))
+    w = 0.5 * r * _bins(structure.final, mass)
+    top = laplace_transform(structure.diam, r)
+    keep = w > CUT_RTOL * top / len(w)
+    return w[keep], structure.sides[keep]
 
 
 def cut_decomposition(points, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -196,48 +321,15 @@ def cut_decomposition(points, r: float) -> tuple[np.ndarray, np.ndarray]:
     first point lies outside, and merged again. Weights at most CUT_RTOL
     times the largest L_r over the number of cuts are dropped.
 
+    Which sets the passes make and how they merge does not depend on r:
+    that is ``cut_structure``, and ``cut_weights`` sums the weights at r
+    from it. This is the two in one call; a caller that cuts one set at
+    many scales keeps the structure and replays it.
+
     Returns the weights (K,) and the sides (K, n), row c marking the
     points of cut c, in arc order: by the first and then the last
     position of the members in the order of the first point, then the
     others by falling distance from it. On a line these are the arcs of
     Chepoi and Fichet (1998) in their circular order.
     """
-    r = _check_r(r)
-    x = cut_axes(points)
-    n = len(x)
-    if n < 2:
-        return np.zeros(0), np.zeros((0, n), dtype=bool)
-    words = -(-n // 64)
-    full = _pack(np.ones((1, n), dtype=bool))
-    keys, mass = full, np.ones(1)
-    for col in x.T:
-        v, at = np.unique(col, return_inverse=True)
-        lo, hi = np.triu_indices(len(v))
-        gap = np.concatenate([[np.inf], np.diff(v), [np.inf]])
-        prob = (np.expm1(-gap[lo] / r) * np.expm1(-gap[hi + 1] / r)
-                * np.exp(-(v[hi] - v[lo]) / r))
-        boxes = _pack((lo[:, None] <= at) & (at <= hi[:, None]))
-        step = max(1, PAIRWISE_BYTES // (8 * (words + 1) * len(lo)))
-        parts = []
-        for s in range(0, len(keys), step):
-            cand = (keys[s:s + step, None] & boxes).reshape(-1, words)
-            live = cand.any(axis=1)
-            parts.append(_merge(cand[live], np.outer(mass[s:s + step],
-                                                     prob).ravel()[live]))
-        keys, mass = _merge(*map(np.concatenate, zip(*parts)))
-    keys = np.where(keys[:, :1] & np.uint64(1), keys ^ full, keys)
-    live = keys.any(axis=1)
-    keys, mass = _merge(keys[live], mass[live])
-    w = 0.5 * r * mass
-    top = laplace_transform(np.abs(x[:, None] - x).sum(axis=2).max(), r)
-    keep = w > CUT_RTOL * top / len(w)
-    w = w[keep]
-    sides = np.unpackbits(keys[keep].view(np.uint8), axis=1, count=n,
-                          bitorder="little").astype(bool)
-    # arc order
-    far = np.abs(x - x[0]).sum(axis=1)
-    far[0] = np.inf
-    pos = np.argsort(np.argsort(-far, kind="stable"))
-    order = np.lexsort((np.where(sides, pos, -1).max(axis=1),
-                        np.where(sides, pos, n).min(axis=1)))
-    return w[order], sides[order]
+    return cut_weights(cut_structure(points), r)

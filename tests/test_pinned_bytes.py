@@ -1,5 +1,6 @@
-"""Pinned output bytes: the seed-0 dumps of three small snowflakes, one
-per norm, and the rows of one sampled decomposition, as sha256 digests.
+"""Pinned output bytes: the seed-0 dumps of four small snowflakes, one
+per norm and an l1 set off a line, and the rows of one sampled
+decomposition, as sha256 digests.
 
 A rerun in one process cannot see a change that moves every run the same
 way; these digests hold across commits. A change that means to move the
@@ -28,6 +29,16 @@ def test_l1_line_snowflake_dump_bytes():
     e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
     assert sha256(snowflake.dumps(e)) == (
         "728e830294a94d75c6a353e070df7577531ba29c8875694bfda2f57b7bdf803e")
+
+
+def test_l1_ball_snowflake_dump_bytes():
+    # a 2-d ball is cut along both axes: each cluster shape's cuts are
+    # replayed at every scale through both passes' bincounts
+    s = normalize(generate("ball", n=12, dim=2, norm="l1", seed=0))
+    e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
+    assert e.k == 36898
+    assert sha256(snowflake.dumps(e)) == (
+        "7d724a391ed7f60309f5fce001ca39e6f29074f72946b8a2217aca2e1a532d48")
 
 
 def test_l2_grid_snowflake_dump_bytes():

@@ -19,7 +19,7 @@ from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
                                   build_single_scale, contract_audit, dumps,
                                   loads_coords, theory_dimension)
 from snowdim.snowflake import build_snowflake
-from snowdim.transforms import (cut_decomposition, gaussian_transform,
+from snowdim.transforms import (cut_structure, gaussian_transform,
                                 laplace_transform, threshold_transform)
 
 G_1 = 0.7950600976206501          # G_1(1) = sqrt(1 - e^-1)
@@ -602,10 +602,10 @@ def test_l2_audit_factors_each_distinct_cluster_gram_once(monkeypatch):
     # of sizes 2 to 4, each a shape of its own
     ("ball", 1.1 ** -92, 1.1 ** -75, None, True),
 ], ids=["saturated", "translated", "ball"])
-def test_l1_scale_solves_one_cut_lp_per_distinct_metric(
+def test_l1_scale_builds_one_cut_structure_per_distinct_shape(
         monkeypatch, kind, r, delta, dim_hat, saturated):
-    # one cut_decomposition per distinct cluster shape, its coordinates
-    # relative to its first member: translated clusters share one call
+    # one cut_structure per distinct cluster shape, its coordinates
+    # relative to its first member: translated clusters share one
     if kind == "line":
         s = normalize(generate("line", n=10, norm="l1"))
     else:
@@ -614,11 +614,11 @@ def test_l1_scale_solves_one_cut_lp_per_distinct_metric(
     assert (laplace_transform(1.0, r) == r) == saturated
     solved = []
 
-    def counting(rel, r):
+    def counting(rel):
         solved.append(rel.tobytes())
-        return cut_decomposition(rel, r)
+        return cut_structure(rel)
 
-    monkeypatch.setattr(single_scale, "cut_decomposition", counting)
+    monkeypatch.setattr(single_scale, "cut_structure", counting)
     e = build_single_scale(s, p)
     built = solved[:]
     shapes = []

@@ -883,15 +883,38 @@ def test_l1_line_past_the_cut_cap_builds_without_an_lp(monkeypatch):
     pts = np.vstack([np.zeros(3), np.cumsum(steps * [1, -1, 1], axis=0)])
     axes = []
 
-    def one_axis(rel, r):
+    def one_axis(rel):
         axes.append(transforms.cut_axes(rel).shape[1])
-        return transforms.cut_decomposition(rel, r)
+        return transforms.cut_structure(rel)
 
-    monkeypatch.setattr(single_scale, "cut_decomposition", one_axis)
+    monkeypatch.setattr(single_scale, "cut_structure", one_axis)
     s = normalize(PointSet(pts, norm=1.0))
     e = build_snowflake(s, 0.5, 0.1, seed=0)
     assert axes and set(axes) == {1}
     assert distortion_audit(e).passed
+
+
+def test_an_l1_snowflake_cuts_each_cluster_shape_once(monkeypatch):
+    # the 10-point line's clusters come in 9 shapes: each shape's cut
+    # structure is built once per snowflake, and the 798 cluster maps,
+    # 377 distinct pairs of shape and scale, replay it at their scale
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 1)
+    built, replayed = [], []
+
+    def structure(rel):
+        built.append(rel.tobytes())
+        return transforms.cut_structure(rel)
+
+    def weights(cuts, r):
+        replayed.append((id(cuts), r))
+        return transforms.cut_weights(cuts, r)
+
+    monkeypatch.setattr(single_scale, "cut_structure", structure)
+    monkeypatch.setattr(single_scale, "cut_weights", weights)
+    s = normalize(generate("line", n=10, norm="l1", seed=0))
+    build_snowflake(s, 0.5, 0.1, seed=0)
+    assert len(built) == len(set(built)) == 9
+    assert len(replayed) == 798 and len(set(replayed)) == 377
 
 
 def test_small_l1_sets_build_in_many_dimensions():

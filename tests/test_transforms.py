@@ -325,6 +325,118 @@ def test_box_cuts_rebuild_a_pdist_oracle(case):
             <= CUT_RTOL * want.max() + 1e-12 * d.max())
 
 
+def one_pass_cuts(points, r):
+    """The box cuts summed as their sets are made, pass by pass, with
+    the drop and the arc order applied to the result: the reference a
+    replayed cut structure matches bit for bit."""
+    x = transforms.cut_axes(points)
+    n = len(x)
+    words = -(-n // 64)
+    full = transforms._pack(np.ones((1, n), dtype=bool))
+
+    def merge(keys, mass):
+        first, group = transforms._groups(keys)
+        return keys[first], np.bincount(group, weights=mass,
+                                        minlength=len(first))
+
+    keys, mass = full, np.ones(1)
+    for col in x.T:
+        v, at = np.unique(col, return_inverse=True)
+        lo, hi = np.triu_indices(len(v))
+        gap = np.concatenate([[np.inf], np.diff(v), [np.inf]])
+        prob = (np.expm1(-gap[lo] / r) * np.expm1(-gap[hi + 1] / r)
+                * np.exp(-(v[hi] - v[lo]) / r))
+        boxes = transforms._pack((lo[:, None] <= at) & (at <= hi[:, None]))
+        step = max(1, transforms.PAIRWISE_BYTES
+                   // (8 * (words + 1) * len(lo)))
+        parts = []
+        for s in range(0, len(keys), step):
+            cand = (keys[s:s + step, None] & boxes).reshape(-1, words)
+            live = cand.any(axis=1)
+            parts.append(merge(cand[live], np.outer(mass[s:s + step],
+                                                    prob).ravel()[live]))
+        keys, mass = merge(*map(np.concatenate, zip(*parts)))
+    keys = np.where(keys[:, :1] & np.uint64(1), keys ^ full, keys)
+    live = keys.any(axis=1)
+    keys, mass = merge(keys[live], mass[live])
+    w = 0.5 * r * mass
+    top = laplace_transform(np.abs(x[:, None] - x).sum(axis=2).max(), r)
+    keep = w > CUT_RTOL * top / len(w)
+    sides = np.unpackbits(keys[keep].view(np.uint8), axis=1, count=n,
+                          bitorder="little").astype(bool)
+    far = np.abs(x - x[0]).sum(axis=1)
+    far[0] = np.inf
+    pos = np.argsort(np.argsort(-far, kind="stable"))
+    order = np.lexsort((np.where(sides, pos, -1).max(axis=1),
+                        np.where(sides, pos, n).min(axis=1)))
+    return w[keep][order], sides[order]
+
+
+@st.composite
+def cut_shapes(draw):
+    """2 to 12 points in 1 or 2 dimensions, or 2 to 10 in 3, on 8
+    integer values per axis with uneven gaps, so that points share
+    coordinates; or a 3-d staircase of 2 to 20 points whose second
+    coordinate falls, an l1 line. Scaled by 1/2 to 4 and translated by
+    up to 1e3 per coordinate; and scales r from 1e-3 to 1e3, one per
+    decade and some drawn."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        n = draw(st.integers(2, 12 if dim < 3 else 10))
+        values = [sorted(draw(st.lists(st.integers(0, 15), min_size=8,
+                                       max_size=8, unique=True)))
+                  for _ in range(dim)]
+        cells = draw(st.lists(st.tuples(*[st.integers(0, 7)] * dim),
+                              min_size=n, max_size=n, unique=True))
+        pts = np.array([[values[c][i] for c, i in enumerate(cell)]
+                        for cell in cells], dtype=np.float64)
+    else:
+        n = draw(st.integers(2, 20))
+        steps = np.array(draw(st.lists(
+            st.tuples(*[st.integers(0, 1)] * 3).filter(any),
+            min_size=n - 1, max_size=n - 1)), dtype=np.float64)
+        pts = np.vstack([np.zeros(3), np.cumsum(steps.reshape(-1, 3)
+                                                * [1, -1, 1], axis=0)])
+    shift = draw(arrays(np.float64, pts.shape[1],
+                        elements=st.floats(-1e3, 1e3)))
+    pts = pts * draw(st.floats(0.5, 4.0)) + shift
+    rs = [*np.geomspace(1e-3, 1e3, 7), *draw(st.lists(st.floats(1e-3, 1e3),
+                                                     max_size=4))]
+    return pts, rs
+
+
+@pytest.mark.parametrize("pairwise_bytes", [None, 1],
+                         ids=["one-chunk", "a-chunk-per-set"])
+@settings(max_examples=80, deadline=None)
+@given(case=cut_shapes())
+def test_a_cut_structure_replays_a_fresh_decomposition(pairwise_bytes,
+                                                        case):
+    # one structure, replayed at many scales, gives bitwise the weights
+    # and sides of a fresh decomposition at each, and of the cuts summed
+    # as their sets are made; with a pass budget of 1 byte every member
+    # set of a pass is a chunk of its own on the next. At r = 1e-3 a cut
+    # with two points on each side weighs less than the CUT_RTOL drop
+    pts, rs = case
+    with pytest.MonkeyPatch.context() as mp:
+        if pairwise_bytes is not None:
+            mp.setattr(transforms, "PAIRWISE_BYTES", pairwise_bytes)
+        structure = transforms.cut_structure(pts)
+        if pairwise_bytes is not None and len(structure.passes) > 1:
+            first, second = structure.passes[:2]
+            assert len(second.chunks) == len(first.lo)
+        for r in rs:
+            w, sides = transforms.cut_weights(structure, r)
+            for fresh_w, fresh_sides in (cut_decomposition(pts, r),
+                                         one_pass_cuts(pts, r)):
+                assert w.tobytes() == fresh_w.tobytes()
+                assert (sides.dtype == bool
+                        and sides.shape == fresh_sides.shape)
+                assert np.array_equal(sides, fresh_sides)
+    inside = structure.sides.sum(axis=1)
+    if ((inside >= 2) & (inside <= len(pts) - 2)).any():
+        assert len(transforms.cut_weights(structure, 1e-3)[0]) < len(inside)
+
+
 def test_frechet_coordinates_clip_and_lipschitz():
     rng = np.random.default_rng(6)
     pts = rng.uniform(size=(25, 4)) * 6
