@@ -28,10 +28,13 @@ are combined depends on the norm:
   the coarse half of the ladder) is not decomposed at all: its map is
   G_r of the source metric with all weights 1, so its pair distances
   are w * G_r(d) and its rank bound is n - 1.
-* l1 keeps the paper's round-robin grouping: each scale's block is summed
-  coordinate-wise into its residue class i mod p as the merge reaches
-  it, and the p classes are direct-summed. l1 has no exact
-  dimension-free reduction, so the layout is the output.
+* l1 is the direct sum of the scales as well, written as its cut
+  measure: each scale's weighted block is split into threshold cuts
+  (``_threshold_cuts``), the equal cuts of all scales are summed in
+  scale order, and the output has one column per distinct cut, holding
+  its weight over M on its members. Every l1 metric is such a sum, so
+  the width depends on n alone (l1 has no dimension-free reduction).
+  ``assembled_k`` is the direct sum's width, the sum of the block widths.
 * l-infinity combines by max. The image distance D is the max of the
   per-scale distances, as the layout of one block per scale would give
   bit for bit (max is exact). The output is D's Frechet map: n columns,
@@ -41,8 +44,9 @@ are combined depends on the norm:
   subtraction. ``assembled_k`` is the sum of the block widths.
 
 ``theory_k`` is the paper's grouped count p * k_scale for every norm, a
-formula of the parameters alone. The concrete l2 width does not need the
-grouping: the exact n - 1 output is narrower than any grouped layout.
+formula of the parameters alone. No concrete output needs the grouping:
+each is exact, and narrower than the grouped layout on every input
+measured.
 
 The scales are independent work: each one's seed derives from (seed, i)
 alone. The l2 one-cluster scales are written by the caller alone, after
@@ -50,9 +54,9 @@ the helpers fork; ``build_snowflake`` splits the other scales over the w
 CPUs the process may run on. The t-th of them is built by process
 t mod w: the caller builds every w-th, and one forked helper per extra
 CPU builds the others, reading the inputs copy-on-write. The caller
-merges every result in scale order, so the l1 class sums are the same
-for any w, and the dump, report and label bytes do not depend on
-the CPU count. With one CPU (or where the system cannot say:
+merges every result in scale order, so the l1 cuts are summed and
+ordered the same for any w, and the dump, report and label bytes do not
+depend on the CPU count. With one CPU (or where the system cannot say:
 ``os.sched_getaffinity`` is Linux-only), in a daemonic process, without
 the fork start method, or while another Python thread runs, every scale
 is built in the calling process.
@@ -72,8 +76,8 @@ out-of-window mass must stay below eps * (1+eps)^{i(1-alpha)} * 1.1, and
 B_{i*} must stay above 0.45 * (1+eps)^{i*(1-alpha)} whenever the pair is
 padded at its dominant scale (same cluster, both pad-balls uncut, in every
 partition). The tail check keeps the paper's residue classes for every
-norm; in l2, whose direct sum adds no same-residue cross terms, it bounds
-the per-scale masses the grouping would have added.
+norm; the l1 and l2 direct sums add no same-residue cross terms, so there
+it bounds the per-scale masses the grouping would have added.
 """
 
 from __future__ import annotations
@@ -96,7 +100,8 @@ from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleParams,
                            _block_weights, _dumps_coords, _l1_block,
                            _linf_block, _scale_gram, require_source,
                            scale_clusters, theory_dimension)
-from .transforms import CutStructure, classical_mds, gaussian_transform
+from .transforms import (CutStructure, _groups, _pack, classical_mds,
+                         gaussian_transform)
 
 #: offset added to the scale index when deriving per-scale seeds, so the
 #: seed entropy stays nonnegative for any sane index window
@@ -108,7 +113,9 @@ DOMINANT_FLOOR = 0.45
 
 
 def scale_count(alpha: float, eps: float) -> int:
-    """Number of round-robin groups p = ceil((3/(1-alpha)) * ceil(log_{1+eps}(1/eps)))."""
+    """The paper's scale group count p = ceil((3/(1-alpha)) *
+    ceil(log_{1+eps}(1/eps))): the size of the audit's scale window, the
+    spacing of its same-residue mates, and the factor of ``theory_k``."""
     j = math.ceil(math.log(1.0 / eps) / math.log1p(eps))
     # guard the ceil against float noise when 3j/(1-alpha) is an integer
     return math.ceil(3.0 * j / (1.0 - alpha) - 1e-9)
@@ -323,13 +330,32 @@ def _one_cluster_scale(job: _ScaleJob, i: int, sp: SingleScaleParams,
                       every_pair if 0 <= i <= job.istar_top else None)
 
 
+def _threshold_cuts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cut measure of an l1 block: a column u with sorted values
+    v_1 <= ... <= v_n is sum_j (v_{j+1} - v_j) 1[u > v_j], one cut
+    {u > v_j} per positive gap. Returns the distinct cuts, packed
+    (``_pack``) and complemented where they hold point 0, in order of
+    first appearance, and each one's summed weight."""
+    v = np.sort(block, axis=0)
+    gap = np.diff(v, axis=0)
+    j, c = np.nonzero(gap > 0)
+    keys = _pack(block.T[c] > v[j, c, None])
+    # the complement within the n points, not the whole word: the padding
+    # bits stay 0, so each set has one key
+    full = _pack(np.ones((1, len(block)), dtype=bool))
+    keys = np.where(keys[:, :1] & np.uint64(1), keys ^ full, keys)
+    first, group = _groups(keys)
+    return keys[first], np.bincount(group, weights=gap[j, c])
+
+
 def _build_scale(job: _ScaleJob,
-                 i: int) -> tuple[ScaleEntry, np.ndarray | None]:
-    """Scale i's entry and, on l1, its weighted block (None on the other
-    norms, or when the scale has width 0). The map is the one
-    ``build_single_scale`` writes at rescale 1, and everything is divided
-    by (1+eps)^{i(1-alpha)}. A library error is re-raised as the same
-    type with the scale named in front of its message."""
+                 i: int) -> tuple[ScaleEntry, tuple | None]:
+    """Scale i's entry and, on l1, the cut measure of its weighted block
+    (``_threshold_cuts``; None on the other norms, or when the scale has
+    width 0). The map is the one ``build_single_scale`` writes at rescale
+    1, and everything is divided by (1+eps)^{i(1-alpha)}. A library error
+    is re-raised as the same type with the scale named in front of its
+    message."""
     plan = job.plan
     sp = _scale_params(job, i)
     w = _scale_weight(plan, i)
@@ -355,7 +381,8 @@ def _build_scale(job: _ScaleJob,
             k = block.shape[1]
             if k:
                 dists = _pair_distances(block, plan.norm, job.iu, job.ju)
-                part = block if plan.norm == 1.0 else None
+                if plan.norm == 1.0:
+                    part = _threshold_cuts(block)
     except SnowdimError as err:
         raise type(err)(f"scale i={i} (r={sp.r:.6g}): {err}") from err
     dom = (_dominant_pair_mask(sc, job.iu, job.ju)
@@ -555,7 +582,8 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     # every scale's pair distances, written in place: the audit reads
     # this array whole, and a scale of width 0 keeps its zero row
     scale_dists = np.zeros((len(indices), len(iu)))
-    groups: dict[int, np.ndarray] = {}       # l1: i mod p -> its blocks' sum
+    # l1: every scale's distinct cuts and their weights, in scale order
+    cuts = [(np.zeros((0, -(-n // 64)), dtype=np.uint64), np.zeros(0))]
     # every scale's smoothing reads the sorted distance rows: sort them
     # here, before any helper forks, so the helpers share them
     s._sorted_rows()
@@ -573,21 +601,19 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
                 scale_dists[t] = entry.dists
                 entry.dists = scale_dists[t]
             if part is not None:
-                # l1: a residue class sums its blocks in scale order,
-                # zero-padded to the widest
-                key, k = entry.i % plan.p, part.shape[1]
-                acc = groups.get(key, np.zeros((n, 0)))
-                if acc.shape[1] < k:
-                    acc = groups[key] = np.pad(acc, ((0, 0),
-                                                     (0, k - acc.shape[1])))
-                acc[:, :k] += part
+                cuts.append(part)
             entries[t] = entry
 
     if plan.norm == 1.0:
-        # the l1 classes side by side in class order, over the normalizer
-        out = np.hstack([np.zeros((n, 0))]
-                        + [groups[key] for key in sorted(groups)])
-        out /= plan.M
+        # the l1 direct sum as its cut measure: the equal cuts of all
+        # scales summed, one column per distinct cut holding its weight
+        # over M on its members
+        keys, weights = map(np.concatenate, zip(*cuts))
+        first, group = _groups(keys)
+        sides = np.unpackbits(keys[first].view(np.uint8), axis=1, count=n,
+                              bitorder="little")
+        out = np.ascontiguousarray(
+            sides.T * (np.bincount(group, weights=weights) / plan.M))
     else:
         # read off the per-scale distances. l2 is the direct sum of the
         # scales, normalized: its squared pair distances are the sum of
@@ -601,10 +627,8 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
             else sum(np.square(row) for row in scale_dists) / plan.M)
         if plan.norm == 2.0:
             out = classical_mds(out)
-    # the width of the direct sum or of the one-block-per-scale layout;
-    # l1's layout is its output
-    assembled_k = (out.shape[1] if plan.norm == 1.0
-                   else sum(e.k for e in entries))
+    # the width of the direct sum or of the one-block-per-scale layout
+    assembled_k = sum(e.k for e in entries)
     theory_k_scale = theory_dimension(eps, plan.delta, EPS_PAD, dim_hat, plan.norm)
     return SnowflakeEmbedding(plan, s, seed, dim_hat, entries, out.shape[1],
                               assembled_k, plan.p * theory_k_scale,
@@ -733,8 +757,8 @@ def dumps(e: SnowflakeEmbedding) -> bytes:
     its block's column count. In l2 no block is written, and it is the
     bound min(n, sum over distinct clusters C of |C| - 1) on the rank of
     the scale's map, read without factoring; it is 0 exactly on scales of
-    singletons. In l2 and l-infinity ``assembled_k`` is their sum, the
-    width of the direct sum or of the one-block-per-scale layout."""
+    singletons. ``assembled_k`` is their sum, the width of the direct sum
+    or of the one-block-per-scale layout."""
     plan = e.plan
     return _dumps_coords({
         "kind": "snowflake",

@@ -22,23 +22,26 @@ def sha256(blob: bytes) -> str:
 
 
 def test_l1_line_snowflake_dump_bytes():
-    # the box cuts' Poisson weights, in place of the arc weights taken as
-    # differences of L_r (digest 7f2c16db...b6eeb7): the same cuts in the
-    # same columns, with coordinates that differ in their last bits
+    # the direct sum of the scales as its cut measure, one column per
+    # distinct cut, in place of the round-robin layout of 6,886 columns
+    # (digest 728e8302...df803e)
     s = normalize(generate("line", n=10, norm="l1", seed=0))
     e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
+    assert e.k == 66
     assert sha256(snowflake.dumps(e)) == (
-        "728e830294a94d75c6a353e070df7577531ba29c8875694bfda2f57b7bdf803e")
+        "20f7a8b0499f480bb57f0ea95fb7d3a279cc716ea3e267455eb0b7e995b302de")
 
 
 def test_l1_ball_snowflake_dump_bytes():
     # a 2-d ball is cut along both axes: each cluster shape's cuts are
-    # replayed at every scale through both passes' bincounts
+    # replayed at every scale through both passes' bincounts. The output
+    # is the cut measure of the direct sum, in place of the round-robin
+    # layout of 36,898 columns (digest 7d724a39...a532d48)
     s = normalize(generate("ball", n=12, dim=2, norm="l1", seed=0))
     e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
-    assert e.k == 36898
+    assert e.k == 459
     assert sha256(snowflake.dumps(e)) == (
-        "7d724a391ed7f60309f5fce001ca39e6f29074f72946b8a2217aca2e1a532d48")
+        "0ca26263229a0548b471ee51a16b0bee75c2902ff1efaca1427d3153d60e60e4")
 
 
 def test_l2_grid_snowflake_dump_bytes():

@@ -252,6 +252,33 @@ def test_l1_scale_distances_match_the_single_scale_blocks():
         assert distortion_audit(e).passed
 
 
+@pytest.mark.parametrize("s", [
+    normalize(generate("line", n=2, norm="l1")),
+    normalize(generate("line", n=10, norm="l1", seed=0)),
+    normalize(generate("line", n=70, norm="l1", seed=0)),     # two words
+    normalize(generate("ball", n=12, dim=2, norm="l1", seed=0)),
+    normalize(generate("grid", side=4, dims=2, norm="l1")),
+], ids=["line2", "line10", "line70", "ball12", "grid4"])
+def test_l1_output_is_the_direct_sum_one_column_per_cut(s):
+    # the output's pair distances are the summed per-scale distances over
+    # M; every column is a cut, taking one positive value on its members
+    # and 0 elsewhere, and no two columns cut the points the same way
+    e = build_snowflake(s, 0.5, 0.1, seed=0)
+    np.testing.assert_allclose(pdist(e.coords, "cityblock"),
+                               e.scale_dists.sum(axis=0) / e.plan.M,
+                               rtol=1e-12, atol=0.0)
+    cols = e.coords.T
+    w = cols.max(axis=1)
+    assert (w > 0).all()
+    assert ((cols == 0) | (cols == w[:, None])).all()
+    sides = cols > 0
+    # complementing the sets that hold point 0 makes two complementary
+    # sets equal
+    sides[sides[:, 0]] ^= True
+    assert len(np.unique(sides, axis=0)) == len(sides)
+    assert distortion_audit(e).passed
+
+
 def test_l2_snowflake_realizes_no_cluster_and_squeezes_no_block(monkeypatch):
     import snowdim
     import snowdim.projection as projection
@@ -345,7 +372,7 @@ def test_scale_covariance_via_normalization():
     assert np.allclose(d2, d1 * 2.0 ** 0.5, rtol=1e-12)
 
 
-def test_lp_smoke():
+def test_l1_and_linf_smoke():
     raw = normalize(PointSet(np.array([[0.0], [1.0], [2.5], [4.0], [6.0]]),
                              norm=1.0))
     e = build_snowflake(raw, 0.5, 0.1, seed=2, norm=1.0)
@@ -353,13 +380,9 @@ def test_lp_smoke():
     assert rep.extras["band_width"] < 1.3
     assert rep.extras["min_dominant_ratio"] >= 0.45
     assert rep.extras["max_tail_ratio"] <= 1.0
-    assert e.k == e.assembled_k           # l1 keeps the grouped layout
-    # grouped layout: total width is the sum of the maxima per residue
-    # class i mod p
-    widths = {}
-    for sc in e.scales:
-        widths[sc.i % e.plan.p] = max(widths.get(sc.i % e.plan.p, 0), sc.k)
-    assert e.assembled_k == sum(widths.values())
+    # direct sum: its width is the sum of the scale widths, and the output
+    # writes it with one column per distinct cut
+    assert e.assembled_k == sum(sc.k for sc in e.scales) > e.k
 
     s_inf = normalize(PointSet(np.array([[0.0], [1.0], [2.5], [4.0]]),
                                norm=np.inf))
