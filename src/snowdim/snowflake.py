@@ -15,8 +15,10 @@ clusters, the norm's map is built from their arrays by the function
 ``build_single_scale`` calls too (``_scale_gram``, ``_l1_block`` or
 ``_linf_block``), and the map's condensed pair distances are taken where
 the scale is built (l1 cuts each cluster shape once per build and
-replays the cuts at every scale that meets it). Those distances, a row
-of ``scale_dists``, are all a scale keeps for the audit. How the maps
+replays the cuts at every scale that meets it). A scale keeps three
+things for the audit: its width (an entry of ``scale_k``), those
+distances (a row of ``scale_dists``), and, for the pairs it anchors,
+whether each is padded in every partition (``padded_dom``). How the maps
 are combined depends on the norm:
 
 * l2 is the direct sum of the scales, written in at most n - 1
@@ -65,7 +67,8 @@ The audit measures every pair against d^alpha and the per-scale bucket
 diagnostics: write B_i for the per-scale image distance divided by
 (1+eps)^{i(1-alpha)} and anchor the size-p window
 A = {i*-q+1, ..., i*+p-q}, q = ceil(log_{1+eps}(1/eps)) + 2, at the pair's
-dominant scale (1+eps)^{i*} <= d <= (1+eps)^{i*+1}. The guarantees hold for
+dominant scale (1+eps)^{i*} <= d < (1+eps)^{i*+1} (``_anchors``, which the
+build reads too). The guarantees hold for
 any size-p interval, but the anchor matters for the per-scale tail check: a
 window centered at i* puts its bottom edge ~p/2 below i*, where the
 same-residue mate at i+p still carries mass ~d/(1+eps)^{(i+p)(1-alpha)},
@@ -227,34 +230,34 @@ def _scale_seed(seed: int, i: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass
-class ScaleEntry:
-    """One built scale: what the audit reads of it. ``dists`` are its
-    condensed pair distances (``scipy.spatial.distance.pdist`` order)
-    divided by (1+eps)^{i(1-alpha)}, a row of the embedding's
-    ``scale_dists``; ``dom_pairs`` is condensed in the same order."""
-
-    i: int
-    r: float
-    seed: int
-    k: int                           # block width; l2: its rank bound
-    dists: np.ndarray | None         # None if k == 0
-    dom_pairs: np.ndarray | None     # (pairs,) bool: padded in every partition
+def _anchors(plan: SnowflakePlan, d: np.ndarray) -> np.ndarray:
+    """Each distance's anchor scale i*, with (1+eps)^{i*} <= d <
+    (1+eps)^{i*+1} up to 1e-9 of a step, clipped to the plan's window."""
+    i = np.floor(np.log(d) / math.log1p(plan.eps) + 1e-9).astype(np.int64)
+    return np.clip(i, plan.i_lo, plan.i_hi)
 
 
 @dataclass
 class SnowflakeEmbedding:
+    """A built snowflake. The per-scale state is three arrays, scales in
+    plan order and pairs condensed (``scipy.spatial.distance.pdist``
+    order): each scale's width, each scale's pair distances divided by
+    (1+eps)^{i(1-alpha)} (a zero row where the width is 0), and whether
+    each pair is padded (same cluster, both pad-balls uncut) in every
+    partition of its anchor scale (``_anchors``)."""
+
     plan: SnowflakePlan
     source: PointSet
     seed: int
     dim_hat: float
-    scales: list[ScaleEntry]
     k: int                           # concrete coordinate count
     assembled_k: int                 # layout width before reduction
     theory_k: int                    # p * theory_k_scale
     theory_k_scale: int
     coords: np.ndarray               # (n, k) final images, all scaling in
-    scale_dists: np.ndarray          # (scales, pairs): .dists, or 0 if k == 0
+    scale_k: np.ndarray              # (scales,) block width; l2: rank bound
+    scale_dists: np.ndarray          # (scales, pairs)
+    padded_dom: np.ndarray           # (pairs,) bool
 
     @property
     def n(self) -> int:
@@ -295,15 +298,16 @@ class _ScaleJob:
     plan: SnowflakePlan
     seed: int
     dim_hat: float
-    istar_top: int                   # the finest scale that can anchor a pair
     iu: np.ndarray                   # the pairs i < j
     ju: np.ndarray
-    pair_d: np.ndarray               # their source distances
+    anchors: np.ndarray              # each pair's anchor scale
     structures: dict[bytes, CutStructure] = field(default_factory=dict)
 
 
-def _scale_params(job: _ScaleJob, i: int) -> SingleScaleParams:
-    """Scale i's single-scale parameters, at rescale 1."""
+def _scale_params(job: _ScaleJob | SnowflakeEmbedding,
+                  i: int) -> SingleScaleParams:
+    """Scale i's single-scale parameters, at rescale 1, from the plan,
+    seed and doubling estimate of a job or of the embedding it built."""
     plan = job.plan
     return SingleScaleParams(r=(1.0 + plan.eps) ** i, eps=plan.eps,
                              delta=plan.delta, norm=plan.norm,
@@ -314,20 +318,6 @@ def _scale_params(job: _ScaleJob, i: int) -> SingleScaleParams:
 def _scale_weight(plan: SnowflakePlan, i: int) -> float:
     """The factor 1 / (1+eps)^{i(1-alpha)} on scale i's map."""
     return (1.0 + plan.eps) ** (-i * (1.0 - plan.alpha))
-
-
-def _one_cluster_scale(job: _ScaleJob, i: int, sp: SingleScaleParams,
-                       row: np.ndarray, every_pair: np.ndarray) -> ScaleEntry:
-    """Scale i's entry on l2 where ``sp.one_cluster`` holds, with no
-    decomposition and no Gram: the scale is one cluster of every point
-    with all weights 1, so its map is G_r of the source metric and its
-    pair distances, written into ``row``, are w * G_r(d). Its rank bound
-    is n - 1, and every pair shares the cluster in every partition
-    (``every_pair``, all true)."""
-    np.multiply(gaussian_transform(job.pair_d, sp.r),
-                _scale_weight(job.plan, i), out=row)
-    return ScaleEntry(i, sp.r, sp.seed, job.s.n - 1, row,
-                      every_pair if 0 <= i <= job.istar_top else None)
 
 
 def _threshold_cuts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,13 +338,15 @@ def _threshold_cuts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[first], np.bincount(group, weights=gap[j, c])
 
 
-def _build_scale(job: _ScaleJob,
-                 i: int) -> tuple[ScaleEntry, tuple | None]:
-    """Scale i's entry and, on l1, the cut measure of its weighted block
-    (``_threshold_cuts``; None on the other norms, or when the scale has
-    width 0). The map is the one ``build_single_scale`` writes at rescale
-    1, and everything is divided by (1+eps)^{i(1-alpha)}. A library error
-    is re-raised as the same type with the scale named in front of its
+def _build_scale(job: _ScaleJob, i: int) -> tuple:
+    """Scale i as (k, dists, dom, part): its width; its pair distances
+    (None when k is 0); whether each pair it anchors is padded in every
+    partition (``_dominant_pair_mask``, in pair order; None when k is 0
+    or it anchors none); and on l1 the cut measure of its weighted block
+    (``_threshold_cuts``; None on the other norms, or when k is 0). The
+    map is the one ``build_single_scale`` writes at rescale 1, and
+    everything is divided by (1+eps)^{i(1-alpha)}. A library error is
+    re-raised as the same type with the scale named in front of its
     message."""
     plan = job.plan
     sp = _scale_params(job, i)
@@ -385,9 +377,10 @@ def _build_scale(job: _ScaleJob,
                     part = _threshold_cuts(block)
     except SnowdimError as err:
         raise type(err)(f"scale i={i} (r={sp.r:.6g}): {err}") from err
-    dom = (_dominant_pair_mask(sc, job.iu, job.ju)
-           if 0 <= i <= job.istar_top and k else None)
-    return ScaleEntry(i, sp.r, sp.seed, k, dists, dom), part
+    anchored = job.anchors == i
+    dom = (_dominant_pair_mask(sc, job.iu[anchored], job.ju[anchored])
+           if k and anchored.any() else None)
+    return k, dists, dom, part
 
 
 def _worker_count() -> int:
@@ -566,43 +559,47 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     n = s.n
-    # dominant-pair masks are only consulted at scales that can anchor a
-    # pair: 0 <= i* <= log_{1+eps} diam
-    istar_top = math.floor(math.log(s.diameter()) / math.log1p(eps)) + 1
     iu, ju = np.triu_indices(n, k=1)
-    job = _ScaleJob(s, plan, seed, dim_hat, istar_top, iu, ju,
-                    s.distance_matrix()[iu, ju])
+    pair_d = s.distance_matrix()[iu, ju]
+    job = _ScaleJob(s, plan, seed, dim_hat, iu, ju, _anchors(plan, pair_d))
     indices = plan.scale_indices
     # an l2 scale of one cluster is G_r of the source metric, written in
     # closed form below; every other scale is built by _build_scale
-    one: dict[int, SingleScaleParams] = {}
-    if plan.norm == 2.0:
-        params = {t: _scale_params(job, i) for t, i in enumerate(indices)}
-        one = {t: sp for t, sp in params.items() if sp.one_cluster(s, dim_hat)}
-    # every scale's pair distances, written in place: the audit reads
-    # this array whole, and a scale of width 0 keeps its zero row
+    params = ({i: _scale_params(job, i) for i in indices}
+              if plan.norm == 2.0 else {})
+    one = {i: sp for i, sp in params.items() if sp.one_cluster(s, dim_hat)}
+    built = [i for i in indices if i not in one]
+    # every scale's width and pair distances, written in place: the audit
+    # reads them whole, and a scale of width 0 keeps its zero row
+    scale_k = np.zeros(len(indices), dtype=np.int64)
     scale_dists = np.zeros((len(indices), len(iu)))
+    padded_dom = np.zeros(len(iu), dtype=bool)
     # l1: every scale's distinct cuts and their weights, in scale order
     cuts = [(np.zeros((0, -(-n // 64)), dtype=np.uint64), np.zeros(0))]
     # every scale's smoothing reads the sorted distance rows: sort them
     # here, before any helper forks, so the helpers share them
     s._sorted_rows()
-    entries: list[ScaleEntry | None] = [None] * len(indices)
-    with _scale_results(job, [i for t, i in enumerate(indices)
-                              if t not in one]) as results:
-        # while the helpers build, the caller writes the one-cluster scales
-        every_pair = np.ones(len(iu), dtype=bool)
-        for t, sp in one.items():
-            entries[t] = _one_cluster_scale(job, indices[t], sp,
-                                            scale_dists[t], every_pair)
-        for entry, part in results:
-            t = entry.i - plan.i_lo
-            if entry.dists is not None:
-                scale_dists[t] = entry.dists
-                entry.dists = scale_dists[t]
+    with _scale_results(job, built) as results:
+        # while the helpers build, the caller writes the one-cluster
+        # scales: one cluster of every point with all weights 1, so the
+        # map is G_r of the source metric, the pair distances are
+        # w * G_r(d), the rank bound is n - 1, and every pair shares the
+        # cluster in every partition
+        for i, sp in one.items():
+            t = i - plan.i_lo
+            scale_k[t] = n - 1
+            np.multiply(gaussian_transform(pair_d, sp.r),
+                        _scale_weight(plan, i), out=scale_dists[t])
+            padded_dom[job.anchors == i] = True
+        for i, (k, dists, dom, part) in zip(built, results):
+            t = i - plan.i_lo
+            scale_k[t] = k
+            if dists is not None:
+                scale_dists[t] = dists
+            if dom is not None:
+                padded_dom[job.anchors == i] = dom
             if part is not None:
                 cuts.append(part)
-            entries[t] = entry
 
     if plan.norm == 1.0:
         # the l1 direct sum as its cut measure: the equal cuts of all
@@ -627,12 +624,13 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
             else sum(np.square(row) for row in scale_dists) / plan.M)
         if plan.norm == 2.0:
             out = classical_mds(out)
-    # the width of the direct sum or of the one-block-per-scale layout
-    assembled_k = sum(e.k for e in entries)
     theory_k_scale = theory_dimension(eps, plan.delta, EPS_PAD, dim_hat, plan.norm)
-    return SnowflakeEmbedding(plan, s, seed, dim_hat, entries, out.shape[1],
-                              assembled_k, plan.p * theory_k_scale,
-                              theory_k_scale, out, scale_dists)
+    # assembled_k: the width of the direct sum or of the one-block-per-
+    # scale layout
+    return SnowflakeEmbedding(plan, s, seed, dim_hat, out.shape[1],
+                              int(scale_k.sum()), plan.p * theory_k_scale,
+                              theory_k_scale, out, scale_k, scale_dists,
+                              padded_dom)
 
 
 # ---------------------------------------------------------------------------
@@ -665,14 +663,12 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
     # per-scale terms B_i = per-scale image distance / (1+eps)^{i(1-alpha)};
     # the stored distances already carry the division and are read in place
     n_pairs = len(src)
-    n_scales = len(e.scales)
+    n_scales = len(e.scale_k)
     b_terms = e.scale_dists
-    ivals = np.array([sc.i for sc in e.scales])
+    ivals = np.arange(plan.i_lo, plan.i_hi + 1)
 
-    lg = math.log1p(eps)
-    istar = np.floor(np.log(src) / lg + 1e-9).astype(np.int64)
-    istar = np.clip(istar, plan.i_lo, plan.i_hi)
-    q = math.ceil(math.log(1.0 / eps) / lg) + 2
+    istar = _anchors(plan, src)
+    q = math.ceil(math.log(1.0 / eps) / math.log1p(eps)) + 2
     win_lo = istar - q + 1
     win_hi = istar + p - q
     in_window = (ivals[:, None] >= win_lo) & (ivals[:, None] <= win_hi)
@@ -689,15 +685,9 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
     tail_bad = in_window & (out_mass > tail_bound[:, None])
 
     # dominant term at the anchor scale, for pairs padded there
-    istar_idx = istar - plan.i_lo
-    b_dom = b_terms[istar_idx, np.arange(n_pairs)]
+    b_dom = b_terms[istar - plan.i_lo, np.arange(n_pairs)]
     dom_bound = DOMINANT_FLOOR * (1.0 + eps) ** (istar * (1.0 - alpha))
-    padded_dom = np.zeros(n_pairs, dtype=bool)
-    for t in np.unique(istar_idx):
-        sel = istar_idx == t
-        dp = e.scales[t].dom_pairs
-        if dp is not None:
-            padded_dom[sel] = dp[sel]
+    padded_dom = e.padded_dom
     dom_bad = padded_dom & (b_dom < dom_bound)
 
     for t, pair in zip(*np.nonzero(tail_bad)):
@@ -777,5 +767,5 @@ def dumps(e: SnowflakeEmbedding) -> bytes:
         "dim_hat": e.dim_hat,
         "i_lo": plan.i_lo,
         "i_hi": plan.i_hi,
-        "scale_k": [int(sc.k) for sc in e.scales],
+        "scale_k": e.scale_k.tolist(),
     }, e.coords)

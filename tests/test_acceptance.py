@@ -216,8 +216,7 @@ def test_snowflake_band_and_reported_dimension():
 def direct_sum_distances(e):
     """Pair distances of the l2 direct sum of e's scales, normalized: the
     root of the summed per-scale squared distances over M."""
-    b2 = sum(sc.dists ** 2 for sc in e.scales if sc.dists is not None)
-    return np.sqrt(b2 / e.plan.M)
+    return np.sqrt(np.square(e.scale_dists).sum(axis=0) / e.plan.M)
 
 
 def test_l2_snowflakes_write_at_most_n_minus_1_coordinates():
@@ -255,23 +254,22 @@ def test_l2_scale_distances_match_the_single_scale_blocks(l2_reference):
         e, _, _ = snowflake_run(name, alpha)
         s, plan = e.source, e.plan
         todo = {"singletons", "saturated", "sampled"}
-        for sc in reversed(e.scales):
-            sp = SingleScaleParams(r=sc.r, eps=EPS, delta=plan.delta,
-                                   norm=plan.norm, seed=sc.seed,
-                                   rescale_c=0.0, dim_hat=e.dim_hat)
-            clusters = single_scale.scale_clusters(s, sp)
+        for t, i in reversed(list(enumerate(plan.scale_indices))):
+            clusters = single_scale.scale_clusters(
+                s, snowflake._scale_params(e, i))
             kinds = scale_kinds(clusters) & todo
             if not kinds:
                 continue
             todo -= kinds
-            w = (1.0 + EPS) ** (-sc.i * (1.0 - alpha))
+            w = (1.0 + EPS) ** (-i * (1.0 - alpha))
             want = w * pdist(l2_reference(s, clusters))
             if kinds == {"singletons"}:
-                assert sc.k == 0 and sc.dists is None
+                assert e.scale_k[t] == 0 and not e.scale_dists[t].any()
                 assert not want.any()
             else:
-                assert sc.k > 0
-                assert np.allclose(sc.dists, want, rtol=1e-9, atol=0.0)
+                assert e.scale_k[t] > 0
+                assert np.allclose(e.scale_dists[t], want, rtol=1e-9,
+                                   atol=0.0)
             if not todo:
                 break
         assert not todo, (name, todo)

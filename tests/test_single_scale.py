@@ -147,15 +147,13 @@ def test_l2_single_scale_keeps_the_tail_of_its_spectrum():
     s = normalize(generate("grid", side=8, dims=2))
     e = build_snowflake(s, 0.5, 0.1, seed=0)
     checked = 0
-    for sc in e.scales:
-        one = build_single_scale(s, SingleScaleParams(
-            sc.r, 0.1, e.plan.delta, seed=sc.seed, rescale_c=0.0,
-            dim_hat=e.dim_hat))
-        if sc.dists is None:
+    for t, i in enumerate(e.plan.scale_indices):
+        one = build_single_scale(s, snowflake_mod._scale_params(e, i))
+        if not e.scale_k[t]:
             assert one.k == 0
             continue
-        w = (1.0 + 0.1) ** (-sc.i * 0.5)
-        np.testing.assert_allclose(pdist(one.coords), sc.dists / w,
+        w = (1.0 + 0.1) ** (-i * 0.5)
+        np.testing.assert_allclose(pdist(one.coords), e.scale_dists[t] / w,
                                    rtol=1e-11, atol=0.0)
         checked += 1
     assert checked > 100

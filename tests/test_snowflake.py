@@ -41,8 +41,7 @@ def small_grid():
 def direct_sum_distances(e):
     """Pair distances of the l2 direct sum of e's scales, normalized: the
     root of the summed per-scale squared distances over M."""
-    b2 = sum(sc.dists ** 2 for sc in e.scales if sc.dists is not None)
-    return np.sqrt(b2 / e.plan.M)
+    return np.sqrt(np.square(e.scale_dists).sum(axis=0) / e.plan.M)
 
 
 # --- plan parameters
@@ -154,22 +153,16 @@ def test_group_structure_and_dimension():
     # embedding's (scales x pairs) array, which a scale of singletons
     # leaves zero; its width is the rank bound
     # min(n, sum over distinct clusters of |C| - 1)
-    assert e.scale_dists.shape == (len(e.scales), e.n * (e.n - 1) // 2)
-    for t, sc in enumerate(e.scales):
-        assert not hasattr(sc, "coords")
-        assert (sc.dists is None) == (sc.k == 0)
-        if sc.k:
-            assert np.shares_memory(sc.dists, e.scale_dists[t])
-        else:
-            assert not e.scale_dists[t].any()
-        assert 0 <= sc.k <= e.n
-    for sc in e.scales[::25]:
-        sp = SingleScaleParams(r=sc.r, eps=0.1, delta=plan.delta, norm=2.0,
-                               seed=sc.seed, rescale_c=0.0, dim_hat=e.dim_hat)
+    assert e.scale_dists.shape == (len(e.scale_k), e.n * (e.n - 1) // 2)
+    assert np.array_equal(e.scale_dists.any(axis=1), e.scale_k > 0)
+    assert ((0 <= e.scale_k) & (e.scale_k <= e.n)).all()
+    for i in plan.scale_indices[::25]:
+        sp = snowflake._scale_params(e, i)
         clusters = single_scale.scale_clusters(s, sp).clusters
-        assert sc.k == min(e.n, sum(len(c.members) - 1 for c in clusters))
+        assert e.scale_k[i - plan.i_lo] == min(
+            e.n, sum(len(c.members) - 1 for c in clusters))
     # direct sum: total width is the sum of the scale widths
-    assert e.assembled_k == sum(sc.k for sc in e.scales)
+    assert e.assembled_k == e.scale_k.sum()
     # the l2 output is that sum rewritten in at most n - 1 coordinates
     assert np.allclose(pdist(e.coords), direct_sum_distances(e),
                        rtol=1e-12, atol=0.0)
@@ -188,19 +181,13 @@ def test_linf_keeps_per_scale_distances_and_writes_n_columns():
     # width 0 leaves zero; the output is the n-column Frechet map of their
     # max, a symmetric matrix with a zero diagonal
     s, e = linf_snowflake()
-    assert e.scale_dists.shape == (len(e.scales), e.n * (e.n - 1) // 2)
-    assert any(sc.k == 0 for sc in e.scales)
-    for t, sc in enumerate(e.scales):
-        assert not hasattr(sc, "coords")
-        assert (sc.dists is None) == (sc.k == 0)
-        if sc.k:
-            assert np.shares_memory(sc.dists, e.scale_dists[t])
-        else:
-            assert not e.scale_dists[t].any()
+    assert e.scale_dists.shape == (len(e.scale_k), e.n * (e.n - 1) // 2)
+    assert (e.scale_k == 0).any()
+    assert np.array_equal(e.scale_dists.any(axis=1), e.scale_k > 0)
     assert e.coords.shape == (e.n, e.n) and e.k == e.n
     assert np.array_equal(e.coords, e.coords.T)
     assert not np.diagonal(e.coords).any()
-    assert e.assembled_k == sum(sc.k for sc in e.scales) > e.k
+    assert e.assembled_k == e.scale_k.sum() > e.k
     assert distortion_audit(e).passed
 
 
@@ -211,14 +198,12 @@ def test_linf_scale_distances_match_the_per_cluster_blocks(linf_reference):
     s, e = linf_snowflake()
     plan = e.plan
     want = np.zeros_like(e.scale_dists)
-    for t, sc in enumerate(e.scales):
-        sp = SingleScaleParams(r=sc.r, eps=plan.eps, delta=plan.delta,
-                               norm=np.inf, seed=sc.seed, rescale_c=0.0,
-                               dim_hat=e.dim_hat)
-        block = linf_reference(build_single_scale(s, sp))
-        assert block.shape[1] == sc.k
-        if sc.k:
-            w = (1.0 + plan.eps) ** (-sc.i * (1.0 - plan.alpha))
+    for t, i in enumerate(plan.scale_indices):
+        block = linf_reference(build_single_scale(
+            s, snowflake._scale_params(e, i)))
+        assert block.shape[1] == e.scale_k[t]
+        if e.scale_k[t]:
+            w = (1.0 + plan.eps) ** (-i * (1.0 - plan.alpha))
             want[t] = pdist(block * w, "chebyshev")
     assert np.array_equal(e.scale_dists, want)
     assert np.array_equal(pdist(e.coords, "chebyshev"), want.max(axis=0))
@@ -233,21 +218,16 @@ def test_l1_scale_distances_match_the_single_scale_blocks():
               normalize(generate("ball", n=7, dim=2, norm="l1", seed=1))):
         e = build_snowflake(s, 0.5, 0.1, seed=3)
         plan = e.plan
-        assert e.scale_dists.shape == (len(e.scales), e.n * (e.n - 1) // 2)
+        assert e.scale_dists.shape == (len(e.scale_k),
+                                       e.n * (e.n - 1) // 2)
         want = np.zeros_like(e.scale_dists)
-        for t, sc in enumerate(e.scales):
-            assert not hasattr(sc, "coords")
-            assert (sc.dists is None) == (sc.k == 0)
-            sp = SingleScaleParams(r=sc.r, eps=plan.eps, delta=plan.delta,
-                                   norm=1.0, seed=sc.seed, rescale_c=0.0,
-                                   dim_hat=e.dim_hat)
-            block = build_single_scale(s, sp).coords
-            assert block.shape[1] == sc.k
-            if sc.k:
-                assert np.shares_memory(sc.dists, e.scale_dists[t])
-                w = (1.0 + plan.eps) ** (-sc.i * (1.0 - plan.alpha))
+        for t, i in enumerate(plan.scale_indices):
+            block = build_single_scale(s, snowflake._scale_params(e, i)).coords
+            assert block.shape[1] == e.scale_k[t]
+            if e.scale_k[t]:
+                w = (1.0 + plan.eps) ** (-i * (1.0 - plan.alpha))
                 want[t] = pdist(block * w, "cityblock")
-        assert any(sc.k == 0 for sc in e.scales)
+        assert (e.scale_k == 0).any()
         np.testing.assert_allclose(e.scale_dists, want, rtol=1e-14, atol=0.0)
         assert distortion_audit(e).passed
 
@@ -382,7 +362,7 @@ def test_l1_and_linf_smoke():
     assert rep.extras["max_tail_ratio"] <= 1.0
     # direct sum: its width is the sum of the scale widths, and the output
     # writes it with one column per distinct cut
-    assert e.assembled_k == sum(sc.k for sc in e.scales) > e.k
+    assert e.assembled_k == e.scale_k.sum() > e.k
 
     s_inf = normalize(PointSet(np.array([[0.0], [1.0], [2.5], [4.0]]),
                                norm=np.inf))
@@ -391,7 +371,7 @@ def test_l1_and_linf_smoke():
     # per-scale distances, n columns; the layout of one block per scale
     # it replaces is assembled_k wide
     assert e_inf.k == e_inf.n
-    assert e_inf.assembled_k == sum(sc.k for sc in e_inf.scales)
+    assert e_inf.assembled_k == e_inf.scale_k.sum()
     rep_inf = distortion_audit(e_inf)
     assert rep_inf.extras["band_width"] < 1.3
     assert rep_inf.extras["min_dominant_ratio"] >= 0.45
@@ -514,10 +494,9 @@ def counting_scale_clusters(calls: list):
 def decomposed_scales(e) -> list[float]:
     """The r of every scale of e that scale_clusters decomposes: on l2,
     all but those of one cluster, which are written in closed form."""
-    return [sc.r for sc in e.scales
-            if e.plan.norm != 2.0 or not SingleScaleParams(
-                sc.r, e.plan.eps, e.plan.delta).one_cluster(e.source,
-                                                            e.dim_hat)]
+    params = [snowflake._scale_params(e, i) for i in e.plan.scale_indices]
+    return [sp.r for sp in params
+            if e.plan.norm != 2.0 or not sp.one_cluster(e.source, e.dim_hat)]
 
 
 def blas_threads() -> list[int]:
@@ -787,40 +766,53 @@ def closed_form_sets():
 
 @pytest.mark.parametrize("name", [name for name, _ in closed_form_sets()])
 def test_one_cluster_scales_match_their_decomposed_build(name):
-    # a scale taken in closed form is the scale _build_scale decomposes
-    # into one certain cluster: the same row, rank bound, seed and
-    # dominant pairs, and the shared predicate holds at exactly the
-    # scales whose first decomposition is that one cluster
+    # a scale the caller writes in closed form is the scale _build_scale
+    # decomposes into one certain cluster: the same row, rank bound and
+    # padded pairs, and the shared predicate holds at exactly the scales
+    # whose first decomposition is that one cluster
     s = dict(closed_form_sets())[name]
-    plan = scale_plan(s, 0.5, 0.1, norm=2.0)
-    dim_hat = snowflake.estimate_doubling(s).dim_hat
+    e = build_snowflake(s, 0.5, 0.1, seed=0, norm=2.0)
+    plan = e.plan
     iu, ju = np.triu_indices(s.n, k=1)
-    istar_top = math.floor(math.log(s.diameter()) / math.log1p(0.1)) + 1
-    job = snowflake._ScaleJob(s, plan, 0, dim_hat, istar_top, iu, ju,
-                              s.distance_matrix()[iu, ju])
-    every_pair = np.ones(len(iu), dtype=bool)
+    job = snowflake._ScaleJob(s, plan, 0, e.dim_hat, iu, ju,
+                              snowflake._anchors(plan, pdist(s.points)))
     taken = 0
-    for i in plan.scale_indices:
+    for t, i in enumerate(plan.scale_indices):
         sp = snowflake._scale_params(job, i)
         dec = single_scale.scale_clusters(s, sp).decomposition
         certain_one = (dec.copies == dec.m and dec.sizes[0, 0] == s.n
                        and dec.seed == sp.seed * 31)
-        assert sp.one_cluster(s, dim_hat) == certain_one
+        assert sp.one_cluster(s, e.dim_hat) == certain_one
         if not certain_one:
             continue
         taken += 1
-        want, part = snowflake._build_scale(job, i)
-        row = np.empty(len(iu))
-        got = snowflake._one_cluster_scale(job, i, sp, row, every_pair)
-        assert got.dists is row
-        assert np.allclose(row, want.dists, rtol=1e-12, atol=0.0)
-        assert (got.i, got.r, got.seed, got.k) == (want.i, want.r, want.seed,
-                                                   want.k) == (
-            i, sp.r, sp.seed, s.n - 1)
-        assert (got.dom_pairs is None) == (want.dom_pairs is None)
-        if want.dom_pairs is not None:
-            assert want.dom_pairs.all() and got.dom_pairs is every_pair
+        k, dists, dom, part = snowflake._build_scale(job, i)
+        assert np.allclose(e.scale_dists[t], dists, rtol=1e-12, atol=0.0)
+        assert e.scale_k[t] == k == s.n - 1 and part is None
+        anchored = job.anchors == i
+        assert (dom is None) == (not anchored.any())
+        if dom is not None:
+            assert dom.all() and e.padded_dom[anchored].all()
     assert taken > len(plan.scale_indices) // 2
+
+
+@pytest.mark.parametrize("name", ["grid4", "linf-ball12"])
+def test_padded_pairs_are_each_anchor_scales_mask(name):
+    # the reference takes each anchor scale's mask over every pair, from
+    # its clusters rebuilt on their own, and keeps the pairs it anchors:
+    # those at distance (1+eps)^{i*} <= d < (1+eps)^{i*+1}
+    s = {"grid4": small_grid(), "linf-ball12": linf_snowflake()[0]}[name]
+    e = build_snowflake(s, 0.5, 0.1, seed=0)
+    iu, ju = np.triu_indices(s.n, k=1)
+    d = s.distance_matrix()[iu, ju]
+    anchors = np.floor(np.log(d) / np.log1p(0.1) + 1e-9).astype(int)
+    want = np.zeros(len(iu), dtype=bool)
+    for i in np.unique(anchors):
+        sc = single_scale.scale_clusters(s, snowflake._scale_params(e, i))
+        sel = anchors == i
+        want[sel] = snowflake._dominant_pair_mask(sc, iu, ju)[sel]
+    assert want.any()
+    assert np.array_equal(e.padded_dom, want)
 
 
 @pytest.mark.parametrize("w", [1, 2])
@@ -843,7 +835,7 @@ def test_scale_clusters_runs_only_for_the_decomposed_scales(monkeypatch,
     calls = [float(line) for line in log.read_text().split()]
     want = decomposed_scales(e)
     assert sorted(calls) == sorted(want)
-    assert 0 < len(want) < len(e.scales) // 2
+    assert 0 < len(want) < len(e.scale_k) // 2
     assert distortion_audit(e).passed
 
 
@@ -860,19 +852,19 @@ def test_l2_scales_ship_no_gram_and_the_output_is_their_mds(monkeypatch,
     build_scale = snowflake._build_scale
 
     def logging(job, i):
-        entry, part = build_scale(job, i)
+        k, dists, dom, part = out = build_scale(job, i)
         with open(log, "a") as f:
             f.write(f"{i} {part is None}\n")
-        return entry, part
+        return out
 
     monkeypatch.setattr(snowflake, "_build_scale", logging)
     monkeypatch.setattr(snowflake, "_worker_count", lambda: w)
     s = {"grid4": small_grid(),
          "ultra32": normalize(generate("ultrametric", depth=5, seed=0))}[name]
     e = build_snowflake(s, 0.5, 0.1, seed=0)
-    r_of = {sc.i: sc.r for sc in e.scales}
     logged = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(r_of[int(i)] for i, _ in logged) == sorted(
+    assert sorted(snowflake._scale_params(e, int(i)).r
+                  for i, _ in logged) == sorted(
         decomposed_scales(e))
     assert logged and all(none == "True" for _, none in logged)
     squares = np.zeros(e.scale_dists.shape[1])
