@@ -10,8 +10,8 @@ with an audit that measures all pairs against its declared bounds.
 
 from .errors import (BadParams, ClusterTooLarge, DuplicatePoints,
                      DuplicateSources, EmptyInput, ExtensionDidNotConverge,
-                     HeaderMismatch, IndexOutOfRange, NotEuclidean,
-                     PaddingUnachievable, SnowdimError, UnknownKind)
+                     HeaderMismatch, NotEuclidean, PaddingUnachievable,
+                     SnowdimError, UnknownKind)
 from .points import (DoublingEstimate, Net, PointSet, estimate_doubling,
                      generate, greedy_net, normalize)
 from .transforms import (cut_decomposition, euclidean_realization,
@@ -38,8 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BadParams", "ClusterTooLarge", "DuplicatePoints", "DuplicateSources",
     "EmptyInput", "ExtensionDidNotConverge", "HeaderMismatch",
-    "IndexOutOfRange", "NotEuclidean", "PaddingUnachievable",
-    "SnowdimError", "UnknownKind",
+    "NotEuclidean", "PaddingUnachievable", "SnowdimError", "UnknownKind",
     "DoublingEstimate", "Net", "PointSet", "estimate_doubling", "generate",
     "greedy_net", "normalize",
     "cut_decomposition", "euclidean_realization", "gaussian_transform",

@@ -17,10 +17,6 @@ class DuplicatePoints(SnowdimError):
     """Two input points coincide, so the minimum distance is undefined."""
 
 
-class IndexOutOfRange(SnowdimError, IndexError):
-    """A point index does not exist in the set."""
-
-
 class UnknownKind(SnowdimError):
     """Unrecognised synthetic generator kind."""
 

@@ -21,7 +21,6 @@ from .errors import (
     DuplicatePoints,
     EmptyInput,
     HeaderMismatch,
-    IndexOutOfRange,
     UnknownKind,
 )
 
@@ -131,15 +130,6 @@ class PointSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def check_index(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"point index {i} outside [0, {self.n})")
-        return int(i)
-
-    def distance(self, i: int, j: int) -> float:
-        i, j = self.check_index(i), self.check_index(j)
-        return float(self.distance_matrix()[i, j])
-
     def distance_matrix(self) -> np.ndarray:
         if self._dmat is None:
             pts = self.points
@@ -175,10 +165,6 @@ class PointSet:
         if self.n < 2:
             return True
         return abs(self.min_distance() - 1.0) <= NORMALIZATION_RTOL
-
-    def subset(self, indices) -> "PointSet":
-        idx = np.asarray(indices, dtype=np.intp)
-        return PointSet(self.points[idx], self.norm, self.scale)
 
 
 def vector_norm(diff: np.ndarray, norm: float) -> np.ndarray:
@@ -315,9 +301,10 @@ def _gen_line(n: int) -> np.ndarray:
 
 
 def _gen_grid(side: int, dims: int) -> np.ndarray:
-    axes = [np.arange(side, dtype=np.float64)] * dims
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    # row m holds the base-side digits of m, most significant first: the
+    # rows of an "ij" meshgrid, in any number of dimensions
+    return (np.arange(side ** dims)[:, None] // side ** np.arange(
+        dims - 1, -1, -1) % side).astype(np.float64)
 
 
 def _gen_subspace(rng, n, ambient_dim, intrinsic_dim, noise):

@@ -11,7 +11,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from snowdim import points
 from snowdim.errors import (BadParams, DuplicatePoints, EmptyInput,
-                            HeaderMismatch, IndexOutOfRange, UnknownKind)
+                            HeaderMismatch, UnknownKind)
 from snowdim.points import (PointSet, _pairwise, estimate_doubling, generate,
                             greedy_net, loads_csv, loads_json, dumps_csv,
                             dumps_json, normalize, norm_tag)
@@ -386,10 +386,18 @@ def test_point_set_scale_must_be_positive_and_finite(scale):
         PointSet([[0.0], [1.0]], scale=scale)
 
 
-def test_index_checks():
-    s = generate("line", n=5)
-    with pytest.raises(IndexOutOfRange):
-        s.check_index(5)
-    with pytest.raises(IndexOutOfRange):
-        s.check_index(-1)
-    assert isinstance(IndexOutOfRange("x"), IndexError)
+@pytest.mark.parametrize("side, dims", [(3, 4), (8, 2), (4, 1), (2, 10),
+                                        (1, 3)])
+def test_grid_rows_are_the_ij_mesh(side, dims):
+    mesh = np.meshgrid(*[np.arange(side, dtype=np.float64)] * dims,
+                       indexing="ij")
+    want = np.stack([m.ravel() for m in mesh], axis=1)
+    got = generate("grid", side=side, dims=dims).points
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+@pytest.mark.parametrize("dims", [33, 65])
+def test_one_point_grid_in_many_dimensions(dims):
+    # numpy's meshgrid stops at 32 dimensions; a one-point grid has none
+    s = generate("grid", side=1, dims=dims)
+    assert s.points.shape == (1, dims) and not s.points.any()
