@@ -3,9 +3,10 @@ Snowflake embedding: d^alpha in one shot
 ========================================
 
 build_snowflake stacks single-scale maps over a geometric ladder of
-scales (1+eps)^i. In l2 it sums the scales directly through one Gram
-matrix and writes the sum exactly in at most n - 1 columns; l1 keeps the
-paper's p round-robin groups. The result tracks d^alpha for every pair
+scales (1+eps)^i. In l2 it takes their direct sum, the classical MDS of
+the summed squared per-scale distances, written exactly in at most
+n - 1 columns; l1 takes the direct sum too, one column per distinct cut
+of the scales. The result tracks d^alpha for every pair
 at once: the band max/min of ||Phi(x)-Phi(y)|| / d^alpha stays under
 1 + 16*eps. The reported theory dimension is still the paper's grouped
 count p * k_scale. distortion_audit re-measures the band and the

@@ -71,7 +71,8 @@ def kirszbraun_extend(dmat: np.ndarray, src_idx: np.ndarray,
     constraints for later ones, so the finished map is (lip + O(tol))
     Lipschitz on all pairs. Raises ExtensionDidNotConverge if a target
     cannot be driven inside its balls (e.g. ``lip`` below the true
-    constant of the source data).
+    constant of the source data). Needs scipy, which the ``extension``
+    extra installs.
     """
     from scipy.optimize import minimize    # on use: the import skips scipy
 
