@@ -47,8 +47,7 @@ are combined depends on the norm:
 
 ``theory_k`` is the paper's grouped count p * k_scale for every norm, a
 formula of the parameters alone. No concrete output needs the grouping:
-each is exact, and narrower than the grouped layout on every input
-measured.
+each is exact, and narrower than it on every input measured.
 
 The scales are independent work: each one's seed derives from (seed, i)
 alone. The l2 one-cluster scales are written by the caller alone, after
@@ -116,9 +115,8 @@ DOMINANT_FLOOR = 0.45
 
 
 def scale_count(alpha: float, eps: float) -> int:
-    """The paper's scale group count p = ceil((3/(1-alpha)) *
-    ceil(log_{1+eps}(1/eps))): the size of the audit's scale window, the
-    spacing of its same-residue mates, and the factor of ``theory_k``."""
+    """The paper's group count p = ceil((3/(1-alpha)) * ceil(log_{1+eps}
+    (1/eps))): the audit's window size and the factor of ``theory_k``."""
     j = math.ceil(math.log(1.0 / eps) / math.log1p(eps))
     # guard the ceil against float noise when 3j/(1-alpha) is an integer
     return math.ceil(3.0 * j / (1.0 - alpha) - 1e-9)
@@ -239,25 +237,21 @@ def _anchors(plan: SnowflakePlan, d: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SnowflakeEmbedding:
-    """A built snowflake. The per-scale state is three arrays, scales in
-    plan order and pairs condensed (``scipy.spatial.distance.pdist``
-    order): each scale's width, each scale's pair distances divided by
-    (1+eps)^{i(1-alpha)} (a zero row where the width is 0), and whether
-    each pair is padded (same cluster, both pad-balls uncut) in every
-    partition of its anchor scale (``_anchors``)."""
+    """A built snowflake; its per-scale state is three arrays, scales in
+    plan order and pairs in ``scipy.spatial.distance.pdist`` order."""
 
     plan: SnowflakePlan
     source: PointSet
     seed: int
     dim_hat: float
     k: int                           # concrete coordinate count
-    assembled_k: int                 # layout width before reduction
+    assembled_k: int                 # the sum of the scale widths
     theory_k: int                    # p * theory_k_scale
     theory_k_scale: int
     coords: np.ndarray               # (n, k) final images, all scaling in
-    scale_k: np.ndarray              # (scales,) block width; l2: rank bound
-    scale_dists: np.ndarray          # (scales, pairs)
-    padded_dom: np.ndarray           # (pairs,) bool
+    scale_k: np.ndarray              # (scales,) width; l2: rank bound
+    scale_dists: np.ndarray          # (scales, pairs): the audit's B_i
+    padded_dom: np.ndarray           # (pairs,) padded at the anchor scale
 
     @property
     def n(self) -> int:
@@ -339,15 +333,13 @@ def _threshold_cuts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_scale(job: _ScaleJob, i: int) -> tuple:
-    """Scale i as (k, dists, dom, part): its width; its pair distances
-    (None when k is 0); whether each pair it anchors is padded in every
-    partition (``_dominant_pair_mask``, in pair order; None when k is 0
-    or it anchors none); and on l1 the cut measure of its weighted block
-    (``_threshold_cuts``; None on the other norms, or when k is 0). The
-    map is the one ``build_single_scale`` writes at rescale 1, and
-    everything is divided by (1+eps)^{i(1-alpha)}. A library error is
-    re-raised as the same type with the scale named in front of its
-    message."""
+    """Scale i as (k, dists, dom, part): its width, its pair distances,
+    the ``_dominant_pair_mask`` of the pairs it anchors and, on l1, the
+    cut measure of its block (``_threshold_cuts``); each of the last
+    three is None where the scale has none. The map is the one
+    ``build_single_scale`` writes at rescale 1, and everything is divided
+    by (1+eps)^{i(1-alpha)}. A library error is re-raised as the same
+    type with the scale named in front of its message."""
     plan = job.plan
     sp = _scale_params(job, i)
     w = _scale_weight(plan, i)
@@ -625,8 +617,6 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
         if plan.norm == 2.0:
             out = classical_mds(out)
     theory_k_scale = theory_dimension(eps, plan.delta, EPS_PAD, dim_hat, plan.norm)
-    # assembled_k: the width of the direct sum or of the one-block-per-
-    # scale layout
     return SnowflakeEmbedding(plan, s, seed, dim_hat, out.shape[1],
                               int(scale_k.sum()), plan.p * theory_k_scale,
                               theory_k_scale, out, scale_k, scale_dists,
@@ -687,8 +677,7 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
     # dominant term at the anchor scale, for pairs padded there
     b_dom = b_terms[istar - plan.i_lo, np.arange(n_pairs)]
     dom_bound = DOMINANT_FLOOR * (1.0 + eps) ** (istar * (1.0 - alpha))
-    padded_dom = e.padded_dom
-    dom_bad = padded_dom & (b_dom < dom_bound)
+    dom_bad = e.padded_dom & (b_dom < dom_bound)
 
     for t, pair in zip(*np.nonzero(tail_bad)):
         rep.violations.append({
@@ -722,9 +711,9 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
         "band_limit": band_limit,
         "max_tail_ratio": float(tail_ratio.max()) if tail_ratio.size else 0.0,
         "tail_bound_slack": TAIL_SLACK,
-        "padded_dominant_pairs": int(padded_dom.sum()),
-        "min_dominant_ratio":
-            float(dom_ratio[padded_dom].min()) if padded_dom.any() else None,
+        "padded_dominant_pairs": int(e.padded_dom.sum()),
+        "min_dominant_ratio": (float(dom_ratio[e.padded_dom].min())
+                               if e.padded_dom.any() else None),
         "dominant_floor": DOMINANT_FLOOR,
         "theory_k": e.theory_k,
         "theory_k_scale": e.theory_k_scale,
