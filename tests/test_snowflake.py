@@ -259,6 +259,16 @@ def test_l1_output_is_the_direct_sum_one_column_per_cut(s):
     assert distortion_audit(e).passed
 
 
+def test_threshold_cuts_write_a_cut_and_its_complement_as_one():
+    # {0} and {1, 2} are one cut metric: both are kept as the set that
+    # leaves point 0 out, within the n points, so they share one key
+    block = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 3.0]])
+    keys, w = snowflake._threshold_cuts(block)
+    assert np.array_equal(keys, transforms._pack(np.array([[0, 1, 1]],
+                                                          dtype=bool)))
+    assert np.array_equal(w, [5.0])
+
+
 def test_l2_snowflake_realizes_no_cluster_and_squeezes_no_block(monkeypatch):
     import snowdim
     import snowdim.projection as projection
@@ -775,7 +785,8 @@ def test_one_cluster_scales_match_their_decomposed_build(name):
     plan = e.plan
     iu, ju = np.triu_indices(s.n, k=1)
     job = snowflake._ScaleJob(s, plan, 0, e.dim_hat, iu, ju,
-                              snowflake._anchors(plan, pdist(s.points)))
+                              snowflake._anchors(
+                                  plan, s.distance_matrix()[iu, ju]))
     taken = 0
     for t, i in enumerate(plan.scale_indices):
         sp = snowflake._scale_params(job, i)
@@ -801,7 +812,9 @@ def test_padded_pairs_are_each_anchor_scales_mask(name):
     # the reference takes each anchor scale's mask over every pair, from
     # its clusters rebuilt on their own, and keeps the pairs it anchors:
     # those at distance (1+eps)^{i*} <= d < (1+eps)^{i*+1}
-    s = {"grid4": small_grid(), "linf-ball12": linf_snowflake()[0]}[name]
+    s = {"grid4": small_grid(),
+         "linf-ball12": normalize(generate("ball", n=12, dim=2, norm="linf",
+                                           seed=1))}[name]
     e = build_snowflake(s, 0.5, 0.1, seed=0)
     iu, ju = np.triu_indices(s.n, k=1)
     d = s.distance_matrix()[iu, ju]
@@ -852,7 +865,7 @@ def test_l2_scales_ship_no_gram_and_the_output_is_their_mds(monkeypatch,
     build_scale = snowflake._build_scale
 
     def logging(job, i):
-        k, dists, dom, part = out = build_scale(job, i)
+        *_, part = out = build_scale(job, i)
         with open(log, "a") as f:
             f.write(f"{i} {part is None}\n")
         return out
