@@ -32,8 +32,9 @@ distinct cluster's count and smoothing. It reads the carvings' clusters
 off the decomposition's member and size rows and finds the distinct
 ones with array operations (a 64-bit key per cluster, every match
 confirmed member by member), so no object is made per carving or per
-cluster. The three maps are built from those arrays, by the same
-functions the snowflake calls for each scale it decomposes.
+cluster. The three maps are built from those arrays; the snowflake
+calls the l2 and l1 functions for each scale it decomposes, and reads an
+l-infinity scale's distances off the arrays with no block.
 
 The finished embedding keeps everything needed for the audit: the
 distinct clusters with their smoothing weights (and, in l1, their raw
@@ -204,7 +205,9 @@ class ScaleClusters:
     cluster's ascending, ``sizes`` and ``counts`` hold one entry per
     cluster, and ``weights`` and ``h_values`` are aligned with
     ``members``. ``clusters`` is the same record as ``ClusterEntry``
-    objects, made on first use."""
+    objects, made on first use. ``group`` holds the distinct cluster of
+    each cluster of each label row, rows in order and each row's
+    clusters in label order."""
     params: SingleScaleParams              # norm resolved
     dim_hat: float
     decomposition: PaddedDecomposition
@@ -213,10 +216,28 @@ class ScaleClusters:
     counts: np.ndarray                     # (K,) carvings holding it
     weights: np.ndarray                    # smoothing weight per member
     h_values: np.ndarray                   # h below the cap r/delta, else inf
+    group: np.ndarray                      # distinct cluster per row cluster
 
     @property
     def m(self) -> int:
         return self.decomposition.m
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Shaped like the decomposition's labels: where in ``members``
+        each point sits within its cluster of that label row. A row's
+        cluster lists its members ascending, as its distinct cluster
+        does, so a point's rank in the one is its rank in the other."""
+        dec = self.decomposition
+        flat = dec.members.ravel()
+        row_sizes = dec.sizes[dec.sizes > 0]
+        starts = np.cumsum(self.sizes) - self.sizes
+        rank = np.arange(len(flat)) - np.repeat(
+            np.cumsum(row_sizes) - row_sizes, row_sizes)
+        out = np.empty(dec.labels.shape, dtype=np.intp)
+        out.ravel()[np.arange(len(flat)) // dec.n * dec.n + flat] = (
+            np.repeat(starts[self.group], row_sizes) + rank)
+        return out
 
     @cached_property
     def clusters(self) -> list[ClusterEntry]:
@@ -355,6 +376,11 @@ def _l1_block(sc: ScaleClusters, points: np.ndarray, in_net: np.ndarray,
     return out, [f for _, _, f in blocks]
 
 
+def _linf_combine(delta: float) -> float:
+    """The l-infinity combining scale 1 / (1 + 2 sqrt(delta))."""
+    return 1.0 / (1.0 + 2.0 * math.sqrt(delta))
+
+
 def _block_weights(sc: ScaleClusters,
                    rescale: float) -> tuple[float, np.ndarray]:
     """An l1 or l-infinity scale's combining scale, 1/m or
@@ -362,7 +388,7 @@ def _block_weights(sc: ScaleClusters,
     with ``sc.members``): its smoothing weight times the combining scale
     (in l1, times its cluster's count first), then times ``rescale``."""
     if sc.params.norm == np.inf:
-        combine = 1.0 / (1.0 + 2.0 * math.sqrt(sc.params.delta))
+        combine = _linf_combine(sc.params.delta)
         return combine, sc.weights * combine * rescale
     combine = 1.0 / sc.m
     return combine, (sc.weights * np.repeat(sc.counts * combine, sc.sizes)
@@ -424,6 +450,24 @@ def _distinct(flat: np.ndarray, sizes: np.ndarray,
     return first[order], rank[inverse]
 
 
+def _runs(lens: np.ndarray):
+    """Lay runs of the given lengths end to end, a chunk of whole runs at
+    a time, at most PAIRWISE_BYTES / 8 entries (or one run) per chunk.
+    Yields (lo, hi, run, j, starts): runs lo..hi-1, each entry's run and
+    its offset in that run, and each run's first entry in the chunk."""
+    ends = np.cumsum(lens)
+    step = max(1, PAIRWISE_BYTES // 8)
+    lo = 0
+    while lo < len(lens):
+        base = ends[lo] - lens[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + step, "right")))
+        seg = lens[lo:hi]
+        starts = ends[lo:hi] - seg - base
+        run = np.repeat(np.arange(lo, hi), seg)
+        yield lo, hi, run, np.arange(len(run)) - np.repeat(starts, seg), starts
+        lo = hi
+
+
 def _capped_h(s: PointSet, labels: np.ndarray, rows: np.ndarray,
               carving: np.ndarray, c: float) -> np.ndarray:
     """For each point rows[j], its distance h to the nearest point with
@@ -436,32 +480,22 @@ def _capped_h(s: PointSet, labels: np.ndarray, rows: np.ndarray,
     prefix is read, and its first label mismatch is the nearest outside
     point. x itself sits in the prefix with its own label, so no column
     is taken to be x, and ties need no care. The prefixes of all rows are
-    laid end to end and scanned as one flat batch, in chunks of at most
-    PAIRWISE_BYTES / 8 neighbours."""
+    laid end to end and scanned as one flat batch, in chunks (``_runs``)
+    of at most PAIRWISE_BYTES / 8 neighbours."""
     h = np.full(len(rows), np.inf)
     if not len(rows):
         return h
     order, dsorted = s._sorted_rows()
     n = s.n
     lens = np.count_nonzero(c * dsorted < 1.0, axis=1)[rows]
-    ends = np.cumsum(lens)
     flat_labels = labels.ravel()
     own = flat_labels[carving * n + rows]
-    step = max(1, PAIRWISE_BYTES // 8)
-    lo = 0
-    while lo < len(rows):
-        base = ends[lo] - lens[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + step, "right")))
-        seg_lens = lens[lo:hi]
-        seg_starts = ends[lo:hi] - seg_lens - base
-        seg = np.repeat(np.arange(lo, hi), seg_lens)
-        pos = np.arange(len(seg)) - np.repeat(seg_starts, seg_lens)
+    for lo, hi, seg, pos, seg_starts in _runs(lens):
         nbr = order[rows[seg], pos]
         other = flat_labels[carving[seg] * n + nbr] != own[seg]
         hit = np.minimum.reduceat(np.where(other, pos, n), seg_starts)
-        found = hit < seg_lens
+        found = hit < lens[lo:hi]
         h[lo:hi][found] = dsorted[rows[lo:hi][found], hit[found]]
-        lo = hi
     return h
 
 
@@ -514,7 +548,8 @@ def scale_clusters(s: PointSet, params: SingleScaleParams) -> ScaleClusters:
     carving = np.repeat(np.nonzero(nonempty)[0][first], sizes)
     h[scan] = _capped_h(s, dec.labels, members[scan], carving[scan], c)
     w = np.minimum(1.0, c * h)
-    return ScaleClusters(p, dim_hat, dec, members, sizes, counts, w, h)
+    return ScaleClusters(p, dim_hat, dec, members, sizes, counts, w, h,
+                         group)
 
 
 def _scale_gram(sc: ScaleClusters,

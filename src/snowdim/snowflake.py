@@ -9,27 +9,28 @@ of (eps, alpha, p) alone, exposed as ``band_center`` so consumers that need
 unit calibration (distance labels) can rescale; the guarantee itself is on
 the width.
 
-Every norm builds a scale the same way (but for the l2 one-cluster
-scales below): ``scale_clusters`` decomposes it and finds its distinct
-clusters, the norm's map is built from their arrays by the function
-``build_single_scale`` calls too (``_scale_gram``, ``_l1_block`` or
-``_linf_block``), and the map's condensed pair distances are taken where
-the scale is built (l1 cuts each cluster shape once per build and
-replays the cuts at every scale that meets it). A scale keeps three
-things for the audit: its width (an entry of ``scale_k``), those
-distances (a row of ``scale_dists``), and, for the pairs it anchors,
-whether each is padded in every partition (``padded_dom``). How the maps
-are combined depends on the norm:
+Every norm builds a scale the same way (but for the one-cluster scales
+below): ``scale_clusters`` decomposes it and finds its distinct
+clusters, and its condensed pair distances are read off their arrays
+where the scale is built. l2 and l1 go through the map that
+``build_single_scale`` writes too (``_scale_gram`` or ``_l1_block``; l1
+cuts each cluster shape once per build and replays the cuts at every
+scale that meets it); l-infinity writes no map (``_linf_dists``). A
+scale keeps three things for the audit: its width (an entry of
+``scale_k``), those distances (a row of ``scale_dists``), and, for the
+pairs it anchors, whether each is padded in every partition
+(``padded_dom``). A scale whose first decomposition diameter carves the
+whole set in one piece (``SingleScaleParams.one_cluster``, most of the
+coarse half of the ladder) is not decomposed at all in l2 and
+l-infinity: its one cluster has all weights 1, and every pair is padded
+in it. How the maps are combined depends on the norm:
 
 * l2 is the direct sum of the scales, written in at most n - 1
   coordinates as the classical MDS (``classical_mds``) of the summed
   squared per-scale distances; no cluster is realized.
   ``assembled_k`` is the direct sum's width, the sum of the per-scale
-  rank bounds. A scale whose first decomposition diameter carves the
-  whole set in one piece (``SingleScaleParams.one_cluster``, most of
-  the coarse half of the ladder) is not decomposed at all: its map is
-  G_r of the source metric with all weights 1, so its pair distances
-  are w * G_r(d) and its rank bound is n - 1.
+  rank bounds. A one-cluster scale's map is G_r of the source metric,
+  so its pair distances are w * G_r(d) and its rank bound is n - 1.
 * l1 is the direct sum of the scales as well, written as its cut
   measure: each scale's weighted block is split into threshold cuts
   (``_threshold_cuts``), the equal cuts of all scales are summed in
@@ -37,20 +38,26 @@ are combined depends on the norm:
   its weight over M on its members. Every l1 metric is such a sum, so
   the width depends on n alone (l1 has no dimension-free reduction).
   ``assembled_k`` is the direct sum's width, the sum of the block widths.
-* l-infinity combines by max. The image distance D is the max of the
-  per-scale distances, as the layout of one block per scale would give
-  bit for bit (max is exact). The output is D's Frechet map: n columns,
-  column z of row x holding D(x, z). The l-infinity distance of rows x
-  and y is D(x, y): column y gives it exactly, and the triangle
-  inequality caps every other column, up to the rounding of one
-  subtraction. ``assembled_k`` is the sum of the block widths.
+* l-infinity combines by max. A scale's block (``_linf_block``, one
+  column per net point of each cluster) is not written: its pair
+  distances come from the clusters' farthest net points, from the
+  pairs' own distances, and from scans of the net columns of the few
+  clusters that need them (``_linf_dists``), to 2 ulps of the block's
+  largest entry. A one-cluster scale reads the net of the whole set.
+  The image distance D is the max of the per-scale distances. The
+  output is D's Frechet map: n columns, column z of row x holding
+  D(x, z). The l-infinity distance of rows x and y is D(x, y): column y
+  gives it exactly, and the triangle inequality caps every other
+  column, up to the rounding of one subtraction. ``assembled_k`` is the
+  sum of the block widths, the net points of the clusters of two or
+  more points.
 
 ``theory_k`` is the paper's grouped count p * k_scale for every norm, a
 formula of the parameters alone. No concrete output needs the grouping:
 each is exact, and narrower than it on every input measured.
 
 The scales are independent work: each one's seed derives from (seed, i)
-alone. The l2 one-cluster scales are written by the caller alone, after
+alone. The one-cluster scales are written by the caller alone, after
 the helpers fork; ``build_snowflake`` splits the other scales over the w
 CPUs the process may run on. The t-th of them is built by process
 t mod w: the caller builds every w-th, and one forked helper per extra
@@ -100,8 +107,8 @@ from .points import (PointSet, _pair_distances, _pairwise, estimate_doubling,
                      require_seed)
 from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleParams,
                            _block_weights, _dumps_coords, _l1_block,
-                           _linf_block, _scale_gram, require_source,
-                           scale_clusters, theory_dimension)
+                           _linf_combine, _runs, _scale_gram,
+                           require_source, scale_clusters, theory_dimension)
 from .transforms import (CutStructure, _groups, _pack, classical_mds,
                          gaussian_transform)
 
@@ -332,6 +339,129 @@ def _threshold_cuts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[first], np.bincount(group, weights=gap[j, c])
 
 
+def _linf_dists(s: PointSet, members: np.ndarray, sizes: np.ndarray,
+                sw: np.ndarray, in_net: np.ndarray, r: float, w: float,
+                iu: np.ndarray, ju: np.ndarray, labels: np.ndarray | None,
+                positions: np.ndarray | None
+                ) -> tuple[int, np.ndarray | None]:
+    """An l-infinity scale's width and pair distances, from its distinct
+    clusters (``members`` and ``sizes`` as in ``ScaleClusters``, ``sw``
+    each member's factor) and its label rows (``labels``, and each
+    point's ``ScaleClusters.positions``), with no block.
+
+    The block (``_linf_block`` times w) has a column per net point z of
+    each cluster C of two or more points, holding g_x(z) = w * (T_r(d(x,
+    z)) * sw_x) on C's rows and 0 elsewhere. Its width is returned, and
+    a pair's distance is the max over the columns of |g_x(z) - g_y(z)|:
+
+    * C holds x alone: rounding is monotone, so the max over C's columns
+      is a_C(x) = w * (T_r(max_z d(x, z)) * sw_x) bit for bit. The max is
+      r or more unless all of C's net points lie in the prefix of x's
+      sorted distance row below r, so only that prefix is read. Each
+      label row that separates the pair gives the larger of its points'
+      a_C.
+    * C holds both, and x or y is a net point: if sw_x = sw_y, the column
+      of the other is w * (T_r(d(x, y)) * sw_x), which caps every other
+      (|T_r(a) - T_r(b)| <= T_r(|a - b|)) up to the rounding of the
+      block's subtraction, 2 ulps of its largest entry. A pair that a
+      label row keeps in a uniform cluster (every member's factor the
+      scale's largest) takes this closed form in the same pass.
+    * Any other pair that C holds scans C's columns as the block does.
+
+    The distances are None where the width is 0."""
+    n = s.n
+    dmat = s.distance_matrix()
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    net_pos = np.flatnonzero(in_net[members] & (sizes > 1)[cluster])
+    if not len(net_pos):
+        return 0, None
+    knet = np.bincount(cluster[net_pos], minlength=len(sizes))
+    net_start = np.cumsum(knet) - knet
+    in_block = knet[cluster] > 0
+    # the clusters whose members all carry the largest factor c
+    c = sw.max()
+    uniform = np.ones(len(sizes), dtype=bool)
+    uniform[cluster[sw != c]] = False
+
+    flat = dmat.reshape(-1)
+    net_pts = members[net_pos]
+
+    def g(p, z):
+        # member p's entry in the column of point z
+        return w * (np.minimum(flat.take(members[p] * n + z), r) * sw[p])
+
+    closed = w * (np.minimum(dmat[iu, ju], r) * c)
+    closed *= in_net[iu] | in_net[ju]
+    if labels is None:
+        dists = closed if uniform[0] else np.zeros(len(iu))
+    else:
+        p = np.flatnonzero(in_block)
+        pts = members[p]
+        # a label row holding each cluster, and each member's label there
+        home = np.empty(len(sizes), dtype=np.intp)
+        home[cluster[positions]] = np.arange(len(labels))[:, None]
+        home = home[cluster[p]] * n
+        own = labels.reshape(-1)[home + pts]
+        order, dsorted = s._sorted_rows()
+        lens = np.count_nonzero(dsorted < r, axis=1)[pts]
+        far = np.empty(len(p))
+        for lo, hi, run, j, starts in _runs(lens):
+            y = order[pts[run], j]
+            near = in_net[y] & (labels.reshape(-1)[home[run] + y] == own[run])
+            count = np.add.reduceat(near, starts, dtype=np.intp)
+            top = np.maximum.reduceat(
+                np.where(near, dsorted[pts[run], j], 0.0), starts)
+            far[lo:hi] = np.where(count < knet[cluster[p[lo:hi]]], r, top)
+        a = np.zeros(len(members))
+        a[p] = w * (np.minimum(far, r) * sw[p])
+        # the label rows point by point, each point's values contiguous;
+        # point x's pairs (x, y > x) are one run of the condensed order
+        a = np.ascontiguousarray(a[positions].T)
+        lab = np.ascontiguousarray(labels.T, dtype=np.min_scalar_type(n))
+        kept = (None if uniform.all()
+                else np.ascontiguousarray(uniform[cluster[positions]].T))
+        dists = np.empty(len(iu))
+        lo = 0
+        for x in range(n - 1):
+            hi = lo + n - 1 - x
+            apart = lab[x + 1:] != lab[x]
+            cross = np.maximum(a[x + 1:], a[x])
+            cross *= apart
+            out = dists[lo:hi]
+            cross.max(axis=1, out=out)
+            shared = (~apart.all(axis=1) if kept is None
+                      else (~apart & kept[x]).any(axis=1))
+            np.maximum(out, closed[lo:hi] * shared, out=out)
+            lo = hi
+
+    # every other pair a cluster holds: each pair of members of a cluster
+    # that is not uniform, and each pair of non-net members of one that is
+    q = np.flatnonzero(in_block & ~(uniform[cluster] & in_net[members]))
+    ends = np.cumsum(np.bincount(cluster[q], minlength=len(sizes)))
+    for _, _, run, j, _ in _runs(ends[cluster[q]] - np.arange(len(q)) - 1):
+        px, py = q[run], q[run + 1 + j]
+        x, y = members[px], members[py]
+        terms = g(px, y)
+        scan = np.flatnonzero(~((in_net[x] | in_net[y])
+                                & (sw[px] == sw[py])))
+        # the max over the net points z of the pair's cluster
+        cl = cluster[px[scan]]
+        for lo, hi, item, k, starts in _runs(knet[cl]):
+            z = net_pts[net_start[cl[item]] + k]
+            t = scan[item]
+            terms[scan[lo:hi]] = np.maximum.reduceat(
+                np.abs(g(px[t], z) - g(py[t], z)), starts)
+        np.maximum.at(dists, x * n - x * (x + 1) // 2 + y - x - 1, terms)
+    return len(net_pos), dists
+
+
+def _in_net(s: PointSet, sp: SingleScaleParams) -> np.ndarray:
+    """Which points the net of scale ``sp`` holds."""
+    in_net = np.zeros(s.n, dtype=bool)
+    in_net[greedy_net(s, sp.net_radius).members] = True
+    return in_net
+
+
 def _build_scale(job: _ScaleJob, i: int) -> tuple:
     """Scale i as (k, dists, dom, part): its width, its pair distances,
     the ``_dominant_pair_mask`` of the pairs it anchors and, on l1, the
@@ -355,17 +485,18 @@ def _build_scale(job: _ScaleJob, i: int) -> tuple:
                     diag[job.iu] + diag[job.ju] - 2.0 * gram[job.iu, job.ju],
                     0.0))
         else:
-            in_net = np.zeros(job.s.n, dtype=bool)
-            in_net[greedy_net(job.s, sc.params.net_radius).members] = True
+            in_net = _in_net(job.s, sc.params)
             scaled_w = _block_weights(sc, 1.0)[1]
-            block = w * (_linf_block(sc, dmat, in_net, scaled_w)
-                         if plan.norm == np.inf
-                         else _l1_block(sc, job.s.points, in_net, scaled_w,
-                                        job.structures)[0])
-            k = block.shape[1]
-            if k:
-                dists = _pair_distances(block, plan.norm, job.iu, job.ju)
-                if plan.norm == 1.0:
+            if plan.norm == np.inf:
+                k, dists = _linf_dists(
+                    job.s, sc.members, sc.sizes, scaled_w, in_net, sp.r, w,
+                    job.iu, job.ju, sc.decomposition.labels, sc.positions)
+            else:
+                block = w * _l1_block(sc, job.s.points, in_net, scaled_w,
+                                      job.structures)[0]
+                k = block.shape[1]
+                if k:
+                    dists = _pair_distances(block, 1.0, job.iu, job.ju)
                     part = _threshold_cuts(block)
     except SnowdimError as err:
         raise type(err)(f"scale i={i} (r={sp.r:.6g}): {err}") from err
@@ -555,10 +686,10 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     pair_d = s.distance_matrix()[iu, ju]
     job = _ScaleJob(s, plan, seed, dim_hat, iu, ju, _anchors(plan, pair_d))
     indices = plan.scale_indices
-    # an l2 scale of one cluster is G_r of the source metric, written in
-    # closed form below; every other scale is built by _build_scale
+    # an l2 or l-infinity scale of one cluster is written in closed form
+    # below; every other scale is built by _build_scale
     params = ({i: _scale_params(job, i) for i in indices}
-              if plan.norm == 2.0 else {})
+              if plan.norm != 1.0 else {})
     one = {i: sp for i, sp in params.items() if sp.one_cluster(s, dim_hat)}
     built = [i for i in indices if i not in one]
     # every scale's width and pair distances, written in place: the audit
@@ -573,15 +704,23 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     s._sorted_rows()
     with _scale_results(job, built) as results:
         # while the helpers build, the caller writes the one-cluster
-        # scales: one cluster of every point with all weights 1, so the
-        # map is G_r of the source metric, the pair distances are
-        # w * G_r(d), the rank bound is n - 1, and every pair shares the
-        # cluster in every partition
+        # scales: one cluster of every point with all weights 1, which
+        # every pair shares in every partition. In l2 the map is G_r of
+        # the source metric, the pair distances are w * G_r(d) and the
+        # rank bound is n - 1; in l-infinity the block has a column per
+        # net point, and no row separates a pair
         for i, sp in one.items():
             t = i - plan.i_lo
-            scale_k[t] = n - 1
-            np.multiply(gaussian_transform(pair_d, sp.r),
-                        _scale_weight(plan, i), out=scale_dists[t])
+            w = _scale_weight(plan, i)
+            if plan.norm == 2.0:
+                scale_k[t] = n - 1
+                np.multiply(gaussian_transform(pair_d, sp.r), w,
+                            out=scale_dists[t])
+            else:
+                scale_k[t], scale_dists[t] = _linf_dists(
+                    s, np.arange(n), np.array([n]),
+                    np.full(n, _linf_combine(sp.delta)), _in_net(s, sp),
+                    sp.r, w, iu, ju, None, None)
             padded_dom[job.anchors == i] = True
         for i, (k, dists, dom, part) in zip(built, results):
             t = i - plan.i_lo
@@ -698,9 +837,11 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
         rep.violations.append({"check": "band", "width": band_width,
                                "limit": band_limit})
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tail_ratio = np.where(in_window, out_mass / tail_bound[:, None], 0.0)
-        dom_ratio = b_dom / ((1.0 + eps) ** (istar * (1.0 - alpha)))
+    # the violations above have read the masses: each becomes its ratio
+    # to the bound in place, zero outside the window
+    tail_ratio = np.divide(out_mass, tail_bound[:, None], out=out_mass)
+    np.multiply(tail_ratio, in_window, out=tail_ratio)
+    dom_ratio = b_dom / ((1.0 + eps) ** (istar * (1.0 - alpha)))
     rep.extras.update({
         "alpha": alpha,
         "p": p,
@@ -732,8 +873,10 @@ def dumps(e: SnowflakeEmbedding) -> bytes:
     """Embedding dump: the plan, the per-scale widths and the final
     coordinates; ``single_scale.loads_coords`` reads it back.
 
-    ``scale_k`` lists each scale's width. In l1 and l-infinity that is
-    its block's column count. In l2 no block is written, and it is the
+    ``scale_k`` lists each scale's width. In l1 that is its block's
+    column count; in l-infinity, the count its block would have (one
+    column per net point of each cluster of two or more points), though
+    no block is written. In l2 no block is written either, and it is the
     bound min(n, sum over distinct clusters C of |C| - 1) on the rank of
     the scale's map, read without factoring; it is 0 exactly on scales of
     singletons. ``assembled_k`` is their sum, the width of the direct sum

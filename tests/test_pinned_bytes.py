@@ -1,6 +1,6 @@
 """Pinned output bytes: the seed-0 dumps of four small snowflakes, one
-per norm and an l1 set off a line, and the rows of one sampled
-decomposition, as sha256 digests.
+per norm and an l1 set off a line, the audit reports of two of them, and
+the rows of one sampled decomposition, as sha256 digests.
 
 A rerun in one process cannot see a change that moves every run the same
 way; these digests hold across commits. A change that means to move the
@@ -52,14 +52,28 @@ def test_l2_grid_snowflake_dump_bytes():
         "915a4d392f871d5ccff026127fffba46edbbb7e0f9e3e566fdc67f1faf03cee9")
 
 
-def test_linf_ball_snowflake_dump_bytes():
-    # the 32-column Frechet map of the max of the per-scale distances; its
-    # pair distances are bitwise those of the one-block-per-scale layout
-    # it replaced
+def linf_ball():
     s = normalize(generate("ball", n=32, dim=4, norm="linf", seed=0))
-    e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
-    assert sha256(snowflake.dumps(e)) == (
+    return snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
+
+
+def test_linf_ball_snowflake_dump_bytes():
+    # the 32-column Frechet map of the max of the per-scale distances,
+    # which are read off each scale's clusters with no block; on this
+    # ball the output is bitwise the one the scales' blocks gave
+    assert sha256(snowflake.dumps(linf_ball())) == (
         "729109bc6a17065eb4fab70bb458a71638e41cc85f3c223826833a53c80676a2")
+
+
+def test_linf_ball_and_l2_grid_report_bytes():
+    # the audit reports: pair ratios, tail and dominant-term checks and
+    # extras, all in the report's JSON
+    grid = snowflake.build_snowflake(
+        normalize(generate("grid", side=8, dims=2)), 0.5, 0.1, seed=0)
+    assert [sha256(snowflake.distortion_audit(e).dumps_json().encode())
+            for e in (linf_ball(), grid)] == [
+        "9d46387116ef010e357c4c2e5d4c93d3186c0fb0967014eee9b5eb899212b5a5",
+        "70214bedbe09428fd81f0cbb338fd12ef50faf49ec12925d6516b799152a4781"]
 
 
 def test_sampled_decomposition_label_bytes():

@@ -20,7 +20,7 @@ from snowdim.errors import (BadParams, ClusterTooLarge, EmptyInput,
                             NotEuclidean)
 from snowdim.decomposition import build_decomposition
 from snowdim.labeling import dls_build, dumps_labels
-from snowdim.points import PointSet, generate, normalize
+from snowdim.points import PointSet, generate, greedy_net, normalize
 from snowdim.single_scale import (SingleScaleParams, build_single_scale,
                                   contract_audit, loads_coords)
 from snowdim.snowflake import (band_center, build_snowflake, compute_M,
@@ -191,22 +191,93 @@ def test_linf_keeps_per_scale_distances_and_writes_n_columns():
     assert distortion_audit(e).passed
 
 
+def linf_sets():
+    return {
+        "ball12": normalize(generate("ball", n=12, dim=2, norm="linf",
+                                     seed=1)),
+        "grid5": normalize(generate("grid", side=5, dims=2, norm="linf")),
+        "line12": normalize(generate("line", n=12, norm="linf")),
+    }
+
+
+def within_block_rounding(got, want, block) -> bool:
+    """Whether every distance in ``got`` lies within 2 ulps of the
+    block's largest entry of ``want``, the block's own distances: a
+    closed-form record skips the rounding of the block's subtraction."""
+    return bool(np.abs(got - want).max() <= 2 * np.spacing(block.max()))
+
+
 def test_linf_scale_distances_match_the_per_cluster_blocks(linf_reference):
-    # every scale rebuilt on its own and written cluster by cluster: scipy's
-    # Chebyshev pdist of those blocks is the record, and their max is the
-    # pdist of the output
-    s, e = linf_snowflake()
-    plan = e.plan
-    want = np.zeros_like(e.scale_dists)
-    for t, i in enumerate(plan.scale_indices):
-        block = linf_reference(build_single_scale(
-            s, snowflake._scale_params(e, i)))
-        assert block.shape[1] == e.scale_k[t]
-        if e.scale_k[t]:
-            w = (1.0 + plan.eps) ** (-i * (1.0 - plan.alpha))
-            want[t] = pdist(block * w, "chebyshev")
-    assert np.array_equal(e.scale_dists, want)
-    assert np.array_equal(pdist(e.coords, "chebyshev"), want.max(axis=0))
+    # every scale of a ball, a grid and a line rebuilt on its own and
+    # written cluster by cluster: the record is scipy's Chebyshev pdist of
+    # its block up to the block's rounding, its width is the block's, and
+    # the max of the records is the pdist of the output exactly; the
+    # coarse scales of one cluster read a net that leaves points out
+    for s in linf_sets().values():
+        e = build_snowflake(s, 0.5, 0.1, seed=3)
+        plan = e.plan
+        coarse = 0
+        for t, i in enumerate(plan.scale_indices):
+            sp = snowflake._scale_params(e, i)
+            block = linf_reference(build_single_scale(s, sp))
+            block *= (1.0 + plan.eps) ** (-i * (1.0 - plan.alpha))
+            assert block.shape[1] == e.scale_k[t]
+            if not e.scale_k[t]:
+                assert not e.scale_dists[t].any()
+                continue
+            assert within_block_rounding(e.scale_dists[t],
+                                         pdist(block, "chebyshev"), block)
+            coarse += sp.one_cluster(s, e.dim_hat) and e.scale_k[t] < e.n
+        assert coarse
+        assert np.array_equal(pdist(e.coords, "chebyshev"),
+                              e.scale_dists.max(axis=0))
+
+
+@pytest.mark.parametrize("name", list(linf_sets()))
+def test_linf_dists_match_the_blocks_at_forced_weights_and_radii(
+        linf_clusters_reference, name):
+    # weights forced below 1 on some members of a decomposed scale, and on
+    # one cluster of every point: a pair of unequal weights takes no
+    # closed form and scans its cluster's net columns. The same clusters
+    # are also read at an r past the set's diameter, where every member's
+    # farthest net point lies below r and comes from its sorted row's
+    # prefix. Every case must give the block's distances
+    s = linf_sets()[name]
+    e = build_snowflake(s, 0.5, 0.1, seed=3)
+    dmat = s.distance_matrix()
+    iu, ju = np.triu_indices(s.n, k=1)
+    rng = np.random.default_rng(0)
+    checked = 0
+    for i in e.plan.scale_indices[::7]:
+        sp = snowflake._scale_params(e, i)
+        sc = single_scale.scale_clusters(s, sp)
+        in_net = snowflake._in_net(s, sc.params)
+        w = snowflake._scale_weight(e.plan, i)
+        combine = single_scale._linf_combine(sp.delta)
+        for members, sizes, weights, rows in [
+                (sc.members, sc.sizes, sc.weights,
+                 (sc.decomposition.labels, sc.positions)),
+                (sc.members, sc.sizes,
+                 np.where(rng.random(len(sc.members)) < 0.3, 0.75, 1.0)
+                 * sc.weights,
+                 (sc.decomposition.labels, sc.positions)),
+                (np.arange(s.n), np.array([s.n]),
+                 np.where(np.arange(s.n) % 3 == 1, 0.5, 1.0), (None, None))]:
+            for r in (sp.r, 2.0 * s.diameter()):
+                k, got = snowflake._linf_dists(s, members, sizes,
+                                               weights * combine, in_net, r,
+                                               w, iu, ju, *rows)
+                cuts = np.cumsum(sizes)[:-1]
+                clusters = zip(np.split(members, cuts),
+                               np.split(weights, cuts))
+                block = w * linf_clusters_reference(dmat, clusters, in_net,
+                                                    r, combine, 1.0)
+                assert k == block.shape[1]
+                if k:
+                    checked += 1
+                    assert within_block_rounding(
+                        got, pdist(block, "chebyshev"), block)
+    assert checked
 
 
 def test_l1_scale_distances_match_the_single_scale_blocks():
@@ -502,11 +573,12 @@ def counting_scale_clusters(calls: list):
 
 
 def decomposed_scales(e) -> list[float]:
-    """The r of every scale of e that scale_clusters decomposes: on l2,
-    all but those of one cluster, which are written in closed form."""
+    """The r of every scale of e that scale_clusters decomposes: on l2
+    and l-infinity, all but those of one cluster, which are written in
+    closed form."""
     params = [snowflake._scale_params(e, i) for i in e.plan.scale_indices]
     return [sp.r for sp in params
-            if e.plan.norm != 2.0 or not sp.one_cluster(e.source, e.dim_hat)]
+            if e.plan.norm == 1.0 or not sp.one_cluster(e.source, e.dim_hat)]
 
 
 def blas_threads() -> list[int]:
@@ -764,6 +836,33 @@ def test_every_norm_builds_its_scales_from_the_cluster_arrays(monkeypatch,
     assert distortion_audit(e).passed
 
 
+def test_an_linf_snowflake_builds_no_block(monkeypatch):
+    # every l-infinity scale's distances are read off its cluster arrays:
+    # the build writes no block and measures no pair over one; the audit
+    # then measures the output's pairs once
+    import snowdim.points as points
+    calls = []
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapped
+
+    # the source's own distances are measured before the counting starts
+    s = normalize(generate("ball", n=12, dim=2, norm="linf", seed=1))
+    s.distance_matrix()
+    for mod, name in ((single_scale, "_linf_block"),
+                      (points, "_pair_distances"),
+                      (snowflake, "_pair_distances")):
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 1)
+    e = build_snowflake(s, 0.5, 0.1, seed=3)
+    assert calls == []
+    assert distortion_audit(e).passed
+    assert calls == ["_pair_distances"]
+
+
 def closed_form_sets():
     return [
         ("grid8", normalize(generate("grid", side=8, dims=2))),
@@ -771,17 +870,22 @@ def closed_form_sets():
         ("subspace60", normalize(generate("subspace", n=60, ambient_dim=10,
                                           intrinsic_dim=3, seed=0))),
         ("l1-line", normalize(generate("line", n=8, norm="l1"))),
+        ("linf-ball32", normalize(generate("ball", n=32, dim=4, norm="linf",
+                                           seed=0))),
     ]
 
 
 @pytest.mark.parametrize("name", [name for name, _ in closed_form_sets()])
 def test_one_cluster_scales_match_their_decomposed_build(name):
     # a scale the caller writes in closed form is the scale _build_scale
-    # decomposes into one certain cluster: the same row, rank bound and
-    # padded pairs, and the shared predicate holds at exactly the scales
-    # whose first decomposition is that one cluster
+    # decomposes into one certain cluster: the same row (l-infinity: up to
+    # the block's rounding), width and padded pairs, and the shared
+    # predicate holds at exactly the scales whose first decomposition is
+    # that one cluster. The width is the rank bound n - 1 in l2, and the
+    # net's size in l-infinity
     s = dict(closed_form_sets())[name]
-    e = build_snowflake(s, 0.5, 0.1, seed=0, norm=2.0)
+    norm = np.inf if s.norm == np.inf else 2.0
+    e = build_snowflake(s, 0.5, 0.1, seed=0, norm=norm)
     plan = e.plan
     iu, ju = np.triu_indices(s.n, k=1)
     job = snowflake._ScaleJob(s, plan, 0, e.dim_hat, iu, ju,
@@ -798,8 +902,15 @@ def test_one_cluster_scales_match_their_decomposed_build(name):
             continue
         taken += 1
         k, dists, dom, part = snowflake._build_scale(job, i)
-        assert np.allclose(e.scale_dists[t], dists, rtol=1e-12, atol=0.0)
-        assert e.scale_k[t] == k == s.n - 1 and part is None
+        if norm == 2.0:
+            assert np.allclose(e.scale_dists[t], dists, rtol=1e-12,
+                               atol=0.0)
+            assert e.scale_k[t] == k == s.n - 1 and part is None
+        else:
+            net = greedy_net(s, sp.net_radius).members
+            assert e.scale_k[t] == k == len(net) and part is None
+            assert np.abs(e.scale_dists[t] - dists).max() <= (
+                2 * np.spacing(dists.max()))
         anchored = job.anchors == i
         assert (dom is None) == (not anchored.any())
         if dom is not None:
