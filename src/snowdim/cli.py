@@ -2,8 +2,9 @@
 
 Subcommands cover the whole pipeline: generate synthetic sets, inspect
 their metric statistics, build single-scale or snowflake embeddings with
-their exhaustive audits, build and query distance-label files, emit
-per-pair reports, and run a greedy k-center demo in the embedded space.
+their exhaustive audits (the per-pair reports with ``--format csv``),
+build and query distance-label files, and run a greedy k-center demo in
+the embedded space.
 Embeddings target the norm recorded in the input file's header.
 
 Exit codes: 0 on success, 2 when an audit finds pairs outside the declared
@@ -188,22 +189,6 @@ def cmd_dls_query(args) -> int:
     return 0
 
 
-def cmd_audit_report(args) -> int:
-    """Shorthand for embed-scale (with --r) or embed-snowflake; the flag the
-    chosen audit would not read is refused."""
-    if args.r is not None:
-        if args.alpha is not None:
-            raise BadParams("audit-report: --alpha sets the snowflake "
-                            "audit and cannot go with --r")
-        return cmd_embed_scale(args)
-    if args.delta is not None:
-        raise BadParams("audit-report: --delta sets the single-scale audit "
-                        "and needs --r")
-    if args.alpha is None:
-        args.alpha = _OPTIONS["alpha"]["default"]
-    return cmd_embed_snowflake(args)
-
-
 def _greedy_k_center(dist: np.ndarray, k: int, start: int):
     """Farthest-point traversal: classic 2-approximation for k-center."""
     n = dist.shape[0]
@@ -316,16 +301,6 @@ def build_parser() -> _Parser:
     q.add_argument("b", type=int, help="second point id")
     _add(q, "out")
     q.set_defaults(func=cmd_dls_query)
-
-    p = sub.add_parser("audit-report",
-                       help="emit the per-pair report of an audit run")
-    p.add_argument("input")
-    p.add_argument("--r", type=float, default=None,
-                   help="audit a single scale instead of the snowflake")
-    _add(p, "seed", "eps", "delta", "alpha", "out", "format")
-    # None tells an --alpha given with --r from the snowflake default
-    p.set_defaults(func=cmd_audit_report, dump=None, dim_hat=None,
-                   alpha=None)
 
     p = sub.add_parser("cluster-demo",
                        help="greedy 2-approximate k-center in the image space")

@@ -186,13 +186,23 @@ def normalize(s: PointSet) -> PointSet:
         fewer than two points.
     DuplicatePoints
         some pair coincides (min distance is zero).
+    BadParams
+        the result's minimum distance is off 1 by more than
+        NORMALIZATION_RTOL (coordinates too large next to d_min).
     """
     if s.n < 2:
         raise EmptyInput("normalize needs at least two points")
     dmin = s.min_distance()
     if dmin == 0.0:
         raise DuplicatePoints("coincident points: minimum distance is zero")
-    return PointSet(s.points / dmin, s.norm, s.scale * dmin)
+    out = PointSet(s.points / dmin, s.norm, s.scale * dmin)
+    if not out.is_normalized():
+        raise BadParams(
+            f"normalize measured a minimum distance of "
+            f"{out.min_distance():.10g}, not 1 within {NORMALIZATION_RTOL:g}: "
+            f"the largest |coordinate| is {np.abs(s.points).max() / dmin:.3g}"
+            f" times d_min; move the set nearer the origin")
+    return out
 
 
 def require_normalized(s: PointSet, who: str = "operation"):

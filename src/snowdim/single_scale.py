@@ -405,17 +405,10 @@ def _point_keys(n: int) -> np.ndarray:
 
 def _exact_groups(flat: np.ndarray, starts: np.ndarray,
                   sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group candidate clusters by their member bytes, one at a time."""
-    group_of: dict[bytes, int] = {}
-    first, inverse = [], np.empty(len(sizes), dtype=np.intp)
-    for j, (lo, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
-        key = flat[lo:lo + size].tobytes()
-        g = group_of.get(key)
-        if g is None:
-            g = group_of[key] = len(first)
-            first.append(j)
-        inverse[j] = g
-    return np.array(first, dtype=np.intp), inverse
+    """Group candidate clusters by their member bytes."""
+    keys = np.array([flat[lo:lo + size].tobytes() for lo, size
+                     in zip(starts.tolist(), sizes.tolist())], dtype=object)
+    return _groups(keys[:, None])
 
 
 def _distinct(flat: np.ndarray, sizes: np.ndarray,
@@ -435,7 +428,7 @@ def _distinct(flat: np.ndarray, sizes: np.ndarray,
     np.cumsum(_point_keys(n)[flat], out=csum[1:])
     key = (csum[starts + sizes] - csum[starts]
            + sizes.astype(np.uint64) * np.uint64(0xD6E8FEB86659FD93))
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    first, inverse = _groups(key[:, None])
     lead = first[inverse]
     same = np.array_equal(sizes[lead], sizes)
     if same:
@@ -443,11 +436,7 @@ def _distinct(flat: np.ndarray, sizes: np.ndarray,
         same = np.array_equal(flat[np.arange(len(flat)) + shift], flat)
     if not same:
         return _exact_groups(flat, starts, sizes)
-    # renumber the groups in order of first appearance
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+    return first, inverse
 
 
 def _runs(lens: np.ndarray):
@@ -814,8 +803,8 @@ def loads_coords(data: bytes) -> tuple[dict, np.ndarray]:
     """Read back a single-scale or snowflake dump: (header, coords).
 
     Raises HeaderMismatch when the bytes are truncated, the header is not a
-    JSON object with non-negative integer n and k, or the body does not hold
-    exactly n * k float64 values.
+    JSON object with non-negative integer n and k that an array can hold,
+    or the body does not hold exactly n * k float64 values.
     """
     if len(data) < _HLEN.size:
         raise HeaderMismatch("dump shorter than its header length field")
@@ -834,5 +823,8 @@ def loads_coords(data: bytes) -> tuple[dict, np.ndarray]:
         raise HeaderMismatch(
             f"dump body holds {len(data) - start} bytes, expected "
             f"{8 * n * k} for {n} x {k} float64")
-    coords = np.frombuffer(data[start:], dtype="<f8").reshape(n, k).copy()
-    return header, coords
+    try:
+        coords = np.frombuffer(data[start:], dtype="<f8").reshape(n, k)
+    except ValueError as exc:
+        raise HeaderMismatch(f"no array holds a {n} x {k} dump: {exc}") from exc
+    return header, coords.copy()

@@ -279,11 +279,7 @@ def _dominant_pair_mask(sc: ScaleClusters, iu: np.ndarray,
     label row stands for all of its partitions."""
     dec = sc.decomposition
     pad = dec.padded.all(axis=0)
-    labels = np.ascontiguousarray(dec.labels.T)
-    # each contiguous row read as one opaque value: a bytewise sort, not
-    # the structured-dtype sort of np.unique(axis=0)
-    rows = labels.view(np.dtype((np.void, labels.shape[1] * labels.itemsize)))
-    col = np.unique(rows.ravel(), return_inverse=True)[1]
+    col = _groups(dec.labels.T)[1]
     return (col[iu] == col[ju]) & pad[iu] & pad[ju]
 
 

@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,16 +49,19 @@ def test_gen_json_stdout_deterministic(capsys):
 def test_unread_flags_are_refused(capsys):
     for argv in (("stats", "pts.csv", "--alpha", "0.3"),
                  ("cluster-demo", "pts.csv", "--format", "csv"),
-                 ("embed-snowflake", "pts.csv", "--norm", "l1")):
+                 ("embed-snowflake", "pts.csv", "--norm", "l1"),
+                 ("embed-scale", "pts.csv", "--r", "2.0", "--alpha", "0.3"),
+                 ("embed-snowflake", "pts.csv", "--delta", "0.01")):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "unrecognized arguments" in err
 
 
 def test_unknown_command_exits_1(capsys):
-    code, _, err = run(capsys, "frobnicate")
-    assert code == 1
-    assert "error" in err
+    for command in ("frobnicate", "audit-report"):
+        code, _, err = run(capsys, command)
+        assert code == 1
+        assert "invalid choice" in err
 
 
 def test_stats_reports_metric_facts(tmp_path, capsys):
@@ -196,33 +201,10 @@ def test_embed_snowflake_targets_the_input_norm(tmp_path, capsys):
 
 def test_audit_report_single_scale_stdout_csv(tmp_path, capsys):
     path = gen_line(tmp_path)
-    code, out, _ = run(capsys, "audit-report", path, "--r", "2.0",
+    code, out, _ = run(capsys, "embed-scale", path, "--r", "2.0",
                        "--format", "csv")
     assert code == 0
     assert out.splitlines()[0].startswith("pair_i,pair_j,")
-
-
-def test_audit_report_is_embed_shorthand(tmp_path, capsys):
-    path = gen_line(tmp_path)
-    for extra, command in ((("--r", "2.0"), "embed-scale"),
-                           ((), "embed-snowflake")):
-        short = run(capsys, "audit-report", path, *extra)
-        full = run(capsys, command, path, *extra)
-        assert short == full
-        assert short[0] == 0 and '"passed":true' in short[1]
-
-
-def test_audit_report_refuses_the_flag_its_audit_does_not_read(tmp_path,
-                                                               capsys):
-    path = gen_line(tmp_path)
-    for extra, flag in ((("--r", "2.0", "--alpha", "0.3"), "--alpha"),
-                        (("--r", "2.0", "--alpha", "0.5"), "--alpha"),
-                        (("--delta", "0.01"), "--delta")):
-        code, out, err = run(capsys, "audit-report", path, *extra)
-        assert code == 1 and out == ""
-        assert flag in err
-    code, out, _ = run(capsys, "audit-report", path, "--alpha", "0.3")
-    assert code == 0 and '"alpha":0.3' in out.replace(" ", "")
 
 
 # --- labels
@@ -304,8 +286,6 @@ def test_every_accepted_option_is_read(tmp_path, capsys):
         ("embed-snowflake",): [["embed-snowflake", path]],
         ("dls", "build"): [["dls", "build", path, labels]],
         ("dls", "query"): [["dls", "query", labels, "0", "3"]],
-        ("audit-report",): [["audit-report", path, "--r", "2.0"],
-                            ["audit-report", path]],
         ("cluster-demo",): [["cluster-demo", path]],
     }
     parser = build_parser()
@@ -321,3 +301,23 @@ def test_every_accepted_option_is_read(tmp_path, capsys):
         dests = {a.dest for a in leaves[key]._actions
                  if a.option_strings and a.dest != "help"}
         assert dests <= read, (key, dests - read)
+
+
+def test_the_readme_command_table_matches_the_parser():
+    # each `| Subcommand | Flags |` row: the lower-case words of the
+    # subcommand cell are its path, its --flag tokens the leaf's options
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| Subcommand | Flags |\n|---|---|\n", 1)[1]
+    rows = {}
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        command, flags = line.strip("|").split("|", 1)
+        path = tuple(re.findall(r"\b[a-z][a-z-]*\b", command))
+        rows[path] = set(re.findall(r"--[a-z][a-z-]*", flags))
+    leaves = dict(leaf_parsers(build_parser()))
+    assert set(rows) == set(leaves)
+    for path, leaf in leaves.items():
+        options = {o for a in leaf._actions for o in a.option_strings
+                   if a.dest != "help"}
+        assert rows[path] == options, path

@@ -149,6 +149,11 @@ def test_normalize_errors():
     dup = PointSet(np.array([[1.0, 0.0], [1.0, 0.0], [3.0, 0.0]]), 2.0)
     with pytest.raises(DuplicatePoints):
         normalize(dup)
+    # too far from the origin for float64 to keep unit distances
+    base = generate("subspace", n=60, ambient_dim=8, intrinsic_dim=2, seed=0)
+    for shift in (1e7, 1e9, 1e12):
+        with pytest.raises(BadParams, match="nearer the origin"):
+            normalize(PointSet(base.points + shift))
 
 
 def test_non_finite_points_rejected():

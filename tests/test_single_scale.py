@@ -765,10 +765,13 @@ def test_truncated_dump_raises_header_mismatch():
         assert np.array_equal(coords, e.coords)
     # a header that parses but does not describe the body
     hlen = int.from_bytes(blob[:4], "little")
-    for bad in (b'[1]', b'{"n":2}', b'{"n":-1,"k":0}', b'{"n":2.0,"k":1}'):
-        doctored = len(bad).to_bytes(4, "little") + bad + blob[4 + hlen:]
-        with pytest.raises(HeaderMismatch):
-            loads_coords(doctored)
+    # (or a shape no array holds), with the body and with none
+    for bad in (b'[1]', b'{"n":2}', b'{"n":-1,"k":0}', b'{"n":2.0,"k":1}',
+                b'{"n":0,"k":9223372036854775808}'):
+        for body in (blob[4 + hlen:], b""):
+            doctored = len(bad).to_bytes(4, "little") + bad + body
+            with pytest.raises(HeaderMismatch):
+                loads_coords(doctored)
 
 
 def test_audit_report_serializes():
