@@ -24,7 +24,8 @@ dmat = s.distance_matrix()
 # 0.05-deep inside their cluster in most of the m copies
 dec = build_decomposition(s, delta=4.0, pad_radius=0.05, eps_pad=0.2, seed=0)
 audit = padding_audit(s, dec)
-print(f"{dec.m} partition copies, {sum(p.size for p in dec.partitions)} "
+print(f"{dec.m} partition copies, "
+      f"{np.count_nonzero(dec.sizes) * dec.copies} "
       f"clusters total, max diameter {audit.max_cluster_diameter:.3f} (<= 4)")
 print(f"padded fraction: min {audit.min_fraction:.3f} "
       f"mean {audit.mean_fraction:.3f} (floor 0.8), "

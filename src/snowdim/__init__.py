@@ -17,8 +17,8 @@ from .points import (DoublingEstimate, Net, PointSet, estimate_doubling,
 from .transforms import (cut_decomposition, euclidean_realization,
                          gaussian_transform, laplace_transform,
                          threshold_transform)
-from .decomposition import (PaddedDecomposition, Partition,
-                            build_decomposition, padding_audit)
+from .decomposition import (PaddedDecomposition, build_decomposition,
+                            padding_audit)
 from .extension import kirszbraun_extend, lipschitz_constant
 from .projection import exact_reduce, jl_dimension, jl_project
 from .report import DistortionReport, from_pairs
@@ -43,8 +43,7 @@ __all__ = [
     "greedy_net", "normalize",
     "cut_decomposition", "euclidean_realization", "gaussian_transform",
     "laplace_transform", "threshold_transform",
-    "PaddedDecomposition", "Partition", "build_decomposition",
-    "padding_audit",
+    "PaddedDecomposition", "build_decomposition", "padding_audit",
     "kirszbraun_extend", "lipschitz_constant",
     "exact_reduce", "jl_dimension", "jl_project",
     "DistortionReport", "from_pairs",

@@ -130,7 +130,7 @@ def cmd_embed_scale(args) -> int:
     delta = args.delta if args.delta is not None else _default_delta(args.eps,
                                                                      s.norm)
     params = single_scale.SingleScaleParams(
-        r=args.r, eps=args.eps, delta=delta, norm=s.norm, seed=args.seed)
+        r=args.r, eps=args.eps, delta=delta, seed=args.seed)
     e = single_scale.build_single_scale(s, params)
     rep = single_scale.contract_audit(e)
     if args.dump:

@@ -27,8 +27,7 @@ sorted by label (stable, so ascending within each cluster) and the
 cluster sizes by label. A cluster is a slice of its member row between
 consecutive cumulative sizes, and nothing on the build path makes one
 object per cluster. A certain outcome keeps its one row once, standing for
-all m carvings. ``Partition`` is a per-carving view of the rows, built on
-demand by ``PaddedDecomposition.partitions``.
+all m carvings.
 """
 
 from __future__ import annotations
@@ -47,33 +46,6 @@ C_M = 4.0
 C_0 = 2.0
 #: resampling attempts before giving up (each doubles m)
 MAX_RETRIES = 4
-
-
-@dataclass
-class Partition:
-    """A view of one carving: its labels, its clusters and its radius.
-
-    Built on demand from a decomposition's rows (``partition_views``); the
-    clusters are slices of the carving's sorted member row."""
-
-    labels: np.ndarray                 # (n,) cluster id per point, 0..t-1
-    clusters: list[np.ndarray]         # member indices, nonempty, by id
-    radius: float                      # the carve radius rho used
-
-    @property
-    def size(self) -> int:
-        return len(self.clusters)
-
-
-def partition_views(labels: np.ndarray, members: np.ndarray,
-                    sizes: np.ndarray, radii: np.ndarray) -> list[Partition]:
-    """One ``Partition`` per row of a batch's label, member and size rows."""
-    views = []
-    for lab, row, size, rho in zip(labels, members, sizes, radii.tolist()):
-        ends = np.cumsum(size[size > 0]).tolist()
-        views.append(Partition(lab, [row[lo:hi] for lo, hi
-                                     in zip([0] + ends[:-1], ends)], rho))
-    return views
 
 
 @dataclass
@@ -109,14 +81,6 @@ class PaddedDecomposition:
     def copies(self) -> int:
         """The number of carvings each row stands for: 1, or m if certain."""
         return self.m // len(self.labels)
-
-    @property
-    def partitions(self) -> list[Partition]:
-        """The m carvings as ``Partition`` views; a certain outcome repeats
-        its one view m times."""
-        views = partition_views(self.labels, self.members, self.sizes,
-                                self.radii)
-        return [v for v in views for _ in range(self.copies)]
 
 
 def batch_size(eps_pad: float, n: int, dim_hat: float) -> int:
@@ -210,7 +174,7 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
     """
     if s.n == 0:
         raise EmptyInput("cannot decompose an empty set")
-    if delta <= 0 or pad_radius <= 0:
+    if not (delta > 0 and pad_radius > 0):
         raise BadParams("delta and pad_radius must be positive")
     if not 0 < eps_pad < 1:
         raise BadParams(f"eps_pad must lie in (0, 1), got {eps_pad}")
@@ -272,24 +236,24 @@ def padding_audit(s: PointSet, dec: PaddedDecomposition) -> PaddingAudit:
     Checks each carving covers the set with disjoint nonempty clusters of
     diameter <= delta, and recomputes the padded indicators bit-exactly:
     a point is padded when no point of its pad-ball carries another label,
-    one n x n comparison per carving.
+    one n x n comparison per carving. The carvings are read row by row,
+    each cluster a slice of its member row.
     """
     dmat = s.distance_matrix()
     n = s.n
     in_pad = dmat <= dec.pad_radius
-    views = partition_views(dec.labels, dec.members, dec.sizes, dec.radii)
-    recomputed = np.empty((len(views), n), dtype=bool)
+    recomputed = np.empty((len(dec.labels), n), dtype=bool)
     max_diam, diam_ok, cover_ok, disjoint_ok = 0.0, True, True, True
-    for t, part in enumerate(views):
+    for t, (lab, row, size) in enumerate(zip(dec.labels, dec.members,
+                                             dec.sizes)):
         seen = np.zeros(n, dtype=bool)
-        for cid, members in enumerate(part.clusters):
-            if len(members) == 0:
-                cover_ok = False
-                continue
+        ends = np.cumsum(size[size > 0]).tolist()
+        for cid, (lo, hi) in enumerate(zip([0] + ends[:-1], ends)):
+            members = row[lo:hi]
             if seen[members].any():
                 disjoint_ok = False
             seen[members] = True
-            if (part.labels[members] != cid).any():
+            if (lab[members] != cid).any():
                 cover_ok = False
             if len(members) > 1:
                 diam = float(dmat[np.ix_(members, members)].max())
@@ -298,7 +262,6 @@ def padding_audit(s: PointSet, dec: PaddedDecomposition) -> PaddingAudit:
                     diam_ok = False
         if not seen.all():
             cover_ok = False
-        lab = part.labels
         recomputed[t] = ~(in_pad & (lab[:, None] != lab[None, :])).any(axis=1)
     # each row stands for dec.copies carvings
     recomputed = np.repeat(recomputed, dec.copies, axis=0)

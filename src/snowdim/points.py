@@ -192,9 +192,7 @@ def normalize(s: PointSet) -> PointSet:
     """
     if s.n < 2:
         raise EmptyInput("normalize needs at least two points")
-    dmin = s.min_distance()
-    if dmin == 0.0:
-        raise DuplicatePoints("coincident points: minimum distance is zero")
+    dmin = _require_distinct(s)
     out = PointSet(s.points / dmin, s.norm, s.scale * dmin)
     if not out.is_normalized():
         raise BadParams(
@@ -203,6 +201,14 @@ def normalize(s: PointSet) -> PointSet:
             f"the largest |coordinate| is {np.abs(s.points).max() / dmin:.3g}"
             f" times d_min; move the set nearer the origin")
     return out
+
+
+def _require_distinct(s: PointSet) -> float:
+    """The minimum distance of ``s``; DuplicatePoints where it is zero."""
+    dmin = s.min_distance()
+    if dmin == 0.0:
+        raise DuplicatePoints("coincident points: minimum distance is zero")
+    return dmin
 
 
 def require_normalized(s: PointSet, who: str = "operation"):
@@ -236,7 +242,7 @@ def greedy_net(s: PointSet, radius: float) -> Net:
     """
     if s.n == 0:
         raise EmptyInput("net of an empty set")
-    if radius <= 0:
+    if not radius > 0:
         raise BadParams(f"net radius must be positive, got {radius}")
     if s.n < 2 or radius <= s.min_distance():
         return Net(float(radius), np.arange(s.n, dtype=np.intp))
@@ -273,14 +279,15 @@ def estimate_doubling(s: PointSet) -> DoublingEstimate:
     Scans radii on a power-of-two grid and (a sample of) centers; for each
     ball B(x, rho) it greedily covers the ball with rho/2-balls centered at
     its own points, once per distinct ball at each radius. lambda_hat is
-    the worst count seen, dim_hat = log2 of it.
+    the worst count seen, dim_hat = log2 of it. The radii start at twice
+    the minimum distance, so coincident points raise DuplicatePoints.
     """
     if s.n == 0:
         raise EmptyInput("doubling estimate of an empty set")
     if s.n == 1:
         return DoublingEstimate(1, 0.0)
     d = s.distance_matrix()
-    dmin, diam = s.min_distance(), s.diameter()
+    dmin, diam = _require_distinct(s), s.diameter()
     centers = np.arange(s.n) if s.n <= MAX_CENTERS else \
         np.unique(np.linspace(0, s.n - 1, MAX_CENTERS).astype(np.intp))
     lam = 1

@@ -55,14 +55,14 @@ import numpy as np
 from . import report as report_mod
 from .decomposition import (PaddedDecomposition, build_decomposition,
                             one_cluster)
-from .errors import (BadParams, EmptyInput, HeaderMismatch, NotEuclidean,
+from .errors import (BadParams, EmptyInput, HeaderMismatch,
                      PaddingUnachievable)
 from .points import (PAIRWISE_BYTES, Net, PointSet, _pairwise,
                      estimate_doubling, greedy_net, norm_label, norm_tag,
                      require_normalized, require_seed, vector_norm)
 from .transforms import (CutStructure, _groups, _pack, cut_axes,
-                         cut_structure, cut_weights, euclidean_realization,
-                         factor_gram, gaussian_transform, laplace_transform,
+                         cut_structure, cut_weights, factor_gram,
+                         gaussian_transform, laplace_transform,
                          threshold_transform)
 
 #: delta_decomp = 3 * C_PAD * max(1, dim_hat) * r / delta
@@ -90,12 +90,11 @@ class SingleScaleParams:
     delta: float
     norm: float | None = None               # None: the input's norm
     seed: int = 0
-    rescale_c: float | None = None          # None: per-norm default
     dim_hat: float | None = None            # None: estimate from the data
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise BadParams(f"scale r must be positive, got {self.r}")
+        if not 0 < self.r < math.inf:
+            raise BadParams(f"r must be positive and finite, got {self.r}")
         if not 0 < self.eps < 0.25:
             raise BadParams(f"eps must lie in (0, 1/4), got {self.eps}")
         if not 0 < self.delta < 0.25:
@@ -111,8 +110,6 @@ class SingleScaleParams:
             raise BadParams(
                 f"l-infinity path requires delta <= eps^2/4 "
                 f"({self.eps ** 2 / 4:.6g}), got {self.delta}")
-        if self.rescale_c is None:
-            self.rescale_c = RESCALE_C[self.norm]
 
     @property
     def net_radius(self) -> float:
@@ -140,28 +137,22 @@ class SingleScaleParams:
         return one_cluster(s, self.decomposition_diameter(dim_hat))
 
 
-def require_source(s: PointSet, norm: float) -> None:
-    """Refuse a source that the target norm's maps cannot be built from.
+def _own_norm(s: PointSet, norm: float | None) -> float:
+    """``s.norm``, where ``norm`` is None or names it; every build embeds
+    its input into its own norm, and another is refused (BadParams)."""
+    if norm is not None and norm_tag(norm) != s.norm:
+        raise BadParams(
+            f"a build embeds its input into the input's own norm: this "
+            f"l{norm_label(s.norm)} input cannot target "
+            f"l{norm_label(norm_tag(norm))}")
+    return s.norm
 
-    An l2 target needs a Euclidean source metric (NotEuclidean): G_r(d)
-    is Euclidean for every r exactly when d is (Schoenberg, 1938), so one
-    check stands for every scale. An l1 target cuts the coordinates under
-    l1, so a source in another norm needs a single coordinate (BadParams),
-    and the whole set, which a coarse scale keeps in one cluster, must
-    pass ``cut_axes`` (ClusterTooLarge)."""
-    if norm == 2.0 and s.norm != 2.0:
-        try:
-            euclidean_realization(s.distance_matrix())
-        except NotEuclidean as err:
-            raise NotEuclidean(
-                f"an l2 target needs a Euclidean source metric, and this "
-                f"l{norm_label(s.norm)} metric is not one: {err}") from err
-    if norm == 1.0:
-        if s.norm != 1.0 and s.dim > 1:
-            raise BadParams(
-                f"an l1 target cuts the source coordinates under l1; this "
-                f"l{norm_label(s.norm)} source has {s.dim} coordinates, and "
-                f"only a single coordinate measures the same under l1")
+
+def require_source(s: PointSet, norm: float | None) -> None:
+    """Refuse a build over ``s`` up front: a target norm other than its
+    own (BadParams), or an l1 set whose one coarse-scale cluster fails
+    ``cut_axes`` (ClusterTooLarge)."""
+    if _own_norm(s, norm) == 1.0:
         cut_axes(s.points)
 
 
@@ -381,18 +372,16 @@ def _linf_combine(delta: float) -> float:
     return 1.0 / (1.0 + 2.0 * math.sqrt(delta))
 
 
-def _block_weights(sc: ScaleClusters,
-                   rescale: float) -> tuple[float, np.ndarray]:
+def _block_weights(sc: ScaleClusters) -> tuple[float, np.ndarray]:
     """An l1 or l-infinity scale's combining scale, 1/m or
     1/(1 + 2 sqrt(delta)), and each member's factor in its block (aligned
     with ``sc.members``): its smoothing weight times the combining scale
-    (in l1, times its cluster's count first), then times ``rescale``."""
+    (in l1, times its cluster's count first)."""
     if sc.params.norm == np.inf:
         combine = _linf_combine(sc.params.delta)
-        return combine, sc.weights * combine * rescale
+        return combine, sc.weights * combine
     combine = 1.0 / sc.m
-    return combine, (sc.weights * np.repeat(sc.counts * combine, sc.sizes)
-                     * rescale)
+    return combine, sc.weights * np.repeat(sc.counts * combine, sc.sizes)
 
 
 def _point_keys(n: int) -> np.ndarray:
@@ -491,16 +480,18 @@ def _capped_h(s: PointSet, labels: np.ndarray, rows: np.ndarray,
 def scale_clusters(s: PointSet, params: SingleScaleParams) -> ScaleClusters:
     """Decompose the whole set at one scale and list its distinct clusters.
 
-    ``params.norm = None`` targets the input's own norm (``s.norm``).
-    Clusters are listed in order of first appearance across the
-    carvings (carving by carving, each in label order), each with the
-    number of carvings that contain it. The candidates are read off the
-    decomposition's member and size rows, and the distinct ones found by
-    ``_distinct``; a certain decomposition's one row counts m times."""
+    ``params.norm`` is None or the input's own norm (``s.norm``); another
+    is refused (BadParams). Clusters are listed in order of first
+    appearance across the carvings (carving by carving, each in label
+    order), each with the number of carvings that contain it. The
+    candidates are read off the decomposition's member and size rows,
+    and the distinct ones found by ``_distinct``; a certain
+    decomposition's one row counts m times."""
     require_normalized(s, "build_single_scale")
     if s.n == 0:
         raise EmptyInput("single-scale embedding of an empty set")
-    p = params if params.norm is not None else replace(params, norm=s.norm)
+    norm = _own_norm(s, params.norm)
+    p = params if params.norm is not None else replace(params, norm=norm)
     dim_hat = p.dim_hat if p.dim_hat is not None else estimate_doubling(s).dim_hat
 
     # --- padded decomposition of the whole set, doubling the diameter on failure
@@ -585,16 +576,17 @@ def _scale_gram(sc: ScaleClusters,
 def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmbedding:
     """Assemble the embedding; see the module docstring for the pipeline.
 
-    ``params.norm = None`` targets the input's own norm (``s.norm``). A
-    source the target's maps cannot be built from is refused before the
-    decomposition (``require_source``)."""
+    ``params.norm`` is None or the input's own norm (``s.norm``). A
+    source the maps cannot be built from, or another target norm, is
+    refused before the decomposition (``require_source``). The map is
+    divided by 1 + C * eps, C = ``RESCALE_C`` of the norm."""
     require_normalized(s, "build_single_scale")
-    require_source(s, s.norm if params.norm is None else params.norm)
+    require_source(s, params.norm)
     sc = scale_clusters(s, params)
     p, entries, m = sc.params, sc.clusters, sc.m
     n = s.n
     dmat = s.distance_matrix()
-    rescale = 1.0 / (1.0 + p.rescale_c * p.eps)
+    rescale = 1.0 / (1.0 + RESCALE_C[p.norm] * p.eps)
     net, empty_net = None, 0
     if p.norm == 2.0:
         # the direct sum's Gram, rescaled; factored uncentered, so every
@@ -622,7 +614,8 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
         starts = np.cumsum(sc.sizes) - sc.sizes
         empty_net = int(np.count_nonzero(
             ~np.logical_or.reduceat(in_net[sc.members], starts)))
-        combine, scaled_w = _block_weights(sc, rescale)
+        combine, scaled_w = _block_weights(sc)
+        scaled_w *= rescale
         if p.norm == np.inf:
             coords = _linf_block(sc, dmat, in_net, scaled_w)
         else:

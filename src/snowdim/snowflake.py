@@ -201,11 +201,10 @@ class SnowflakePlan:
         return range(self.i_lo, self.i_hi + 1)
 
 
-def scale_plan(s: PointSet, alpha: float, eps: float,
-               norm: float | None = None) -> SnowflakePlan:
+def scale_plan(s: PointSet, alpha: float, eps: float) -> SnowflakePlan:
     """Fix p, the per-scale delta, and the scale window
-    I = {i : eps^5 <= (1+eps)^i <= eps^-5 * diam}. The target norm
-    defaults to the input's own norm."""
+    I = {i : eps^5 <= (1+eps)^i <= eps^-5 * diam}, in the input's own
+    norm."""
     require_normalized(s, "scale_plan")
     if s.n < 2:
         raise EmptyInput("snowflake plan needs at least two points")
@@ -213,7 +212,6 @@ def scale_plan(s: PointSet, alpha: float, eps: float,
         raise BadParams(f"alpha must lie in (0, 1), got {alpha}")
     if not 0 < eps < 0.25:
         raise BadParams(f"eps must lie in (0, 1/4), got {eps}")
-    norm = norm_tag(s.norm if norm is None else norm)
     p = scale_count(alpha, eps)
     delta = (1.0 + eps) ** (-p * (1.0 - alpha))
     # p rounding keeps delta near eps^3; far outside means alpha/eps are
@@ -226,8 +224,8 @@ def scale_plan(s: PointSet, alpha: float, eps: float,
     i_lo = math.ceil(5.0 * math.log(eps) / lg)
     i_hi = math.floor(math.log(s.diameter() / eps ** 5) / lg)
     return SnowflakePlan(alpha, eps, p, delta, i_lo, i_hi,
-                         compute_M(eps, p, norm),
-                         band_center(eps, p, alpha, norm), norm)
+                         compute_M(eps, p, s.norm),
+                         band_center(eps, p, alpha, s.norm), s.norm)
 
 
 def _scale_seed(seed: int, i: int) -> int:
@@ -303,12 +301,12 @@ class _ScaleJob:
 
 def _scale_params(job: _ScaleJob | SnowflakeEmbedding,
                   i: int) -> SingleScaleParams:
-    """Scale i's single-scale parameters, at rescale 1, from the plan,
-    seed and doubling estimate of a job or of the embedding it built."""
+    """Scale i's single-scale parameters, from the plan, seed and
+    doubling estimate of a job or of the embedding it built."""
     plan = job.plan
     return SingleScaleParams(r=(1.0 + plan.eps) ** i, eps=plan.eps,
                              delta=plan.delta, norm=plan.norm,
-                             seed=_scale_seed(job.seed, i), rescale_c=0.0,
+                             seed=_scale_seed(job.seed, i),
                              dim_hat=job.dim_hat)
 
 
@@ -463,9 +461,10 @@ def _build_scale(job: _ScaleJob, i: int) -> tuple:
     the ``_dominant_pair_mask`` of the pairs it anchors and, on l1, the
     cut measure of its block (``_threshold_cuts``); each of the last
     three is None where the scale has none. The map is the one
-    ``build_single_scale`` writes at rescale 1, and everything is divided
-    by (1+eps)^{i(1-alpha)}. A library error is re-raised as the same
-    type with the scale named in front of its message."""
+    ``build_single_scale`` writes, without its global rescale, and
+    everything is divided by (1+eps)^{i(1-alpha)}. A library error is
+    re-raised as the same type with the scale named in front of its
+    message."""
     plan = job.plan
     sp = _scale_params(job, i)
     w = _scale_weight(plan, i)
@@ -482,7 +481,7 @@ def _build_scale(job: _ScaleJob, i: int) -> tuple:
                     0.0))
         else:
             in_net = _in_net(job.s, sc.params)
-            scaled_w = _block_weights(sc, 1.0)[1]
+            scaled_w = _block_weights(sc)[1]
             if plan.norm == np.inf:
                 k, dists = _linf_dists(
                     job.s, sc.members, sc.sizes, scaled_w, in_net, sp.r, w,
@@ -654,27 +653,25 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
 
     The doubling estimate is taken once and shared by every scale, so the
     reported theory dimension depends only on the parameters and that
-    estimate (pass ``dim_hat`` to pin it). The target norm defaults to
-    the input's own norm (``s.norm``). The scales are split over the
-    CPUs this process may use, with the same output bytes for any CPU
-    count. A library error from one scale is re-raised as the same type
+    estimate (pass ``dim_hat`` to pin it). The input is embedded into its
+    own norm: ``norm`` may be None or ``s.norm``. The scales are split
+    over the CPUs this process may use, with the same output bytes for
+    any CPU count. A library error from one scale is re-raised as the same type
     with the scale named in front of its message, chained to the
     original; any other exception passes through with its type and
     message. From a helper, the error carries the helper's traceback as
     a note, and its cause is a copy of the original; an error that
     cannot be pickled comes back as a RuntimeError holding its
-    traceback. A source the target's maps cannot be built from is
-    refused before any scale is built (``require_source``): an l2 target
-    over a metric that is not Euclidean, an l1 target over a source in
-    another norm with more than one coordinate, or one whose boxes pass
-    the cut decomposition's cap. A negative seed, or a ``dim_hat`` that
-    is not finite or lies below 0, is refused (BadParams).
+    traceback. Another target norm, or an l1 source whose boxes pass the
+    cut decomposition's cap, is refused before any scale is built
+    (``require_source``). A negative seed, or a ``dim_hat`` that is not
+    finite or lies below 0, is refused (BadParams).
     """
     require_seed(seed)
     if dim_hat is not None and not 0.0 <= dim_hat < math.inf:
         raise BadParams(f"dim_hat must lie in [0, inf), got {dim_hat}")
-    plan = scale_plan(s, alpha, eps, norm)
-    require_source(s, plan.norm)
+    plan = scale_plan(s, alpha, eps)
+    require_source(s, norm)
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     n = s.n

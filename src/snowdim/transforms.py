@@ -48,8 +48,8 @@ MAX_BOX_POINTS = 1 << 25
 
 
 def _check_r(r: float) -> float:
-    if not r > 0:
-        raise BadParams(f"transform scale r must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise BadParams(f"transform r must be positive and finite, got {r}")
     return float(r)
 
 

@@ -1,4 +1,5 @@
-"""Shared test settings and the l2 and l-infinity single-scale references.
+"""Shared test settings, a decomposition's carvings one by one, and the l2
+and l-infinity single-scale references.
 
 Every Hypothesis test runs derandomized and without a deadline: the same
 examples on every run, and no flaky failures from slow examples. A test
@@ -11,11 +12,34 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from snowdim.single_scale import RESCALE_C
 from snowdim.transforms import (euclidean_realization, gaussian_transform,
                                 threshold_transform)
 
 settings.register_profile("snowdim", deadline=None, derandomize=True)
 settings.load_profile("snowdim")
+
+
+def carvings_of(dec):
+    """Each carving of a decomposition as (labels, clusters, radius), the
+    clusters slices of its member row in label order. ``dec`` is a
+    ``PaddedDecomposition``, whose certain row is repeated ``copies``
+    times, or the (labels, members, sizes, radii) rows of a sampled
+    batch."""
+    rows, copies = dec, 1
+    if not isinstance(dec, (list, tuple)):
+        rows = dec.labels, dec.members, dec.sizes, dec.radii
+        copies = dec.copies
+    for labels, row, size, rho in zip(*rows[:3], rows[3].tolist()):
+        ends = np.cumsum(size[size > 0]).tolist()
+        clusters = [row[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+        for _ in range(copies):
+            yield labels, clusters, rho
+
+
+@pytest.fixture(scope="session")
+def carvings():
+    return carvings_of
 
 
 def l2_reference_coords(s, sc) -> np.ndarray:
@@ -28,7 +52,7 @@ def l2_reference_coords(s, sc) -> np.ndarray:
     global rescale, in a column block of its own. This is the direct sum
     the library's one-Gram build factors, written out the long way."""
     p = sc.params
-    rescale = 1.0 / (1.0 + p.rescale_c * p.eps)
+    rescale = 1.0 / (1.0 + RESCALE_C[p.norm] * p.eps)
     dmat = s.distance_matrix()
     blocks = []
     for c in sc.clusters:

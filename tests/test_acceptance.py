@@ -240,7 +240,7 @@ def scale_kinds(e_i):
     kinds = set()
     if gaussian_transform(1.0, e_i.params.r) == e_i.params.r:
         kinds.add("saturated")
-    if len({id(part) for part in e_i.decomposition.partitions}) > 1:
+    if len(e_i.decomposition.labels) > 1:
         kinds.add("sampled")
     return kinds
 
@@ -250,6 +250,8 @@ def test_l2_scale_distances_match_the_single_scale_blocks(l2_reference):
     # realizes every cluster on its own and writes the wide direct sum.
     # The coarsest scale of each kind is checked, finest last.
     alpha = 0.5
+    # the reference carries build_single_scale's global rescale
+    rescale = 1.0 / (1.0 + single_scale.RESCALE_C[2.0] * EPS)
     for name in CORPUS:
         e, _, _ = snowflake_run(name, alpha)
         s, plan = e.source, e.plan
@@ -262,7 +264,7 @@ def test_l2_scale_distances_match_the_single_scale_blocks(l2_reference):
                 continue
             todo -= kinds
             w = (1.0 + EPS) ** (-i * (1.0 - alpha))
-            want = w * pdist(l2_reference(s, clusters))
+            want = w * pdist(l2_reference(s, clusters)) / rescale
             if kinds == {"singletons"}:
                 assert e.scale_k[t] == 0 and not e.scale_dists[t].any()
                 assert not want.any()

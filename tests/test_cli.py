@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +97,22 @@ def test_stats_refuses_a_malformed_file_without_traceback(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_stats_refuses_coincident_points(tmp_path):
+    # the doubling estimate doubles its radius from twice the minimum
+    # distance; at 0 it never grew. In its own interpreter, so a hang
+    # fails at the timeout instead of stopping the suite
+    path = tmp_path / "twice.csv"
+    path.write_text("# norm=2 scale=1\n0,0\n0,0\n1,0\n")
+    src = str(Path(points.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "snowdim.cli", "stats", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src] + sys.path)))
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == ("snowdim: error: coincident points: minimum "
+                           "distance is zero\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("gen", "line", "--n", "4", "--seed", "-1"),
     ("embed-snowflake", "{path}", "--seed", "-1"),
@@ -156,6 +175,19 @@ def test_embed_scale_rejects_bad_eps(tmp_path, capsys):
                        "--eps", "0.5")
     assert code == 1
     assert "eps" in err
+
+
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+def test_embed_scale_refuses_an_infinite_scale(tmp_path, capsys, norm):
+    # r = inf used to end in numpy's LinAlgError (l2), an empty audit
+    # (l1) or NaN coordinates that passed (l-infinity)
+    path = tmp_path / "ball.csv"
+    assert main(["gen", "ball", "--n", "8", "--dim", "2", "--norm", norm,
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "embed-scale", str(path), "--r", "inf")
+    assert code == 1 and out == ""
+    assert err == "snowdim: error: r must be positive and finite, got inf\n"
 
 
 def test_embed_scale_exit_2_on_violation(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,13 @@
 """Padded decompositions: carving invariants, padding audit, failure mode."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from snowdim import decomposition
-from snowdim.decomposition import (Partition, batch_size, build_decomposition,
-                                   padding_audit, partition_views)
+from snowdim.decomposition import (batch_size, build_decomposition,
+                                   padding_audit)
 from snowdim.errors import BadParams, EmptyInput, PaddingUnachievable
 from snowdim.points import PointSet, generate, normalize
 
@@ -14,15 +16,15 @@ def grid10():
     return normalize(generate("grid", side=10, dims=2))
 
 
-def brute_padded(s, dec):
+def brute_padded(s, dec, carvings):
     # independent recomputation of the padded indicator matrix
     d = s.distance_matrix()
     out = np.zeros((dec.m, s.n), dtype=bool)
-    for t, part in enumerate(dec.partitions):
+    for t, (labels, _, _) in enumerate(carvings(dec)):
         for i in range(s.n):
             ok = True
             for j in range(s.n):
-                if d[i, j] <= dec.pad_radius and part.labels[j] != part.labels[i]:
+                if d[i, j] <= dec.pad_radius and labels[j] != labels[i]:
                     ok = False
                     break
             out[t, i] = ok
@@ -36,20 +38,20 @@ def test_a_negative_seed_is_refused(delta):
                             eps_pad=0.36, seed=-1)
 
 
-def test_partition_invariants_and_padded_oracle():
+def test_partition_invariants_and_padded_oracle(carvings):
     s = grid10()
     dec = build_decomposition(s, delta=24.0, pad_radius=1.0, eps_pad=0.36,
                               seed=0)
     d = s.distance_matrix()
-    for part in dec.partitions:
+    for labels, clusters, radius in carvings(dec):
         # cover, disjoint, diameter <= delta, radius in [delta/4, delta/2]
-        assert sorted(np.concatenate(part.clusters).tolist()) == list(range(s.n))
-        assert dec.delta / 4 <= part.radius <= dec.delta / 2
-        for cid, members in enumerate(part.clusters):
-            assert (part.labels[members] == cid).all()
+        assert sorted(np.concatenate(clusters).tolist()) == list(range(s.n))
+        assert dec.delta / 4 <= radius <= dec.delta / 2
+        for cid, members in enumerate(clusters):
+            assert (labels[members] == cid).all()
             if len(members) > 1:
                 assert d[np.ix_(members, members)].max() <= dec.delta
-    assert np.array_equal(dec.padded, brute_padded(s, dec))
+    assert np.array_equal(dec.padded, brute_padded(s, dec, carvings))
     assert dec.padded_fraction.min() >= 1 - dec.eps_pad
 
 
@@ -57,29 +59,34 @@ def reference_sample(dmat, delta, pad_pairs, m, seed, attempt):
     # the sampler one carving at a time: one (seed, attempt) generator
     # draws all m radii, then all m center orders; points join the first
     # center that reaches them, labels rank those centers in carving order
-    # and clusters are the label classes
+    # and clusters are the label classes, laid end to end in the member
+    # row and sized by label
     n = dmat.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence((seed, attempt)))
     radii = rng.uniform(delta / 4.0, delta / 2.0, size=m)
     orders = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-    parts, padded = [], np.ones((m, n), dtype=bool)
+    labels = np.empty((m, n), dtype=np.intp)
+    members = np.empty((m, n), dtype=np.intp)
+    sizes = np.zeros((m, n), dtype=np.intp)
+    padded = np.ones((m, n), dtype=bool)
     nbr_i, nbr_j = pad_pairs
     for t in range(m):
         rho, order = float(radii[t]), orders[t]
         first = (dmat[order, :] <= rho).argmax(axis=0)
-        labels = np.unique(first, return_inverse=True)[1].astype(np.intp)
-        clusters = [np.flatnonzero(labels == k)
-                    for k in range(labels.max() + 1)]
-        parts.append(Partition(labels, clusters, rho))
+        lab = labels[t] = np.unique(first, return_inverse=True)[1]
+        clusters = [np.flatnonzero(lab == k) for k in range(lab.max() + 1)]
+        members[t] = np.concatenate(clusters)
+        sizes[t, :len(clusters)] = [len(c) for c in clusters]
         if len(nbr_i):
-            cut = labels[nbr_i] != labels[nbr_j]
+            cut = lab[nbr_i] != lab[nbr_j]
             np.logical_and.at(padded[t], nbr_i[cut], False)
-    return parts, padded
+    return (labels, members, sizes, radii), padded
 
 
 def test_sample_matches_the_per_carving_reference(monkeypatch):
-    # seeded property: the batched sampler gives the reference's labels,
-    # clusters, radii and padded bits exactly, for set sizes 1..60, pad
+    # seeded property: the batched sampler gives the reference's label,
+    # member and size rows, radii and padded bits exactly, for set sizes
+    # 1..60, pad
     # radii from none to every pair, retries, and batches cut into chunks
     rng = np.random.default_rng(11)
     cases = []
@@ -100,24 +107,18 @@ def test_sample_matches_the_per_carving_reference(monkeypatch):
             monkeypatch.setattr(decomposition, "PAIRWISE_BYTES", chunk)
         d = s.distance_matrix()
         pairs = np.nonzero((d <= pad) & ~np.eye(s.n, dtype=bool))
-        *batch, got_padded = decomposition._sample(d, delta, pairs, m, seed,
-                                                   attempt)
-        got = partition_views(*batch)
+        *got, got_padded = decomposition._sample(d, delta, pairs, m, seed,
+                                                 attempt)
         want, want_padded = reference_sample(d, delta, pairs, m, seed,
                                              attempt)
         if s.n > 1:
             seen.add({0: "no pad pair", s.n * (s.n - 1): "all pad pairs"}
                      .get(len(pairs[0]), "some pad pairs"))
         seen.add("pad-ball cut" if not want_padded.all() else "all padded")
-        assert len(got) == m
+        assert len(got[3]) == m
         assert np.array_equal(got_padded, want_padded)
-        for g, w in zip(got, want):
-            assert g.radius == w.radius
-            assert g.labels.dtype == np.intp
-            assert np.array_equal(g.labels, w.labels)
-            assert len(g.clusters) == len(w.clusters)
-            for gc, wc in zip(g.clusters, w.clusters):
-                assert gc.dtype == np.intp and np.array_equal(gc, wc)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
     assert seen == {"no pad pair", "all pad pairs", "some pad pairs",
                     "pad-ball cut", "all padded"}
 
@@ -135,7 +136,8 @@ class RecordingGenerator:
         return draw
 
 
-def test_one_batch_draws_distinct_orders_and_spread_radii(monkeypatch):
+def test_one_batch_draws_distinct_orders_and_spread_radii(monkeypatch,
+                                                          carvings):
     # the draws themselves, read off the sampler's generator rather than
     # re-derived from its stream: 600 carvings of 20 points
     made = []
@@ -150,7 +152,7 @@ def test_one_batch_draws_distinct_orders_and_spread_radii(monkeypatch):
     d, delta, m = s.distance_matrix(), 12.0, 600
     pairs = np.nonzero((d <= 3.0) & ~np.eye(s.n, dtype=bool))
     *batch, padded = decomposition._sample(d, delta, pairs, m, 7, 0)
-    parts = partition_views(*batch)
+    parts = list(carvings(batch))
     assert len(made) == 1
     (orders,) = [out for outs in made[0].draws.values() for out in outs
                  if np.shape(out) == (m, s.n)]
@@ -158,22 +160,19 @@ def test_one_batch_draws_distinct_orders_and_spread_radii(monkeypatch):
     assert (np.sort(orders, axis=1) == np.arange(s.n)).all()
     assert len(np.unique(orders, axis=0)) == m
     # each carving's first center wins at least itself: cluster 0
-    assert all(p.labels[o[0]] == 0 for p, o in zip(parts, orders))
-    radii = np.array([p.radius for p in parts])
+    assert all(lab[o[0]] == 0 for (lab, _, _), o in zip(parts, orders))
+    radii = np.array([rho for *_, rho in parts])
     lo, hi = delta / 4, delta / 2
     assert ((lo <= radii) & (radii <= hi)).all()
     assert radii.min() <= lo + 0.1 * (hi - lo)
     assert radii.max() >= hi - 0.1 * (hi - lo)
     # the batch does not depend on how it is chunked: 3 carvings a chunk
     monkeypatch.setattr(decomposition, "PAIRWISE_BYTES", 3 * 8 * s.n * s.n)
-    *batch, chunked_padded = decomposition._sample(d, delta, pairs, m, 7, 0)
-    chunked = partition_views(*batch)
+    *chunked, chunked_padded = decomposition._sample(d, delta, pairs, m, 7,
+                                                     0)
     assert chunked_padded.tobytes() == padded.tobytes()
-    for g, w in zip(chunked, parts):
-        assert g.radius == w.radius
-        assert g.labels.tobytes() == w.labels.tobytes()
-        assert [c.tobytes() for c in g.clusters] == [
-            c.tobytes() for c in w.clusters]
+    for g, w in zip(chunked, batch, strict=True):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_padding_audit_passes_and_detects_tampering():
@@ -189,15 +188,43 @@ def test_padding_audit_passes_and_detects_tampering():
     assert not padding_audit(s, dec).padded_consistent
 
 
+def tampered(dec, how):
+    # a copy of the batch with one of its rows or bounds corrupted
+    bad = copy.deepcopy(dec)
+    if how == "repeat":
+        # the last point of row 0 replaced by its first, which sits in
+        # another cluster: the row holds that point twice
+        bad.members[0, -1] = bad.members[0, 0]
+    elif how == "label":
+        # one point's label moved off the cluster its member slice gives
+        bad.labels[0, 0] = (bad.labels[0, 0] + 1) % (bad.labels[0].max() + 1)
+    else:
+        bad.delta = padding_audit(grid10(), dec).max_cluster_diameter / 2
+    return bad
+
+
+@pytest.mark.parametrize("how, flag", [("repeat", "disjoint_ok"),
+                                       ("label", "cover_ok"),
+                                       ("delta", "diameter_ok")])
+def test_padding_audit_detects_each_corruption(how, flag):
+    s = grid10()
+    dec = build_decomposition(s, delta=24.0, pad_radius=1.0, eps_pad=0.36,
+                              seed=1)
+    assert np.count_nonzero(dec.sizes[0]) > 1
+    audit = padding_audit(s, tampered(dec, how))
+    assert not getattr(audit, flag)
+    assert not audit.passed
+    assert padding_audit(s, dec).passed
+
+
 def test_deterministic_per_seed():
     s = grid10()
     a = build_decomposition(s, 24.0, 1.0, 0.36, seed=5)
     b = build_decomposition(s, 24.0, 1.0, 0.36, seed=5)
     c = build_decomposition(s, 24.0, 1.0, 0.36, seed=6)
-    assert all(np.array_equal(pa.labels, pb.labels)
-               for pa, pb in zip(a.partitions, b.partitions))
-    assert any(not np.array_equal(pa.labels, pc.labels)
-               for pa, pc in zip(a.partitions, c.partitions))
+    assert np.array_equal(a.labels, b.labels)
+    assert any(not np.array_equal(la, lc)
+               for la, lc in zip(a.labels, c.labels))
 
 
 def test_tight_delta_is_unachievable():
@@ -222,12 +249,12 @@ def test_padding_audit_flags_tampered_eps_pad():
     assert not audit.passed
 
 
-def test_single_cluster_when_delta_covers_diameter():
+def test_single_cluster_when_delta_covers_diameter(carvings):
     # rho >= delta/4 >= diam forces one cluster; padding is then perfect
     s = grid10()
     delta = 4.0 * s.diameter()
     dec = build_decomposition(s, delta, pad_radius=2.0, eps_pad=0.36, seed=2)
-    assert all(p.size == 1 for p in dec.partitions)
+    assert all(len(clusters) == 1 for _, clusters, _ in carvings(dec))
     assert dec.padded_fraction.min() == 1.0
     assert dec.attempts == 1
     # the sampler's random carvings give the same partition and padding
@@ -235,10 +262,10 @@ def test_single_cluster_when_delta_covers_diameter():
     close = (d <= dec.pad_radius) & ~np.eye(s.n, dtype=bool)
     *batch, padded = decomposition._sample(d, delta, np.nonzero(close), dec.m,
                                            dec.seed, 0)
-    parts = partition_views(*batch)
-    for got, want in zip(parts, dec.partitions):
-        assert np.array_equal(got.labels, want.labels)
-        assert [c.tolist() for c in got.clusters] == [list(range(s.n))]
+    for (got, clusters, _), (want, _, _) in zip(carvings(batch),
+                                                carvings(dec), strict=True):
+        assert np.array_equal(got, want)
+        assert [c.tolist() for c in clusters] == [list(range(s.n))]
     assert np.array_equal(padded, dec.padded)
 
 
@@ -274,7 +301,9 @@ def test_bad_params():
     s = grid10()
     with pytest.raises(EmptyInput):
         build_decomposition(PointSet(np.zeros((0, 2)), 2.0), 1.0, 0.5, 0.3, 0)
-    with pytest.raises(BadParams):
-        build_decomposition(s, -1.0, 0.5, 0.3, 0)
+    for delta, pad_radius in ((-1.0, 0.5), (np.nan, 0.5), (8.0, np.nan),
+                              (8.0, 0.0)):
+        with pytest.raises(BadParams):
+            build_decomposition(s, delta, pad_radius, 0.3, 0)
     with pytest.raises(BadParams):
         build_decomposition(s, 8.0, 1.0, 1.5, 0)

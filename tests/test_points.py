@@ -180,6 +180,9 @@ def test_greedy_net_line_frozen():
     sub = d[np.ix_(net.members, net.members)]
     off = sub[~np.eye(len(net.members), dtype=bool)]
     assert off.min() >= 2.0
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(BadParams):
+            greedy_net(s, bad)
 
 
 def _first_fit_net(d, radius):

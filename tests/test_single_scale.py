@@ -12,7 +12,7 @@ from snowdim import (decomposition, extension, points, single_scale,
                      transforms)
 from snowdim import snowflake as snowflake_mod
 from snowdim.decomposition import batch_size, padding_audit
-from snowdim.errors import BadParams, HeaderMismatch, NotEuclidean
+from snowdim.errors import BadParams, HeaderMismatch
 from snowdim.points import PointSet, generate, greedy_net, normalize
 from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
                                   _embed_cluster_l1, _linf_block,
@@ -153,8 +153,9 @@ def test_l2_single_scale_keeps_the_tail_of_its_spectrum():
             assert one.k == 0
             continue
         w = (1.0 + 0.1) ** (-i * 0.5)
-        np.testing.assert_allclose(pdist(one.coords), e.scale_dists[t] / w,
-                                   rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(pdist(one.coords) / one.rescale,
+                                   e.scale_dists[t] / w, rtol=1e-11,
+                                   atol=0.0)
         checked += 1
     assert checked > 100
 
@@ -165,15 +166,16 @@ def test_l2_single_scale_keeps_the_tail_of_its_spectrum():
      0.1),
     ("ball", dict(n=40, dim=3, norm="linf", seed=1), 0.001, 0.0025),
 ])
-def test_smoothing_h_is_the_per_cluster_masked_min(kind, params, r, delta):
+def test_smoothing_h_is_the_per_cluster_masked_min(carvings, kind, params, r,
+                                                   delta):
     s = normalize(generate(kind, **params))
     e = build_single_scale(s, SingleScaleParams(r, 0.1, delta, seed=3))
     dmat = s.distance_matrix()
     by_members = {c.members.tobytes(): c for c in e.clusters}
     multi = 0
-    for part in e.decomposition.partitions:
-        multi += part.size > 1
-        for members in part.clusters:
+    for _, clusters, _ in carvings(e.decomposition):
+        multi += len(clusters) > 1
+        for members in clusters:
             # the gather over each cluster's outside, one cluster at a time
             if len(members) < s.n:
                 outside = np.ones(s.n, dtype=bool)
@@ -193,28 +195,24 @@ def capped(h, p):
     return np.where((p.delta / p.r) * h < 1.0, h, np.inf)
 
 
-def reference_scale_clusters(dec, dmat, p):
+def reference_scale_clusters(carvings, dec, dmat, p):
     # the dedupe one cluster at a time: every carving's clusters keyed by
     # their member bytes, in order of first appearance, the counts adding
-    # up over the carvings (a certain decomposition's one view counts m
+    # up over the carvings (a certain decomposition's one row counts m
     # times), and h one masked row-min over each carving's new clusters,
     # uncapped
-    runs = {}
-    for part in dec.partitions:
-        runs.setdefault(id(part), [part, 0])[1] += 1
     entry_order, entries = {}, []
-    for part, times in runs.values():
+    for lab, clusters, _ in carvings(dec):
         fresh = []
-        for members in part.clusters:
+        for members in clusters:
             at = entry_order.get(members.tobytes())
             if at is None:
                 fresh.append(members)
             else:
-                entries[at][1] += times
+                entries[at][1] += 1
         if not fresh:
             continue
         rows = np.concatenate(fresh)
-        lab = part.labels
         h_rows = np.where(lab[rows, None] == lab[None, :], np.inf,
                           dmat[rows]).min(axis=1)
         w_rows = np.minimum(1.0, (p.delta / p.r) * h_rows)
@@ -222,12 +220,13 @@ def reference_scale_clusters(dec, dmat, p):
         for members in fresh:
             hi = lo + len(members)
             entry_order[members.tobytes()] = len(entries)
-            entries.append([members, times, w_rows[lo:hi], h_rows[lo:hi]])
+            entries.append([members, 1, w_rows[lo:hi], h_rows[lo:hi]])
             lo = hi
     return entries
 
 
-def test_scale_clusters_match_the_per_cluster_reference(monkeypatch):
+def test_scale_clusters_match_the_per_cluster_reference(monkeypatch,
+                                                        carvings):
     # seeded l1, l2 and l-infinity sets at sampled, one-cluster and
     # all-singleton scales, carved in one chunk and in many, and once with
     # a key under which every cluster of a size collides: the columnar
@@ -261,7 +260,7 @@ def test_scale_clusters_match_the_per_cluster_reference(monkeypatch):
         for s, r, delta, seed in cases:
             sc = single_scale.scale_clusters(
                 s, SingleScaleParams(r, 0.1, delta, seed=seed))
-            want = reference_scale_clusters(sc.decomposition,
+            want = reference_scale_clusters(carvings, sc.decomposition,
                                             s.distance_matrix(), sc.params)
             got = sc.clusters
             assert len(got) == len(want)
@@ -296,7 +295,8 @@ TIE_HEAVY = [
 
 
 @pytest.mark.parametrize("chunk", [None, 8 * 7])
-def test_tie_heavy_sets_keep_the_reference_weights(monkeypatch, chunk):
+def test_tie_heavy_sets_keep_the_reference_weights(monkeypatch, carvings,
+                                                   chunk):
     # also with the prefixes scanned a few neighbours at a time
     if chunk is not None:
         monkeypatch.setattr(single_scale, "PAIRWISE_BYTES", chunk)
@@ -306,7 +306,7 @@ def test_tie_heavy_sets_keep_the_reference_weights(monkeypatch, chunk):
         for ratio, seed in [(x, seed) for x in ratios for seed in range(3)]:
             sc = single_scale.scale_clusters(s, SingleScaleParams(
                 ratio * delta, 0.1, delta, seed=seed, dim_hat=1.0))
-            want = reference_scale_clusters(sc.decomposition,
+            want = reference_scale_clusters(carvings, sc.decomposition,
                                             s.distance_matrix(), sc.params)
             for g, (members, _, weights, h) in zip(sc.clusters, want,
                                                    strict=True):
@@ -317,7 +317,7 @@ def test_tie_heavy_sets_keep_the_reference_weights(monkeypatch, chunk):
     assert below > 0
 
 
-def test_a_neighbour_exactly_at_the_cap_leaves_the_weight_one():
+def test_a_neighbour_exactly_at_the_cap_leaves_the_weight_one(carvings):
     # on a unit-spaced l1 line, r = delta makes delta/r exactly 1, so an
     # outside neighbour at distance 1 sits on the cap: its weight is
     # min(1, 1.0) = 1, and h is stored as inf
@@ -325,8 +325,8 @@ def test_a_neighbour_exactly_at_the_cap_leaves_the_weight_one():
     p = SingleScaleParams(0.1, 0.1, 0.1, seed=0, dim_hat=1.0)
     assert (p.delta / p.r) * 1.0 == 1.0
     sc = single_scale.scale_clusters(s, p)
-    want = reference_scale_clusters(sc.decomposition, s.distance_matrix(),
-                                    sc.params)
+    want = reference_scale_clusters(carvings, sc.decomposition,
+                                    s.distance_matrix(), sc.params)
     on_cap = np.concatenate([h for *_, h in want]) == 1.0
     assert on_cap.any()
     assert np.all(sc.h_values[on_cap] == np.inf)
@@ -468,32 +468,25 @@ def linf_ball():
     return normalize(generate("ball", n=100, dim=4, norm="linf", seed=1))
 
 
-def linf_line():
-    return normalize(generate("line", n=100, norm="linf"))
-
-
-@pytest.mark.parametrize("points,r,rescale_c,clusters,net", [
+# c is the l-infinity rescale constant: the map is divided by 1 + c * eps
+@pytest.mark.parametrize("points,r,c,clusters,net", [
     (linf_ball, 20.0, 0.0, 1, 100),     # one cluster, every point a net point
     (linf_ball, 2500.0, 0.0, 1, 98),    # one cluster, a coarse net
     (linf_segments, 0.04, 0.0, 2, 40),
     (linf_groups, 3e4, 0.0, 4, 19),     # several clusters, a coarse net
-    # overlapping clusters with smoothing weights below 1, and a rescale
-    # below 1, so the order of the weight products shows
-    (linf_line, 0.1, 3.0, 55, 100),
 ])
 def test_linf_scale_matches_the_per_cluster_reference(linf_reference, points,
-                                                      r, rescale_c, clusters,
-                                                      net):
+                                                      r, c, clusters, net):
     s = points()
     e = build_single_scale(s, SingleScaleParams(r=r, eps=0.2, delta=0.01,
-                                                seed=1, rescale_c=rescale_c))
+                                                seed=1))
+    assert e.rescale == 1.0 / (1.0 + c * 0.2)
     assert (len(e.clusters), e.net.size) == (clusters, net)
     assert all(c.coords is None for c in e.clusters)
     want = linf_reference(e)
     assert e.coords.shape == want.shape and e.k == want.shape[1]
     assert np.array_equal(e.coords, want)
-    if not rescale_c:               # a rescale below 1 leaves the T_r band
-        assert contract_audit(e).passed
+    assert contract_audit(e).passed
 
 
 def test_linf_requires_small_delta():
@@ -501,7 +494,7 @@ def test_linf_requires_small_delta():
         SingleScaleParams(1.0, 0.2, 0.2, norm=np.inf)
 
 
-def test_linf_multi_cluster_path():
+def test_linf_multi_cluster_path(carvings):
     # two short segments far apart: every carve radius covers a whole
     # segment but never bridges the gap, so each partition is exactly the
     # two segments -- multi-cluster, perfectly padded, deterministic
@@ -509,7 +502,8 @@ def test_linf_multi_cluster_path():
     s = normalize(PointSet(pts[:, None], norm=np.inf))
     p = SingleScaleParams(0.04, 0.2, 0.01, norm=np.inf, seed=5)
     e = build_single_scale(s, p)
-    assert all(part.size == 2 for part in e.decomposition.partitions)
+    assert all(len(clusters) == 2
+               for _, clusters, _ in carvings(e.decomposition))
     assert len(e.clusters) == 2
     assert e.decomposition.padded_fraction.min() == 1.0
     ex = contract_audit(e).extras
@@ -636,7 +630,7 @@ def test_l1_scale_builds_one_cut_structure_per_distinct_shape(
     assert contract_audit(e).passed
 
 
-def test_all_singleton_scale():
+def test_all_singleton_scale(carvings):
     # delta_dec / 2 = 0.6 < 1: no carve radius reaches a neighbour
     s = normalize(generate("grid", side=5, dims=2))
     p = SingleScaleParams(r=0.005, eps=0.1, delta=0.1, seed=2, dim_hat=1.0)
@@ -644,10 +638,10 @@ def test_all_singleton_scale():
     dec = e.decomposition
     assert dec.delta / 2.0 < 1.0
     assert e.k == 0
-    assert len(dec.partitions) == e.m
-    for part in dec.partitions:
-        assert [c.tolist() for c in part.clusters] == [[i] for i in range(s.n)]
-        assert np.array_equal(part.labels, np.arange(s.n))
+    assert len(list(carvings(dec))) == e.m
+    for labels, clusters, _ in carvings(dec):
+        assert [c.tolist() for c in clusters] == [[i] for i in range(s.n)]
+        assert np.array_equal(labels, np.arange(s.n))
     assert padding_audit(s, dec).passed
     assert contract_audit(e).passed
     # the batch a sampled carving would draw, whose random carvings give,
@@ -657,8 +651,8 @@ def test_all_singleton_scale():
     close = (dmat <= dec.pad_radius) & ~np.eye(s.n, dtype=bool)
     *batch, padded = decomposition._sample(dmat, dec.delta, np.nonzero(close),
                                            dec.m, dec.seed, 0)
-    for part in decomposition.partition_views(*batch):
-        assert sorted(c.tolist() for c in part.clusters) == \
+    for _, clusters, _ in carvings(batch):
+        assert sorted(c.tolist() for c in clusters) == \
             [[i] for i in range(s.n)]
     assert np.array_equal(padded, dec.padded)
 
@@ -668,7 +662,7 @@ def test_single_scale_targets_the_input_norm():
     e = build_single_scale(s, SingleScaleParams(r=8.0, eps=0.1,
                                                 delta=0.0025))
     assert e.params.norm == np.inf
-    assert e.params.rescale_c == 0.0
+    assert e.rescale == 1.0
     assert contract_audit(e).passed
     # the l-infinity rule delta <= eps^2/4 holds for a resolved norm too
     with pytest.raises(BadParams, match="eps\\^2/4"):
@@ -702,8 +696,9 @@ def test_singleton_and_empty_net_clusters(linf_cluster):
 
 
 def test_param_validation():
-    with pytest.raises(BadParams):
-        SingleScaleParams(0.0, 0.1, 0.1)
+    for r in (0.0, math.inf, math.nan):
+        with pytest.raises(BadParams):
+            SingleScaleParams(r, 0.1, 0.1)
     with pytest.raises(BadParams):
         SingleScaleParams(1.0, 0.25, 0.1)
     with pytest.raises(BadParams):
@@ -792,29 +787,3 @@ def test_theory_dimension_independent_of_n():
     e_small = build_single_scale(s_small, SingleScaleParams(1.0, 0.1, 0.1, seed=1, dim_hat=2.0))
     e_big = build_single_scale(s_big, SingleScaleParams(1.0, 0.1, 0.1, seed=1, dim_hat=2.0))
     assert e_small.theory_k == e_big.theory_k
-
-
-def test_an_l2_target_off_a_euclidean_metric_is_refused_before_decomposing(
-        monkeypatch):
-    # the snowflake's up-front check, shared: the l1 3 x 3 grid is not
-    # Euclidean, so no G_r of it is, and no scale is decomposed
-    calls = []
-    scale_clusters = single_scale.scale_clusters
-
-    def counting(s, params):
-        calls.append(params.r)
-        return scale_clusters(s, params)
-
-    monkeypatch.setattr(single_scale, "scale_clusters", counting)
-    s = normalize(generate("grid", side=3, dims=2, norm="l1"))
-    with pytest.raises(NotEuclidean, match=(
-            "^an l2 target needs a Euclidean source metric, and this l1 "
-            "metric is not one: ")):
-        build_single_scale(s, SingleScaleParams(r=2.0, eps=0.1, delta=0.01,
-                                                norm=2.0))
-    assert calls == []
-    # a line is Euclidean in every norm, and builds
-    s = normalize(generate("line", n=8, norm="l1"))
-    e = build_single_scale(s, SingleScaleParams(r=2.0, eps=0.1, delta=0.01,
-                                                norm=2.0))
-    assert calls == [2.0] and e.params.norm == 2.0

@@ -23,6 +23,7 @@ from snowdim.labeling import dls_build, dumps_labels
 from snowdim.points import PointSet, generate, greedy_net, normalize
 from snowdim.single_scale import (SingleScaleParams, build_single_scale,
                                   contract_audit, loads_coords)
+from snowdim.points import norm_label
 from snowdim.snowflake import (band_center, build_snowflake, compute_M,
                                distortion_audit, dumps, scale_count,
                                scale_plan)
@@ -293,7 +294,8 @@ def test_l1_scale_distances_match_the_single_scale_blocks():
                                        e.n * (e.n - 1) // 2)
         want = np.zeros_like(e.scale_dists)
         for t, i in enumerate(plan.scale_indices):
-            block = build_single_scale(s, snowflake._scale_params(e, i)).coords
+            one = build_single_scale(s, snowflake._scale_params(e, i))
+            block = one.coords / one.rescale
             assert block.shape[1] == e.scale_k[t]
             if e.scale_k[t]:
                 w = (1.0 + plan.eps) ** (-i * (1.0 - plan.alpha))
@@ -460,25 +462,24 @@ def test_l1_and_linf_smoke():
 
 def test_target_norm_defaults_to_the_input_norm():
     # with no norm argument an l-infinity input is embedded into
-    # l-infinity; an l2 target would fail the Gram realization
+    # l-infinity
     s = normalize(generate("ball", n=12, dim=2, norm="linf", seed=1))
     e = build_snowflake(s, 0.5, 0.1)
     assert e.plan.norm == np.inf
     assert distortion_audit(e).passed
 
 
-def _dominant_pairs_per_partition(dec):
+def _dominant_pairs_per_partition(dec, carvings):
     # the reference: one n x n product per partition, and-ed together
     n = dec.n
     ok = np.ones((n, n), dtype=bool)
-    for t, part in enumerate(dec.partitions):
-        lab = part.labels
+    for t, (lab, _, _) in enumerate(carvings(dec)):
         pad = dec.padded[t]
         ok &= (lab[:, None] == lab[None, :]) & (pad[:, None] & pad[None, :])
     return ok
 
 
-def test_dominant_pair_mask_matches_the_per_partition_products():
+def test_dominant_pair_mask_matches_the_per_partition_products(carvings):
     # five runs of five points with uneven gaps: carvings merge runs in
     # some partitions and split them in others, and points near a gap
     # lose their padding in some
@@ -490,7 +491,7 @@ def test_dominant_pair_mask_matches_the_per_partition_products():
         dec = build_decomposition(s, (60.0, 80.0, 120.0)[seed % 3], 3.0, 0.9,
                                   seed=seed, dim_hat=1.0)
         e = SimpleNamespace(decomposition=dec, n=s.n)
-        want = _dominant_pairs_per_partition(dec)
+        want = _dominant_pairs_per_partition(dec, carvings)
         assert np.array_equal(snowflake._dominant_pair_mask(e, iu, ju),
                               want[iu, ju])
         shared += int(want.sum() - np.trace(want))
@@ -501,7 +502,7 @@ def test_dominant_pair_mask_matches_the_per_partition_products():
     sc = single_scale.scale_clusters(grid,
                                      SingleScaleParams(2.0, 0.1, 0.1, seed=0))
     iu, ju = np.triu_indices(grid.n, k=1)
-    want = _dominant_pairs_per_partition(sc.decomposition)
+    want = _dominant_pairs_per_partition(sc.decomposition, carvings)
     assert np.array_equal(snowflake._dominant_pair_mask(sc, iu, ju),
                           want[iu, ju])
 
@@ -765,49 +766,37 @@ def test_l1_above_the_cut_cap_is_refused_before_any_scale(monkeypatch):
     assert calls == []
 
 
-def test_an_l1_target_over_another_norm_is_refused_before_any_scale(
-        monkeypatch):
-    # the cuts are read off the coordinates under l1, which measures an l2
-    # or l-infinity set of two or more coordinates otherwise; on one
-    # coordinate every norm agrees, and the line builds
+def test_a_foreign_target_norm_is_refused_before_any_scale(monkeypatch):
+    # every build embeds its input into its own norm: for every ordered
+    # pair of distinct norms, both entry points refuse the target before
+    # any scale is decomposed, even on a line, which every norm measures
+    # alike; the input's own norm, given explicitly, still builds
+    scale_clusters = single_scale.scale_clusters
     calls = []
     monkeypatch.setattr(snowflake, "scale_clusters",
                         counting_scale_clusters(calls))
     monkeypatch.setattr(single_scale, "scale_clusters",
                         counting_scale_clusters(calls))
-    for norm in ("l2", "linf"):
-        s = normalize(generate("grid", side=3, dims=2, norm=norm))
-        with pytest.raises(BadParams, match=(
-                f"^an l1 target cuts the source coordinates under l1; this "
-                f"{norm} source has 2 coordinates")):
-            build_snowflake(s, 0.5, 0.1, norm=1.0)
-        with pytest.raises(BadParams, match="an l1 target cuts"):
-            build_single_scale(s, SingleScaleParams(r=1.0, eps=0.1,
-                                                    delta=0.1, norm=1.0))
-    assert calls == []
-    line = normalize(generate("line", n=4, norm="l2"))
-    assert distortion_audit(build_snowflake(line, 0.5, 0.1, norm=1.0)).passed
-
-
-def test_an_l2_target_off_a_euclidean_metric_is_refused_before_any_scale(
-        monkeypatch):
-    # G_r(d) is Euclidean for every r exactly when d is, so one check of
-    # the source stands for every scale's Gram; the l1 and l-infinity
-    # 3 x 3 grids are not Euclidean, a line is in every norm
-    calls = []
-    monkeypatch.setattr(snowflake, "scale_clusters",
-                        counting_scale_clusters(calls))
-    for norm in ("l1", "linf"):
-        s = normalize(generate("grid", side=3, dims=2, norm=norm))
-        with pytest.raises(NotEuclidean, match=(
-                f"^an l2 target needs a Euclidean source metric, and this "
-                f"{norm} metric is not one: ")):
-            build_snowflake(s, 0.5, 0.1, norm=2.0)
-    assert calls == []
-    s = normalize(generate("line", n=8, norm="l1"))
-    e = build_snowflake(s, 0.5, 0.1, seed=0, norm=2.0)
-    assert e.plan.norm == 2.0
-    assert distortion_audit(e).passed
+    pairs = 0
+    for source in ("l1", "l2", "linf"):
+        s = normalize(generate("line", n=4, norm=source))
+        for target in {1.0, 2.0, np.inf} - {s.norm}:
+            msg = (f"^a build embeds its input into the input's own norm: "
+                   f"this l{norm_label(s.norm)} input cannot target "
+                   f"l{norm_label(target)}$")
+            params = SingleScaleParams(r=1.0, eps=0.2, delta=0.01,
+                                       norm=target)
+            with pytest.raises(BadParams, match=msg):
+                build_snowflake(s, 0.5, 0.1, norm=target)
+            with pytest.raises(BadParams, match=msg):
+                build_single_scale(s, params)
+            with pytest.raises(BadParams, match=msg):
+                scale_clusters(s, params)
+            pairs += 1
+    assert pairs == 6 and calls == []
+    s = normalize(generate("line", n=4, norm="l1"))
+    e = build_snowflake(s, 0.5, 0.1, seed=0, norm=s.norm)
+    assert e.plan.norm == 1.0 and distortion_audit(e).passed
 
 
 @pytest.mark.parametrize("points", [
@@ -869,7 +858,7 @@ def closed_form_sets():
         ("ultra128", normalize(generate("ultrametric", depth=7, seed=0))),
         ("subspace60", normalize(generate("subspace", n=60, ambient_dim=10,
                                           intrinsic_dim=3, seed=0))),
-        ("l1-line", normalize(generate("line", n=8, norm="l1"))),
+        ("line8", normalize(generate("line", n=8))),
         ("linf-ball32", normalize(generate("ball", n=32, dim=4, norm="linf",
                                            seed=0))),
     ]
@@ -884,8 +873,7 @@ def test_one_cluster_scales_match_their_decomposed_build(name):
     # that one cluster. The width is the rank bound n - 1 in l2, and the
     # net's size in l-infinity
     s = dict(closed_form_sets())[name]
-    norm = np.inf if s.norm == np.inf else 2.0
-    e = build_snowflake(s, 0.5, 0.1, seed=0, norm=norm)
+    e = build_snowflake(s, 0.5, 0.1, seed=0)
     plan = e.plan
     iu, ju = np.triu_indices(s.n, k=1)
     job = snowflake._ScaleJob(s, plan, 0, e.dim_hat, iu, ju,
@@ -902,7 +890,7 @@ def test_one_cluster_scales_match_their_decomposed_build(name):
             continue
         taken += 1
         k, dists, dom, part = snowflake._build_scale(job, i)
-        if norm == 2.0:
+        if s.norm == 2.0:
             assert np.allclose(e.scale_dists[t], dists, rtol=1e-12,
                                atol=0.0)
             assert e.scale_k[t] == k == s.n - 1 and part is None

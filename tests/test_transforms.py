@@ -80,6 +80,10 @@ def test_bad_transform_scale():
         gaussian_transform(1.0, r=0.0)
     with pytest.raises(BadParams):
         threshold_transform(1.0, r=-2.0)
+    for f in (gaussian_transform, laplace_transform, threshold_transform):
+        for r in (np.inf, np.nan):
+            with pytest.raises(BadParams):
+                f(1.0, r=r)
 
 
 def test_realization_two_points_exact():
