@@ -41,8 +41,7 @@ for name, s in (("10-point line", normalize(generate("line", n=10,
 # the full l1 build: cluster, cut each cluster, merge on net traces
 s = normalize(generate("line", n=10, norm="l1"))
 lr = np.asarray(laplace_transform(s.distance_matrix(), r))
-e = build_single_scale(s, SingleScaleParams(r=r, eps=0.1, delta=0.1,
-                                            norm=1.0, seed=0))
+e = build_single_scale(s, SingleScaleParams(r=r, eps=0.1, delta=0.1, seed=0))
 rep = contract_audit(e)
 img = e.image_distance_matrix()
 net = e.net.members

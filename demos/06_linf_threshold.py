@@ -25,7 +25,7 @@ iu, ju = np.triu_indices(s.n, k=1)
 
 for r in (20.0, 2500.0):
     e = build_single_scale(s, SingleScaleParams(r=r, eps=eps, delta=delta,
-                                                norm=np.inf, seed=1))
+                                                seed=1))
     rep = contract_audit(e)
     img = e.image_distance_matrix()
     net = e.net.members

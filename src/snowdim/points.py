@@ -72,7 +72,7 @@ def _pair_distances(points: np.ndarray, norm: float, iu: np.ndarray,
         diff -= points[ju[lo:lo + step]]
         np.abs(diff, out=diff)
         out[lo:lo + step] = (diff.sum(axis=1) if norm == 1.0
-                             else diff.max(axis=1))
+                             else diff.max(axis=1, initial=0.0))
     return out
 
 
@@ -174,7 +174,7 @@ def vector_norm(diff: np.ndarray, norm: float) -> np.ndarray:
         return np.linalg.norm(diff, axis=1)
     if norm == 1.0:
         return np.abs(diff).sum(axis=1)
-    return np.abs(diff).max(axis=1) if diff.shape[1] else np.zeros(diff.shape[0])
+    return np.abs(diff).max(axis=1, initial=0.0)
 
 
 def normalize(s: PointSet) -> PointSet:

@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +58,7 @@ from .decomposition import (PaddedDecomposition, build_decomposition,
 from .errors import (BadParams, EmptyInput, HeaderMismatch,
                      PaddingUnachievable)
 from .points import (PAIRWISE_BYTES, Net, PointSet, _pairwise,
-                     estimate_doubling, greedy_net, norm_label, norm_tag,
+                     estimate_doubling, greedy_net, norm_label,
                      require_normalized, require_seed, vector_norm)
 from .transforms import (CutStructure, _groups, _pack, cut_axes,
                          cut_structure, cut_weights, factor_gram,
@@ -88,7 +88,6 @@ class SingleScaleParams:
     r: float
     eps: float
     delta: float
-    norm: float | None = None               # None: the input's norm
     seed: int = 0
     dim_hat: float | None = None            # None: estimate from the data
 
@@ -103,22 +102,14 @@ class SingleScaleParams:
         if self.dim_hat is not None and not 0.0 <= self.dim_hat < math.inf:
             raise BadParams(
                 f"dim_hat must lie in [0, inf), got {self.dim_hat}")
-        if self.norm is None:
-            return                          # checked once build_single_scale sets it
-        self.norm = norm_tag(self.norm)
-        if self.norm == np.inf and self.delta > self.eps ** 2 / 4:
-            raise BadParams(
-                f"l-infinity path requires delta <= eps^2/4 "
-                f"({self.eps ** 2 / 4:.6g}), got {self.delta}")
 
-    @property
-    def net_radius(self) -> float:
+    def net_radius(self, norm: float) -> float:
         # The max-norm path reads distances off net anchors, so a pair at the
         # bottom of the audit window (source distance delta*r) pays twice the
         # net radius in approximation error.  A quarter-radius net keeps that
         # loss within the eps/(1+eps) allowance of the lower band edge; the
         # other norms absorb it in their wider band.
-        if self.norm == np.inf:
+        if norm == np.inf:
             return 0.25 * self.eps * self.delta * self.r
         return self.eps * self.delta * self.r
 
@@ -137,22 +128,10 @@ class SingleScaleParams:
         return one_cluster(s, self.decomposition_diameter(dim_hat))
 
 
-def _own_norm(s: PointSet, norm: float | None) -> float:
-    """``s.norm``, where ``norm`` is None or names it; every build embeds
-    its input into its own norm, and another is refused (BadParams)."""
-    if norm is not None and norm_tag(norm) != s.norm:
-        raise BadParams(
-            f"a build embeds its input into the input's own norm: this "
-            f"l{norm_label(s.norm)} input cannot target "
-            f"l{norm_label(norm_tag(norm))}")
-    return s.norm
-
-
-def require_source(s: PointSet, norm: float | None) -> None:
-    """Refuse a build over ``s`` up front: a target norm other than its
-    own (BadParams), or an l1 set whose one coarse-scale cluster fails
-    ``cut_axes`` (ClusterTooLarge)."""
-    if _own_norm(s, norm) == 1.0:
+def require_source(s: PointSet) -> None:
+    """Refuse a build over ``s`` up front: an l1 set whose one
+    coarse-scale cluster fails ``cut_axes`` (ClusterTooLarge)."""
+    if s.norm == 1.0:
         cut_axes(s.points)
 
 
@@ -199,7 +178,7 @@ class ScaleClusters:
     objects, made on first use. ``group`` holds the distinct cluster of
     each cluster of each label row, rows in order and each row's
     clusters in label order."""
-    params: SingleScaleParams              # norm resolved
+    params: SingleScaleParams
     dim_hat: float
     decomposition: PaddedDecomposition
     members: np.ndarray                    # distinct clusters, concatenated
@@ -260,7 +239,7 @@ class SingleScaleEmbedding:
         return self.source.n
 
     def image_distance_matrix(self) -> np.ndarray:
-        return _pairwise(self.coords, self.params.norm)
+        return _pairwise(self.coords, self.source.norm)
 
 
 def theory_dimension(eps: float, delta: float, eps_pad: float,
@@ -372,12 +351,13 @@ def _linf_combine(delta: float) -> float:
     return 1.0 / (1.0 + 2.0 * math.sqrt(delta))
 
 
-def _block_weights(sc: ScaleClusters) -> tuple[float, np.ndarray]:
+def _block_weights(sc: ScaleClusters,
+                   norm: float) -> tuple[float, np.ndarray]:
     """An l1 or l-infinity scale's combining scale, 1/m or
     1/(1 + 2 sqrt(delta)), and each member's factor in its block (aligned
     with ``sc.members``): its smoothing weight times the combining scale
     (in l1, times its cluster's count first)."""
-    if sc.params.norm == np.inf:
+    if norm == np.inf:
         combine = _linf_combine(sc.params.delta)
         return combine, sc.weights * combine
     combine = 1.0 / sc.m
@@ -480,18 +460,20 @@ def _capped_h(s: PointSet, labels: np.ndarray, rows: np.ndarray,
 def scale_clusters(s: PointSet, params: SingleScaleParams) -> ScaleClusters:
     """Decompose the whole set at one scale and list its distinct clusters.
 
-    ``params.norm`` is None or the input's own norm (``s.norm``); another
-    is refused (BadParams). Clusters are listed in order of first
-    appearance across the carvings (carving by carving, each in label
-    order), each with the number of carvings that contain it. The
-    candidates are read off the decomposition's member and size rows,
-    and the distinct ones found by ``_distinct``; a certain
-    decomposition's one row counts m times."""
+    An l-infinity set with delta > eps^2/4 is refused (BadParams) before
+    the decomposition. Clusters are listed in order of first appearance
+    across the carvings (carving by carving, each in label order), each
+    with the number of carvings that contain it. The candidates are read
+    off the decomposition's member and size rows, and the distinct ones
+    found by ``_distinct``; a certain decomposition's one row counts m
+    times."""
     require_normalized(s, "build_single_scale")
     if s.n == 0:
         raise EmptyInput("single-scale embedding of an empty set")
-    norm = _own_norm(s, params.norm)
-    p = params if params.norm is not None else replace(params, norm=norm)
+    p = params
+    if s.norm == np.inf and p.delta > p.eps ** 2 / 4:
+        raise BadParams(f"l-infinity path requires delta <= eps^2/4 "
+                        f"({p.eps ** 2 / 4:.6g}), got {p.delta}")
     dim_hat = p.dim_hat if p.dim_hat is not None else estimate_doubling(s).dim_hat
 
     # --- padded decomposition of the whole set, doubling the diameter on failure
@@ -576,19 +558,19 @@ def _scale_gram(sc: ScaleClusters,
 def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmbedding:
     """Assemble the embedding; see the module docstring for the pipeline.
 
-    ``params.norm`` is None or the input's own norm (``s.norm``). A
-    source the maps cannot be built from, or another target norm, is
-    refused before the decomposition (``require_source``). The map is
-    divided by 1 + C * eps, C = ``RESCALE_C`` of the norm."""
+    The map is built in the norm of ``s``. A source the maps cannot be
+    built from (``require_source``), or parameters its norm rejects
+    (``scale_clusters``), are refused before the decomposition. The map
+    is divided by 1 + C * eps, C = ``RESCALE_C`` of the norm."""
     require_normalized(s, "build_single_scale")
-    require_source(s, params.norm)
+    require_source(s)
     sc = scale_clusters(s, params)
-    p, entries, m = sc.params, sc.clusters, sc.m
-    n = s.n
+    p, entries, m = params, sc.clusters, sc.m
+    n, norm = s.n, s.norm
     dmat = s.distance_matrix()
-    rescale = 1.0 / (1.0 + RESCALE_C[p.norm] * p.eps)
+    rescale = 1.0 / (1.0 + RESCALE_C[norm] * p.eps)
     net, empty_net = None, 0
-    if p.norm == 2.0:
+    if norm == 2.0:
         # the direct sum's Gram, rescaled; factored uncentered, so every
         # image keeps its norm, which the audit bounds. A point that is
         # only ever a singleton or its cluster's first member has a zero
@@ -608,15 +590,15 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
             coords[act] = y
     else:
         # the l1 and l-infinity maps read the net
-        net = greedy_net(s, p.net_radius)
+        net = greedy_net(s, p.net_radius(norm))
         in_net = np.zeros(n, dtype=bool)
         in_net[net.members] = True
         starts = np.cumsum(sc.sizes) - sc.sizes
         empty_net = int(np.count_nonzero(
             ~np.logical_or.reduceat(in_net[sc.members], starts)))
-        combine, scaled_w = _block_weights(sc)
+        combine, scaled_w = _block_weights(sc, norm)
         scaled_w *= rescale
-        if p.norm == np.inf:
+        if norm == np.inf:
             coords = _linf_block(sc, dmat, in_net, scaled_w)
         else:
             coords, maps = _l1_block(sc, s.points, in_net, scaled_w, {})
@@ -624,7 +606,7 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
                 c.coords = f
     return SingleScaleEmbedding(
         p, s, net, sc.dim_hat, sc.decomposition, entries, m, coords.shape[1],
-        theory_dimension(p.eps, p.delta, EPS_PAD, sc.dim_hat, p.norm),
+        theory_dimension(p.eps, p.delta, EPS_PAD, sc.dim_hat, norm),
         combine, rescale, coords, empty_net)
 
 
@@ -644,9 +626,9 @@ def contract_audit(e: SingleScaleEmbedding) -> report_mod.DistortionReport:
     iu, ju = np.triu_indices(s.n, k=1)
     src = dmat[iu, ju]
     dst = img[iu, ju]
-    tf = transform_for(p.norm)
+    tf = transform_for(s.norm)
     ref = np.asarray(tf(src, p.r))
-    if p.norm == np.inf:
+    if s.norm == np.inf:
         window = (p.delta * p.r, p.r / math.sqrt(p.delta))
         # theorem band for image / T_r after the (1+2*sqrt(delta)) division
         bounds = (1.0 / ((1.0 + p.eps) * (1.0 + 2.0 * math.sqrt(p.delta))),
@@ -655,11 +637,11 @@ def contract_audit(e: SingleScaleEmbedding) -> report_mod.DistortionReport:
         window = (p.delta * p.r, p.r / p.delta)
         bounds = (1.0 / (1.0 + 45.0 * p.eps), 1.0 + 1e-9)
     rep = report_mod.from_pairs(
-        {2.0: "G_r", 1.0: "L_r", np.inf: "T_r"}[p.norm],
+        {2.0: "G_r", 1.0: "L_r", np.inf: "T_r"}[s.norm],
         iu, ju, src, dst, ref_dist=ref, window=window, bounds=bounds)
     with np.errstate(divide="ignore", invalid="ignore"):
         lip = np.where(src > 0, dst / src, 0.0)
-    norms = vector_norm(e.coords, p.norm)
+    norms = vector_norm(e.coords, s.norm)
     lemma = _cluster_checks(e)
     rep.extras.update({
         "max_lipschitz": float(lip.max()) if len(lip) else 0.0,
@@ -691,9 +673,9 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
     share one factor. An l-infinity cluster's raw map is rebuilt from the
     net: T_r of the distances to its net points.
     """
-    p = e.params
+    p, norm = e.params, e.source.norm
     dmat = e.source.distance_matrix()
-    tf = transform_for(p.norm)
+    tf = transform_for(norm)
     max_f_norm = 0.0
     worst_ii = -np.inf        # max of |f(x)-f(y)| - transform(d), want <= slack
     worst_tf = -np.inf        # max of transform(d) - d, want <= float noise
@@ -707,7 +689,7 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
         members = entry.members
         dsub = dmat[np.ix_(members, members)]
         raw = entry.coords
-        if p.norm == np.inf:
+        if norm == np.inf:
             # l-infinity keeps no cluster map: threshold the distances to
             # the cluster's net points (a singleton has none to keep)
             raw = tf(dsub[:, np.flatnonzero(in_net[members]
@@ -723,15 +705,15 @@ def _cluster_checks(e: SingleScaleEmbedding) -> dict:
                 raw = factors[key] = factor_gram(gram)
         if raw.shape[1]:
             max_f_norm = max(max_f_norm,
-                             float(vector_norm(raw, p.norm).max()))
+                             float(vector_norm(raw, norm).max()))
         if len(members) > 1:
-            fsub = _pairwise(raw, p.norm)
+            fsub = _pairwise(raw, norm)
             tsub = np.asarray(tf(dsub, p.r))
             np.fill_diagonal(tsub, 0.0)
             offd = ~np.eye(len(members), dtype=bool)
             worst_ii = max(worst_ii, float((fsub - tsub)[offd].max()))
             worst_tf = max(worst_tf, float((tsub - dsub)[offd].max()))
-            smoothed = _pairwise(raw * entry.weights[:, None], p.norm)
+            smoothed = _pairwise(raw * entry.weights[:, None], norm)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(dsub > 0, smoothed / dsub, 0.0)
             worst_product = max(worst_product, float(ratios.max()))
@@ -780,7 +762,7 @@ def dumps(e: SingleScaleEmbedding) -> bytes:
         "n": e.n,
         "k": e.k,
         "theory_k": e.theory_k,
-        "norm": norm_label(p.norm),
+        "norm": norm_label(e.source.norm),
         "r": p.r,
         "eps": p.eps,
         "delta": p.delta,

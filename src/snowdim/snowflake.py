@@ -305,8 +305,7 @@ def _scale_params(job: _ScaleJob | SnowflakeEmbedding,
     doubling estimate of a job or of the embedding it built."""
     plan = job.plan
     return SingleScaleParams(r=(1.0 + plan.eps) ** i, eps=plan.eps,
-                             delta=plan.delta, norm=plan.norm,
-                             seed=_scale_seed(job.seed, i),
+                             delta=plan.delta, seed=_scale_seed(job.seed, i),
                              dim_hat=job.dim_hat)
 
 
@@ -452,7 +451,7 @@ def _linf_dists(s: PointSet, members: np.ndarray, sizes: np.ndarray,
 def _in_net(s: PointSet, sp: SingleScaleParams) -> np.ndarray:
     """Which points the net of scale ``sp`` holds."""
     in_net = np.zeros(s.n, dtype=bool)
-    in_net[greedy_net(s, sp.net_radius).members] = True
+    in_net[greedy_net(s, sp.net_radius(s.norm)).members] = True
     return in_net
 
 
@@ -480,8 +479,8 @@ def _build_scale(job: _ScaleJob, i: int) -> tuple:
                     diag[job.iu] + diag[job.ju] - 2.0 * gram[job.iu, job.ju],
                     0.0))
         else:
-            in_net = _in_net(job.s, sc.params)
-            scaled_w = _block_weights(sc)[1]
+            in_net = _in_net(job.s, sp)
+            scaled_w = _block_weights(sc, plan.norm)[1]
             if plan.norm == np.inf:
                 k, dists = _linf_dists(
                     job.s, sc.members, sc.sizes, scaled_w, in_net, sp.r, w,
@@ -662,16 +661,20 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     message. From a helper, the error carries the helper's traceback as
     a note, and its cause is a copy of the original; an error that
     cannot be pickled comes back as a RuntimeError holding its
-    traceback. Another target norm, or an l1 source whose boxes pass the
-    cut decomposition's cap, is refused before any scale is built
-    (``require_source``). A negative seed, or a ``dim_hat`` that is not
-    finite or lies below 0, is refused (BadParams).
+    traceback. Another target norm (BadParams), or an l1 source whose
+    boxes pass the cut decomposition's cap (``require_source``), is
+    refused before any scale is built. A negative seed, or a ``dim_hat``
+    that is not finite or lies below 0, is refused (BadParams).
     """
     require_seed(seed)
     if dim_hat is not None and not 0.0 <= dim_hat < math.inf:
         raise BadParams(f"dim_hat must lie in [0, inf), got {dim_hat}")
     plan = scale_plan(s, alpha, eps)
-    require_source(s, norm)
+    if norm is not None and norm_tag(norm) != s.norm:
+        raise BadParams(f"a build embeds its input into the input's own "
+                        f"norm: this l{norm_label(s.norm)} input cannot "
+                        f"target l{norm_label(norm_tag(norm))}")
+    require_source(s)
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     n = s.n

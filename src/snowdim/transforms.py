@@ -57,7 +57,8 @@ def gaussian_transform(t, r: float = 1.0):
     """G_r(t) = r * sqrt(1 - exp(-t^2 / r^2)), elementwise."""
     r = _check_r(r)
     t = np.asarray(t, dtype=np.float64)
-    out = r * np.sqrt(-np.expm1(-np.square(t / r)))
+    with np.errstate(over="ignore"):       # t/r overflows: exactly r
+        out = r * np.sqrt(-np.expm1(-np.square(t / r)))
     return out if out.ndim else float(out)
 
 
@@ -65,7 +66,8 @@ def laplace_transform(t, r: float = 1.0):
     """L_r(t) = r * (1 - exp(-t / r)), elementwise."""
     r = _check_r(r)
     t = np.asarray(t, dtype=np.float64)
-    out = r * -np.expm1(-t / r)
+    with np.errstate(over="ignore"):       # t/r overflows: exactly r
+        out = r * -np.expm1(-t / r)
     return out if out.ndim else float(out)
 
 

@@ -52,7 +52,7 @@ def l2_reference_coords(s, sc) -> np.ndarray:
     global rescale, in a column block of its own. This is the direct sum
     the library's one-Gram build factors, written out the long way."""
     p = sc.params
-    rescale = 1.0 / (1.0 + RESCALE_C[p.norm] * p.eps)
+    rescale = 1.0 / (1.0 + RESCALE_C[s.norm] * p.eps)
     dmat = s.distance_matrix()
     blocks = []
     for c in sc.clusters:

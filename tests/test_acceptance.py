@@ -307,7 +307,7 @@ def test_linf_frechet_embedding_exact_properties():
         s = normalize(generate("ball", n=100, dim=4, norm="linf", seed=seed))
         src = s.distance_matrix()
         e = build_single_scale(s, SingleScaleParams(
-            r=r, eps=eps, delta=delta, norm=np.inf, seed=seed))
+            r=r, eps=eps, delta=delta, seed=seed))
         rep = contract_audit(e)
         assert rep.violations == []
         assert rep.pair_count > 0
@@ -344,7 +344,7 @@ def test_l1_cut_embedding_small_clusters():
     for raw, r in runs:
         s = normalize(raw)
         e = build_single_scale(s, SingleScaleParams(r=r, eps=EPS, delta=EPS,
-                                                    norm=1.0, seed=0))
+                                                    seed=0))
         rep = contract_audit(e)
         assert rep.extras["max_lipschitz"] <= 1.0 + 1e-9
         assert rep.violations == []

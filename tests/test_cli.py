@@ -190,6 +190,18 @@ def test_embed_scale_refuses_an_infinite_scale(tmp_path, capsys, norm):
     assert err == "snowdim: error: r must be positive and finite, got inf\n"
 
 
+@pytest.mark.parametrize("norm,r", [("inf", "1e-6"), ("2", "1e-300")])
+def test_embed_scale_at_a_tiny_scale(tmp_path, capsys, norm, r):
+    # l-infinity: every cluster a singleton, a scale of no columns, once a
+    # zero-size max; l2: G_r overflowed inside t/r before it saturated
+    path = tmp_path / "pair.csv"
+    path.write_text(f"# norm={norm} scale=1\n0,0\n1,0\n")
+    code, out, err = run(capsys, "embed-scale", str(path), "--r", r)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["passed"] is True and doc["extras"]["concrete_k"] == 0
+
+
 def test_embed_scale_exit_2_on_violation(tmp_path, capsys, monkeypatch):
     path = gen_line(tmp_path)
 

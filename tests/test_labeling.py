@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from snowdim import labeling
-from snowdim.errors import BadParams, HeaderMismatch
+from snowdim import labeling, snowflake
+from snowdim.errors import BadParams, HeaderMismatch, SnowdimError
 from snowdim.labeling import (LabelSet, dequantize, dls_build, dls_query, dumps_labels,
                               loads_labels, measured_label_bits, quantize,
                               quantization_slack, theory_label_bits)
 from snowdim.points import PointSet, generate, normalize
+from snowdim.single_scale import loads_coords
 from snowdim.snowflake import build_snowflake
 
 EPS = 0.1
@@ -208,6 +210,27 @@ def test_truncated_labels_raise_or_round_trip():
         with pytest.raises(HeaderMismatch):
             loads_labels(blob[:c])
     assert dumps_labels(loads_labels(blob)) == blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_dumps_and_labels_raise_only_snowdim_errors(data):
+    # a snowflake dump or label file cut short, or with up to three bytes
+    # flipped, loads cleanly or raises a SnowdimError, never anything else
+    load, blob = data.draw(st.sampled_from((
+        (loads_coords, snowflake.dumps(line_embedding())),
+        (loads_labels, dumps_labels(line_labels())))))
+    blob = bytearray(blob)
+    if data.draw(st.booleans()):
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    else:
+        at = st.integers(0, len(blob) - 1)
+        for pos in data.draw(st.lists(at, min_size=1, max_size=3)):
+            blob[pos] ^= data.draw(st.integers(1, 255))
+    try:
+        load(bytes(blob))
+    except SnowdimError:
+        pass
 
 
 def test_grid_estimates_cover_all_pairs():

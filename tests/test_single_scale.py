@@ -42,16 +42,27 @@ def test_two_point_l2_oracle():
 
 def test_two_point_l1_oracle():
     s = normalize(PointSet(np.array([[0.0], [1.0]]), norm=1.0))
-    e = build_single_scale(s, SingleScaleParams(1.0, 0.1, 0.1, norm=1.0, seed=4))
+    e = build_single_scale(s, SingleScaleParams(1.0, 0.1, 0.1, seed=4))
     d = np.abs(e.coords[0] - e.coords[1]).sum()
     assert abs(d - L_1 / 5.0) < 1e-12
 
 
 def test_two_point_linf_oracle():
     s = normalize(PointSet(np.array([[0.0], [1.0]]), norm=np.inf))
-    e = build_single_scale(s, SingleScaleParams(1.0, 0.2, 0.01, norm=np.inf, seed=4))
+    e = build_single_scale(s, SingleScaleParams(1.0, 0.2, 0.01, seed=4))
     d = np.abs(e.coords[0] - e.coords[1]).max()
     assert abs(d - 1.0 / 1.2) < 1e-12          # T_1(1)/(1+2*sqrt(0.01))
+
+
+def test_two_point_linf_singletons_have_no_columns():
+    # at a scale far below the spacing every carving is all singletons, so
+    # the scale has width 0 and its audit measures 0-column images
+    s = normalize(PointSet(np.array([[0.0], [1.0]]), norm=np.inf))
+    e = build_single_scale(s, SingleScaleParams(1e-6, 0.1, 0.0025, seed=4))
+    assert e.k == 0 and e.coords.shape == (2, 0)
+    assert np.array_equal(e.image_distance_matrix(), np.zeros((2, 2)))
+    rep = contract_audit(e)
+    assert rep.passed and rep.extras["concrete_k"] == 0
 
 
 # --- contracts on a full build
@@ -101,7 +112,7 @@ def test_ultrametric_multi_cluster():
 def test_coarse_l2_scale_decomposes_every_point():
     s = normalize(generate("grid", side=8, dims=2))
     p = SingleScaleParams(200.0, 0.1, 0.1, seed=7)
-    assert greedy_net(s, p.net_radius).size < s.n
+    assert greedy_net(s, p.net_radius(s.norm)).size < s.n
     e = build_single_scale(s, p)
     assert e.net is None
     assert e.decomposition.n == s.n
@@ -362,7 +373,7 @@ def test_smoothing_excess_sees_every_wrong_h():
 def test_l1_merged_cuts_isometric_on_net():
     rng = np.random.default_rng(5)
     s = normalize(PointSet(rng.uniform(0, 10, (10, 2)), norm=1.0))
-    p = SingleScaleParams(1.0, 0.1, 0.1, norm=1.0, seed=2)
+    p = SingleScaleParams(1.0, 0.1, 0.1, seed=2)
     e = build_single_scale(s, p)
     net_mask = np.zeros(s.n, dtype=bool)
     net_mask[e.net.members] = True
@@ -385,7 +396,7 @@ def test_l1_merged_cuts_isometric_on_net():
 def test_l1_all_pairs_one_lipschitz():
     rng = np.random.default_rng(5)
     s = normalize(PointSet(rng.uniform(0, 10, (10, 2)), norm=1.0))
-    e = build_single_scale(s, SingleScaleParams(1.0, 0.1, 0.1, norm=1.0, seed=2))
+    e = build_single_scale(s, SingleScaleParams(1.0, 0.1, 0.1, seed=2))
     ex = contract_audit(e).extras
     assert ex["max_lipschitz"] <= 1.0 + 1e-9
     assert ex["same_cluster_excess"] <= 1e-9
@@ -397,7 +408,7 @@ def test_l1_all_pairs_one_lipschitz():
 def test_linf_exact_frechet():
     rng = np.random.default_rng(7)
     s = normalize(PointSet(rng.uniform(0, 40, (60, 3)), norm=np.inf))
-    p = SingleScaleParams(20.0, 0.2, 0.01, norm=np.inf, seed=2)
+    p = SingleScaleParams(20.0, 0.2, 0.01, seed=2)
     e = build_single_scale(s, p)
     rep = contract_audit(e)
     assert rep.passed
@@ -489,9 +500,15 @@ def test_linf_scale_matches_the_per_cluster_reference(linf_reference, points,
     assert contract_audit(e).passed
 
 
-def test_linf_requires_small_delta():
-    with pytest.raises(BadParams):
-        SingleScaleParams(1.0, 0.2, 0.2, norm=np.inf)
+def test_linf_requires_small_delta(monkeypatch):
+    # refused from the set's norm, before any decomposition
+    calls = []
+    monkeypatch.setattr(single_scale, "build_decomposition",
+                        lambda *a, **k: calls.append(a))
+    s = normalize(PointSet(np.array([[0.0], [1.0]]), norm=np.inf))
+    with pytest.raises(BadParams, match="eps\\^2/4"):
+        build_single_scale(s, SingleScaleParams(1.0, 0.2, 0.2))
+    assert calls == []
 
 
 def test_linf_multi_cluster_path(carvings):
@@ -500,7 +517,7 @@ def test_linf_multi_cluster_path(carvings):
     # two segments -- multi-cluster, perfectly padded, deterministic
     pts = np.concatenate([np.arange(20.0), 10000.0 + np.arange(20.0)])
     s = normalize(PointSet(pts[:, None], norm=np.inf))
-    p = SingleScaleParams(0.04, 0.2, 0.01, norm=np.inf, seed=5)
+    p = SingleScaleParams(0.04, 0.2, 0.01, seed=5)
     e = build_single_scale(s, p)
     assert all(len(clusters) == 2
                for _, clusters, _ in carvings(e.decomposition))
@@ -661,10 +678,9 @@ def test_single_scale_targets_the_input_norm():
     s = normalize(generate("ball", n=12, dim=2, norm="linf", seed=1))
     e = build_single_scale(s, SingleScaleParams(r=8.0, eps=0.1,
                                                 delta=0.0025))
-    assert e.params.norm == np.inf
     assert e.rescale == 1.0
     assert contract_audit(e).passed
-    # the l-infinity rule delta <= eps^2/4 holds for a resolved norm too
+    # the l-infinity rule delta <= eps^2/4 is read off the set's norm
     with pytest.raises(BadParams, match="eps\\^2/4"):
         build_single_scale(s, SingleScaleParams(r=8.0, eps=0.1, delta=0.01))
 

@@ -75,6 +75,20 @@ def test_plan_validation():
         scale_plan(PointSet(np.array([[0.0], [2.0]])), 0.5, 0.1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.05, 0.95), eps=st.floats(0.01, 0.2499))
+def test_every_plan_meets_the_linf_delta_rule(alpha, eps):
+    # every accepted plan's delta is within the l-infinity single-scale
+    # rule delta <= eps^2/4, so scale_clusters never refuses a snowflake
+    # scale on it
+    s = normalize(PointSet(np.array([[0.0], [1.0]]), norm=np.inf))
+    try:
+        plan = scale_plan(s, alpha, eps)
+    except BadParams:
+        return
+    assert plan.delta <= eps ** 2 / 4
+
+
 # --- the normalizer M
 
 
@@ -768,14 +782,11 @@ def test_l1_above_the_cut_cap_is_refused_before_any_scale(monkeypatch):
 
 def test_a_foreign_target_norm_is_refused_before_any_scale(monkeypatch):
     # every build embeds its input into its own norm: for every ordered
-    # pair of distinct norms, both entry points refuse the target before
+    # pair of distinct norms, build_snowflake refuses the target before
     # any scale is decomposed, even on a line, which every norm measures
     # alike; the input's own norm, given explicitly, still builds
-    scale_clusters = single_scale.scale_clusters
     calls = []
     monkeypatch.setattr(snowflake, "scale_clusters",
-                        counting_scale_clusters(calls))
-    monkeypatch.setattr(single_scale, "scale_clusters",
                         counting_scale_clusters(calls))
     pairs = 0
     for source in ("l1", "l2", "linf"):
@@ -784,14 +795,8 @@ def test_a_foreign_target_norm_is_refused_before_any_scale(monkeypatch):
             msg = (f"^a build embeds its input into the input's own norm: "
                    f"this l{norm_label(s.norm)} input cannot target "
                    f"l{norm_label(target)}$")
-            params = SingleScaleParams(r=1.0, eps=0.2, delta=0.01,
-                                       norm=target)
             with pytest.raises(BadParams, match=msg):
                 build_snowflake(s, 0.5, 0.1, norm=target)
-            with pytest.raises(BadParams, match=msg):
-                build_single_scale(s, params)
-            with pytest.raises(BadParams, match=msg):
-                scale_clusters(s, params)
             pairs += 1
     assert pairs == 6 and calls == []
     s = normalize(generate("line", n=4, norm="l1"))
@@ -895,7 +900,7 @@ def test_one_cluster_scales_match_their_decomposed_build(name):
                                atol=0.0)
             assert e.scale_k[t] == k == s.n - 1 and part is None
         else:
-            net = greedy_net(s, sp.net_radius).members
+            net = greedy_net(s, sp.net_radius(s.norm)).members
             assert e.scale_k[t] == k == len(net) and part is None
             assert np.abs(e.scale_dists[t] - dists).max() <= (
                 2 * np.spacing(dists.max()))

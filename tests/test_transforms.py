@@ -52,6 +52,13 @@ def test_transform_shapes_and_limits():
         assert (np.diff(v) <= np.diff(fine) + 1e-12).all()
 
 
+def test_transforms_saturate_at_a_tiny_r():
+    # t/r overflows to inf, and each transform saturates at exactly r with
+    # no overflow warning (tier-1 turns RuntimeWarning into an error)
+    assert gaussian_transform(1.0, 1e-300) == 1e-300
+    assert laplace_transform(1e10, 1e-300) == 1e-300
+
+
 def test_laplace_gaussian_identity():
     # L_r(t) = r * G(sqrt(t/r))^2 with the unit Gaussian transform
     t = np.linspace(0.0, 20.0, 57)
