@@ -514,6 +514,18 @@ def scale_clusters(s: PointSet, params: SingleScaleParams) -> ScaleClusters:
                          group)
 
 
+def _scatter_max(n: int) -> int:
+    """The largest cluster ``_scale_gram`` scatters on n points, by the
+    cost rule |C|^2 <= n. A serial sweep over every decomposed scale of
+    the seed-0 subspace sets (ambient dimension 50, intrinsic 3) summed
+    these Gram times (largest scattered cluster: seconds; none is the two
+    dense products alone):
+    n = 200: 4: 0.25, 8: 0.17, 14: 0.16, 32: 0.21, 64: 0.32, none: 0.33;
+    n = 400: 4: 1.26, 8: 0.87, 20: 0.64, 32: 0.65, 64: 0.86, none: 1.93.
+    """
+    return math.isqrt(n)
+
+
 def _scale_gram(sc: ScaleClusters,
                 dmat: np.ndarray) -> tuple[int, np.ndarray | None]:
     """The Gram matrix of one l2 scale's map, with its rank bound.
@@ -523,36 +535,75 @@ def _scale_gram(sc: ScaleClusters,
     T[C, C]) / 2 with T = G_r(d)^2; it is positive semidefinite because
     the Gaussian kernel is positive definite (Schoenberg, 1938). The
     scale's Gram is the sum over distinct clusters of
-    (count_C / m) (w_C w_C^T) * Gamma_C, elementwise in the product. With
+    (count_C / m) (w_C w_C^T) * Gamma_C, elementwise in the product.
+
+    Clusters of more than ``_scatter_max(n)`` points are multiplied: with
     u_C the weights and v_C the weights times T[., c0] on C's rows (zero
-    elsewhere), that sum is (Q + Q^T - T * P) / 2 for Q = sum_C c_C u_C
-    v_C^T and P = sum_C c_C u_C u_C^T: two dense products over the
-    clusters, where a scatter per cluster would loop in Python.
-    Singletons add nothing and are skipped. The rank bound is
-    min(n, sum_C (|C| - 1)), 0 exactly when no cluster has two points,
-    and then there is no Gram (None).
+    elsewhere), their sum is (Q + Q^T - T * P) / 2 for
+    Q = sum_C c_C u_C v_C^T and P = sum_C c_C u_C u_C^T, two dense
+    products over those clusters. The smaller ones, most of a fine
+    scale's, are scattered: the |C| x |C| blocks of the clusters of one
+    size are formed together, a chunk of PAIRWISE_BYTES / 8 entries at a
+    time, and added into the Gram at their (row, column) entries by
+    ``np.add.at``, which touches those entries alone (a bincount would
+    pass over all n^2 bins once per size). Both
+    forms evaluate an entry in the same order of operations, so a pair
+    that shares one cluster gets the same bits either way. T is taken
+    over every pair only when some cluster is multiplied. Singletons add
+    nothing and are skipped. The rank bound is min(n, sum_C (|C| - 1)),
+    0 exactly when no cluster has two points, and then there is no Gram
+    (None).
     """
     n = dmat.shape[0]
+    r = sc.params.r
     multi = sc.sizes > 1
     sizes = sc.sizes[multi]
     k = min(n, int((sizes - 1).sum()))
     if not k:
         return 0, None
-    t = np.square(gaussian_transform(dmat, sc.params.r))
-    at = np.repeat(multi, sc.sizes)
-    rows = sc.members[at]
-    cols = np.repeat(np.arange(len(sizes)), sizes)
-    roots = np.repeat(sc.members[(np.cumsum(sc.sizes) - sc.sizes)[multi]],
-                      sizes)
-    w = sc.weights[at]
-    coef = sc.counts[multi].astype(np.float64) / sc.m
-    u = np.zeros((n, len(sizes)))
-    v = np.zeros((n, len(sizes)))
-    u[rows, cols] = w
-    v[rows, cols] = w * t[rows, roots]
-    uc = u * coef
-    q = uc @ v.T
-    return k, 0.5 * (q + q.T - t * (uc @ u.T))
+    # per member of a cluster of two or more, cluster by cluster: its
+    # weight w, w times the cluster's coefficient count / m, and w times
+    # T to the cluster's first member
+    keep = np.repeat(multi, sc.sizes)
+    rows = sc.members[keep]
+    starts = np.cumsum(sizes) - sizes
+    w = sc.weights[keep]
+    wc = w * np.repeat(sc.counts[multi].astype(np.float64) / sc.m, sizes)
+    roots = np.repeat(rows[starts], sizes)
+    small = sizes <= _scatter_max(n)
+    if small.all():
+        t = None
+        wt = w * np.square(gaussian_transform(dmat[rows, roots], r))
+        gram = np.zeros((n, n))
+    else:
+        t = np.square(gaussian_transform(dmat, r))
+        wt = w * t[rows, roots]
+        big = np.repeat(~small, sizes)
+        nbig = len(sizes) - int(small.sum())
+        cols = np.repeat(np.arange(nbig), sizes[~small])
+        u = np.zeros((n, nbig))
+        v = np.zeros_like(u)
+        uc = np.zeros_like(u)
+        u[rows[big], cols] = w[big]
+        v[rows[big], cols] = wt[big]
+        uc[rows[big], cols] = wc[big]
+        q = uc @ v.T
+        gram = 0.5 * (q + q.T - t * (uc @ u.T))
+    flat = gram.ravel()
+    for size in np.flatnonzero(np.bincount(sizes[small])).tolist():
+        # entry [g, a, b] of a block is members a and b of cluster g
+        first = starts[small & (sizes == size)]
+        step = max(1, PAIRWISE_BYTES // (8 * size * size))
+        for lo in range(0, len(first), step):
+            at = first[lo:lo + step, None] + np.arange(size)
+            ia, ib = rows[at][:, :, None], rows[at][:, None, :]
+            t_ab = (np.square(gaussian_transform(dmat[ia, ib], r))
+                    if t is None else t[ia, ib])
+            q = wc[at][:, :, None] * wt[at][:, None, :]
+            p = wc[at][:, :, None] * w[at][:, None, :]
+            np.add.at(flat, ia * n + ib,
+                      0.5 * (q + q.transpose(0, 2, 1) - t_ab * p))
+    return k, gram
 
 
 def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmbedding:

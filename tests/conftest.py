@@ -68,7 +68,7 @@ def l2_reference_coords(s, sc) -> np.ndarray:
     return out
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def l2_reference():
     return l2_reference_coords
 

@@ -86,8 +86,9 @@ def reference_sample(dmat, delta, pad_pairs, m, seed, attempt):
 def test_sample_matches_the_per_carving_reference(monkeypatch):
     # seeded property: the batched sampler gives the reference's label,
     # member and size rows, radii and padded bits exactly, for set sizes
-    # 1..60, pad
-    # radii from none to every pair, retries, and batches cut into chunks
+    # 1..60, pad radii from none to every pair, retries, carvings from the
+    # whole reach and from the close pairs, and batches of either cut
+    # into chunks
     rng = np.random.default_rng(11)
     cases = []
     for trial in range(40):
@@ -101,6 +102,10 @@ def test_sample_matches_the_per_carving_reference(monkeypatch):
     cases.append((s, 12.0, 3.0, 700, 1, None))
     # chunks of 3 carvings: 25 take nine, the last one short
     cases.append((s, 12.0, 3.0, 25, 0, 3 * 8 * 60 * 60))
+    # the same from the close pairs: 3 carvings of one value per close
+    # pair a chunk
+    close = decomposition._close_pairs(s.distance_matrix(), 4.0)
+    cases.append((s, 4.0, 1.0, 25, 0, 3 * 8 * len(close[0])))
     seen = set()
     for seed, (s, delta, pad, m, attempt, chunk) in enumerate(cases):
         if chunk is not None:
@@ -111,6 +116,10 @@ def test_sample_matches_the_per_carving_reference(monkeypatch):
                                                  attempt)
         want, want_padded = reference_sample(d, delta, pairs, m, seed,
                                              attempt)
+        sparse = decomposition._close_pairs(d, delta) is not None
+        seen.add("sparse carving" if sparse else "dense carving")
+        if chunk is not None:
+            seen.add("sparse chunks" if sparse else "dense chunks")
         if s.n > 1:
             seen.add({0: "no pad pair", s.n * (s.n - 1): "all pad pairs"}
                      .get(len(pairs[0]), "some pad pairs"))
@@ -120,7 +129,8 @@ def test_sample_matches_the_per_carving_reference(monkeypatch):
         for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype and np.array_equal(g, w)
     assert seen == {"no pad pair", "all pad pairs", "some pad pairs",
-                    "pad-ball cut", "all padded"}
+                    "pad-ball cut", "all padded", "sparse carving",
+                    "dense carving", "sparse chunks", "dense chunks"}
 
 
 class RecordingGenerator:

@@ -1,6 +1,7 @@
-"""Pinned output bytes: the seed-0 dumps of four small snowflakes, one
-per norm and an l1 set off a line, the audit reports of two of them, and
-the rows of one sampled decomposition, as sha256 digests.
+"""Pinned output bytes: the seed-0 dumps of five snowflakes, one per norm,
+an l1 set off a line and an l2 set whose fine scales scatter their small
+clusters' Grams, the audit reports of two of them, and the rows of one
+sampled decomposition, as sha256 digests.
 
 A rerun in one process cannot see a change that moves every run the same
 way; these digests hold across commits. A change that means to move the
@@ -50,6 +51,19 @@ def test_l2_grid_snowflake_dump_bytes():
     e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
     assert sha256(snowflake.dumps(e)) == (
         "915a4d392f871d5ccff026127fffba46edbbb7e0f9e3e566fdc67f1faf03cee9")
+
+
+def test_l2_subspace_snowflake_dump_bytes():
+    # the fine scales' small clusters are scattered into the scale Gram
+    # and only the large ones multiplied, which moves the last bits of
+    # pairs that share several clusters, in place of two dense products
+    # over every cluster (digest 5da99809...fc7b4930)
+    s = normalize(generate("subspace", n=200, ambient_dim=50,
+                           intrinsic_dim=3, seed=0))
+    e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
+    assert e.k == 199
+    assert sha256(snowflake.dumps(e)) == (
+        "50cfa69fcc799961984509070efec6ccd5cb06e1a32a6d03569ef93ca0530a7d")
 
 
 def linf_ball():

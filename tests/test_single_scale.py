@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
@@ -12,9 +12,9 @@ from snowdim import (decomposition, extension, points, single_scale,
                      transforms)
 from snowdim import snowflake as snowflake_mod
 from snowdim.decomposition import batch_size, padding_audit
-from snowdim.errors import BadParams, HeaderMismatch
+from snowdim.errors import BadParams, HeaderMismatch, PaddingUnachievable
 from snowdim.points import PointSet, generate, greedy_net, normalize
-from snowdim.single_scale import (EPS_PAD, SingleScaleParams,
+from snowdim.single_scale import (EPS_PAD, RESCALE_C, SingleScaleParams,
                                   _embed_cluster_l1, _linf_block,
                                   build_single_scale, contract_audit, dumps,
                                   loads_coords, theory_dimension)
@@ -555,6 +555,63 @@ def test_saturated_scale_shares_the_general_realization(l2_reference):
                        np.linalg.norm(ref, axis=1), rtol=1e-9, atol=tiny)
     assert e.k <= e.n
     assert contract_audit(e).passed
+
+
+@st.composite
+def l2_scales(draw):
+    """A random l2 set of 2..60 points, one real scale's clusters of it,
+    and a scatter cap from 2 to one below its largest cluster (1 where no
+    cluster has three points). r runs from all-singleton scales (under
+    1/120 for delta = 0.1 and dim_hat = 1) to one-cluster scales (over
+    diameter/60). The larger sets are drawn first."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = 62 - draw(st.integers(2, 60))
+    s = normalize(PointSet(rng.uniform(0.0, 10.0,
+                                       (n, draw(st.integers(1, 4))))))
+    lo, hi = math.log(1 / 150), math.log(s.diameter() / 50)
+    r = math.exp(lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+    p = SingleScaleParams(r=r, eps=0.1, delta=0.1,
+                          seed=draw(st.integers(0, 100)), dim_hat=1.0)
+    try:
+        sc = single_scale.scale_clusters(s, p)
+    except PaddingUnachievable:
+        assume(False)
+    top = int(sc.sizes.max())
+    mid = draw(st.integers(2, top - 1)) if top > 2 else 1
+    return s, sc, mid
+
+
+@settings(max_examples=80)
+@given(l2_scales())
+def test_scale_gram_split_agrees_with_the_dense_and_reference_routes(
+        l2_reference, scale):
+    # the Gram with no cluster scattered, some and all, and the Gram of
+    # the direct sum realized cluster by cluster, to 1e-12 of its largest
+    # entry; the scatter cut into chunks of one cluster changes no bit
+    s, sc, mid = scale
+    dmat = s.distance_matrix()
+    grams = []
+    for cap in (1, mid, s.n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(single_scale, "_scatter_max", lambda n, cap=cap: cap)
+            grams.append(single_scale._scale_gram(sc, dmat))
+            # one cluster a chunk adds the same entries in the same order
+            mp.setattr(single_scale, "PAIRWISE_BYTES", 1)
+            chunked = single_scale._scale_gram(sc, dmat)
+            assert chunked[0] == grams[-1][0]
+            assert np.array_equal(chunked[1], grams[-1][1])
+    rescale = 1.0 / (1.0 + RESCALE_C[2.0] * sc.params.eps)
+    ref = l2_reference(s, sc) / rescale
+    k = min(s.n, int((sc.sizes - 1).sum()))
+    if not k:
+        assert grams == [(0, None)] * 3 and not ref.any()
+        return
+    want = ref @ ref.T
+    tol = 1e-12 * np.abs(want).max()
+    for got_k, got in grams:
+        assert got_k == k
+        assert np.abs(got - want).max() <= tol
+        assert np.abs(got - grams[0][1]).max() <= tol
 
 
 def test_saturated_scale_realizes_each_size_once(monkeypatch):
