@@ -14,14 +14,19 @@ is fixed by (seed, attempt, m) alone and not by how it is chunked. The
 carving itself runs for many partitions at once, a chunk of carvings at a
 time (bounded by points.PAIRWISE_BYTES). A point's first reaching center
 is the lowest-ranked center within the carving's radius of it. On a
-coarse scale it is found over the whole n x n reach, the distances
-compared with each carving's radius, gathered in its center order and
-searched by argmax. On a fine scale only the close pairs (d <= delta/2,
-the largest radius) can reach, and it is the minimum center rank over
-those of a point's close pairs that reach it; both give the same labels.
-Then labels are ranked by a cumulative sum over the centers that won a
-point, members by one stable sort of the label rows, and the padded bits
-by one comparison over the pad pairs.
+coarse scale a prefix scan finds it: step k compares each carving's k-th
+center's distance row with the carving's radius, and the points it
+reaches that are still left take rank k. The scan stops once a step
+resolves no more (carving, point) pairs than the chunk has carvings, and
+the few pairs still left take the minimum rank over every center that
+reaches them. On a fine scale only the close pairs (d <= delta/2, the
+largest radius) can reach, and it is the minimum center rank over those
+of a point's close pairs that reach it. Their distances are ranked once
+per batch, and each radius becomes the count of distinct distances it
+reaches, so the comparisons are between 1- or 2-byte integers. Both forms
+give the same labels. Then labels are ranked by a cumulative sum over
+the centers that won a point, members by one stable sort of the label
+rows, and the padded bits by one comparison over the pad pairs.
 
 Two outcomes are certain and are returned without sampling: one cluster
 when delta/4 >= diameter (every carve radius reaches every point), and all
@@ -114,20 +119,27 @@ def _certain_labels(s: PointSet, delta: float) -> np.ndarray | None:
 
 def _close_pairs(dmat, delta):
     """The (center, point) pairs a carve radius can join, when a carving
-    is cheaper from them than from the whole n x n reach: the centers and
-    their distances grouped by point, points ascending, and where each
-    point's group starts. None when the dense form is cheaper.
+    is cheaper from them than from the prefix scan: the centers grouped
+    by point, points ascending, their distances as ranks into the sorted
+    distinct distances (in the narrowest unsigned type), those distances,
+    and where each point's group starts. None when the prefix scan is
+    cheaper.
 
     Only pairs with d <= delta/2, the largest carve radius, can join, and
-    each point joins itself, so every group is nonempty. The cost rule is
-    P <= n^2 / CLOSE_PAIR_SHARE for P such pairs. A serial sweep over
-    every sampled scale of the seed-0 subspace sets (ambient dimension 50,
-    intrinsic 3) timed one ``_sample`` call each way (P / n^2: close
-    pairs against whole reach, in ms):
-    n = 200: 0.005: 4 / 17, 0.085: 7.2 / 10.0, 0.14: 8.8 / 10.1,
-    0.17: 10.2 / 9.5, 1: 20-41 / 9-12;
-    n = 400: 0.0025: 9 / 56, 0.085: 26 / 40, 0.14: 35 / 36,
-    0.18: 42 / 35, 1: 160-290 / 35-50.
+    each point joins itself, so every group is nonempty. A radius rho
+    reaches a pair exactly when its rank is below the count of distinct
+    distances <= rho, so a carving compares 1- or 2-byte ranks and not
+    8-byte distances. The cost rule is P <= n^2 / CLOSE_PAIR_SHARE for P
+    such pairs. A serial sweep over every sampled scale of the seed-0
+    subspace sets (ambient dimension 50, intrinsic 3) and the 128-leaf
+    tree timed one ``_sample`` call each way, best of three (P / n^2:
+    close pairs against prefix scan, in ms):
+    n = 200: 0.005: 2.4 / 22, 0.085: 4.9 / 9.3, 0.14: 6.7 / 7.9,
+    0.17: 7.9 / 6.8, 0.22: 8.9 / 6.5, 1: 21-31 / 2.2-2.7;
+    n = 400: 0.0025: 5.5 / 89, 0.085: 17 / 25, 0.11: 23 / 24,
+    0.14: 29 / 21, 0.18: 35 / 20, 1: 171-275 / 5.4-8.4;
+    tree: 0.0625: 1.9 / 3.4, 0.125: 2.5 / 2.6, 0.25: 3.8 / 2.4,
+    1: 12-21 / 2.7-4.4.
     """
     n = dmat.shape[0]
     reach = dmat <= delta / 2.0
@@ -135,7 +147,61 @@ def _close_pairs(dmat, delta):
         return None
     point, center = np.nonzero(reach.T)
     counts = np.bincount(point, minlength=n)
-    return center, dmat[center, point], np.cumsum(counts) - counts
+    dist, rank = np.unique(dmat[center, point], return_inverse=True)
+    return (center, rank.astype(np.min_scalar_type(len(dist))), dist,
+            np.cumsum(counts) - counts)
+
+
+def _first_centers(dmat, rho, order, close):
+    """Each point's first reaching center in a chunk of carvings, as its
+    position in the carving's center order: row t of ``order`` is carving
+    t's center order and rho[t] its radius, and ``close`` is
+    ``_close_pairs(dmat, delta)``. Positions are in the narrowest
+    unsigned type that holds n.
+
+    Both forms give the lowest rank (position in the order) among the
+    centers within rho of the point; the point itself is one, so every
+    point has a first center. From the close pairs, it is the minimum
+    over each point's group of the ranks of the centers that reach it (n
+    where one does not). Otherwise a prefix scan compares the k-th
+    center's whole distance row with rho at step k, and every point it
+    reaches that is still left gets position k. A step reads one row per
+    carving, and the pass that resolves what is left reads one row per
+    (carving, point) pair, so the scan stops after a step that resolved
+    no more pairs than it has carvings, or once no pair is left. That
+    pass takes the minimum rank over all centers that reach the point, a
+    chunk of PAIRWISE_BYTES / 8 distances at a time.
+    """
+    c, n = order.shape
+    rank_type = np.min_scalar_type(n).type
+    rank = np.empty((c, n), dtype=rank_type)
+    np.put_along_axis(rank, order, np.arange(n, dtype=rank_type), axis=1)
+    if close is not None:
+        center, dist_rank, dist, starts = close
+        within = np.searchsorted(dist, rho, "right").astype(dist_rank.dtype)
+        ranks = rank[:, center]
+        np.copyto(ranks, rank_type(n), where=dist_rank >= within[:, None])
+        return np.minimum.reduceat(ranks, starts, axis=1)
+    first = np.zeros((c, n), dtype=rank_type)
+    left = np.ones((c, n), dtype=bool)
+    count = c * n
+    for k in range(n):
+        np.logical_and(left, dmat[order[:, k]] > rho[:, None], out=left)
+        before, count = count, np.count_nonzero(left)
+        if not count:
+            break
+        # a pair left after step k has not found its center at 0..k
+        first += left
+        if before - count <= c:
+            break
+    t, j = np.nonzero(left)
+    step = max(1, PAIRWISE_BYTES // (8 * n))
+    for a in range(0, len(t), step):
+        tt, jj = t[a:a + step], j[a:a + step]
+        ranks = rank[tt]
+        ranks[dmat[jj] > rho[tt, None]] = n
+        first[tt, jj] = ranks.min(axis=1)
+    return first
 
 
 def _sample(dmat, delta, pad_pairs, m, seed, attempt):
@@ -145,8 +211,8 @@ def _sample(dmat, delta, pad_pairs, m, seed, attempt):
     One generator seeded by (seed, attempt) draws all m radii, then all m
     center orders (row t of each belongs to carving t). The carvings
     themselves run batched, a chunk at a time; a chunk holds as many
-    carvings as one 8-byte value per carving and point pair (or close
-    pair, see ``_close_pairs``) fits in PAIRWISE_BYTES.
+    carvings as one 8-byte value per carving and point, pad pair and
+    close pair (see ``_close_pairs``) fits in PAIRWISE_BYTES.
     """
     n = dmat.shape[0]
     rng = np.random.default_rng(
@@ -160,33 +226,13 @@ def _sample(dmat, delta, pad_pairs, m, seed, attempt):
     nbr_i, nbr_j = pad_pairs
     key_type = np.min_scalar_type(-n)
     close = _close_pairs(dmat, delta)
-    if close is None:
-        step = max(1, PAIRWISE_BYTES // (8 * n * n))
-    else:
-        center, dist, starts = close
-        rank_type = np.min_scalar_type(n).type
-        step = max(1, PAIRWISE_BYTES // (8 * len(center)))
+    per_carving = n + len(nbr_i) + (0 if close is None else len(close[0]))
+    step = max(1, PAIRWISE_BYTES // (8 * per_carving))
     for a in range(0, m, step):
         b = min(a + step, m)
-        c, rho, order = b - a, radii[a:b], orders[a:b]
-        if close is None:
-            # gathered in center order, entry [t, k, j] says that carving
-            # t's k-th center reaches point j; every point reaches itself,
-            # so each point has a first reaching center
-            reach = dmat <= rho[:, None, None]
-            first = reach[np.arange(c)[:, None], order].argmax(axis=1)
-        else:
-            # the same first center as the lowest rank among the close
-            # pairs' centers that reach the point (n where one does not;
-            # the point itself always does). The ranks are kept in the
-            # narrowest unsigned type that holds n, which halves the
-            # time of the gather and the reduce at n = 200 and 400
-            rank = np.empty(order.shape, dtype=rank_type)
-            np.put_along_axis(rank, order, np.arange(n, dtype=rank_type),
-                              axis=1)
-            first = np.minimum.reduceat(
-                np.where(dist <= rho[:, None], rank[:, center], rank_type(n)),
-                starts, axis=1).astype(np.intp)
+        c = b - a
+        first = _first_centers(dmat, radii[a:b], orders[a:b],
+                               close).astype(np.intp)
         # a point's label is the rank of its first center among the centers
         # that won a point
         won = np.zeros((c, n), dtype=bool)
@@ -200,13 +246,12 @@ def _sample(dmat, delta, pad_pairs, m, seed, attempt):
         # keys stably by radix
         sizes[a:b] = np.bincount((np.arange(c)[:, None] * n + lab).ravel(),
                                  minlength=c * n).reshape(c, n)
-        members[a:b] = np.argsort(lab.astype(key_type), axis=1,
-                                  kind="stable")
+        key = lab.astype(key_type)
+        members[a:b] = np.argsort(key, axis=1, kind="stable")
         if len(nbr_i):
             # a point is padded unless one of its pad pairs is cut
-            cut_t, cut_p = np.nonzero(lab[:, nbr_i] != lab[:, nbr_j])
-            cuts = np.bincount(cut_t * n + nbr_i[cut_p], minlength=c * n)
-            padded[a:b] = (cuts == 0).reshape(c, n)
+            cut_t, cut_p = np.nonzero(key[:, nbr_i] != key[:, nbr_j])
+            padded[a + cut_t, nbr_i[cut_p]] = False
     return labels, members, sizes, radii, padded
 
 

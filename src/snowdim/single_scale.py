@@ -380,18 +380,13 @@ def _exact_groups(flat: np.ndarray, starts: np.ndarray,
     return _groups(keys[:, None])
 
 
-def _distinct(flat: np.ndarray, sizes: np.ndarray,
-              n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct clusters among candidate clusters of points 0..n-1,
-    laid end to end in ``flat`` with the given sizes.
-
-    Returns each distinct cluster's first candidate, ascending, and each
-    candidate's distinct cluster, numbered in that order. Candidates are
-    grouped by a 64-bit key, the sum of fixed per-point keys over the
-    members mixed with the size, and every grouped candidate is then
-    compared member by member with its group's first; any mismatch sends
-    the whole set to the exact grouping by member bytes, so the result
-    never rests on the keys being distinct."""
+def _keyed_groups(flat: np.ndarray, sizes: np.ndarray,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_distinct`` by a 64-bit key per candidate: the sum of fixed
+    per-point keys over the members mixed with the size. Every grouped
+    candidate is then compared member by member with its group's first;
+    any mismatch sends the whole set to the exact grouping by member
+    bytes, so the result never rests on the keys being distinct."""
     starts = np.cumsum(sizes) - sizes
     csum = np.zeros(len(flat) + 1, dtype=np.uint64)
     np.cumsum(_point_keys(n)[flat], out=csum[1:])
@@ -406,6 +401,35 @@ def _distinct(flat: np.ndarray, sizes: np.ndarray,
     if not same:
         return _exact_groups(flat, starts, sizes)
     return first, inverse
+
+
+def _distinct(flat: np.ndarray, sizes: np.ndarray,
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct clusters among candidate clusters of points 0..n-1,
+    laid end to end in ``flat`` with the given sizes.
+
+    Returns each distinct cluster's first candidate, ascending, and each
+    candidate's distinct cluster, numbered in that order. A singleton
+    candidate is its point, so singletons are grouped by point with no
+    key: each point's first singleton candidate is the minimum candidate
+    index over its singletons. Only the candidates of two or more points
+    are grouped by ``_keyed_groups``. A candidate's group is named by its
+    first candidate, and the first candidates are those that name
+    themselves."""
+    one = sizes == 1
+    if not one.any():
+        return _keyed_groups(flat, sizes, n)
+    lead = np.empty(len(sizes), dtype=np.intp)
+    single, multi = np.flatnonzero(one), np.flatnonzero(~one)
+    in_one = np.repeat(one, sizes)
+    point = flat[in_one]
+    by_point = np.full(n, len(sizes), dtype=np.intp)
+    np.minimum.at(by_point, point, single)
+    lead[single] = by_point[point]
+    first, inverse = _keyed_groups(flat[~in_one], sizes[multi], n)
+    lead[multi] = multi[first[inverse]]
+    fresh = lead == np.arange(len(sizes))
+    return np.flatnonzero(fresh), np.cumsum(fresh)[lead] - 1
 
 
 def _runs(lens: np.ndarray):

@@ -169,11 +169,19 @@ def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Equal rows of a 2-d array: each distinct row's first index,
     ascending, and each row's group, numbered in that order. A row is
     compared as one opaque value, a bytewise sort, not the
-    structured-dtype sort of np.unique(axis=0)."""
+    structured-dtype sort of np.unique(axis=0). The sort need not be
+    stable: a group's first index is the minimum over its run of the
+    sorted order, which is half the time of np.unique's stable sort on
+    64-bit keys."""
     keys = (rows[:, 0] if rows.shape[1] == 1 else np.ascontiguousarray(
         rows).view(f"V{rows.itemsize * rows.shape[1]}")[:, 0])
-    _, first, inverse = np.unique(keys, return_index=True,
-                                  return_inverse=True)
+    perm = np.argsort(keys)
+    ordered = keys[perm]
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[perm] = np.cumsum(fresh) - 1
+    first = np.minimum.reduceat(perm, np.flatnonzero(fresh))
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))

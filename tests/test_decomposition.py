@@ -83,12 +83,34 @@ def reference_sample(dmat, delta, pad_pairs, m, seed, attempt):
     return (labels, members, sizes, radii), padded
 
 
+def chunk_bytes(carvings, d, delta, pairs):
+    # PAIRWISE_BYTES that holds the given number of carvings a chunk: one
+    # 8-byte value per carving and point, pad pair and close pair
+    close = decomposition._close_pairs(d, delta)
+    per = len(d) + len(pairs[0]) + (0 if close is None else len(close[0]))
+    return carvings * 8 * per
+
+
+def scan_length(first):
+    # the steps the prefix scan takes over a chunk whose first centers sit
+    # at these positions: it stops after a step that left no pair, or
+    # resolved no more pairs than the chunk has carvings
+    c, n = first.shape
+    before = c * n
+    for k in range(n):
+        left = np.count_nonzero(first > k)
+        if not left or before - left <= c:
+            return k + 1
+        before = left
+    return n
+
+
 def test_sample_matches_the_per_carving_reference(monkeypatch):
     # seeded property: the batched sampler gives the reference's label,
     # member and size rows, radii and padded bits exactly, for set sizes
     # 1..60, pad radii from none to every pair, retries, carvings from the
-    # whole reach and from the close pairs, and batches of either cut
-    # into chunks
+    # prefix scan and from the close pairs, tree and integer-grid sets
+    # whose distances tie, and batches of either form cut into chunks
     rng = np.random.default_rng(11)
     cases = []
     for trial in range(40):
@@ -98,28 +120,38 @@ def test_sample_matches_the_per_carving_reference(monkeypatch):
         cases.append((s, float(rng.uniform(0.5, 40.0)), pad,
                       int(rng.integers(1, 40)), trial % 2, None))
     s = PointSet(rng.uniform(0, 20, (60, 2)))
-    # 291 carvings of 60 points fill one chunk, so 700 take three
-    cases.append((s, 12.0, 3.0, 700, 1, None))
-    # chunks of 3 carvings: 25 take nine, the last one short
-    cases.append((s, 12.0, 3.0, 25, 0, 3 * 8 * 60 * 60))
-    # the same from the close pairs: 3 carvings of one value per close
-    # pair a chunk
-    close = decomposition._close_pairs(s.distance_matrix(), 4.0)
-    cases.append((s, 4.0, 1.0, 25, 0, 3 * 8 * len(close[0])))
+    # 291 carvings a chunk, so 700 take three
+    cases.append((s, 12.0, 3.0, 700, 1, 291))
+    # chunks of 3 carvings: 25 take nine, the last one short, from the
+    # prefix scan and from the close pairs
+    cases.append((s, 12.0, 3.0, 25, 0, 3))
+    cases.append((s, 4.0, 1.0, 25, 0, 3))
+    # a 32-leaf tree (distances 2, 4, .., 32) and a 6 x 6 integer grid
+    tree, grid = generate("ultrametric", depth=5), generate("grid", side=6)
+    for t, s in enumerate((tree, grid)):
+        for delta in (5.0, 12.0, 40.0) if s is tree else (2.5, 4.5, 9.0):
+            pad = delta / 8 if delta < 10 else 0.0
+            cases.append((s, delta, pad, 30, t, None))
+            cases.append((s, delta, pad, 30, t, 4))
     seen = set()
+    default_bytes = decomposition.PAIRWISE_BYTES
     for seed, (s, delta, pad, m, attempt, chunk) in enumerate(cases):
-        if chunk is not None:
-            monkeypatch.setattr(decomposition, "PAIRWISE_BYTES", chunk)
         d = s.distance_matrix()
         pairs = np.nonzero((d <= pad) & ~np.eye(s.n, dtype=bool))
+        monkeypatch.setattr(decomposition, "PAIRWISE_BYTES", default_bytes
+                            if chunk is None else
+                            chunk_bytes(chunk, d, delta, pairs))
         *got, got_padded = decomposition._sample(d, delta, pairs, m, seed,
                                                  attempt)
         want, want_padded = reference_sample(d, delta, pairs, m, seed,
                                              attempt)
         sparse = decomposition._close_pairs(d, delta) is not None
-        seen.add("sparse carving" if sparse else "dense carving")
-        if chunk is not None:
-            seen.add("sparse chunks" if sparse else "dense chunks")
+        form = "sparse" if sparse else "dense"
+        seen.add(f"{form} carving")
+        if chunk is not None and m > chunk:
+            seen.add(f"{form} chunks")
+        if s is tree or s is grid:
+            seen.add(f"{form} carving, tied distances")
         if s.n > 1:
             seen.add({0: "no pad pair", s.n * (s.n - 1): "all pad pairs"}
                      .get(len(pairs[0]), "some pad pairs"))
@@ -128,9 +160,39 @@ def test_sample_matches_the_per_carving_reference(monkeypatch):
         assert np.array_equal(got_padded, want_padded)
         for g, w in zip(got, want, strict=True):
             assert g.dtype == w.dtype and np.array_equal(g, w)
+    # the first-center routine alone, each radius exactly a pair distance
+    # (the largest one delta/2, so the close pairs end on it): a point at
+    # that distance is reached. 40 carvings a chunk; the pass over the
+    # pairs the prefix scan leaves runs 3 pairs a piece, once per form
+    # with every close pair (CLOSE_PAIR_SHARE = 1) and the prefix scan
+    monkeypatch.setattr(decomposition, "CLOSE_PAIR_SHARE", 1)
+    for s in (tree, grid, PointSet(rng.uniform(0, 20, (60, 2)))):
+        d = s.distance_matrix()
+        monkeypatch.setattr(decomposition, "PAIRWISE_BYTES", 3 * 8 * s.n)
+        dist = np.unique(d[d > 0])
+        for top in dist[[0, len(dist) // 8, len(dist) // 2, -1]]:
+            rho = rng.choice(dist[dist <= top], 40)
+            rho[0] = top
+            order = rng.permuted(np.tile(np.arange(s.n), (40, 1)), axis=1)
+            want = np.stack([(d[o] <= r).argmax(axis=0)
+                             for o, r in zip(order, rho)])
+            close = decomposition._close_pairs(d, 2 * top)
+            assert close[2][-1] == top
+            for form, arg in (("sparse", close), ("dense", None)):
+                got = decomposition._first_centers(d, rho, order, arg)
+                assert got.dtype == np.min_scalar_type(s.n)
+                assert np.array_equal(got, want)
+                seen.add(f"{form} radius on a pair distance")
+            if (want >= scan_length(want)).any():
+                seen.add("first center past the prefix")
     assert seen == {"no pad pair", "all pad pairs", "some pad pairs",
                     "pad-ball cut", "all padded", "sparse carving",
-                    "dense carving", "sparse chunks", "dense chunks"}
+                    "dense carving", "sparse chunks", "dense chunks",
+                    "sparse carving, tied distances",
+                    "dense carving, tied distances",
+                    "sparse radius on a pair distance",
+                    "dense radius on a pair distance",
+                    "first center past the prefix"}
 
 
 class RecordingGenerator:

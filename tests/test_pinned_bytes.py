@@ -1,6 +1,6 @@
-"""Pinned output bytes: the seed-0 dumps of five snowflakes, one per norm,
-an l1 set off a line and an l2 set whose fine scales scatter their small
-clusters' Grams, the audit reports of two of them, and the rows of one
+"""Pinned output bytes: the seed-0 dumps of six snowflakes, one per norm,
+an l1 set off a line, an l2 set whose fine scales scatter their small
+clusters' Grams and an l2 tree metric whose distances tie, the audit reports of two of them, and the rows of one
 sampled decomposition, as sha256 digests.
 
 A rerun in one process cannot see a change that moves every run the same
@@ -64,6 +64,17 @@ def test_l2_subspace_snowflake_dump_bytes():
     assert e.k == 199
     assert sha256(snowflake.dumps(e)) == (
         "50cfa69fcc799961984509070efec6ccd5cb06e1a32a6d03569ef93ca0530a7d")
+
+
+def test_l2_ultrametric_snowflake_dump_bytes():
+    # a 128-leaf tree: its distances tie exactly, so carve radii land on
+    # runs of equal pair distances, and its scales carve from the whole
+    # reach and from the close pairs
+    s = normalize(generate("ultrametric", depth=7))
+    e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
+    assert e.k == 127
+    assert sha256(snowflake.dumps(e)) == (
+        "ff9c59352f9564f4dea2cbd8df7184aa528688c609bd8b47803994372882e520")
 
 
 def linf_ball():

@@ -294,6 +294,48 @@ def test_scale_clusters_match_the_per_cluster_reference(monkeypatch,
                     ("one cluster", "all singletons", "sampled, repeats")}
 
 
+def test_distinct_matches_the_exact_grouping(monkeypatch):
+    # singleton candidates are grouped by their point and the others by
+    # key; on an all-singleton batch, a mixed one and one with no
+    # singleton, the result is the exact grouping by member bytes. Under a
+    # key where every candidate of a size collides, a mixed batch still
+    # reaches the exact grouping, with its candidates of two or more
+    # points only
+    rng = np.random.default_rng(3)
+    n = 12
+    pool = [np.sort(rng.choice(n, int(k), replace=False))
+            for k in rng.integers(2, 6, 20)] + [np.array([p]) for p in
+                                                range(n)]
+    batches = {"all singletons": rng.integers(20, len(pool), 60),
+               "mixed": rng.integers(0, len(pool), 80),
+               "no singleton": rng.integers(0, 20, 40)}
+    exact_sizes = []
+    exact_groups = single_scale._exact_groups
+
+    def recording_exact(flat, starts, sizes):
+        exact_sizes.append(sizes)
+        return exact_groups(flat, starts, sizes)
+
+    monkeypatch.setattr(single_scale, "_exact_groups", recording_exact)
+    for collide in (False, True):
+        if collide:
+            monkeypatch.setattr(single_scale, "_point_keys",
+                                lambda n: np.zeros(n, dtype=np.uint64))
+        for pick in batches.values():
+            flat = np.concatenate([pool[i] for i in pick])
+            sizes = np.array([len(pool[i]) for i in pick])
+            exact_sizes.clear()
+            want = exact_groups(flat, np.cumsum(sizes) - sizes, sizes)
+            got = single_scale._distinct(flat, sizes, n)
+            for g, w in zip(got, want, strict=True):
+                assert g.dtype == np.intp and np.array_equal(g, w)
+            if not collide or (sizes == 1).all():
+                assert exact_sizes == []
+            else:
+                [multi] = exact_sizes
+                assert np.array_equal(multi, sizes[sizes > 1])
+
+
 # grids, trees, lines and l-infinity balls repeat their distances, so a
 # prefix often ends inside a run of ties; with dim_hat = 1 these ratios
 # r/delta carve scales whose cap reaches past the nearest neighbours

@@ -448,6 +448,33 @@ def test_a_cut_structure_replays_a_fresh_decomposition(pairwise_bytes,
         assert len(transforms.cut_weights(structure, 1e-3)[0]) < len(inside)
 
 
+def stable_groups(keys):
+    # the reference: np.unique's stable sort gives each key's first index
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_groups_match_a_stable_unique(width):
+    # the unstable sort's first indices and group numbers equal those of
+    # a stable sort, for one-word and multi-word rows, byte-string object
+    # keys and no rows, with every group repeated many times
+    rng = np.random.default_rng(width)
+    for n in (0, 1, 7, 500):
+        rows = rng.integers(0, 4, (n, max(width, 1)), dtype=np.uint64)
+        keys = rows[:, 0] if width < 2 else np.ascontiguousarray(
+            rows).view(f"V{8 * width}")[:, 0]
+        if width == 0:
+            keys = np.array([r.tobytes() for r in rows], dtype=object)
+        got = transforms._groups(keys[:, None])
+        for g, w in zip(got, stable_groups(keys), strict=True):
+            assert g.dtype == np.intp and np.array_equal(g, w)
+
+
 def test_frechet_coordinates_clip_and_lipschitz():
     rng = np.random.default_rng(6)
     pts = rng.uniform(size=(25, 4)) * 6
