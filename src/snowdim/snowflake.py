@@ -87,6 +87,16 @@ padded at its dominant scale (same cluster, both pad-balls uncut, in every
 partition). The tail check keeps the paper's residue classes for every
 norm; the l1 and l2 direct sums add no same-residue cross terms, so there
 it bounds the per-scale masses the grouping would have added.
+
+The tail check reads ``scale_dists`` in place and holds no scales x pairs
+array of its own. It runs over chunks of PAIRWISE_BYTES / (8 * scales)
+pairs, one buffer for all of them, and sums a chunk's out-of-window
+masses only on its window envelope: the scale rows from the lowest of its
+pairs' windows to the highest, clipped to the ladder. Each mass is summed
+from 0 in the order i - p, i + p, i - 2p, ..., the same bits for any
+chunk size. The rows outside a pair's own window are zeroed, the
+breaches are listed by scale row and then by pair, and ``max_tail_ratio``
+is the largest per-row running max of the masses over its row's bound.
 """
 
 from __future__ import annotations
@@ -102,9 +112,9 @@ import numpy as np
 
 from . import report as report_mod
 from .errors import BadParams, EmptyInput, SnowdimError
-from .points import (PointSet, _pair_distances, _pairwise, estimate_doubling,
-                     greedy_net, norm_label, norm_tag, require_normalized,
-                     require_seed)
+from .points import (PAIRWISE_BYTES, PointSet, _pair_distances, _pairwise,
+                     estimate_doubling, greedy_net, norm_label, norm_tag,
+                     require_normalized, require_seed)
 from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleParams,
                            _block_weights, _dumps_coords, _l1_block,
                            _linf_combine, _runs, _scale_gram,
@@ -767,7 +777,13 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
     diagnostics (geometric tails and the dominant-term floor). Tail or
     dominant breaches, and a band width above the 1 + 16 eps limit, are
     appended to the violations list with a ``check`` tag, so ``passed``
-    covers all four properties."""
+    covers all four properties.
+
+    The tail check streams chunks of pairs (see the module docstring):
+    each chunk's out-of-window masses fill one reused buffer on the rows
+    its pairs' windows span, so the audit's memory beyond the stored
+    distances is that buffer and a few arrays per pair. The report has
+    the same bytes for any chunk size."""
     plan = e.plan
     s = e.source
     eps, alpha, p = plan.eps, plan.alpha, plan.p
@@ -792,34 +808,64 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
     b_terms = e.scale_dists
     ivals = np.arange(plan.i_lo, plan.i_hi + 1)
 
+    # each pair's window as rows of the ladder, first and last
     istar = _anchors(plan, src)
     q = math.ceil(math.log(1.0 / eps) / math.log1p(eps)) + 2
-    win_lo = istar - q + 1
-    win_hi = istar + p - q
-    in_window = (ivals[:, None] >= win_lo) & (ivals[:, None] <= win_hi)
-
-    # same-residue mass outside the window: the mates of i are the other
-    # scales of its residue class, i +- p, i +- 2p, ... (the rows are the
-    # consecutive scales i_lo..i_hi), always outside an anchored window
-    # containing i
-    out_mass = np.zeros((n_scales, n_pairs))
-    for shift in range(p, n_scales, p):
-        out_mass[shift:] += b_terms[:-shift]
-        out_mass[:-shift] += b_terms[shift:]
+    win_lo = istar - q + 1 - plan.i_lo
+    win_hi = istar + p - q - plan.i_lo
     tail_bound = TAIL_SLACK * eps * (1.0 + eps) ** (ivals * (1.0 - alpha))
-    tail_bad = in_window & (out_mass > tail_bound[:, None])
+
+    # same-residue mass outside the window, a chunk of pairs at a time on
+    # the rows of the chunk's windows: the mates of i are the other scales
+    # of its residue class, i - p, i + p, i - 2p, ..., added in that order
+    # from 0 (the rows are the consecutive scales i_lo..i_hi), always
+    # outside an anchored window containing i. A pair's rows outside its
+    # own window are zeroed: a zero breaches no bound, and every row's
+    # largest mass is at least 0
+    step = max(1, PAIRWISE_BYTES // (8 * n_scales))
+    buf = np.empty(n_scales * min(step, n_pairs))
+    rows = np.arange(n_scales)[:, None]
+    row_max = np.zeros(n_scales)
+    breaches = []
+    for lo in range(0, n_pairs, step):
+        cols = slice(lo, min(lo + step, n_pairs))
+        a = max(int(win_lo[cols].min()), 0)
+        z = min(int(win_hi[cols].max()) + 1, n_scales)
+        mass = buf[:(z - a) * (cols.stop - lo)].reshape(z - a, -1)
+        mass.fill(0.0)
+        for shift in range(p, n_scales, p):
+            if z > shift:
+                top = max(a, shift)
+                mass[top - a:] += b_terms[top - shift:z - shift, cols]
+            if a + shift < n_scales:
+                end = min(z, n_scales - shift)
+                mass[:end - a] += b_terms[a + shift:end + shift, cols]
+        in_window = rows[a:z] >= win_lo[cols]
+        in_window &= rows[a:z] <= win_hi[cols]
+        mass *= in_window
+        np.maximum(row_max[a:z], mass.max(axis=1), out=row_max[a:z])
+        bad = mass > tail_bound[a:z, None]
+        if bad.any():
+            t, pair = np.nonzero(bad)
+            breaches.append((t + a, pair + lo, mass[t, pair]))
 
     # dominant term at the anchor scale, for pairs padded there
     b_dom = b_terms[istar - plan.i_lo, np.arange(n_pairs)]
     dom_bound = DOMINANT_FLOOR * (1.0 + eps) ** (istar * (1.0 - alpha))
     dom_bad = e.padded_dom & (b_dom < dom_bound)
 
-    for t, pair in zip(*np.nonzero(tail_bad)):
-        rep.violations.append({
-            "check": "tail", "i": int(iu[pair]), "j": int(ju[pair]),
-            "scale_i": int(ivals[t]), "mass": float(out_mass[t, pair]),
-            "bound": float(tail_bound[t]),
-        })
+    if breaches:
+        # in the order of the scale rows, then of the pairs
+        bad_t, bad_pair, bad_mass = map(np.concatenate, zip(*breaches))
+        order = np.lexsort((bad_pair, bad_t))
+        for t, pair, mass in zip(bad_t[order].tolist(),
+                                 bad_pair[order].tolist(),
+                                 bad_mass[order].tolist()):
+            rep.violations.append({
+                "check": "tail", "i": int(iu[pair]), "j": int(ju[pair]),
+                "scale_i": int(ivals[t]), "mass": mass,
+                "bound": float(tail_bound[t]),
+            })
     for pair in np.flatnonzero(dom_bad):
         rep.violations.append({
             "check": "dominant", "i": int(iu[pair]), "j": int(ju[pair]),
@@ -833,10 +879,6 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
         rep.violations.append({"check": "band", "width": band_width,
                                "limit": band_limit})
 
-    # the violations above have read the masses: each becomes its ratio
-    # to the bound in place, zero outside the window
-    tail_ratio = np.divide(out_mass, tail_bound[:, None], out=out_mass)
-    np.multiply(tail_ratio, in_window, out=tail_ratio)
     dom_ratio = b_dom / ((1.0 + eps) ** (istar * (1.0 - alpha)))
     rep.extras.update({
         "alpha": alpha,
@@ -846,7 +888,9 @@ def distortion_audit(e: SnowflakeEmbedding) -> report_mod.DistortionReport:
         "center": plan.center,
         "band_width": band_width,
         "band_limit": band_limit,
-        "max_tail_ratio": float(tail_ratio.max()) if tail_ratio.size else 0.0,
+        # division by a positive bound is monotone: each row's largest
+        # ratio is its largest mass over its bound
+        "max_tail_ratio": float((row_max / tail_bound).max()),
         "tail_bound_slack": TAIL_SLACK,
         "padded_dominant_pairs": int(e.padded_dom.sum()),
         "min_dominant_ratio": (float(dom_ratio[e.padded_dom].min())

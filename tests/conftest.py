@@ -1,5 +1,6 @@
-"""Shared test settings, a decomposition's carvings one by one, and the l2
-and l-infinity single-scale references.
+"""Shared test settings, a decomposition's carvings one by one, the l2
+and l-infinity single-scale references, the seed-0 200-point subspace
+snowflake, and a traced allocation peak.
 
 Every Hypothesis test runs derandomized and without a deadline: the same
 examples on every run, and no flaky failures from slow examples. A test
@@ -7,11 +8,14 @@ sets only its own ``max_examples``.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from snowdim import snowflake
+from snowdim.points import generate, normalize
 from snowdim.single_scale import RESCALE_C
 from snowdim.transforms import (euclidean_realization, gaussian_transform,
                                 threshold_transform)
@@ -127,3 +131,30 @@ def linf_cluster():
 @pytest.fixture(scope="session")
 def linf_clusters_reference():
     return linf_reference_coords
+
+
+@pytest.fixture(scope="session")
+def subspace200():
+    """The seed-0 l2 snowflake of 200 points of intrinsic dimension 3 in
+    50 dimensions, at alpha = 0.5 and eps = 0.1."""
+    s = normalize(generate("subspace", n=200, ambient_dim=50,
+                           intrinsic_dim=3, seed=0))
+    return snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
+
+
+def traced_peak_of(fn, *args, **kwargs):
+    """Call ``fn`` and return its result and the peak of the memory that
+    Python and numpy allocated during the call, in bytes, as tracemalloc
+    traces it."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.fixture(scope="session")
+def peak_traced():
+    return traced_peak_of

@@ -1,7 +1,8 @@
 """Pinned output bytes: the seed-0 dumps of six snowflakes, one per norm,
 an l1 set off a line, an l2 set whose fine scales scatter their small
-clusters' Grams and an l2 tree metric whose distances tie, the audit reports of two of them, and the rows of one
-sampled decomposition, as sha256 digests.
+clusters' Grams and an l2 tree metric whose distances tie, the audit
+reports of three of them and of two failing l2 snowflakes, and the rows of
+one sampled decomposition, as sha256 digests.
 
 A rerun in one process cannot see a change that moves every run the same
 way; these digests hold across commits. A change that means to move the
@@ -15,7 +16,7 @@ import numpy as np
 
 from snowdim import snowflake
 from snowdim.decomposition import build_decomposition
-from snowdim.points import generate, normalize
+from snowdim.points import PointSet, generate, normalize
 
 
 def sha256(blob: bytes) -> str:
@@ -53,14 +54,12 @@ def test_l2_grid_snowflake_dump_bytes():
         "915a4d392f871d5ccff026127fffba46edbbb7e0f9e3e566fdc67f1faf03cee9")
 
 
-def test_l2_subspace_snowflake_dump_bytes():
+def test_l2_subspace_snowflake_dump_bytes(subspace200):
     # the fine scales' small clusters are scattered into the scale Gram
     # and only the large ones multiplied, which moves the last bits of
     # pairs that share several clusters, in place of two dense products
     # over every cluster (digest 5da99809...fc7b4930)
-    s = normalize(generate("subspace", n=200, ambient_dim=50,
-                           intrinsic_dim=3, seed=0))
-    e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
+    e = subspace200
     assert e.k == 199
     assert sha256(snowflake.dumps(e)) == (
         "50cfa69fcc799961984509070efec6ccd5cb06e1a32a6d03569ef93ca0530a7d")
@@ -99,6 +98,23 @@ def test_linf_ball_and_l2_grid_report_bytes():
             for e in (linf_ball(), grid)] == [
         "9d46387116ef010e357c4c2e5d4c93d3186c0fb0967014eee9b5eb899212b5a5",
         "70214bedbe09428fd81f0cbb338fd12ef50faf49ec12925d6516b799152a4781"]
+
+
+def test_l2_subspace_and_failing_l2_report_bytes(subspace200):
+    # 19,900 pairs in six chunks of the tail check; an 8-point line at
+    # alpha = 0.2, whose report holds 350 tail and 15 dominant-term
+    # violations; and {0, 1, 1000} at alpha = 0.2, whose 314 scales give
+    # the tail sums three shift terms (p = 94)
+    line = normalize(generate("line", n=8, norm="l2", seed=0))
+    far = normalize(PointSet(np.array([[0.0], [1.0], [1000.0]]), 2.0))
+    embeddings = [subspace200] + [
+        snowflake.build_snowflake(s, 0.2, 0.1, seed=0) for s in (line, far)]
+    assert [len(e.scale_k) for e in embeddings[1:]] == [262, 314]
+    assert [sha256(snowflake.distortion_audit(e).dumps_json().encode())
+            for e in embeddings] == [
+        "c951ead80c3cf3f50158d3d7e7747e93ba6d8743e236c652f7d12a8c7920c4ce",
+        "297daaf3fe7362c22d68084c78acfc6426bd798dae013f937a22958e277f6470",
+        "c2c51076297999d54cc37f74dee2b5f6b24069ec6159238e42144a8aebdc4028"]
 
 
 def test_sampled_decomposition_label_bytes():

@@ -1,7 +1,6 @@
 """Metric core: point sets, normalization, nets, doubling estimates, IO."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,15 +59,10 @@ def test_pair_kernel_is_bitwise_the_broadcast_kernel(monkeypatch):
                                   broadcast_pairwise(pts, norm))
 
 
-def test_linf_pair_kernel_memory_stays_within_its_chunks():
+def test_linf_pair_kernel_memory_stays_within_its_chunks(peak_traced):
     # the broadcast kernel holds a 32 x 32 x 40,000 tensor, 328 MB
     pts = np.random.default_rng(3).standard_normal((32, 40_000))
-    tracemalloc.start()
-    try:
-        d = _pairwise(pts, np.inf)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    d, peak = peak_traced(_pairwise, pts, np.inf)
     assert peak <= 3 * points.PAIRWISE_BYTES + d.nbytes + 64 * 1024
     assert np.array_equal(d[:4, :4], broadcast_pairwise(pts[:4], np.inf))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -1096,6 +1097,143 @@ def test_band_over_the_limit_fails_the_audit():
     assert rep.extras["band_width"] > rep.extras["band_limit"]
     assert [v["check"] for v in rep.violations] == ["band"]
     assert not rep.passed
+
+
+def tail_oracle(e):
+    """The audit's tail checks, pair by pair in plain Python: for each pair
+    and each scale row t of its window, the sum from 0 of the same-residue
+    mates t - p, t + p, t - 2p, ... on the ladder, in that order. Returns
+    the breaches as the report lists them (by row, then pair) and the
+    largest mass over its bound, 0 where no window meets the ladder. The
+    anchors and the bounds are the module's own: they are inputs of the
+    check, not what the chunking computes."""
+    plan = e.plan
+    eps, p = plan.eps, plan.p
+    rows = len(e.scale_k)
+    iu, ju = np.triu_indices(e.n, k=1)
+    anchors = snowflake._anchors(
+        plan, e.source.distance_matrix()[iu, ju]).tolist()
+    bound = (snowflake.TAIL_SLACK * eps * (1.0 + eps) ** (
+        np.arange(plan.i_lo, plan.i_hi + 1) * (1.0 - plan.alpha))).tolist()
+    q = math.ceil(math.log(1.0 / eps) / math.log1p(eps)) + 2
+    mates = [[m for k in range(1, rows // p + 1)
+              for m in (t - k * p, t + k * p) if 0 <= m < rows]
+             for t in range(rows)]
+    found, top = [], 0.0
+    for pair, anchor in enumerate(anchors):
+        col = e.scale_dists[:, pair].tolist()
+        first = max(anchor - q + 1 - plan.i_lo, 0)
+        last = min(anchor + p - q - plan.i_lo, rows - 1)
+        for t in range(first, last + 1):
+            mass = 0.0
+            for m in mates[t]:
+                mass += col[m]
+            if mass > bound[t]:
+                found.append((t, pair, mass))
+            top = max(top, mass / bound[t])
+    found.sort()
+    return [{"check": "tail", "i": int(iu[pair]), "j": int(ju[pair]),
+             "scale_i": plan.i_lo + t, "mass": mass, "bound": bound[t]}
+            for t, pair, mass in found], top
+
+
+def audit_in_chunks_is_the_oracle(e, tail, top, monkeypatch):
+    """The whole report JSON, its tail breaches and max_tail_ratio taken
+    from the oracle, for chunks of 1 pair, 7 pairs and every pair."""
+    rows, pairs = e.scale_dists.shape
+    want = None
+    for chunk in (1, 7, pairs):
+        monkeypatch.setattr(snowflake, "PAIRWISE_BYTES", 8 * rows * chunk)
+        rep = distortion_audit(e)
+        if want is None:
+            want = dataclasses.replace(
+                rep, violations=tail + [v for v in rep.violations
+                                        if v["check"] != "tail"],
+                extras={**rep.extras, "max_tail_ratio": top}).dumps_json()
+        assert rep.dumps_json() == want
+
+
+def oracle_inputs():
+    lines = [(f"line8-{norm}-{alpha}", alpha,
+              normalize(generate("line", n=8, norm=norm, seed=0)))
+             for norm in ("l1", "l2", "linf")
+             for alpha in (0.1, 0.2, 0.3, 0.4)]
+    far = [("l2-0-1-1000", 0.2, [[0.0], [1.0], [1000.0]], 2.0),
+           ("l1-0-1-3-5000", 0.2, [[0.0], [1.0], [3.0], [5000.0]], 1.0),
+           ("linf-far", 0.2, [[0.0, 0.0], [1.0, 0.0], [0.0, 2000.0]], np.inf)]
+    return ([("subspace200", 0.5, None)] + lines
+            + [(name, alpha, normalize(PointSet(np.array(pts), norm)))
+               for name, alpha, pts, norm in far])
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in oracle_inputs()])
+def test_tail_checks_match_a_pair_by_pair_oracle(name, monkeypatch,
+                                                  subspace200):
+    alpha, s = {n: (a, s) for n, a, s in oracle_inputs()}[name]
+    e = (subspace200 if s is None
+         else build_snowflake(s, alpha, 0.1, seed=0))
+    tail, top = tail_oracle(e)
+    if name == "line8-l2-0.2":
+        assert len(tail) == 350
+    if name.endswith(("1000", "5000", "far")):
+        assert len(e.scale_k) > 3 * e.plan.p
+    audit_in_chunks_is_the_oracle(e, tail, top, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["line8-l2-0.2", "l2-0-1-1000"])
+def test_tail_checks_match_the_oracle_on_random_terms(name, monkeypatch):
+    # random per-scale terms, drawn so that each window row's mates sum to
+    # 0.5 to 2 times its bound with full mantissas: about half the rows of
+    # every window breach, its first and last among them, so a mass summed
+    # in another order or a window row off by one shows in the report.
+    # The last row of pair 0's window holds a mass equal to its bound,
+    # which is no breach
+    alpha, s = {n: (a, s) for n, a, s in oracle_inputs()}[name]
+    e = build_snowflake(s, alpha, 0.1, seed=0)
+    rows, pairs = e.scale_dists.shape
+    plan, p = e.plan, e.plan.p
+    bound = snowflake.TAIL_SLACK * plan.eps * (1.0 + plan.eps) ** (
+        np.arange(plan.i_lo, plan.i_hi + 1) * (1.0 - plan.alpha))
+    q = math.ceil(math.log(1.0 / plan.eps) / math.log1p(plan.eps)) + 2
+    iu, ju = np.triu_indices(s.n, k=1)
+    first = snowflake._anchors(plan, s.distance_matrix()[iu, ju]) - (
+        q - 1 + plan.i_lo)
+    rng = np.random.default_rng(1)
+    terms = rng.uniform(0.0, 1.0, (rows, pairs))
+    for pair in range(pairs):
+        for t in range(max(first[pair], 0), min(first[pair] + p, rows)):
+            mates = np.r_[t - p:-1:-p, t + p:rows:p]
+            share = rng.dirichlet(np.ones(len(mates)))
+            terms[mates, pair] = bound[t] * rng.uniform(0.5, 2.0) * share
+    t = first[0] + p - 1
+    terms[t % p::p, 0] = 0.0
+    terms[t - p, 0] = bound[t]
+    e = dataclasses.replace(e, scale_dists=terms)
+    tail, top = tail_oracle(e)
+    assert pairs * p // 4 < len(tail) < pairs * p * 3 // 4 and top > 1.0
+    pair_of = {(i, j): pair for pair, (i, j) in enumerate(zip(iu, ju))}
+    offsets = [(pair_of[v["i"], v["j"]], v["scale_i"] - plan.i_lo
+                - first[pair_of[v["i"], v["j"]]]) for v in tail]
+    assert {0, p - 1} <= {offset for _, offset in offsets}
+    assert (0, p - 1) not in offsets
+    audit_in_chunks_is_the_oracle(e, tail, top, monkeypatch)
+
+
+def test_the_audit_holds_no_scales_by_pairs_array(monkeypatch, peak_traced):
+    # 1,770 pairs over 278 scales, 3.9 MB of stored distances, in chunks
+    # of 16 pairs: the audit holds a chunk's buffer and its masks, and a
+    # few dozen floats per pair besides. The first audit of a process
+    # also pays for numpy's lazy imports, so it runs untraced first
+    s = normalize(generate("subspace", n=60, ambient_dim=10,
+                           intrinsic_dim=3, seed=0))
+    e = build_snowflake(s, 0.5, 0.1, seed=0)
+    rows, pairs = e.scale_dists.shape
+    monkeypatch.setattr(snowflake, "PAIRWISE_BYTES", 8 * rows * 16)
+    want = distortion_audit(e).dumps_json()
+    rep, peak = peak_traced(distortion_audit, e)
+    assert rep.passed and rep.dumps_json() == want
+    assert peak <= 3 * snowflake.PAIRWISE_BYTES + 24 * 8 * pairs
+    assert peak < e.scale_dists.nbytes / 4
 
 
 def test_dump_roundtrip_and_determinism():
