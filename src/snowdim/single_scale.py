@@ -21,12 +21,12 @@ closed form from its clusters (``_scale_gram``), and one ``factor_gram``
 writes at most n coordinates. l-infinity writes the whole scale in one
 scatter (``_linf_block``): one column per net point of each cluster of
 two or more points. l1 writes each distinct cluster's map in a column
-block of its own (``_l1_block``) from the closed-form box cuts of its
-coordinates, merged on their net traces. The cuts' sets do not depend on
-r: a cluster shape (its coordinates relative to its first member) is cut
-once (``cut_structure``) into a dict the caller keeps, one per build, and
-every cluster of that shape, at this scale or any other, replays it at
-its r (``cut_weights``).
+block of its own (``_l1_block``) from the whole set's box cuts at r,
+restricted to the cluster and merged on their net traces. The cuts are
+Poisson cuts of all of R^d, so a cluster's cut measure is the whole
+set's restricted to it. Their sets do not depend on r: a build cuts the
+whole set once (``cut_structure``, which ``require_source`` returns) and
+replays it at each scale's r (``cut_weights``).
 ``scale_clusters`` is the first half alone: the decomposition and each
 distinct cluster's count and smoothing. It reads the carvings' clusters
 off the decomposition's member and size rows and finds the distinct
@@ -60,10 +60,9 @@ from .errors import (BadParams, EmptyInput, HeaderMismatch,
 from .points import (PAIRWISE_BYTES, Net, PointSet, _pairwise,
                      estimate_doubling, greedy_net, norm_label,
                      require_normalized, require_seed, vector_norm)
-from .transforms import (CutStructure, _groups, _pack, cut_axes,
-                         cut_structure, cut_weights, factor_gram,
-                         gaussian_transform, laplace_transform,
-                         threshold_transform)
+from .transforms import (CutStructure, _groups, _pack, cut_structure,
+                         cut_weights, factor_gram, gaussian_transform,
+                         laplace_transform, threshold_transform)
 
 #: delta_decomp = 3 * C_PAD * max(1, dim_hat) * r / delta
 C_PAD = 8.0
@@ -128,11 +127,12 @@ class SingleScaleParams:
         return one_cluster(s, self.decomposition_diameter(dim_hat))
 
 
-def require_source(s: PointSet) -> None:
-    """Refuse a build over ``s`` up front: an l1 set whose one
-    coarse-scale cluster fails ``cut_axes`` (ClusterTooLarge)."""
-    if s.norm == 1.0:
-        cut_axes(s.points)
+def require_source(s: PointSet) -> CutStructure | None:
+    """What every scale of a build over ``s`` reads of its source: for an
+    l1 set, the whole set's ``cut_structure``, which refuses a set past
+    the cut cap (ClusterTooLarge) before any scale; None in the other
+    norms."""
+    return cut_structure(s.points) if s.norm == 1.0 else None
 
 
 @dataclass
@@ -268,25 +268,23 @@ def theory_dimension(eps: float, delta: float, eps_pad: float,
     return m_hat * k_hat
 
 
-def _embed_cluster_l1(points_c: np.ndarray, net_local: np.ndarray, r: float,
-                      structures: dict[bytes, CutStructure]) -> np.ndarray:
-    """A cluster's raw l1 map f_C at scale r: its box cuts' weights at r
-    (``cut_weights``), summed over the cuts of each trace on its net
-    points. The cut structure is a function of the coordinates relative
-    to the first member alone, so it is built once per shape, on first
-    use, and kept in ``structures`` for every later cluster and scale of
-    that shape (translated clusters, such as the runs of an evenly
-    spaced set, share one); the trace grouping depends on the cluster's
-    net points and stays per cluster."""
-    nc = len(points_c)
+def _embed_cluster_l1(cuts: tuple[np.ndarray, np.ndarray],
+                      members: np.ndarray,
+                      net_local: np.ndarray) -> np.ndarray:
+    """A cluster's raw l1 map f_C from ``cuts``, the whole set's weights
+    and sides at the scale (``cut_weights``). Their restrictions to C are
+    C's own cuts: each is complemented so that C's first member lies
+    outside, the empty ones are dropped, and the weights are summed over
+    the cuts of each trace on C's net points (``net_local``, positions
+    in ``members``)."""
+    nc = len(members)
     if nc < 2 or len(net_local) == 0:
         return np.zeros((nc, 0))
-    rel = points_c - points_c[0]
-    key = rel.tobytes()
-    structure = structures.get(key)
-    if structure is None:
-        structure = structures[key] = cut_structure(rel)
-    weights, sides = cut_weights(structure, r)
+    weights, sides = cuts
+    sides = sides[:, members]
+    sides ^= sides[:, :1]
+    live = sides.any(axis=1)
+    weights, sides = weights[live], sides[live]
     # one coordinate per distinct trace A ∩ (C ∩ N), in order of first
     # appearance; summing same-trace cuts is 1-Lipschitz and exactly
     # isometric on the net points. The first member lies outside every
@@ -324,21 +322,21 @@ def _linf_block(sc: ScaleClusters, dmat: np.ndarray, in_net: np.ndarray,
     return out
 
 
-def _l1_block(sc: ScaleClusters, points: np.ndarray, in_net: np.ndarray,
-              scaled_w: np.ndarray, structures: dict[bytes, CutStructure]
-              ) -> tuple[np.ndarray, list[np.ndarray]]:
+def _l1_block(sc: ScaleClusters, in_net: np.ndarray, scaled_w: np.ndarray,
+              structure: CutStructure) -> tuple[np.ndarray, list[np.ndarray]]:
     """An l1 scale's coordinates, and each distinct cluster's raw map f_C
-    (``_embed_cluster_l1``, which reads and fills ``structures``, the cut
-    structures by cluster shape). Each f_C times ``scaled_w`` (aligned
+    (``_embed_cluster_l1``), all from the whole set's cut ``structure``
+    weighed once at the scale's r. Each f_C times ``scaled_w`` (aligned
     with ``sc.members``) fills a column block of its own on the cluster's
     rows, clusters in order."""
+    cuts = cut_weights(structure, sc.params.r)
     ends = np.cumsum(sc.sizes).tolist()
     blocks = []
     for lo, hi in zip([0] + ends[:-1], ends):
         c = sc.members[lo:hi]
         blocks.append((c, scaled_w[lo:hi, None], _embed_cluster_l1(
-            points[c], np.flatnonzero(in_net[c]), sc.params.r, structures)))
-    out = np.zeros((len(points), sum(f.shape[1] for _, _, f in blocks)))
+            cuts, c, np.flatnonzero(in_net[c]))))
+    out = np.zeros((len(in_net), sum(f.shape[1] for _, _, f in blocks)))
     col = 0
     for c, w, f in blocks:
         out[c, col:col + f.shape[1]] = f * w
@@ -638,7 +636,7 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
     (``scale_clusters``), are refused before the decomposition. The map
     is divided by 1 + C * eps, C = ``RESCALE_C`` of the norm."""
     require_normalized(s, "build_single_scale")
-    require_source(s)
+    structure = require_source(s)
     sc = scale_clusters(s, params)
     p, entries, m = params, sc.clusters, sc.m
     n, norm = s.n, s.norm
@@ -676,7 +674,7 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
         if norm == np.inf:
             coords = _linf_block(sc, dmat, in_net, scaled_w)
         else:
-            coords, maps = _l1_block(sc, s.points, in_net, scaled_w, {})
+            coords, maps = _l1_block(sc, in_net, scaled_w, structure)
             for c, f in zip(entries, maps):
                 c.coords = f
     return SingleScaleEmbedding(

@@ -14,16 +14,16 @@ below): ``scale_clusters`` decomposes it and finds its distinct
 clusters, and its condensed pair distances are read off their arrays
 where the scale is built. l2 and l1 go through the map that
 ``build_single_scale`` writes too (``_scale_gram`` or ``_l1_block``; l1
-cuts each cluster shape once per build and replays the cuts at every
-scale that meets it); l-infinity writes no map (``_linf_dists``). A
-scale keeps three things for the audit: its width (an entry of
-``scale_k``), those distances (a row of ``scale_dists``), and, for the
-pairs it anchors, whether each is padded in every partition
-(``padded_dom``). A scale whose first decomposition diameter carves the
-whole set in one piece (``SingleScaleParams.one_cluster``, most of the
-coarse half of the ladder) is not decomposed at all in l2 and
-l-infinity: its one cluster has all weights 1, and every pair is padded
-in it. How the maps are combined depends on the norm:
+cuts the whole set once per build and weighs the cuts once per scale);
+l-infinity writes no map (``_linf_dists``). A scale keeps three things
+for the audit: its width (an entry of ``scale_k``), those distances (a
+row of ``scale_dists``), and, for the pairs it anchors, whether each is
+padded in every partition (``padded_dom``). A scale whose first
+decomposition diameter carves the whole set in one piece
+(``SingleScaleParams.one_cluster``, most of the coarse half of the
+ladder) is not decomposed at all in l2 and l-infinity: its one cluster
+has all weights 1, and every pair is padded in it. How the maps are
+combined depends on the norm:
 
 * l2 is the direct sum of the scales, written in at most n - 1
   coordinates as the classical MDS (``classical_mds``) of the summed
@@ -106,7 +106,7 @@ import os
 import signal
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,13 +291,11 @@ def _dominant_pair_mask(sc: ScaleClusters, iu: np.ndarray,
     return (col[iu] == col[ju]) & pad[iu] & pad[ju]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _ScaleJob:
     """What every scale of one snowflake reads, set up before any scale is
-    built; the scale helpers inherit it through fork. ``structures``
-    alone grows as the scales are built: the l1 cut structure of each
-    cluster shape met so far, which every later scale replays. It lives
-    for one build, and each helper fills its own copy."""
+    built and never changed after; the scale helpers inherit it through
+    fork."""
 
     s: PointSet
     plan: SnowflakePlan
@@ -306,7 +304,7 @@ class _ScaleJob:
     iu: np.ndarray                   # the pairs i < j
     ju: np.ndarray
     anchors: np.ndarray              # each pair's anchor scale
-    structures: dict[bytes, CutStructure] = field(default_factory=dict)
+    structure: CutStructure | None   # l1: the whole set's cuts, else None
 
 
 def _scale_params(job: _ScaleJob | SnowflakeEmbedding,
@@ -496,8 +494,8 @@ def _build_scale(job: _ScaleJob, i: int) -> tuple:
                     job.s, sc.members, sc.sizes, scaled_w, in_net, sp.r, w,
                     job.iu, job.ju, sc.decomposition.labels, sc.positions)
             else:
-                block = w * _l1_block(sc, job.s.points, in_net, scaled_w,
-                                      job.structures)[0]
+                block = w * _l1_block(sc, in_net, scaled_w,
+                                      job.structure)[0]
                 k = block.shape[1]
                 if k:
                     dists = _pair_distances(block, 1.0, job.iu, job.ju)
@@ -672,9 +670,10 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     a note, and its cause is a copy of the original; an error that
     cannot be pickled comes back as a RuntimeError holding its
     traceback. Another target norm (BadParams), or an l1 source whose
-    boxes pass the cut decomposition's cap (``require_source``), is
-    refused before any scale is built. A negative seed, or a ``dim_hat``
-    that is not finite or lies below 0, is refused (BadParams).
+    boxes pass the cut decomposition's cap (``require_source``, which
+    cuts an l1 set once for every scale), is refused before any scale is
+    built. A negative seed, or a ``dim_hat`` that is not finite or lies
+    below 0, is refused (BadParams).
     """
     require_seed(seed)
     if dim_hat is not None and not 0.0 <= dim_hat < math.inf:
@@ -684,13 +683,14 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
         raise BadParams(f"a build embeds its input into the input's own "
                         f"norm: this l{norm_label(s.norm)} input cannot "
                         f"target l{norm_label(norm_tag(norm))}")
-    require_source(s)
+    structure = require_source(s)
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     n = s.n
     iu, ju = np.triu_indices(n, k=1)
     pair_d = s.distance_matrix()[iu, ju]
-    job = _ScaleJob(s, plan, seed, dim_hat, iu, ju, _anchors(plan, pair_d))
+    job = _ScaleJob(s, plan, seed, dim_hat, iu, ju, _anchors(plan, pair_d),
+                    structure)
     indices = plan.scale_indices
     # an l2 or l-infinity scale of one cluster is written in closed form
     # below; every other scale is built by _build_scale

@@ -18,8 +18,9 @@ that of a distance matrix. l1 maps are cuts, one closed form for any l1
 point set (``cut_decomposition``: the boxes of Poisson cuts on every
 axis), split into the member sets and their merges, which do not depend
 on r (``cut_structure``), and the weights at r, summed from them
-(``cut_weights``); a build keeps one structure per cluster shape for all
-its scales. l-infinity maps are per-landmark threshold coordinates.
+(``cut_weights``); a build cuts its whole set once, and each cluster
+traces those cuts at its scale. l-infinity maps are per-landmark
+threshold coordinates.
 """
 
 from __future__ import annotations

@@ -80,6 +80,34 @@ def test_no_dead_private_definitions():
         == []
 
 
+def imported_names(tree: ast.Module):
+    """The names a module's imports bind, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_no_unused_imports():
+    # a name a module imports and never reads is left over from code that
+    # went; the package's __init__ imports to export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{name}" for name in imported_names(tree)
+                   if name not in read]
+    assert unused == []
+
+
 def test_every_function_the_traced_benchmark_names_exists():
     # the traced bench reports a time and a call count per function that
     # BENCHMARK.json names; removing one of them breaks that run

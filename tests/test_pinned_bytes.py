@@ -35,15 +35,17 @@ def test_l1_line_snowflake_dump_bytes():
 
 
 def test_l1_ball_snowflake_dump_bytes():
-    # a 2-d ball is cut along both axes: each cluster shape's cuts are
-    # replayed at every scale through both passes' bincounts. The output
-    # is the cut measure of the direct sum, in place of the round-robin
-    # layout of 36,898 columns (digest 7d724a39...a532d48)
+    # a 2-d ball is cut along both axes, once for the whole set: every
+    # cluster traces the whole set's cuts at its scale, in place of cuts
+    # of its own shape (digest 0ca26263...60e60e4), whose weights were
+    # summed in another order. The output is the cut measure of the
+    # direct sum, in place of the round-robin layout of 36,898 columns
+    # (digest 7d724a39...a532d48)
     s = normalize(generate("ball", n=12, dim=2, norm="l1", seed=0))
     e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
     assert e.k == 459
     assert sha256(snowflake.dumps(e)) == (
-        "0ca26263229a0548b471ee51a16b0bee75c2902ff1efaca1427d3153d60e60e4")
+        "273e7057c04292b803cfa0861e05952d17628ff3e75819667ef1aa97c42e53f1")
 
 
 def test_l2_grid_snowflake_dump_bytes():

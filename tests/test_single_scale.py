@@ -19,8 +19,9 @@ from snowdim.single_scale import (EPS_PAD, RESCALE_C, SingleScaleParams,
                                   build_single_scale, contract_audit, dumps,
                                   loads_coords, theory_dimension)
 from snowdim.snowflake import build_snowflake
-from snowdim.transforms import (cut_structure, gaussian_transform,
-                                laplace_transform, threshold_transform)
+from snowdim.transforms import (cut_structure, cut_weights,
+                                gaussian_transform, laplace_transform,
+                                threshold_transform)
 
 G_1 = 0.7950600976206501          # G_1(1) = sqrt(1 - e^-1)
 L_1 = 0.6321205588285577          # L_1(1) = 1 - e^-1
@@ -700,52 +701,6 @@ def test_l2_audit_factors_each_distinct_cluster_gram_once(monkeypatch):
     assert sorted(factored) == sorted(grams)
 
 
-@pytest.mark.parametrize("kind, r, delta, dim_hat, saturated", [
-    # a snowflake scale (its delta at eps 0.1, alpha 0.5): L_r(1) == r;
-    # the 27 multi-point clusters are runs of the line, 4 shapes in all
-    ("line", 1.1 ** -92, 1.1 ** -75, None, True),
-    # L_r(1) < r: 29 multi-point clusters, translates of 4 runs of the line
-    ("line", 0.05, 0.2, 1.0, False),
-    # the same scale on a 12-point l1 ball in 3-d: 11 multi-point clusters
-    # of sizes 2 to 4, each a shape of its own
-    ("ball", 1.1 ** -92, 1.1 ** -75, None, True),
-], ids=["saturated", "translated", "ball"])
-def test_l1_scale_builds_one_cut_structure_per_distinct_shape(
-        monkeypatch, kind, r, delta, dim_hat, saturated):
-    # one cut_structure per distinct cluster shape, its coordinates
-    # relative to its first member: translated clusters share one
-    if kind == "line":
-        s = normalize(generate("line", n=10, norm="l1"))
-    else:
-        s = normalize(generate("ball", n=12, dim=3, norm="l1"))
-    p = SingleScaleParams(r=r, eps=0.1, delta=delta, seed=3, dim_hat=dim_hat)
-    assert (laplace_transform(1.0, r) == r) == saturated
-    solved = []
-
-    def counting(rel):
-        solved.append(rel.tobytes())
-        return cut_structure(rel)
-
-    monkeypatch.setattr(single_scale, "cut_structure", counting)
-    e = build_single_scale(s, p)
-    built = solved[:]
-    shapes = []
-    for entry in e.clusters:
-        mem = entry.members
-        if len(mem) > 1:
-            shapes.append((s.points[mem] - s.points[mem[0]]).tobytes())
-        # the per-cluster route, with nothing shared, gives the same map
-        alone = _embed_cluster_l1(s.points[mem],
-                                  np.flatnonzero(np.isin(mem, e.net.members)),
-                                  e.params.r, {})
-        assert np.array_equal(entry.coords, alone)
-    # the ball's clusters are no translates of each other
-    assert len(set(shapes)) > 1
-    assert (len(shapes) > len(set(shapes))) == (kind == "line")
-    assert sorted(built) == sorted(set(shapes))
-    assert contract_audit(e).passed
-
-
 def test_all_singleton_scale(carvings):
     # delta_dec / 2 = 0.6 < 1: no carve radius reaches a neighbour
     s = normalize(generate("grid", side=5, dims=2))
@@ -790,8 +745,9 @@ def test_single_scale_targets_the_input_norm():
 def test_singleton_and_empty_net_clusters(linf_cluster):
     one = np.zeros((1, 1))
     none = np.array([], dtype=np.intp)
-    assert _embed_cluster_l1(one, none, 1.0, {}).shape == (1, 0)
-    assert _embed_cluster_l1(one, np.array([0]), 1.0, {}).shape == (1, 0)
+    cuts = cut_weights(cut_structure(one), 1.0)
+    assert _embed_cluster_l1(cuts, np.array([0]), none).shape == (1, 0)
+    assert _embed_cluster_l1(cuts, np.array([0]), np.array([0])).shape == (1, 0)
     assert linf_cluster(one, none, 1.0).shape == (1, 0)
     pair = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert linf_cluster(pair, none, 1.0).shape == (2, 0)

@@ -564,9 +564,10 @@ def snowflake_bytes(s) -> list[bytes]:
 
 @pytest.mark.parametrize("kind, params", [
     ("line", dict(n=10, norm="l1", seed=0)),
+    ("ball", dict(n=12, dim=2, norm="l1", seed=0)),
     ("grid", dict(side=8, dims=2)),
     ("ball", dict(n=32, dim=4, norm="linf", seed=0)),
-], ids=["l1-line", "l2-grid", "linf-ball"])
+], ids=["l1-line", "l1-ball", "l2-grid", "linf-ball"])
 def test_the_bytes_do_not_depend_on_the_worker_count(monkeypatch, kind,
                                                      params):
     # the caller merges the scales in scale order, whichever process built
@@ -884,7 +885,8 @@ def test_one_cluster_scales_match_their_decomposed_build(name):
     iu, ju = np.triu_indices(s.n, k=1)
     job = snowflake._ScaleJob(s, plan, 0, e.dim_hat, iu, ju,
                               snowflake._anchors(
-                                  plan, s.distance_matrix()[iu, ju]))
+                                  plan, s.distance_matrix()[iu, ju]),
+                              single_scale.require_source(s))
     taken = 0
     for t, i in enumerate(plan.scale_indices):
         sp = snowflake._scale_params(job, i)
@@ -1027,27 +1029,38 @@ def test_l1_line_past_the_cut_cap_builds_without_an_lp(monkeypatch):
     assert distortion_audit(e).passed
 
 
-def test_an_l1_snowflake_cuts_each_cluster_shape_once(monkeypatch):
-    # the 10-point line's clusters come in 9 shapes: each shape's cut
-    # structure is built once per snowflake, and the 798 cluster maps,
-    # 377 distinct pairs of shape and scale, replay it at their scale
+@pytest.mark.parametrize("params, scales", [
+    (dict(kind="line", n=10, norm="l1", seed=0), 264),
+    (dict(kind="ball", n=12, dim=2, norm="l1", seed=0), 270),
+], ids=["l1-line", "l1-ball"])
+def test_an_l1_build_cuts_the_whole_set_once(monkeypatch, params, scales):
+    # a build cuts the whole set once, and weighs its cuts once per
+    # decomposed scale, for every cluster of that scale to trace
     monkeypatch.setattr(snowflake, "_worker_count", lambda: 1)
-    built, replayed = [], []
+    built, weighed, decomposed = [], [], []
 
-    def structure(rel):
-        built.append(rel.tobytes())
-        return transforms.cut_structure(rel)
+    def structure(points):
+        built.append(points)
+        return transforms.cut_structure(points)
 
     def weights(cuts, r):
-        replayed.append((id(cuts), r))
+        weighed.append(r)
         return transforms.cut_weights(cuts, r)
 
     monkeypatch.setattr(single_scale, "cut_structure", structure)
     monkeypatch.setattr(single_scale, "cut_weights", weights)
-    s = normalize(generate("line", n=10, norm="l1", seed=0))
-    build_snowflake(s, 0.5, 0.1, seed=0)
-    assert len(built) == len(set(built)) == 9
-    assert len(replayed) == 798 and len(set(replayed)) == 377
+    monkeypatch.setattr(snowflake, "scale_clusters",
+                        counting_scale_clusters(decomposed))
+    s = normalize(generate(**params))
+    e = build_snowflake(s, 0.5, 0.1, seed=0)
+    assert len(built) == 1 and built[0] is s.points
+    assert weighed == decomposed == decomposed_scales(e)
+    assert len(weighed) == scales
+    built.clear()
+    weighed.clear()
+    sp = snowflake._scale_params(e, e.plan.i_lo + 20)
+    assert len(build_single_scale(s, sp).clusters) > 1
+    assert len(built) == 1 and weighed == [sp.r]
 
 
 def test_small_l1_sets_build_in_many_dimensions():

@@ -289,7 +289,7 @@ def test_line_cuts_rebuild_a_pdist_oracle_without_an_lp(case):
     assert transforms.cut_axes(pts).shape == (n, 1)
     w, sides = cut_decomposition(pts, r)
     # the build's route, with every point a net point: an exact map
-    coords = _embed_cluster_l1(pts, np.arange(n), r, {})
+    coords = _embed_cluster_l1((w, sides), np.arange(n), np.arange(n))
     assert 0 < len(w) <= n * (n - 1) // 2 and w.min() > 0
     assert not sides[:, 0].any()
     assert np.abs(cut_metric(w, sides) - want).max() <= tol
@@ -334,6 +334,55 @@ def test_box_cuts_rebuild_a_pdist_oracle(case):
     assert not sides[:, 0].any() and w.min() > 0
     assert (np.abs(cut_metric(w, sides) - want).max()
             <= CUT_RTOL * want.max() + 1e-12 * d.max())
+
+
+@st.composite
+def traced_clusters(draw):
+    """An ``l1_sets`` case with a cluster C of 2 or more of its points, in
+    any order, and a nonempty net inside C, as positions in C."""
+    pts, r = draw(l1_sets())
+    c = np.array(draw(st.lists(st.integers(0, len(pts) - 1), min_size=2,
+                               max_size=len(pts), unique=True)))
+    net = np.array(sorted(draw(st.lists(st.integers(0, len(c) - 1),
+                                        min_size=1, max_size=len(c),
+                                        unique=True))))
+    return pts, r, c, net
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=traced_clusters())
+def test_traced_cluster_maps_match_a_pdist_oracle(case):
+    # f_C from the whole set's cuts traced on C puts C's first member at
+    # the origin, keeps every image within r and is 1-Lipschitz against
+    # L_r of scipy's distances, written out, and isometric to it on the
+    # net up to the drop rule. With no weight dropped it is the map of C's
+    # own decomposition to rounding, column by column: a whole-set box
+    # meets C in one of C's boxes, and the chances of those that meet it
+    # in the same one sum to that box's chance
+    pts, r, c, net = case
+    whole = r * (1.0 - np.exp(-squareform(pdist(pts, "cityblock")) / r))
+    top = whole.max()
+    want = whole[np.ix_(c, c)]
+    f = _embed_cluster_l1(cut_decomposition(pts, r), c, net)
+    assert not f[0].any() and f.any(axis=0).all()
+    assert np.abs(f).sum(axis=1).max() <= r * (1.0 + 1e-12)
+    got = squareform(pdist(f, "cityblock"))
+    assert (got - want).max() <= 1e-12 * top
+    assert np.abs(got - want)[np.ix_(net, net)].max() <= CUT_RTOL * top
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "CUT_RTOL", 0.0)
+        f = _embed_cluster_l1(cut_decomposition(pts, r), c, net)
+        own = _embed_cluster_l1(cut_decomposition(pts[c], r),
+                                np.arange(len(c)), net)
+    # the columns are the net traces, each map in its own order. C's own
+    # decomposition cuts C along the distance from an end where C is an
+    # l1 line, and a gap below that distance's rounding is lost there, so
+    # a trace one map lacks is a zero column of it
+    traced, alone = ({(m[net, j] > 0).tobytes(): m[:, j]
+                      for j in range(m.shape[1])} for m in (f, own))
+    zero = np.zeros(len(c))
+    assert max(np.abs(traced.get(key, zero) - alone.get(key, zero)).max()
+               for key in traced.keys() | alone.keys()) <= 1e-12 * top
 
 
 def one_pass_cuts(points, r):
