@@ -110,6 +110,7 @@ class PointSet:
     scale: float = 1.0
     _dmat: np.ndarray | None = field(default=None, repr=False, compare=False)
     _dmin: float | None = field(default=None, repr=False, compare=False)
+    _diam: float | None = field(default=None, repr=False, compare=False)
     _sorted: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -150,7 +151,10 @@ class PointSet:
         return self._sorted
 
     def diameter(self) -> float:
-        return float(self.distance_matrix().max()) if self.n > 1 else 0.0
+        if self._diam is None:
+            self._diam = (float(self.distance_matrix().max()) if self.n > 1
+                          else 0.0)
+        return self._diam
 
     def min_distance(self) -> float:
         if self.n < 2:

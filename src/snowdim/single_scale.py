@@ -34,7 +34,10 @@ ones with array operations (a 64-bit key per cluster, every match
 confirmed member by member), so no object is made per carving or per
 cluster. The three maps are built from those arrays; the snowflake
 calls the l2 and l1 functions for each scale it decomposes, and reads an
-l-infinity scale's distances off the arrays with no block.
+l-infinity scale's distances off the arrays with no block. ``_l1_block``
+takes the arrays alone, and ``_one_cluster_block`` gives them for a
+scale of one cluster with no decomposition, so the snowflake builds such
+a scale without ``scale_clusters``.
 
 The finished embedding keeps everything needed for the audit: the
 distinct clusters with their smoothing weights (and, in l1, their raw
@@ -53,8 +56,8 @@ from functools import cached_property
 import numpy as np
 
 from . import report as report_mod
-from .decomposition import (PaddedDecomposition, build_decomposition,
-                            one_cluster)
+from .decomposition import (PaddedDecomposition, batch_size,
+                            build_decomposition, one_cluster)
 from .errors import (BadParams, EmptyInput, HeaderMismatch,
                      PaddingUnachievable)
 from .points import (PAIRWISE_BYTES, Net, PointSet, _pairwise,
@@ -322,18 +325,21 @@ def _linf_block(sc: ScaleClusters, dmat: np.ndarray, in_net: np.ndarray,
     return out
 
 
-def _l1_block(sc: ScaleClusters, in_net: np.ndarray, scaled_w: np.ndarray,
-              structure: CutStructure) -> tuple[np.ndarray, list[np.ndarray]]:
+def _l1_block(members: np.ndarray, sizes: np.ndarray, in_net: np.ndarray,
+              scaled_w: np.ndarray, cuts: tuple[np.ndarray, np.ndarray]
+              ) -> tuple[np.ndarray, list[np.ndarray]]:
     """An l1 scale's coordinates, and each distinct cluster's raw map f_C
-    (``_embed_cluster_l1``), all from the whole set's cut ``structure``
-    weighed once at the scale's r. Each f_C times ``scaled_w`` (aligned
-    with ``sc.members``) fills a column block of its own on the cluster's
-    rows, clusters in order."""
-    cuts = cut_weights(structure, sc.params.r)
-    ends = np.cumsum(sc.sizes).tolist()
+    (``_embed_cluster_l1``), all from ``cuts``, the whole set's cuts
+    weighed at the scale's r (``cut_weights``). The clusters are laid end
+    to end in ``members`` with the given ``sizes``, as in
+    ``ScaleClusters``: one cluster of every point for a scale that is not
+    decomposed. Each f_C times ``scaled_w`` (aligned with ``members``)
+    fills a column block of its own on the cluster's rows, clusters in
+    order."""
+    ends = np.cumsum(sizes).tolist()
     blocks = []
     for lo, hi in zip([0] + ends[:-1], ends):
-        c = sc.members[lo:hi]
+        c = members[lo:hi]
         blocks.append((c, scaled_w[lo:hi, None], _embed_cluster_l1(
             cuts, c, np.flatnonzero(in_net[c]))))
     out = np.zeros((len(in_net), sum(f.shape[1] for _, _, f in blocks)))
@@ -349,17 +355,40 @@ def _linf_combine(delta: float) -> float:
     return 1.0 / (1.0 + 2.0 * math.sqrt(delta))
 
 
+def _member_factors(norm: float, delta: float, m: int, weights: np.ndarray,
+                    sizes: np.ndarray,
+                    counts: np.ndarray) -> tuple[float, np.ndarray]:
+    """An l1 or l-infinity scale's combining scale, 1/m or
+    1/(1 + 2 sqrt(delta)), and each member's factor in its block: its
+    smoothing weight times the combining scale (in l1, times its
+    cluster's count first). The members are laid out as in
+    ``ScaleClusters``."""
+    if norm == np.inf:
+        combine = _linf_combine(delta)
+        return combine, weights * combine
+    combine = 1.0 / m
+    return combine, weights * np.repeat(counts * combine, sizes)
+
+
 def _block_weights(sc: ScaleClusters,
                    norm: float) -> tuple[float, np.ndarray]:
-    """An l1 or l-infinity scale's combining scale, 1/m or
-    1/(1 + 2 sqrt(delta)), and each member's factor in its block (aligned
-    with ``sc.members``): its smoothing weight times the combining scale
-    (in l1, times its cluster's count first)."""
-    if norm == np.inf:
-        combine = _linf_combine(sc.params.delta)
-        return combine, sc.weights * combine
-    combine = 1.0 / sc.m
-    return combine, sc.weights * np.repeat(sc.counts * combine, sc.sizes)
+    """``_member_factors`` of a decomposed scale (aligned with
+    ``sc.members``)."""
+    return _member_factors(norm, sc.params.delta, sc.m, sc.weights,
+                           sc.sizes, sc.counts)
+
+
+def _one_cluster_block(n: int, delta: float, dim_hat: float, norm: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The members, sizes and ``_block_weights`` factors of an l1 or
+    l-infinity scale of one cluster (``SingleScaleParams.one_cluster``),
+    with no decomposition: ``scale_clusters`` would give one cluster of
+    every point, held by all m = ``batch_size`` carvings, with every
+    smoothing weight 1."""
+    m = batch_size(EPS_PAD, n, dim_hat)
+    sizes = np.array([n])
+    return np.arange(n), sizes, _member_factors(
+        norm, delta, m, np.ones(n), sizes, np.array([m]))[1]
 
 
 def _point_keys(n: int) -> np.ndarray:
@@ -674,7 +703,8 @@ def build_single_scale(s: PointSet, params: SingleScaleParams) -> SingleScaleEmb
         if norm == np.inf:
             coords = _linf_block(sc, dmat, in_net, scaled_w)
         else:
-            coords, maps = _l1_block(sc, in_net, scaled_w, structure)
+            coords, maps = _l1_block(sc.members, sc.sizes, in_net, scaled_w,
+                                     cut_weights(structure, p.r))
             for c, f in zip(entries, maps):
                 c.coords = f
     return SingleScaleEmbedding(

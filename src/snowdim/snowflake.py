@@ -21,9 +21,15 @@ row of ``scale_dists``), and, for the pairs it anchors, whether each is
 padded in every partition (``padded_dom``). A scale whose first
 decomposition diameter carves the whole set in one piece
 (``SingleScaleParams.one_cluster``, most of the coarse half of the
-ladder) is not decomposed at all in l2 and l-infinity: its one cluster
-has all weights 1, and every pair is padded in it. How the maps are
-combined depends on the norm:
+ladder) is not decomposed at all: its one cluster
+(``_one_cluster_block``) has all weights 1, and every pair is padded in
+it. ``build_snowflake`` evaluates the predicate once per scale and
+hands it to ``_build_scale``. l2 and l-infinity write such a scale in
+closed form (below). l1 builds it from the whole set's cuts at its r:
+where its net holds every point, each cut is a column of its own, and
+its distances and threshold cuts are read off the cuts with no block
+(``_full_net_cuts``), bit for bit. How the maps are combined depends on
+the norm:
 
 * l2 is the direct sum of the scales, written in at most n - 1
   coordinates as the classical MDS (``classical_mds``) of the summed
@@ -57,9 +63,10 @@ formula of the parameters alone. No concrete output needs the grouping:
 each is exact, and narrower than it on every input measured.
 
 The scales are independent work: each one's seed derives from (seed, i)
-alone. The one-cluster scales are written by the caller alone, after
-the helpers fork; ``build_snowflake`` splits the other scales over the w
-CPUs the process may run on. The t-th of them is built by process
+alone. The l2 and l-infinity one-cluster scales are written by the
+caller alone, after the helpers fork; ``build_snowflake`` splits the
+other scales, l1's one-cluster scales among them, over the w CPUs the
+process may run on. The t-th of them is built by process
 t mod w: the caller builds every w-th, and one forked helper per extra
 CPU builds the others, reading the inputs copy-on-write. The caller
 merges every result in scale order, so the l1 cuts are summed and
@@ -107,6 +114,7 @@ import signal
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -117,10 +125,10 @@ from .points import (PAIRWISE_BYTES, PointSet, _pair_distances, _pairwise,
                      require_normalized, require_seed)
 from .single_scale import (EPS_PAD, ScaleClusters, SingleScaleParams,
                            _block_weights, _dumps_coords, _l1_block,
-                           _linf_combine, _runs, _scale_gram,
+                           _one_cluster_block, _runs, _scale_gram,
                            require_source, scale_clusters, theory_dimension)
 from .transforms import (CutStructure, _groups, _pack, classical_mds,
-                         gaussian_transform)
+                         cut_weights, gaussian_transform)
 
 #: offset added to the scale index when deriving per-scale seeds, so the
 #: seed entropy stays nonnegative for any sane index window
@@ -303,6 +311,7 @@ class _ScaleJob:
     dim_hat: float
     iu: np.ndarray                   # the pairs i < j
     ju: np.ndarray
+    pair_d: np.ndarray               # their source distances
     anchors: np.ndarray              # each pair's anchor scale
     structure: CutStructure | None   # l1: the whole set's cuts, else None
 
@@ -463,39 +472,84 @@ def _in_net(s: PointSet, sp: SingleScaleParams) -> np.ndarray:
     return in_net
 
 
-def _build_scale(job: _ScaleJob, i: int) -> tuple:
+def _full_net_cuts(job: _ScaleJob, cuts: tuple[np.ndarray, np.ndarray],
+                   factor: float, w: float) -> tuple:
+    """(k, dists, part) of an l1 scale of one cluster whose net holds
+    every point, in closed form: the width, pair distances and threshold
+    cuts of its block, bit for bit, with no block written. Each of the
+    whole set's cuts c is a trace of its own, so the block has a column
+    per cut, holding value_c = w * (weight_c * factor) on c's members and
+    0 elsewhere. A pair's distance is the sum along a row of value_c
+    wherever c separates the pair: the row ``_pair_distances`` sums,
+    entry for entry, in a C-ordered array of chunks of at most
+    PAIRWISE_BYTES, so the sums have its bits. The block's threshold cuts
+    are its columns, stably ordered by falling size (the order of their
+    one positive gap in ``_threshold_cuts``), each weighted value_c. Two
+    or more points keep at least one cut, the heaviest of those that
+    separate the farthest pair, so k > 0."""
+    weights, sides = cuts
+    k = len(weights)
+    value = w * (weights * factor)
+    sides_t = np.ascontiguousarray(sides.T)
+    dists = np.empty(len(job.iu))
+    step = max(1, PAIRWISE_BYTES // (8 * k))
+    for lo in range(0, len(job.iu), step):
+        apart = sides_t[job.iu[lo:lo + step]]
+        apart ^= sides_t[job.ju[lo:lo + step]]
+        (apart * value).sum(axis=1, out=dists[lo:lo + step])
+    order = np.argsort(-sides.sum(axis=1), kind="stable")
+    return k, dists, (_pack(sides[order]), value[order])
+
+
+def _build_scale(job: _ScaleJob, i: int, sp: SingleScaleParams,
+                 one: bool) -> tuple:
     """Scale i as (k, dists, dom, part): its width, its pair distances,
     the ``_dominant_pair_mask`` of the pairs it anchors and, on l1, the
     cut measure of its block (``_threshold_cuts``); each of the last
     three is None where the scale has none. The map is the one
     ``build_single_scale`` writes, without its global rescale, and
-    everything is divided by (1+eps)^{i(1-alpha)}. A library error is
-    re-raised as the same type with the scale named in front of its
-    message."""
+    everything is divided by (1+eps)^{i(1-alpha)}. ``sp`` is the
+    scale's ``_scale_params``, and ``one`` says whether the scale is one
+    cluster (``SingleScaleParams.one_cluster``): it is then not
+    decomposed, its cluster is ``_one_cluster_block``, and every pair it
+    anchors is padded. A library error is re-raised as the same type with
+    the scale named in front of its message."""
     plan = job.plan
-    sp = _scale_params(job, i)
+    s = job.s
     w = _scale_weight(plan, i)
-    dmat = job.s.distance_matrix()
-    part = dists = None
+    dists = part = None
     try:
-        sc = scale_clusters(job.s, sp)
-        if plan.norm == 2.0:
-            k, gram = _scale_gram(sc, dmat)
+        sc = None if one else scale_clusters(s, sp)
+        if plan.norm == 2.0 and one:
+            # the map is G_r of the source metric, of rank at most n - 1
+            k = s.n - 1
+            dists = w * gaussian_transform(job.pair_d, sp.r)
+        elif plan.norm == 2.0:
+            k, gram = _scale_gram(sc, s.distance_matrix())
             if k:
                 diag = np.diag(gram)
                 dists = w * np.sqrt(np.maximum(
                     diag[job.iu] + diag[job.ju] - 2.0 * gram[job.iu, job.ju],
                     0.0))
         else:
-            in_net = _in_net(job.s, sp)
-            scaled_w = _block_weights(sc, plan.norm)[1]
+            members, sizes, scaled_w = (
+                _one_cluster_block(s.n, sp.delta, job.dim_hat, plan.norm)
+                if one else
+                (sc.members, sc.sizes, _block_weights(sc, plan.norm)[1]))
+            in_net = _in_net(s, sp)
             if plan.norm == np.inf:
+                # one cluster has a column per net point, and no label
+                # row that separates a pair
                 k, dists = _linf_dists(
-                    job.s, sc.members, sc.sizes, scaled_w, in_net, sp.r, w,
-                    job.iu, job.ju, sc.decomposition.labels, sc.positions)
+                    s, members, sizes, scaled_w, in_net, sp.r, w, job.iu,
+                    job.ju, None if one else sc.decomposition.labels,
+                    None if one else sc.positions)
+            elif one and in_net.all():
+                k, dists, part = _full_net_cuts(
+                    job, cut_weights(job.structure, sp.r), scaled_w[0], w)
             else:
-                block = w * _l1_block(sc, in_net, scaled_w,
-                                      job.structure)[0]
+                block = w * _l1_block(members, sizes, in_net, scaled_w,
+                                      cut_weights(job.structure, sp.r))[0]
                 k = block.shape[1]
                 if k:
                     dists = _pair_distances(block, 1.0, job.iu, job.ju)
@@ -503,8 +557,11 @@ def _build_scale(job: _ScaleJob, i: int) -> tuple:
     except SnowdimError as err:
         raise type(err)(f"scale i={i} (r={sp.r:.6g}): {err}") from err
     anchored = job.anchors == i
-    dom = (_dominant_pair_mask(sc, job.iu[anchored], job.ju[anchored])
-           if k and anchored.any() else None)
+    dom = None
+    if k and anchored.any():
+        dom = (np.ones(np.count_nonzero(anchored), dtype=bool) if one
+               else _dominant_pair_mask(sc, job.iu[anchored],
+                                        job.ju[anchored]))
     return k, dists, dom, part
 
 
@@ -547,18 +604,18 @@ def _openblas_pools() -> list[tuple]:
     return pools
 
 
-def _scale_helper(job: _ScaleJob, indices: list[int], conn) -> None:
-    """A forked helper's loop: build the given scales in order and send
-    each result as (True, result), or the first error as (False, error,
-    its cause), through ``conn``. ``send`` blocks until the caller reads,
-    so at most one result waits at a time. An error that cannot be
-    pickled is sent as a RuntimeError holding its traceback. A SIGTERM
-    handler inherited from the caller is dropped, so the caller can
-    always stop it."""
+def _scale_helper(job: _ScaleJob, scales: list[tuple], conn) -> None:
+    """A forked helper's loop: build the given scales, (i, sp, one) for
+    ``_build_scale``, in order and send each result as (True, result),
+    or the first error as (False, error, its cause), through ``conn``.
+    ``send`` blocks until the caller reads, so at most one result waits
+    at a time. An error that cannot be pickled is sent as a RuntimeError
+    holding its traceback. A SIGTERM handler inherited from the caller is
+    dropped, so the caller can always stop it."""
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
-        for i in indices:
-            conn.send((True, _build_scale(job, i)))
+        for x in scales:
+            conn.send((True, _build_scale(job, *x)))
     except BaseException as err:
         tb = traceback.format_exc()
         if hasattr(err, "add_note"):        # Python 3.11 and later
@@ -574,9 +631,9 @@ def _scale_helper(job: _ScaleJob, indices: list[int], conn) -> None:
 
 
 @contextmanager
-def _scale_results(job: _ScaleJob, indices: list[int]):
-    """Yield an iterator over ``_build_scale`` of the given scales, in
-    their order.
+def _scale_results(job: _ScaleJob, scales: list[tuple]):
+    """Yield an iterator over ``_build_scale`` of the given scales, (i,
+    sp, one) each, in their order.
 
     With w CPUs (capped by the scale count), the t-th of the scales is
     built by process t mod w: the caller builds its own share, and w - 1
@@ -594,7 +651,7 @@ def _scale_results(job: _ScaleJob, indices: list[int]):
     re-raised at its scale's turn, chained to the cause it was raised
     from. On any error every helper is terminated, and every helper is
     joined before this returns or raises."""
-    w = min(_worker_count(), len(indices))
+    w = min(_worker_count(), len(scales))
     if w > 1:
         import multiprocessing
         import threading
@@ -603,7 +660,7 @@ def _scale_results(job: _ScaleJob, indices: list[int]):
                 or threading.active_count() > 1):
             w = 1
     if w <= 1:
-        yield (_build_scale(job, i) for i in indices)
+        yield (_build_scale(job, *x) for x in scales)
         return
     ctx = multiprocessing.get_context("fork")
     pools = _openblas_pools()
@@ -615,11 +672,11 @@ def _scale_results(job: _ScaleJob, indices: list[int]):
         for h in range(1, w):
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_scale_helper,
-                               args=(job, indices[h::w], send), daemon=True)
+                               args=(job, scales[h::w], send), daemon=True)
             proc.start()
             send.close()
             helpers.append((proc, recv))
-        yield _merge_order(job, indices, helpers)
+        yield _merge_order(job, scales, helpers)
     except BaseException:
         for proc, _ in helpers:
             proc.terminate()
@@ -632,11 +689,11 @@ def _scale_results(job: _ScaleJob, indices: list[int]):
             put(n)
 
 
-def _merge_order(job: _ScaleJob, indices: list[int], helpers: list):
+def _merge_order(job: _ScaleJob, scales: list[tuple], helpers: list):
     w = len(helpers) + 1
-    for t, i in enumerate(indices):
+    for t, x in enumerate(scales):
         if t % w == 0:
-            yield _build_scale(job, i)
+            yield _build_scale(job, *x)
             continue
         # a helper holds the only write end of its pipe, so its exit
         # reads as EOF here
@@ -647,7 +704,7 @@ def _merge_order(job: _ScaleJob, indices: list[int], helpers: list):
             proc.join()
             raise RuntimeError(
                 f"a scale helper exited (code {proc.exitcode}) before "
-                f"sending scale i={i}") from None
+                f"sending scale i={x[0]}") from None
         if not ok:
             raise out from cause[0]
         yield out
@@ -689,15 +746,18 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     n = s.n
     iu, ju = np.triu_indices(n, k=1)
     pair_d = s.distance_matrix()[iu, ju]
-    job = _ScaleJob(s, plan, seed, dim_hat, iu, ju, _anchors(plan, pair_d),
-                    structure)
+    job = _ScaleJob(s, plan, seed, dim_hat, iu, ju, pair_d,
+                    _anchors(plan, pair_d), structure)
     indices = plan.scale_indices
-    # an l2 or l-infinity scale of one cluster is written in closed form
-    # below; every other scale is built by _build_scale
-    params = ({i: _scale_params(job, i) for i in indices}
-              if plan.norm != 1.0 else {})
-    one = {i: sp for i, sp in params.items() if sp.one_cluster(s, dim_hat)}
-    built = [i for i in indices if i not in one]
+    params = [(i, _scale_params(job, i)) for i in indices]
+    scales = [(i, sp, sp.one_cluster(s, dim_hat)) for i, sp in params]
+    # the caller writes the l2 and l-infinity scales of one cluster, in
+    # closed form, while the helpers build; every other scale is split
+    # over the CPUs, l1's one-cluster scales among them: their full-net
+    # rows cost pairs x cuts
+    closed = plan.norm != 1.0
+    mine = [x for x in scales if x[2] and closed]
+    split = [x for x in scales if not (x[2] and closed)]
     # every scale's width and pair distances, written in place: the audit
     # reads them whole, and a scale of width 0 keeps its zero row
     scale_k = np.zeros(len(indices), dtype=np.int64)
@@ -708,27 +768,10 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     # every scale's smoothing reads the sorted distance rows: sort them
     # here, before any helper forks, so the helpers share them
     s._sorted_rows()
-    with _scale_results(job, built) as results:
-        # while the helpers build, the caller writes the one-cluster
-        # scales: one cluster of every point with all weights 1, which
-        # every pair shares in every partition. In l2 the map is G_r of
-        # the source metric, the pair distances are w * G_r(d) and the
-        # rank bound is n - 1; in l-infinity the block has a column per
-        # net point, and no row separates a pair
-        for i, sp in one.items():
-            t = i - plan.i_lo
-            w = _scale_weight(plan, i)
-            if plan.norm == 2.0:
-                scale_k[t] = n - 1
-                np.multiply(gaussian_transform(pair_d, sp.r), w,
-                            out=scale_dists[t])
-            else:
-                scale_k[t], scale_dists[t] = _linf_dists(
-                    s, np.arange(n), np.array([n]),
-                    np.full(n, _linf_combine(sp.delta)), _in_net(s, sp),
-                    sp.r, w, iu, ju, None, None)
-            padded_dom[job.anchors == i] = True
-        for i, (k, dists, dom, part) in zip(built, results):
+    with _scale_results(job, split) as results:
+        for (i, *_), (k, dists, dom, part) in chain(
+                ((x, _build_scale(job, *x)) for x in mine),
+                zip(split, results)):
             t = i - plan.i_lo
             scale_k[t] = k
             if dists is not None:

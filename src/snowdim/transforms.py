@@ -133,8 +133,10 @@ def euclidean_realization(dmat: np.ndarray) -> np.ndarray:
 def cut_axes(points) -> np.ndarray:
     """The coordinates ``cut_decomposition`` cuts along, for l1 rows:
     each axis shifted to start at 0, or, when every axis is monotone in
-    the order of the l1 distance t from an end of the set (any l1 line),
-    t alone, which measures every pair the same. Raises ClusterTooLarge
+    the order of the l1 distance t from an end of the set (any l1 line)
+    and t separates every two distinct points, t alone, which measures
+    every pair the same. A tie in t between distinct points, a gap below
+    t's rounding, keeps the axes. Raises ClusterTooLarge
     when the candidate cuts of one axis's pass times the points pass
     MAX_BOX_POINTS: a pass crosses the member sets so far, at most
     2^n - 1 of them once merged, with the q(q + 1)/2 intervals of the
@@ -144,8 +146,11 @@ def cut_axes(points) -> np.ndarray:
     n = len(x)
     if n and x.shape[1] > 1:
         t = np.abs(x - x[np.abs(x - x[0]).sum(axis=1).argmax()]).sum(axis=1)
-        step = np.diff(x[np.argsort(t, kind="stable")], axis=0)
-        if ((step >= 0).all(axis=0) | (step <= 0).all(axis=0)).all():
+        order = np.argsort(t, kind="stable")
+        step = np.diff(x[order], axis=0)
+        apart = (np.diff(t[order]) > 0) | ~step.any(axis=1)
+        if apart.all() and ((step >= 0).all(axis=0)
+                            | (step <= 0).all(axis=0)).all():
             x = t[:, None]
     cand = 1
     for q in map(len, map(np.unique, x.T)):

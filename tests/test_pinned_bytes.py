@@ -1,7 +1,7 @@
-"""Pinned output bytes: the seed-0 dumps of six snowflakes, one per norm,
-an l1 set off a line, an l2 set whose fine scales scatter their small
-clusters' Grams and an l2 tree metric whose distances tie, the audit
-reports of three of them and of two failing l2 snowflakes, and the rows of
+"""Pinned output bytes: the seed-0 dumps of seven snowflakes, one per
+norm, two l1 sets off a line, an l2 set whose fine scales scatter their
+small clusters' Grams and an l2 tree metric whose distances tie, the audit
+reports of six of them and of two failing l2 snowflakes, and the rows of
 one sampled decomposition, as sha256 digests.
 
 A rerun in one process cannot see a change that moves every run the same
@@ -46,6 +46,30 @@ def test_l1_ball_snowflake_dump_bytes():
     assert e.k == 459
     assert sha256(snowflake.dumps(e)) == (
         "273e7057c04292b803cfa0861e05952d17628ff3e75819667ef1aa97c42e53f1")
+
+
+def test_l1_ball20_snowflake_dump_bytes():
+    # 3,211 cuts, so a scale's cuts are far more than the 8 terms below
+    # which numpy's pairwise sum of a row is plain sequential: a pair
+    # distance summed in another order moves these bytes
+    s = normalize(generate("ball", n=20, dim=2, norm="l1", seed=0))
+    e = snowflake.build_snowflake(s, 0.5, 0.1, seed=0)
+    assert e.k == 3211
+    assert sha256(snowflake.dumps(e)) == (
+        "93cecd93f3305b0e01b7fee93944d894cc2f63abd13e44eae40746f8f4cade5a")
+    assert sha256(snowflake.distortion_audit(e).dumps_json().encode()) == (
+        "295ad690e0b45111aabb3a18c61948b28a014a649be757c7efc74ed0770ab21b")
+
+
+def test_l1_line_and_ball_report_bytes():
+    # the audit reads every scale's pair distances, so a row that moves
+    # by one ulp moves the report even where the dump holds
+    sets = [normalize(generate("line", n=10, norm="l1", seed=0)),
+            normalize(generate("ball", n=12, dim=2, norm="l1", seed=0))]
+    assert [sha256(snowflake.distortion_audit(snowflake.build_snowflake(
+        s, 0.5, 0.1, seed=0)).dumps_json().encode()) for s in sets] == [
+        "3f3cebb0a94cb2564b9f52a40e13df5f06aa69d746c2e07f86d1818166780a74",
+        "42e339c32b9d34f74d3cdd85b5b023523938c0e7064f19bcee99e1db81f202d6"]
 
 
 def test_l2_grid_snowflake_dump_bytes():

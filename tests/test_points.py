@@ -188,6 +188,22 @@ def _first_fit_net(d, radius):
     return members
 
 
+def test_the_diameter_and_min_distance_are_measured_once(monkeypatch):
+    # every scale of a build asks for the diameter; it is read off the
+    # distance matrix once, as the minimum distance is
+    s = PointSet(np.random.default_rng(4).uniform(size=(30, 3)), 1.0)
+    d = s.distance_matrix()
+    reads = []
+    matrix = PointSet.distance_matrix
+    monkeypatch.setattr(PointSet, "distance_matrix",
+                        lambda self: reads.append(1) or matrix(self))
+    for _ in range(3):
+        assert s.diameter() == d.max()
+        assert s.min_distance() == d[~np.eye(30, dtype=bool)].min()
+    assert len(reads) == 2
+    assert PointSet(np.zeros((1, 2))).diameter() == 0.0
+
+
 def test_greedy_net_at_or_below_the_min_distance_is_every_point():
     rng = np.random.default_rng(4)
     for norm in (1.0, 2.0, np.inf):

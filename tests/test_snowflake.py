@@ -590,12 +590,11 @@ def counting_scale_clusters(calls: list):
 
 
 def decomposed_scales(e) -> list[float]:
-    """The r of every scale of e that scale_clusters decomposes: on l2
-    and l-infinity, all but those of one cluster, which are written in
-    closed form."""
+    """The r of every scale of e that scale_clusters decomposes: all but
+    those of one cluster, which l2 and l-infinity write in closed form
+    and l1 builds from the whole set's cuts alone."""
     params = [snowflake._scale_params(e, i) for i in e.plan.scale_indices]
-    return [sp.r for sp in params
-            if e.plan.norm == 1.0 or not sp.one_cluster(e.source, e.dim_hat)]
+    return [sp.r for sp in params if not sp.one_cluster(e.source, e.dim_hat)]
 
 
 def blas_threads() -> list[int]:
@@ -868,40 +867,80 @@ def closed_form_sets():
         ("line8", normalize(generate("line", n=8))),
         ("linf-ball32", normalize(generate("ball", n=32, dim=4, norm="linf",
                                            seed=0))),
+        ("l1-line10", normalize(generate("line", n=10, norm="l1", seed=0))),
+        ("l1-ball12", normalize(generate("ball", n=12, dim=2, norm="l1",
+                                         seed=0))),
     ]
 
 
+def l1_decomposed_scale(job, sc, i):
+    """(k, dists, part) of an l1 scale built from its decomposition: the
+    block of its clusters' traced cuts, its pair distances and its
+    threshold cuts."""
+    sp = sc.params
+    block = snowflake._scale_weight(job.plan, i) * single_scale._l1_block(
+        sc.members, sc.sizes, snowflake._in_net(job.s, sp),
+        single_scale._block_weights(sc, 1.0)[1],
+        transforms.cut_weights(job.structure, sp.r))[0]
+    return (block.shape[1],
+            snowflake._pair_distances(block, 1.0, job.iu, job.ju),
+            snowflake._threshold_cuts(block))
+
+
 @pytest.mark.parametrize("name", [name for name, _ in closed_form_sets()])
-def test_one_cluster_scales_match_their_decomposed_build(name):
+def test_one_cluster_scales_match_their_decomposed_build(monkeypatch, name):
     # a scale the caller writes in closed form is the scale _build_scale
     # decomposes into one certain cluster: the same row (l-infinity: up to
     # the block's rounding), width and padded pairs, and the shared
     # predicate holds at exactly the scales whose first decomposition is
     # that one cluster. The width is the rank bound n - 1 in l2, and the
-    # net's size in l-infinity
+    # net's size in l-infinity. An l1 one-cluster scale is built by
+    # _build_scale with no decomposition, with the width, row and
+    # threshold cuts of its decomposed build bit for bit, with full and
+    # partial nets, and again in chunks of a few pairs. So l2 and
+    # l-infinity call _build_scale's decomposed build, l1 its
+    # one-cluster build
+    import snowdim.points as points
     s = dict(closed_form_sets())[name]
     e = build_snowflake(s, 0.5, 0.1, seed=0)
     plan = e.plan
     iu, ju = np.triu_indices(s.n, k=1)
-    job = snowflake._ScaleJob(s, plan, 0, e.dim_hat, iu, ju,
-                              snowflake._anchors(
-                                  plan, s.distance_matrix()[iu, ju]),
+    pair_d = s.distance_matrix()[iu, ju]
+    job = snowflake._ScaleJob(s, plan, 0, e.dim_hat, iu, ju, pair_d,
+                              snowflake._anchors(plan, pair_d),
                               single_scale.require_source(s))
-    taken = 0
+    taken, nets = 0, set()
     for t, i in enumerate(plan.scale_indices):
         sp = snowflake._scale_params(job, i)
-        dec = single_scale.scale_clusters(s, sp).decomposition
+        sc = single_scale.scale_clusters(s, sp)
+        dec = sc.decomposition
         certain_one = (dec.copies == dec.m and dec.sizes[0, 0] == s.n
                        and dec.seed == sp.seed * 31)
         assert sp.one_cluster(s, e.dim_hat) == certain_one
         if not certain_one:
             continue
         taken += 1
-        k, dists, dom, part = snowflake._build_scale(job, i)
+        k, dists, dom, part = snowflake._build_scale(job, i, sp,
+                                                     s.norm == 1.0)
         if s.norm == 2.0:
             assert np.allclose(e.scale_dists[t], dists, rtol=1e-12,
                                atol=0.0)
             assert e.scale_k[t] == k == s.n - 1 and part is None
+        elif s.norm == 1.0:
+            nets.add(bool(snowflake._in_net(s, sp).all()))
+            want_k, want_dists, want_part = l1_decomposed_scale(job, sc, i)
+            assert e.scale_k[t] == k == want_k > 0
+            assert np.array_equal(e.scale_dists[t], dists)
+            assert dists.tobytes() == want_dists.tobytes()
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(part, want_part))
+            with monkeypatch.context() as mp:
+                for mod in (snowflake, points):
+                    mp.setattr(mod, "PAIRWISE_BYTES", 8 << 8)
+                small = snowflake._build_scale(job, i, sp, True)
+                assert small[1].tobytes() == dists.tobytes()
+                assert l1_decomposed_scale(job, sc, i)[1].tobytes() == (
+                    dists.tobytes())
         else:
             net = greedy_net(s, sp.net_radius(s.norm)).members
             assert e.scale_k[t] == k == len(net) and part is None
@@ -912,6 +951,7 @@ def test_one_cluster_scales_match_their_decomposed_build(name):
         if dom is not None:
             assert dom.all() and e.padded_dom[anchored].all()
     assert taken > len(plan.scale_indices) // 2
+    assert s.norm != 1.0 or nets == {True, False}
 
 
 @pytest.mark.parametrize("name", ["grid4", "linf-ball12"])
@@ -964,17 +1004,17 @@ def test_scale_clusters_runs_only_for_the_decomposed_scales(monkeypatch,
 def test_l2_scales_ship_no_gram_and_the_output_is_their_mds(monkeypatch,
                                                             tmp_path, name,
                                                             w):
-    # every process logs each scale it builds and whether a part of the
-    # output came with it, so the helper's scales are checked with the
-    # caller's; the output is the shared classical MDS of the summed
-    # squared per-scale distances, bit for bit
+    # every process logs each scale it builds, whether it is one cluster
+    # and whether a part of the output came with it, so the helper's
+    # scales are checked with the caller's; the output is the shared
+    # classical MDS of the summed squared per-scale distances, bit for bit
     log = tmp_path / "parts"
     build_scale = snowflake._build_scale
 
-    def logging(job, i):
-        *_, part = out = build_scale(job, i)
+    def logging(job, i, sp, one):
+        *_, part = out = build_scale(job, i, sp, one)
         with open(log, "a") as f:
-            f.write(f"{i} {part is None}\n")
+            f.write(f"{i} {one} {part is None}\n")
         return out
 
     monkeypatch.setattr(snowflake, "_build_scale", logging)
@@ -983,10 +1023,11 @@ def test_l2_scales_ship_no_gram_and_the_output_is_their_mds(monkeypatch,
          "ultra32": normalize(generate("ultrametric", depth=5, seed=0))}[name]
     e = build_snowflake(s, 0.5, 0.1, seed=0)
     logged = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(int(i) for i, *_ in logged) == list(e.plan.scale_indices)
     assert sorted(snowflake._scale_params(e, int(i)).r
-                  for i, _ in logged) == sorted(
+                  for i, one, _ in logged if one == "False") == sorted(
         decomposed_scales(e))
-    assert logged and all(none == "True" for _, none in logged)
+    assert logged and all(none == "True" for *_, none in logged)
     squares = np.zeros(e.scale_dists.shape[1])
     for row in e.scale_dists:
         squares += np.square(row)
@@ -1035,7 +1076,8 @@ def test_l1_line_past_the_cut_cap_builds_without_an_lp(monkeypatch):
 ], ids=["l1-line", "l1-ball"])
 def test_an_l1_build_cuts_the_whole_set_once(monkeypatch, params, scales):
     # a build cuts the whole set once, and weighs its cuts once per
-    # decomposed scale, for every cluster of that scale to trace
+    # scale, for every cluster of that scale to trace; only the scales of
+    # more than one cluster are decomposed
     monkeypatch.setattr(snowflake, "_worker_count", lambda: 1)
     built, weighed, decomposed = [], [], []
 
@@ -1048,14 +1090,18 @@ def test_an_l1_build_cuts_the_whole_set_once(monkeypatch, params, scales):
         return transforms.cut_weights(cuts, r)
 
     monkeypatch.setattr(single_scale, "cut_structure", structure)
-    monkeypatch.setattr(single_scale, "cut_weights", weights)
+    for mod in (single_scale, snowflake):
+        monkeypatch.setattr(mod, "cut_weights", weights)
     monkeypatch.setattr(snowflake, "scale_clusters",
                         counting_scale_clusters(decomposed))
     s = normalize(generate(**params))
     e = build_snowflake(s, 0.5, 0.1, seed=0)
     assert len(built) == 1 and built[0] is s.points
-    assert weighed == decomposed == decomposed_scales(e)
-    assert len(weighed) == scales
+    assert weighed == [snowflake._scale_params(e, i).r
+                       for i in e.plan.scale_indices]
+    assert len(weighed) == len(e.scale_k) == scales
+    assert decomposed == decomposed_scales(e)
+    assert 0 < len(decomposed) < scales // 2
     built.clear()
     weighed.clear()
     sp = snowflake._scale_params(e, e.plan.i_lo + 20)

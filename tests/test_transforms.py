@@ -223,6 +223,21 @@ def test_cut_decomposition_too_large():
     assert transforms.cut_axes(np.c_[i, abs(i - 30)][::6]).shape == (10, 2)
 
 
+def test_a_gap_below_the_rounding_of_t_keeps_the_axes(monkeypatch):
+    # the set is monotone in the order of t, the l1 distance from (0, 1),
+    # but t rounds the first and last points to the same value: cut along
+    # t, their L_r of 2.64e-59 read 0. Along the axes every pair keeps its
+    # L_r of scipy's distances to rounding (with no weight dropped, since
+    # this one is far below CUT_RTOL of the largest)
+    pts = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.5], [2.64e-59, 0.0]])
+    assert transforms.cut_axes(pts).shape == (4, 2)
+    monkeypatch.setattr(transforms, "CUT_RTOL", 0.0)
+    w, sides = cut_decomposition(pts, 1.5)
+    want = squareform(1.5 * -np.expm1(-pdist(pts, "cityblock") / 1.5))
+    assert want[0, 3] > 0.0
+    assert np.allclose(cut_metric(w, sides), want, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("n, dim", [(3, 10), (14, 5)])
 def test_small_sets_in_many_dimensions_decompose(n, dim):
     # each pass merges its candidates into at most 2^n - 1 member sets, so
