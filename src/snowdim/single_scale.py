@@ -444,8 +444,6 @@ def _distinct(flat: np.ndarray, sizes: np.ndarray,
     first candidate, and the first candidates are those that name
     themselves."""
     one = sizes == 1
-    if not one.any():
-        return _keyed_groups(flat, sizes, n)
     lead = np.empty(len(sizes), dtype=np.intp)
     single, multi = np.flatnonzero(one), np.flatnonzero(~one)
     in_one = np.repeat(one, sizes)

@@ -147,32 +147,35 @@ def scale_count(alpha: float, eps: float) -> int:
     return math.ceil(3.0 * j / (1.0 - alpha) - 1e-9)
 
 
-def _b_range(p: int) -> np.ndarray:
-    # the p integers b with -p/2 < b <= p/2
-    return np.arange(p // 2 - p + 1, p // 2 + 1, dtype=np.int64)
-
-
-def compute_M(eps: float, p: int, norm: float = 2.0) -> float:
-    """Normalizer for the grouped scale sum, by direct summation in
-    extended precision, smallest terms first.
-
-    Euclidean: sum over b of ((1+eps)^b * G((1+eps)^-b))^2 with
-    G(t) = sqrt(1 - exp(-t^2)); l1 mirrors it linearly with
-    L(t) = 1 - exp(-t); l-infinity combines by max, whose analog
-    max_b min(1, (1+eps)^b) is exactly 1.
-    """
+def _window_sum(eps: float, p: int, alpha: float, norm: float) -> float:
+    """sum over the p integers -p/2 < b <= p/2 of (1+eps)^{2 b alpha} *
+    G((1+eps)^-b)^2, G(t) = sqrt(1 - exp(-t^2)), in extended precision,
+    smallest terms first; in l1 its linear mirror with L(t) = 1 - exp(-t),
+    in l-infinity the max analog. Raises BadParams when p < 1, and when
+    the sum overflows, before any scale is built."""
     if p < 1:
         raise BadParams(f"p must be a positive integer, got {p}")
     norm = norm_tag(norm)
-    b = _b_range(p).astype(np.longdouble)
+    b = np.arange(p // 2 - p + 1, p // 2 + 1).astype(np.longdouble)
     e1 = np.longdouble(1.0 + eps)
-    if norm == np.inf:
-        return float(np.minimum(e1 ** b, 1.0).max())
-    if norm == 2.0:
-        terms = e1 ** (2 * b) * (-np.expm1(-(e1 ** (-2 * b))))
-    else:
-        terms = e1 ** b * (-np.expm1(-(e1 ** (-b))))
-    return float(np.sort(terms).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        if norm == np.inf:
+            total = np.where(b >= 0, e1 ** (-b * (1.0 - alpha)),
+                             e1 ** (b * alpha)).max()
+        else:
+            k = 2 if norm == 2.0 else 1
+            total = np.sort(e1 ** (k * b * alpha)
+                            * -np.expm1(-(e1 ** (-k * b)))).sum()
+    if not np.isfinite(total):
+        raise BadParams(f"the scale sum over p = {p} groups overflows; "
+                        f"raise eps or lower alpha")
+    return float(total)
+
+
+def compute_M(eps: float, p: int, norm: float = 2.0) -> float:
+    """Normalizer for the grouped scale sum: the window sum at alpha = 1,
+    exactly 1 in l-infinity (max_b min(1, (1+eps)^b))."""
+    return _window_sum(eps, p, 1.0, norm)
 
 
 def band_center(eps: float, p: int, alpha: float, norm: float = 2.0) -> float:
@@ -187,17 +190,8 @@ def band_center(eps: float, p: int, alpha: float, norm: float = 2.0) -> float:
     max analog is exactly 1.
     """
     norm = norm_tag(norm)
-    m_val = compute_M(eps, p, norm)
-    b = _b_range(p).astype(np.longdouble)
-    e1 = np.longdouble(1.0 + eps)
-    if norm == np.inf:
-        t = np.where(b >= 0, e1 ** (-b * (1.0 - alpha)), e1 ** (b * alpha))
-        return float(t.max() / m_val)
-    if norm == 2.0:
-        t = e1 ** (2 * b * alpha) * (-np.expm1(-(e1 ** (-2 * b))))
-        return math.sqrt(float(np.sort(t).sum()) / m_val)
-    t = e1 ** (b * alpha) * (-np.expm1(-(e1 ** (-b))))
-    return float(np.sort(t).sum()) / m_val
+    ratio = _window_sum(eps, p, alpha, norm) / compute_M(eps, p, norm)
+    return math.sqrt(ratio) if norm == 2.0 else ratio
 
 
 @dataclass

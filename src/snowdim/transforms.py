@@ -16,11 +16,12 @@ its clusters' closed-form Gram sum, the l2 snowflake is the classical MDS
 of its summed squared per-scale distances, and ``euclidean_realization``
 that of a distance matrix. l1 maps are cuts, one closed form for any l1
 point set (``cut_decomposition``: the boxes of Poisson cuts on every
-axis), split into the member sets and their merges, which do not depend
-on r (``cut_structure``), and the weights at r, summed from them
-(``cut_weights``); a build cuts its whole set once, and each cluster
-traces those cuts at its scale. l-infinity maps are per-landmark
-threshold coordinates.
+axis), split into the member sets and one bin map per pass onto them,
+which do not depend on r (``cut_structure``), and the weights at r, one
+bincount per pass (``cut_weights``), so they do not depend on the
+PAIRWISE_BYTES chunks a pass is built in either; a build cuts its whole
+set once, and each cluster traces those cuts at its scale. l-infinity
+maps are per-landmark threshold coordinates.
 """
 
 from __future__ import annotations
@@ -197,25 +198,22 @@ def _groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class CutPass(NamedTuple):
     """One axis's pass of a ``CutStructure``: the axis's gaps (infinite
     past each end); each interval's lower and upper gap, as indices into
-    them, and its span; the member sets per chunk; each chunk's bin map
-    from its candidates (member set by interval) to its distinct
-    nonempty sets; and the bin map merging the chunks' sets. A bin map
-    (group, k) sends entries to bins 0..k-1 and dead entries to a
-    dropped bin k, in the narrowest unsigned type; group is None for the
-    identity."""
+    them, and its span; and the bin map from the pass's candidates, each
+    member set so far by each interval in that order, to the pass's
+    distinct nonempty sets. A bin map (group, k) sends entries to bins
+    0..k-1 and dead entries to a dropped bin k, in the narrowest
+    unsigned type."""
 
     gap: np.ndarray
     lo: np.ndarray
     hi1: np.ndarray
     span: np.ndarray
-    step: int
-    chunks: tuple
-    merge: tuple
+    bins: tuple
 
 
 class CutStructure(NamedTuple):
     """The r-free part of an l1 cut decomposition (``cut_structure``):
-    one pass per axis of ``cut_axes``, the bin map (as in ``CutPass``)
+    one ``CutPass`` per axis of ``cut_axes``, the bin map (as there)
     from the last pass's sets, complemented to leave the first point
     out, to the cuts in arc order (the empty set is dead), the cuts'
     sides in that order, and the largest l1 distance."""
@@ -232,28 +230,29 @@ def _bin_map(live: np.ndarray, group: np.ndarray, k: int) -> tuple:
     ones, bin k on the others."""
     at = np.full(len(live), k, dtype=np.min_scalar_type(k))
     at[live] = group
-    return (None if np.array_equal(at, np.arange(len(at))) else at), k
+    return at, k
 
 
 def _bins(bin_map: tuple, mass: np.ndarray) -> np.ndarray:
     """``mass`` summed into its bins, entries in index order; the dead
     bin is dropped."""
     group, k = bin_map
-    if group is None:
-        return mass
     return np.bincount(group, weights=mass, minlength=k + 1)[:k]
 
 
 def cut_structure(points) -> CutStructure:
     """The cuts of ``cut_decomposition`` and how its passes merge them:
     everything but the weights, the only part that depends on r.
-    ``cut_weights`` replays it at any r. Raises ClusterTooLarge as
-    ``cut_axes`` does."""
+    ``cut_weights`` replays it at any r. A pass's candidates are made
+    and grouped in chunks of PAIRWISE_BYTES, and each chunk's map is
+    composed with the merge of the chunks' sets, so a pass keeps one
+    map over all its candidates. Raises ClusterTooLarge as ``cut_axes``
+    does."""
     x = cut_axes(points)
     n = len(x)
     if n < 2:
-        return CutStructure(n, (), (None, 0), np.zeros((0, n), dtype=bool),
-                            0.0)
+        return CutStructure(n, (), _bin_map(np.zeros(0, dtype=bool), 0, 0),
+                            np.zeros((0, n), dtype=bool), 0.0)
     words = -(-n // 64)
     full = _pack(np.ones((1, n), dtype=bool))
     keys = full
@@ -272,13 +271,20 @@ def cut_structure(points) -> CutStructure:
             parts.append(cand[live][first])
             chunks.append(_bin_map(live, group, len(first)))
         keys = np.concatenate(parts)
-        first, group = _groups(keys)
-        merge = _bin_map(np.ones(len(keys), dtype=bool), group, len(first))
+        first, merge = _groups(keys)
         keys = keys[first]
+        # each chunk's map, then the merge: one map over the candidates
+        k = len(first)
+        bins = np.empty(sum(len(g) for g, _ in chunks),
+                        dtype=np.min_scalar_type(k))
+        s = done = 0
+        for g, kc in chunks:
+            bins[s:s + len(g)] = np.append(merge[done:done + kc], k)[g]
+            s, done = s + len(g), done + kc
         narrow = np.min_scalar_type(len(gap))
         passes.append(CutPass(gap, lo.astype(narrow),
-                              (hi + 1).astype(narrow), v[hi] - v[lo], step,
-                              tuple(chunks), merge))
+                              (hi + 1).astype(narrow), v[hi] - v[lo],
+                              (bins, k)))
     keys = np.where(keys[:, :1] & np.uint64(1), keys ^ full, keys)
     live = keys.any(axis=1)
     first, group = _groups(keys[live])
@@ -302,11 +308,12 @@ def cut_weights(structure: CutStructure,
     """``cut_decomposition`` at scale r from its ``cut_structure``.
 
     Each pass spreads its interval chances at r over its candidates and
-    sums them into their sets, one bincount per chunk and one over the
-    chunks, each in the candidates' order, so every weight is bitwise
-    the one a fresh decomposition sums. The rows the CUT_RTOL rule keeps
-    stay in the cached arc order, which is the order a fresh sort gives
-    them: the sort is stable and reads each row alone."""
+    sums them into their sets with one bincount, in the candidates'
+    order, so every weight is bitwise the one a fresh decomposition
+    sums, whatever PAIRWISE_BYTES the structure was built under. The
+    rows the CUT_RTOL rule keeps stay in the cached arc order, which is
+    the order a fresh sort gives them: the sort is stable and reads each
+    row alone."""
     r = _check_r(r)
     if structure.n < 2:
         return np.zeros(0), np.zeros((0, structure.n), dtype=bool)
@@ -314,9 +321,7 @@ def cut_weights(structure: CutStructure,
     for p in structure.passes:
         e = np.expm1(-p.gap / r)
         prob = e[p.lo] * e[p.hi1] * np.exp(-p.span / r)
-        mass = _bins(p.merge, np.concatenate([
-            _bins(chunk, np.outer(mass[s:s + p.step], prob).ravel())
-            for s, chunk in zip(range(0, len(mass), p.step), p.chunks)]))
+        mass = _bins(p.bins, np.outer(mass, prob).ravel())
     w = 0.5 * r * _bins(structure.final, mass)
     top = laplace_transform(structure.diam, r)
     keep = w > CUT_RTOL * top / len(w)

@@ -139,6 +139,15 @@ def test_a_negative_seed_or_a_bad_dim_hat_exits_1_without_traceback(
         assert "error: argument" in err
 
 
+def test_a_scale_sum_past_extended_precision_exits_1(tmp_path, capsys):
+    path = gen_line(tmp_path)
+    capsys.readouterr()
+    code, out, err = run(capsys, "embed-snowflake", path, "--alpha", "0.999",
+                         "--eps", "0.02")
+    assert code == 1 and out == ""
+    assert err.startswith("snowdim: error: the scale sum over p = 594000 ")
+
+
 def test_a_dim_hat_of_0_builds_the_two_point_line(tmp_path, capsys):
     # stats reports doubling_dim_hat 0 for two points, and the snowflake
     # command takes that estimate back

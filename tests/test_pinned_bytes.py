@@ -2,7 +2,8 @@
 norm, two l1 sets off a line, an l2 set whose fine scales scatter their
 small clusters' Grams and an l2 tree metric whose distances tie, the audit
 reports of six of them and of two failing l2 snowflakes, and the rows of
-one sampled decomposition, as sha256 digests.
+one sampled decomposition, as sha256 digests; and the same digests again
+with every module's PAIRWISE_BYTES at 4 KiB.
 
 A rerun in one process cannot see a change that moves every run the same
 way; these digests hold across commits. A change that means to move the
@@ -13,8 +14,10 @@ says so.
 import hashlib
 
 import numpy as np
+import pytest
 
-from snowdim import snowflake
+from snowdim import (decomposition, points, single_scale, snowflake,
+                     transforms)
 from snowdim.decomposition import build_decomposition
 from snowdim.points import PointSet, generate, normalize
 
@@ -159,3 +162,18 @@ def test_sampled_decomposition_label_bytes():
                           np.argsort(dec.labels, axis=1, kind="stable"))
     assert np.array_equal(dec.sizes, np.stack(
         [np.bincount(row, minlength=s.n) for row in dec.labels]))
+
+
+@pytest.mark.parametrize("pinned", [
+    test_l1_line_snowflake_dump_bytes, test_l1_ball_snowflake_dump_bytes,
+    test_l1_ball20_snowflake_dump_bytes, test_l1_line_and_ball_report_bytes,
+    test_l2_grid_snowflake_dump_bytes, test_l2_ultrametric_snowflake_dump_bytes,
+    test_linf_ball_snowflake_dump_bytes, test_linf_ball_and_l2_grid_report_bytes,
+    test_sampled_decomposition_label_bytes], ids=lambda f: f.__name__[5:])
+def test_the_bytes_do_not_depend_on_the_pairwise_budget(pinned, monkeypatch):
+    # a budget of 4 KiB splits every chunked kernel, the l1 cut passes
+    # among them, into many chunks, and leaves each pinned byte in place
+    for module in (points, decomposition, single_scale, snowflake,
+                   transforms):
+        monkeypatch.setattr(module, "PAIRWISE_BYTES", 4 << 10)
+    pinned()

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -120,6 +121,23 @@ def test_normalizer_other_norms():
     m1 = compute_M(0.1, 150, 1.0)
     assert 0 < m1 < 150
     assert band_center(0.1, 150, 0.5, np.inf) == 1.0
+
+
+def test_a_scale_sum_past_extended_precision_is_refused():
+    # at alpha = 0.999 the window holds p = 594,000 groups at eps = 0.02
+    # and 1,389,000 at 0.01, and the largest l2 terms overflow extended
+    # precision: the plan refuses, naming p, before any scale is built
+    # and without a warning. p < 1 is refused before anything is summed
+    s = normalize(generate("line", n=4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams, match="p = 594000 "):
+            build_snowflake(s, 0.999, 0.02)
+        with pytest.raises(BadParams, match="p = 1389000 "):
+            scale_plan(s, 0.999, 0.01)
+        for norm in (2.0, 1.0, np.inf):
+            with pytest.raises(BadParams, match="got 0"):
+                compute_M(0.1, 0, norm)
 
 
 # --- build + band

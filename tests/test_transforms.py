@@ -8,7 +8,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from snowdim import transforms
 from snowdim.errors import BadParams, ClusterTooLarge, NotEuclidean
-from snowdim.points import PointSet, generate
+from snowdim.points import PointSet, generate, normalize
 from snowdim.single_scale import _embed_cluster_l1
 from snowdim.transforms import (CUT_RTOL, cut_decomposition,
                                 euclidean_realization, gaussian_transform,
@@ -401,9 +401,10 @@ def test_traced_cluster_maps_match_a_pdist_oracle(case):
 
 
 def one_pass_cuts(points, r):
-    """The box cuts summed as their sets are made, pass by pass, with
-    the drop and the arc order applied to the result: the reference a
-    replayed cut structure matches bit for bit."""
+    """The box cuts summed as their sets are made, each pass's
+    candidates merged at once, with the drop and the arc order applied
+    to the result: the reference a replayed cut structure matches bit
+    for bit."""
     x = transforms.cut_axes(points)
     n = len(x)
     words = -(-n // 64)
@@ -422,15 +423,9 @@ def one_pass_cuts(points, r):
         prob = (np.expm1(-gap[lo] / r) * np.expm1(-gap[hi + 1] / r)
                 * np.exp(-(v[hi] - v[lo]) / r))
         boxes = transforms._pack((lo[:, None] <= at) & (at <= hi[:, None]))
-        step = max(1, transforms.PAIRWISE_BYTES
-                   // (8 * (words + 1) * len(lo)))
-        parts = []
-        for s in range(0, len(keys), step):
-            cand = (keys[s:s + step, None] & boxes).reshape(-1, words)
-            live = cand.any(axis=1)
-            parts.append(merge(cand[live], np.outer(mass[s:s + step],
-                                                    prob).ravel()[live]))
-        keys, mass = merge(*map(np.concatenate, zip(*parts)))
+        cand = (keys[:, None] & boxes).reshape(-1, words)
+        live = cand.any(axis=1)
+        keys, mass = merge(cand[live], np.outer(mass, prob).ravel()[live])
     keys = np.where(keys[:, :1] & np.uint64(1), keys ^ full, keys)
     live = keys.any(axis=1)
     keys, mass = merge(keys[live], mass[live])
@@ -488,28 +483,51 @@ def test_a_cut_structure_replays_a_fresh_decomposition(pairwise_bytes,
                                                         case):
     # one structure, replayed at many scales, gives bitwise the weights
     # and sides of a fresh decomposition at each, and of the cuts summed
-    # as their sets are made; with a pass budget of 1 byte every member
-    # set of a pass is a chunk of its own on the next. At r = 1e-3 a cut
-    # with two points on each side weighs less than the CUT_RTOL drop
+    # as each pass makes its sets; built under a pass budget of 1 byte,
+    # where every member set of a pass is a chunk of its own on the next,
+    # it replays the bytes of one built under the default budget. At
+    # r = 1e-3 a cut with two points on each side weighs less than the
+    # CUT_RTOL drop
     pts, rs = case
     with pytest.MonkeyPatch.context() as mp:
         if pairwise_bytes is not None:
             mp.setattr(transforms, "PAIRWISE_BYTES", pairwise_bytes)
         structure = transforms.cut_structure(pts)
-        if pairwise_bytes is not None and len(structure.passes) > 1:
-            first, second = structure.passes[:2]
-            assert len(second.chunks) == len(first.lo)
-        for r in rs:
-            w, sides = transforms.cut_weights(structure, r)
-            for fresh_w, fresh_sides in (cut_decomposition(pts, r),
-                                         one_pass_cuts(pts, r)):
-                assert w.tobytes() == fresh_w.tobytes()
-                assert (sides.dtype == bool
-                        and sides.shape == fresh_sides.shape)
-                assert np.array_equal(sides, fresh_sides)
+    for r in rs:
+        w, sides = transforms.cut_weights(structure, r)
+        for fresh_w, fresh_sides in (cut_decomposition(pts, r),
+                                     one_pass_cuts(pts, r)):
+            assert w.tobytes() == fresh_w.tobytes()
+            assert sides.dtype == bool and sides.shape == fresh_sides.shape
+            assert np.array_equal(sides, fresh_sides)
     inside = structure.sides.sum(axis=1)
     if ((inside >= 2) & (inside <= len(pts) - 2)).any():
         assert len(transforms.cut_weights(structure, 1e-3)[0]) < len(inside)
+
+
+def test_ball_cut_weights_do_not_depend_on_the_pass_budget(monkeypatch):
+    # the 40-point ball's second pass is 205 chunks at 64 KiB, 2 at
+    # 8 MiB and one at 1 GiB; each structure weighs its cuts with the
+    # same bytes at every scale
+    pts = normalize(generate("ball", n=40, dim=2, norm="l1", seed=0)).points
+    replays = []
+    for budget in (64 << 10, 8 << 20, 1 << 30):
+        monkeypatch.setattr(transforms, "PAIRWISE_BYTES", budget)
+        structure = transforms.cut_structure(pts)
+        replays.append([w.tobytes() + sides.tobytes() for w, sides in (
+            transforms.cut_weights(structure, r) for r in (0.5, 2, 8, 64))])
+    assert replays[0] == replays[1] == replays[2]
+
+
+def test_a_cut_structure_and_its_replay_stay_within_their_memory(
+        peak_traced):
+    # each pass is built in chunks of PAIRWISE_BYTES and keeps one bin
+    # map over its candidates: about 60 MB on these 14 points, where
+    # building each pass's candidates whole peaks near 121 MB
+    pts = np.random.default_rng(14).uniform(0, 10, (14, 16))
+    _, peak = peak_traced(lambda: transforms.cut_weights(
+        transforms.cut_structure(pts), 1.0))
+    assert peak < 64e6
 
 
 def stable_groups(keys):
