@@ -275,7 +275,7 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
         raise BadParams("delta and pad_radius must be positive")
     if not 0 < eps_pad < 1:
         raise BadParams(f"eps_pad must lie in (0, 1), got {eps_pad}")
-    require_seed(seed)
+    seed = require_seed(seed)
     if dim_hat is None:
         dim_hat = estimate_doubling(s).dim_hat
     m, attempt = batch_size(eps_pad, s.n, dim_hat), 0
@@ -289,7 +289,7 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
                 f"and a pad-ball of radius {pad_radius:.6g} holds two points")
         padded = np.ones((m, s.n), dtype=bool)
         return PaddedDecomposition(
-            float(delta), float(pad_radius), float(eps_pad), int(seed), m,
+            float(delta), float(pad_radius), float(eps_pad), seed, m,
             certain[None, :], np.arange(s.n)[None, :],
             np.bincount(certain, minlength=s.n)[None, :],
             np.array([delta / 4.0]), padded, padded.mean(axis=0),
@@ -311,7 +311,7 @@ def build_decomposition(s: PointSet, delta: float, pad_radius: float,
                 f"pad_radius={pad_radius:.6g}, dim_hat={dim_hat:.3g})")
         m *= 2
     return PaddedDecomposition(float(delta), float(pad_radius), float(eps_pad),
-                               int(seed), m, *batch, padded, frac,
+                               seed, m, *batch, padded, frac,
                                float(dim_hat), attempt + 1)
 
 

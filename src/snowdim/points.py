@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,9 +221,20 @@ def require_normalized(s: PointSet, who: str = "operation"):
         raise BadParams(f"{who} requires a normalized point set (min distance 1)")
 
 
-def require_seed(seed: int) -> None:
-    if seed < 0:
-        raise BadParams(f"seed must be a non-negative integer, got {seed}")
+def require_int(name: str, value, low: int) -> int:
+    """``value`` as a Python int (``operator.index``); BadParams for a
+    bool, a value that is no integer (2.5, "3", None) or one below low."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = None
+    if out is None or out < low or isinstance(value, (bool, np.bool_)):
+        raise BadParams(f"{name} must be an integer >= {low}, got {value!r}")
+    return out
+
+
+def require_seed(seed) -> int:
+    return require_int("seed", seed, 0)
 
 
 @dataclass
@@ -356,7 +368,7 @@ def _gen_ultrametric(depth: int, base: float, leaves: int | None) -> np.ndarray:
     Each non-root node owns one coordinate; the weight telescope makes the
     embedded l2 distances reproduce the tree distances exactly.
     """
-    n_leaves = 2 ** depth if leaves is None else int(leaves)
+    n_leaves = 2 ** depth if leaves is None else require_int("leaves", leaves, 2)
     if not 2 <= n_leaves <= 2 ** depth:
         raise BadParams(f"leaves must be in [2, 2^{depth}]")
     b2 = base * base
@@ -384,32 +396,27 @@ def generate(kind: str, seed: int = 0, **params) -> PointSet:
     intrinsic_dim, noise=0), "ball" (n, dim), "ultrametric" (depth, base=2,
     leaves=None). Common: norm ("l1"/"l2"/"linf", default l2).
     """
-    require_seed(seed)
+    seed = require_seed(seed)
     norm = norm_tag(params.pop("norm", 2.0))
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xD06)))
-    def positive(name, value):
-        if value < 1:
-            raise BadParams(f"generator {kind!r} needs {name} >= 1, got {value}")
-        return value
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD06)))
+    def count(name, *default):
+        return require_int(f"generator {kind!r} {name}",
+                           params.pop(name, *default), 1)
 
     try:
         if kind == "line":
-            pts = _gen_line(positive("n", int(params.pop("n"))))
+            pts = _gen_line(count("n"))
         elif kind == "grid":
-            pts = _gen_grid(positive("side", int(params.pop("side"))),
-                            positive("dims", int(params.pop("dims", 2))))
+            pts = _gen_grid(count("side"), count("dims", 2))
         elif kind == "subspace":
-            n = positive("n", int(params.pop("n")))
-            amb = positive("ambient_dim", int(params.pop("ambient_dim")))
-            intr = positive("intrinsic_dim", int(params.pop("intrinsic_dim")))
+            n, amb, intr = map(count, ("n", "ambient_dim", "intrinsic_dim"))
             if intr > amb:
                 raise BadParams("intrinsic_dim cannot exceed ambient_dim")
             pts = _gen_subspace(rng, n, amb, intr, float(params.pop("noise", 0.0)))
         elif kind == "ball":
-            pts = _gen_ball(rng, positive("n", int(params.pop("n"))),
-                            positive("dim", int(params.pop("dim"))))
+            pts = _gen_ball(rng, count("n"), count("dim"))
         elif kind == "ultrametric":
-            depth = positive("depth", int(params.pop("depth")))
+            depth = count("depth")
             base = float(params.pop("base", 2.0))
             if base <= 1.0:
                 raise BadParams("ultrametric base must exceed 1")

@@ -94,13 +94,16 @@ class SingleScaleParams:
     dim_hat: float | None = None            # None: estimate from the data
 
     def __post_init__(self):
+        # Python floats, so a NumPy scalar serializes as one
+        self.r, self.eps, self.delta = map(float, (self.r, self.eps, self.delta))
         if not 0 < self.r < math.inf:
             raise BadParams(f"r must be positive and finite, got {self.r}")
         if not 0 < self.eps < 0.25:
             raise BadParams(f"eps must lie in (0, 1/4), got {self.eps}")
         if not 0 < self.delta < 0.25:
             raise BadParams(f"delta must lie in (0, 1/4), got {self.delta}")
-        require_seed(self.seed)
+        self.seed = require_seed(self.seed)
+        self.dim_hat = None if self.dim_hat is None else float(self.dim_hat)
         if self.dim_hat is not None and not 0.0 <= self.dim_hat < math.inf:
             raise BadParams(
                 f"dim_hat must lie in [0, inf), got {self.dim_hat}")

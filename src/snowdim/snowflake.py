@@ -11,25 +11,21 @@ the width.
 
 Every norm builds a scale the same way (but for the one-cluster scales
 below): ``scale_clusters`` decomposes it and finds its distinct
-clusters, and its condensed pair distances are read off their arrays
-where the scale is built. l2 and l1 go through the map that
-``build_single_scale`` writes too (``_scale_gram`` or ``_l1_block``; l1
-cuts the whole set once per build and weighs the cuts once per scale);
-l-infinity writes no map (``_linf_dists``). A scale keeps three things
-for the audit: its width (an entry of ``scale_k``), those distances (a
-row of ``scale_dists``), and, for the pairs it anchors, whether each is
-padded in every partition (``padded_dom``). A scale whose first
-decomposition diameter carves the whole set in one piece
-(``SingleScaleParams.one_cluster``, most of the coarse half of the
-ladder) is not decomposed at all: its one cluster
-(``_one_cluster_block``) has all weights 1, and every pair is padded in
-it. ``build_snowflake`` evaluates the predicate once per scale and
-hands it to ``_build_scale``. l2 and l-infinity write such a scale in
-closed form (below). l1 builds it from the whole set's cuts at its r:
-where its net holds every point, each cut is a column of its own, and
-its distances and threshold cuts are read off the cuts with no block
-(``_full_net_cuts``), bit for bit. How the maps are combined depends on
-the norm:
+clusters, and its condensed pair distances are read off them where the
+scale is built: in l2 from the map ``build_single_scale`` writes too
+(``_scale_gram``), in l1 from that map's cut measure (``_l1_block``; the
+whole set is cut once per build), and in l-infinity with no map
+(``_linf_dists``). A scale keeps three things for the audit: its width
+(an entry of ``scale_k``), those distances (a row of ``scale_dists``),
+and, for the pairs it anchors, whether each is padded in every
+partition (``padded_dom``). A scale whose first decomposition diameter
+carves the whole set in one piece (``SingleScaleParams.one_cluster``,
+most of the coarse half of the ladder) is not decomposed: its one
+cluster (``_one_cluster_block``) has all weights 1, every pair is
+padded in it, and l2 and l-infinity write it in closed form (below).
+An l1 one whose net holds every point takes the whole set's cuts as its
+threshold cuts, each a block column of its own, and writes no block.
+How the maps are combined depends on the norm:
 
 * l2 is the direct sum of the scales, written in at most n - 1
   coordinates as the classical MDS (``classical_mds``) of the summed
@@ -39,10 +35,12 @@ the norm:
   so its pair distances are w * G_r(d) and its rank bound is n - 1.
 * l1 is the direct sum of the scales as well, written as its cut
   measure: each scale's weighted block is split into threshold cuts
-  (``_threshold_cuts``), the equal cuts of all scales are summed in
-  scale order, and the output has one column per distinct cut, holding
-  its weight over M on its members. Every l1 metric is such a sum, so
-  the width depends on n alone (l1 has no dimension-free reduction).
+  (``_threshold_cuts``), from which one kernel sums the scale's pair
+  distances (``_cut_dists``), so a one-cluster scale and its decomposed
+  build give one row. The equal cuts of all scales are summed in scale
+  order, and the output has one column per distinct cut, holding its
+  weight over M on its members. Every l1 metric is such a sum, so the
+  width depends on n alone (l1 has no dimension-free reduction).
   ``assembled_k`` is the direct sum's width, the sum of the block widths.
 * l-infinity combines by max. A scale's block (``_linf_block``, one
   column per net point of each cluster) is not written: its pair
@@ -66,15 +64,13 @@ The scales are independent work: each one's seed derives from (seed, i)
 alone. The l2 and l-infinity one-cluster scales are written by the
 caller alone, after the helpers fork; ``build_snowflake`` splits the
 other scales, l1's one-cluster scales among them, over the w CPUs the
-process may run on. The t-th of them is built by process
-t mod w: the caller builds every w-th, and one forked helper per extra
-CPU builds the others, reading the inputs copy-on-write. The caller
-merges every result in scale order, so the l1 cuts are summed and
-ordered the same for any w, and the dump, report and label bytes do not
-depend on the CPU count. With one CPU (or where the system cannot say:
-``os.sched_getaffinity`` is Linux-only), in a daemonic process, without
-the fork start method, or while another Python thread runs, every scale
-is built in the calling process.
+process may run on (``_scale_results``, which also says when every
+scale is built in the calling process). The t-th of them is built by
+process t mod w: the caller builds every w-th, and one forked helper
+per extra CPU builds the others, reading the inputs copy-on-write. The
+caller merges every result in scale order, so the l1 cuts are summed
+and ordered the same for any w, and the dump, report and label bytes
+do not depend on the CPU count.
 
 The audit measures every pair against d^alpha and the per-scale bucket
 diagnostics: write B_i for the per-scale image distance divided by
@@ -218,6 +214,7 @@ def scale_plan(s: PointSet, alpha: float, eps: float) -> SnowflakePlan:
     I = {i : eps^5 <= (1+eps)^i <= eps^-5 * diam}, in the input's own
     norm."""
     require_normalized(s, "scale_plan")
+    alpha, eps = float(alpha), float(eps)
     if s.n < 2:
         raise EmptyInput("snowflake plan needs at least two points")
     if not 0 < alpha < 1:
@@ -325,22 +322,37 @@ def _scale_weight(plan: SnowflakePlan, i: int) -> float:
     return (1.0 + plan.eps) ** (-i * (1.0 - plan.alpha))
 
 
-def _threshold_cuts(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _threshold_cuts(block: np.ndarray) -> tuple:
     """The cut measure of an l1 block: a column u with sorted values
     v_1 <= ... <= v_n is sum_j (v_{j+1} - v_j) 1[u > v_j], one cut
-    {u > v_j} per positive gap. Returns the distinct cuts, packed
-    (``_pack``) and complemented where they hold point 0, in order of
-    first appearance, and each one's summed weight."""
+    {u > v_j} per positive gap. A cut and its complement are one cut
+    metric, so each is kept as the side that leaves point 0 out. Returns
+    the distinct cuts in order of first appearance, packed (``_pack``),
+    each one's summed weight, and the same cuts as bool rows."""
     v = np.sort(block, axis=0)
     gap = np.diff(v, axis=0)
     j, c = np.nonzero(gap > 0)
-    keys = _pack(block.T[c] > v[j, c, None])
-    # the complement within the n points, not the whole word: the padding
-    # bits stay 0, so each set has one key
-    full = _pack(np.ones((1, len(block)), dtype=bool))
-    keys = np.where(keys[:, :1] & np.uint64(1), keys ^ full, keys)
+    sides = block.T[c] > v[j, c, None]
+    sides ^= sides[:, :1]
+    keys = _pack(sides)
     first, group = _groups(keys)
-    return keys[first], np.bincount(group, weights=gap[j, c])
+    return keys[first], np.bincount(group, weights=gap[j, c]), sides[first]
+
+
+def _cut_dists(job: _ScaleJob, sides: np.ndarray,
+               value: np.ndarray) -> np.ndarray:
+    """The pair distances of the cut measure sum_c value_c delta_c (cut c
+    holding the points of row c of ``sides``): a pair's is the sum along
+    one row, in the measure's order, of value_c wherever c separates it,
+    in chunks of at most PAIRWISE_BYTES that do not move its bits."""
+    sides_t = np.ascontiguousarray(sides.T)
+    dists = np.empty(len(job.iu))
+    step = max(1, PAIRWISE_BYTES // (8 * max(len(value), 1)))
+    for lo in range(0, len(job.iu), step):
+        apart = sides_t[job.iu[lo:lo + step]]
+        apart ^= sides_t[job.ju[lo:lo + step]]
+        (apart * value).sum(axis=1, out=dists[lo:lo + step])
+    return dists
 
 
 def _linf_dists(s: PointSet, members: np.ndarray, sizes: np.ndarray,
@@ -466,41 +478,13 @@ def _in_net(s: PointSet, sp: SingleScaleParams) -> np.ndarray:
     return in_net
 
 
-def _full_net_cuts(job: _ScaleJob, cuts: tuple[np.ndarray, np.ndarray],
-                   factor: float, w: float) -> tuple:
-    """(k, dists, part) of an l1 scale of one cluster whose net holds
-    every point, in closed form: the width, pair distances and threshold
-    cuts of its block, bit for bit, with no block written. Each of the
-    whole set's cuts c is a trace of its own, so the block has a column
-    per cut, holding value_c = w * (weight_c * factor) on c's members and
-    0 elsewhere. A pair's distance is the sum along a row of value_c
-    wherever c separates the pair: the row ``_pair_distances`` sums,
-    entry for entry, in a C-ordered array of chunks of at most
-    PAIRWISE_BYTES, so the sums have its bits. The block's threshold cuts
-    are its columns, stably ordered by falling size (the order of their
-    one positive gap in ``_threshold_cuts``), each weighted value_c. Two
-    or more points keep at least one cut, the heaviest of those that
-    separate the farthest pair, so k > 0."""
-    weights, sides = cuts
-    k = len(weights)
-    value = w * (weights * factor)
-    sides_t = np.ascontiguousarray(sides.T)
-    dists = np.empty(len(job.iu))
-    step = max(1, PAIRWISE_BYTES // (8 * k))
-    for lo in range(0, len(job.iu), step):
-        apart = sides_t[job.iu[lo:lo + step]]
-        apart ^= sides_t[job.ju[lo:lo + step]]
-        (apart * value).sum(axis=1, out=dists[lo:lo + step])
-    order = np.argsort(-sides.sum(axis=1), kind="stable")
-    return k, dists, (_pack(sides[order]), value[order])
-
-
 def _build_scale(job: _ScaleJob, i: int, sp: SingleScaleParams,
                  one: bool) -> tuple:
     """Scale i as (k, dists, dom, part): its width, its pair distances,
     the ``_dominant_pair_mask`` of the pairs it anchors and, on l1, the
-    cut measure of its block (``_threshold_cuts``); each of the last
-    three is None where the scale has none. The map is the one
+    cut measure of its block (``_threshold_cuts``), from which its
+    distances are summed (``_cut_dists``); each of the last three is
+    None where the scale has none. The map is the one
     ``build_single_scale`` writes, without its global rescale, and
     everything is divided by (1+eps)^{i(1-alpha)}. ``sp`` is the
     scale's ``_scale_params``, and ``one`` says whether the scale is one
@@ -538,16 +522,21 @@ def _build_scale(job: _ScaleJob, i: int, sp: SingleScaleParams,
                     s, members, sizes, scaled_w, in_net, sp.r, w, job.iu,
                     job.ju, None if one else sc.decomposition.labels,
                     None if one else sc.positions)
-            elif one and in_net.all():
-                k, dists, part = _full_net_cuts(
-                    job, cut_weights(job.structure, sp.r), scaled_w[0], w)
             else:
-                block = w * _l1_block(members, sizes, in_net, scaled_w,
-                                      cut_weights(job.structure, sp.r))[0]
-                k = block.shape[1]
-                if k:
-                    dists = _pair_distances(block, 1.0, job.iu, job.ju)
-                    part = _threshold_cuts(block)
+                weights, sides = cut_weights(job.structure, sp.r)
+                if one and in_net.all():
+                    # each cut is a block column of its own, w * (weight *
+                    # factor) on its members, stably ordered by falling size
+                    order = np.argsort(-sides.sum(axis=1), kind="stable")
+                    k, sides = len(order), sides[order]
+                    keys, value = _pack(sides), w * (weights[order] * scaled_w[0])
+                else:
+                    block = w * _l1_block(members, sizes, in_net, scaled_w,
+                                          (weights, sides))[0]
+                    k = block.shape[1]
+                    keys, value, sides = _threshold_cuts(block)
+                part = keys, value
+                dists = _cut_dists(job, sides, value)
     except SnowdimError as err:
         raise type(err)(f"scale i={i} (r={sp.r:.6g}): {err}") from err
     anchored = job.anchors == i
@@ -723,11 +712,12 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     traceback. Another target norm (BadParams), or an l1 source whose
     boxes pass the cut decomposition's cap (``require_source``, which
     cuts an l1 set once for every scale), is refused before any scale is
-    built. A negative seed, or a ``dim_hat`` that is not finite or lies
-    below 0, is refused (BadParams).
+    built. A seed that is no integer (``require_seed``) or lies below 0,
+    or a ``dim_hat`` that is not finite or lies below 0, is refused
+    (BadParams).
     """
-    require_seed(seed)
-    if dim_hat is not None and not 0.0 <= dim_hat < math.inf:
+    seed = require_seed(seed)
+    if dim_hat is not None and not 0.0 <= float(dim_hat) < math.inf:
         raise BadParams(f"dim_hat must lie in [0, inf), got {dim_hat}")
     plan = scale_plan(s, alpha, eps)
     if norm is not None and norm_tag(norm) != s.norm:
@@ -735,8 +725,7 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
                         f"norm: this l{norm_label(s.norm)} input cannot "
                         f"target l{norm_label(norm_tag(norm))}")
     structure = require_source(s)
-    if dim_hat is None:
-        dim_hat = estimate_doubling(s).dim_hat
+    dim_hat = float(estimate_doubling(s).dim_hat if dim_hat is None else dim_hat)
     n = s.n
     iu, ju = np.triu_indices(n, k=1)
     pair_d = s.distance_matrix()[iu, ju]
@@ -758,7 +747,7 @@ def build_snowflake(s: PointSet, alpha: float, eps: float, seed: int = 0,
     scale_dists = np.zeros((len(indices), len(iu)))
     padded_dom = np.zeros(len(iu), dtype=bool)
     # l1: every scale's distinct cuts and their weights, in scale order
-    cuts = [(np.zeros((0, -(-n // 64)), dtype=np.uint64), np.zeros(0))]
+    cuts = []
     # every scale's smoothing reads the sorted distance rows: sort them
     # here, before any helper forks, so the helpers share them
     s._sorted_rows()

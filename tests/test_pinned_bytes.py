@@ -66,13 +66,15 @@ def test_l1_ball20_snowflake_dump_bytes():
 
 def test_l1_line_and_ball_report_bytes():
     # the audit reads every scale's pair distances, so a row that moves
-    # by one ulp moves the report even where the dump holds
+    # by one ulp moves the report even where the dump holds. Each row is
+    # summed over its scale's distinct threshold cuts, in place of the
+    # columns of its block (digests 3f3cebb0...780a74, 42e339c3...f202d6)
     sets = [normalize(generate("line", n=10, norm="l1", seed=0)),
             normalize(generate("ball", n=12, dim=2, norm="l1", seed=0))]
     assert [sha256(snowflake.distortion_audit(snowflake.build_snowflake(
         s, 0.5, 0.1, seed=0)).dumps_json().encode()) for s in sets] == [
-        "3f3cebb0a94cb2564b9f52a40e13df5f06aa69d746c2e07f86d1818166780a74",
-        "42e339c32b9d34f74d3cdd85b5b023523938c0e7064f19bcee99e1db81f202d6"]
+        "7fe55d8b924725bc6b3de8c2f85e97ca74bb612829cc96d91c32b47a0661429a",
+        "4c4d234b85023688dd1d6f7750e9bba5c37264eed77f5decba7c17e531fae0aa"]
 
 
 def test_l2_grid_snowflake_dump_bytes():

@@ -114,6 +114,46 @@ def test_generate_refuses_a_negative_seed(kind, params):
         generate(kind, seed=-1, **params)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.9, True, "3", None, float("nan"),
+                                  float("inf")], ids=repr)
+@pytest.mark.parametrize("call", ["generate", "single_scale", "decomposition",
+                                  "snowflake"])
+def test_a_seed_that_is_no_integer_is_refused(call, seed):
+    # truncating 1.5 would build seed 1's output under the name 1.5
+    from snowdim.decomposition import build_decomposition
+    from snowdim.single_scale import SingleScaleParams
+    from snowdim.snowflake import build_snowflake
+    s = normalize(generate("line", n=4))
+    build = {
+        "generate": lambda: generate("line", seed=seed, n=4),
+        "single_scale": lambda: SingleScaleParams(1.0, 0.1, 0.01, seed=seed),
+        "decomposition": lambda: build_decomposition(
+            s, delta=24.0, pad_radius=1.0, eps_pad=0.36, seed=seed),
+        "snowflake": lambda: build_snowflake(s, 0.5, 0.1, seed=seed)}[call]
+    with pytest.raises(BadParams, match="seed"):
+        build()
+
+
+@pytest.mark.parametrize("kind, name, params", [
+    ("line", "n", dict(n=2.5)), ("line", "n", dict(n=True)),
+    ("line", "n", dict(n="4")), ("grid", "dims", dict(side=3, dims=1.9)),
+    ("ball", "dim", dict(n=5, dim=2.0)),
+    ("ultrametric", "leaves", dict(depth=3, leaves=5.7)),
+])
+def test_generate_refuses_a_count_that_is_no_integer(kind, name, params):
+    # truncating would build 2 points for n = 2.5 and 1 for n = True
+    with pytest.raises(BadParams, match=name):
+        generate(kind, **params)
+
+
+def test_generate_takes_numpy_integer_counts_and_seeds():
+    s = generate("ultrametric", seed=np.int64(1), depth=np.int32(3),
+                 leaves=np.uint8(5))
+    assert s.n == 5
+    assert np.array_equal(s.points, generate("ultrametric", depth=3,
+                                             leaves=5).points)
+
+
 def test_norm_tag_aliases():
     assert norm_tag("l1") == 1.0
     assert norm_tag("L2") == 2.0

@@ -367,12 +367,14 @@ def test_l1_output_is_the_direct_sum_one_column_per_cut(s):
 
 def test_threshold_cuts_write_a_cut_and_its_complement_as_one():
     # {0} and {1, 2} are one cut metric: both are kept as the set that
-    # leaves point 0 out, within the n points, so they share one key
+    # leaves point 0 out, within the n points, so they share one key; the
+    # bool row keeps the cut first written, {1, 2}, whose gap comes first
     block = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 3.0]])
-    keys, w = snowflake._threshold_cuts(block)
+    keys, w, sides = snowflake._threshold_cuts(block)
     assert np.array_equal(keys, transforms._pack(np.array([[0, 1, 1]],
                                                           dtype=bool)))
     assert np.array_equal(w, [5.0])
+    assert np.array_equal(sides, [[False, True, True]])
 
 
 def test_l2_snowflake_realizes_no_cluster_and_squeezes_no_block(monkeypatch):
@@ -876,6 +878,78 @@ def test_an_linf_snowflake_builds_no_block(monkeypatch):
     assert calls == ["_pair_distances"]
 
 
+def test_an_l1_snowflake_measures_no_pair_before_its_audit(monkeypatch):
+    # every l1 scale's distances are summed from its cut measure: the
+    # build measures no pair over a block; the audit then measures the
+    # output's pairs once
+    import snowdim.points as points
+    calls = []
+    s = normalize(generate("ball", n=12, dim=2, norm="l1", seed=1))
+    s.distance_matrix()
+    for mod in (points, snowflake):
+        def wrapped(*args, f=mod._pair_distances, name=mod.__name__,
+                    **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        monkeypatch.setattr(mod, "_pair_distances", wrapped)
+    monkeypatch.setattr(snowflake, "_worker_count", lambda: 1)
+    e = build_snowflake(s, 0.5, 0.1, seed=3)
+    assert calls == []
+    assert distortion_audit(e).passed
+    assert calls == ["snowdim.snowflake"]
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("line", dict(n=10)), ("ball", dict(n=12, dim=2)),
+    ("ball", dict(n=20, dim=2))], ids=["line10", "ball12", "ball20"])
+def test_l1_scale_rows_match_an_fsum_oracle(monkeypatch, kind, params):
+    # the oracle rebuilds each scale's block from its clusters and sums
+    # |b_x - b_y| over the block's columns exactly, never reading the cut
+    # measure the build sums; the build runs on one CPU and on two
+    s = normalize(generate(kind, norm="l1", seed=0, **params))
+    builds = []
+    for w in (1, 2):
+        monkeypatch.setattr(snowflake, "_worker_count", lambda: w)
+        builds.append(build_snowflake(s, 0.5, 0.1, seed=0))
+    e = builds[0]
+    iu, ju = np.triu_indices(s.n, k=1)
+    structure = single_scale.require_source(s)
+    for t, i in enumerate(e.plan.scale_indices):
+        sp = snowflake._scale_params(e, i)
+        sc = single_scale.scale_clusters(s, sp)
+        block = snowflake._scale_weight(e.plan, i) * single_scale._l1_block(
+            sc.members, sc.sizes, snowflake._in_net(s, sp),
+            single_scale._block_weights(sc, 1.0)[1],
+            transforms.cut_weights(structure, sp.r))[0]
+        want = np.array([math.fsum(row) for row in
+                         np.abs(block[iu] - block[ju]).tolist()])
+        for b in builds:
+            assert b.scale_k[t] == block.shape[1]
+            assert np.abs(b.scale_dists[t] - want).max() <= (
+                1e-14 * want.max())
+
+
+@pytest.mark.parametrize("scalar", ["alpha", "eps", "dim_hat", "seed"])
+def test_numpy_scalar_parameters_dump_as_python_numbers(scalar):
+    # a NumPy float32 or int64 builds, and the dump records it as the
+    # Python number it stands for
+    s = normalize(generate("line", n=6))
+    args = dict(alpha=0.5, eps=0.1, dim_hat=1.0, seed=3)
+    args[scalar] = (np.int64 if scalar == "seed" else np.float32)(
+        args[scalar])
+    e = build_snowflake(s, args["alpha"], args["eps"], seed=args["seed"],
+                        dim_hat=args["dim_hat"])
+    header = loads_coords(dumps(e))[0]
+    assert header[scalar] == float(args[scalar])
+    assert type(header[scalar]) is (int if scalar == "seed" else float)
+    p = SingleScaleParams(r=np.float32(2.0), eps=np.float32(0.1),
+                          delta=np.float32(0.01), seed=np.int64(3),
+                          dim_hat=np.float32(1.0))
+    header = loads_coords(single_scale.dumps(build_single_scale(s, p)))[0]
+    assert [type(header[k]) for k in ("r", "eps", "delta", "seed")] == [
+        float, float, float, int]
+
+
 def closed_form_sets():
     return [
         ("grid8", normalize(generate("grid", side=8, dims=2))),
@@ -893,16 +967,16 @@ def closed_form_sets():
 
 def l1_decomposed_scale(job, sc, i):
     """(k, dists, part) of an l1 scale built from its decomposition: the
-    block of its clusters' traced cuts, its pair distances and its
-    threshold cuts."""
+    width of the block of its clusters' traced cuts, the pair distances
+    of the block's threshold cuts and those cuts."""
     sp = sc.params
     block = snowflake._scale_weight(job.plan, i) * single_scale._l1_block(
         sc.members, sc.sizes, snowflake._in_net(job.s, sp),
         single_scale._block_weights(sc, 1.0)[1],
         transforms.cut_weights(job.structure, sp.r))[0]
-    return (block.shape[1],
-            snowflake._pair_distances(block, 1.0, job.iu, job.ju),
-            snowflake._threshold_cuts(block))
+    keys, value, sides = snowflake._threshold_cuts(block)
+    return (block.shape[1], snowflake._cut_dists(job, sides, value),
+            (keys, value))
 
 
 @pytest.mark.parametrize("name", [name for name, _ in closed_form_sets()])
