@@ -253,8 +253,10 @@ def greedy_net(s: PointSet, radius: float) -> Net:
     """First-fit net in point-index order.
 
     A point joins the net iff no earlier member is within ``radius`` of it.
-    At a radius no larger than the (cached) minimum distance every point
-    joins, and the loop is skipped.
+    The loop runs over the members: each one, the first point still left,
+    clears the later points within ``radius`` of it, so a net of m members
+    reads m distance rows. At a radius no larger than the (cached) minimum
+    distance every point joins, and the loop is skipped.
     """
     if s.n == 0:
         raise EmptyInput("net of an empty set")
@@ -263,10 +265,13 @@ def greedy_net(s: PointSet, radius: float) -> Net:
     if s.n < 2 or radius <= s.min_distance():
         return Net(float(radius), np.arange(s.n, dtype=np.intp))
     d = s.distance_matrix()
+    left = np.ones(s.n, dtype=bool)
     members: list[int] = []
-    for i in range(s.n):
-        if not members or d[i, members].min() >= radius:
-            members.append(i)
+    i = 0
+    while left[i]:
+        members.append(i)
+        left[i:] &= d[i, i:] >= radius
+        i += int(left[i:].argmax())
     return Net(float(radius), np.array(members, dtype=np.intp))
 
 
@@ -277,15 +282,21 @@ class DoublingEstimate:
 
 
 def _greedy_cover_count(dsub: np.ndarray, radius: float) -> int:
-    """Greedy set cover of the sub-metric by `radius`-balls around its points."""
-    n = dsub.shape[0]
-    covered = np.zeros(n, dtype=bool)
+    """Greedy set cover of the sub-metric by `radius`-balls around its points.
+
+    Each step takes the ball that covers the most points still uncovered,
+    the lowest index on ties. The gains are kept up to date: the points a
+    step covers are taken off the gain of every ball that holds them, so
+    each point's column is read once."""
     within = dsub <= radius
+    gains = within.sum(axis=1)
+    covered = np.zeros(dsub.shape[0], dtype=bool)
     count = 0
     while not covered.all():
-        gains = (within & ~covered[None, :]).sum(axis=1)
+        new = within[np.argmax(gains)] & ~covered
+        gains -= within[:, new].sum(axis=1)
+        covered |= new
         count += 1
-        covered |= within[np.argmax(gains)]
     return count
 
 

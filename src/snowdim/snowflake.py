@@ -47,7 +47,11 @@ How the maps are combined depends on the norm:
   distances come from the clusters' farthest net points, from the
   pairs' own distances, and from scans of the net columns of the few
   clusters that need them (``_linf_dists``), to 2 ulps of the block's
-  largest entry. A one-cluster scale reads the net of the whole set.
+  largest entry. A one-cluster scale has one column per net point of
+  the whole set and skips the cluster bookkeeping: a pair with a net
+  point takes the closed form, and where the net leaves points out
+  every other pair keeps a running max over the net columns, one column
+  at a time, for about the net's cost and with the block's own bits.
   The image distance D is the max of the per-scale distances. The
   output is D's Frechet map: n columns, column z of row x holding
   D(x, z). The l-infinity distance of rows x and y is D(x, y): column y
@@ -384,9 +388,46 @@ def _linf_dists(s: PointSet, members: np.ndarray, sizes: np.ndarray,
       scale's largest) takes this closed form in the same pass.
     * Any other pair that C holds scans C's columns as the block does.
 
+    With no label rows (``labels`` None) the scale is one cluster of every
+    point, whose columns are the net points z themselves (the width is
+    the net's size): column z is col_z = w * (T_r(d(., z)) * fac), ``fac``
+    each point's own factor. A pair with a net point and equal factors
+    takes the closed form above; every other pair keeps a running max of
+    |col_z(x) - col_z(y)| over the net points, one column at a time,
+    which is the block's own subtraction, bit for bit. No cluster or run
+    bookkeeping is done, and no n x |net| array is written.
+
     The distances are None where the width is 0."""
     n = s.n
     dmat = s.distance_matrix()
+    if labels is None:
+        k = np.count_nonzero(in_net) if n > 1 else 0
+        if not k:
+            return 0, None
+        fac = np.empty(n)
+        fac[members] = sw
+        # a snowflake's one-cluster scale gives every point one factor:
+        # it multiplies as a scalar, and only a pair with no net point scans
+        one = sw.min() == sw.max()
+        dists = w * (np.minimum(dmat[iu, ju], r)
+                     * (sw[0] if one else fac[iu]))
+        if one and in_net.all():
+            return k, dists
+        held = in_net[iu] | in_net[ju]
+        if not one:
+            held &= fac[iu] == fac[ju]
+        scan = np.flatnonzero(~held)
+        if len(scan):
+            x, y = iu[scan], ju[scan]
+            top = np.zeros(len(scan))
+            gap = np.empty(len(scan))
+            for z in np.flatnonzero(in_net):
+                col = w * (np.minimum(dmat[:, z], r) * fac)
+                np.subtract(col[x], col[y], out=gap)
+                np.abs(gap, out=gap)
+                np.maximum(top, gap, out=top)
+            dists[scan] = top
+        return k, dists
     cluster = np.repeat(np.arange(len(sizes)), sizes)
     net_pos = np.flatnonzero(in_net[members] & (sizes > 1)[cluster])
     if not len(net_pos):
@@ -408,47 +449,44 @@ def _linf_dists(s: PointSet, members: np.ndarray, sizes: np.ndarray,
 
     closed = w * (np.minimum(dmat[iu, ju], r) * c)
     closed *= in_net[iu] | in_net[ju]
-    if labels is None:
-        dists = closed if uniform[0] else np.zeros(len(iu))
-    else:
-        p = np.flatnonzero(in_block)
-        pts = members[p]
-        # a label row holding each cluster, and each member's label there
-        home = np.empty(len(sizes), dtype=np.intp)
-        home[cluster[positions]] = np.arange(len(labels))[:, None]
-        home = home[cluster[p]] * n
-        own = labels.reshape(-1)[home + pts]
-        order, dsorted = s._sorted_rows()
-        lens = np.count_nonzero(dsorted < r, axis=1)[pts]
-        far = np.empty(len(p))
-        for lo, hi, run, j, starts in _runs(lens):
-            y = order[pts[run], j]
-            near = in_net[y] & (labels.reshape(-1)[home[run] + y] == own[run])
-            count = np.add.reduceat(near, starts, dtype=np.intp)
-            top = np.maximum.reduceat(
-                np.where(near, dsorted[pts[run], j], 0.0), starts)
-            far[lo:hi] = np.where(count < knet[cluster[p[lo:hi]]], r, top)
-        a = np.zeros(len(members))
-        a[p] = w * (np.minimum(far, r) * sw[p])
-        # the label rows point by point, each point's values contiguous;
-        # point x's pairs (x, y > x) are one run of the condensed order
-        a = np.ascontiguousarray(a[positions].T)
-        lab = np.ascontiguousarray(labels.T, dtype=np.min_scalar_type(n))
-        kept = (None if uniform.all()
-                else np.ascontiguousarray(uniform[cluster[positions]].T))
-        dists = np.empty(len(iu))
-        lo = 0
-        for x in range(n - 1):
-            hi = lo + n - 1 - x
-            apart = lab[x + 1:] != lab[x]
-            cross = np.maximum(a[x + 1:], a[x])
-            cross *= apart
-            out = dists[lo:hi]
-            cross.max(axis=1, out=out)
-            shared = (~apart.all(axis=1) if kept is None
-                      else (~apart & kept[x]).any(axis=1))
-            np.maximum(out, closed[lo:hi] * shared, out=out)
-            lo = hi
+    p = np.flatnonzero(in_block)
+    pts = members[p]
+    # a label row holding each cluster, and each member's label there
+    home = np.empty(len(sizes), dtype=np.intp)
+    home[cluster[positions]] = np.arange(len(labels))[:, None]
+    home = home[cluster[p]] * n
+    own = labels.reshape(-1)[home + pts]
+    order, dsorted = s._sorted_rows()
+    lens = np.count_nonzero(dsorted < r, axis=1)[pts]
+    far = np.empty(len(p))
+    for lo, hi, run, j, starts in _runs(lens):
+        y = order[pts[run], j]
+        near = in_net[y] & (labels.reshape(-1)[home[run] + y] == own[run])
+        count = np.add.reduceat(near, starts, dtype=np.intp)
+        top = np.maximum.reduceat(
+            np.where(near, dsorted[pts[run], j], 0.0), starts)
+        far[lo:hi] = np.where(count < knet[cluster[p[lo:hi]]], r, top)
+    a = np.zeros(len(members))
+    a[p] = w * (np.minimum(far, r) * sw[p])
+    # the label rows point by point, each point's values contiguous;
+    # point x's pairs (x, y > x) are one run of the condensed order
+    a = np.ascontiguousarray(a[positions].T)
+    lab = np.ascontiguousarray(labels.T, dtype=np.min_scalar_type(n))
+    kept = (None if uniform.all()
+            else np.ascontiguousarray(uniform[cluster[positions]].T))
+    dists = np.empty(len(iu))
+    lo = 0
+    for x in range(n - 1):
+        hi = lo + n - 1 - x
+        apart = lab[x + 1:] != lab[x]
+        cross = np.maximum(a[x + 1:], a[x])
+        cross *= apart
+        out = dists[lo:hi]
+        cross.max(axis=1, out=out)
+        shared = (~apart.all(axis=1) if kept is None
+                  else (~apart & kept[x]).any(axis=1))
+        np.maximum(out, closed[lo:hi] * shared, out=out)
+        lo = hi
 
     # every other pair a cluster holds: each pair of members of a cluster
     # that is not uniform, and each pair of non-net members of one that is

@@ -260,6 +260,25 @@ def test_greedy_net_at_or_below_the_min_distance_is_every_point():
     assert greedy_net(one, 5.0).members.tolist() == [0]
 
 
+@pytest.mark.parametrize("norm", [1.0, 2.0, np.inf])
+def test_greedy_net_is_the_first_fit_net_at_every_tie(norm):
+    # at every distinct pairwise distance some pair lies exactly at the
+    # radius, and first-fit keeps a point at distance >= radius; the net
+    # that loops over its members must keep the same points there and at
+    # the radius's floating-point neighbours
+    sets = {"line": generate("line", n=12).points,
+            "grid": generate("grid", side=4, dims=2).points,
+            "random": np.random.default_rng(5).uniform(size=(25, 3)) * 10}
+    for pts in sets.values():
+        s = PointSet(pts, norm)
+        d = s.distance_matrix()
+        for dist in np.unique(d[d > 0]):
+            for radius in (np.nextafter(dist, 0.0), dist,
+                           np.nextafter(dist, np.inf)):
+                net = greedy_net(s, radius)
+                assert net.members.tolist() == _first_fit_net(d, radius)
+
+
 def test_greedy_net_covers_random_sets():
     rng = np.random.default_rng(3)
     for trial in range(5):
@@ -289,6 +308,38 @@ def brute_cover_count(d, radius):
         todo -= {i for i in todo if d[best, i] <= radius}
         count += 1
     return count
+
+
+def dense_cover_count(dsub, radius):
+    # the reference: every step recounts each ball's uncovered points
+    covered = np.zeros(dsub.shape[0], dtype=bool)
+    within = dsub <= radius
+    count = 0
+    while not covered.all():
+        gains = (within & ~covered[None, :]).sum(axis=1)
+        count += 1
+        covered |= within[np.argmax(gains)]
+    return count
+
+
+def test_greedy_cover_count_matches_the_dense_loop_at_ties():
+    # integer coordinates tie many distances, and so many gains: the
+    # incremental gains must pick the same ball at every step, so the
+    # count equals the loop that recounts every gain, on sub-metrics of
+    # random sizes at every distinct distance as the radius
+    rng = np.random.default_rng(6)
+    checked = 0
+    for trial in range(12):
+        pts = rng.integers(0, 6, size=(rng.integers(2, 40), 2)).astype(float)
+        for norm in (1.0, 2.0, np.inf):
+            d = PointSet(pts, norm).distance_matrix()
+            sub = rng.permutation(len(pts))[:rng.integers(1, len(pts) + 1)]
+            dsub = d[np.ix_(sub, sub)]
+            for radius in np.unique(dsub):
+                assert points._greedy_cover_count(dsub, radius) == (
+                    dense_cover_count(dsub, radius))
+                checked += 1
+    assert checked > 100
 
 
 def test_doubling_line_vs_grid():

@@ -314,6 +314,35 @@ def test_linf_dists_match_the_blocks_at_forced_weights_and_radii(
     assert checked
 
 
+def test_linf_one_cluster_scans_match_the_block_bit_for_bit():
+    # a scale of one cluster whose net leaves two or more points out scans
+    # its net columns for every pair with no net point, with the block's own
+    # expression and subtraction: there the record is scipy's Chebyshev
+    # pdist of the block (``_linf_block`` times w) exactly, not within the
+    # block's rounding
+    checked = 0
+    for s in linf_sets().values():
+        e = build_snowflake(s, 0.5, 0.1, seed=3)
+        dmat = s.distance_matrix()
+        iu, ju = np.triu_indices(s.n, k=1)
+        for t, i in enumerate(e.plan.scale_indices):
+            sp = snowflake._scale_params(e, i)
+            in_net = snowflake._in_net(s, sp)
+            scanned = ~(in_net[iu] | in_net[ju])
+            if not scanned.any() or not sp.one_cluster(s, e.dim_hat):
+                continue
+            sc = single_scale.scale_clusters(s, sp)
+            assert len(sc.sizes) == 1
+            w = snowflake._scale_weight(e.plan, i)
+            block = w * single_scale._linf_block(
+                sc, dmat, in_net, single_scale._block_weights(sc, np.inf)[1])
+            assert e.scale_k[t] == block.shape[1]
+            assert np.array_equal(e.scale_dists[t][scanned],
+                                  pdist(block, "chebyshev")[scanned])
+            checked += 1
+    assert checked
+
+
 def test_l1_scale_distances_match_the_single_scale_blocks():
     # the l1 twin: no scale keeps its block, and every scale rebuilt on its
     # own by build_single_scale gives the record as scipy's cityblock
